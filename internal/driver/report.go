@@ -336,8 +336,11 @@ func writeStorage(b *strings.Builder, t *telemetry.Summary) {
 		mib(gaugeValue(t, "lsm.compaction_debt_bytes")),
 		gaugeValue(t, "lsm.tables"), mib(gaugeValue(t, "lsm.table_bytes")))
 	if windows := gaugeValue(t, "lsm.windows"); windows > 0 {
-		fmt.Fprintf(b, "  compaction windows:      %d  (%d tables in the hot window)\n",
-			windows, gaugeValue(t, "lsm.hot_window_tables"))
+		// Gauges sum over stores: depth equal to the store count means every
+		// store's tables are time-disjoint, whatever their number.
+		fmt.Fprintf(b, "  compaction windows:      %d  (%d tables in the hot window; read depth %d over %d tables)\n",
+			windows, gaugeValue(t, "lsm.hot_window_tables"),
+			gaugeValue(t, "lsm.read_depth"), gaugeValue(t, "lsm.tables"))
 	}
 	if raw := counterValue(t, "lsm.compress_raw_bytes"); raw > 0 {
 		stored := counterValue(t, "lsm.compress_stored_bytes")

@@ -162,6 +162,7 @@ type HealthReport struct {
 	Stalled      int       `json:"stalled"`       // replicas with blocked writers
 	StallWaiters int64     `json:"stall_waiters"` // writers blocked cluster-wide
 	FlushPending int       `json:"flush_pending"` // replicas with an immutable memtable
+	ReadDepth    int       `json:"read_depth"`    // deepest replica: most tables overlapping at one instant
 
 	// Admission-control and quorum-pipeline signals.
 	Sheds         int64  `json:"sheds"`          // mutates refused under overload, cluster-wide
@@ -200,6 +201,9 @@ func (cl *Cluster) Health() HealthReport {
 			rep.StallWaiters += h.StallWaiters
 			if h.FlushPending {
 				rep.FlushPending++
+			}
+			if h.ReadDepth > rep.ReadDepth {
+				rep.ReadDepth = h.ReadDepth
 			}
 			if !h.OK() {
 				rep.OK = false

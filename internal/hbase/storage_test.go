@@ -56,6 +56,13 @@ func TestStorageReport(t *testing.T) {
 		if len(rs.Tables) == 0 {
 			t.Errorf("replica %s@%d has no table stats after flush", rs.Region, rs.Server)
 		}
+		// These keys carry no timestamps, so every table overlaps.
+		if len(rs.Tiers) == 0 || rs.Tiers[0].Depth != rs.Tiers[0].Tables {
+			t.Errorf("replica %s@%d tiers = %+v, want depth = tables", rs.Region, rs.Server, rs.Tiers)
+		}
+	}
+	if h := cl.Health(); h.ReadDepth < 1 {
+		t.Errorf("/healthz read depth = %d after a flush on every replica", h.ReadDepth)
 	}
 }
 
@@ -174,8 +181,12 @@ func TestStorageEndpointsUnderLoad(t *testing.T) {
 	}
 	wg.Wait()
 
-	// After the dust settles the cluster must be healthy and the ledger
-	// must reflect both writers on every replica.
+	// After the dust settles — acks need only a quorum, so stragglers may
+	// still be applying — the cluster must be healthy and the ledger must
+	// reflect both writers on every replica.
+	if err := cl.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
 	if rep := cl.Health(); !rep.OK {
 		t.Errorf("post-load health: %+v", rep)
 	}

@@ -97,9 +97,23 @@ func TestTCPPutTraceStitched(t *testing.T) {
 		t.Errorf("server.mutate parent %x, want rpc.mutate %x",
 			names["server.mutate"].ParentID, names["rpc.mutate"].SpanID)
 	}
-	if names["wal.append"].ParentID != names["lsm.apply_batch"].SpanID {
-		t.Errorf("wal.append parent %x, want lsm.apply_batch %x",
-			names["wal.append"].ParentID, names["lsm.apply_batch"].SpanID)
+	// Every replica records its own engine spans, and a straggler acked
+	// after the quorum may ship its wal.append before its lsm.apply_batch
+	// ends: some wal.append must hang under an lsm.apply_batch of this trace.
+	batches := map[uint64]bool{}
+	for _, s := range trace.Spans {
+		if s.Name == "lsm.apply_batch" {
+			batches[s.SpanID] = true
+		}
+	}
+	stitched := false
+	for _, s := range trace.Spans {
+		if s.Name == "wal.append" && batches[s.ParentID] {
+			stitched = true
+		}
+	}
+	if !stitched {
+		t.Errorf("no wal.append span parents under an lsm.apply_batch span")
 	}
 	// Engine spans carry the region's service (node/region), not the client's.
 	if svc := names["lsm.apply_batch"].Service; !strings.Contains(svc, "/iot") {

@@ -12,17 +12,22 @@ import (
 	"tpcxiot/internal/kvp"
 )
 
-// aggPut writes one kvp-format reading into the store.
-func aggPut(t testing.TB, s *Store, substation, sensor string, ts int64, reading float64) {
+// aggValue encodes a kvp-format value carrying reading (two decimals).
+func aggValue(t testing.TB, key kvp.Key, reading float64) []byte {
 	t.Helper()
-	key := kvp.Key{Substation: substation, Sensor: sensor, Timestamp: ts}
 	rs := strconv.FormatFloat(reading, 'f', 2, 64)
 	pad, err := kvp.PaddingFor(key, rs, "volt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	val := kvp.Value{Reading: rs, Unit: "volt", Padding: bytes.Repeat([]byte("p"), pad)}
-	if err := s.Put(key.Encode(), val.Encode()); err != nil {
+	return kvp.Value{Reading: rs, Unit: "volt", Padding: bytes.Repeat([]byte("p"), pad)}.Encode()
+}
+
+// aggPut writes one kvp-format reading into the store.
+func aggPut(t testing.TB, s *Store, substation, sensor string, ts int64, reading float64) {
+	t.Helper()
+	key := kvp.Key{Substation: substation, Sensor: sensor, Timestamp: ts}
+	if err := s.Put(key.Encode(), aggValue(t, key, reading)); err != nil {
 		t.Fatal(err)
 	}
 }

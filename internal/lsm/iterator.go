@@ -139,7 +139,7 @@ func (it *Iter) account() {
 func (it *Iter) skipDead() {
 	for it.merged.Valid() {
 		if it.hi != nil && bytes.Compare(it.merged.Key(), it.hi) >= 0 {
-			it.merged.cur = -1 // past the bound: exhaust without erroring
+			it.merged.exhaust() // past the bound
 			return
 		}
 		if v := it.merged.Value(); len(v) > 0 && v[0] == tagValue {

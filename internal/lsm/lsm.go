@@ -8,8 +8,9 @@
 //   - the memtable is the memstore; MemtableSize plays the role of the
 //     flush threshold,
 //   - the WAL segment cap models "maximum number of WAL files = 128",
-//   - MaxStoreFiles models hbase.hstore.blockingStoreFiles: when a store
-//     accumulates that many files, writes block until compaction catches up.
+//   - MaxStoreFiles models hbase.hstore.blockingStoreFiles: when that many
+//     store files overlap on the time axis (every file, when keys carry no
+//     timestamps), writes block until compaction catches up.
 //
 // Writes are durable (per the WAL sync policy) before they are visible.
 // Reads merge the active memtable, the flushing memtable, and the store
@@ -51,19 +52,21 @@ type Options struct {
 	Dir string
 	// MemtableSize is the flush threshold in bytes. Defaults to 4 MiB.
 	MemtableSize int64
-	// MaxStoreFiles blocks writes when this many table files accumulate
-	// (hbase.hstore.blockingStoreFiles). Defaults to 28, the paper's tuning.
+	// MaxStoreFiles blocks writes when this many overlapping tables
+	// accumulate — the store's read depth, the most tables whose key-time
+	// ranges share one instant; tables of timestamp-less keys all overlap, so
+	// for them it is the file count (hbase.hstore.blockingStoreFiles).
+	// Defaults to 28, the paper's tuning.
 	MaxStoreFiles int
-	// CompactTrigger is how many similar-sized tables inside the hot time
-	// window make a tier worth merging (and, for stores recovered from older
-	// versions, the legacy full-compaction trigger). Defaults to 6.
+	// CompactTrigger is how many overlapping tables inside the hot time
+	// window start size-tiered merging. Time-disjoint tables — in-order
+	// ingest — never reach it. Defaults to 6.
 	CompactTrigger int
 	// WindowDuration is the width of the time windows the compaction picker
 	// partitions the table set into. Tables are windowed by their newest key
-	// timestamp (file creation time when keys carry none); only the hot
-	// window churns, and cold windows are merged once and never rewritten.
-	// Defaults to 5 minutes — at the benchmark cadence of one reading per
-	// sensor per second, that is a few memtable flushes per window.
+	// timestamp (file creation time when keys carry none); only overlapping
+	// tables of the hot window are rewritten, and cold windows are merged
+	// once and never again. Defaults to 5 minutes.
 	WindowDuration time.Duration
 	// Compression selects the SSTable data-block encoding for tables written
 	// by flushes and compactions (existing tables are readable either way).
@@ -107,7 +110,8 @@ type Options struct {
 	// "lsm.compact_read_bytes" and "lsm.compact_write_bytes", the
 	// Bloom-filter counters "lsm.bloom_hits", "lsm.bloom_skips" and
 	// "lsm.bloom_false_positives", the gauges "lsm.memtable_bytes",
-	// "lsm.table_bytes", "lsm.tables", "lsm.compaction_debt_bytes",
+	// "lsm.table_bytes", "lsm.tables", "lsm.read_depth",
+	// "lsm.compaction_debt_bytes",
 	// "lsm.cache_hits", "lsm.cache_misses" and "lsm.disk_read_bytes", and
 	// the put-path stage histograms "put.memstore" and "put.region_flush".
 	// The registry is also handed to the store's WAL. A nil registry keeps
@@ -176,7 +180,8 @@ type Store struct {
 	mu     sync.RWMutex
 	active *memtable.Memtable
 	imm    *memtable.Memtable // being flushed; nil when none
-	tables []*tableHandle     // newest first
+	tables []*tableHandle     // newest first; replaced only via setTablesLocked
+	depth  int                // readDepth(tables)
 	nextID uint64
 	closed bool
 
@@ -340,7 +345,7 @@ func (t *tableHandle) release() {
 // Stats reports cumulative engine activity: operation counts, the
 // byte-level amplification ledger, Bloom-filter and block-cache
 // effectiveness, and the current shape of the table set. It is the one-stop
-// snapshot — prefer it over the per-facet getters.
+// snapshot.
 type Stats struct {
 	Puts         int64 `json:"puts"`
 	Deletes      int64 `json:"deletes"`
@@ -348,7 +353,7 @@ type Stats struct {
 	Scans        int64 `json:"scans"`
 	Flushes      int64 `json:"flushes"`
 	Compactions  int64 `json:"compactions"`
-	StallEvents  int64 `json:"stall_events"`  // writes that blocked on MaxStoreFiles
+	StallEvents  int64 `json:"stall_events"`  // writes that blocked on MaxStoreFiles overlapping tables
 	BatchApplies int64 `json:"batch_applies"` // apply rounds; (Puts+Deletes)/BatchApplies = mean batch size
 
 	// Write-side amplification ledger. LogicalBytes is the user payload
@@ -396,8 +401,8 @@ type Stats struct {
 	// Current shape: live table files, their total size, the active
 	// memtable's occupancy, and the compaction debt — bytes the windowed
 	// picker would rewrite right now: cold windows not yet merged to one
-	// table plus a hot window holding a mergeable tier. 0 when settled,
-	// and no longer proportional to total data volume.
+	// table plus a hot window that overlaps CompactTrigger deep or exceeds
+	// its file budget. 0 when settled, whatever the data volume.
 	Tables              int   `json:"tables"`
 	TableBytes          int64 `json:"table_bytes"`
 	MemtableBytes       int64 `json:"memtable_bytes"`
@@ -467,18 +472,18 @@ func Open(opts Options) (*Store, error) {
 	s.seedCount = 1
 	s.encPool.New = func() any { return new(encodeBuf) }
 	s.met = storeMetrics{
-		flushes:       o.Registry.Counter("lsm.flushes"),
-		compactions:   o.Registry.Counter("lsm.compactions"),
-		stalls:        o.Registry.Counter("lsm.stalls"),
-		truncErrs:     o.Registry.Counter("wal.truncate_errors"),
-		batchApplies:  o.Registry.Counter("lsm.batch_applies"),
-		memSpan:       o.Registry.Timer("put.memstore"),
-		flushSpan:     o.Registry.Timer("put.region_flush"),
-		logicalBytesC: o.Registry.Counter("lsm.logical_bytes"),
-		logicalReadC:  o.Registry.Counter("lsm.logical_read_bytes"),
-		flushBytesC:   o.Registry.Counter("lsm.flush_bytes"),
-		compactReadC:  o.Registry.Counter("lsm.compact_read_bytes"),
-		compactWriteC: o.Registry.Counter("lsm.compact_write_bytes"),
+		flushes:         o.Registry.Counter("lsm.flushes"),
+		compactions:     o.Registry.Counter("lsm.compactions"),
+		stalls:          o.Registry.Counter("lsm.stalls"),
+		truncErrs:       o.Registry.Counter("wal.truncate_errors"),
+		batchApplies:    o.Registry.Counter("lsm.batch_applies"),
+		memSpan:         o.Registry.Timer("put.memstore"),
+		flushSpan:       o.Registry.Timer("put.region_flush"),
+		logicalBytesC:   o.Registry.Counter("lsm.logical_bytes"),
+		logicalReadC:    o.Registry.Counter("lsm.logical_read_bytes"),
+		flushBytesC:     o.Registry.Counter("lsm.flush_bytes"),
+		compactReadC:    o.Registry.Counter("lsm.compact_read_bytes"),
+		compactWriteC:   o.Registry.Counter("lsm.compact_write_bytes"),
 		bloomHitsC:      o.Registry.Counter("lsm.bloom_hits"),
 		bloomSkipsC:     o.Registry.Counter("lsm.bloom_skips"),
 		bloomFPC:        o.Registry.Counter("lsm.bloom_false_positives"),
@@ -487,9 +492,12 @@ func Open(opts Options) (*Store, error) {
 		pruneKeyC:       o.Registry.Counter("lsm.prune_key_skips"),
 		pruneTimeC:      o.Registry.Counter("lsm.prune_time_skips"),
 	}
-	o.Registry.Gauge("lsm.memtable_bytes", s.MemtableBytes)
+	memtableBytes := func() int64 { return s.Health().MemtableBytes }
+	depthGauge := func() int64 { return int64(s.Health().ReadDepth) }
+	o.Registry.Gauge("lsm.memtable_bytes", memtableBytes)
 	o.Registry.Gauge("lsm.table_bytes", s.tableBytesGauge)
-	o.Registry.Gauge("lsm.tables", func() int64 { return int64(s.TableCount()) })
+	o.Registry.Gauge("lsm.tables", func() int64 { return int64(s.Health().Tables) })
+	o.Registry.Gauge("lsm.read_depth", depthGauge)
 	o.Registry.Gauge("lsm.compaction_debt_bytes", s.compactionDebtGauge)
 	o.Registry.Gauge("lsm.windows", func() int64 { return int64(len(s.TierStats())) })
 	o.Registry.Gauge("lsm.hot_window_tables", s.hotWindowTablesGauge)
@@ -505,8 +513,9 @@ func Open(opts Options) (*Store, error) {
 		s.met.flushBytesTagged = o.Registry.CounterTagged("lsm.flush_bytes", o.Tags...)
 		s.met.compactReadTagged = o.Registry.CounterTagged("lsm.compact_read_bytes", o.Tags...)
 		s.met.compactWriteTagged = o.Registry.CounterTagged("lsm.compact_write_bytes", o.Tags...)
-		o.Registry.GaugeTagged("lsm.memtable_bytes", s.MemtableBytes, o.Tags...)
+		o.Registry.GaugeTagged("lsm.memtable_bytes", memtableBytes, o.Tags...)
 		o.Registry.GaugeTagged("lsm.table_bytes", s.tableBytesGauge, o.Tags...)
+		o.Registry.GaugeTagged("lsm.read_depth", depthGauge, o.Tags...)
 	}
 	s.elog = o.Logger
 	if s.elog != nil && len(o.Tags) > 0 {
@@ -599,6 +608,7 @@ func (s *Store) recoverTables() error {
 			}
 		}
 	}
+	s.setTablesLocked(s.tables) // nothing else can see the store yet
 	return s.removeOrphans(live != nil)
 }
 
@@ -812,18 +822,21 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	// Backpressure: block while the store-file count is at the cap, exactly
+	// Backpressure: block while the overlapping store files are at the cap,
 	// like hbase.hstore.blockingStoreFiles. Checked once per batch.
-	if len(s.tables) >= s.opts.MaxStoreFiles && !s.closed {
+	if s.depth >= s.opts.MaxStoreFiles && !s.closed {
 		stallSp := batchSp.Child("lsm.stall_wait")
 		s.stallWaiters.Add(1)
-		for len(s.tables) >= s.opts.MaxStoreFiles && !s.closed {
+		s.elog.Warn("write stall: read depth at MaxStoreFiles",
+			telemetry.F("read_depth", s.depth), telemetry.F("tables", len(s.tables)),
+			telemetry.F("max_store_files", s.opts.MaxStoreFiles))
+		for s.depth >= s.opts.MaxStoreFiles && !s.closed {
 			s.stalls.Add(1)
 			s.met.stalls.Inc()
 			s.met.stallsTagged.Inc()
 			s.startMaintenanceLocked()
 			// With stallWaiters nonzero the picker always finds work, so a
-			// kick is guaranteed to shrink the table count.
+			// kick is guaranteed to lower depth.
 			s.kickCompactor()
 			s.flushCond.Wait()
 		}
@@ -1025,7 +1038,7 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 	// it) the renamed file is an unreferenced orphan, the WAL still holds the
 	// data, and a retry flushes under a fresh id.
 	err = s.commitAndInstall(manifestEdit{Added: []tableMeta{h.meta()}}, func() {
-		s.tables = append([]*tableHandle{h}, s.tables...)
+		s.setTablesLocked(append([]*tableHandle{h}, s.tables...))
 		s.imm = nil
 		s.flushes.Add(1)
 		s.met.flushes.Inc()
@@ -1279,7 +1292,7 @@ func (s *Store) replaceTablesLocked(old []*tableHandle, out *tableHandle) {
 		}
 		ns = append(ns, t)
 	}
-	s.tables = ns
+	s.setTablesLocked(ns)
 }
 
 // Compact forces a full compaction: every table merges into one and every
@@ -1301,20 +1314,37 @@ func (s *Store) Compact() error {
 	return s.compactPick(pick)
 }
 
-// Get returns the value for key, or ok=false.
+// Get returns the value for key, or ok=false. Tables are ruled out by
+// their footer metadata before anything is pinned: first by key range, then
+// — when the key carries a timestamp — by time range, so a point read costs
+// the tables that overlap its instant, not every file in the store.
 func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
 	if len(key) == 0 {
 		return nil, false, ErrBadKey
 	}
+	ts, hasTS := s.opts.KeyTimestamp(key)
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, false, ErrClosed
 	}
 	active, imm := s.active, s.imm
-	tables := append([]*tableHandle(nil), s.tables...)
-	for _, t := range tables {
+	var keyPruned, timePruned int64
+	var pinned [4]*tableHandle
+	tables := pinned[:0]
+	for _, t := range s.tables {
+		if bytes.Compare(key, t.firstKey) < 0 || bytes.Compare(key, t.lastKey) > 0 {
+			keyPruned++
+			continue
+		}
+		// Sound because a table's time bounds cover every timestamped key in
+		// it; tables without bounds are never pruned by time.
+		if hasTS && t.hasTS && (ts < t.minTS || ts > t.maxTS) {
+			timePruned++
+			continue
+		}
 		t.acquire()
+		tables = append(tables, t)
 	}
 	s.mu.RUnlock()
 	defer func() {
@@ -1323,6 +1353,14 @@ func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
 		}
 	}()
 	s.gets.Add(1)
+	if keyPruned > 0 {
+		s.pruneKey.Add(keyPruned)
+		s.met.pruneKeyC.Add(keyPruned)
+	}
+	if timePruned > 0 {
+		s.pruneTime.Add(timePruned)
+		s.met.pruneTimeC.Add(timePruned)
+	}
 
 	if v, found := active.Get(key); found {
 		return s.returnLive(key, v)
@@ -1333,13 +1371,6 @@ func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
 		}
 	}
 	for _, t := range tables {
-		// Key-range pruning: the footer bounds rule the table out without
-		// touching its reader (no bloom probe, no block read).
-		if bytes.Compare(key, t.firstKey) < 0 || bytes.Compare(key, t.lastKey) > 0 {
-			s.pruneKey.Add(1)
-			s.met.pruneKeyC.Inc()
-			continue
-		}
 		r := t.reader
 		// Classify the Bloom probe ourselves (Reader.Get would consult the
 		// filter too, but cannot tell us which way it went). Only tables that
@@ -1544,8 +1575,11 @@ type Health struct {
 	StallWaiters int64 `json:"stall_waiters"`
 	// FlushPending reports an immutable memtable waiting on (or in) flush.
 	FlushPending bool `json:"flush_pending"`
-	// Tables against the backpressure cap and compaction trigger.
+	// ReadDepth — the most tables overlapping at one instant of the time
+	// axis — is what the backpressure cap and the compaction trigger are
+	// compared against; Tables is the raw file count.
 	Tables         int `json:"tables"`
+	ReadDepth      int `json:"read_depth"`
 	MaxStoreFiles  int `json:"max_store_files"`
 	CompactTrigger int `json:"compact_trigger"`
 	// Active memtable fill against its flush threshold.
@@ -1570,6 +1604,7 @@ func (s *Store) Health() Health {
 	s.mu.RLock()
 	h.FlushPending = s.imm != nil
 	h.Tables = len(s.tables)
+	h.ReadDepth = s.depth
 	h.MemtableBytes = s.active.Size()
 	h.Closed = s.closed
 	s.mu.RUnlock()
@@ -1647,26 +1682,6 @@ func RegisterDerivedGauges(reg *telemetry.Registry) {
 	})
 }
 
-// TableCount returns the number of live store files.
-//
-// Deprecated: Stats().Tables reports the same value alongside the rest of
-// the store's shape; prefer one Stats call over per-facet getters.
-func (s *Store) TableCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.tables)
-}
-
-// MemtableBytes returns the active memtable's approximate size.
-//
-// Deprecated: Stats().MemtableBytes reports the same value; prefer one
-// Stats call over per-facet getters.
-func (s *Store) MemtableBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.active.Size()
-}
-
 // Close flushes and shuts the store down.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -1690,7 +1705,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.flushCond.Broadcast()
 	tables := s.tables
-	s.tables = nil
+	s.setTablesLocked(nil)
 	log := s.log
 	s.mu.Unlock()
 

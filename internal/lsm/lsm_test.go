@@ -96,7 +96,7 @@ func TestDeleteAcrossFlushAndCompaction(t *testing.T) {
 	if v, ok, _ := s.Get([]byte("stays")); !ok || string(v) != "v" {
 		t.Fatal("live key lost in compaction")
 	}
-	if got := s.TableCount(); got != 1 {
+	if got := s.Stats().Tables; got != 1 {
 		t.Fatalf("TableCount after full compaction = %d, want 1", got)
 	}
 }
@@ -283,7 +283,7 @@ func TestCompactionTriggeredByFileCount(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TableCount(); got != 1 {
+	if got := s.Stats().Tables; got != 1 {
 		t.Fatalf("TableCount = %d after compaction, want 1", got)
 	}
 	for f := 0; f < 4; f++ {
@@ -486,8 +486,8 @@ func TestScanDuringCompactionKeepsReaders(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s.TableCount() < 2 {
-		t.Fatalf("need several store files, have %d", s.TableCount())
+	if s.Stats().Tables < 2 {
+		t.Fatalf("need several store files, have %d", s.Stats().Tables)
 	}
 
 	var wg sync.WaitGroup

@@ -65,7 +65,7 @@ func TestManifestAuthoritativeAfterCompactionCrash(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TableCount(); got != 1 {
+	if got := s.Stats().Tables; got != 1 {
 		t.Fatalf("TableCount after full compaction = %d, want 1", got)
 	}
 	crashStore(t, s)

@@ -115,7 +115,7 @@ func TestHotWindowTierMerge(t *testing.T) {
 	if err := s.CompactPending(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TableCount(); got != 1 {
+	if got := s.Stats().Tables; got != 1 {
 		t.Fatalf("TableCount after hot-tier merge = %d, want 1", got)
 	}
 	count := 0

@@ -180,9 +180,6 @@ func (r *Region) NewIterator(lo, hi []byte) (*lsm.Iter, error) {
 	return it, nil
 }
 
-// SizeBytes approximates the region's unflushed data volume.
-func (r *Region) SizeBytes() int64 { return r.store.MemtableBytes() }
-
 // Stats snapshots the backing store's cumulative activity and amplification
 // ledger.
 func (r *Region) Stats() lsm.Stats { return r.store.Stats() }
