@@ -22,6 +22,7 @@ import (
 	"tpcxiot/internal/hbase"
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/replication"
+	"tpcxiot/internal/telemetry"
 	"tpcxiot/internal/wal"
 )
 
@@ -43,23 +44,12 @@ func (s *slowApplier) Delete(key []byte) error {
 	return s.inner.Delete(key)
 }
 
-func (s *slowApplier) ApplyBatch(writes []lsm.Write) error {
+// ApplyBatch forwards the trace span with the batch: a wrapper that dropped
+// it would erase every engine span under this member. The wrapped member is
+// always a region replica, which applies batches.
+func (s *slowApplier) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	time.Sleep(s.delay)
-	if ba, ok := s.inner.(replication.BatchApplier); ok {
-		return ba.ApplyBatch(writes)
-	}
-	for i := range writes {
-		var err error
-		if writes[i].Delete {
-			err = s.inner.Delete(writes[i].Key)
-		} else {
-			err = s.inner.Put(writes[i].Key, writes[i].Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.inner.(replication.BatchApplier).ApplyBatch(parent, writes)
 }
 
 // BenchmarkClusterSaturation drives putsPerWorker unbuffered puts from

@@ -42,7 +42,6 @@ func main() {
 		threads     = flag.Int("threads", 4, "worker threads per driver instance")
 		writeBuffer = flag.Int64("writebuffer", 256<<10, "client write buffer bytes (hbase.client.write.buffer)")
 		handlers    = flag.Int("handlers", 32, "request handlers per region server")
-		maxInflight = flag.Int("max-inflight", 0, "override -handlers: bounded mutate handler pool per region server (0 keeps -handlers)")
 		quorum      = flag.Int("quorum", 0, "members (primary included) that must apply before a write acks; 0 = majority of the replication factor, -1 = full fan-out (pre-quorum behavior)")
 		shedWater   = flag.Int("shed-watermark", 0, "queued mutates per server beyond which new ones are shed with a retryable overload error (0 = 4x handlers, negative disables shedding)")
 		iterations  = flag.Int("iterations", 2, "benchmark iterations (spec requires 2)")
@@ -53,7 +52,6 @@ func main() {
 		compactWin  = flag.Duration("compact-window", 5*time.Minute, "time-window width for tiered compaction; only the window holding the newest data is rewritten repeatedly (default ~300 readings/sensor at the 1 Hz benchmark cadence)")
 		compression = flag.String("compression", "none", "SSTable data-block compression: none or flate")
 		useTCP      = flag.Bool("tcp", false, "drive the cluster over its loopback TCP wire protocol")
-		pushdown    = flag.Bool("pushdown", false, "evaluate dashboard query aggregation inside the region servers (server-side aggregation pushdown) instead of streaming raw rows to the client")
 		analytics   = flag.Bool("analytics", false, "add downsampling and group-by-window analytic query templates to the query rotation (reported separately from the dashboard validity statistics)")
 		status      = flag.Duration("status", 0, "log a status line for driver 0 on this interval (e.g. 2s)")
 		targetRate  = flag.Float64("target-rate", 0, "pace the run at this system-wide intended rate in ops/s (split across drivers and threads into a fixed intended-start schedule); paced runs additionally record coordinated-omission-corrected intended latency (0 = open loop)")
@@ -127,17 +125,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	handlerCount := *handlers
-	if *maxInflight > 0 {
-		handlerCount = *maxInflight
-	}
 	quorumAcks := *quorum
 	if quorumAcks < 0 {
 		quorumAcks = replication.DefaultFactor // full fan-out: quorum = factor
 	}
 	cluster, err := hbase.NewCluster(hbase.Config{
 		Nodes:         *nodes,
-		HandlerCount:  handlerCount,
+		HandlerCount:  *handlers,
 		QuorumAcks:    quorumAcks,
 		ShedWatermark: *shedWater,
 		DataDir:       dir,
@@ -261,7 +255,6 @@ func main() {
 		Iterations:         *iterations,
 		MinWorkloadSeconds: *minSeconds,
 		StatusInterval:     *status,
-		Pushdown:           *pushdown,
 		Analytics:          *analytics,
 		TargetRate:         *targetRate,
 		AuditTolerance:     *auditTol,
@@ -273,10 +266,10 @@ func main() {
 				log.Printf("audit: iteration %d verdict INVALID: %s", it+1, v.Check().Detail)
 			}
 		},
-		Telemetry:          reg,
-		TelemetryInterval:  *telemetryInt,
-		HealthInterval:     *healthInt,
-		Tracer:             tracer,
+		Telemetry:         reg,
+		TelemetryInterval: *telemetryInt,
+		HealthInterval:    *healthInt,
+		Tracer:            tracer,
 		OnTicker: func(t *telemetry.Ticker) {
 			tickerMu.Lock()
 			liveTicker = t

@@ -61,13 +61,15 @@ func main() {
 		ingestDone <- err
 	}()
 
-	// Dashboard loop: a separate client issuing the four query templates
-	// against a few instruments while ingest continues.
-	client, err := cluster.NewClient("iot", 0)
+	// Dashboard loop: a separate unbuffered client issuing the four query
+	// templates against a few instruments while ingest continues. Each
+	// template folds inside the region servers and carries only the
+	// statistic it compares (plus the row counts).
+	db, err := workload.ClusterBinding(cluster, "iot", 0)(0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	db := clientDB{client}
+	defer db.Close()
 	watch := []string{"pmu-freq-000", "ltc-gas-000", "leakage-000", "xfmr-temp-000"}
 	templates := []workload.QueryKind{
 		workload.QueryMax, workload.QueryMin, workload.QueryAvg, workload.QueryCount,
@@ -86,9 +88,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("%-14s %-16s recent: n=%4d avg=%9.2f  vs 30s ago: n=%4d  Δ=%+8.2f\n",
-				sensor, res.Kind, res.Recent.Rows, res.Recent.Avg,
-				res.Historical.Rows, res.Value())
+			fmt.Printf("%-14s %-16s recent: n=%4d  vs 30s ago: n=%4d  Δ=%+8.2f\n",
+				sensor, res.Kind, res.Recent.Rows, res.Historical.Rows, res.Value())
 		}
 		fmt.Println()
 	}
@@ -100,39 +101,3 @@ func main() {
 	st := inst.Stats()
 	fmt.Printf("ingest complete: %d readings from %d sensors\n", st.Inserted, 200)
 }
-
-// clientDB adapts the cluster client to the query helper's DB interface.
-type clientDB struct{ c *hbase.Client }
-
-func (d clientDB) Insert(key, value []byte) error        { return d.c.Put(key, value) }
-func (d clientDB) Read(key []byte) ([]byte, bool, error) { return d.c.Get(key) }
-func (d clientDB) Scan(lo, hi []byte, limit int) ([]ycsb.KV, error) {
-	rows, err := d.c.Scan(lo, hi, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ycsb.KV, len(rows))
-	for i, r := range rows {
-		out[i] = ycsb.KV{Key: r.Key, Value: r.Value}
-	}
-	return out, nil
-}
-func (d clientDB) ScanIter(lo, hi []byte, limit int) (ycsb.RowIter, error) {
-	sc, err := d.c.NewScanner(lo, hi, limit)
-	if err != nil {
-		return nil, err
-	}
-	return scannerIter{sc: sc}, nil
-}
-
-// scannerIter streams the client Scanner's rows to the query helper.
-type scannerIter struct{ sc *hbase.Scanner }
-
-func (it scannerIter) Next() (ycsb.KV, bool, error) {
-	row, ok, err := it.sc.Next()
-	return ycsb.KV{Key: row.Key, Value: row.Value}, ok, err
-}
-
-func (it scannerIter) Close() error { return it.sc.Close() }
-
-func (d clientDB) Close() error { return d.c.Close() }

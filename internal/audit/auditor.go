@@ -381,8 +381,8 @@ func IntervalSignals(p telemetry.Point) []string {
 	if n := pointCounter(p, "workload.shed_ops"); n > 0 {
 		out = append(out, fmt.Sprintf("shed_ops=+%d", n))
 	}
-	if n := pointCounter(p, "lsm.write_stalls"); n > 0 {
-		out = append(out, fmt.Sprintf("write_stalls=+%d", n))
+	if n := pointCounter(p, "lsm.stalls"); n > 0 {
+		out = append(out, fmt.Sprintf("stalls=+%d", n))
 	}
 	if n := pointGauge(p, "lsm.compaction_debt_bytes"); n > 0 {
 		out = append(out, fmt.Sprintf("compaction_debt=%.1fMiB", float64(n)/(1<<20)))

@@ -120,10 +120,9 @@ type Config struct {
 	// right after it starts — the hook a signal handler uses to snapshot the
 	// in-flight interval series on interrupt.
 	OnTicker func(*telemetry.Ticker)
-	// Pushdown routes the dashboard query templates through the SUT's
-	// server-side aggregation path when the binding implements
-	// ycsb.Aggregator; bindings without the capability fall back to the
-	// streamed scans, so the flag is safe against any SUT.
+	// Pushdown is ignored: queries always fold server-side when the SUT's
+	// binding implements workload.Aggregator. The field stays only because
+	// the frozen bench/kit.go sets it (bench-pinned residue, DESIGN.md §6).
 	Pushdown bool
 	// Analytics adds the downsampling and group-by-window query templates to
 	// the per-thread query rotation. They are reported separately and do not
@@ -519,7 +518,6 @@ func executeWorkload(c Config, salt uint64) (Execution, error) {
 				Seed:       c.Seed ^ (uint64(d)+1)*0x2545f4914f6cdd1d ^ salt*0x9e3779b97f4a7c15,
 				Now:        c.Now,
 				Registry:   c.Telemetry,
-				Pushdown:   c.Pushdown,
 				Analytics:  c.Analytics,
 				Sequencer:  c.sequencer,
 			})

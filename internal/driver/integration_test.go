@@ -169,6 +169,65 @@ func TestLiveQueriesSeeIngestedData(t *testing.T) {
 	}
 }
 
+// TestCountRowsMatchesRowsWritten: over a three-region table, driven
+// in-process and over TCP, CountRows equals the readings ingested — while
+// they sit in memtables, and again after every replica has flushed and
+// compacted (a small memtable makes each region hold several tables first).
+func TestCountRowsMatchesRowsWritten(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		cluster, err := hbase.NewCluster(hbase.Config{
+			Nodes:   3,
+			DataDir: t.TempDir(),
+			Store:   lsm.Options{WALSync: wal.SyncNever, MemtableSize: 256 << 10},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		sut, err := NewClusterSUT(cluster, 3, 32<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tcp {
+			if err := sut.UseTCP(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const kvps = 3_000
+		if _, err := ExecuteWorkload(Config{
+			Drivers: 3, TotalKVPs: kvps, ThreadsPerDriver: 2,
+			SUT: sut, MinWorkloadSeconds: 0.001, Seed: 9,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			n, err := sut.CountRows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != kvps {
+				t.Fatalf("tcp=%v %s: CountRows = %d, want %d", tcp, when, n, kvps)
+			}
+		}
+		check("after ingest")
+		if err := sut.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		for _, srv := range cluster.Servers() {
+			for _, r := range srv.Regions() {
+				if err := r.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Store().Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check("after flush + compaction")
+	}
+}
+
 // TestClusterSUTDescribe covers the descriptive plumbing.
 func TestClusterSUTDescribe(t *testing.T) {
 	cluster := newLiveCluster(t, 4)

@@ -38,23 +38,12 @@ func (g *gatedStallApplier) Delete(key []byte) error {
 	return g.inner.Delete(key)
 }
 
-func (g *gatedStallApplier) ApplyBatch(writes []lsm.Write) error {
+// ApplyBatch forwards the trace span with the batch: a wrapper that dropped
+// it would erase every engine span under this member. The wrapped member is
+// always a region replica, which applies batches.
+func (g *gatedStallApplier) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	g.waitGate()
-	if ba, ok := g.inner.(replication.BatchApplier); ok {
-		return ba.ApplyBatch(writes)
-	}
-	for i := range writes {
-		var err error
-		if writes[i].Delete {
-			err = g.inner.Delete(writes[i].Key)
-		} else {
-			err = g.inner.Put(writes[i].Key, writes[i].Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.inner.(replication.BatchApplier).ApplyBatch(parent, writes)
 }
 
 // pacedRunConfig builds the shared driver config for the paced audit tests:
@@ -125,7 +114,13 @@ func TestPacedStallDivergenceAndAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	sut, err := NewClusterSUT(cluster, 2, 512<<10)
+	// A 64 KiB client buffer makes each of the four threads flush every
+	// ~85 ms at this rate, so all four have a mutate outstanding well inside
+	// the 800 ms stall: two hold the handlers, one queues, and the fourth is
+	// shed and retried for the rest of it — the stalled interval always
+	// carries an overload signal. (At 512 KiB a thread flushes every ~0.7 s
+	// and a stall could pass with three mutates in flight and nothing shed.)
+	sut, err := NewClusterSUT(cluster, 2, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

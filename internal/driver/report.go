@@ -262,7 +262,7 @@ func writeTelemetry(b *strings.Builder, t *telemetry.Summary) {
 
 // regionColumns are the per-region engine counters tabulated in the report,
 // in write-path order.
-var regionColumns = []string{"lsm.batch_applies", "lsm.flushes", "lsm.write_stalls"}
+var regionColumns = []string{"lsm.batch_applies", "lsm.flushes", "lsm.stalls"}
 
 // writeRegionTable renders the per-region breakdown parsed out of tagged
 // counter names (lsm.batch_applies{region=...,server=...} and friends).

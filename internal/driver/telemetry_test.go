@@ -1,11 +1,14 @@
 package driver
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"tpcxiot/internal/audit"
 	"tpcxiot/internal/hbase"
+	"tpcxiot/internal/kvp"
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/telemetry"
 	"tpcxiot/internal/wal"
@@ -153,5 +156,68 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 	}
 	if strings.Contains(res.Report(), "Telemetry\n") {
 		t.Fatal("report renders telemetry section for an uninstrumented run")
+	}
+}
+
+// TestWriteStallReachesAuditorAndReport forces a real write stall — a tiny
+// memtable, MaxStoreFiles 2 and two flushes over the same time range, so
+// read depth reaches the cap — on a registry-wired store, and checks both
+// readers of the store's stall counter see it: the auditor's interval
+// signals and the report's per-region stalls column. A reader that names a
+// series the store does not register shows zero here.
+func TestWriteStallReachesAuditorAndReport(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s, err := lsm.Open(lsm.Options{
+		Dir:            t.TempDir(),
+		WALSync:        wal.SyncNever,
+		MemtableSize:   4 << 10,
+		MaxStoreFiles:  2,
+		CompactTrigger: 8, // the hot tier must not merge before the cap is hit
+		Registry:       reg,
+		Tags:           []telemetry.Tag{{Key: "region", Value: "iot,00000"}, {Key: "server", Value: "0"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ticker := telemetry.NewTicker(reg, time.Hour, nil)
+	ticker.Start()
+
+	// Out-of-order ingest: every flush covers timestamps [0, 50), so each
+	// new table overlaps all earlier ones in time.
+	for round := 0; s.Stats().StallEvents == 0; round++ {
+		if round == 50 {
+			t.Fatal("no write stall after 50 overlapping flushes")
+		}
+		for ts := int64(0); ts < 50; ts++ {
+			k := kvp.Key{Substation: "ps", Sensor: fmt.Sprintf("s%03d", round), Timestamp: ts}
+			if err := s.Put(k.Encode(), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stalls := s.Stats().StallEvents
+
+	var signals []string
+	for _, p := range ticker.Stop().Points {
+		signals = append(signals, audit.IntervalSignals(p)...)
+	}
+	if want := fmt.Sprintf("stalls=+%d", stalls); !strings.Contains(strings.Join(signals, " "), want) {
+		t.Fatalf("auditor signals %v missing %q", signals, want)
+	}
+
+	var b strings.Builder
+	writeRegionTable(&b, reg.Summary())
+	var row []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "iot,00000" {
+			row = f
+		}
+	}
+	if len(row) != 5 || row[4] != fmt.Sprint(stalls) {
+		t.Fatalf("report region row %v, want stalls column %d:\n%s", row, stalls, b.String())
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/replication"
+	"tpcxiot/internal/telemetry"
 	"tpcxiot/internal/wal"
 )
 
@@ -53,23 +54,12 @@ func (g *gatedMember) Delete(key []byte) error {
 	return g.inner.Delete(key)
 }
 
-func (g *gatedMember) ApplyBatch(writes []lsm.Write) error {
+// ApplyBatch forwards the trace span with the batch: a wrapper that dropped
+// it would erase every engine span under this member. The wrapped member is
+// always a region replica, which applies batches.
+func (g *gatedMember) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	g.wait()
-	if ba, ok := g.inner.(replication.BatchApplier); ok {
-		return ba.ApplyBatch(writes)
-	}
-	for i := range writes {
-		var err error
-		if writes[i].Delete {
-			err = g.inner.Delete(writes[i].Key)
-		} else {
-			err = g.inner.Put(writes[i].Key, writes[i].Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.inner.(replication.BatchApplier).ApplyBatch(parent, writes)
 }
 
 // stragglerCluster builds a 3-node cluster whose member 2 (the second

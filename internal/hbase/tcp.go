@@ -166,7 +166,7 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 				Delete: del == 1,
 			})
 		}
-		if err := srv.mutateTraced(tr.group, batch, parent); err != nil {
+		if err := srv.mutate(tr.group, batch, parent); err != nil {
 			fail(err)
 			return
 		}
@@ -178,7 +178,7 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 			fail(err)
 			return
 		}
-		v, found, err := srv.getTraced(tr.replicas[0], key, parent)
+		v, found, err := srv.get(tr.replicas[0], key, parent)
 		if err != nil {
 			fail(err)
 			return
@@ -207,7 +207,7 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 			fail(err)
 			return
 		}
-		id, err := srv.openScannerTraced(tr.replicas[0], lo, hi, int(limit), parent)
+		id, err := srv.openScanner(tr.replicas[0], lo, hi, int(limit), parent)
 		if err != nil {
 			fail(err)
 			return
@@ -226,7 +226,7 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 			fail(err)
 			return
 		}
-		rows, more, err := srv.nextTraced(id, int(chunk), parent)
+		rows, more, err := srv.next(id, int(chunk), parent)
 		if err != nil {
 			fail(err)
 			return
@@ -266,7 +266,7 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 			fail(err)
 			return
 		}
-		res, err := srv.aggregateTraced(tr.replicas[0], lo, hi,
+		res, err := srv.aggregate(tr.replicas[0], lo, hi,
 			int64(minTS), int64(maxTS), int64(windowMS), lsm.AggFuncs(funcs), parent)
 		if err != nil {
 			fail(err)

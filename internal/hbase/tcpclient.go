@@ -35,19 +35,19 @@ type transport interface {
 type inprocTransport struct{}
 
 func (inprocTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
-	return tr.primary.mutateTraced(tr.group, batch, sp)
+	return tr.primary.mutate(tr.group, batch, sp)
 }
 
 func (inprocTransport) get(tr *tableRegion, key []byte, sp telemetry.TSpan) ([]byte, bool, error) {
-	return tr.primary.getTraced(tr.replicas[0], key, sp)
+	return tr.primary.get(tr.replicas[0], key, sp)
 }
 
 func (inprocTransport) openScanner(tr *tableRegion, lo, hi []byte, limit int, sp telemetry.TSpan) (uint64, error) {
-	return tr.primary.openScannerTraced(tr.replicas[0], lo, hi, limit, sp)
+	return tr.primary.openScanner(tr.replicas[0], lo, hi, limit, sp)
 }
 
 func (inprocTransport) scanNext(tr *tableRegion, id uint64, chunk int, sp telemetry.TSpan) ([]Row, bool, error) {
-	return tr.primary.nextTraced(id, chunk, sp)
+	return tr.primary.next(id, chunk, sp)
 }
 
 func (inprocTransport) closeScanner(tr *tableRegion, id uint64, sp telemetry.TSpan) error {
@@ -55,7 +55,7 @@ func (inprocTransport) closeScanner(tr *tableRegion, id uint64, sp telemetry.TSp
 }
 
 func (inprocTransport) aggregate(tr *tableRegion, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs, sp telemetry.TSpan) (lsm.AggResult, error) {
-	return tr.primary.aggregateTraced(tr.replicas[0], lo, hi, minTS, maxTS, windowMS, funcs, sp)
+	return tr.primary.aggregate(tr.replicas[0], lo, hi, minTS, maxTS, windowMS, funcs, sp)
 }
 
 func (inprocTransport) close() error { return nil }

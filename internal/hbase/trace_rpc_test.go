@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tpcxiot/internal/lsm"
+	"tpcxiot/internal/replication"
 	"tpcxiot/internal/telemetry"
 	"tpcxiot/internal/wal"
 )
@@ -196,6 +197,66 @@ func TestInprocPutTraced(t *testing.T) {
 	for _, want := range []string{"server.mutate", "replication.fanout", "lsm.apply_batch", "wal.append"} {
 		if _, ok := names[want]; !ok {
 			t.Errorf("in-process trace missing %q; has %v", want, keys(names))
+		}
+	}
+}
+
+// TestWrappedMemberKeepsEngineSpans: a member wrapped through
+// Config.MemberWrapper (the fault-injection hook) must still carry the
+// operation's span into the engine. Every member is wrapped by a
+// pass-through gatedMember and the write acks at full fan-out, so each
+// replicate.N must own a region.apply → lsm.apply_batch → wal.append chain.
+func TestWrappedMemberKeepsEngineSpans(t *testing.T) {
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{SampleEvery: 1})
+	cl, err := NewCluster(Config{
+		Nodes:      3,
+		QuorumAcks: 3,
+		DataDir:    t.TempDir(),
+		Store:      lsm.Options{WALSync: wal.SyncNever},
+		Tracer:     tracer,
+		MemberWrapper: func(_ string, _ int, app replication.Applier) replication.Applier {
+			g := newGatedMember(app)
+			g.Unblock()
+			return g
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.CreateTable("iot", nil); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cl.NewClient("iot", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Put([]byte("k1"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	trace := traceByRoot(tracer, "client.put")
+	if trace == nil {
+		t.Fatal("no client.put trace")
+	}
+	// child returns the span named name whose parent is the given span.
+	child := func(parent uint64, name string) (telemetry.SpanRecord, bool) {
+		for _, s := range trace.Spans {
+			if s.ParentID == parent && s.Name == name {
+				return s, true
+			}
+		}
+		return telemetry.SpanRecord{}, false
+	}
+	fanout := spanNames(trace)["replication.fanout"]
+	for n := 0; n < 3; n++ {
+		at := fanout
+		for _, name := range []string{fmt.Sprintf("replicate.%d", n), "region.apply", "lsm.apply_batch", "wal.append"} {
+			next, ok := child(at.SpanID, name)
+			if !ok {
+				t.Fatalf("member %d: no %q under %q; trace has %v", n, name, at.Name, keys(spanNames(trace)))
+			}
+			at = next
 		}
 	}
 }

@@ -26,7 +26,7 @@ const (
 )
 
 // NeedsValue reports whether the fold must decode row values. Count-only
-// aggregations fold keys alone — the ScanTime fast path.
+// aggregations fold keys alone.
 func (f AggFuncs) NeedsValue() bool { return f&(AggMin|AggMax|AggSum|AggAvg) != 0 }
 
 // String renders the mask for traces and error messages.

@@ -1446,24 +1446,6 @@ func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) error) error {
 	return it.Error()
 }
 
-// ScanTime is Scan restricted to entries whose key timestamp satisfies
-// minTS <= ts < maxTS (unix ms). Table files whose footer time bounds fall
-// entirely outside the range are pruned without any I/O; see
-// NewIteratorTime for the exact semantics.
-func (s *Store) ScanTime(lo, hi []byte, minTS, maxTS int64, fn func(key, value []byte) error) error {
-	it, err := s.NewIteratorTime(lo, hi, minTS, maxTS)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for ; it.Valid(); it.Next() {
-		if err := fn(it.Key(), it.Value()); err != nil {
-			return err
-		}
-	}
-	return it.Error()
-}
-
 // Stats returns a snapshot of cumulative counters, the amplification
 // ledger, and the store's current shape.
 func (s *Store) Stats() Stats {

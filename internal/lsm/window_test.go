@@ -176,7 +176,7 @@ func TestWindowedCompactionLeavesSettledWindowsAlone(t *testing.T) {
 }
 
 // TestTimeRangeScanMatchesFilteredScan is the pruning correctness property:
-// for any time range, ScanTime must yield exactly the entries a full Scan
+// for any time range, NewIteratorTime must yield exactly the entries a full Scan
 // yields after per-entry timestamp filtering — file pruning can never change
 // results, only skip I/O.
 func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
@@ -238,15 +238,19 @@ func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []entry
-		err = s.ScanTime(nil, nil, tsLo, tsHi, func(k, v []byte) error {
-			got = append(got, entry{string(k), string(v)})
-			return nil
-		})
+		it, err := s.NewIteratorTime(nil, nil, tsLo, tsHi)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for ; it.Valid(); it.Next() {
+			got = append(got, entry{string(it.Key()), string(it.Value())})
+		}
+		if err := it.Error(); err != nil {
+			t.Fatal(err)
+		}
+		it.Close()
 		if len(got) != len(want) {
-			t.Fatalf("range [%d,%d): ScanTime yielded %d entries, filtered Scan %d", tsLo, tsHi, len(got), len(want))
+			t.Fatalf("range [%d,%d): NewIteratorTime yielded %d entries, filtered Scan %d", tsLo, tsHi, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
@@ -286,12 +290,20 @@ func TestTimeRangePruningSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	count := 0
-	if err := re.ScanTime(nil, nil, 5000, 6000, func(k, v []byte) error { count++; return nil }); err != nil {
+	it, err := re.NewIteratorTime(nil, nil, 5000, 6000)
+	if err != nil {
 		t.Fatal(err)
 	}
+	count := 0
+	for ; it.Valid(); it.Next() {
+		count++
+	}
+	if err := it.Error(); err != nil {
+		t.Fatal(err)
+	}
+	it.Close()
 	if count != 20 {
-		t.Fatalf("ScanTime after recovery found %d readings, want 20", count)
+		t.Fatalf("time-range iterator after recovery found %d readings, want 20", count)
 	}
 	if skips := re.Stats().PruneTimeSkips; skips == 0 {
 		t.Fatal("recovered table bounds did not prune the disjoint file")

@@ -122,16 +122,11 @@ func (r *Region) Delete(key []byte) error {
 // ApplyBatch applies a batch of writes in one engine round: a single
 // bounds-check pass over every key, then the store's batched WAL group
 // append and memtable apply. Rejecting before any write keeps the batch
-// all-or-nothing with respect to region bounds.
-func (r *Region) ApplyBatch(writes []lsm.Write) error {
-	return r.ApplyBatchTraced(telemetry.TSpan{}, writes)
-}
-
-// ApplyBatchTraced is ApplyBatch under a trace span: when parent is live the
-// apply appears as a "region.apply" span in the region's own service (the
-// node dir plus region name, e.g. "node-02/iot,00001"), with the engine's
-// WAL/memtable children beneath it.
-func (r *Region) ApplyBatchTraced(parent telemetry.TSpan, writes []lsm.Write) error {
+// all-or-nothing with respect to region bounds. When parent is live (the
+// zero TSpan is inert) the apply appears as a "region.apply" span in the
+// region's own service (the node dir plus region name, e.g.
+// "node-02/iot,00001"), with the engine's WAL/memtable children beneath it.
+func (r *Region) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	for i := range writes {
 		if !r.info.Contains(writes[i].Key) {
 			return fmt.Errorf("%w: %q not in %s", ErrOutOfRange, writes[i].Key, r.info)
@@ -190,14 +185,6 @@ func (r *Region) TableStats() []lsm.TableStat { return r.store.TableStats() }
 // TierStats reports the backing store's table set grouped by compaction
 // time window, newest first.
 func (r *Region) TierStats() []lsm.TierStat { return r.store.TierStats() }
-
-// ScanTime iterates live entries in [lo, hi) clipped to the region bounds,
-// restricted to key timestamps in [minTS, maxTS) unix ms. Table files whose
-// time bounds fall outside the range are pruned without I/O.
-func (r *Region) ScanTime(lo, hi []byte, minTS, maxTS int64, fn func(key, value []byte) error) error {
-	lo, hi = r.clampRange(lo, hi)
-	return r.store.ScanTime(lo, hi, minTS, maxTS, fn)
-}
 
 // AggregateTime folds live entries in [lo, hi) clipped to the region
 // bounds, restricted to key timestamps in [minTS, maxTS), into per-series

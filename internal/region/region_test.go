@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tpcxiot/internal/lsm"
+	"tpcxiot/internal/telemetry"
 	"tpcxiot/internal/wal"
 )
 
@@ -186,7 +187,7 @@ func TestApplyBatchBoundsCheckedBeforeApply(t *testing.T) {
 		{Key: []byte("grape"), Value: []byte("2")},
 		{Key: []byte("fig"), Delete: true},
 	}
-	if err := r.ApplyBatch(good); err != nil {
+	if err := r.ApplyBatch(telemetry.TSpan{}, good); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok, err := r.Get([]byte("grape")); err != nil || !ok || string(v) != "2" {
@@ -198,7 +199,7 @@ func TestApplyBatchBoundsCheckedBeforeApply(t *testing.T) {
 		{Key: []byte("cherry"), Value: []byte("in")},
 		{Key: []byte("zebra"), Value: []byte("out")},
 	}
-	if err := r.ApplyBatch(bad); !errors.Is(err, ErrOutOfRange) {
+	if err := r.ApplyBatch(telemetry.TSpan{}, bad); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out-of-range batch: %v", err)
 	}
 	if _, ok, _ := r.Get([]byte("cherry")); ok {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tpcxiot/internal/lsm"
+	"tpcxiot/internal/telemetry"
 )
 
 // gatedApplier blocks every batch apply until released, modelling a slow or
@@ -50,7 +51,7 @@ func (g *gatedApplier) wait() {
 	}
 }
 
-func (g *gatedApplier) ApplyBatch(writes []lsm.Write) error {
+func (g *gatedApplier) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
 	g.wait()
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -69,11 +70,11 @@ func (g *gatedApplier) ApplyBatch(writes []lsm.Write) error {
 }
 
 func (g *gatedApplier) Put(key, value []byte) error {
-	return g.ApplyBatch([]lsm.Write{{Key: key, Value: value}})
+	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Value: value}})
 }
 
 func (g *gatedApplier) Delete(key []byte) error {
-	return g.ApplyBatch([]lsm.Write{{Key: key, Delete: true}})
+	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Delete: true}})
 }
 
 func (g *gatedApplier) snapshot() (applies int, order []string, data map[string]string) {
@@ -146,7 +147,7 @@ func TestCatchUpDrainsInWALOrder(t *testing.T) {
 			{Key: []byte(fmt.Sprintf("k%03d", i)), Value: []byte("v")},
 			{Key: []byte(fmt.Sprintf("x%03d", i)), Value: []byte("v")},
 		}
-		if err := g.ApplyBatch(batch); err != nil {
+		if err := g.ApplyBatch(telemetry.TSpan{}, batch); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
@@ -186,7 +187,7 @@ type crashingStore struct {
 	err     error
 }
 
-func (c *crashingStore) ApplyBatch(writes []lsm.Write) error {
+func (c *crashingStore) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	c.mu.Lock()
 	if c.tripAt >= 0 && c.applies >= c.tripAt {
 		err := c.err
@@ -196,15 +197,15 @@ func (c *crashingStore) ApplyBatch(writes []lsm.Write) error {
 	c.applies++
 	st := c.store
 	c.mu.Unlock()
-	return st.ApplyBatch(writes)
+	return st.ApplyBatchTraced(parent, writes)
 }
 
 func (c *crashingStore) Put(key, value []byte) error {
-	return c.ApplyBatch([]lsm.Write{{Key: key, Value: value}})
+	return c.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Value: value}})
 }
 
 func (c *crashingStore) Delete(key []byte) error {
-	return c.ApplyBatch([]lsm.Write{{Key: key, Delete: true}})
+	return c.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Delete: true}})
 }
 
 // (c) A straggler that crashes keeps its retained queue; after the store is

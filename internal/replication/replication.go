@@ -84,19 +84,14 @@ type Applier interface {
 }
 
 // BatchApplier is satisfied by members that can apply a whole batch in one
-// engine round (one WAL group append, one memtable critical section) —
-// lsm.Store and region.Region both do. The pipeline uses it when available
-// and falls back to per-key Put/Delete otherwise.
+// engine round (one WAL group append, one memtable critical section) under
+// the operation's trace span, so each member's engine work shows up in the
+// span tree; region.Region does. The zero TSpan is inert, so untraced
+// batches take the same call. Members without it are applied key by key,
+// untraced. A wrapper around a member must forward parent, or the spans
+// beneath it vanish.
 type BatchApplier interface {
-	ApplyBatch(writes []lsm.Write) error
-}
-
-// TracedBatchApplier is satisfied by members that can carry a trace span
-// through the batch apply (region.Region and lsm.Store), so each member's
-// engine work shows up in the operation's span tree; members without it are
-// applied untraced.
-type TracedBatchApplier interface {
-	ApplyBatchTraced(parent telemetry.TSpan, writes []lsm.Write) error
+	ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error
 }
 
 // WatermarkObserver is satisfied by members that track their own applied
@@ -389,12 +384,12 @@ func (g *Group) Instrument(reg *telemetry.Registry) {
 // Put replicates one write through the pipeline (a batch of one),
 // returning at quorum.
 func (g *Group) Put(key, value []byte) error {
-	return g.ApplyBatch([]lsm.Write{{Key: key, Value: value}})
+	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Value: value}})
 }
 
 // Delete replicates one tombstone through the pipeline, returning at quorum.
 func (g *Group) Delete(key []byte) error {
-	return g.ApplyBatch([]lsm.Write{{Key: key, Delete: true}})
+	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Delete: true}})
 }
 
 // ApplyBatch submits the batch to every member's catch-up queue and returns
@@ -404,17 +399,12 @@ func (g *Group) Delete(key []byte) error {
 // members that already applied keep the writes, the same partial state a
 // crashed fan-out leaves. The group retains the batch until the slowest
 // member applied it, so callers must not reuse the key/value arrays.
-func (g *Group) ApplyBatch(writes []lsm.Write) error {
-	return g.ApplyBatchTraced(telemetry.TSpan{}, writes)
-}
-
-// ApplyBatchTraced is ApplyBatch under a trace span: when parent is live the
-// pipeline appears as a "replication.fanout" span with a
-// "replication.quorum_wait" child covering the blocking portion and one
-// "replicate.N" child per member — a straggler's span completes after the
-// fan-out span, which is exactly the point. With an inert parent this is
-// exactly ApplyBatch.
-func (g *Group) ApplyBatchTraced(parent telemetry.TSpan, writes []lsm.Write) error {
+//
+// When parent is live the pipeline appears as a "replication.fanout" span
+// with a "replication.quorum_wait" child covering the blocking portion and
+// one "replicate.N" child per member — a straggler's span completes after
+// the fan-out span, which is exactly the point. The zero TSpan is inert.
+func (g *Group) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	if len(writes) == 0 {
 		return nil
 	}
@@ -494,13 +484,8 @@ func (g *Group) ApplyBatchTraced(parent telemetry.TSpan, writes []lsm.Write) err
 // applyBatchTo delivers the batch to one member: in one round when the
 // member supports it, key by key otherwise.
 func applyBatchTo(m Applier, writes []lsm.Write, sp telemetry.TSpan) error {
-	if sp.Traced() {
-		if ta, ok := m.(TracedBatchApplier); ok {
-			return ta.ApplyBatchTraced(sp, writes)
-		}
-	}
 	if ba, ok := m.(BatchApplier); ok {
-		return ba.ApplyBatch(writes)
+		return ba.ApplyBatch(sp, writes)
 	}
 	for i := range writes {
 		w := &writes[i]

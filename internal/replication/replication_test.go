@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tpcxiot/internal/lsm"
+	"tpcxiot/internal/telemetry"
 )
 
 // mapApplier is an in-memory Applier for tests.
@@ -216,7 +217,7 @@ type batchRecorder struct {
 	batchCalls int
 }
 
-func (b *batchRecorder) ApplyBatch(writes []lsm.Write) error {
+func (b *batchRecorder) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
 	if b.fail != nil {
 		return b.fail
 	}
@@ -247,7 +248,7 @@ func TestApplyBatchReachesAllMembersInOneRound(t *testing.T) {
 	}
 	g := NewGroup(members[0], members[1], members[2])
 	defer g.Close()
-	if err := g.ApplyBatch(testBatch(50)); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(50)); err != nil {
 		t.Fatal(err)
 	}
 	g.Quiesce()
@@ -267,7 +268,7 @@ func TestApplyBatchFallsBackToPerKey(t *testing.T) {
 	g := NewGroup(p, r1)
 	batch := testBatch(10)
 	batch = append(batch, lsm.Write{Key: []byte("k003"), Delete: true})
-	if err := g.ApplyBatch(batch); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, batch); err != nil {
 		t.Fatal(err)
 	}
 	for i, m := range []*mapApplier{p, r1} {
@@ -282,7 +283,7 @@ func TestApplyBatchFallsBackToPerKey(t *testing.T) {
 
 func TestApplyBatchEmptyIsNoOp(t *testing.T) {
 	g := NewGroup(newMapApplier(), newMapApplier())
-	if err := g.ApplyBatch(nil); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -295,7 +296,7 @@ func TestApplyBatchMemberFailureWins(t *testing.T) {
 	r1.fail = sentinel
 	g := NewGroupOptions(Options{Quorum: 3}, p, r1, r2)
 	defer g.Close()
-	if err := g.ApplyBatch(testBatch(5)); !errors.Is(err, sentinel) {
+	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(5)); !errors.Is(err, sentinel) {
 		t.Fatalf("member failure not surfaced: %v", err)
 	}
 	g.Quiesce()
@@ -313,7 +314,7 @@ func TestApplyBatchQuorumToleratesReplicaFailure(t *testing.T) {
 	r1.fail = sentinel
 	g := NewGroup(p, r1, r2)
 	defer g.Close()
-	if err := g.ApplyBatch(testBatch(5)); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(5)); err != nil {
 		t.Fatalf("quorum write failed despite a healthy majority: %v", err)
 	}
 	g.Quiesce()
@@ -331,7 +332,7 @@ func TestApplyBatchQuorumToleratesReplicaFailure(t *testing.T) {
 func TestApplyBatchSingleMember(t *testing.T) {
 	p := newMapApplier()
 	g := NewGroup(p)
-	if err := g.ApplyBatch(testBatch(7)); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(7)); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.data) != 7 {

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"errors"
-
 	"tpcxiot/internal/hbase"
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/ycsb"
@@ -20,19 +18,6 @@ func (d clientDB) Insert(key, value []byte) error { return d.c.Put(key, value) }
 
 // Read implements ycsb.DB.
 func (d clientDB) Read(key []byte) ([]byte, bool, error) { return d.c.Get(key) }
-
-// Scan implements ycsb.DB.
-func (d clientDB) Scan(lo, hi []byte, limit int) ([]ycsb.KV, error) {
-	rows, err := d.c.Scan(lo, hi, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ycsb.KV, len(rows))
-	for i, r := range rows {
-		out[i] = ycsb.KV{Key: r.Key, Value: r.Value}
-	}
-	return out, nil
-}
 
 // ScanIter implements ycsb.DB over the client's streaming Scanner: rows
 // arrive chunk by chunk from the server-side scanner sessions, so the
@@ -55,33 +40,12 @@ func (it scannerIter) Next() (ycsb.KV, bool, error) {
 
 func (it scannerIter) Close() error { return it.sc.Close() }
 
-// Aggregate implements ycsb.Aggregator over the cluster's aggregation-
-// pushdown RPC: each overlapping region folds its rows server-side and only
+// Aggregate implements Aggregator over the cluster's aggregation-pushdown
+// RPC: each overlapping region folds its rows server-side and only
 // per-window partials cross the client boundary, merged exactly by the
 // hbase client ((sum, count) for avg, never mean-of-means).
-func (d clientDB) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs ycsb.AggFuncs) ([]ycsb.AggWindow, int64, error) {
-	res, err := d.c.Aggregate(lo, hi, minTS, maxTS, windowMS, lsm.AggFuncs(funcs))
-	if err != nil {
-		return nil, 0, err
-	}
-	return aggWindows(res.Windows), res.RowsFolded, nil
-}
-
-// aggWindows converts engine partials to the framework's binding-neutral
-// form.
-func aggWindows(ws []lsm.WindowAgg) []ycsb.AggWindow {
-	out := make([]ycsb.AggWindow, len(ws))
-	for i, w := range ws {
-		out[i] = ycsb.AggWindow{
-			Series:      w.Series,
-			WindowStart: w.WindowStart,
-			Count:       w.Count,
-			Min:         w.Min,
-			Max:         w.Max,
-			Sum:         w.Sum,
-		}
-	}
-	return out
+func (d clientDB) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs) (lsm.AggResult, error) {
+	return d.c.Aggregate(lo, hi, minTS, maxTS, windowMS, funcs)
 }
 
 // Close implements ycsb.DB, flushing buffered writes.
@@ -128,25 +92,6 @@ func (d storeDB) Insert(key, value []byte) error { return d.s.Put(key, value) }
 // Read implements ycsb.DB.
 func (d storeDB) Read(key []byte) ([]byte, bool, error) { return d.s.Get(key) }
 
-// Scan implements ycsb.DB.
-func (d storeDB) Scan(lo, hi []byte, limit int) ([]ycsb.KV, error) {
-	var out []ycsb.KV
-	err := d.s.Scan(lo, hi, func(k, v []byte) error {
-		out = append(out, ycsb.KV{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-		if limit > 0 && len(out) >= limit {
-			return errStopScan
-		}
-		return nil
-	})
-	if err == errStopScan {
-		err = nil
-	}
-	return out, err
-}
-
 // ScanIter implements ycsb.DB directly over the engine's snapshot-pinned
 // iterator — the zero-copy embedded path: rows are borrowed from the LSM
 // snapshot until the next call, exactly the RowIter contract.
@@ -188,21 +133,15 @@ func (l *lsmIter) Next() (ycsb.KV, bool, error) {
 
 func (l *lsmIter) Close() error { return l.it.Close() }
 
-// Aggregate implements ycsb.Aggregator directly over the engine's windowed
-// fold — the embedded pushdown path (no RPC, but the same snapshot-pinned,
+// Aggregate implements Aggregator directly over the engine's windowed fold
+// — the embedded pushdown path (no RPC, but the same snapshot-pinned,
 // file-pruned single-pass reduction).
-func (d storeDB) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs ycsb.AggFuncs) ([]ycsb.AggWindow, int64, error) {
-	res, err := d.s.AggregateTime(lo, hi, minTS, maxTS, windowMS, lsm.AggFuncs(funcs))
-	if err != nil {
-		return nil, 0, err
-	}
-	return aggWindows(res.Windows), res.RowsFolded, nil
+func (d storeDB) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs) (lsm.AggResult, error) {
+	return d.s.AggregateTime(lo, hi, minTS, maxTS, windowMS, funcs)
 }
 
 // Close implements ycsb.DB; the store is shared, so this is a no-op.
 func (d storeDB) Close() error { return nil }
-
-var errStopScan = errors.New("workload: scan limit reached")
 
 // StoreBinding returns a ycsb.Binding over one embedded LSM store shared by
 // all worker threads (the store is safe for concurrent use).

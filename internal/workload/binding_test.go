@@ -56,12 +56,10 @@ func TestStoreBindingScanLimit(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		db.Insert([]byte{byte(i)}, []byte("v"))
 	}
-	rows, err := db.Scan(nil, nil, 10)
-	if err != nil || len(rows) != 10 {
-		t.Fatalf("limited scan: %d rows, %v", len(rows), err)
+	if n := len(scanRows(t, db, nil, nil, 10)); n != 10 {
+		t.Fatalf("limited scan: %d rows", n)
 	}
-	rows, err = db.Scan([]byte{5}, []byte{15}, 0)
-	if err != nil || len(rows) != 10 {
-		t.Fatalf("bounded scan: %d rows, %v", len(rows), err)
+	if n := len(scanRows(t, db, []byte{5}, []byte{15}, 0)); n != 10 {
+		t.Fatalf("bounded scan: %d rows", n)
 	}
 }

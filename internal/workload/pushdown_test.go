@@ -2,173 +2,261 @@ package workload
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
+	"tpcxiot/internal/hbase"
 	"tpcxiot/internal/kvp"
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/wal"
 	"tpcxiot/internal/ycsb"
 )
 
-// newAggStoreDB opens an embedded LSM store binding (which implements
-// ycsb.Aggregator) seeded with random kvp rows for one sensor.
-func newAggStoreDB(t *testing.T, sub, sensor string, base time.Time, n int, spanMS int64) ycsb.DB {
+// reading builds one spec-shaped kvp with a random two-decimal reading.
+func reading(t testing.TB, sub, sensor string, ts int64, rng *rand.Rand) (k, v []byte) {
 	t.Helper()
+	r := strconv.FormatFloat(math.Round(rng.Float64()*1e4)/100, 'f', 2, 64)
+	key := kvp.Key{Substation: sub, Sensor: sensor, Timestamp: ts}
+	pad, err := kvp.PaddingFor(key, r, "volt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := kvp.Value{Reading: r, Unit: "volt", Padding: bytes.Repeat([]byte("p"), pad)}
+	return key.Encode(), val.Encode()
+}
+
+func putReading(t testing.TB, db ycsb.DB, sub, sensor string, ts int64, rng *rand.Rand) {
+	t.Helper()
+	k, v := reading(t, sub, sensor, ts, rng)
+	if err := db.Insert(k, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allFuncs asks for every statistic, so parity covers every field.
+const allFuncs = lsm.AggCount | lsm.AggMin | lsm.AggMax | lsm.AggSum | lsm.AggAvg
+
+// checkParity is the property every test below asserts: over one request,
+// the binding's Aggregator (the capability path) and streamWindows (the
+// client-side fold over the same binding's scan) return the same partials —
+// series, starts, counts, extrema — and the same row count. Sums may differ
+// in the last bits only where a region split inside a series makes the
+// client add two partial sums. It returns the capability path's result.
+func checkParity(t *testing.T, db ycsb.DB, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs) lsm.AggResult {
+	t.Helper()
+	pushed, err := db.(Aggregator).Aggregate(lo, hi, minTS, maxTS, windowMS, funcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := streamWindows(db, lo, hi, minTS, maxTS, windowMS, funcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pushed.RowsFolded != streamed.RowsFolded || len(pushed.Windows) != len(streamed.Windows) {
+		t.Fatalf("[%d,%d) window %dms %v: pushed %d rows / %d windows, streamed %d / %d",
+			minTS, maxTS, windowMS, funcs, pushed.RowsFolded, len(pushed.Windows),
+			streamed.RowsFolded, len(streamed.Windows))
+	}
+	for i, s := range streamed.Windows {
+		p := pushed.Windows[i]
+		if !bytes.Equal(p.Series, s.Series) || p.WindowStart != s.WindowStart ||
+			p.Count != s.Count || p.Min != s.Min || p.Max != s.Max ||
+			math.Abs(p.Sum-s.Sum) > 1e-6 {
+			t.Fatalf("[%d,%d) window %dms #%d:\n pushed   %+v\n streamed %+v", minTS, maxTS, windowMS, i, p, s)
+		}
+	}
+	return pushed
+}
+
+// TestAggregatorMatchesStreamWindows covers the static cases on the embedded
+// store: whole-range, multi-window and count-only requests, an empty range,
+// a single-row range, and windows that straddle a compaction-tier boundary
+// (the rows are flushed in two halves under a 10 s store window, so the
+// fold merges tables from different tiers and the memtable).
+func TestAggregatorMatchesStreamWindows(t *testing.T) {
+	sub, sensor := "ps", "pmu-freq-000"
+	base := time.UnixMilli(1_700_000_000_000)
+	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever, WindowDuration: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	db, _ := StoreBinding(s)(0)
+	rng := rand.New(rand.NewSource(42))
+	minTS := base.UnixMilli()
+	for i := 0; i < 300; i++ {
+		putReading(t, db, sub, sensor, minTS+rng.Int63n(60_000), rng)
+		if i == 100 || i == 200 {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// One isolated row far from the rest, for the single-row case.
+	putReading(t, db, sub, sensor, minTS+500_000, rng)
+
+	lo, hi := kvp.RangeFor(sub, sensor, minTS, minTS+600_000)
+	for _, windowMS := range []int64{0, 1000, 7000, 10_000} {
+		if res := checkParity(t, db, lo, hi, minTS, minTS+60_000, windowMS, allFuncs); res.RowsFolded != 300 {
+			t.Fatalf("window %dms folded %d rows, want 300", windowMS, res.RowsFolded)
+		}
+	}
+	checkParity(t, db, lo, hi, minTS, minTS+60_000, 5000, lsm.AggCount)
+	// A window that starts in one store tier and ends in the next.
+	checkParity(t, db, lo, hi, minTS+7_000, minTS+13_000, 0, allFuncs)
+	if res := checkParity(t, db, lo, hi, minTS+100_000, minTS+200_000, 1000, allFuncs); len(res.Windows) != 0 {
+		t.Fatalf("empty range returned %d windows", len(res.Windows))
+	}
+	if res := checkParity(t, db, lo, hi, minTS+400_000, minTS+600_000, 1000, allFuncs); res.RowsFolded != 1 {
+		t.Fatalf("single-row range folded %d rows", res.RowsFolded)
+	}
+}
+
+// TestAggregatorParityUnderChurn is the same property on the cluster
+// bindings, in-process and over TCP, while writers ingest into the same
+// table — a 64 KiB memtable forces flushes and compactions beneath the
+// queries, and the table is split inside one series so the client merges
+// boundary partials. Writers only append above the queried range, so the
+// queried windows are immutable while storage churns. The two transports
+// must also agree with each other. Run with -race.
+func TestAggregatorParityUnderChurn(t *testing.T) {
+	sub := "sub0"
+	sensors := []string{"sa", "sb", "sc"}
+	split := kvp.Key{Substation: sub, Sensor: "sb", Timestamp: 7000}.Encode()
+	cl, err := hbase.NewCluster(hbase.Config{
+		Nodes:   3,
+		DataDir: t.TempDir(),
+		Store:   lsm.Options{WALSync: wal.SyncNever, MemtableSize: 64 << 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	if _, err := cl.CreateTable("iot", [][]byte{split}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.ServeTCP(); err != nil {
+		t.Fatal(err)
+	}
+	inproc, err := ClusterBinding(cl, "iot", 0)(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inproc.Close()
+	tcp, err := ClusterBindingTCP(cl, "iot", 0)(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+
+	// Settled data: sparse, so some windows are empty and some hold one row.
+	rng := rand.New(rand.NewSource(11))
+	const settledMax = int64(30_000)
+	for i := 0; i < 400; i++ {
+		putReading(t, inproc, sub, sensors[rng.Intn(len(sensors))], rng.Int63n(settledMax), rng)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wdb, err := ClusterBinding(cl, "iot", 32<<10)(w)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer wdb.Close()
+			wrng := rand.New(rand.NewSource(int64(w)))
+			for ts := settledMax + int64(w); ; ts += 2 {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				k, v := reading(t, sub, sensors[w], ts, wrng)
+				if err := wdb.Insert(k, v); err != nil {
+					// Full-rate ingest may be shed; that is not a parity failure.
+					if errors.Is(err, hbase.ErrOverloaded) {
+						time.Sleep(10 * time.Millisecond)
+						continue
+					}
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	defer func() { close(done); wg.Wait() }()
+
+	// One request per sensor, bounded to the settled keys, so the streamed
+	// side does not also read everything the writers append.
+	for round := 0; round < 4; round++ {
+		var folded int64
+		for _, sensor := range sensors {
+			lo, hi := kvp.RangeFor(sub, sensor, 500, 29_500)
+			a := checkParity(t, inproc, lo, hi, 500, 29_500, 3000, allFuncs)
+			b := checkParity(t, tcp, lo, hi, 500, 29_500, 3000, allFuncs)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("round %d %s: in-process and TCP aggregates differ:\n inproc %+v\n tcp    %+v", round, sensor, a, b)
+			}
+			folded += a.RowsFolded
+		}
+		if folded == 0 {
+			t.Fatal("settled range folded no rows; test data broken")
+		}
+	}
+}
+
+// TestRunQueryMemDBMatchesStoreBinding: the same rows behind a binding
+// without Aggregator (MemDB, served by the streamWindows fallback) and one
+// with it (the embedded store) answer every dashboard template identically.
+func TestRunQueryMemDBMatchesStoreBinding(t *testing.T) {
+	sub, sensor := "ps", "pmu-freq-000"
+	base := time.UnixMilli(1_700_000_000_000)
 	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	db, err := StoreBinding(s)(0)
-	if err != nil {
-		t.Fatal(err)
+	store, _ := StoreBinding(s)(0)
+	var mem ycsb.DB = ycsb.NewMemDB()
+	if _, ok := mem.(Aggregator); ok {
+		t.Fatal("memdb unexpectedly implements Aggregator; pick another fallback DB")
 	}
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < n; i++ {
-		ts := base.UnixMilli() + rng.Int63n(spanMS)
-		reading := strconv.FormatFloat(math.Round(rng.Float64()*1e4)/100, 'f', 2, 64)
-		k := kvp.Key{Substation: sub, Sensor: sensor, Timestamp: ts}
-		pad, err := kvp.PaddingFor(k, reading, "volt")
-		if err != nil {
+	for i := 0; i < 500; i++ {
+		k, v := reading(t, sub, sensor, base.UnixMilli()+rng.Int63n(100_000), rng)
+		if err := store.Insert(k, v); err != nil {
 			t.Fatal(err)
 		}
-		v := kvp.Value{Reading: reading, Unit: "volt", Padding: bytes.Repeat([]byte("p"), pad)}
-		if err := db.Insert(k.Encode(), v.Encode()); err != nil {
+		if err := mem.Insert(k, v); err != nil {
 			t.Fatal(err)
 		}
-	}
-	return db
-}
-
-// TestRunQueryPushdownMatchesStreamed: for every dashboard template, the
-// pushed-down query must agree with the streamed RunQuery on the fields the
-// template reads — row counts, the template's statistic, and Value().
-func TestRunQueryPushdownMatchesStreamed(t *testing.T) {
-	sub, sensor := "ps", "pmu-freq-000"
-	base := time.UnixMilli(1_700_000_000_000)
-	db := newAggStoreDB(t, sub, sensor, base, 500, 100_000)
-	if _, ok := db.(ycsb.Aggregator); !ok {
-		t.Fatal("store binding must implement ycsb.Aggregator")
 	}
 	now := base.Add(100 * time.Second)
 	histStart := base.Add(20 * time.Second)
-
 	for kind := QueryKind(0); kind < dashboardKinds; kind++ {
-		streamed, err := RunQuery(db, kind, sub, sensor, now, histStart)
+		want, err := RunQuery(store, kind, sub, sensor, now, histStart)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pushed, err := RunQueryPushdown(db, kind, sub, sensor, now, histStart)
+		got, err := RunQuery(mem, kind, sub, sensor, now, histStart)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pushed.Recent.Rows != streamed.Recent.Rows ||
-			pushed.Historical.Rows != streamed.Historical.Rows {
-			t.Fatalf("%v rows: pushed %d/%d, streamed %d/%d", kind,
-				pushed.Recent.Rows, pushed.Historical.Rows,
-				streamed.Recent.Rows, streamed.Historical.Rows)
+		if want.Recent.Rows == 0 || want.Historical.Rows == 0 {
+			t.Fatalf("%v: an interval is empty; test data broken", kind)
 		}
-		if streamed.Recent.Rows == 0 {
-			t.Fatalf("%v: recent interval empty; test data broken", kind)
-		}
-		check := func(name string, got, want float64) {
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("%v %s: pushed %g, streamed %g", kind, name, got, want)
-			}
-		}
-		switch kind {
-		case QueryMax:
-			check("recent max", pushed.Recent.Max, streamed.Recent.Max)
-			check("hist max", pushed.Historical.Max, streamed.Historical.Max)
-		case QueryMin:
-			check("recent min", pushed.Recent.Min, streamed.Recent.Min)
-			check("hist min", pushed.Historical.Min, streamed.Historical.Min)
-		case QueryAvg:
-			check("recent avg", pushed.Recent.Avg, streamed.Recent.Avg)
-			check("hist avg", pushed.Historical.Avg, streamed.Historical.Avg)
-		}
-		check("value", pushed.Value(), streamed.Value())
-	}
-}
-
-// TestRunQueryPushdownFallsBack: a binding without the Aggregator capability
-// must be served by the streamed path transparently.
-func TestRunQueryPushdownFallsBack(t *testing.T) {
-	var db ycsb.DB = ycsb.NewMemDB()
-	if _, ok := db.(ycsb.Aggregator); ok {
-		t.Fatal("memdb unexpectedly implements Aggregator; pick another fallback DB")
-	}
-	sub, sensor := "ps", "s0"
-	base := time.UnixMilli(1_700_000_000_000)
-	k := kvp.Key{Substation: sub, Sensor: sensor, Timestamp: base.UnixMilli() - 1000}
-	pad, _ := kvp.PaddingFor(k, "5.00", "volt")
-	v := kvp.Value{Reading: "5.00", Unit: "volt", Padding: bytes.Repeat([]byte("p"), pad)}
-	if err := db.Insert(k.Encode(), v.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunQueryPushdown(db, QueryAvg, sub, sensor, base, base.Add(-time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Recent.Rows != 1 || res.Recent.Avg != 5 {
-		t.Fatalf("fallback result = %+v, want 1 row avg 5", res.Recent)
-	}
-}
-
-// TestRunWindowQueryParity: the pushed-down multi-window path and the
-// streamed client-side fold must produce identical windows — same series,
-// starts, counts, extrema and sums — and the same rowsFolded.
-func TestRunWindowQueryParity(t *testing.T) {
-	sub, sensor := "ps", "pmu-freq-000"
-	base := time.UnixMilli(1_700_000_000_000)
-	db := newAggStoreDB(t, sub, sensor, base, 300, 60_000)
-
-	minTS := base.UnixMilli()
-	maxTS := minTS + 60_000
-	for _, windowMS := range []int64{0, 1000, 7000} {
-		funcs := ycsb.AggCount | ycsb.AggMin | ycsb.AggMax | ycsb.AggSum | ycsb.AggAvg
-		pushed, pFolded, err := RunWindowQuery(db, sub, sensor, minTS, maxTS, windowMS, funcs, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, sFolded, err := RunWindowQuery(db, sub, sensor, minTS, maxTS, windowMS, funcs, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pFolded != sFolded || len(pushed) != len(streamed) {
-			t.Fatalf("window %dms: pushed %d rows / %d windows, streamed %d / %d",
-				windowMS, pFolded, len(pushed), sFolded, len(streamed))
-		}
-		if pFolded == 0 {
-			t.Fatalf("window %dms folded no rows", windowMS)
-		}
-		for i := range streamed {
-			p, s := pushed[i], streamed[i]
-			if !bytes.Equal(p.Series, s.Series) || p.WindowStart != s.WindowStart ||
-				p.Count != s.Count || p.Min != s.Min || p.Max != s.Max ||
-				math.Abs(p.Sum-s.Sum) > 1e-6 || math.Abs(p.Avg()-s.Avg()) > 1e-9 {
-				t.Fatalf("window %dms #%d:\n pushed   %+v\n streamed %+v", windowMS, i, p, s)
-			}
-		}
-	}
-
-	// Count-only masks the value fields in both paths equally.
-	pushed, _, err := RunWindowQuery(db, sub, sensor, minTS, maxTS, 5000, ycsb.AggCount, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, _, err := RunWindowQuery(db, sub, sensor, minTS, maxTS, 5000, ycsb.AggCount, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range streamed {
-		if pushed[i].Count != streamed[i].Count {
-			t.Fatalf("count-only window %d: pushed %d, streamed %d",
-				i, pushed[i].Count, streamed[i].Count)
+		if got != want || got.Value() != want.Value() {
+			t.Fatalf("%v: memdb %+v (value %g), store %+v (value %g)", kind, got, got.Value(), want, want.Value())
 		}
 	}
 }
@@ -245,9 +333,9 @@ func TestNextTimestampMonotonic(t *testing.T) {
 }
 
 // TestAnalyticTemplatesRun exercises the downsample and window-count
-// templates through a full instance run with Analytics (and Pushdown) on:
-// analytic counters tick, and the dashboard validity statistics stay
-// untouched by analytic work.
+// templates through a full instance run with Analytics on: analytic
+// counters tick, and the dashboard validity statistics stay untouched by
+// analytic work.
 func TestAnalyticTemplatesRun(t *testing.T) {
 	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever})
 	if err != nil {
@@ -262,7 +350,6 @@ func TestAnalyticTemplatesRun(t *testing.T) {
 		Seed:       3,
 		Now:        clock.Now,
 		Analytics:  true,
-		Pushdown:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,13 +377,36 @@ func TestAnalyticTemplatesRun(t *testing.T) {
 }
 
 // TestAnalyticsOffKeepsDashboardRotation: without Analytics the rotation
-// must stay the four dashboard templates only.
+// must stay the four dashboard templates only. The same instance config
+// runs against the embedded store (Aggregator: rows fold in the engine) and
+// MemDB (no capability: the streamWindows fallback, nothing counted as
+// pushed down).
 func TestAnalyticsOffKeepsDashboardRotation(t *testing.T) {
 	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	mem := ycsb.NewMemDB()
+	for name, binding := range map[string]ycsb.Binding{
+		"store": StoreBinding(s),
+		"memdb": func(int) (ycsb.DB, error) { return mem, nil },
+	} {
+		st := runDashboardInstance(t, binding)
+		if st.AnalyticQueries != 0 {
+			t.Fatalf("%s: analytic queries ran with Analytics off: %d", name, st.AnalyticQueries)
+		}
+		if st.Queries == 0 || st.RowsAggregated == 0 {
+			t.Fatalf("%s: dashboard queries = %d over %d recent rows", name, st.Queries, st.RowsAggregated)
+		}
+		if pushed := st.PushdownRows != 0; pushed != (name == "store") {
+			t.Fatalf("%s: PushdownRows = %d", name, st.PushdownRows)
+		}
+	}
+}
+
+func runDashboardInstance(t *testing.T, binding ycsb.Binding) InstanceStats {
+	t.Helper()
 	clock := newVirtualClock(time.UnixMilli(1_700_000_000_000), time.Millisecond)
 	inst, err := NewInstance(InstanceConfig{
 		Substation: "substation-00000",
@@ -307,17 +417,8 @@ func TestAnalyticsOffKeepsDashboardRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ycsb.Run(ycsb.RunConfig{Threads: 2}, StoreBinding(s), inst); err != nil {
+	if _, err := ycsb.Run(ycsb.RunConfig{Threads: 2}, binding, inst); err != nil {
 		t.Fatal(err)
 	}
-	st := inst.Stats()
-	if st.AnalyticQueries != 0 {
-		t.Fatalf("analytic queries ran with Analytics off: %d", st.AnalyticQueries)
-	}
-	if st.PushdownRows != 0 {
-		t.Fatalf("PushdownRows = %d with Pushdown off", st.PushdownRows)
-	}
-	if st.Queries == 0 {
-		t.Fatal("no dashboard queries ran")
-	}
+	return inst.Stats()
 }

@@ -12,7 +12,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,6 +19,7 @@ import (
 	"tpcxiot/internal/gen"
 	"tpcxiot/internal/hbase"
 	"tpcxiot/internal/kvp"
+	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/sensors"
 	"tpcxiot/internal/telemetry"
 	"tpcxiot/internal/ycsb"
@@ -88,7 +88,7 @@ func KVPShare(k int64, p int, i int) int64 {
 // QueryKind names the query templates: the four dashboard templates of
 // Section III-D plus the two analytic templates (downsampling and
 // group-by-window counting, the first-class IoT query shapes of
-// IoTDB-Benchmark) that ride the aggregation-pushdown path.
+// IoTDB-Benchmark). All six run through RunWindowQuery (query.go).
 type QueryKind int
 
 // The templates. The first dashboardKinds are the paper's rotation; the
@@ -176,82 +176,6 @@ func (r QueryResult) Value() float64 {
 	}
 }
 
-// aggregateRow folds one reading into the running aggregate. sum carries
-// the mean's accumulator between calls; finishAggregate settles it.
-func aggregateRow(agg *Aggregate, sum *float64, value []byte) error {
-	val, err := kvp.DecodeValue(value)
-	if err != nil {
-		return fmt.Errorf("workload: bad stored value: %w", err)
-	}
-	f, err := strconv.ParseFloat(val.Reading, 64)
-	if err != nil {
-		return fmt.Errorf("workload: non-numeric reading %q: %w", val.Reading, err)
-	}
-	if agg.Rows == 0 || f > agg.Max {
-		agg.Max = f
-	}
-	if agg.Rows == 0 || f < agg.Min {
-		agg.Min = f
-	}
-	*sum += f
-	agg.Rows++
-	return nil
-}
-
-// scanAggregate streams one 5-second interval through the binding's
-// iterator and folds each row as it arrives: the query holds O(chunk)
-// memory however many readings the interval contains, instead of
-// materializing the whole interval before aggregating.
-func scanAggregate(db ycsb.DB, lo, hi []byte) (Aggregate, error) {
-	it, err := db.ScanIter(lo, hi, 0)
-	if err != nil {
-		return Aggregate{}, err
-	}
-	defer it.Close()
-	var agg Aggregate
-	sum := 0.0
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return Aggregate{}, err
-		}
-		if !ok {
-			break
-		}
-		if err := aggregateRow(&agg, &sum, row.Value); err != nil {
-			return Aggregate{}, err
-		}
-	}
-	if agg.Rows > 0 {
-		agg.Avg = sum / float64(agg.Rows)
-	}
-	return agg, it.Close()
-}
-
-// RunQuery executes one dashboard query template against db at time now:
-// two streaming range scans (recent and historical 5 s intervals for one
-// sensor of one substation) with on-the-fly aggregation. Exported so
-// examples and the query tooling can issue standalone dashboard queries.
-func RunQuery(db ycsb.DB, kind QueryKind, substation, sensor string,
-	now time.Time, histStart time.Time) (QueryResult, error) {
-
-	res := QueryResult{Kind: kind, Substation: substation, Sensor: sensor}
-
-	nowMS := now.UnixMilli()
-	lo, hi := kvp.RangeFor(substation, sensor, nowMS-RecentWindow.Milliseconds(), nowMS)
-	var err error
-	if res.Recent, err = scanAggregate(db, lo, hi); err != nil {
-		return res, fmt.Errorf("workload: recent scan: %w", err)
-	}
-
-	hs := histStart.UnixMilli()
-	lo, hi = kvp.RangeFor(substation, sensor, hs, hs+RecentWindow.Milliseconds())
-	if res.Historical, err = scanAggregate(db, lo, hi); err != nil {
-		return res, fmt.Errorf("workload: historical scan: %w", err)
-	}
-	return res, nil
-}
-
 // Sequencer allocates collision-free per-sensor timestamps. Readings are
 // keyed by (substation, sensor, unix-ms timestamp); at laptop-scale ingest
 // a thread outruns the wall clock and bumps timestamps ahead of it, and a
@@ -327,8 +251,9 @@ type InstanceStats struct {
 	AnalyticQueries int64
 	// AnalyticWindows counts window partials returned by analytic queries.
 	AnalyticWindows int64
-	// PushdownRows counts rows reduced server-side by pushed-down queries
-	// (rows that never crossed the client boundary as 1 KiB pairs).
+	// PushdownRows counts rows the binding's Aggregator reduced inside the
+	// storage tier (rows that never crossed the client boundary as 1 KiB
+	// pairs); zero on a binding without the capability.
 	PushdownRows int64
 }
 
@@ -360,14 +285,8 @@ type InstanceConfig struct {
 	// DisableQueries turns off query injection (pure-ingest experiments
 	// such as Figure 8's generation-speed measurement).
 	DisableQueries bool
-	// Pushdown routes dashboard queries through the binding's server-side
-	// aggregation (ycsb.Aggregator) instead of streaming raw rows and
-	// folding client-side. Bindings without the capability silently fall
-	// back to the streamed path, so the flag is safe on any DB.
-	Pushdown bool
 	// Analytics adds the downsampling and group-by-window templates to the
-	// query rotation. They honour Pushdown the same way the dashboard
-	// templates do.
+	// query rotation.
 	Analytics bool
 	// Sequencer allocates per-sensor timestamps. Share one across workload
 	// executions (the driver does) so keys never collide between runs; nil
@@ -573,48 +492,46 @@ func (t *instanceThread) runQuery(db ycsb.DB) error {
 	histStart := now.Add(-time.Duration(offset) * time.Millisecond)
 
 	sp := t.inst.queryTimers[kind].Start()
-	var res QueryResult
-	var err error
-	if t.inst.cfg.Pushdown {
-		res, err = RunQueryPushdown(db, kind, t.inst.cfg.Substation, s.Key, now, histStart)
-	} else {
-		res, err = RunQuery(db, kind, t.inst.cfg.Substation, s.Key, now, histStart)
-	}
+	res, err := RunQuery(db, kind, t.inst.cfg.Substation, s.Key, now, histStart)
 	sp.End()
 	if err != nil {
 		return err
 	}
-	if t.inst.cfg.Pushdown {
-		t.inst.pushedRows.Add(int64(res.Recent.Rows + res.Historical.Rows))
-	}
+	t.notePushed(db, int64(res.Recent.Rows+res.Historical.Rows))
 	t.inst.queries.Add(1)
 	t.inst.aggRows.Add(int64(res.Recent.Rows))
 	t.inst.histRows.Add(int64(res.Historical.Rows))
 	return nil
 }
 
+// notePushed counts rows a query reduced inside the storage tier. On a
+// binding without Aggregator every row crossed to the client instead, so
+// nothing is counted.
+func (t *instanceThread) notePushed(db ycsb.DB, rows int64) {
+	if _, ok := db.(Aggregator); ok {
+		t.inst.pushedRows.Add(rows)
+	}
+}
+
 // runAnalyticQuery executes one analytic template (downsample or
-// window-count) over the sensor's trailing span, pushed down when
-// configured and the binding supports it.
+// window-count) over the sensor's trailing span.
 func (t *instanceThread) runAnalyticQuery(db ycsb.DB, kind QueryKind, sensor string, now time.Time) error {
 	span, window := DownsampleSpan, DownsampleWindow
-	funcs := ycsb.AggCount | ycsb.AggSum | ycsb.AggAvg
+	funcs := lsm.AggCount | lsm.AggSum | lsm.AggAvg
 	if kind == QueryWindowCount {
 		span, window = WindowCountSpan, WindowCountWindow
-		funcs = ycsb.AggCount
+		funcs = lsm.AggCount
 	}
 	nowMS := now.UnixMilli()
 	sp := t.inst.queryTimers[kind].Start()
-	windows, folded, err := RunWindowQuery(db, t.inst.cfg.Substation, sensor,
-		nowMS-span.Milliseconds(), nowMS, window.Milliseconds(), funcs, t.inst.cfg.Pushdown)
+	res, err := RunWindowQuery(db, t.inst.cfg.Substation, sensor,
+		nowMS-span.Milliseconds(), nowMS, window.Milliseconds(), funcs)
 	sp.End()
 	if err != nil {
 		return err
 	}
 	t.inst.analyticQ.Add(1)
-	t.inst.analyticW.Add(int64(len(windows)))
-	if t.inst.cfg.Pushdown {
-		t.inst.pushedRows.Add(folded)
-	}
+	t.inst.analyticW.Add(int64(len(res.Windows)))
+	t.notePushed(db, res.RowsFolded)
 	return nil
 }

@@ -38,61 +38,12 @@ type DB interface {
 	Insert(key, value []byte) error
 	// Read fetches one key.
 	Read(key []byte) (value []byte, found bool, err error)
-	// Scan returns rows with lo <= key < hi, at most limit (0 = unlimited),
-	// materialized as one slice.
-	Scan(lo, hi []byte, limit int) ([]KV, error)
-	// ScanIter streams the same rows one at a time, in O(1) binding-side
-	// memory for backends with a streaming scan path. The caller must
-	// Close the iterator.
+	// ScanIter streams rows with lo <= key < hi in key order, at most limit
+	// (0 = unlimited), in O(1) binding-side memory for backends with a
+	// streaming scan path. The caller must Close the iterator.
 	ScanIter(lo, hi []byte, limit int) (RowIter, error)
 	// Close releases the binding.
 	Close() error
-}
-
-// AggFuncs is a bitmask of server-side aggregate functions. The values
-// mirror the storage engine's lsm.AggFuncs one for one, so bindings convert
-// with a plain cast.
-type AggFuncs uint8
-
-// Aggregate function flags.
-const (
-	AggCount AggFuncs = 1 << iota
-	AggMin
-	AggMax
-	AggSum
-	AggAvg
-)
-
-// AggWindow is one per-series, per-window partial aggregate returned by an
-// aggregating binding. Partials merge exactly: counts and sums add, min/max
-// take extrema, and the mean is always derived from (Sum, Count).
-type AggWindow struct {
-	Series      []byte
-	WindowStart int64 // unix ms, inclusive
-	Count       int64
-	Min         float64
-	Max         float64
-	Sum         float64
-}
-
-// Avg derives the window mean; 0 for an empty window.
-func (w AggWindow) Avg() float64 {
-	if w.Count == 0 {
-		return 0
-	}
-	return w.Sum / float64(w.Count)
-}
-
-// Aggregator is an optional DB capability: bindings whose backend evaluates
-// windowed aggregation inside the storage tier implement it, and workloads
-// route dashboard queries through it instead of streaming raw rows.
-// Aggregate folds rows with lo <= key < hi and minTS <= timestamp < maxTS
-// into per-(series, window) partials (windowMS = 0 means one window
-// spanning the whole range) and reports how many rows were reduced
-// server-side. Workloads must fall back to the streamed scan path when the
-// binding does not implement this interface.
-type Aggregator interface {
-	Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs AggFuncs) (windows []AggWindow, rowsFolded int64, err error)
 }
 
 // RowIter streams scan rows in key order. Next returns ok=false with a nil

@@ -229,7 +229,7 @@ func TestIntendedLatencyExposesStall(t *testing.T) {
 		t.Fatalf("service median %.2fms — stall leaked into unrelated ops",
 			float64(service.Percentile(50))/1e6)
 	}
-	if in.Mean() < (30 * time.Millisecond).Seconds()*1e9 {
+	if in.Mean() < (30*time.Millisecond).Seconds()*1e9 {
 		t.Fatalf("intended mean %.2fms too low — backlog not charged to the schedule",
 			in.Mean()/1e6)
 	}
@@ -258,14 +258,33 @@ func TestMemDBScanSemantics(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		db.Insert([]byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	rows, err := db.Scan([]byte("k03"), []byte("k07"), 0)
-	if err != nil || len(rows) != 4 {
-		t.Fatalf("scan = %d rows, %v", len(rows), err)
+	scan := func(lo, hi []byte, limit int) []KV {
+		t.Helper()
+		it, err := db.ScanIter(lo, hi, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		var rows []KV
+		for {
+			kv, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return rows
+			}
+			rows = append(rows, kv)
+		}
+	}
+	rows := scan([]byte("k03"), []byte("k07"), 0)
+	if len(rows) != 4 {
+		t.Fatalf("scan = %d rows", len(rows))
 	}
 	if string(rows[0].Key) != "k03" || string(rows[3].Key) != "k06" {
 		t.Fatalf("scan bounds wrong: %q..%q", rows[0].Key, rows[3].Key)
 	}
-	rows, _ = db.Scan([]byte("k00"), nil, 3)
+	rows = scan([]byte("k00"), nil, 3)
 	if len(rows) != 3 {
 		t.Fatalf("limited scan = %d rows", len(rows))
 	}
@@ -277,61 +296,6 @@ func TestMemDBScanSemantics(t *testing.T) {
 	v, ok, _ := db.Read([]byte("k05"))
 	if !ok || string(v) != "new" {
 		t.Fatalf("overwrite lost: %q", v)
-	}
-}
-
-func TestCoreWorkloadMix(t *testing.T) {
-	db := NewMemDB()
-	w := &CoreWorkload{
-		RecordCount:      1000,
-		OperationCount:   3000,
-		ReadProportion:   0.5,
-		InsertProportion: 0.3,
-		ScanProportion:   0.2,
-		Zipfian:          true,
-		Seed:             7,
-	}
-	if err := w.Load(db); err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 1000 {
-		t.Fatalf("load phase stored %d records", db.Len())
-	}
-	rep, err := Run(RunConfig{Threads: 3}, func(int) (DB, error) { return db, nil }, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalOps() != 3000 {
-		t.Fatalf("TotalOps = %d, want 3000", rep.TotalOps())
-	}
-	// Proportions should be roughly honoured.
-	frac := func(k OpKind) float64 { return float64(rep.Ops[k]) / 3000 }
-	if f := frac(OpRead); f < 0.42 || f > 0.58 {
-		t.Fatalf("read fraction %.3f, want ~0.5", f)
-	}
-	if f := frac(OpInsert); f < 0.23 || f > 0.37 {
-		t.Fatalf("insert fraction %.3f, want ~0.3", f)
-	}
-	if f := frac(OpScan); f < 0.14 || f > 0.26 {
-		t.Fatalf("scan fraction %.3f, want ~0.2", f)
-	}
-	// Inserts grew the population and never collided with loaded keys.
-	if int64(db.Len()) != 1000+rep.Ops[OpInsert] {
-		t.Fatalf("db has %d records after %d inserts", db.Len(), rep.Ops[OpInsert])
-	}
-}
-
-func TestCoreWorkloadQuotaSplit(t *testing.T) {
-	// 10 ops across 4 threads: 3+3+2+2.
-	w := &CoreWorkload{RecordCount: 10, OperationCount: 10, ReadProportion: 1, Seed: 1}
-	db := NewMemDB()
-	w.Load(db)
-	rep, err := Run(RunConfig{Threads: 4}, func(int) (DB, error) { return db, nil }, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalOps() != 10 {
-		t.Fatalf("TotalOps = %d, want exactly 10", rep.TotalOps())
 	}
 }
 
