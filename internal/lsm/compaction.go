@@ -187,8 +187,10 @@ func (s *Store) pickCompactionLocked() *compactionPick {
 }
 
 // pickTierLocked finds the newest contiguous group of at least
-// CompactTrigger tables within run whose sizes stay within tierSizeRatio.
+// CompactTrigger tables (maxTierWidth when the trigger is wider than one
+// merge) within run whose sizes stay within tierSizeRatio.
 func (s *Store) pickTierLocked(run tableRun) *compactionPick {
+	need := min(s.opts.CompactTrigger, maxTierWidth)
 	end := run.start + run.n
 	for i := run.start; i < end; {
 		minSz := s.tables[i].size
@@ -209,7 +211,7 @@ func (s *Store) pickTierLocked(run tableRun) *compactionPick {
 			minSz, maxSz = nmin, nmax
 			j++
 		}
-		if j-i >= s.opts.CompactTrigger {
+		if j-i >= need {
 			return s.pickSpanLocked(i, j-i, "hot-tier")
 		}
 		i = j

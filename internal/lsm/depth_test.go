@@ -405,3 +405,47 @@ func TestLongInOrderWindowIsNotRewritten(t *testing.T) {
 		t.Fatalf("scan found %d rows, want %d", rows, flushes*rowsPerFlush+1)
 	}
 }
+
+// TestSkewedInOrderWritersAreNotRewritten is the shape two unsynchronised
+// in-order writers leave: every flush holds one series at ts and another a
+// fixed lag behind, so consecutive tables overlap lag/span deep. Under the
+// default trigger a lag the scheduler can produce (a few flushes) is left
+// for the cold merge — each byte is compacted once, whatever the lag was —
+// and a lag at the trigger still merges as a tier, although the default
+// trigger is wider than one merge.
+func TestSkewedInOrderWritersAreNotRewritten(t *testing.T) {
+	const span = 10 // ms of data time per series per flush
+	skewed := func(s *Store, flushes, lagFlushes int) {
+		for f := 0; f < flushes; f++ {
+			ts := int64(f * span)
+			for i := int64(0); i < span; i++ {
+				if err := s.Put(sensorKey("ahead", ts+int64(lagFlushes*span)+i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flushBatch(t, s, "behind", ts, span)
+		}
+		if err := s.CompactPending(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := openTest(t, Options{DisableAutoFlush: true, WindowDuration: time.Hour})
+	trigger := s.Health().CompactTrigger
+	if trigger != s.Health().MaxStoreFiles/2 || trigger <= maxTierWidth {
+		t.Fatalf("default trigger %d: want half of MaxStoreFiles %d and wider than one merge (%d)",
+			trigger, s.Health().MaxStoreFiles, maxTierWidth)
+	}
+	skewed(s, 40, trigger-2)
+	if st := s.Stats(); st.Compactions != 0 || depthInSync(t, s) != trigger-1 {
+		t.Fatalf("lag below the trigger: %d compactions at depth %d, want none at %d",
+			st.Compactions, depthInSync(t, s), trigger-1)
+	}
+
+	s = openTest(t, Options{DisableAutoFlush: true, WindowDuration: time.Hour})
+	skewed(s, 40, trigger-1)
+	if st := s.Stats(); st.Compactions == 0 || depthInSync(t, s) >= trigger {
+		t.Fatalf("lag at the trigger: %d compactions, depth %d, want tier merges keeping depth under %d",
+			st.Compactions, depthInSync(t, s), trigger)
+	}
+}

@@ -60,7 +60,10 @@ type Options struct {
 	MaxStoreFiles int
 	// CompactTrigger is how many overlapping tables inside the hot time
 	// window start size-tiered merging. Time-disjoint tables — in-order
-	// ingest — never reach it. Defaults to 6.
+	// ingest — never reach it. Defaults to half of MaxStoreFiles: the other
+	// half is the compactor's slack, and in-order writers whose clocks the
+	// scheduler skews a few flushes apart stay below it (at 6 such skew
+	// decided, run by run, whether every byte was rewritten once or twice).
 	CompactTrigger int
 	// WindowDuration is the width of the time windows the compaction picker
 	// partitions the table set into. Tables are windowed by their newest key
@@ -140,7 +143,7 @@ func (o Options) withDefaults() (Options, error) {
 		o.MaxStoreFiles = 28
 	}
 	if o.CompactTrigger <= 0 {
-		o.CompactTrigger = 6
+		o.CompactTrigger = o.MaxStoreFiles / 2
 	}
 	if o.CompactTrigger > o.MaxStoreFiles {
 		o.CompactTrigger = o.MaxStoreFiles
