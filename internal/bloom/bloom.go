@@ -18,6 +18,17 @@ const DefaultBitsPerKey = 10
 // New builds a filter over the given keys using bitsPerKey bits per entry.
 // A non-positive bitsPerKey falls back to DefaultBitsPerKey.
 func New(keys [][]byte, bitsPerKey int) Filter {
+	hashes := make([]uint64, len(keys))
+	for i, key := range keys {
+		hashes[i] = Hash(key)
+	}
+	return NewFromHashes(hashes, bitsPerKey)
+}
+
+// NewFromHashes builds the filter New would build over the keys whose Hash
+// values are given, so a table writer can keep 8 bytes per key instead of
+// the key until the key count — and with it the filter size — is known.
+func NewFromHashes(hashes []uint64, bitsPerKey int) Filter {
 	if bitsPerKey <= 0 {
 		bitsPerKey = DefaultBitsPerKey
 	}
@@ -31,7 +42,7 @@ func New(keys [][]byte, bitsPerKey int) Filter {
 		k = 30
 	}
 
-	nBits := len(keys) * bitsPerKey
+	nBits := len(hashes) * bitsPerKey
 	if nBits < 64 {
 		nBits = 64
 	}
@@ -39,8 +50,7 @@ func New(keys [][]byte, bitsPerKey int) Filter {
 	nBits = nBytes * 8
 
 	filter := make(Filter, nBytes+1)
-	for _, key := range keys {
-		h := hash(key)
+	for _, h := range hashes {
 		delta := h>>33 | h<<31 // rotate to derive the second hash
 		for i := uint8(0); i < k; i++ {
 			pos := h % uint64(nBits)
@@ -65,7 +75,7 @@ func (f Filter) MayContain(key []byte) bool {
 		return true
 	}
 	nBits := uint64((len(f) - 1) * 8)
-	h := hash(key)
+	h := Hash(key)
 	delta := h>>33 | h<<31
 	for i := uint8(0); i < k; i++ {
 		pos := h % nBits
@@ -77,9 +87,10 @@ func (f Filter) MayContain(key []byte) bool {
 	return true
 }
 
-// hash is a 64-bit variant of the FNV-1a/Murmur-style mixing used by
-// LevelDB's bloom hash, inlined for speed on the read path.
-func hash(b []byte) uint64 {
+// Hash is the filter's key hash: a 64-bit variant of the FNV-1a/Murmur-style
+// mixing used by LevelDB's bloom hash. Its values are part of the on-disk
+// format — a filter built from them is probed by MayContain of any version.
+func Hash(b []byte) uint64 {
 	const (
 		seed = 0xbc9f1d34dcb77f2b
 		m    = 0xc6a4a7935bd1e995

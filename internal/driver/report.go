@@ -244,6 +244,14 @@ func writeTelemetry(b *strings.Builder, t *telemetry.Summary) {
 		windows := counterValue(t, "hbase.agg_windows")
 		fmt.Fprintf(b, "  aggregation pushdown: %d queries, %d rows folded server-side into %d windows\n",
 			aggQ, folded, windows)
+		// Which path served the folds: a table's reading column, or full
+		// rows (memtables, tables written before the column existed). A slow
+		// query interval with a low column share is the second kind.
+		col, dec := counterValue(t, "lsm.agg_rows_column"), counterValue(t, "lsm.agg_rows_decoded")
+		if col+dec > 0 {
+			fmt.Fprintf(b, "    reading column served %.1f%% of folded rows (%d from columns, %d decoded from full rows)\n",
+				100*float64(col)/float64(col+dec), col, dec)
+		}
 		// Every folded row would have crossed the client boundary as a full
 		// kvp on the streamed path; a window partial is a few dozen bytes.
 		saved := folded*kvp.PairSize - windows*aggWindowWireBytes

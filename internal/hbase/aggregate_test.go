@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -35,6 +36,60 @@ func aggKVP(t testing.TB, substation, sensor string, ts int64, reading float64) 
 // seriesRange covers all sensors of one substation.
 func seriesRange(substation string) (lo, hi []byte) {
 	return append([]byte(substation), 0), append([]byte(substation), 1)
+}
+
+// scanFold is the client-side reference for an aggregate: stream [lo, hi)
+// through a Scanner, decode every row in [minTS, maxTS) with kvp.ReadingOf
+// and fold it in key order.
+func scanFold(t testing.TB, c *Client, lo, hi []byte, minTS, maxTS, windowMS int64) (oracle []lsm.WindowAgg, rows int64) {
+	t.Helper()
+	sc, err := c.NewScanner(lo, hi, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		row, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		ts, tsOK := kvp.TimestampOf(row.Key)
+		if !tsOK || ts < minTS || ts >= maxTS {
+			continue
+		}
+		series, _ := kvp.SeriesOf(row.Key)
+		v, err := kvp.ReadingOf(row.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wstart := minTS + (ts-minTS)/windowMS*windowMS
+		n := len(oracle)
+		if n == 0 || oracle[n-1].WindowStart != wstart || !bytes.Equal(oracle[n-1].Series, series) {
+			oracle = append(oracle, lsm.WindowAgg{
+				Series:      append([]byte(nil), series...),
+				WindowStart: wstart,
+				Min:         math.Inf(1),
+				Max:         math.Inf(-1),
+			})
+			n++
+		}
+		ow := &oracle[n-1]
+		ow.Count++
+		if v < ow.Min {
+			ow.Min = v
+		}
+		if v > ow.Max {
+			ow.Max = v
+		}
+		ow.Sum += v
+		rows++
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return oracle, rows
 }
 
 // TestAggregateAcrossRegionSplitInSeries splits the table in the middle of
@@ -270,54 +325,7 @@ func TestAggregatePushdownParityUnderIngest(t *testing.T) {
 
 		// Streamed baseline: scan the same range through the chunked scanner
 		// and fold client-side.
-		sc, err := c.NewScanner(lo, hi, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var oracle []lsm.WindowAgg
-		var rows int64
-		for {
-			row, ok, err := sc.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			ts, tsOK := kvp.TimestampOf(row.Key)
-			if !tsOK || ts < minTS || ts >= maxTS {
-				continue
-			}
-			series, _ := kvp.SeriesOf(row.Key)
-			v, err := kvp.ReadingOf(row.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wstart := minTS + (ts-minTS)/windowMS*windowMS
-			n := len(oracle)
-			if n == 0 || oracle[n-1].WindowStart != wstart || !bytes.Equal(oracle[n-1].Series, series) {
-				oracle = append(oracle, lsm.WindowAgg{
-					Series:      append([]byte(nil), series...),
-					WindowStart: wstart,
-					Min:         math.Inf(1),
-					Max:         math.Inf(-1),
-				})
-				n++
-			}
-			ow := &oracle[n-1]
-			ow.Count++
-			if v < ow.Min {
-				ow.Min = v
-			}
-			if v > ow.Max {
-				ow.Max = v
-			}
-			ow.Sum += v
-			rows++
-		}
-		if err := sc.Close(); err != nil {
-			t.Fatal(err)
-		}
+		oracle, rows := scanFold(t, c, lo, hi, minTS, maxTS, windowMS)
 
 		if pushed.RowsFolded != rows || len(pushed.Windows) != len(oracle) {
 			t.Fatalf("round %d: pushed %d rows / %d windows, streamed %d / %d",
@@ -399,5 +407,153 @@ func TestAggregateBadWindowAndClosedClient(t *testing.T) {
 	}
 	if _, err := c.Aggregate(lo, hi, 0, 10_000, 0, allAggFuncs); err != ErrClientClosed {
 		t.Fatalf("closed client: %v, want ErrClientClosed", err)
+	}
+}
+
+// TestAggregateServedFromReadingColumns is the column fold seen from a
+// client: once the replicas have flushed, aggregates over both transports are
+// folded from the tables' reading columns — the lsm.agg_rows_* counters and
+// /storage's column_bytes say so — and equal, to the bit of every sum, a
+// client-side fold over the rows a Scanner streams (the table is pre-split at
+// a series boundary, so the client never adds two partial sums). Rows still
+// in a memtable are decoded, and the daughters of a region split carry
+// columns of their own, rebuilt by their flushes.
+func TestAggregateServedFromReadingColumns(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := testConfig(t, 3)
+	cfg.Registry = reg
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	atSeries := func(sensor string) []byte {
+		return kvp.Key{Substation: "sub0", Sensor: sensor, Timestamp: 0}.Encode()
+	}
+	if _, err := cl.CreateTable("iot", [][]byte{atSeries("sb")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.ServeTCP(); err != nil {
+		t.Fatal(err)
+	}
+	inproc, err := cl.NewClient("iot", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inproc.Close()
+	tcp, err := cl.NewTCPClient("iot", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	flushAll := func() {
+		t.Helper()
+		if err := cl.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		for _, srv := range cl.Servers() {
+			for _, r := range srv.Regions() {
+				if err := r.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(19))
+	for _, sensor := range []string{"sa", "sb", "sc"} {
+		for ts := int64(0); ts < 20_000; ts += 100 {
+			k, v := aggKVP(t, "sub0", sensor, ts, math.Round(rng.Float64()*1e6)/100)
+			if err := tcp.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flushAll()
+
+	lo, hi := seriesRange("sub0")
+	const minTS, maxTS, windowMS = int64(1000), int64(19_000), int64(2500)
+	counters := func() (column, decoded int64) {
+		return reg.Counter("lsm.agg_rows_column").Load(), reg.Counter("lsm.agg_rows_decoded").Load()
+	}
+	// check returns how many of the aggregate's rows each path served.
+	check := func(stage string, c *Client) (column, decoded int64) {
+		t.Helper()
+		c0, d0 := counters()
+		got, err := c.Aggregate(lo, hi, minTS, maxTS, windowMS, allAggFuncs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1, d1 := counters()
+		want, rows := scanFold(t, c, lo, hi, minTS, maxTS, windowMS)
+		if got.RowsFolded != rows || len(got.Windows) != len(want) || rows == 0 {
+			t.Fatalf("%s: aggregate folded %d rows into %d windows, the scan %d into %d",
+				stage, got.RowsFolded, len(got.Windows), rows, len(want))
+		}
+		for i, w := range want {
+			g := got.Windows[i]
+			if !bytes.Equal(g.Series, w.Series) || g.WindowStart != w.WindowStart || g.Count != w.Count ||
+				g.Min != w.Min || g.Max != w.Max || math.Float64bits(g.Sum) != math.Float64bits(w.Sum) {
+				t.Fatalf("%s window %d:\n aggregate %+v\n scan fold %+v", stage, i, g, w)
+			}
+		}
+		if (c1-c0)+(d1-d0) != got.RowsFolded {
+			t.Fatalf("%s: counters account for %d+%d rows, the aggregate folded %d", stage, c1-c0, d1-d0, got.RowsFolded)
+		}
+		return c1 - c0, d1 - d0
+	}
+	for name, c := range map[string]*Client{"in-process": inproc, "tcp": tcp} {
+		if column, decoded := check(name, c); decoded != 0 || column == 0 {
+			t.Fatalf("%s over flushed tables: %d rows from columns, %d decoded", name, column, decoded)
+		}
+	}
+
+	// Unflushed rows inside the range are decoded from the memtable.
+	for ts := int64(5050); ts < 6000; ts += 100 {
+		k, v := aggKVP(t, "sub0", "sb", ts, float64(ts)/8)
+		if err := inproc.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if column, decoded := check("with memtable rows", tcp); decoded != 10 || column == 0 {
+		t.Fatalf("ten unflushed rows: %d from columns, %d decoded", column, decoded)
+	}
+
+	// /storage reports each table's column; a split's daughters get theirs
+	// from their own flushes.
+	requireColumns := func(stage string, wantRegions int) {
+		t.Helper()
+		rep := cl.Storage()
+		if len(rep.Regions) != wantRegions*3 {
+			t.Fatalf("%s: %d replica entries, want %d", stage, len(rep.Regions), wantRegions*3)
+		}
+		for _, rs := range rep.Regions {
+			if len(rs.Tables) == 0 {
+				t.Fatalf("%s: replica %s@%d has no tables", stage, rs.Region, rs.Server)
+			}
+			for _, ts := range rs.Tables {
+				if ts.ColumnBytes <= 0 || ts.ColumnBytes >= ts.SizeBytes/10 {
+					t.Fatalf("%s: replica %s@%d table %d: column of %d bytes in %d", stage, rs.Region, rs.Server, ts.ID, ts.ColumnBytes, ts.SizeBytes)
+				}
+			}
+		}
+		if doc, err := json.Marshal(rep); err != nil || !bytes.Contains(doc, []byte(`"column_bytes":`)) {
+			t.Fatalf("%s: /storage document lacks column_bytes (%v)", stage, err)
+		}
+	}
+	flushAll()
+	requireColumns("before the split", 2)
+	if err := cl.SplitRegion("iot", atSeries("sc")); err != nil {
+		t.Fatal(err)
+	}
+	flushAll()
+	requireColumns("after the split", 3)
+	after, err := cl.NewTCPClient("iot", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer after.Close()
+	if column, decoded := check("after the split", after); decoded != 0 || column == 0 {
+		t.Fatalf("after the split: %d rows from columns, %d decoded", column, decoded)
 	}
 }

@@ -193,7 +193,8 @@ func (m *oooModel) flush() {
 }
 
 // check folds the oracle in key order — the engine's order, so sums must be
-// bit-equal — and compares it with AggregateTime over the whole store.
+// bit-equal — and compares it with AggregateTime over the whole store, which
+// in turn must equal the same fold forced onto the data blocks.
 func (m *oooModel) check(stage string) {
 	m.t.Helper()
 	const windowMS = 2500
@@ -216,10 +217,7 @@ func (m *oooModel) check(stage string) {
 		want[n-1].add(m.live[k])
 	}
 	lo, hi := aggRange("sub0", 0, 0)
-	res, err := m.s.AggregateTime(lo, hi, 0, math.MaxInt64, windowMS, allAggFuncs)
-	if err != nil {
-		m.t.Fatal(err)
-	}
+	res := foldBothWays(m.t, m.s, lo, hi, 0, math.MaxInt64, windowMS, allAggFuncs)
 	if len(res.Windows) != len(want) || res.RowsFolded != int64(len(keys)) {
 		m.t.Fatalf("%s: %d windows over %d rows, oracle has %d over %d",
 			stage, len(res.Windows), res.RowsFolded, len(want), len(keys))

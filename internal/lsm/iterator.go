@@ -2,6 +2,8 @@ package lsm
 
 import (
 	"bytes"
+
+	"tpcxiot/internal/sstable"
 )
 
 // Iter is a long-lived streaming iterator over a pinned snapshot of the
@@ -33,9 +35,10 @@ type Iter struct {
 	tsLo, tsHi int64
 	tsFilter   bool
 
-	// bytesRead accumulates the user bytes this iterator yielded, counted
-	// locally and flushed to the store's read ledger once at Close so long
-	// scans cost no per-row atomics.
+	// bytesRead accumulates the user bytes this iterator yielded — key plus
+	// row, or key plus the 8-byte reading where a column served the entry —
+	// counted locally and flushed to the store's read ledger once at Close so
+	// long scans cost no per-row atomics.
 	bytesRead int64
 }
 
@@ -48,7 +51,7 @@ type Iter struct {
 // Tables whose footer key bounds cannot intersect [lo, hi) are pruned from
 // the snapshot — never pinned, never read.
 func (s *Store) NewIterator(lo, hi []byte) (*Iter, error) {
-	return s.newIter(lo, hi, 0, 0, false)
+	return s.newIter(lo, hi, 0, 0, false, false)
 }
 
 // NewIteratorTime is NewIterator restricted to entries whose key timestamp
@@ -60,10 +63,16 @@ func (s *Store) NewIterator(lo, hi []byte) (*Iter, error) {
 // (legacy format, or no timestamped keys) are conservatively read and
 // filtered entry by entry.
 func (s *Store) NewIteratorTime(lo, hi []byte, minTS, maxTS int64) (*Iter, error) {
-	return s.newIter(lo, hi, minTS, maxTS, true)
+	return s.newIter(lo, hi, minTS, maxTS, true, false)
 }
 
-func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter bool) (*Iter, error) {
+// newIter opens the snapshot. With column set, every table that has a
+// reading column contributes its column iterator in place of its data-block
+// iterator: the same keys in the same order, so shadowing and tombstones
+// merge exactly as before, but a live entry's stored value is then
+// [tagReading][float64 bits] and Value is not the row. Only the aggregate
+// fold, which reads the stored form, sets it.
+func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) (*Iter, error) {
 	if hi != nil && bytes.Compare(lo, hi) > 0 {
 		return nil, ErrBadRange
 	}
@@ -100,7 +109,13 @@ func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter bool) (*Iter, 
 		}
 		t.acquire()
 		held = append(held, t)
-		it := t.reader.NewIterator()
+		var it *sstable.Iterator
+		if column {
+			it = t.reader.NewColumnIterator()
+		}
+		if it == nil {
+			it = t.reader.NewIterator()
+		}
 		it.Seek(lo)
 		sources = append(sources, it)
 	}
@@ -142,7 +157,7 @@ func (it *Iter) skipDead() {
 			it.merged.exhaust() // past the bound
 			return
 		}
-		if v := it.merged.Value(); len(v) > 0 && v[0] == tagValue {
+		if v := it.merged.Value(); len(v) > 0 && (v[0] == tagValue || v[0] == tagReading) {
 			if !it.tsFilter {
 				return
 			}

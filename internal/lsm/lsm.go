@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -112,7 +113,9 @@ type Options struct {
 	// "lsm.logical_bytes", "lsm.logical_read_bytes", "lsm.flush_bytes",
 	// "lsm.compact_read_bytes" and "lsm.compact_write_bytes", the
 	// Bloom-filter counters "lsm.bloom_hits", "lsm.bloom_skips" and
-	// "lsm.bloom_false_positives", the gauges "lsm.memtable_bytes",
+	// "lsm.bloom_false_positives", the aggregate-fold row counters
+	// "lsm.agg_rows_column" and "lsm.agg_rows_decoded" (which path served
+	// each folded row), the gauges "lsm.memtable_bytes",
 	// "lsm.table_bytes", "lsm.tables", "lsm.read_depth",
 	// "lsm.compaction_debt_bytes",
 	// "lsm.cache_hits", "lsm.cache_misses" and "lsm.disk_read_bytes", and
@@ -164,11 +167,42 @@ func (o Options) withDefaults() (Options, error) {
 }
 
 // value encoding inside memtables and tables: first byte tags live values
-// versus tombstones.
+// versus tombstones. tagReading appears only in a table's reading column,
+// where a live row is its tag plus the float64 bits of Options.ValueReading
+// of the value — all an aggregate needs of a 1 KiB row.
 const (
 	tagValue     = 1
 	tagTombstone = 0
+	tagReading   = 2
 )
+
+// readingColumn is the sstable.WriterOptions.Column hook of every table the
+// store writes: a live value projects to [tagReading][float64 bits], a
+// tombstone to itself. A value ValueReading cannot decode leaves the table
+// without a column, so the aggregate that meets it reports the decode error
+// from the data blocks as it always has.
+func (s *Store) readingColumn(dst, stored []byte) ([]byte, bool) {
+	if len(stored) == 0 || stored[0] != tagValue {
+		return append(dst, stored...), true
+	}
+	v, err := s.opts.ValueReading(stored[1:])
+	if err != nil {
+		return dst, false
+	}
+	dst = append(dst, tagReading)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v)), true
+}
+
+// newTableWriter starts the table file flushes and compactions write.
+func (s *Store) newTableWriter(path string) (*sstable.Writer, error) {
+	return sstable.NewWriter(path, sstable.WriterOptions{
+		BlockSize:       s.opts.BlockSize,
+		BloomBitsPerKey: s.opts.BloomBitsPerKey,
+		Compression:     s.opts.Compression,
+		TimestampOf:     s.opts.KeyTimestamp,
+		Column:          s.readingColumn,
+	})
+}
 
 // tmpSuffix marks in-progress table files. Flush and compaction write to
 // the temporary name and rename once the table is complete and synced, so
@@ -277,6 +311,8 @@ type storeMetrics struct {
 	compressStoredC *telemetry.Counter
 	pruneKeyC       *telemetry.Counter
 	pruneTimeC      *telemetry.Counter
+	aggRowsColumnC  *telemetry.Counter
+	aggRowsDecodedC *telemetry.Counter
 
 	// Per-region tagged variants, resolved only when Options.Tags is set
 	// (nil — and thus free — otherwise). The untagged instruments above are
@@ -288,6 +324,8 @@ type storeMetrics struct {
 	flushBytesTagged   *telemetry.Counter
 	compactReadTagged  *telemetry.Counter
 	compactWriteTagged *telemetry.Counter
+	aggRowsColumnT     *telemetry.Counter
+	aggRowsDecodedT    *telemetry.Counter
 }
 
 // tableHandle pairs a reader with its file path. Handles are reference
@@ -301,14 +339,16 @@ type tableHandle struct {
 	refs   atomic.Int32
 	doomed atomic.Bool // delete the file once the last reference drops
 
-	// Introspection metadata, immutable after construction. size mirrors
-	// reader.Size so stats never touch a possibly-closed reader; tombstones
+	// Introspection metadata, immutable after construction. size and
+	// columnBytes mirror the reader so stats never touch a possibly-closed
+	// one (columnBytes 0: no reading column); tombstones
 	// is counted at write time (flush knows, full-compaction output has
 	// none) and is -1 for tables recovered from a legacy directory, where
 	// counting would mean a scan.
-	size       int64
-	tombstones int64
-	created    time.Time
+	size        int64
+	columnBytes int64
+	tombstones  int64
+	created     time.Time
 
 	// Pruning metadata mirrored from the reader's footer so Get and
 	// iterator open never touch the reader for tables they will skip.
@@ -323,7 +363,7 @@ type tableHandle struct {
 func newTableHandle(id uint64, path string, reader *sstable.Reader) *tableHandle {
 	t := &tableHandle{
 		id: id, path: path, reader: reader,
-		size: reader.Size(), tombstones: -1, created: time.Now(),
+		size: reader.Size(), columnBytes: reader.ColumnBytes(), tombstones: -1, created: time.Now(),
 	}
 	t.firstKey, t.lastKey = reader.Bounds()
 	t.minTS, t.maxTS, t.hasTS = reader.TimeBounds()
@@ -494,6 +534,8 @@ func Open(opts Options) (*Store, error) {
 		compressStoredC: o.Registry.Counter("lsm.compress_stored_bytes"),
 		pruneKeyC:       o.Registry.Counter("lsm.prune_key_skips"),
 		pruneTimeC:      o.Registry.Counter("lsm.prune_time_skips"),
+		aggRowsColumnC:  o.Registry.Counter("lsm.agg_rows_column"),
+		aggRowsDecodedC: o.Registry.Counter("lsm.agg_rows_decoded"),
 	}
 	memtableBytes := func() int64 { return s.Health().MemtableBytes }
 	depthGauge := func() int64 { return int64(s.Health().ReadDepth) }
@@ -516,6 +558,8 @@ func Open(opts Options) (*Store, error) {
 		s.met.flushBytesTagged = o.Registry.CounterTagged("lsm.flush_bytes", o.Tags...)
 		s.met.compactReadTagged = o.Registry.CounterTagged("lsm.compact_read_bytes", o.Tags...)
 		s.met.compactWriteTagged = o.Registry.CounterTagged("lsm.compact_write_bytes", o.Tags...)
+		s.met.aggRowsColumnT = o.Registry.CounterTagged("lsm.agg_rows_column", o.Tags...)
+		s.met.aggRowsDecodedT = o.Registry.CounterTagged("lsm.agg_rows_decoded", o.Tags...)
 		o.Registry.GaugeTagged("lsm.memtable_bytes", memtableBytes, o.Tags...)
 		o.Registry.GaugeTagged("lsm.table_bytes", s.tableBytesGauge, o.Tags...)
 		o.Registry.GaugeTagged("lsm.read_depth", depthGauge, o.Tags...)
@@ -994,12 +1038,7 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 	s.mu.Unlock()
 
 	path := s.tablePath(id)
-	w, err := sstable.NewWriter(path+tmpSuffix, sstable.WriterOptions{
-		BlockSize:       s.opts.BlockSize,
-		BloomBitsPerKey: s.opts.BloomBitsPerKey,
-		Compression:     s.opts.Compression,
-		TimestampOf:     s.opts.KeyTimestamp,
-	})
+	w, err := s.newTableWriter(path + tmpSuffix)
 	if err != nil {
 		return err
 	}
@@ -1170,12 +1209,7 @@ func (s *Store) compactPick(pick *compactionPick) error {
 	s.mu.Unlock()
 
 	path := s.tablePath(id)
-	w, err := sstable.NewWriter(path+tmpSuffix, sstable.WriterOptions{
-		BlockSize:       s.opts.BlockSize,
-		BloomBitsPerKey: s.opts.BloomBitsPerKey,
-		Compression:     s.opts.Compression,
-		TimestampOf:     s.opts.KeyTimestamp,
-	})
+	w, err := s.newTableWriter(path + tmpSuffix)
 	if err != nil {
 		return err
 	}
@@ -1499,17 +1533,19 @@ func (s *Store) Stats() Stats {
 // TableStat describes one live store file for introspection endpoints.
 // Keys are reported as strings (the benchmark keyspace is printable).
 // Tombstones is -1 for tables recovered at open, where the count is unknown
-// without a scan.
+// without a scan. ColumnBytes is the part of SizeBytes that is the reading
+// column; 0 means the table has none and aggregates fold its data blocks.
 type TableStat struct {
-	ID         uint64  `json:"id"`
-	Path       string  `json:"path"`
-	FirstKey   string  `json:"first_key"`
-	LastKey    string  `json:"last_key"`
-	SizeBytes  int64   `json:"size_bytes"`
-	Entries    uint64  `json:"entries"`
-	Tombstones int64   `json:"tombstones"`
-	AgeSeconds float64 `json:"age_seconds"`
-	HasBloom   bool    `json:"has_bloom"`
+	ID          uint64  `json:"id"`
+	Path        string  `json:"path"`
+	FirstKey    string  `json:"first_key"`
+	LastKey     string  `json:"last_key"`
+	SizeBytes   int64   `json:"size_bytes"`
+	ColumnBytes int64   `json:"column_bytes"`
+	Entries     uint64  `json:"entries"`
+	Tombstones  int64   `json:"tombstones"`
+	AgeSeconds  float64 `json:"age_seconds"`
+	HasBloom    bool    `json:"has_bloom"`
 
 	// Time-window placement: the key timestamp bounds from the footer (unix
 	// ms; meaningless when HasTimeBounds is false) and the compaction window
@@ -1537,6 +1573,7 @@ func (s *Store) TableStats() []TableStat {
 			FirstKey:      string(t.firstKey),
 			LastKey:       string(t.lastKey),
 			SizeBytes:     t.size,
+			ColumnBytes:   t.columnBytes,
 			Entries:       t.reader.EntryCount(),
 			Tombstones:    t.tombstones,
 			AgeSeconds:    now.Sub(t.created).Seconds(),

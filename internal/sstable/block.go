@@ -133,7 +133,8 @@ func (it *blockIter) next() bool {
 		return false
 	}
 	hdr := n1 + n2 + n3
-	if uint64(len(data)) < uint64(hdr)+unshared+vlen {
+	// Each length is bounded on its own first: their sum can wrap.
+	if n := uint64(len(data)); unshared > n || vlen > n || n < uint64(hdr)+unshared+vlen {
 		it.fail("entry overruns block")
 		return false
 	}
@@ -186,6 +187,16 @@ func (it *blockIter) seekToFirst() {
 	it.next()
 }
 
+// lastKey decodes the block's final key, walking only the entries after its
+// last restart point.
+func (b *block) lastKey() ([]byte, error) {
+	it := b.iter()
+	it.off = int(b.restarts[len(b.restarts)-1])
+	for it.next() {
+	}
+	return it.key, it.err
+}
+
 // keyAtRestart decodes the full key stored at a restart offset.
 func (b *block) keyAtRestart(off int) ([]byte, bool) {
 	if off >= len(b.data) {
@@ -205,7 +216,7 @@ func (b *block) keyAtRestart(off int) ([]byte, bool) {
 		return nil, false
 	}
 	hdr := n1 + n2 + n3
-	if uint64(len(data)) < uint64(hdr)+unshared {
+	if n := uint64(len(data)); unshared > n || n < uint64(hdr)+unshared {
 		return nil, false
 	}
 	return data[hdr : hdr+int(unshared)], true

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// BlockCache is a byte-bounded LRU cache of parsed data blocks, the
-// analogue of the HBase block cache. One cache may be shared by many
+// BlockCache is a byte-bounded LRU cache of parsed data and column blocks,
+// the analogue of the HBase block cache. One cache may be shared by many
 // readers (e.g. all tables of a store); entries are keyed by (reader,
 // offset) and evicted in least-recently-used order once the byte budget is
 // exceeded. Safe for concurrent use.
@@ -117,7 +117,6 @@ func (c *BlockCache) put(owner *Reader, offset uint64, b *block) {
 	key := cacheKey{owner, offset}
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		_ = el
 		return
 	}
 	el := c.order.PushFront(&cacheEntry{key: key, block: b, size: size})

@@ -3,8 +3,9 @@
 //
 // A table is a sequence of blocks:
 //
-//	[data block]*
+//	[data block | column block]*
 //	[bloom filter block]
+//	[column index block]   (only when the table has a column)
 //	[index block]
 //	[footer]
 //
@@ -13,6 +14,14 @@
 // the last key of every data block to its file position. The Bloom filter
 // covers all keys in the table and lets point reads skip the table without
 // touching a data block. Every block is protected by a CRC32C checksum.
+//
+// The column (footer v3) is a second block sequence in the same block
+// format with an index of its own: one entry per data entry, same key, whose
+// value is WriterOptions.Column's projection of the data value — a few bytes
+// where the value is a kilobyte. Column blocks are emitted between data
+// blocks as they fill, stored raw, and found only through the column index,
+// so a reader that wants just the projection never touches a data block. A
+// table has a column for every entry or no column at all.
 package sstable
 
 import (
@@ -40,8 +49,12 @@ const (
 
 	// magicV2 marks a v2 footer ("IoTSSTb2"): adds per-table min/max
 	// timestamps and a compression kind, and every block carries a 5-byte
-	// trailer (compression type + CRC).
+	// trailer (compression type + CRC). Still readable, never written.
 	magicV2 uint64 = 0x496f545353546232
+
+	// magicV3 marks a v3 footer ("IoTSSTb3"): a v2 footer plus the column
+	// index handle and the column's total size. Blocks are as in v2.
+	magicV3 uint64 = 0x496f545353546233
 
 	// footerLenV1: index handle (16) + bloom handle (16) + entry count (8) +
 	// magic (8).
@@ -50,6 +63,10 @@ const (
 	// footerLenV2 adds min timestamp (8) + max timestamp (8) + compression
 	// kind (1) + flags (1) + reserved (6) before the magic.
 	footerLenV2 = footerLenV1 + 24
+
+	// footerLenV3 adds the column index handle (16) + column bytes (8) before
+	// the magic. Both are zero for a table without a column.
+	footerLenV3 = footerLenV2 + 24
 
 	// restartInterval is the number of entries between restart points in a
 	// data block.
@@ -63,8 +80,9 @@ const (
 	trailerLenV2 = 5
 )
 
-// Compression selects the per-block encoding of data blocks. Index, filter
-// and footer blocks are always stored raw so table opens stay cheap.
+// Compression selects the per-block encoding of data blocks. Index, filter,
+// column and footer blocks are always stored raw so table opens stay cheap
+// and a column block costs no inflate to fold.
 type Compression uint8
 
 const (
@@ -123,6 +141,10 @@ func decodeHandle(b []byte) handle {
 // footer is the fixed-size tail of the file. minTS/maxTS are POSIX-ms
 // timestamps extracted from the keys at write time; hasTS is false when no
 // key carried an extractable timestamp (the bounds are then meaningless).
+//
+// column locates the column index block and columnBytes is everything the
+// column added to the file (its blocks, their trailers and its index); both
+// are zero for v1/v2 tables and v3 tables written without a column.
 type footer struct {
 	index       handle
 	bloom       handle
@@ -131,11 +153,14 @@ type footer struct {
 	maxTS       int64
 	hasTS       bool
 	compression Compression
-	version     int // 1 or 2
+	column      handle
+	columnBytes uint64
+	version     int // 1, 2 or 3
 }
 
+// encode serialises a v3 footer, the only version written.
 func (f footer) encode() []byte {
-	out := make([]byte, footerLenV2)
+	out := make([]byte, footerLenV3)
 	f.index.encode(out[0:16])
 	f.bloom.encode(out[16:32])
 	binary.LittleEndian.PutUint64(out[32:40], f.entries)
@@ -145,24 +170,31 @@ func (f footer) encode() []byte {
 	if f.hasTS {
 		out[57] |= flagHasTimeBounds
 	}
-	binary.LittleEndian.PutUint64(out[64:72], magicV2)
+	f.column.encode(out[64:80])
+	binary.LittleEndian.PutUint64(out[80:88], f.columnBytes)
+	binary.LittleEndian.PutUint64(out[88:96], magicV3)
 	return out
 }
 
 // decodeFooter parses the tail bytes of a file: b must be the last
-// footerLenV2 bytes (or the last footerLenV1 bytes of a file too short for
-// a v2 footer). The magic in the final 8 bytes selects the version.
+// footerLenV3 bytes, or the whole file when it is shorter than that (it can
+// then only hold an older, shorter footer). The magic in the final 8 bytes
+// selects the version.
 func decodeFooter(b []byte) (footer, error) {
 	if len(b) < footerLenV1 {
 		return footer{}, errShortFooter
 	}
-	switch binary.LittleEndian.Uint64(b[len(b)-8:]) {
-	case magicV2:
-		if len(b) < footerLenV2 {
+	switch magic := binary.LittleEndian.Uint64(b[len(b)-8:]); magic {
+	case magicV2, magicV3:
+		n, version := footerLenV2, 2
+		if magic == magicV3 {
+			n, version = footerLenV3, 3
+		}
+		if len(b) < n {
 			return footer{}, errShortFooter
 		}
-		b = b[len(b)-footerLenV2:]
-		return footer{
+		b = b[len(b)-n:]
+		ft := footer{
 			index:       decodeHandle(b[0:16]),
 			bloom:       decodeHandle(b[16:32]),
 			entries:     binary.LittleEndian.Uint64(b[32:40]),
@@ -170,8 +202,13 @@ func decodeFooter(b []byte) (footer, error) {
 			maxTS:       int64(binary.LittleEndian.Uint64(b[48:56])),
 			compression: Compression(b[56]),
 			hasTS:       b[57]&flagHasTimeBounds != 0,
-			version:     2,
-		}, nil
+			version:     version,
+		}
+		if version == 3 {
+			ft.column = decodeHandle(b[64:80])
+			ft.columnBytes = binary.LittleEndian.Uint64(b[80:88])
+		}
+		return ft, nil
 	case magicV1:
 		b = b[len(b)-footerLenV1:]
 		return footer{

@@ -16,24 +16,33 @@ import (
 // Safe for concurrent use.
 type Reader struct {
 	mu     sync.RWMutex
-	f      *os.File
+	f      file
 	size   int64
 	closed bool
 
-	index   *block
-	filter  bloom.Filter
-	entries uint64
-	first   []byte // smallest key
-	last    []byte // largest key
+	index    *block
+	colIndex *block // nil when the table has no column
+	colBytes int64
+	filter   bloom.Filter
+	entries  uint64
+	first    []byte // smallest key
+	last     []byte // largest key
 
-	version      int         // footer version: 1 (legacy) or 2
+	version      int         // footer version: 1, 2 (both legacy) or 3
 	compression  Compression // data-block encoding declared by the footer
 	minTS, maxTS int64       // time bounds from the v2 footer
 	hasTS        bool        // false for v1 tables and timestamp-less keys
 
-	// cache holds parsed data blocks, bounded LRU-style. Private per
-	// reader unless a shared cache is supplied at open.
+	// cache holds parsed data and column blocks, bounded LRU-style. Private
+	// per reader unless a shared cache is supplied at open.
 	cache *BlockCache
+}
+
+// file is what a Reader needs of the table file; *os.File in production, an
+// in-memory image under the fuzzer.
+type file interface {
+	io.ReaderAt
+	io.Closer
 }
 
 // Open opens the table at path and loads its index and Bloom filter, with
@@ -54,16 +63,25 @@ func OpenWithCache(path string, cache *BlockCache) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("sstable: stat: %w", err)
 	}
-	if cache == nil {
-		cache = NewBlockCache(0)
-	}
-	r := &Reader{f: f, size: st.Size(), cache: cache}
-	if err := r.loadFooter(); err != nil {
+	r, err := openFile(f, st.Size(), cache)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	return r, nil
+}
+
+// openFile loads the footer, indexes, filter and key bounds of a table image
+// of the given size. The caller closes f when it fails.
+func openFile(f file, size int64, cache *BlockCache) (*Reader, error) {
+	if cache == nil {
+		cache = NewBlockCache(0)
+	}
+	r := &Reader{f: f, size: size, cache: cache}
+	if err := r.loadFooter(); err != nil {
+		return nil, err
+	}
 	if err := r.loadBounds(); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return r, nil
@@ -73,13 +91,9 @@ func (r *Reader) loadFooter() error {
 	if r.size < footerLenV1 {
 		return corruptf("file of %d bytes has no footer", r.size)
 	}
-	// Read the largest possible footer; decodeFooter finds the version from
-	// the magic in the final 8 bytes. Files shorter than a v2 footer can
-	// only be v1.
-	n := int64(footerLenV2)
-	if r.size < n {
-		n = footerLenV1
-	}
+	// Read the largest possible footer (the whole file when it is shorter);
+	// decodeFooter finds the version from the magic in the final 8 bytes.
+	n := min(r.size, footerLenV3)
 	buf := make([]byte, n)
 	if _, err := r.f.ReadAt(buf, r.size-n); err != nil {
 		return fmt.Errorf("sstable: read footer: %w", err)
@@ -109,6 +123,18 @@ func (r *Reader) loadFooter() error {
 		}
 		r.filter = bloom.Filter(rawBloom)
 	}
+
+	if ft.column.length > 0 {
+		rawCol, err := r.readBlockRaw(ft.column)
+		if err != nil {
+			return err
+		}
+		r.colIndex, err = parseBlock(rawCol)
+		if err != nil {
+			return err
+		}
+		r.colBytes = int64(ft.columnBytes)
+	}
 	return nil
 }
 
@@ -120,19 +146,13 @@ func (r *Reader) loadBounds() error {
 	}
 	r.first = append([]byte(nil), it.Key()...)
 
-	// Largest key: last entry of the last data block. The index's last
-	// entry key equals the table's last key by construction.
-	last := r.index.iter()
-	last.seekToFirst()
-	var lk []byte
-	for last.valid {
-		lk = append(lk[:0], last.key...)
-		last.next()
+	// Largest key: the index's last entry key equals the table's last key by
+	// construction.
+	last, err := r.index.lastKey()
+	if err != nil {
+		return err
 	}
-	if last.err != nil {
-		return last.err
-	}
-	r.last = append([]byte(nil), lk...)
+	r.last = last
 	return it.Error()
 }
 
@@ -144,7 +164,8 @@ func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
 	if r.version == 1 {
 		trailer = trailerLenV1
 	}
-	if h.offset+h.length+trailer > uint64(r.size) {
+	// Compared without adding: offset+length of a damaged handle can wrap.
+	if room := uint64(r.size) - trailer; h.length > room || h.offset > room-h.length {
 		return nil, corruptf("block handle %d+%d beyond file size %d", h.offset, h.length, r.size)
 	}
 	buf := make([]byte, h.length+trailer)
@@ -188,7 +209,8 @@ func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
 	return nil, corruptf("unknown block compression %d at %d", ctype, h.offset)
 }
 
-// dataBlock returns the parsed data block for a handle, consulting the cache.
+// dataBlock returns the parsed data or column block for a handle, consulting
+// the cache.
 func (r *Reader) dataBlock(h handle) (*block, error) {
 	if b, ok := r.cache.get(r, h.offset); ok {
 		return b, nil
@@ -229,6 +251,12 @@ func (r *Reader) TimeBounds() (min, max int64, ok bool) {
 
 // Compression reports the data-block encoding declared by the footer.
 func (r *Reader) Compression() Compression { return r.compression }
+
+// ColumnBytes is what the table's column adds to the file: its blocks, their
+// trailers and its index. 0 means the table has no column — it predates
+// footer v3, was written without WriterOptions.Column, or held a value the
+// projection rejected.
+func (r *Reader) ColumnBytes() int64 { return r.colBytes }
 
 // MayContain consults the Bloom filter. True is probabilistic; false is
 // definite. Tables written without a filter always return true.
@@ -272,7 +300,8 @@ func (r *Reader) Close() error {
 	return r.f.Close()
 }
 
-// Iterator walks a table in ascending key order.
+// Iterator walks one of a table's block sequences — the data blocks or the
+// column — in ascending key order.
 type Iterator struct {
 	r       *Reader
 	indexIt *blockIter
@@ -283,6 +312,18 @@ type Iterator struct {
 // NewIterator returns an unpositioned iterator; call Seek or SeekToFirst.
 func (r *Reader) NewIterator() *Iterator {
 	return &Iterator{r: r, indexIt: r.index.iter()}
+}
+
+// NewColumnIterator returns an unpositioned iterator over the table's
+// column: the same keys as NewIterator in the same order, each with
+// WriterOptions.Column's projection of its value, read from the column's
+// own blocks through the same cache. It returns nil when the table has no
+// column.
+func (r *Reader) NewColumnIterator() *Iterator {
+	if r.colIndex == nil {
+		return nil
+	}
+	return &Iterator{r: r, indexIt: r.colIndex.iter()}
 }
 
 // SeekToFirst positions at the table's first entry.

@@ -17,12 +17,7 @@ func buildTable(t testing.TB, path string, opts WriterOptions, kvs map[string]st
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]string, 0, len(kvs))
-	for k := range kvs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(kvs) {
 		if err := w.Add([]byte(k), []byte(kvs[k])); err != nil {
 			t.Fatal(err)
 		}

@@ -28,6 +28,12 @@ type WriterOptions struct {
 	// time-range reads prune the whole file. Keys for which it returns
 	// false contribute no bounds.
 	TimestampOf func(key []byte) (int64, bool)
+	// Column, when non-nil, gives the table a column: for every added entry
+	// it appends to dst the projection of value that the column stores under
+	// the same key, and returns the extended slice. Reporting false for a
+	// value it cannot project drops the column from the whole table — readers
+	// then fall back to the data blocks and meet the bad value there.
+	Column func(dst, value []byte) ([]byte, bool)
 }
 
 func (o WriterOptions) withDefaults() WriterOptions {
@@ -46,7 +52,7 @@ type Writer struct {
 	offset  uint64
 	data    blockBuilder
 	index   blockBuilder
-	keys    [][]byte // retained for the bloom filter
+	hashes  []uint64 // bloom.Hash of every key; the filter is sized at Finish
 	lastKey []byte
 	entries uint64
 	first   []byte
@@ -55,6 +61,15 @@ type Writer struct {
 	// Time bounds accumulated from TimestampOf over added keys.
 	minTS, maxTS int64
 	hasTS        bool
+
+	// The column: blocks fill beside the data blocks and are written as they
+	// do. hasCol goes false — for good — when Column rejects a value; blocks
+	// already written are then unreferenced bytes.
+	col      blockBuilder
+	colIndex blockBuilder
+	colVal   []byte
+	colBytes uint64
+	hasCol   bool
 
 	// Compression ledger over data blocks: raw bytes in, stored bytes out.
 	// Both stay zero when compression is off.
@@ -71,9 +86,10 @@ func NewWriter(path string, opts WriterOptions) (*Writer, error) {
 		return nil, fmt.Errorf("sstable: create: %w", err)
 	}
 	return &Writer{
-		w:    bufio.NewWriterSize(f, 256<<10),
-		file: f,
-		opts: opts.withDefaults(),
+		w:      bufio.NewWriterSize(f, 256<<10),
+		file:   f,
+		opts:   opts.withDefaults(),
+		hasCol: opts.Column != nil,
 	}, nil
 }
 
@@ -102,28 +118,48 @@ func (w *Writer) Add(key, value []byte) error {
 	w.data.add(key, value)
 	w.lastKey = append(w.lastKey[:0], key...)
 	if w.opts.BloomBitsPerKey >= 0 {
-		w.keys = append(w.keys, append([]byte(nil), key...))
+		w.hashes = append(w.hashes, bloom.Hash(key))
+	}
+	if w.hasCol {
+		w.colVal, w.hasCol = w.opts.Column(w.colVal[:0], value)
+		if w.hasCol {
+			w.col.add(key, w.colVal)
+		}
 	}
 	w.entries++
 	if w.data.estimatedSize() >= w.opts.BlockSize {
-		return w.flushDataBlock()
+		if err := w.flushBlock(&w.data, &w.index, true); err != nil {
+			return err
+		}
+	}
+	if w.hasCol && w.col.estimatedSize() >= w.opts.BlockSize {
+		return w.flushColumnBlock()
 	}
 	return nil
 }
 
-func (w *Writer) flushDataBlock() error {
-	if w.data.empty() {
+// flushBlock writes the pending block of one sequence and records it in
+// that sequence's index under the last key added.
+func (w *Writer) flushBlock(b, index *blockBuilder, compressible bool) error {
+	if b.empty() {
 		return nil
 	}
-	h, err := w.writeBlock(w.data.finish(), true)
+	h, err := w.writeBlock(b.finish(), compressible)
 	if err != nil {
 		return err
 	}
-	w.data.reset()
+	b.reset()
 	var hb [16]byte
 	h.encode(hb[:])
-	w.index.add(w.lastKey, hb[:])
+	index.add(w.lastKey, hb[:])
 	return nil
+}
+
+func (w *Writer) flushColumnBlock() error {
+	start := w.offset
+	err := w.flushBlock(&w.col, &w.colIndex, false)
+	w.colBytes += w.offset - start
+	return err
 }
 
 // writeBlock emits a block plus its v2 trailer (compression type + CRC over
@@ -197,9 +233,15 @@ func (w *Writer) Finish() error {
 		os.Remove(w.file.Name())
 		return ErrEmptyTable
 	}
-	if err := w.flushDataBlock(); err != nil {
+	if err := w.flushBlock(&w.data, &w.index, true); err != nil {
 		w.file.Close()
 		return err
+	}
+	if w.hasCol {
+		if err := w.flushColumnBlock(); err != nil {
+			w.file.Close()
+			return err
+		}
 	}
 
 	ft := footer{
@@ -211,13 +253,23 @@ func (w *Writer) Finish() error {
 	}
 
 	if w.opts.BloomBitsPerKey >= 0 {
-		filter := bloom.New(w.keys, w.opts.BloomBitsPerKey)
+		filter := bloom.NewFromHashes(w.hashes, w.opts.BloomBitsPerKey)
 		h, err := w.writeBlock(filter, false)
 		if err != nil {
 			w.file.Close()
 			return err
 		}
 		ft.bloom = h
+	}
+
+	if w.hasCol {
+		h, err := w.writeBlock(w.colIndex.finish(), false)
+		if err != nil {
+			w.file.Close()
+			return err
+		}
+		ft.column = h
+		ft.columnBytes = w.colBytes + h.length + trailerLenV2
 	}
 
 	ih, err := w.writeBlock(w.index.finish(), false)
