@@ -360,6 +360,10 @@ func writeStorage(b *strings.Builder, t *telemetry.Summary) {
 		diskRead := gaugeValue(t, "lsm.disk_read_bytes")
 		fmt.Fprintf(b, "  logical bytes read:      %s  (%s from disk, read amp %.3fx)\n",
 			mib(logicalRead), mib(diskRead), float64(diskRead)/float64(logicalRead))
+		if runs := gaugeValue(t, "lsm.run_reads"); runs > 0 {
+			fmt.Fprintf(b, "  sequential runs:         %d reads, %s of the disk bytes (fetched whole, past range ends)\n",
+				runs, mib(gaugeValue(t, "lsm.run_bytes")))
+		}
 	}
 	hits, misses := gaugeValue(t, "lsm.cache_hits"), gaugeValue(t, "lsm.cache_misses")
 	if hits+misses > 0 {

@@ -369,8 +369,9 @@ func TestScannerLeaseExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, more, err := srv.next(stale, 4, telemetry.TSpan{}); err != nil || !more || len(rows) != 4 {
-		t.Fatalf("next = %d rows, more=%v, err=%v", len(rows), more, err)
+	discard := func(key, value []byte) {}
+	if n, more, err := srv.next(stale, 4, discard, telemetry.TSpan{}); err != nil || !more || n != 4 {
+		t.Fatalf("next = %d rows, more=%v, err=%v", n, more, err)
 	}
 	if n := srv.OpenScannerCount(); n != 1 {
 		t.Fatalf("OpenScannerCount = %d, want 1", n)
@@ -386,7 +387,7 @@ func TestScannerLeaseExpiry(t *testing.T) {
 	if n := srv.OpenScannerCount(); n != 1 {
 		t.Fatalf("OpenScannerCount after sweep = %d, want 1 (the fresh session)", n)
 	}
-	if _, _, err := srv.next(stale, 4, telemetry.TSpan{}); !errors.Is(err, ErrUnknownScanner) {
+	if _, _, err := srv.next(stale, 4, discard, telemetry.TSpan{}); !errors.Is(err, ErrUnknownScanner) {
 		t.Fatalf("next on expired id = %v, want ErrUnknownScanner", err)
 	}
 	if got := reg.Counter("hbase.scanner_lease_expiries").Load(); got < 1 {
@@ -394,8 +395,8 @@ func TestScannerLeaseExpiry(t *testing.T) {
 	}
 
 	// The fresh session is unaffected and closes cleanly.
-	if rows, _, err := srv.next(fresh, 4, telemetry.TSpan{}); err != nil || len(rows) != 4 {
-		t.Fatalf("fresh next = %d rows, err=%v", len(rows), err)
+	if n, _, err := srv.next(fresh, 4, discard, telemetry.TSpan{}); err != nil || n != 4 {
+		t.Fatalf("fresh next = %d rows, err=%v", n, err)
 	}
 	if err := srv.closeScanner(fresh); err != nil {
 		t.Fatal(err)

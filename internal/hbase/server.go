@@ -307,6 +307,17 @@ type Row struct {
 	Value []byte
 }
 
+// rowSink receives the rows of one scan chunk in key order. key and value
+// belong to the iterator and are valid only during the call: the sink makes
+// the server's one copy of them, into the connection's response frame or an
+// in-process caller's arena.
+type rowSink func(key, value []byte)
+
+// scanChunkBytes ends a chunk, with more = true, once its rows reach this
+// size: a response frame stays far below maxFrame whatever chunk size and
+// limit arrive off the wire.
+const scanChunkBytes = 1 << 20
+
 // openScanner is the scanner-session open RPC: it pins an LSM snapshot over
 // [lo, hi) on the region and registers a leased session. limit <= 0 means
 // unlimited. The scanner id is only meaningful on this server. Span:
@@ -335,12 +346,13 @@ func (s *RegionServer) openScanner(r *region.Region, lo, hi []byte, limit int, p
 	return sess.id, nil
 }
 
-// next is the scanner-session read RPC: it returns up to chunk rows under
-// ONE handler slot — a long scan occupies a handler per chunk, not for its
-// whole lifetime, so concurrent ingest keeps flowing between chunks.
+// next is the scanner-session read RPC: it hands up to chunk rows to sink —
+// fewer when the limit, the range or scanChunkBytes ends the chunk first —
+// under ONE handler slot: a long scan occupies a handler per chunk, not for
+// its whole lifetime, so concurrent ingest keeps flowing between chunks.
 // more=false means the scan is finished (bound, limit or error) and the
 // server has already closed the session. Span: "server.scan_next".
-func (s *RegionServer) next(id uint64, chunk int, parent telemetry.TSpan) (rows []Row, more bool, err error) {
+func (s *RegionServer) next(id uint64, chunk int, sink rowSink, parent telemetry.TSpan) (n int, more bool, err error) {
 	tsp := parent.ChildIn(s.service, "server.scan_next")
 	defer tsp.End()
 	waitSp := tsp.Child("server.handler_wait")
@@ -356,49 +368,29 @@ func (s *RegionServer) next(id uint64, chunk int, parent telemetry.TSpan) (rows 
 
 	sess, err := s.checkoutScanner(id)
 	if err != nil {
-		return nil, false, err
+		return 0, false, err
 	}
 	if sess.limited && chunk > sess.remaining {
 		chunk = sess.remaining
 	}
-
-	// Copy once at the ownership boundary: the iterator's slices are only
-	// valid until its next advance, so each key/value is appended to a
-	// per-chunk arena the returned rows alias — one copy, one allocation,
-	// per chunk (plus the row headers).
 	it := sess.it
-	var (
-		arena []byte
-		meta  []int // interleaved key/value lengths
-	)
-	n := 0
-	for it.Valid() && n < chunk {
-		arena = append(arena, it.Key()...)
-		arena = append(arena, it.Value()...)
-		meta = append(meta, len(it.Key()), len(it.Value()))
+	for size := 0; it.Valid() && n < chunk && size < scanChunkBytes; it.Next() {
+		key, value := it.Key(), it.Value()
+		sink(key, value)
+		// Two bytes stand for the row's length prefixes, so a chunk of empty
+		// rows is bounded too.
+		size += len(key) + len(value) + 2
 		n++
-		it.Next()
 	}
-	rows = make([]Row, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		kl, vl := meta[2*i], meta[2*i+1]
-		rows[i] = Row{
-			Key:   arena[off : off+kl : off+kl],
-			Value: arena[off+kl : off+kl+vl : off+kl+vl],
-		}
-		off += kl + vl
-	}
-
 	if sess.limited {
 		sess.remaining -= n
 	}
-	iterErr := it.Error()
-	finished := iterErr != nil || !it.Valid() || (sess.limited && sess.remaining <= 0)
-	if finished {
-		it.Close()
-	} else {
+	err = it.Error()
+	more = err == nil && it.Valid() && !(sess.limited && sess.remaining <= 0)
+	if more {
 		s.checkinScanner(sess)
+	} else {
+		it.Close()
 	}
 
 	s.rowsRead.Add(int64(n))
@@ -406,7 +398,7 @@ func (s *RegionServer) next(id uint64, chunk int, parent telemetry.TSpan) (rows 
 	s.met.rowsStreamed.Add(int64(n))
 	s.met.scanChunksTagged.Inc()
 	s.met.rowsStreamedTagged.Add(int64(n))
-	return rows, !finished, iterErr
+	return n, more, err
 }
 
 // aggregate is the server-side aggregation RPC: one handler slot covers the

@@ -76,6 +76,8 @@ func addStats(a *lsm.Stats, b lsm.Stats) {
 	a.CompactWriteBytes += b.CompactWriteBytes
 	a.LogicalReadBytes += b.LogicalReadBytes
 	a.DiskReadBytes += b.DiskReadBytes
+	a.RunReads += b.RunReads
+	a.RunBytes += b.RunBytes
 	a.BloomHits += b.BloomHits
 	a.BloomSkips += b.BloomSkips
 	a.BloomFalsePositives += b.BloomFalsePositives

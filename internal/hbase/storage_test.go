@@ -64,6 +64,33 @@ func TestStorageReport(t *testing.T) {
 	if h := cl.Health(); h.ReadDepth < 1 {
 		t.Errorf("/healthz read depth = %d after a flush on every replica", h.ReadDepth)
 	}
+
+	// A scan of the flushed table reads it in runs, and /storage says how
+	// much of the disk bytes that was.
+	before := rep.Totals
+	if got, err := c.Scan(nil, nil, 0); err != nil || len(got) != rows {
+		t.Fatalf("scan = %d rows, %v", len(got), err)
+	}
+	doc, err := json.Marshal(cl.Storage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct {
+		Totals struct {
+			RunReads      int64 `json:"run_reads"`
+			RunBytes      int64 `json:"run_bytes"`
+			DiskReadBytes int64 `json:"disk_read_bytes"`
+		} `json:"totals"`
+	}
+	if err := json.Unmarshal(doc, &parsed); err != nil {
+		t.Fatal(err)
+	}
+	tot := parsed.Totals
+	if tot.RunReads <= before.RunReads || tot.RunBytes-before.RunBytes < rows*int64(len(value))/2 ||
+		tot.RunBytes-before.RunBytes > tot.DiskReadBytes-before.DiskReadBytes {
+		t.Errorf("/storage after a %d-row scan: %+v (before: %d runs, %d run bytes, %d disk bytes)",
+			rows, tot, before.RunReads, before.RunBytes, before.DiskReadBytes)
+	}
 }
 
 func TestHealthReport(t *testing.T) {

@@ -81,8 +81,7 @@ func (cl *Cluster) acceptLoop(st *tcpState, ln net.Listener, srv *RegionServer) 
 // serveConn handles one client connection: a loop of request frames.
 func (cl *Cluster) serveConn(conn net.Conn, srv *RegionServer) {
 	defer conn.Close()
-	r := bufio.NewReaderSize(conn, 256<<10)
-	w := bufio.NewWriterSize(conn, 256<<10)
+	r := bufio.NewReaderSize(conn, connReadBuf)
 	var req frameReader
 	var resp frameWriter
 	for {
@@ -90,17 +89,15 @@ func (cl *Cluster) serveConn(conn net.Conn, srv *RegionServer) {
 			return // EOF or broken frame: drop the connection
 		}
 		cl.dispatch(&req, &resp, srv)
-		if err := resp.flush(w); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
+		if err := resp.flush(conn); err != nil {
 			return
 		}
 	}
 }
 
-// dispatch executes one request against the server and builds the response.
-// A sampled request (trace header present) gets its server-side work
+// dispatch executes one request against the server and builds the response:
+// results go into the frame as the handler produces them; fail starts it
+// over. A sampled request (trace header present) gets its server-side work
 // collected in a joined trace whose spans are shipped back on the response
 // frame, right after the status, for client-side stitching.
 func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServer) {
@@ -121,10 +118,7 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 	}
 	rop := telemetry.JoinRemote(tctx)
 	parent := rop.RemoteParent(tctx)
-	ok := func() {
-		resp.reset(statusOK)
-		resp.spans(rop.TakeSpans())
-	}
+	resp.reset(statusOK)
 	regionName, err := req.str()
 	if err != nil {
 		fail(err)
@@ -138,7 +132,7 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 
 	switch req.op {
 	case opMutate:
-		n, err := req.uvarint()
+		n, err := req.count(3) // a mutation is at least a flag and two lengths
 		if err != nil {
 			fail(err)
 			return
@@ -170,7 +164,6 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 			fail(err)
 			return
 		}
-		ok()
 
 	case opGet:
 		key, err := req.bytes()
@@ -183,7 +176,6 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 			fail(err)
 			return
 		}
-		ok()
 		if found {
 			resp.uvarint(1)
 			resp.bytes(v)
@@ -207,12 +199,11 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 			fail(err)
 			return
 		}
-		id, err := srv.openScanner(tr.replicas[0], lo, hi, int(limit), parent)
+		id, err := srv.openScanner(tr.replicas[0], lo, hi, wireCount(limit), parent)
 		if err != nil {
 			fail(err)
 			return
 		}
-		ok()
 		resp.uvarint(id)
 
 	case opScanNext:
@@ -226,22 +217,13 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 			fail(err)
 			return
 		}
-		rows, more, err := srv.next(id, int(chunk), parent)
+		head := resp.beginChunk()
+		n, more, err := srv.next(id, wireCount(chunk), resp.row, parent)
 		if err != nil {
 			fail(err)
 			return
 		}
-		ok()
-		if more {
-			resp.uvarint(1)
-		} else {
-			resp.uvarint(0)
-		}
-		resp.uvarint(uint64(len(rows)))
-		for _, row := range rows {
-			resp.bytes(row.Key)
-			resp.bytes(row.Value)
-		}
+		resp.endChunk(head, n, more)
 
 	case opAggregate:
 		lo, err := req.optBytes()
@@ -272,7 +254,6 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 			fail(err)
 			return
 		}
-		ok()
 		resp.uvarint(uint64(res.RowsFolded))
 		resp.uvarint(uint64(len(res.Windows)))
 		for i := range res.Windows {
@@ -295,11 +276,18 @@ func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServ
 			fail(err)
 			return
 		}
-		ok()
 
 	default:
 		fail(fmt.Errorf("hbase: unknown opcode %d", req.op))
+		return
 	}
+	resp.spans(rop.TakeSpans())
+}
+
+// wireCount turns a row count off the wire into an int. One too large for
+// int is, for any range a region can hold, the same as the largest int.
+func wireCount(v uint64) int {
+	return int(min(v, math.MaxInt))
 }
 
 // findRegion resolves a region name to its routing entry.

@@ -46,8 +46,29 @@ func (inprocTransport) openScanner(tr *tableRegion, lo, hi []byte, limit int, sp
 	return tr.primary.openScanner(tr.replicas[0], lo, hi, limit, sp)
 }
 
+// scanNext is the in-process rowSink: it copies the chunk's rows into one
+// arena and returns owned Rows aliasing it. Rows of one scan are near enough
+// one size (a kit row is 1 KiB) that the first sizes the arena for the whole
+// chunk; append covers the rest.
 func (inprocTransport) scanNext(tr *tableRegion, id uint64, chunk int, sp telemetry.TSpan) ([]Row, bool, error) {
-	return tr.primary.next(id, chunk, sp)
+	var arena []byte
+	var ends []int // arena offset past each key and each value
+	_, more, err := tr.primary.next(id, chunk, func(key, value []byte) {
+		if arena == nil {
+			n := min(max(chunk, 1), DefaultScanChunk)
+			arena, ends = make([]byte, 0, n*(len(key)+len(value))), make([]int, 0, 2*n)
+		}
+		arena = append(append(arena, key...), value...)
+		ends = append(ends, len(arena)-len(value), len(arena))
+	}, sp)
+	rows := make([]Row, len(ends)/2)
+	off := 0
+	for i := range rows {
+		k, v := ends[2*i], ends[2*i+1]
+		rows[i] = Row{Key: arena[off:k:k], Value: arena[k:v:v]}
+		off = v
+	}
+	return rows, more, err
 }
 
 func (inprocTransport) closeScanner(tr *tableRegion, id uint64, sp telemetry.TSpan) error {
@@ -71,8 +92,13 @@ type tcpTransport struct {
 type tcpConn struct {
 	c net.Conn
 	r *bufio.Reader
-	w *bufio.Writer
 }
+
+// connReadBuf sizes the reader in front of a connection, at both ends: a
+// small message (an ack, a point read, an aggregate) arrives header and all
+// in one read(2), and bufio reads a payload larger than its buffer straight
+// into the frame buffer instead of copying it through.
+const connReadBuf = 4 << 10
 
 func newTCPTransport(cl *Cluster) (*tcpTransport, error) {
 	cl.mu.RLock()
@@ -102,11 +128,7 @@ func (t *tcpTransport) conn(srv *RegionServer) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hbase: dial %s: %w", addr, err)
 	}
-	c := &tcpConn{
-		c: nc,
-		r: bufio.NewReaderSize(nc, 256<<10),
-		w: bufio.NewWriterSize(nc, 256<<10),
-	}
+	c := &tcpConn{c: nc, r: bufio.NewReaderSize(nc, connReadBuf)}
 	t.conns[srv] = c
 	return c, nil
 }
@@ -125,10 +147,7 @@ func (t *tcpTransport) call(srv *RegionServer, req *frameWriter, resp *frameRead
 		delete(t.conns, srv)
 		return err
 	}
-	if err := req.flush(c.w); err != nil {
-		return fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
+	if err := req.flush(c.c); err != nil {
 		return fail(err)
 	}
 	if err := resp.readFrame(c.r); err != nil {
@@ -212,7 +231,7 @@ func (t *tcpTransport) openScanner(tr *tableRegion, lo, hi []byte, limit int, sp
 	req.str(tr.info.Name)
 	req.optBytes(lo)
 	req.optBytes(hi)
-	req.uvarint(uint64(limit))
+	req.uvarint(uint64(max(limit, 0)))
 	if err := t.call(tr.primary, &req, &resp, sp); err != nil {
 		return 0, err
 	}
@@ -226,7 +245,7 @@ func (t *tcpTransport) scanNext(tr *tableRegion, id uint64, chunk int, sp teleme
 	req.trace(sp)
 	req.str(tr.info.Name)
 	req.uvarint(id)
-	req.uvarint(uint64(chunk))
+	req.uvarint(uint64(max(chunk, 0)))
 	if err := t.call(tr.primary, &req, &resp, sp); err != nil {
 		return nil, false, err
 	}
@@ -234,7 +253,7 @@ func (t *tcpTransport) scanNext(tr *tableRegion, id uint64, chunk int, sp teleme
 	if err != nil {
 		return nil, false, err
 	}
-	n, err := resp.uvarint()
+	n, err := resp.count(2) // a row is at least two lengths
 	if err != nil {
 		return nil, false, err
 	}

@@ -131,11 +131,14 @@ func TestTCPPutTraceStitched(t *testing.T) {
 	}
 }
 
-// TestTCPScanChunkTraced asserts each scanner chunk fetch produces its own
-// stitched trace containing the server's scan_next span.
+// TestTCPScanChunkTraced asserts the scanner open and each chunk fetch
+// produce their own stitched traces containing the server's scan_open and
+// scan_next spans — the chunk's span block sits in front of rows that were
+// encoded before it existed, and the rows still parse behind it.
 func TestTCPScanChunkTraced(t *testing.T) {
 	c, tracer := newTracedTCPCluster(t, 3, nil)
-	for i := 0; i < 64; i++ {
+	const n = DefaultScanChunk + 64
+	for i := 0; i < n; i++ {
 		if err := c.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
@@ -144,15 +147,34 @@ func TestTCPScanChunkTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 64 {
+	if len(rows) != n {
 		t.Fatalf("scanned %d rows", len(rows))
+	}
+	for i, r := range rows {
+		if want := fmt.Sprintf("k%03d", i); string(r.Key) != want || string(r.Value) != "v" {
+			t.Fatalf("row %d = %q/%q, want %q/v", i, r.Key, r.Value, want)
+		}
+	}
+
+	open := traceByRoot(tracer, "client.scan_open")
+	if open == nil {
+		t.Fatal("no client.scan_open trace")
+	}
+	names := spanNames(open)
+	for _, want := range []string{"rpc.scan_open", "server.scan_open"} {
+		if _, ok := names[want]; !ok {
+			t.Errorf("open trace missing span %q; has %v", want, keys(names))
+		}
+	}
+	if names["server.scan_open"].ParentID != names["rpc.scan_open"].SpanID {
+		t.Error("server.scan_open not parented under rpc.scan_open")
 	}
 
 	trace := traceByRoot(tracer, "client.scan_chunk")
 	if trace == nil {
 		t.Fatal("no client.scan_chunk trace")
 	}
-	names := spanNames(trace)
+	names = spanNames(trace)
 	for _, want := range []string{"client.scan_chunk", "rpc.scan_next", "server.scan_next"} {
 		if _, ok := names[want]; !ok {
 			t.Errorf("chunk trace missing span %q; has %v", want, keys(names))

@@ -62,7 +62,8 @@ const (
 	flagSpans byte = 1 << 1
 )
 
-// maxFrame bounds a single message (a scan of a full region easily fits).
+// maxFrame bounds a single message; the largest the protocol itself builds
+// is a client's buffered mutate batch (scan chunks end at scanChunkBytes).
 const maxFrame = 256 << 20
 
 // ErrBadFrame reports a malformed wire message.
@@ -94,15 +95,23 @@ func (f *frameWriter) trace(sp telemetry.TSpan) {
 	f.uvarint(ctx.SpanID)
 }
 
-// spans writes the response span block: the server-side spans of a sampled
-// operation, shipped back for client-side stitching. Must be called
-// immediately after reset, before any result field. A no-op for an empty
-// slice. Trace ids are omitted — the client rewrites them on stitch.
+// headerLen is where a frame's fields start: after the length prefix, the
+// op/status byte and the flags byte.
+const headerLen = flagsIdx + 1
+
+// spans puts the response span block — the server-side spans of a sampled
+// operation, shipped back for client-side stitching — right after the
+// flags, in front of the result fields. The spans are complete only once
+// the handler has returned, with the results (a chunk's rows) already in the
+// frame, so the block is appended and the results moved behind it; only
+// sampled requests pay that move. A no-op for an empty slice. Trace ids are
+// omitted — the client rewrites them on stitch.
 func (f *frameWriter) spans(spans []telemetry.SpanRecord) {
 	if len(spans) == 0 {
 		return
 	}
 	f.buf[flagsIdx] |= flagSpans
+	results := len(f.buf)
 	f.uvarint(uint64(len(spans)))
 	for i := range spans {
 		s := &spans[i]
@@ -113,6 +122,43 @@ func (f *frameWriter) spans(spans []telemetry.SpanRecord) {
 		f.str(s.Name)
 		f.str(s.Service)
 	}
+	block := append([]byte(nil), f.buf[results:]...)
+	copy(f.buf[headerLen+len(block):], f.buf[headerLen:results])
+	copy(f.buf[headerLen:], block)
+}
+
+// countWidth is the fixed width of a chunk's row count on the wire: a
+// uvarint padded with continuation bytes, which uvarint readers decode as
+// usual, so it can be filled in behind rows already written. The constant
+// under it does not compile if scanChunkBytes/2 rows outgrow the width.
+const countWidth = 3
+
+const _ = uint(1<<(7*countWidth) - 1 - scanChunkBytes/2)
+
+// beginChunk reserves the head of a scan chunk — the more flag and the row
+// count, known only after the rows that follow — and returns its position.
+func (f *frameWriter) beginChunk() int {
+	at := len(f.buf)
+	f.buf = append(f.buf, make([]byte, 1+countWidth)...)
+	return at
+}
+
+// row appends one row of a chunk; it is the TCP dispatcher's rowSink.
+func (f *frameWriter) row(key, value []byte) {
+	f.bytes(key)
+	f.bytes(value)
+}
+
+// endChunk fills in the head beginChunk reserved.
+func (f *frameWriter) endChunk(at, n int, more bool) {
+	if more {
+		f.buf[at] = 1
+	}
+	for i := 1; i < countWidth; i++ {
+		f.buf[at+i] = byte(n) | 0x80
+		n >>= 7
+	}
+	f.buf[at+countWidth] = byte(n)
 }
 
 func (f *frameWriter) bytes(b []byte) {
@@ -129,9 +175,15 @@ func (f *frameWriter) uvarint(v uint64) {
 	f.buf = binary.AppendUvarint(f.buf, v)
 }
 
-// flush writes the frame to w.
+// flush writes the frame to w in one Write: the buffer starts with its own
+// length prefix. A frame no reader would accept is refused here, before its
+// length could wrap the prefix.
 func (f *frameWriter) flush(w io.Writer) error {
-	binary.LittleEndian.PutUint32(f.buf[:4], uint32(len(f.buf)-4))
+	n := len(f.buf) - 4
+	if n > maxFrame {
+		return fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrBadFrame, n, maxFrame)
+	}
+	binary.LittleEndian.PutUint32(f.buf[:4], uint32(n))
 	_, err := w.Write(f.buf)
 	return err
 }
@@ -241,6 +293,17 @@ func (f *frameReader) bytes() ([]byte, error) {
 func (f *frameReader) str() (string, error) {
 	b, err := f.bytes()
 	return string(b), err
+}
+
+// count reads an element count and refuses one the rest of the frame could
+// not hold at min bytes an element, so no number off the wire sizes an
+// allocation.
+func (f *frameReader) count(min int) (uint64, error) {
+	n, err := f.uvarint()
+	if err == nil && n > uint64((len(f.buf)-f.off)/min) {
+		err = fmt.Errorf("%w: %d elements in %d bytes", ErrBadFrame, n, len(f.buf)-f.off)
+	}
+	return n, err
 }
 
 func (f *frameReader) uvarint() (uint64, error) {

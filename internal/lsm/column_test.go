@@ -352,6 +352,9 @@ func TestStoreWrittenByParentCommitUpgradesInPlace(t *testing.T) {
 		t.Fatalf("the parent's store should open as two column-less tables: %+v", st)
 	}
 	checkAll("as written by the parent")
+	if st := s.Stats(); st.RunReads == 0 || st.RunBytes > st.DiskReadBytes {
+		t.Fatalf("scanning the v2 tables should read them in runs: %d runs, %d of %d disk bytes", st.RunReads, st.RunBytes, st.DiskReadBytes)
+	}
 	if c, d := columnShare(reg); c != 0 || d == 0 {
 		t.Fatalf("v2-only store: %d rows from columns, %d decoded", c, d)
 	}

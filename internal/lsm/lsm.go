@@ -118,7 +118,8 @@ type Options struct {
 	// each folded row), the gauges "lsm.memtable_bytes",
 	// "lsm.table_bytes", "lsm.tables", "lsm.read_depth",
 	// "lsm.compaction_debt_bytes",
-	// "lsm.cache_hits", "lsm.cache_misses" and "lsm.disk_read_bytes", and
+	// "lsm.cache_hits", "lsm.cache_misses", "lsm.disk_read_bytes",
+	// "lsm.run_reads" and "lsm.run_bytes", and
 	// the put-path stage histograms "put.memstore" and "put.region_flush".
 	// The registry is also handed to the store's WAL. A nil registry keeps
 	// the hot paths free of clock reads.
@@ -412,10 +413,14 @@ type Stats struct {
 	CompactWriteBytes int64 `json:"compact_write_bytes"`
 
 	// Read-side ledger: user bytes returned by gets and scans, versus raw
-	// bytes the table readers pulled from disk (block-cache misses plus
-	// metadata loads). Their ratio is the read amplification.
+	// bytes the table readers pulled from disk (block-cache misses, metadata
+	// loads and sequential runs). Their ratio is the read amplification.
+	// RunReads and RunBytes are the runs' part of DiskReadBytes: 64 KiB
+	// stretches fetched whole, past a scan's range and over column blocks.
 	LogicalReadBytes int64 `json:"logical_read_bytes"`
 	DiskReadBytes    int64 `json:"disk_read_bytes"`
+	RunReads         int64 `json:"run_reads"`
+	RunBytes         int64 `json:"run_bytes"`
 
 	// Bloom-filter effectiveness on table lookups: skips are definite
 	// negatives, hits found the key, false positives probed and missed.
@@ -549,6 +554,8 @@ func Open(opts Options) (*Store, error) {
 	o.Registry.Gauge("lsm.cache_hits", func() int64 { return s.cache.Stats().Hits })
 	o.Registry.Gauge("lsm.cache_misses", func() int64 { return s.cache.Stats().Misses })
 	o.Registry.Gauge("lsm.disk_read_bytes", func() int64 { return s.cache.Stats().DiskReadBytes })
+	o.Registry.Gauge("lsm.run_reads", func() int64 { return s.cache.Stats().RunReads })
+	o.Registry.Gauge("lsm.run_bytes", func() int64 { return s.cache.Stats().RunBytes })
 	RegisterDerivedGauges(o.Registry)
 	if len(o.Tags) > 0 {
 		s.met.flushesTagged = o.Registry.CounterTagged("lsm.flushes", o.Tags...)
@@ -1514,6 +1521,8 @@ func (s *Store) Stats() Stats {
 	}
 	cs := s.cache.Stats()
 	st.DiskReadBytes = cs.DiskReadBytes
+	st.RunReads = cs.RunReads
+	st.RunBytes = cs.RunBytes
 	st.CacheHits = cs.Hits
 	st.CacheMisses = cs.Misses
 	st.CacheEvictions = cs.Evictions

@@ -79,23 +79,32 @@ type block struct {
 }
 
 func parseBlock(raw []byte) (*block, error) {
+	b := new(block)
+	return b, b.parse(raw)
+}
+
+// parse points b at raw, reusing the restart array b already owns, so an
+// iterator that parses block after block into one value allocates nothing.
+func (b *block) parse(raw []byte) error {
 	if len(raw) < 4 {
-		return nil, corruptf("block shorter than restart count")
+		return corruptf("block shorter than restart count")
 	}
 	n := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	tail := 4 * (int(n) + 1)
 	if n == 0 || tail > len(raw) {
-		return nil, corruptf("restart array (%d entries) exceeds block", n)
+		return corruptf("restart array (%d entries) exceeds block", n)
 	}
 	restartOff := len(raw) - tail
-	restarts := make([]uint32, n)
-	for i := range restarts {
-		restarts[i] = binary.LittleEndian.Uint32(raw[restartOff+4*i:])
-		if int(restarts[i]) >= restartOff && !(restarts[i] == 0 && restartOff == 0) {
-			return nil, corruptf("restart offset %d beyond entries", restarts[i])
+	restarts := b.restarts[:0]
+	for i := 0; i < int(n); i++ {
+		r := binary.LittleEndian.Uint32(raw[restartOff+4*i:])
+		if int(r) >= restartOff && !(r == 0 && restartOff == 0) {
+			return corruptf("restart offset %d beyond entries", r)
 		}
+		restarts = append(restarts, r)
 	}
-	return &block{data: raw[:restartOff], restarts: restarts}, nil
+	b.data, b.restarts = raw[:restartOff], restarts
+	return nil
 }
 
 // blockIter iterates over a parsed block.

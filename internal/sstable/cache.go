@@ -12,10 +12,10 @@ import (
 // offset) and evicted in least-recently-used order once the byte budget is
 // exceeded. Safe for concurrent use.
 //
-// The cache is also the read path's byte-accounting point: every data-block
-// lookup lands here, so hits, misses, evictions and the bytes its readers
-// pulled from disk (on misses and metadata loads) are counted as cheap
-// atomics, snapshotted by Stats.
+// The cache is also the read path's byte-accounting point: hits, misses,
+// evictions and every byte its readers pulled from disk (block misses,
+// metadata loads and the runs of sequential walks, which bypass the cache
+// but not the ledger) are counted as cheap atomics, snapshotted by Stats.
 type BlockCache struct {
 	mu       sync.Mutex
 	capacity int64
@@ -27,16 +27,22 @@ type BlockCache struct {
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	diskReadBytes atomic.Int64 // raw bytes readers fetched from disk
+	runReads      atomic.Int64 // sequential run reads
+	runBytes      atomic.Int64 // their share of diskReadBytes
 }
 
 // CacheStats is a point-in-time snapshot of a cache's effectiveness
 // counters. DiskReadBytes covers every disk read its readers performed:
-// data-block misses plus index/filter/footer loads at open.
+// block misses, index/filter/footer loads at open, and run reads. RunReads
+// and RunBytes single out the last, which fetch whole runSize stretches: past
+// the end of a scan's range and over blocks of the other sequence.
 type CacheStats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
 	Evictions     int64 `json:"evictions"`
 	DiskReadBytes int64 `json:"disk_read_bytes"`
+	RunReads      int64 `json:"run_reads"`
+	RunBytes      int64 `json:"run_bytes"`
 	UsedBytes     int64 `json:"used_bytes"`
 	Blocks        int64 `json:"blocks"`
 }
@@ -57,6 +63,8 @@ func (c *BlockCache) Stats() CacheStats {
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
 		DiskReadBytes: c.diskReadBytes.Load(),
+		RunReads:      c.runReads.Load(),
+		RunBytes:      c.runBytes.Load(),
 	}
 	c.mu.Lock()
 	st.UsedBytes = c.used
@@ -67,6 +75,13 @@ func (c *BlockCache) Stats() CacheStats {
 
 // recordDiskRead accounts n raw bytes read from disk by an owning reader.
 func (c *BlockCache) recordDiskRead(n int64) { c.diskReadBytes.Add(n) }
+
+// recordRun accounts one sequential run read of n bytes.
+func (c *BlockCache) recordRun(n int64) {
+	c.runReads.Add(1)
+	c.runBytes.Add(n)
+	c.diskReadBytes.Add(n)
+}
 
 type cacheKey struct {
 	owner  *Reader

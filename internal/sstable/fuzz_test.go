@@ -3,6 +3,7 @@ package sstable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/crc32"
@@ -129,6 +130,9 @@ func seedImages(t testing.TB) map[string]seedImage {
 			binary.LittleEndian.PutUint32(img[end-4:], 1<<30)
 			binary.LittleEndian.PutUint32(img[end+1:], crc32.Update(checksum(img[h.offset:end]), crcTable, img[end:end+1]))
 		}), true},
+		// A data block damaged under its old checksum, in the middle of the
+		// run a sequential walk reads the table in.
+		"data-block-corrupt-mid-run": {edit(func(img []byte) { corruptDataBlock(t, img, 7) }), true},
 	}
 }
 
@@ -183,6 +187,18 @@ func TestSeedCorpus(t *testing.T) {
 	col := r.NewColumnIterator()
 	if col.SeekToFirst(); col.Valid() || col.Error() == nil {
 		t.Fatalf("column iterator over a block with a bad restart array: valid=%v err=%v", col.Valid(), col.Error())
+	}
+	// The damaged data block opens too, and stops the walk that reaches it.
+	r, err = openImage(seeds["data-block-corrupt-mid-run"].img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	it := r.NewIterator()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+	}
+	if !errors.Is(it.Error(), ErrCorrupt) {
+		t.Fatalf("walk over a damaged data block: %v", it.Error())
 	}
 }
 

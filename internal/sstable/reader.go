@@ -3,6 +3,7 @@ package sstable
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -156,25 +157,40 @@ func (r *Reader) loadBounds() error {
 	return it.Error()
 }
 
-// readBlockRaw reads, checksum-verifies and (for v2 tables) decompresses a
-// block. The handle's length is the stored (possibly compressed) payload
-// size; disk-read accounting records the stored bytes actually fetched.
-func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
+// storedLen is how many file bytes the block behind h occupies, trailer
+// included, or an error when the handle does not lie inside the file.
+func (r *Reader) storedLen(h handle) (uint64, error) {
 	trailer := uint64(trailerLenV2)
 	if r.version == 1 {
 		trailer = trailerLenV1
 	}
 	// Compared without adding: offset+length of a damaged handle can wrap.
 	if room := uint64(r.size) - trailer; h.length > room || h.offset > room-h.length {
-		return nil, corruptf("block handle %d+%d beyond file size %d", h.offset, h.length, r.size)
+		return 0, corruptf("block handle %d+%d beyond file size %d", h.offset, h.length, r.size)
 	}
-	buf := make([]byte, h.length+trailer)
+	return h.length + trailer, nil
+}
+
+// readBlockRaw reads, checksum-verifies and (for v2 tables) decompresses a
+// block. The handle's length is the stored (possibly compressed) payload
+// size; disk-read accounting records the stored bytes actually fetched.
+func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
+	n, err := r.storedLen(h)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
 	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
 		return nil, fmt.Errorf("sstable: read block: %w", err)
 	}
-	if r.cache != nil {
-		r.cache.recordDiskRead(int64(len(buf)))
-	}
+	r.cache.recordDiskRead(int64(len(buf)))
+	return r.decodeBlock(buf, h)
+}
+
+// decodeBlock checksum-verifies the stored bytes of the block behind h —
+// payload then trailer, exactly storedLen long — and returns its raw
+// payload: a sub-slice of buf unless the block was compressed.
+func (r *Reader) decodeBlock(buf []byte, h handle) ([]byte, error) {
 	body := buf[:h.length]
 	ctype := NoCompression
 	crcOff := h.length
@@ -183,8 +199,7 @@ func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
 		ctype = Compression(buf[h.length])
 		crcOff = h.length + 1
 	}
-	want := uint32(buf[crcOff]) | uint32(buf[crcOff+1])<<8 |
-		uint32(buf[crcOff+2])<<16 | uint32(buf[crcOff+3])<<24
+	want := binary.LittleEndian.Uint32(buf[crcOff:])
 	got := checksum(body)
 	if r.version != 1 {
 		got = crc32.Update(got, crcTable, buf[h.length:h.length+1])
@@ -300,13 +315,37 @@ func (r *Reader) Close() error {
 	return r.f.Close()
 }
 
+// runSize is how much of the file one sequential read fetches: sixteen
+// default-sized blocks for one pread into one buffer.
+const runSize = 64 << 10
+
+// runGap is how far past the end of the block just consumed the next may
+// start and still be adjacent: the blocks of one sequence lie back to back
+// but for a block of the other sequence emitted between them. A column
+// walk, its blocks dozens of data blocks apart, never is, and keeps reading
+// block by block through the cache.
+const runGap = runSize / 8
+
 // Iterator walks one of a table's block sequences — the data blocks or the
 // column — in ascending key order.
+//
+// Seek and SeekToFirst load their block through the cache. A walk that then
+// steps onto an adjacent block the cache does not hold reads a run: runSize
+// bytes from that block's offset, in one ReadAt, into a buffer the iterator
+// owns and reuses. The blocks lying whole inside it are verified and parsed
+// in place and never enter the cache, so a long scan or a compaction input
+// evicts nothing.
 type Iterator struct {
 	r       *Reader
 	indexIt *blockIter
-	dataIt  *blockIter
+	dataIt  *blockIter // &cur while positioned inside a block
 	err     error
+
+	cur    blockIter // over the current block; its key buffer is reused
+	end    uint64    // file offset just past the current block
+	run    []byte    // file bytes [runOff, runOff+len(run))
+	runOff uint64
+	inRun  block // the current block, when parsed out of run
 }
 
 // NewIterator returns an unpositioned iterator; call Seek or SeekToFirst.
@@ -330,7 +369,7 @@ func (r *Reader) NewColumnIterator() *Iterator {
 func (it *Iterator) SeekToFirst() {
 	it.err = nil
 	it.indexIt.seekToFirst()
-	it.loadDataBlock()
+	it.loadDataBlock(false)
 	if it.dataIt != nil {
 		it.dataIt.seekToFirst()
 	}
@@ -343,7 +382,7 @@ func (it *Iterator) Seek(target []byte) {
 	// Index entries hold the LAST key of each block, so the first index
 	// entry with key >= target names the block that may contain target.
 	it.indexIt.seek(target)
-	it.loadDataBlock()
+	it.loadDataBlock(false)
 	if it.dataIt != nil {
 		it.dataIt.seek(target)
 	}
@@ -376,15 +415,17 @@ func (it *Iterator) skipForward() {
 			it.dataIt = nil
 			return
 		}
-		it.loadDataBlock()
+		it.loadDataBlock(true)
 		if it.dataIt != nil {
 			it.dataIt.seekToFirst()
 		}
 	}
 }
 
-// loadDataBlock parses the block referenced by the current index entry.
-func (it *Iterator) loadDataBlock() {
+// loadDataBlock makes the block referenced by the current index entry the
+// current one. sequential says the walk stepped off the previous block,
+// which is when a run may serve this one.
+func (it *Iterator) loadDataBlock(sequential bool) {
 	it.dataIt = nil
 	if !it.indexIt.valid {
 		return
@@ -393,12 +434,53 @@ func (it *Iterator) loadDataBlock() {
 		it.err = corruptf("index value of %d bytes", len(it.indexIt.value))
 		return
 	}
-	b, err := it.r.dataBlock(decodeHandle(it.indexIt.value))
+	h := decodeHandle(it.indexIt.value)
+	var b *block
+	stored, err := it.r.storedLen(h)
+	if err == nil {
+		b, err = it.block(h, stored, sequential)
+	}
 	if err != nil {
 		it.err = err
 		return
 	}
-	it.dataIt = b.iter()
+	it.end = h.offset + stored
+	it.cur = blockIter{b: b, key: it.cur.key[:0]}
+	it.dataIt = &it.cur
+}
+
+// block finds the block behind h: in the run already read, in the cache, in
+// a new run when it is adjacent, else by a read of its own.
+func (it *Iterator) block(h handle, stored uint64, sequential bool) (*block, error) {
+	r := it.r
+	if !sequential {
+		return r.dataBlock(h)
+	}
+	// at wraps far past len(run) when the block starts before the run.
+	at, have := h.offset-it.runOff, uint64(len(it.run))
+	if at > have || have-at < stored {
+		if h.offset < it.end || h.offset-it.end > runGap || stored > runSize {
+			return r.dataBlock(h)
+		}
+		if b, ok := r.cache.get(r, h.offset); ok {
+			return b, nil
+		}
+		if it.run == nil {
+			it.run = make([]byte, runSize)
+		}
+		it.run = it.run[:min(runSize, uint64(r.size)-h.offset)]
+		if _, err := r.f.ReadAt(it.run, int64(h.offset)); err != nil {
+			it.run = it.run[:0]
+			return nil, fmt.Errorf("sstable: read run: %w", err)
+		}
+		r.cache.recordRun(int64(len(it.run)))
+		it.runOff, at = h.offset, 0
+	}
+	raw, err := r.decodeBlock(it.run[at:at+stored], h)
+	if err != nil {
+		return nil, err
+	}
+	return &it.inRun, it.inRun.parse(raw)
 }
 
 // Valid reports whether the iterator is positioned at an entry.
