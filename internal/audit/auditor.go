@@ -401,20 +401,15 @@ func IntervalSignals(p telemetry.Point) []string {
 	return out
 }
 
-// pointCounter reads one counter delta from a point. The untagged aggregate
-// is preferred when present (tagged per-server/per-region copies would
-// double-count it); otherwise tagged entries with the base name are summed.
-func pointCounter(p telemetry.Point, base string) int64 {
-	var tagged int64
+// pointCounter reads one counter delta from a point (0 when absent). A
+// base name is the registry's roll-up of its tagged series.
+func pointCounter(p telemetry.Point, name string) int64 {
 	for _, c := range p.Counters {
-		if c.Name == base {
+		if c.Name == name {
 			return c.Value
 		}
-		if b, _ := telemetry.SplitTagged(c.Name); b == base {
-			tagged += c.Value
-		}
 	}
-	return tagged
+	return 0
 }
 
 // pointGauge reads one instantaneous gauge from a point (0 when absent).

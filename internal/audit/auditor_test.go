@@ -171,17 +171,6 @@ func TestViolationSignalAttribution(t *testing.T) {
 	}
 }
 
-func TestTaggedCountersSummedWithoutAggregate(t *testing.T) {
-	p := telemetry.Point{Counters: []telemetry.Value{
-		{Name: "lsm.stalls{region=iot,00000,server=0}", Value: 2},
-		{Name: "lsm.stalls{region=iot,00001,server=1}", Value: 3},
-	}}
-	sig := strings.Join(IntervalSignals(p), " ")
-	if !strings.Contains(sig, "stalls=+5") {
-		t.Fatalf("tagged-only counter must sum across tags: %q", sig)
-	}
-}
-
 func TestRunLevelRuleBoundaries(t *testing.T) {
 	a := NewAuditor(Config{MinSeconds: 10, ShedBudget: 0.05})
 

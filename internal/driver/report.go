@@ -328,18 +328,14 @@ func writeStorage(b *strings.Builder, t *telemetry.Summary) {
 	if logical == 0 {
 		return
 	}
-	walB := counterValue(t, "wal.bytes")
-	flushB := counterValue(t, "lsm.flush_bytes")
-	compR := counterValue(t, "lsm.compact_read_bytes")
-	compW := counterValue(t, "lsm.compact_write_bytes")
-
 	fmt.Fprintf(b, "Storage\n-------\n")
 	fmt.Fprintf(b, "  logical bytes written:   %s\n", mib(logical))
-	fmt.Fprintf(b, "  WAL bytes:               %s\n", mib(walB))
-	fmt.Fprintf(b, "  flush bytes:             %s\n", mib(flushB))
-	fmt.Fprintf(b, "  compaction read/rewrite: %s / %s\n", mib(compR), mib(compW))
+	fmt.Fprintf(b, "  WAL bytes:               %s\n", mib(counterValue(t, "wal.bytes")))
+	fmt.Fprintf(b, "  flush bytes:             %s\n", mib(counterValue(t, "lsm.flush_bytes")))
+	fmt.Fprintf(b, "  compaction read/rewrite: %s / %s\n",
+		mib(counterValue(t, "lsm.compact_read_bytes")), mib(counterValue(t, "lsm.compact_write_bytes")))
 	fmt.Fprintf(b, "  write amplification:     %.3fx  ((WAL+flush+compact)/logical)\n",
-		float64(walB+flushB+compW)/float64(logical))
+		float64(gaugeValue(t, "lsm.write_amp_milli"))/1000)
 	fmt.Fprintf(b, "  compaction debt:         %s  (tables: %d, %s on disk)\n",
 		mib(gaugeValue(t, "lsm.compaction_debt_bytes")),
 		gaugeValue(t, "lsm.tables"), mib(gaugeValue(t, "lsm.table_bytes")))
@@ -357,9 +353,9 @@ func writeStorage(b *strings.Builder, t *telemetry.Summary) {
 	}
 
 	if logicalRead := counterValue(t, "lsm.logical_read_bytes"); logicalRead > 0 {
-		diskRead := gaugeValue(t, "lsm.disk_read_bytes")
 		fmt.Fprintf(b, "  logical bytes read:      %s  (%s from disk, read amp %.3fx)\n",
-			mib(logicalRead), mib(diskRead), float64(diskRead)/float64(logicalRead))
+			mib(logicalRead), mib(gaugeValue(t, "lsm.disk_read_bytes")),
+			float64(gaugeValue(t, "lsm.read_amp_milli"))/1000)
 		if runs := gaugeValue(t, "lsm.run_reads"); runs > 0 {
 			fmt.Fprintf(b, "  sequential runs:         %d reads, %s of the disk bytes (fetched whole, past range ends)\n",
 				runs, mib(gaugeValue(t, "lsm.run_bytes")))

@@ -381,13 +381,13 @@ func TestAggregateCounters(t *testing.T) {
 	if res.RowsFolded != 10 || len(res.Windows) != 2 {
 		t.Fatalf("res = %d rows / %d windows, want 10 / 2", res.RowsFolded, len(res.Windows))
 	}
-	if got := reg.Counter("hbase.agg_queries").Load(); got != 1 {
+	if got := reg.CounterValue("hbase.agg_queries"); got != 1 {
 		t.Fatalf("hbase.agg_queries = %d, want 1", got)
 	}
-	if got := reg.Counter("hbase.agg_rows_folded").Load(); got != 10 {
+	if got := reg.CounterValue("hbase.agg_rows_folded"); got != 10 {
 		t.Fatalf("hbase.agg_rows_folded = %d, want 10", got)
 	}
-	if got := reg.Counter("hbase.agg_windows").Load(); got != 2 {
+	if got := reg.CounterValue("hbase.agg_windows"); got != 2 {
 		t.Fatalf("hbase.agg_windows = %d, want 2", got)
 	}
 }
@@ -474,7 +474,7 @@ func TestAggregateServedFromReadingColumns(t *testing.T) {
 	lo, hi := seriesRange("sub0")
 	const minTS, maxTS, windowMS = int64(1000), int64(19_000), int64(2500)
 	counters := func() (column, decoded int64) {
-		return reg.Counter("lsm.agg_rows_column").Load(), reg.Counter("lsm.agg_rows_decoded").Load()
+		return reg.CounterValue("lsm.agg_rows_column"), reg.CounterValue("lsm.agg_rows_decoded")
 	}
 	// check returns how many of the aggregate's rows each path served.
 	check := func(stage string, c *Client) (column, decoded int64) {

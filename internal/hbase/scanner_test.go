@@ -390,7 +390,7 @@ func TestScannerLeaseExpiry(t *testing.T) {
 	if _, _, err := srv.next(stale, 4, discard, telemetry.TSpan{}); !errors.Is(err, ErrUnknownScanner) {
 		t.Fatalf("next on expired id = %v, want ErrUnknownScanner", err)
 	}
-	if got := reg.Counter("hbase.scanner_lease_expiries").Load(); got < 1 {
+	if got := reg.CounterValue("hbase.scanner_lease_expiries"); got < 1 {
 		t.Fatalf("scanner_lease_expiries = %d, want >= 1", got)
 	}
 

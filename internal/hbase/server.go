@@ -53,7 +53,6 @@ type RegionServer struct {
 	// blocking without bound. shedWatermark < 0 disables shedding.
 	shedWatermark int
 	waiting       atomic.Int64 // mutates currently queued for a slot
-	sheds         atomic.Int64 // mutates refused
 	shedStreak    atomic.Int64 // consecutive sheds since the last admit
 
 	mu      sync.RWMutex
@@ -67,43 +66,36 @@ type RegionServer struct {
 	nextScanID uint64
 	leaseDur   time.Duration
 
-	requests  atomic.Int64
-	mutations atomic.Int64
-	rowsRead  atomic.Int64
+	// Event counters, each counted once where the event happens: Stats
+	// reads them; counterTable names those the registry reports. Rows read
+	// are rowsGot + rowsStreamed + aggRowsFolded. The aggregation-pushdown
+	// counters are queries served, rows folded into partial aggregates
+	// inside the server (rows that never crossed the wire), and window
+	// partials returned.
+	requests, mutations, rowsGot telemetry.Counter
+	sheds                        telemetry.Counter // mutates refused under overload
+	scannerOpens, scanChunks     telemetry.Counter
+	rowsStreamed, leaseExpiries  telemetry.Counter
+	aggQueries, aggRowsFolded    telemetry.Counter
+	aggWindows                   telemetry.Counter
 
-	met serverMetrics
+	nextSpan *telemetry.Timer // scan.next: one chunk fetch
+	aggSpan  *telemetry.Timer // agg.fold: one region fold
 }
 
-// serverMetrics holds the read-path instruments, resolved once at server
-// construction. All nil-safe.
-type serverMetrics struct {
-	scannerOpens  *telemetry.Counter // hbase.scanner_opens
-	scanChunks    *telemetry.Counter // hbase.scan_chunks
-	rowsStreamed  *telemetry.Counter // hbase.scan_rows_streamed
-	leaseExpiries *telemetry.Counter // hbase.scanner_lease_expiries
-	nextSpan      *telemetry.Timer   // scan.next: one chunk fetch
-
-	// Per-server tagged variants ({server=N}) of the scan counters, so the
-	// registry can break the read path down per region server. The untagged
-	// instruments above remain the cluster-wide roll-up.
-	scanChunksTagged   *telemetry.Counter
-	rowsStreamedTagged *telemetry.Counter
-
-	// Admission-control instruments.
-	shedsC      *telemetry.Counter // hbase.sheds: mutates refused under overload
-	shedsTagged *telemetry.Counter // hbase.sheds{server=N}
-
-	// Aggregation-pushdown instruments: queries served, rows folded into
-	// partial aggregates inside the server (rows that never crossed the
-	// wire), and window partials returned. aggSpan times one server-side
-	// fold ("agg.fold" in the trace tree).
-	aggQueries    *telemetry.Counter // hbase.agg_queries
-	aggRowsFolded *telemetry.Counter // hbase.agg_rows_folded
-	aggWindows    *telemetry.Counter // hbase.agg_windows
-	aggSpan       *telemetry.Timer   // agg.fold: one region fold
-
-	aggQueriesTagged    *telemetry.Counter
-	aggRowsFoldedTagged *telemetry.Counter
+// counterTable is the server's metric table: every counter it attaches to
+// the cluster registry under its {server=N} tag.
+func (s *RegionServer) counterTable() []telemetry.Named {
+	return []telemetry.Named{
+		{Name: "hbase.sheds", C: &s.sheds},
+		{Name: "hbase.scanner_opens", C: &s.scannerOpens},
+		{Name: "hbase.scan_chunks", C: &s.scanChunks},
+		{Name: "hbase.scan_rows_streamed", C: &s.rowsStreamed},
+		{Name: "hbase.scanner_lease_expiries", C: &s.leaseExpiries},
+		{Name: "hbase.agg_queries", C: &s.aggQueries},
+		{Name: "hbase.agg_rows_folded", C: &s.aggRowsFolded},
+		{Name: "hbase.agg_windows", C: &s.aggWindows},
+	}
 }
 
 // scannerSession is one open server-side scanner. While a next call is
@@ -134,8 +126,7 @@ type ServerStats struct {
 }
 
 func newRegionServer(id int, dir string, handlerCount, shedWatermark int, leaseDur time.Duration, reg *telemetry.Registry) *RegionServer {
-	serverTag := telemetry.Tag{Key: "server", Value: strconv.Itoa(id)}
-	return &RegionServer{
+	s := &RegionServer{
 		id:            id,
 		dir:           dir,
 		service:       "server-" + strconv.Itoa(id),
@@ -144,25 +135,14 @@ func newRegionServer(id int, dir string, handlerCount, shedWatermark int, leaseD
 		regions:       make(map[string]*region.Region),
 		scanners:      make(map[uint64]*scannerSession),
 		leaseDur:      leaseDur,
-		met: serverMetrics{
-			scannerOpens:       reg.Counter("hbase.scanner_opens"),
-			scanChunks:         reg.Counter("hbase.scan_chunks"),
-			rowsStreamed:       reg.Counter("hbase.scan_rows_streamed"),
-			leaseExpiries:      reg.Counter("hbase.scanner_lease_expiries"),
-			nextSpan:           reg.Timer("scan.next"),
-			scanChunksTagged:   reg.CounterTagged("hbase.scan_chunks", serverTag),
-			rowsStreamedTagged: reg.CounterTagged("hbase.scan_rows_streamed", serverTag),
-			shedsC:             reg.Counter("hbase.sheds"),
-			shedsTagged:        reg.CounterTagged("hbase.sheds", serverTag),
-
-			aggQueries:          reg.Counter("hbase.agg_queries"),
-			aggRowsFolded:       reg.Counter("hbase.agg_rows_folded"),
-			aggWindows:          reg.Counter("hbase.agg_windows"),
-			aggSpan:             reg.Timer("agg.fold"),
-			aggQueriesTagged:    reg.CounterTagged("hbase.agg_queries", serverTag),
-			aggRowsFoldedTagged: reg.CounterTagged("hbase.agg_rows_folded", serverTag),
-		},
+		nextSpan:      reg.Timer("scan.next"),
+		aggSpan:       reg.Timer("agg.fold"),
 	}
+	serverTag := telemetry.Tag{Key: "server", Value: strconv.Itoa(id)}
+	for _, n := range s.counterTable() {
+		reg.Attach(n.C, n.Name, serverTag)
+	}
+	return s
 }
 
 // ID returns the server's index in the cluster.
@@ -195,10 +175,8 @@ func (s *RegionServer) admit() error {
 
 // shed records one refused mutate and builds its typed retryable error.
 func (s *RegionServer) shed(depth int64) error {
-	s.sheds.Add(1)
+	s.sheds.Inc()
 	s.shedStreak.Add(1)
-	s.met.shedsC.Inc()
-	s.met.shedsTagged.Inc()
 	hint := time.Duration(depth+1) * time.Millisecond
 	if hint > 50*time.Millisecond {
 		hint = 50 * time.Millisecond
@@ -207,8 +185,8 @@ func (s *RegionServer) shed(depth int64) error {
 }
 
 // openRegion creates or reopens a region replica on this server. The
-// replica's store registers its instruments under {region=..., server=...}
-// tags in addition to the cluster-wide roll-up.
+// replica's store attaches its instruments under {region=..., server=...}
+// tags; the registry rolls them up cluster-wide.
 func (s *RegionServer) openRegion(info region.Info, storeOpts lsm.Options) (*region.Region, error) {
 	storeOpts.Tags = []telemetry.Tag{
 		{Key: "region", Value: info.Name},
@@ -266,7 +244,7 @@ func (s *RegionServer) mutate(g *replication.Group, batch []Mutation, parent tel
 	}
 	waitSp.End()
 	defer s.release()
-	s.requests.Add(1)
+	s.requests.Inc()
 	if err := g.ApplyBatch(sp, batch); err != nil {
 		// A full catch-up queue is the replication layer's overload signal:
 		// surface it as the same retryable shed the handler queue produces.
@@ -292,10 +270,10 @@ func (s *RegionServer) get(r *region.Region, key []byte, parent telemetry.TSpan)
 	s.acquire()
 	waitSp.End()
 	defer s.release()
-	s.requests.Add(1)
+	s.requests.Inc()
 	v, ok, err := r.Get(key)
 	if ok {
-		s.rowsRead.Add(1)
+		s.rowsGot.Inc()
 	}
 	return v, ok, err
 }
@@ -329,7 +307,7 @@ func (s *RegionServer) openScanner(r *region.Region, lo, hi []byte, limit int, p
 	s.acquire()
 	waitSp.End()
 	defer s.release()
-	s.requests.Add(1)
+	s.requests.Inc()
 	it, err := r.NewIterator(lo, hi)
 	if err != nil {
 		return 0, err
@@ -342,7 +320,7 @@ func (s *RegionServer) openScanner(r *region.Region, lo, hi []byte, limit int, p
 	sess.deadline = time.Now().Add(s.leaseDur)
 	s.scanners[sess.id] = sess
 	s.scanMu.Unlock()
-	s.met.scannerOpens.Inc()
+	s.scannerOpens.Inc()
 	return sess.id, nil
 }
 
@@ -359,8 +337,8 @@ func (s *RegionServer) next(id uint64, chunk int, sink rowSink, parent telemetry
 	s.acquire()
 	waitSp.End()
 	defer s.release()
-	s.requests.Add(1)
-	sp := s.met.nextSpan.Start()
+	s.requests.Inc()
+	sp := s.nextSpan.Start()
 	defer sp.End()
 	if chunk <= 0 {
 		chunk = defaultScanChunk
@@ -393,11 +371,8 @@ func (s *RegionServer) next(id uint64, chunk int, sink rowSink, parent telemetry
 		it.Close()
 	}
 
-	s.rowsRead.Add(int64(n))
-	s.met.scanChunks.Inc()
-	s.met.rowsStreamed.Add(int64(n))
-	s.met.scanChunksTagged.Inc()
-	s.met.rowsStreamedTagged.Add(int64(n))
+	s.scanChunks.Inc()
+	s.rowsStreamed.Add(int64(n))
 	return n, more, err
 }
 
@@ -415,22 +390,19 @@ func (s *RegionServer) aggregate(r *region.Region, lo, hi []byte, minTS, maxTS, 
 	s.acquire()
 	waitSp.End()
 	defer s.release()
-	s.requests.Add(1)
+	s.requests.Inc()
 
 	foldSp := tsp.Child("agg.fold")
-	sp := s.met.aggSpan.Start()
+	sp := s.aggSpan.Start()
 	res, err := r.AggregateTime(lo, hi, minTS, maxTS, windowMS, funcs)
 	sp.End()
 	foldSp.End()
 	if err != nil {
 		return lsm.AggResult{}, err
 	}
-	s.rowsRead.Add(res.RowsFolded)
-	s.met.aggQueries.Inc()
-	s.met.aggRowsFolded.Add(res.RowsFolded)
-	s.met.aggWindows.Add(int64(len(res.Windows)))
-	s.met.aggQueriesTagged.Inc()
-	s.met.aggRowsFoldedTagged.Add(res.RowsFolded)
+	s.aggQueries.Inc()
+	s.aggRowsFolded.Add(res.RowsFolded)
+	s.aggWindows.Add(int64(len(res.Windows)))
 	return res, nil
 }
 
@@ -440,7 +412,7 @@ func (s *RegionServer) aggregate(r *region.Region, lo, hi []byte, minTS, maxTS, 
 func (s *RegionServer) closeScanner(id uint64) error {
 	s.acquire()
 	defer s.release()
-	s.requests.Add(1)
+	s.requests.Inc()
 	sess, err := s.checkoutScanner(id)
 	if err != nil {
 		return nil
@@ -479,7 +451,7 @@ func (s *RegionServer) sweepExpiredLocked(now time.Time) {
 		if now.After(sess.deadline) {
 			sess.it.Close()
 			delete(s.scanners, id)
-			s.met.leaseExpiries.Inc()
+			s.leaseExpiries.Inc()
 		}
 	}
 }
@@ -501,7 +473,7 @@ func (s *RegionServer) Stats() ServerStats {
 		Regions:      regions,
 		Requests:     s.requests.Load(),
 		Mutations:    s.mutations.Load(),
-		RowsRead:     s.rowsRead.Load(),
+		RowsRead:     s.rowsGot.Load() + s.rowsStreamed.Load() + s.aggRowsFolded.Load(),
 		OpenScanners: s.OpenScannerCount(),
 		Sheds:        s.sheds.Load(),
 		ShedStreak:   s.shedStreak.Load(),

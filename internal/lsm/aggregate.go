@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"tpcxiot/internal/kvp"
 )
 
 // ErrBadWindow rejects aggregation requests whose window width is negative
@@ -145,7 +147,7 @@ type AggResult struct {
 // A table written with a reading column is folded from that column — blocks
 // of (key, float64 bits) a sixtieth the size of its data blocks — and every
 // other source (memtables, tables without a column) from its rows through
-// Options.ValueReading. Either way each row's reading is added one by one in
+// kvp.ReadingOf. Either way each row's reading is added one by one in
 // key order, so the result does not depend on which path served a row; the
 // lsm.agg_rows_column / lsm.agg_rows_decoded counters say which did.
 func (s *Store) AggregateTime(lo, hi []byte, minTS, maxTS, windowMS int64, funcs AggFuncs) (AggResult, error) {
@@ -177,11 +179,11 @@ func (s *Store) aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs Agg
 	open := false
 	for ; it.Valid(); it.Next() {
 		key := it.Key()
-		series, ok := s.opts.KeySeries(key)
+		series, ok := kvp.SeriesOf(key)
 		if !ok {
 			continue
 		}
-		ts, ok := s.opts.KeyTimestamp(key)
+		ts, ok := kvp.TimestampOf(key)
 		if !ok {
 			continue // unreachable: the time filter already required one
 		}
@@ -206,7 +208,7 @@ func (s *Store) aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs Agg
 				cur.add(math.Float64frombits(binary.LittleEndian.Uint64(stored[1:])))
 			}
 		} else if needValue {
-			v, err := s.opts.ValueReading(stored[1:])
+			v, err := kvp.ReadingOf(stored[1:])
 			if err != nil {
 				return AggResult{}, fmt.Errorf("lsm: aggregate %s: %w", funcs, err)
 			}
@@ -219,9 +221,7 @@ func (s *Store) aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs Agg
 	if open {
 		res.Windows = append(res.Windows, cur)
 	}
-	s.met.aggRowsColumnC.Add(fromColumn)
-	s.met.aggRowsColumnT.Add(fromColumn)
-	s.met.aggRowsDecodedC.Add(res.RowsFolded - fromColumn)
-	s.met.aggRowsDecodedT.Add(res.RowsFolded - fromColumn)
+	s.aggRowsColumn.Add(fromColumn)
+	s.aggRowsDecoded.Add(res.RowsFolded - fromColumn)
 	return res, nil
 }

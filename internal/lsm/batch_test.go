@@ -77,15 +77,15 @@ func TestApplyBatchTelemetryAndWALGrouping(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := reg.Counter("lsm.batch_applies").Load(); got != batches {
+	if got := reg.CounterValue("lsm.batch_applies"); got != batches {
 		t.Fatalf("lsm.batch_applies = %d, want %d", got, batches)
 	}
-	if got := reg.Counter("wal.appends").Load(); got != batches*perBatch {
+	if got := reg.CounterValue("wal.appends"); got != batches*perBatch {
 		t.Fatalf("wal.appends = %d, want %d records", got, batches*perBatch)
 	}
 	// One group append per batch means ~one fsync per batch, never one per
 	// record (a lone writer gets exactly one per batch).
-	if syncs := reg.Counter("wal.syncs").Load(); syncs > batches {
+	if syncs := reg.CounterValue("wal.syncs"); syncs > batches {
 		t.Fatalf("wal.syncs = %d for %d batches; batch appends are not group-committed", syncs, batches)
 	}
 }

@@ -47,7 +47,7 @@ func foldBothWays(t testing.TB, s *Store, lo, hi []byte, minTS, maxTS, windowMS 
 
 // columnShare reads the two fold-path counters.
 func columnShare(reg *telemetry.Registry) (column, decoded int64) {
-	return reg.Counter("lsm.agg_rows_column").Load(), reg.Counter("lsm.agg_rows_decoded").Load()
+	return reg.CounterValue("lsm.agg_rows_column"), reg.CounterValue("lsm.agg_rows_decoded")
 }
 
 // TestColumnFoldFollowsRowsThroughTheStore walks one set of rows through
@@ -127,8 +127,8 @@ func TestColumnFoldFollowsRowsThroughTheStore(t *testing.T) {
 		t.Fatalf("after a full compaction: %+v", stats)
 	}
 	fold("compaction output", 499, 499)
-	if got := reg.CounterTagged("lsm.agg_rows_column", tags...).Load(); got == 0 || got != reg.Counter("lsm.agg_rows_column").Load() {
-		t.Fatalf("tagged lsm.agg_rows_column = %d, untagged %d", got, reg.Counter("lsm.agg_rows_column").Load())
+	if got, total := reg.CounterValue(telemetry.Tagged("lsm.agg_rows_column", tags...)), reg.CounterValue("lsm.agg_rows_column"); got == 0 || got != total {
+		t.Fatalf("tagged lsm.agg_rows_column = %d, untagged %d", got, total)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestCompactionRebuildsColumnFromValues(t *testing.T) {
 }
 
 // TestUndecodableValueFallsBackToDataBlocks: a table holding one live value
-// ValueReading rejects has no column, so a value aggregate over it fails
+// kvp.ReadingOf rejects has no column, so a value aggregate over it fails
 // with the decode error it always did, count-only still succeeds, and an
 // aggregate that does not touch the bad row's table is served from columns.
 func TestUndecodableValueFallsBackToDataBlocks(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,7 +143,7 @@ func TestGetPrunesByTime(t *testing.T) {
 	if got := after.PruneTimeSkips - before.PruneTimeSkips; got != 2 {
 		t.Fatalf("prune_time_skips rose by %d, want 2 (both newer tables)", got)
 	}
-	if got := reg.Counter("lsm.prune_time_skips").Load(); got != after.PruneTimeSkips {
+	if got := reg.CounterValue("lsm.prune_time_skips"); got != after.PruneTimeSkips {
 		t.Fatalf("lsm.prune_time_skips = %d, ledger says %d", got, after.PruneTimeSkips)
 	}
 	probes := func(st Stats) int64 { return st.BloomHits + st.BloomSkips + st.BloomFalsePositives }
@@ -445,5 +446,58 @@ func TestSkewedInOrderWritersAreNotRewritten(t *testing.T) {
 	if st := s.Stats(); st.Compactions == 0 || depthInSync(t, s) >= trigger {
 		t.Fatalf("lag at the trigger: %d compactions, depth %d, want tier merges keeping depth under %d",
 			st.Compactions, depthInSync(t, s), trigger)
+	}
+}
+
+// TestStallCountedOncePerBlockedWrite: a writer blocked at the cap is one
+// stall however often it wakes. With compaction held off, one Broadcast
+// while the store is still over the cap makes the writer re-check and wait
+// again; the stall count stays 1 and matches the "write stall" events.
+func TestStallCountedOncePerBlockedWrite(t *testing.T) {
+	var events bytes.Buffer
+	s := openTest(t, Options{
+		DisableAutoFlush: true, MaxStoreFiles: 2, CompactTrigger: 2,
+		Logger: telemetry.NewLogger(&events, telemetry.LevelWarn),
+	})
+	// Stop the background compactor, so the only kicks come from the stalled
+	// writer's loop, and hold compactMu so nothing lowers the depth.
+	s.stopOnce.Do(func() { close(s.quit) })
+	s.bg.Wait()
+	flushBatch(t, s, "a", 0, 10)
+	flushBatch(t, s, "b", 0, 10)
+	if d := depthInSync(t, s); d != 2 {
+		t.Fatalf("depth %d, want the cap 2", d)
+	}
+	select {
+	case <-s.compactKick: // the flushes' kicks
+	default:
+	}
+	s.compactMu.Lock()
+
+	done := make(chan error, 1)
+	go func() { done <- s.Put(sensorKey("c", 5), []byte("v")) }()
+	for s.Health().StallWaiters == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	// The writer holds mu from the cap check until Wait releases it, so
+	// taking mu here means it is waiting; its first pass has kicked.
+	s.mu.Lock()
+	<-s.compactKick
+	s.flushCond.Broadcast()
+	s.mu.Unlock()
+	<-s.compactKick // the writer re-checked the cap and is waiting again
+
+	if st := s.Stats(); st.StallEvents != 1 {
+		t.Fatalf("StallEvents = %d after one wake-up of one blocked write, want 1", st.StallEvents)
+	}
+	s.compactMu.Unlock()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n, st := strings.Count(events.String(), `"msg":"write stall`), s.Stats(); int64(n) != st.StallEvents {
+		t.Fatalf("%d write stall events, StallEvents %d", n, st.StallEvents)
 	}
 }

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 
+	"tpcxiot/internal/kvp"
 	"tpcxiot/internal/sstable"
 )
 
@@ -55,7 +56,7 @@ func (s *Store) NewIterator(lo, hi []byte) (*Iter, error) {
 }
 
 // NewIteratorTime is NewIterator restricted to entries whose key timestamp
-// (per Options.KeyTimestamp) satisfies minTS <= ts < maxTS, both unix ms.
+// (per kvp.TimestampOf) satisfies minTS <= ts < maxTS, both unix ms.
 // Entries without an extractable timestamp are outside every time range.
 // Beyond the per-entry filter, whole table files are pruned when their
 // footer time bounds cannot intersect the range, so scans over cold windows
@@ -120,14 +121,12 @@ func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) 
 		sources = append(sources, it)
 	}
 	s.mu.RUnlock()
-	s.scans.Add(1)
+	s.scans.Inc()
 	if keyPruned > 0 {
 		s.pruneKey.Add(keyPruned)
-		s.met.pruneKeyC.Add(keyPruned)
 	}
 	if timePruned > 0 {
 		s.pruneTime.Add(timePruned)
-		s.met.pruneTimeC.Add(timePruned)
 	}
 
 	it := &Iter{
@@ -161,7 +160,7 @@ func (it *Iter) skipDead() {
 			if !it.tsFilter {
 				return
 			}
-			ts, ok := it.store.opts.KeyTimestamp(it.merged.Key())
+			ts, ok := kvp.TimestampOf(it.merged.Key())
 			if ok && ts >= it.tsLo && ts < it.tsHi {
 				return
 			}
@@ -201,7 +200,6 @@ func (it *Iter) Close() error {
 	it.closed = true
 	if it.bytesRead > 0 {
 		it.store.logicalReadBytes.Add(it.bytesRead)
-		it.store.met.logicalReadC.Add(it.bytesRead)
 		it.bytesRead = 0
 	}
 	for _, t := range it.held {

@@ -7,7 +7,6 @@
 //
 //   - the memtable is the memstore; MemtableSize plays the role of the
 //     flush threshold,
-//   - the WAL segment cap models "maximum number of WAL files = 128",
 //   - MaxStoreFiles models hbase.hstore.blockingStoreFiles: when that many
 //     store files overlap on the time axis (every file, when keys carry no
 //     timestamps), writes block until compaction catches up.
@@ -76,23 +75,6 @@ type Options struct {
 	// by flushes and compactions (existing tables are readable either way).
 	// Defaults to no compression.
 	Compression sstable.Compression
-	// KeyTimestamp extracts the event timestamp (unix ms) from a key, used
-	// to window tables for compaction, record per-table time bounds, and
-	// prune files from time-range scans. Keys for which it reports false are
-	// unwindowed. Defaults to kvp.TimestampOf, the benchmark key layout.
-	KeyTimestamp func(key []byte) (int64, bool)
-	// KeySeries extracts the series identifier from a key — the prefix that
-	// groups rows of one logical time series (one sensor). The aggregation
-	// fold reports partial aggregates per (series, window). The returned
-	// slice may alias the key; the fold copies it when it must retain it.
-	// Keys for which it reports false belong to no series and are skipped by
-	// aggregation. Must be a key prefix so a key-ordered scan yields each
-	// series contiguously. Defaults to kvp.SeriesOf.
-	KeySeries func(key []byte) ([]byte, bool)
-	// ValueReading extracts the numeric reading from a stored value for
-	// min/max/sum/avg aggregation. Count-only aggregations never call it.
-	// Defaults to kvp.ReadingOf.
-	ValueReading func(value []byte) (float64, error)
 	// BlockSize is the SSTable data-block size. Defaults to 4 KiB.
 	BlockSize int
 	// BloomBitsPerKey sizes table Bloom filters. 0 selects the default.
@@ -102,32 +84,18 @@ type Options struct {
 	BlockCacheBytes int64
 	// WALSync selects log durability. Defaults to wal.SyncOnAppend.
 	WALSync wal.SyncPolicy
-	// MaxWALSegments caps live WAL segments (max WAL files). 0 = unlimited.
-	MaxWALSegments int
 	// DisableAutoFlush turns off size-triggered flushes; Flush must be
 	// called explicitly. Used by tests to control timing.
 	DisableAutoFlush bool
-	// Registry, when non-nil, receives engine telemetry: the counters
-	// "lsm.flushes", "lsm.compactions", "lsm.stalls", "lsm.batch_applies"
-	// and "wal.truncate_errors", the byte-accounting counters
-	// "lsm.logical_bytes", "lsm.logical_read_bytes", "lsm.flush_bytes",
-	// "lsm.compact_read_bytes" and "lsm.compact_write_bytes", the
-	// Bloom-filter counters "lsm.bloom_hits", "lsm.bloom_skips" and
-	// "lsm.bloom_false_positives", the aggregate-fold row counters
-	// "lsm.agg_rows_column" and "lsm.agg_rows_decoded" (which path served
-	// each folded row), the gauges "lsm.memtable_bytes",
-	// "lsm.table_bytes", "lsm.tables", "lsm.read_depth",
-	// "lsm.compaction_debt_bytes",
-	// "lsm.cache_hits", "lsm.cache_misses", "lsm.disk_read_bytes",
-	// "lsm.run_reads" and "lsm.run_bytes", and
-	// the put-path stage histograms "put.memstore" and "put.region_flush".
-	// The registry is also handed to the store's WAL. A nil registry keeps
-	// the hot paths free of clock reads.
+	// Registry, when non-nil, receives engine telemetry: the store's and its
+	// WAL's counters as named in Store.counterTable, the gauges registered in
+	// Open, and the put-path stage histograms "put.memstore",
+	// "put.region_flush" and "put.wal_append". A nil registry keeps the hot
+	// paths free of clock reads.
 	Registry *telemetry.Registry
-	// Tags, when non-empty, additionally registers the engine's counters
-	// and gauge under tagged names (e.g. "lsm.batch_applies{region=...,
-	// server=...}") so the shared registry can break activity down per
-	// region and per server. Untagged roll-ups keep updating alongside.
+	// Tags, when non-empty, is the tag set every counter and gauge is
+	// attached under (e.g. "lsm.batch_applies{region=...,server=...}"); the
+	// registry rolls each up into its untagged name.
 	Tags []telemetry.Tag
 	// Logger, when non-nil, receives structured events from cold paths:
 	// recovery warnings (orphaned temp tables, torn WAL tails) and
@@ -155,22 +123,13 @@ func (o Options) withDefaults() (Options, error) {
 	if o.WindowDuration <= 0 {
 		o.WindowDuration = 5 * time.Minute
 	}
-	if o.KeyTimestamp == nil {
-		o.KeyTimestamp = kvp.TimestampOf
-	}
-	if o.KeySeries == nil {
-		o.KeySeries = kvp.SeriesOf
-	}
-	if o.ValueReading == nil {
-		o.ValueReading = kvp.ReadingOf
-	}
 	return o, nil
 }
 
 // value encoding inside memtables and tables: first byte tags live values
 // versus tombstones. tagReading appears only in a table's reading column,
-// where a live row is its tag plus the float64 bits of Options.ValueReading
-// of the value — all an aggregate needs of a 1 KiB row.
+// where a live row is its tag plus the float64 bits of kvp.ReadingOf of
+// the value — all an aggregate needs of a 1 KiB row.
 const (
 	tagValue     = 1
 	tagTombstone = 0
@@ -179,14 +138,14 @@ const (
 
 // readingColumn is the sstable.WriterOptions.Column hook of every table the
 // store writes: a live value projects to [tagReading][float64 bits], a
-// tombstone to itself. A value ValueReading cannot decode leaves the table
+// tombstone to itself. A value kvp.ReadingOf cannot decode leaves the table
 // without a column, so the aggregate that meets it reports the decode error
 // from the data blocks as it always has.
 func (s *Store) readingColumn(dst, stored []byte) ([]byte, bool) {
 	if len(stored) == 0 || stored[0] != tagValue {
 		return append(dst, stored...), true
 	}
-	v, err := s.opts.ValueReading(stored[1:])
+	v, err := kvp.ReadingOf(stored[1:])
 	if err != nil {
 		return dst, false
 	}
@@ -200,7 +159,7 @@ func (s *Store) newTableWriter(path string) (*sstable.Writer, error) {
 		BlockSize:       s.opts.BlockSize,
 		BloomBitsPerKey: s.opts.BloomBitsPerKey,
 		Compression:     s.opts.Compression,
-		TimestampOf:     s.opts.KeyTimestamp,
+		TimestampOf:     kvp.TimestampOf,
 		Column:          s.readingColumn,
 	})
 }
@@ -246,87 +205,75 @@ type Store struct {
 
 	encPool sync.Pool // *encodeBuf; scratch space for batch record encoding
 
-	puts, deletes, gets, scans   atomic.Int64
-	flushes, compactions, stalls atomic.Int64
-	batchApplies                 atomic.Int64
+	// Event counters: each counted once, where the event happens. Stats
+	// reads them; counterTable names those the registry reports.
+	puts, deletes, gets, scans   telemetry.Counter
+	flushes, compactions, stalls telemetry.Counter
+	batchApplies, truncErrs      telemetry.Counter
 
-	// Byte-level resource accounting (the amplification ledger). All are
-	// cumulative atomics updated on the paths that move the bytes: logical
-	// bytes are user keys+values accepted into the store; WAL bytes are what
-	// those writes cost in log framing; flush and compaction bytes are the
-	// physical SSTable traffic; logical read bytes are user bytes returned
-	// by gets and iterators (disk read bytes live on the block cache).
-	logicalBytes      atomic.Int64
-	walBytes          atomic.Int64
-	flushBytes        atomic.Int64
-	compactReadBytes  atomic.Int64
-	compactWriteBytes atomic.Int64
-	logicalReadBytes  atomic.Int64
+	// Byte-level resource accounting (the amplification ledger), updated on
+	// the paths that move the bytes: logical bytes are user keys+values
+	// accepted into the store; flush and compaction bytes are the physical
+	// SSTable traffic; logical read bytes are user bytes returned by gets
+	// and iterators. WAL bytes live on the log, disk read bytes on the block
+	// cache.
+	logicalBytes, logicalReadBytes      telemetry.Counter
+	flushBytes                          telemetry.Counter
+	compactReadBytes, compactWriteBytes telemetry.Counter
 
 	// Bloom-filter effectiveness on the table read path: skips are definite
 	// negatives (a table ruled out without a block read), hits are positive
 	// probes where the key was found, false positives are positive probes
 	// where it was not.
-	bloomHits, bloomSkips, bloomFP atomic.Int64
+	bloomHits, bloomSkips, bloomFP telemetry.Counter
+
+	// Block-compression ledger: raw data-block bytes offered to the
+	// compressor versus bytes actually stored, summed over every table
+	// written. Zero when Options.Compression is off.
+	compressRaw, compressStored telemetry.Counter
+
+	// File-pruning ledger: table files skipped without any I/O because the
+	// requested key range (pruneKey) or time range (pruneTime) cannot
+	// intersect the table's footer bounds.
+	pruneKey, pruneTime telemetry.Counter
+
+	// Aggregate-fold rows by the path that served them: a table's reading
+	// column, or decoded full rows.
+	aggRowsColumn, aggRowsDecoded telemetry.Counter
 
 	// stallWaiters counts writers currently blocked on MaxStoreFiles
 	// backpressure; nonzero means the store is stalled right now.
 	stallWaiters atomic.Int64
 
-	// Block-compression ledger: raw data-block bytes offered to the
-	// compressor versus bytes actually stored, summed over every table
-	// written. Zero when Options.Compression is off.
-	compressRaw, compressStored atomic.Int64
-
-	// File-pruning ledger: table files skipped without any I/O because the
-	// requested key range (pruneKey) or time range (pruneTime) cannot
-	// intersect the table's footer bounds.
-	pruneKey, pruneTime atomic.Int64
-
-	met  storeMetrics
-	elog *telemetry.Logger // structured event log; nil-safe
+	memSpan   *telemetry.Timer  // put.memstore: WAL-ack to memtable-visible
+	flushSpan *telemetry.Timer  // put.region_flush: memtable to table file
+	elog      *telemetry.Logger // structured event log; nil-safe
 }
 
-// storeMetrics holds the registry-backed instruments, resolved once at
-// Open. Every field is nil-safe, so an uninstrumented store pays only
-// pointer tests.
-type storeMetrics struct {
-	flushes      *telemetry.Counter
-	compactions  *telemetry.Counter
-	stalls       *telemetry.Counter
-	truncErrs    *telemetry.Counter
-	batchApplies *telemetry.Counter
-	memSpan      *telemetry.Timer // put.memstore: WAL-ack to memtable-visible
-	flushSpan    *telemetry.Timer // put.region_flush: memtable to table file
-
-	// Byte-accounting and Bloom counters (see the atomics on Store).
-	logicalBytesC   *telemetry.Counter
-	logicalReadC    *telemetry.Counter
-	flushBytesC     *telemetry.Counter
-	compactReadC    *telemetry.Counter
-	compactWriteC   *telemetry.Counter
-	bloomHitsC      *telemetry.Counter
-	bloomSkipsC     *telemetry.Counter
-	bloomFPC        *telemetry.Counter
-	compressRawC    *telemetry.Counter
-	compressStoredC *telemetry.Counter
-	pruneKeyC       *telemetry.Counter
-	pruneTimeC      *telemetry.Counter
-	aggRowsColumnC  *telemetry.Counter
-	aggRowsDecodedC *telemetry.Counter
-
-	// Per-region tagged variants, resolved only when Options.Tags is set
-	// (nil — and thus free — otherwise). The untagged instruments above are
-	// the cluster-wide roll-up; these carry the region/server breakdown.
-	flushesTagged      *telemetry.Counter
-	stallsTagged       *telemetry.Counter
-	batchAppliesTagged *telemetry.Counter
-	logicalBytesTagged *telemetry.Counter
-	flushBytesTagged   *telemetry.Counter
-	compactReadTagged  *telemetry.Counter
-	compactWriteTagged *telemetry.Counter
-	aggRowsColumnT     *telemetry.Counter
-	aggRowsDecodedT    *telemetry.Counter
+// counterTable is the store's metric table: every counter it attaches to
+// Options.Registry under Options.Tags, its WAL's included.
+func (s *Store) counterTable() []telemetry.Named {
+	return append([]telemetry.Named{
+		{Name: "lsm.flushes", C: &s.flushes},
+		{Name: "lsm.compactions", C: &s.compactions},
+		{Name: "lsm.stalls", C: &s.stalls},
+		{Name: "lsm.batch_applies", C: &s.batchApplies},
+		{Name: "wal.truncate_errors", C: &s.truncErrs},
+		{Name: "lsm.logical_bytes", C: &s.logicalBytes},
+		{Name: "lsm.logical_read_bytes", C: &s.logicalReadBytes},
+		{Name: "lsm.flush_bytes", C: &s.flushBytes},
+		{Name: "lsm.compact_read_bytes", C: &s.compactReadBytes},
+		{Name: "lsm.compact_write_bytes", C: &s.compactWriteBytes},
+		{Name: "lsm.bloom_hits", C: &s.bloomHits},
+		{Name: "lsm.bloom_skips", C: &s.bloomSkips},
+		{Name: "lsm.bloom_false_positives", C: &s.bloomFP},
+		{Name: "lsm.compress_raw_bytes", C: &s.compressRaw},
+		{Name: "lsm.compress_stored_bytes", C: &s.compressStored},
+		{Name: "lsm.prune_key_skips", C: &s.pruneKey},
+		{Name: "lsm.prune_time_skips", C: &s.pruneTime},
+		{Name: "lsm.agg_rows_column", C: &s.aggRowsColumn},
+		{Name: "lsm.agg_rows_decoded", C: &s.aggRowsDecoded},
+	}, s.log.Counters()...)
 }
 
 // tableHandle pairs a reader with its file path. Handles are reference
@@ -519,58 +466,8 @@ func Open(opts Options) (*Store, error) {
 	s.flushCond = sync.NewCond(&s.mu)
 	s.seedCount = 1
 	s.encPool.New = func() any { return new(encodeBuf) }
-	s.met = storeMetrics{
-		flushes:         o.Registry.Counter("lsm.flushes"),
-		compactions:     o.Registry.Counter("lsm.compactions"),
-		stalls:          o.Registry.Counter("lsm.stalls"),
-		truncErrs:       o.Registry.Counter("wal.truncate_errors"),
-		batchApplies:    o.Registry.Counter("lsm.batch_applies"),
-		memSpan:         o.Registry.Timer("put.memstore"),
-		flushSpan:       o.Registry.Timer("put.region_flush"),
-		logicalBytesC:   o.Registry.Counter("lsm.logical_bytes"),
-		logicalReadC:    o.Registry.Counter("lsm.logical_read_bytes"),
-		flushBytesC:     o.Registry.Counter("lsm.flush_bytes"),
-		compactReadC:    o.Registry.Counter("lsm.compact_read_bytes"),
-		compactWriteC:   o.Registry.Counter("lsm.compact_write_bytes"),
-		bloomHitsC:      o.Registry.Counter("lsm.bloom_hits"),
-		bloomSkipsC:     o.Registry.Counter("lsm.bloom_skips"),
-		bloomFPC:        o.Registry.Counter("lsm.bloom_false_positives"),
-		compressRawC:    o.Registry.Counter("lsm.compress_raw_bytes"),
-		compressStoredC: o.Registry.Counter("lsm.compress_stored_bytes"),
-		pruneKeyC:       o.Registry.Counter("lsm.prune_key_skips"),
-		pruneTimeC:      o.Registry.Counter("lsm.prune_time_skips"),
-		aggRowsColumnC:  o.Registry.Counter("lsm.agg_rows_column"),
-		aggRowsDecodedC: o.Registry.Counter("lsm.agg_rows_decoded"),
-	}
-	memtableBytes := func() int64 { return s.Health().MemtableBytes }
-	depthGauge := func() int64 { return int64(s.Health().ReadDepth) }
-	o.Registry.Gauge("lsm.memtable_bytes", memtableBytes)
-	o.Registry.Gauge("lsm.table_bytes", s.tableBytesGauge)
-	o.Registry.Gauge("lsm.tables", func() int64 { return int64(s.Health().Tables) })
-	o.Registry.Gauge("lsm.read_depth", depthGauge)
-	o.Registry.Gauge("lsm.compaction_debt_bytes", s.compactionDebtGauge)
-	o.Registry.Gauge("lsm.windows", func() int64 { return int64(len(s.TierStats())) })
-	o.Registry.Gauge("lsm.hot_window_tables", s.hotWindowTablesGauge)
-	o.Registry.Gauge("lsm.cache_hits", func() int64 { return s.cache.Stats().Hits })
-	o.Registry.Gauge("lsm.cache_misses", func() int64 { return s.cache.Stats().Misses })
-	o.Registry.Gauge("lsm.disk_read_bytes", func() int64 { return s.cache.Stats().DiskReadBytes })
-	o.Registry.Gauge("lsm.run_reads", func() int64 { return s.cache.Stats().RunReads })
-	o.Registry.Gauge("lsm.run_bytes", func() int64 { return s.cache.Stats().RunBytes })
-	RegisterDerivedGauges(o.Registry)
-	if len(o.Tags) > 0 {
-		s.met.flushesTagged = o.Registry.CounterTagged("lsm.flushes", o.Tags...)
-		s.met.stallsTagged = o.Registry.CounterTagged("lsm.stalls", o.Tags...)
-		s.met.batchAppliesTagged = o.Registry.CounterTagged("lsm.batch_applies", o.Tags...)
-		s.met.logicalBytesTagged = o.Registry.CounterTagged("lsm.logical_bytes", o.Tags...)
-		s.met.flushBytesTagged = o.Registry.CounterTagged("lsm.flush_bytes", o.Tags...)
-		s.met.compactReadTagged = o.Registry.CounterTagged("lsm.compact_read_bytes", o.Tags...)
-		s.met.compactWriteTagged = o.Registry.CounterTagged("lsm.compact_write_bytes", o.Tags...)
-		s.met.aggRowsColumnT = o.Registry.CounterTagged("lsm.agg_rows_column", o.Tags...)
-		s.met.aggRowsDecodedT = o.Registry.CounterTagged("lsm.agg_rows_decoded", o.Tags...)
-		o.Registry.GaugeTagged("lsm.memtable_bytes", memtableBytes, o.Tags...)
-		o.Registry.GaugeTagged("lsm.table_bytes", s.tableBytesGauge, o.Tags...)
-		o.Registry.GaugeTagged("lsm.read_depth", depthGauge, o.Tags...)
-	}
+	s.memSpan = o.Registry.Timer("put.memstore")
+	s.flushSpan = o.Registry.Timer("put.region_flush")
 	s.elog = o.Logger
 	if s.elog != nil && len(o.Tags) > 0 {
 		fields := make([]telemetry.Field, len(o.Tags))
@@ -591,15 +488,15 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("lsm: wal recovery: %w", err)
 	}
 	s.log, err = wal.Open(wal.Options{
-		Dir:         filepath.Join(o.Dir, "wal"),
-		Sync:        o.WALSync,
-		MaxSegments: o.MaxWALSegments,
-		Registry:    o.Registry,
-		Logger:      s.elog,
+		Dir:      filepath.Join(o.Dir, "wal"),
+		Sync:     o.WALSync,
+		Registry: o.Registry,
+		Logger:   s.elog,
 	})
 	if err != nil {
 		return nil, err
 	}
+	s.instrument(o.Registry, o.Tags)
 
 	s.compactKick = make(chan struct{}, 1)
 	s.quit = make(chan struct{})
@@ -608,6 +505,27 @@ func Open(opts Options) (*Store, error) {
 	// Recovery may have left compactable debt (e.g. a crash mid-merge).
 	s.kickCompactor()
 	return s, nil
+}
+
+// instrument attaches the store's counters and registers its gauges on reg
+// under tags, then the registry-wide derived ratios. Nil-safe.
+func (s *Store) instrument(reg *telemetry.Registry, tags []telemetry.Tag) {
+	for _, n := range s.counterTable() {
+		reg.Attach(n.C, n.Name, tags...)
+	}
+	reg.Gauge("lsm.memtable_bytes", func() int64 { return s.Health().MemtableBytes }, tags...)
+	reg.Gauge("lsm.table_bytes", s.tableBytesGauge, tags...)
+	reg.Gauge("lsm.tables", func() int64 { return int64(s.Health().Tables) }, tags...)
+	reg.Gauge("lsm.read_depth", func() int64 { return int64(s.Health().ReadDepth) }, tags...)
+	reg.Gauge("lsm.compaction_debt_bytes", s.compactionDebtGauge, tags...)
+	reg.Gauge("lsm.windows", func() int64 { return int64(len(s.TierStats())) }, tags...)
+	reg.Gauge("lsm.hot_window_tables", s.hotWindowTablesGauge, tags...)
+	reg.Gauge("lsm.cache_hits", func() int64 { return s.cache.Stats().Hits }, tags...)
+	reg.Gauge("lsm.cache_misses", func() int64 { return s.cache.Stats().Misses }, tags...)
+	reg.Gauge("lsm.disk_read_bytes", func() int64 { return s.cache.Stats().DiskReadBytes }, tags...)
+	reg.Gauge("lsm.run_reads", func() int64 { return s.cache.Stats().RunReads }, tags...)
+	reg.Gauge("lsm.run_bytes", func() int64 { return s.cache.Stats().RunBytes }, tags...)
+	RegisterDerivedGauges(reg)
 }
 
 // tablePath names table id's file within the store directory.
@@ -881,13 +799,11 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 	if s.depth >= s.opts.MaxStoreFiles && !s.closed {
 		stallSp := batchSp.Child("lsm.stall_wait")
 		s.stallWaiters.Add(1)
+		s.stalls.Inc()
 		s.elog.Warn("write stall: read depth at MaxStoreFiles",
 			telemetry.F("read_depth", s.depth), telemetry.F("tables", len(s.tables)),
 			telemetry.F("max_store_files", s.opts.MaxStoreFiles))
 		for s.depth >= s.opts.MaxStoreFiles && !s.closed {
-			s.stalls.Add(1)
-			s.met.stalls.Inc()
-			s.met.stallsTagged.Inc()
 			s.startMaintenanceLocked()
 			// With stallWaiters nonzero the picker always finds work, so a
 			// kick is guaranteed to lower depth.
@@ -905,35 +821,17 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 	s.mu.Unlock()
 
 	// WAL first. Records are encoded once into pooled scratch space and the
-	// whole batch goes down in one group append; the ErrLogFull retry reuses
-	// the already-encoded records.
+	// whole batch goes down in one group append.
 	eb := s.encPool.Get().(*encodeBuf)
 	defer s.encPool.Put(eb)
-	recs := eb.encode(writes)
-	var walCost int64
-	for _, rec := range recs {
-		walCost += int64(len(rec)) + wal.RecordOverhead
-	}
 	walSp := batchSp.Child("wal.append")
-	err := log.AppendTraced(walSp, recs...)
+	err := log.AppendTraced(walSp, eb.encode(writes)...)
 	walSp.End()
 	if err != nil {
-		if !errors.Is(err, wal.ErrLogFull) {
-			return fmt.Errorf("lsm: wal append: %w", err)
-		}
-		// Force a flush so Truncate can reclaim segments, then retry once.
-		if ferr := s.Flush(); ferr != nil {
-			return fmt.Errorf("lsm: wal full and flush failed: %w", ferr)
-		}
-		retrySp := batchSp.Child("wal.append")
-		err = log.AppendTraced(retrySp, recs...)
-		retrySp.End()
-		if err != nil {
-			return fmt.Errorf("lsm: wal append after flush: %w", err)
-		}
+		return fmt.Errorf("lsm: wal append: %w", err)
 	}
 
-	memSp := s.met.memSpan.Start()
+	memSp := s.memSpan.Start()
 	insertSp := batchSp.Child("lsm.memtable_insert")
 	s.mu.Lock()
 	if s.closed {
@@ -958,13 +856,8 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 	s.deletes.Add(deletes)
 	insertSp.End()
 	memSp.End()
-	s.batchApplies.Add(1)
-	s.met.batchApplies.Inc()
-	s.met.batchAppliesTagged.Inc()
+	s.batchApplies.Inc()
 	s.logicalBytes.Add(logical)
-	s.walBytes.Add(walCost)
-	s.met.logicalBytesC.Add(logical)
-	s.met.logicalBytesTagged.Add(logical)
 	shouldFlush := !s.opts.DisableAutoFlush &&
 		s.active.Size() >= s.opts.MemtableSize && s.imm == nil
 	if shouldFlush {
@@ -1032,7 +925,7 @@ func (s *Store) Flush() error {
 
 // flushMemtable writes imm to a new table file and installs it.
 func (s *Store) flushMemtable(imm *memtable.Memtable) error {
-	sp := s.met.flushSpan.Start()
+	sp := s.flushSpan.Start()
 	err := s.doFlushMemtable(imm)
 	sp.End()
 	return err
@@ -1089,12 +982,8 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 	err = s.commitAndInstall(manifestEdit{Added: []tableMeta{h.meta()}}, func() {
 		s.setTablesLocked(append([]*tableHandle{h}, s.tables...))
 		s.imm = nil
-		s.flushes.Add(1)
-		s.met.flushes.Inc()
-		s.met.flushesTagged.Inc()
+		s.flushes.Inc()
 		s.flushBytes.Add(h.size)
-		s.met.flushBytesC.Add(h.size)
-		s.met.flushBytesTagged.Add(h.size)
 		s.flushCond.Broadcast()
 	})
 	if err != nil {
@@ -1105,7 +994,7 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 
 	if err := s.truncateWALIfQuiescent(); err != nil {
 		// The flush itself succeeded — the table is installed — but leaked
-		// WAL segments consume the segment budget, so the caller must know.
+		// WAL segments consume disk and replay time, so the caller must know.
 		return fmt.Errorf("lsm: wal truncate after flush: %w", err)
 	}
 	return nil
@@ -1142,8 +1031,6 @@ func (s *Store) accountCompression(w *sstable.Writer) {
 	}
 	s.compressRaw.Add(raw)
 	s.compressStored.Add(stored)
-	s.met.compressRawC.Add(raw)
-	s.met.compressStoredC.Add(stored)
 }
 
 // truncateWALIfQuiescent drops all but the active WAL segment when there is
@@ -1164,7 +1051,7 @@ func (s *Store) truncateWALIfQuiescent() error {
 		return nil
 	}
 	if err := log.Truncate(upTo); err != nil {
-		s.met.truncErrs.Inc()
+		s.truncErrs.Inc()
 		return err
 	}
 	return nil
@@ -1258,8 +1145,6 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		readBytes += t.size
 	}
 	s.compactReadBytes.Add(readBytes)
-	s.met.compactReadC.Add(readBytes)
-	s.met.compactReadTagged.Add(readBytes)
 
 	var out *tableHandle
 	var writeBytes int64
@@ -1287,16 +1172,13 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		edit.Added = []tableMeta{out.meta()}
 	}
 	s.compactWriteBytes.Add(writeBytes)
-	s.met.compactWriteC.Add(writeBytes)
-	s.met.compactWriteTagged.Add(writeBytes)
 
 	// Manifest commit, then the in-memory swap it authorises. A crash before
 	// the commit leaves the output an orphan; after it, the inputs are the
 	// orphans — either way the next open converges.
 	err = s.commitAndInstall(edit, func() {
 		s.replaceTablesLocked(old, out)
-		s.compactions.Add(1)
-		s.met.compactions.Inc()
+		s.compactions.Inc()
 		s.flushCond.Broadcast()
 	})
 	if err != nil {
@@ -1366,7 +1248,7 @@ func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
 	if len(key) == 0 {
 		return nil, false, ErrBadKey
 	}
-	ts, hasTS := s.opts.KeyTimestamp(key)
+	ts, hasTS := kvp.TimestampOf(key)
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -1396,14 +1278,12 @@ func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
 			t.release()
 		}
 	}()
-	s.gets.Add(1)
+	s.gets.Inc()
 	if keyPruned > 0 {
 		s.pruneKey.Add(keyPruned)
-		s.met.pruneKeyC.Add(keyPruned)
 	}
 	if timePruned > 0 {
 		s.pruneTime.Add(timePruned)
-		s.met.pruneTimeC.Add(timePruned)
 	}
 
 	if v, found := active.Get(key); found {
@@ -1421,15 +1301,13 @@ func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
 		// actually carry a filter can score a hit, skip or false positive.
 		filtered := r.FilterPresent()
 		if filtered && !r.MayContain(key) {
-			s.bloomSkips.Add(1)
-			s.met.bloomSkipsC.Inc()
+			s.bloomSkips.Inc()
 			continue
 		}
 		v, err := r.Get(key)
 		if err == nil {
 			if filtered {
-				s.bloomHits.Add(1)
-				s.met.bloomHitsC.Inc()
+				s.bloomHits.Inc()
 			}
 			return s.returnLive(key, v)
 		}
@@ -1437,8 +1315,7 @@ func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
 			return nil, false, err
 		}
 		if filtered {
-			s.bloomFP.Add(1)
-			s.met.bloomFPC.Inc()
+			s.bloomFP.Inc()
 		}
 	}
 	return nil, false, nil
@@ -1451,7 +1328,6 @@ func (s *Store) returnLive(key, stored []byte) ([]byte, bool, error) {
 	if ok {
 		n := int64(len(key) + len(v))
 		s.logicalReadBytes.Add(n)
-		s.met.logicalReadC.Add(n)
 	}
 	return v, ok, err
 }
@@ -1504,7 +1380,7 @@ func (s *Store) Stats() Stats {
 		BatchApplies: s.batchApplies.Load(),
 
 		LogicalBytes:      s.logicalBytes.Load(),
-		WALBytes:          s.walBytes.Load(),
+		WALBytes:          s.log.Bytes(),
 		FlushBytes:        s.flushBytes.Load(),
 		CompactReadBytes:  s.compactReadBytes.Load(),
 		CompactWriteBytes: s.compactWriteBytes.Load(),
@@ -1681,31 +1557,24 @@ func (s *Store) hotWindowTablesGauge() int64 {
 }
 
 // RegisterDerivedGauges registers the cluster-level amplification ratios on
-// reg as milli-unit gauges (a value of 3200 means 3.2×): "lsm.write_amp_milli"
-// is (wal.bytes + lsm.flush_bytes + lsm.compact_write_bytes) over
-// lsm.logical_bytes, and "lsm.read_amp_milli" is lsm.disk_read_bytes over
-// lsm.logical_read_bytes. Registration is once-only (Registry.GaugeOnce):
-// ratios must not be registered per store, or a registry shared by N stores
-// would report N× the true value. Open calls this; exported for callers that
-// assemble registries without opening a store first. Nil-safe.
+// reg as milli-unit gauges (a value of 3200 means 3.2×), read from the
+// registry's roll-ups: "lsm.write_amp_milli" is (wal.bytes + lsm.flush_bytes
+// + lsm.compact_write_bytes) over lsm.logical_bytes, and "lsm.read_amp_milli"
+// is lsm.disk_read_bytes over lsm.logical_read_bytes. Registration is
+// once-only (Registry.GaugeOnce): ratios must not be registered per store,
+// or a registry shared by N stores would report N× the true value. Open
+// calls this. Nil-safe.
 func RegisterDerivedGauges(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	logical := reg.Counter("lsm.logical_bytes")
-	walB := reg.Counter("wal.bytes")
-	flushB := reg.Counter("lsm.flush_bytes")
-	compW := reg.Counter("lsm.compact_write_bytes")
 	reg.GaugeOnce("lsm.write_amp_milli", func() int64 {
-		l := logical.Load()
+		l := reg.CounterValue("lsm.logical_bytes")
 		if l == 0 {
 			return 0
 		}
-		return (walB.Load() + flushB.Load() + compW.Load()) * 1000 / l
+		return (reg.CounterValue("wal.bytes") + reg.CounterValue("lsm.flush_bytes") +
+			reg.CounterValue("lsm.compact_write_bytes")) * 1000 / l
 	})
-	logicalRead := reg.Counter("lsm.logical_read_bytes")
 	reg.GaugeOnce("lsm.read_amp_milli", func() int64 {
-		lr := logicalRead.Load()
+		lr := reg.CounterValue("lsm.logical_read_bytes")
 		if lr == 0 {
 			return 0
 		}

@@ -62,9 +62,9 @@ type logSink struct {
 	w   io.Writer
 	now func() time.Time
 
-	// Per-level event counters ("log.events{level=...}"), nil when the
-	// logger is not attached to a registry.
-	events [4]*Counter
+	// Per-level event counters, attached by Instrument as
+	// "log.events{level=...}".
+	events [4]Counter
 }
 
 // NewLogger returns a logger writing JSONL events at or above min to w.
@@ -72,14 +72,15 @@ func NewLogger(w io.Writer, min Level) *Logger {
 	return &Logger{min: min, sink: &logSink{w: w, now: time.Now}}
 }
 
-// Instrument makes the logger count emitted events per level on reg as the
-// tagged counter "log.events{level=...}". Returns the logger for chaining.
+// Instrument attaches the logger's per-level event counts to reg as
+// "log.events{level=...}" (rolled up into "log.events"). Returns the logger
+// for chaining.
 func (l *Logger) Instrument(reg *Registry) *Logger {
-	if l == nil || reg == nil {
+	if l == nil {
 		return l
 	}
 	for lv := LevelDebug; lv <= LevelError; lv++ {
-		l.sink.events[lv] = reg.CounterTagged("log.events", Tag{Key: "level", Value: lv.String()})
+		reg.Attach(&l.sink.events[lv], "log.events", Tag{Key: "level", Value: lv.String()})
 	}
 	return l
 }

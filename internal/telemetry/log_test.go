@@ -60,10 +60,10 @@ func TestLoggerWithAndInstrument(t *testing.T) {
 	if !strings.Contains(line, `"region":"iot,00001","server":"2","attempt":1`) {
 		t.Errorf("unexpected field order: %s", line)
 	}
-	if got := reg.Counter(Tagged("log.events", Tag{Key: "level", Value: "warn"})).Load(); got != 1 {
+	if got := reg.CounterValue(Tagged("log.events", Tag{Key: "level", Value: "warn"})); got != 1 {
 		t.Errorf("warn counter = %d, want 1", got)
 	}
-	if got := reg.Counter(Tagged("log.events", Tag{Key: "level", Value: "info"})).Load(); got != 0 {
+	if got := reg.CounterValue(Tagged("log.events", Tag{Key: "level", Value: "info"})); got != 0 {
 		t.Errorf("info counter = %d, want 0", got)
 	}
 }

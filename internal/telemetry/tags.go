@@ -5,18 +5,18 @@ import (
 	"strings"
 )
 
-// Metric tags give registry instruments dimensions: the same logical metric
-// ("lsm.batch_applies") can be broken down per region and per region server
-// by registering it once untagged (the cluster-wide roll-up) and once per
-// dimension value. A tagged instrument is an ordinary registry entry whose
-// name carries its tag set in a canonical rendered form —
+// Metric tags give registry instruments dimensions. A component attaches
+// its counters and gauges under its tag set (Registry.Attach, Registry.Gauge)
+// and the registry reports each under the canonical tagged name —
 //
 //	lsm.batch_applies{region=iot,00001,server=2}
 //
-// so tagged metrics flow through every existing surface (snapshots, the
-// interval ticker, the CSV export, /metrics) with no schema change, and
-// report code that wants the dimensional view parses the names back apart
-// with SplitTagged.
+// and rolls it up into the base name, which reports the sum over every tag
+// set. Tagged series flow through every existing surface (snapshots, the
+// interval ticker, the CSV export, /metrics) with no schema change; readers
+// that want the cluster total read the base name, and report code that
+// wants the dimensional view parses tagged names back apart with
+// SplitTagged.
 
 // Tag is one metric dimension, e.g. {Key: "region", Value: "iot,00001"}.
 type Tag struct {
@@ -98,31 +98,4 @@ func TagValue(full, key string) string {
 		}
 	}
 	return ""
-}
-
-// CounterTagged returns the counter for name under the given tag set,
-// creating it on first use. A nil registry returns a nil (no-op) counter.
-func (r *Registry) CounterTagged(name string, tags ...Tag) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.Counter(Tagged(name, tags...))
-}
-
-// TimerTagged returns the stage timer for name under the given tag set. A
-// nil registry returns a nil (no-op) timer.
-func (r *Registry) TimerTagged(name string, tags ...Tag) *Timer {
-	if r == nil {
-		return nil
-	}
-	return r.Timer(Tagged(name, tags...))
-}
-
-// GaugeTagged registers a read-on-snapshot gauge under a tagged name. No-op
-// on a nil registry.
-func (r *Registry) GaugeTagged(name string, fn func() int64, tags ...Tag) {
-	if r == nil {
-		return
-	}
-	r.Gauge(Tagged(name, tags...), fn)
 }

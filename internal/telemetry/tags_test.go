@@ -51,9 +51,11 @@ func TestSplitTaggedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTaggedCountersConcurrent hammers tagged counters from many goroutines
-// while the HTTP /metrics handler scrapes the registry — the per-region
-// write path racing the observability surface. Run under -race.
+// TestTaggedCountersConcurrent hammers attached tagged counters from many
+// goroutines, each attaching its own, while the HTTP /metrics handler
+// scrapes the registry — the per-region write path racing the observability
+// surface. Run under -race. Each tagged series reports its own count and the
+// base name their sum, in every scrape as well as at the end.
 func TestTaggedCountersConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	mux := NewServeMux(reg)
@@ -66,9 +68,10 @@ func TestTaggedCountersConcurrent(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		go func(w int) {
 			defer writerWG.Done()
-			region := Tag{Key: "region", Value: fmt.Sprintf("iot,%05d", w)}
+			var c Counter
+			reg.Attach(&c, "lsm.batch_applies", Tag{Key: "region", Value: fmt.Sprintf("iot,%05d", w)})
 			for i := 0; i < perWriter; i++ {
-				reg.CounterTagged("lsm.batch_applies", region).Inc()
+				c.Inc()
 			}
 		}(w)
 	}
@@ -86,8 +89,19 @@ func TestTaggedCountersConcurrent(t *testing.T) {
 			}
 			rec := httptest.NewRecorder()
 			mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-			if !json.Valid(rec.Body.Bytes()) {
-				t.Error("scrape returned invalid JSON")
+			var doc struct{ Counters map[string]int64 }
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+				t.Errorf("scrape returned invalid JSON: %v", err)
+				return
+			}
+			var tagged int64
+			for name, v := range doc.Counters {
+				if base, _ := SplitTagged(name); base == "lsm.batch_applies" && name != base {
+					tagged += v
+				}
+			}
+			if total := doc.Counters["lsm.batch_applies"]; total != tagged {
+				t.Errorf("scrape: roll-up %d, tagged series sum to %d", total, tagged)
 				return
 			}
 		}
@@ -99,8 +113,11 @@ func TestTaggedCountersConcurrent(t *testing.T) {
 
 	for w := 0; w < writers; w++ {
 		name := Tagged("lsm.batch_applies", Tag{Key: "region", Value: fmt.Sprintf("iot,%05d", w)})
-		if got := reg.Counter(name).Load(); got != perWriter {
+		if got := reg.CounterValue(name); got != perWriter {
 			t.Errorf("%s = %d, want %d", name, got, perWriter)
 		}
+	}
+	if got := reg.Summary().Counter("lsm.batch_applies"); got != writers*perWriter {
+		t.Errorf("roll-up lsm.batch_applies = %d, want %d", got, writers*perWriter)
 	}
 }

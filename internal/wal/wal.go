@@ -4,10 +4,7 @@
 // the memstore, so a crash between acknowledgement and flush loses nothing.
 // The log is a sequence of fixed-capacity segment files; once the memstore
 // contents covered by a segment have been flushed into SSTables the segment
-// can be truncated away. The paper's HBase tuning caps the number of WAL
-// files at 128 — Options.MaxSegments models the same backpressure: when the
-// cap is hit, appends fail with ErrLogFull until the engine flushes and
-// truncates (HBase reacts by forcing memstore flushes).
+// can be truncated away.
 package wal
 
 import (
@@ -32,7 +29,6 @@ import (
 var (
 	ErrClosed    = errors.New("wal: log is closed")
 	ErrCorrupt   = errors.New("wal: corrupt record")
-	ErrLogFull   = errors.New("wal: segment cap reached; flush and truncate first")
 	ErrTooLarge  = errors.New("wal: record exceeds maximum size")
 	ErrBadOption = errors.New("wal: invalid option")
 )
@@ -40,11 +36,6 @@ var (
 // MaxRecordSize bounds a single record. TPCx-IoT pairs are 1 KiB; batched
 // appends of a full client write buffer stay well under this.
 const MaxRecordSize = 64 << 20
-
-// RecordOverhead is the per-record framing cost (length + CRC32C header)
-// the log adds on top of the record payload. Engines accounting their own
-// WAL byte volume add this per record appended.
-const RecordOverhead = headerLen
 
 // SyncPolicy controls when appended records are forced to stable storage.
 type SyncPolicy int
@@ -67,14 +58,11 @@ type Options struct {
 	Dir string
 	// SegmentSize is the rotation threshold in bytes. Defaults to 64 MiB.
 	SegmentSize int64
-	// MaxSegments caps live (untruncated) segments; 0 means unlimited.
-	MaxSegments int
 	// Sync selects the durability policy.
 	Sync SyncPolicy
-	// Registry, when non-nil, receives the log's telemetry: the counters
-	// "wal.appends", "wal.bytes", "wal.syncs", "wal.group_commit_syncs" and
-	// "wal.group_commit_shared" plus the "put.wal_append" stage histogram. A
-	// nil registry costs one pointer test per append.
+	// Registry, when non-nil, receives the "put.wal_append" stage
+	// histogram. The log's counters are named by Counters for its owner to
+	// attach. A nil registry costs one pointer test per append.
 	Registry *telemetry.Registry
 	// Logger, when non-nil, receives structured events from rare paths
 	// (recovery warnings). The hot append path never logs.
@@ -91,9 +79,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.SegmentSize < 1024 {
 		return out, fmt.Errorf("%w: SegmentSize %d too small", ErrBadOption, out.SegmentSize)
-	}
-	if out.MaxSegments < 0 {
-		return out, fmt.Errorf("%w: negative MaxSegments", ErrBadOption)
 	}
 	return out, nil
 }
@@ -124,16 +109,12 @@ type Log struct {
 	synced   atomic.Int64
 	syncMu   sync.Mutex // serialises sync leaders
 
-	groupSyncs  int64 // fsyncs performed (telemetry)
-	groupShared int64 // appends whose sync was covered by another writer
-
-	// Registry-backed instruments, resolved once at Open; all nil-safe.
-	appendsC     *telemetry.Counter
-	bytesC       *telemetry.Counter
-	syncsC       *telemetry.Counter
-	groupSyncsC  *telemetry.Counter // wal.group_commit_syncs: leader fsyncs
-	groupSharedC *telemetry.Counter // wal.group_commit_shared: fsyncs saved
-	appendSpan   *telemetry.Timer
+	// Event counters, named by Counters. Every fsync is a groupSyncs (a
+	// group-commit leader's) or a flushSyncs (rotation, Sync, Close) one.
+	appends, bytes         telemetry.Counter
+	groupSyncs, flushSyncs telemetry.Counter
+	groupShared            telemetry.Counter // appends whose sync another writer's fsync covered
+	appendSpan             *telemetry.Timer
 }
 
 const (
@@ -173,14 +154,9 @@ func Open(opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{
-		opts:         o,
-		segments:     segs,
-		appendsC:     o.Registry.Counter("wal.appends"),
-		bytesC:       o.Registry.Counter("wal.bytes"),
-		syncsC:       o.Registry.Counter("wal.syncs"),
-		groupSyncsC:  o.Registry.Counter("wal.group_commit_syncs"),
-		groupSharedC: o.Registry.Counter("wal.group_commit_shared"),
-		appendSpan:   o.Registry.Timer("put.wal_append"),
+		opts:       o,
+		segments:   segs,
+		appendSpan: o.Registry.Timer("put.wal_append"),
 	}
 	next := uint64(1)
 	if n := len(segs); n > 0 {
@@ -223,9 +199,8 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 
 // Append writes the records as one atomic group: either all records are
 // durable after a successful return (under SyncOnAppend) or, after a crash,
-// replay stops at the first incomplete record. Returns ErrLogFull when the
-// segment cap is reached. Concurrent appenders under SyncOnAppend share
-// fsyncs via group commit.
+// replay stops at the first incomplete record. Concurrent appenders under
+// SyncOnAppend share fsyncs via group commit.
 func (l *Log) Append(records ...[]byte) error {
 	return l.AppendTraced(telemetry.TSpan{}, records...)
 }
@@ -237,18 +212,10 @@ func (l *Log) AppendTraced(parent telemetry.TSpan, records ...[]byte) error {
 	sp := l.appendSpan.Start()
 	err := l.append(records, parent)
 	sp.End()
-	if err == nil && l.appendsC != nil {
-		l.appendsC.Add(int64(len(records)))
-		var total int64
-		for _, rec := range records {
-			total += int64(headerLen + len(rec))
-		}
-		l.bytesC.Add(total)
-	}
 	return err
 }
 
-// append is the uninstrumented body of Append.
+// append is the untimed body of Append.
 func (l *Log) append(records [][]byte, trace telemetry.TSpan) error {
 	l.mu.Lock()
 	if l.closed {
@@ -261,10 +228,7 @@ func (l *Log) append(records [][]byte, trace telemetry.TSpan) error {
 			return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(rec))
 		}
 	}
-	if l.opts.MaxSegments > 0 && len(l.segments) > l.opts.MaxSegments {
-		l.mu.Unlock()
-		return ErrLogFull
-	}
+	start := l.appended
 	for _, rec := range records {
 		var hdr [headerLen]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
@@ -281,6 +245,8 @@ func (l *Log) append(records [][]byte, trace telemetry.TSpan) error {
 		l.appended += int64(headerLen + len(rec))
 	}
 	myOffset := l.appended
+	l.appends.Add(int64(len(records)))
+	l.bytes.Add(myOffset - start)
 	if l.written >= l.opts.SegmentSize {
 		if err := l.rotateLocked(); err != nil {
 			l.mu.Unlock()
@@ -306,8 +272,7 @@ func (l *Log) groupSync(myOffset int64, trace telemetry.TSpan) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	if l.synced.Load() >= myOffset {
-		l.groupShared++
-		l.groupSharedC.Inc()
+		l.groupShared.Inc()
 		return nil // a leader's fsync already covered these records
 	}
 	l.mu.Lock()
@@ -332,21 +297,34 @@ func (l *Log) groupSync(myOffset int64, trace telemetry.TSpan) error {
 	if err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	l.groupSyncs++
-	l.groupSyncsC.Inc()
-	l.syncsC.Inc()
+	l.groupSyncs.Inc()
 	if target > l.synced.Load() {
 		l.synced.Store(target)
 	}
 	return nil
 }
 
-// GroupCommitStats reports fsyncs performed and appends whose durability
-// was covered by another writer's fsync.
+// GroupCommitStats reports fsyncs performed by group-commit leaders and
+// appends whose durability was covered by another writer's fsync.
 func (l *Log) GroupCommitStats() (syncs, shared int64) {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	return l.groupSyncs, l.groupShared
+	return l.groupSyncs.Load(), l.groupShared.Load()
+}
+
+// Bytes is the log volume appended: every record plus its framing header.
+func (l *Log) Bytes() int64 { return l.bytes.Load() }
+
+// Counters is the log's metric table: each counter it owns and the name it
+// reports under, for the owner to attach to a registry. A leader's fsync
+// counts toward both "wal.group_commit_syncs" and "wal.syncs".
+func (l *Log) Counters() []telemetry.Named {
+	return []telemetry.Named{
+		{Name: "wal.appends", C: &l.appends},
+		{Name: "wal.bytes", C: &l.bytes},
+		{Name: "wal.syncs", C: &l.groupSyncs},
+		{Name: "wal.syncs", C: &l.flushSyncs},
+		{Name: "wal.group_commit_syncs", C: &l.groupSyncs},
+		{Name: "wal.group_commit_shared", C: &l.groupShared},
+	}
 }
 
 func (l *Log) flushLocked(sync bool) error {
@@ -357,7 +335,7 @@ func (l *Log) flushLocked(sync bool) error {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("wal: sync: %w", err)
 		}
-		l.syncsC.Inc()
+		l.flushSyncs.Inc()
 	}
 	return nil
 }
