@@ -34,22 +34,11 @@ type slowApplier struct {
 	delay time.Duration
 }
 
-func (s *slowApplier) Put(key, value []byte) error {
-	time.Sleep(s.delay)
-	return s.inner.Put(key, value)
-}
-
-func (s *slowApplier) Delete(key []byte) error {
-	time.Sleep(s.delay)
-	return s.inner.Delete(key)
-}
-
 // ApplyBatch forwards the trace span with the batch: a wrapper that dropped
-// it would erase every engine span under this member. The wrapped member is
-// always a region replica, which applies batches.
+// it would erase every engine span under this member.
 func (s *slowApplier) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	time.Sleep(s.delay)
-	return s.inner.(replication.BatchApplier).ApplyBatch(parent, writes)
+	return s.inner.ApplyBatch(parent, writes)
 }
 
 // BenchmarkClusterSaturation drives putsPerWorker unbuffered puts from

@@ -28,22 +28,11 @@ func (g *gatedStallApplier) waitGate() {
 	}
 }
 
-func (g *gatedStallApplier) Put(key, value []byte) error {
-	g.waitGate()
-	return g.inner.Put(key, value)
-}
-
-func (g *gatedStallApplier) Delete(key []byte) error {
-	g.waitGate()
-	return g.inner.Delete(key)
-}
-
 // ApplyBatch forwards the trace span with the batch: a wrapper that dropped
-// it would erase every engine span under this member. The wrapped member is
-// always a region replica, which applies batches.
+// it would erase every engine span under this member.
 func (g *gatedStallApplier) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	g.waitGate()
-	return g.inner.(replication.BatchApplier).ApplyBatch(parent, writes)
+	return g.inner.ApplyBatch(parent, writes)
 }
 
 // pacedRunConfig builds the shared driver config for the paced audit tests:

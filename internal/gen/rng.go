@@ -58,11 +58,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -118,12 +113,4 @@ func (r *RNG) NormFloat64() float64 {
 // stream is decorrelated from the parent by hashing the parent's next output.
 func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64() ^ 0xd1b54a32d192ed03)
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -133,22 +133,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(29)
-	xs := make([]int, 50)
-	for i := range xs {
-		xs[i] = i
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool, len(xs))
-	for _, x := range xs {
-		if x < 0 || x >= len(xs) || seen[x] {
-			t.Fatalf("shuffle lost permutation property at %d", x)
-		}
-		seen[x] = true
-	}
-}
-
 func TestUint64Distribution(t *testing.T) {
 	// Chi-square sanity check over 16 buckets of the top nibble.
 	r := NewRNG(31)

@@ -1,10 +1,5 @@
 package gen
 
-import "math"
-
-// mathPow adapts math.Pow for the generators in this package.
-func mathPow(x, y float64) float64 { return math.Pow(x, y) }
-
 // paddingAlphabet is the character set used for kvp padding text. It matches
 // the printable-ASCII style of the TPCx-IoT kit's random field filler.
 const paddingAlphabet = "abcdefghijklmnopqrstuvwxyz" +
@@ -30,32 +25,6 @@ func Text(rng *RNG, dst []byte) []byte {
 		for ; i < len(dst); i++ {
 			dst[i] = paddingAlphabet[v%n]
 			v /= n
-		}
-	}
-	return dst
-}
-
-// TextString returns n bytes of padding text as a string.
-func TextString(rng *RNG, n int) string {
-	return string(Text(rng, make([]byte, n)))
-}
-
-// Digits fills dst with random decimal digits and returns dst. Used for
-// numeric identifier fields.
-func Digits(rng *RNG, dst []byte) []byte {
-	i := 0
-	for i+8 <= len(dst) {
-		v := rng.Uint64()
-		for j := 0; j < 8; j++ {
-			dst[i] = '0' + byte((v>>(8*uint(j)))%10)
-			i++
-		}
-	}
-	if i < len(dst) {
-		v := rng.Uint64()
-		for ; i < len(dst); i++ {
-			dst[i] = '0' + byte(v%10)
-			v /= 10
 		}
 	}
 	return dst

@@ -19,11 +19,11 @@ import (
 // (the same read-your-writes rule Get and Scanner follow), so an aggregate
 // over one key range never forces unrelated regions' batches out early.
 //
-// The fan-out walks regions in key order. A region split can land inside a
-// series' key run, so the same (series, window) may surface from adjacent
-// regions; because partials arrive in key order the collision is always
-// between the accumulated tail and the next region's head, and Merge
-// resolves it exactly.
+// The fan-out walks regions in key order. A region boundary set at
+// CreateTable can fall inside a series' key run, so the same (series,
+// window) may surface from adjacent regions; because partials arrive in key
+// order the collision is always between the accumulated tail and the next
+// region's head, and Merge resolves it exactly.
 func (c *Client) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs) (lsm.AggResult, error) {
 	if c.closed {
 		return lsm.AggResult{}, ErrClientClosed

@@ -415,9 +415,9 @@ func TestAggregateBadWindowAndClosedClient(t *testing.T) {
 // folded from the tables' reading columns — the lsm.agg_rows_* counters and
 // /storage's column_bytes say so — and equal, to the bit of every sum, a
 // client-side fold over the rows a Scanner streams (the table is pre-split at
-// a series boundary, so the client never adds two partial sums). Rows still
-// in a memtable are decoded, and the daughters of a region split carry
-// columns of their own, rebuilt by their flushes.
+// series boundaries into three regions, so the client never adds two partial
+// sums). Rows still in a memtable are decoded, and once flushed every region's
+// replicas carry columns of their own.
 func TestAggregateServedFromReadingColumns(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := testConfig(t, 3)
@@ -430,7 +430,7 @@ func TestAggregateServedFromReadingColumns(t *testing.T) {
 	atSeries := func(sensor string) []byte {
 		return kvp.Key{Substation: "sub0", Sensor: sensor, Timestamp: 0}.Encode()
 	}
-	if _, err := cl.CreateTable("iot", [][]byte{atSeries("sb")}); err != nil {
+	if _, err := cl.CreateTable("iot", [][]byte{atSeries("sb"), atSeries("sc")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.ServeTCP(); err != nil {
@@ -519,13 +519,12 @@ func TestAggregateServedFromReadingColumns(t *testing.T) {
 		t.Fatalf("ten unflushed rows: %d from columns, %d decoded", column, decoded)
 	}
 
-	// /storage reports each table's column; a split's daughters get theirs
-	// from their own flushes.
-	requireColumns := func(stage string, wantRegions int) {
+	// /storage reports the column of every table of every replica.
+	requireColumns := func(stage string) {
 		t.Helper()
 		rep := cl.Storage()
-		if len(rep.Regions) != wantRegions*3 {
-			t.Fatalf("%s: %d replica entries, want %d", stage, len(rep.Regions), wantRegions*3)
+		if len(rep.Regions) != 3*3 {
+			t.Fatalf("%s: %d replica entries, want 9", stage, len(rep.Regions))
 		}
 		for _, rs := range rep.Regions {
 			if len(rs.Tables) == 0 {
@@ -542,18 +541,10 @@ func TestAggregateServedFromReadingColumns(t *testing.T) {
 		}
 	}
 	flushAll()
-	requireColumns("before the split", 2)
-	if err := cl.SplitRegion("iot", atSeries("sc")); err != nil {
-		t.Fatal(err)
-	}
-	flushAll()
-	requireColumns("after the split", 3)
-	after, err := cl.NewTCPClient("iot", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer after.Close()
-	if column, decoded := check("after the split", after); decoded != 0 || column == 0 {
-		t.Fatalf("after the split: %d rows from columns, %d decoded", column, decoded)
+	requireColumns("after the memtable flush")
+	for name, c := range map[string]*Client{"in-process": inproc, "tcp": tcp} {
+		if column, decoded := check(name+" after the memtable flush", c); decoded != 0 || column == 0 {
+			t.Fatalf("%s after the memtable flush: %d rows from columns, %d decoded", name, column, decoded)
+		}
 	}
 }

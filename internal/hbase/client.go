@@ -35,12 +35,12 @@ type Client struct {
 	// Overload-retry policy (Config.RetryMax/RetryBaseDelay/RetryMaxDelay):
 	// a shed mutate is retried with capped exponential backoff plus jitter,
 	// never below the server's retry-after hint.
-	retryMax   int
-	retryBase  time.Duration
-	retryCap   time.Duration
-	rng        *rand.Rand
-	retries    int64 // sheds this client retried
-	shedFails  int64 // mutates that stayed shed after every retry
+	retryMax  int
+	retryBase time.Duration
+	retryCap  time.Duration
+	rng       *rand.Rand
+	retries   int64 // sheds this client retried
+	shedFails int64 // mutates that stayed shed after every retry
 
 	flushesC   *telemetry.Counter // hbase.buffer_flushes
 	retriesC   *telemetry.Counter // hbase.client_retries

@@ -91,8 +91,8 @@ type Config struct {
 	Store lsm.Options
 	// Registry, when non-nil, collects cluster-wide telemetry: it is handed
 	// to every region's LSM store (and through it the WAL), to replication
-	// groups ("replication.acks"), to clients ("hbase.buffer_flushes",
-	// "put.client_flush") and to splits ("region.splits").
+	// groups ("replication.acks") and to clients ("hbase.buffer_flushes",
+	// "put.client_flush").
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, samples client operations into distributed
 	// traces: each sampled Put/Get/scan chunk yields one span tree covering
@@ -170,7 +170,11 @@ type Cluster struct {
 	closed  bool
 }
 
-// Table is the cluster-side routing state for one table.
+// Table is the cluster-side routing state for one table. CreateTable writes
+// splits and regions once, before the table is published, and nothing
+// changes them afterwards: Table.locate and the clients' walks of regions
+// (scanner, aggregate) read them without a lock and are race-free by
+// construction.
 type Table struct {
 	name    string
 	splits  [][]byte       // region boundaries, ascending; len = len(regions)-1
@@ -291,8 +295,8 @@ func (cl *Cluster) CreateTable(name string, splits [][]byte) (*Table, error) {
 			}
 			tr.replicas = append(tr.replicas, r)
 			// The region (not its bare store) is the pipeline member, so
-			// every replica bounds-checks what it applies — one pass per
-			// batch on the batched path.
+			// every replica bounds-checks what it applies, one pass per
+			// batch.
 			appliers = append(appliers, r)
 		}
 		tr.group = cl.newGroup(info.Name, appliers)

@@ -44,22 +44,11 @@ func (g *gatedMember) wait() {
 	}
 }
 
-func (g *gatedMember) Put(key, value []byte) error {
-	g.wait()
-	return g.inner.Put(key, value)
-}
-
-func (g *gatedMember) Delete(key []byte) error {
-	g.wait()
-	return g.inner.Delete(key)
-}
-
 // ApplyBatch forwards the trace span with the batch: a wrapper that dropped
-// it would erase every engine span under this member. The wrapped member is
-// always a region replica, which applies batches.
+// it would erase every engine span under this member.
 func (g *gatedMember) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	g.wait()
-	return g.inner.(replication.BatchApplier).ApplyBatch(parent, writes)
+	return g.inner.ApplyBatch(parent, writes)
 }
 
 // stragglerCluster builds a 3-node cluster whose member 2 (the second

@@ -71,7 +71,7 @@ func (f *scanFixture) storeRows(t *testing.T, lo, hi []byte) []Row {
 	}
 	var rows []Row
 	for _, tr := range tbl.regions {
-		err := tr.replicas[0].Scan(lo, hi, func(k, v []byte) error {
+		err := tr.replicas[0].Store().Scan(lo, hi, func(k, v []byte) error {
 			rows = append(rows, Row{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
 			return nil
 		})

@@ -19,9 +19,6 @@ type RegionStorage struct {
 	// first): the hot window still absorbing flushes, and cold windows
 	// settled to (or converging on) one table each.
 	Tiers []lsm.TierStat `json:"tiers,omitempty"`
-	// Watermark is the replica's applied replication sequence — how far
-	// this copy has caught up with its group's WAL order.
-	Watermark uint64 `json:"watermark"`
 }
 
 // RegionReplication is one region's quorum-pipeline snapshot in a
@@ -104,12 +101,11 @@ func (cl *Cluster) Storage() StorageReport {
 		rep.Servers++
 		for _, r := range srv.Regions() {
 			rep.Regions = append(rep.Regions, RegionStorage{
-				Region:    r.Info().Name,
-				Server:    srv.ID(),
-				Stats:     r.Stats(),
-				Tables:    r.TableStats(),
-				Tiers:     r.TierStats(),
-				Watermark: r.AppliedWatermark(),
+				Region: r.Info().Name,
+				Server: srv.ID(),
+				Stats:  r.Stats(),
+				Tables: r.TableStats(),
+				Tiers:  r.TierStats(),
 			})
 		}
 	}

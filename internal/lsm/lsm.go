@@ -289,10 +289,9 @@ type tableHandle struct {
 
 	// Introspection metadata, immutable after construction. size and
 	// columnBytes mirror the reader so stats never touch a possibly-closed
-	// one (columnBytes 0: no reading column); tombstones
-	// is counted at write time (flush knows, full-compaction output has
-	// none) and is -1 for tables recovered from a legacy directory, where
-	// counting would mean a scan.
+	// one (columnBytes 0: no reading column); tombstones is counted by the
+	// flush or compaction that wrote the table and recovered from its
+	// manifest record.
 	size        int64
 	columnBytes int64
 	tombstones  int64
@@ -301,17 +300,17 @@ type tableHandle struct {
 	// Pruning metadata mirrored from the reader's footer so Get and
 	// iterator open never touch the reader for tables they will skip.
 	// firstKey/lastKey are the inclusive key bounds; minTS/maxTS the key
-	// timestamp bounds, meaningless when hasTS is false (legacy tables or
-	// keys without timestamps — such tables are never pruned by time).
+	// timestamp bounds, meaningless when hasTS is false (keys without
+	// timestamps — such tables are never pruned by time).
 	firstKey, lastKey []byte
 	minTS, maxTS      int64
 	hasTS             bool
 }
 
-func newTableHandle(id uint64, path string, reader *sstable.Reader) *tableHandle {
+func newTableHandle(id uint64, path string, reader *sstable.Reader, tombstones int64) *tableHandle {
 	t := &tableHandle{
 		id: id, path: path, reader: reader,
-		size: reader.Size(), columnBytes: reader.ColumnBytes(), tombstones: -1, created: time.Now(),
+		size: reader.Size(), columnBytes: reader.ColumnBytes(), tombstones: tombstones, created: time.Now(),
 	}
 	t.firstKey, t.lastKey = reader.Bounds()
 	t.minTS, t.maxTS, t.hasTS = reader.TimeBounds()
@@ -534,12 +533,11 @@ func (s *Store) tablePath(id uint64) string {
 }
 
 // recoverTables rebuilds the table set at open. The manifest is
-// authoritative: when one exists, exactly the tables it lists are opened and
-// every other .sst (plus .tmp residue and superseded MANIFEST files) is an
-// orphan from an interrupted transition, removed. A directory without a
-// manifest — fresh, or written by an older version that recovered by
-// directory scan — is scanned once and a manifest bootstrapped from the
-// findings.
+// authoritative: exactly the tables it lists are opened and every other .sst
+// (plus .tmp residue and superseded MANIFEST files) is an orphan from an
+// interrupted transition, removed. A directory without a manifest gets an
+// empty one — unless it holds tables, which no manifest accounts for: that
+// is ErrCorrupt, and the directory is left as it was.
 func (s *Store) recoverTables() error {
 	man, live, err := openManifest(s.opts.Dir, s.elog)
 	if err != nil {
@@ -548,94 +546,48 @@ func (s *Store) recoverTables() error {
 	s.manifest = man
 
 	if live == nil {
-		if err := s.loadLegacyTables(); err != nil {
+		tables, err := filepath.Glob(filepath.Join(s.opts.Dir, "*.sst"))
+		if err != nil {
+			return fmt.Errorf("lsm: read dir: %w", err)
+		}
+		if len(tables) > 0 {
+			return fmt.Errorf("%w: tables without a manifest in %s: %s",
+				ErrCorrupt, s.opts.Dir, strings.Join(tables, ", "))
+		}
+		if err := man.bootstrap(); err != nil {
 			return err
 		}
-		metas := make([]tableMeta, 0, len(s.tables))
-		for _, t := range s.tables {
-			metas = append(metas, t.meta())
+	}
+	metas := make([]tableMeta, 0, len(live))
+	for _, m := range live {
+		metas = append(metas, m)
+	}
+	// Higher ids are newer; order newest first.
+	sort.Slice(metas, func(i, j int) bool { return metas[i].ID > metas[j].ID })
+	for _, m := range metas {
+		path := s.tablePath(m.ID)
+		r, err := sstable.OpenWithCache(path, s.cache)
+		if err != nil {
+			return fmt.Errorf("%w: manifest table %s: %v", ErrCorrupt, path, err)
 		}
-		if err := man.bootstrap(metas); err != nil {
-			return err
-		}
-	} else {
-		metas := make([]tableMeta, 0, len(live))
-		for _, m := range live {
-			metas = append(metas, m)
-		}
-		// Higher ids are newer; order newest first.
-		sort.Slice(metas, func(i, j int) bool { return metas[i].ID > metas[j].ID })
-		for _, m := range metas {
-			path := s.tablePath(m.ID)
-			r, err := sstable.OpenWithCache(path, s.cache)
-			if err != nil {
-				return fmt.Errorf("%w: manifest table %s: %v", ErrCorrupt, path, err)
-			}
-			h := newTableHandle(m.ID, path, r)
-			h.tombstones = m.Tombstones
-			h.created = time.UnixMilli(m.CreatedMS)
-			s.tables = append(s.tables, h)
-			if m.ID >= s.nextID {
-				s.nextID = m.ID + 1
-			}
+		h := newTableHandle(m.ID, path, r, m.Tombstones)
+		h.created = time.UnixMilli(m.CreatedMS)
+		s.tables = append(s.tables, h)
+		if m.ID >= s.nextID {
+			s.nextID = m.ID + 1
 		}
 	}
 	s.setTablesLocked(s.tables) // nothing else can see the store yet
-	return s.removeOrphans(live != nil)
-}
-
-// loadLegacyTables scans the directory for .sst files — the pre-manifest
-// recovery path, kept for migrating existing stores in place.
-func (s *Store) loadLegacyTables() error {
-	entries, err := os.ReadDir(s.opts.Dir)
-	if err != nil {
-		return fmt.Errorf("lsm: read dir: %w", err)
-	}
-	type idPath struct {
-		id   uint64
-		path string
-	}
-	var files []idPath
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".sst") {
-			continue
-		}
-		id, err := strconv.ParseUint(strings.TrimSuffix(name, ".sst"), 10, 64)
-		if err != nil {
-			continue
-		}
-		files = append(files, idPath{id, filepath.Join(s.opts.Dir, name)})
-	}
-	// Higher ids are newer; order newest first.
-	sort.Slice(files, func(i, j int) bool { return files[i].id > files[j].id })
-	for _, f := range files {
-		r, err := sstable.OpenWithCache(f.path, s.cache)
-		if err != nil {
-			return fmt.Errorf("%w: table %s: %v", ErrCorrupt, f.path, err)
-		}
-		h := newTableHandle(f.id, f.path, r)
-		// Recovered tables predate this process; their write time is the
-		// file's mtime, not now.
-		if st, err := os.Stat(f.path); err == nil {
-			h.created = st.ModTime()
-		}
-		s.tables = append(s.tables, h)
-		if f.id >= s.nextID {
-			s.nextID = f.id + 1
-		}
-	}
-	return nil
+	return s.removeOrphans()
 }
 
 // removeOrphans sweeps the directory after recovery: .tmp files from
-// interrupted writes, superseded MANIFEST files, and — only when an
-// authoritative manifest was replayed — .sst files the manifest does not
-// reference (committed-but-unlinked compaction inputs, or a flush that
-// renamed its table but crashed before the manifest commit; the WAL still
-// holds the latter's contents). Any orphan id seen advances nextID so a new
-// table can never reuse a name that just held different bytes.
-func (s *Store) removeOrphans(haveManifest bool) error {
+// interrupted writes, superseded MANIFEST files, and .sst files the manifest
+// does not reference (committed-but-unlinked compaction inputs, or a flush
+// that renamed its table but crashed before the manifest commit; the WAL
+// still holds the latter's contents). Any orphan id seen advances nextID so a
+// new table can never reuse a name that just held different bytes.
+func (s *Store) removeOrphans() error {
 	entries, err := os.ReadDir(s.opts.Dir)
 	if err != nil {
 		return fmt.Errorf("lsm: read dir: %w", err)
@@ -654,7 +606,7 @@ func (s *Store) removeOrphans(haveManifest bool) error {
 		case strings.HasPrefix(name, manifestPrefix) && name != curManifest:
 			s.elog.Warn("removing superseded manifest",
 				telemetry.F("file", name))
-		case strings.HasSuffix(name, ".sst") && haveManifest && !liveTables[name]:
+		case strings.HasSuffix(name, ".sst") && !liveTables[name]:
 			s.elog.Warn("removing orphaned table not referenced by manifest",
 				telemetry.F("file", name))
 			if id, err := strconv.ParseUint(strings.TrimSuffix(name, ".sst"), 10, 64); err == nil && id >= s.nextID {
@@ -972,8 +924,7 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 	if err != nil {
 		return err
 	}
-	h := newTableHandle(id, path, r)
-	h.tombstones = tombs
+	h := newTableHandle(id, path, r, tombs)
 	s.accountCompression(w)
 
 	// The manifest commit is the transition: if it fails (or we crash before
@@ -1165,8 +1116,7 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		if err != nil {
 			return err
 		}
-		out = newTableHandle(id, path, r)
-		out.tombstones = tombs
+		out = newTableHandle(id, path, r, tombs)
 		writeBytes = out.size
 		s.accountCompression(w)
 		edit.Added = []tableMeta{out.meta()}
@@ -1342,12 +1292,6 @@ func decodeLive(stored []byte) ([]byte, bool, error) {
 	return stored[1:], true, nil
 }
 
-// Entry is one key-value pair returned by Scan.
-type Entry struct {
-	Key   []byte
-	Value []byte
-}
-
 // Scan returns all live entries with lo <= key < hi in ascending order,
 // calling fn for each. fn's slices are only valid during the call. A nil hi
 // scans to the end of the keyspace. Scan is a materializing loop over
@@ -1417,9 +1361,9 @@ func (s *Store) Stats() Stats {
 
 // TableStat describes one live store file for introspection endpoints.
 // Keys are reported as strings (the benchmark keyspace is printable).
-// Tombstones is -1 for tables recovered at open, where the count is unknown
-// without a scan. ColumnBytes is the part of SizeBytes that is the reading
-// column; 0 means the table has none and aggregates fold its data blocks.
+// Tombstones is counted by the flush or compaction that wrote the table.
+// ColumnBytes is the part of SizeBytes that is the reading column; 0 means
+// the table has none and aggregates fold its data blocks.
 type TableStat struct {
 	ID          uint64  `json:"id"`
 	Path        string  `json:"path"`

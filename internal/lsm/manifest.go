@@ -77,8 +77,8 @@ type manifest struct {
 func manifestName(seq uint64) string { return fmt.Sprintf("%s%06d", manifestPrefix, seq) }
 
 // openManifest opens the store's manifest and replays it. The returned map
-// is the live table set (nil when no manifest exists yet — a fresh or
-// legacy directory); the caller bootstraps one via bootstrap in that case.
+// is the live table set (nil when no manifest exists yet); the caller
+// bootstraps one via bootstrap in that case.
 func openManifest(dir string, elog *telemetry.Logger) (*manifest, map[uint64]tableMeta, error) {
 	cur, err := os.ReadFile(filepath.Join(dir, currentName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -145,7 +145,8 @@ func replayManifest(path string, elog *telemetry.Logger) (map[uint64]tableMeta, 
 // a partial or corrupt record (only acceptable at end of file).
 func decodeManifestRecord(b []byte) (manifestEdit, int, error) {
 	plen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < plen+4 {
+	// Compared without adding: plen+4 wraps for a length near 2^64.
+	if n <= 0 || uint64(len(b)-n) < 4 || plen > uint64(len(b)-n)-4 {
 		return manifestEdit{}, 0, errManifestTorn
 	}
 	payload := b[n : n+int(plen)]
@@ -173,16 +174,14 @@ func encodeManifestRecord(edit manifestEdit) ([]byte, error) {
 	return rec, nil
 }
 
-// bootstrap creates the first manifest for a directory, seeded with the
-// given table set (empty for a fresh store, the directory scan's findings
-// for a legacy one). The manifest file is written and synced before CURRENT
-// appears, so a crash mid-bootstrap leaves no CURRENT and the next open
-// simply bootstraps again.
-func (m *manifest) bootstrap(tables []tableMeta) error {
+// bootstrap creates the first, empty manifest for a directory. The manifest
+// file is written and synced before CURRENT appears, so a crash
+// mid-bootstrap leaves no CURRENT and the next open simply bootstraps again.
+func (m *manifest) bootstrap() error {
 	if m.f != nil {
 		return errors.New("lsm: manifest already open")
 	}
-	return m.writeSnapshot(m.seq+1, tables)
+	return m.writeSnapshot(m.seq+1, nil)
 }
 
 // logEdit appends one committed transition and syncs it to disk. Rotation

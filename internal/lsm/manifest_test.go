@@ -1,9 +1,13 @@
 package lsm
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -158,8 +162,17 @@ func TestRecoveryCleansTempAndSupersededFiles(t *testing.T) {
 }
 
 // TestManifestTornTailTruncated: a crash mid-append leaves a partial record at
-// the manifest tail; recovery truncates it and the store keeps working.
+// the manifest tail; recovery truncates it and the store keeps working. A
+// length prefix so large that adding the CRC's four bytes wraps is torn too.
 func TestManifestTornTailTruncated(t *testing.T) {
+	for _, seed := range manifestSeeds(t) {
+		if seed.name == "torn-tail" || seed.name == "wrapping-length" {
+			t.Run(seed.name, func(t *testing.T) { tornTailRecovers(t, seed.rec) })
+		}
+	}
+}
+
+func tornTailRecovers(t *testing.T, tail []byte) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
 	if err != nil {
@@ -180,8 +193,7 @@ func TestManifestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A length prefix promising more bytes than follow: a torn append.
-	if _, err := f.Write([]byte{0xc0, 0x08, 0xde, 0xad}); err != nil {
+	if _, err := f.Write(tail); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -205,10 +217,30 @@ func TestManifestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestLegacyDirectoryMigration: a directory written before the manifest
-// existed (tables but no CURRENT) is scanned once and a manifest bootstrapped
-// from the findings.
-func TestLegacyDirectoryMigration(t *testing.T) {
+// dirImage maps every path under dir to its contents ("" for directories).
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			img[path] = ""
+			return err
+		}
+		data, err := os.ReadFile(path)
+		img[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestOpenRefusesTablesWithoutManifest: tables in a directory without a
+// CURRENT belong to no manifest. Open refuses them with ErrCorrupt, names
+// them, and leaves every file as it was — it neither bootstraps a manifest
+// over them nor removes them as orphans.
+func TestOpenRefusesTablesWithoutManifest(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
 	if err != nil {
@@ -225,32 +257,39 @@ func TestLegacyDirectoryMigration(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Strip the manifest machinery: what an old-version directory looks like.
 	if err := os.Remove(filepath.Join(dir, currentName)); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := filepath.Glob(filepath.Join(dir, manifestPrefix+"*"))
+	manifests, err := filepath.Glob(filepath.Join(dir, manifestPrefix+"*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range matches {
+	for _, m := range manifests {
 		if err := os.Remove(m); err != nil {
 			t.Fatal(err)
 		}
 	}
+	tables, err := filepath.Glob(filepath.Join(dir, "*.sst"))
+	if err != nil || len(tables) != 3 {
+		t.Fatalf("%d tables on disk (%v), want 3", len(tables), err)
+	}
+	before := dirImage(t, dir)
 
 	re, err := Open(Options{Dir: dir, WALSync: wal.SyncNever})
-	if err != nil {
-		t.Fatalf("open legacy directory: %v", err)
+	if err == nil {
+		re.Close()
+		t.Fatal("opened a directory of tables without a manifest")
 	}
-	defer re.Close()
-	for i := 0; i < 3; i++ {
-		if v, ok, err := re.Get([]byte(fmt.Sprintf("k%d", i))); err != nil || !ok || string(v) != "v" {
-			t.Fatalf("Get(k%d) = %q,%v,%v after migration", i, v, ok, err)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open: %v, want ErrCorrupt", err)
+	}
+	for _, table := range tables {
+		if !strings.Contains(err.Error(), filepath.Base(table)) {
+			t.Errorf("error does not name %s: %v", filepath.Base(table), err)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, currentName)); err != nil {
-		t.Fatalf("migration did not bootstrap a manifest: %v", err)
+	if after := dirImage(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused open changed the directory:\n before %d paths\n after  %d paths", len(before), len(after))
 	}
 }
 
@@ -261,7 +300,7 @@ func TestLegacyDirectoryMigration(t *testing.T) {
 func TestManifestRotationBoundsRecoveryCost(t *testing.T) {
 	dir := t.TempDir()
 	m := &manifest{dir: dir}
-	if err := m.bootstrap(nil); err != nil {
+	if err := m.bootstrap(); err != nil {
 		t.Fatal(err)
 	}
 	// Churn: add table i, delete table i-1. Live set at any point is one id.
@@ -299,4 +338,74 @@ func TestManifestRotationBoundsRecoveryCost(t *testing.T) {
 	if _, ok := liveSet[want]; !ok {
 		t.Fatalf("replayed live set %v missing table %d", liveSet, want)
 	}
+}
+
+// manifestSeed is one FuzzManifestRecord seed: the bytes at the head of a
+// manifest tail and what decodeManifestRecord must return for them (nil: the
+// whole input is one record).
+type manifestSeed struct {
+	name    string
+	rec     []byte
+	wantErr error
+}
+
+// manifestSeeds are FuzzManifestRecord's seeds, replayed by
+// TestManifestRecordSeeds: a valid edit and the damage replay must survive.
+func manifestSeeds(t testing.TB) []manifestSeed {
+	valid, err := encodeManifestRecord(manifestEdit{
+		Added: []tableMeta{{ID: 7, Size: 4096, FirstKey: []byte("k0"), LastKey: []byte("k9"),
+			MinTS: 1000, MaxTS: 2000, HasTS: true, Tombstones: 2, CreatedMS: 1}},
+		Deleted: []uint64{3, 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badCRC := append([]byte(nil), valid...)
+	badCRC[len(badCRC)-1] ^= 0xff
+	return []manifestSeed{
+		{"valid-edit", valid, nil},
+		// An append cut short: the length promises more than follows.
+		{"torn-tail", valid[:len(valid)-3], errManifestTorn},
+		{"crc-mismatch", badCRC, errManifestTorn},
+		// A length of 2^64-3 and six bytes: length+4 wraps around to 1.
+		{"wrapping-length", append(binary.AppendUvarint(nil, ^uint64(0)-2), make([]byte, 6)...), errManifestTorn},
+	}
+}
+
+// TestManifestRecordSeeds runs every FuzzManifestRecord seed through the
+// decoder in tier-1.
+func TestManifestRecordSeeds(t *testing.T) {
+	for _, seed := range manifestSeeds(t) {
+		edit, n, err := decodeManifestRecord(seed.rec)
+		if !errors.Is(err, seed.wantErr) {
+			t.Errorf("%s: error %v, want %v", seed.name, err, seed.wantErr)
+		}
+		if err == nil && (n != len(seed.rec) || len(edit.Added) != 1 || len(edit.Deleted) != 2) {
+			t.Errorf("%s: %d of %d bytes decoded to %+v", seed.name, n, len(seed.rec), edit)
+		}
+	}
+}
+
+// FuzzManifestRecord decodes arbitrary bytes as a manifest tail, record after
+// record the way replay does: each step yields a record inside the bytes left
+// or a torn/corrupt error that stops the replay — never a panic.
+func FuzzManifestRecord(f *testing.F) {
+	for _, seed := range manifestSeeds(f) {
+		f.Add(seed.rec)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for off := 0; off < len(b); {
+			_, n, err := decodeManifestRecord(b[off:])
+			if err != nil {
+				if !errors.Is(err, errManifestTorn) && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("offset %d: untyped error %v", off, err)
+				}
+				return
+			}
+			if n <= 0 || n > len(b)-off {
+				t.Fatalf("offset %d: record of %d bytes with %d left", off, n, len(b)-off)
+			}
+			off += n
+		}
+	})
 }

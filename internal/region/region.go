@@ -4,10 +4,9 @@
 // As in HBase, a table's keyspace is partitioned into contiguous key ranges.
 // Each region owns the half-open interval [StartKey, EndKey) — a nil
 // StartKey means "from the beginning", a nil EndKey "to the end" — and is
-// backed by its own LSM store. Regions can split when they grow beyond a
-// threshold; the TPCx-IoT deployment pre-splits the table on substation-key
-// boundaries instead, which is the documented best practice for the
-// benchmark's uniform ingest.
+// backed by its own LSM store. A region's bounds are fixed when it opens: the
+// TPCx-IoT deployment pre-splits the table on substation-key boundaries,
+// which is the documented best practice for the benchmark's uniform ingest.
 package region
 
 import (
@@ -15,17 +14,13 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync/atomic"
 
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/telemetry"
 )
 
-// Sentinel errors.
-var (
-	ErrOutOfRange = errors.New("region: key outside region bounds")
-	ErrTooSmall   = errors.New("region: not enough data to split")
-)
+// ErrOutOfRange rejects a key outside the region's bounds.
+var ErrOutOfRange = errors.New("region: key outside region bounds")
 
 // Info is a region's identity and bounds.
 type Info struct {
@@ -60,11 +55,6 @@ type Region struct {
 	info    Info
 	store   *lsm.Store
 	service string // trace-span service label, e.g. "node-02/iot,00001"
-
-	// watermark is the replication sequence this replica last durably
-	// applied (see replication.WatermarkObserver). Zero for a region that
-	// never received replicated writes.
-	watermark atomic.Uint64
 }
 
 // Open creates or reopens the region's store under dir.
@@ -84,47 +74,16 @@ func Open(info Info, dir string, storeOpts lsm.Options) (*Region, error) {
 // Info returns the region's identity.
 func (r *Region) Info() Info { return r.info }
 
-// NoteApplied records the replication sequence this replica has durably
-// applied through — the replication worker calls it after each batch, and
-// the monotonic guard makes stale notifications harmless.
-func (r *Region) NoteApplied(seq uint64) {
-	for {
-		cur := r.watermark.Load()
-		if seq <= cur || r.watermark.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
-// AppliedWatermark returns the replica's applied replication sequence, for
-// the cluster's /storage document and replica-read gating.
-func (r *Region) AppliedWatermark() uint64 { return r.watermark.Load() }
-
 // Store exposes the backing store for engine stats and tests.
 func (r *Region) Store() *lsm.Store { return r.store }
 
-// Put writes a key-value pair, rejecting keys outside the region.
-func (r *Region) Put(key, value []byte) error {
-	if !r.info.Contains(key) {
-		return fmt.Errorf("%w: %q not in %s", ErrOutOfRange, key, r.info)
-	}
-	return r.store.Put(key, value)
-}
-
-// Delete tombstones a key, rejecting keys outside the region.
-func (r *Region) Delete(key []byte) error {
-	if !r.info.Contains(key) {
-		return fmt.Errorf("%w: %q not in %s", ErrOutOfRange, key, r.info)
-	}
-	return r.store.Delete(key)
-}
-
 // ApplyBatch applies a batch of writes in one engine round: a single
 // bounds-check pass over every key, then the store's batched WAL group
-// append and memtable apply. Rejecting before any write keeps the batch
-// all-or-nothing with respect to region bounds. When parent is live (the
-// zero TSpan is inert) the apply appears as a "region.apply" span in the
-// region's own service (the node dir plus region name, e.g.
+// append and memtable apply. It is the region's only write path and makes
+// the region a replication.Applier. Rejecting before any write keeps the
+// batch all-or-nothing with respect to region bounds. When parent is live
+// (the zero TSpan is inert) the apply appears as a "region.apply" span in
+// the region's own service (the node dir plus region name, e.g.
 // "node-02/iot,00001"), with the engine's WAL/memtable children beneath it.
 func (r *Region) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	for i := range writes {
@@ -155,12 +114,6 @@ func (r *Region) clampRange(lo, hi []byte) (clo, chi []byte) {
 		hi = r.info.EndKey
 	}
 	return lo, hi
-}
-
-// Scan iterates live entries in [lo, hi) clipped to the region bounds.
-func (r *Region) Scan(lo, hi []byte, fn func(key, value []byte) error) error {
-	lo, hi = r.clampRange(lo, hi)
-	return r.store.Scan(lo, hi, fn)
 }
 
 // NewIterator opens a streaming snapshot iterator over [lo, hi) clipped to
@@ -212,62 +165,3 @@ func (r *Region) Close() error { return r.store.Close() }
 
 // Destroy closes the region and removes its files.
 func (r *Region) Destroy() error { return r.store.Destroy() }
-
-// SplitPoint scans the region and returns the median key, the split point a
-// size-based split policy would choose. Returns ErrTooSmall with fewer than
-// two distinct keys.
-func (r *Region) SplitPoint() ([]byte, error) {
-	var keys [][]byte
-	if err := r.Scan(nil, nil, func(k, _ []byte) error {
-		keys = append(keys, append([]byte(nil), k...))
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if len(keys) < 2 {
-		return nil, ErrTooSmall
-	}
-	return keys[len(keys)/2], nil
-}
-
-// Split divides the region at split into two children, rewriting the data
-// into fresh stores under dir (a compacting split). The parent remains open;
-// the caller is responsible for retiring it after installing the children.
-func (r *Region) Split(split []byte, dir string, storeOpts lsm.Options) (left, right *Region, err error) {
-	if !r.info.Contains(split) {
-		return nil, nil, fmt.Errorf("%w: split key %q", ErrOutOfRange, split)
-	}
-	leftInfo := Info{
-		Table:    r.info.Table,
-		Name:     r.info.Name + "-l",
-		StartKey: r.info.StartKey,
-		EndKey:   append([]byte(nil), split...),
-	}
-	rightInfo := Info{
-		Table:    r.info.Table,
-		Name:     r.info.Name + "-r",
-		StartKey: append([]byte(nil), split...),
-		EndKey:   r.info.EndKey,
-	}
-	left, err = Open(leftInfo, dir, storeOpts)
-	if err != nil {
-		return nil, nil, err
-	}
-	right, err = Open(rightInfo, dir, storeOpts)
-	if err != nil {
-		left.Destroy()
-		return nil, nil, err
-	}
-	err = r.Scan(nil, nil, func(k, v []byte) error {
-		if bytes.Compare(k, split) < 0 {
-			return left.Put(k, v)
-		}
-		return right.Put(k, v)
-	})
-	if err != nil {
-		left.Destroy()
-		right.Destroy()
-		return nil, nil, err
-	}
-	return left, right, nil
-}

@@ -25,6 +25,11 @@ func openRegion(t *testing.T, start, end []byte) *Region {
 	return r
 }
 
+// put applies one write as a batch of one.
+func put(r *Region, key, value string) error {
+	return r.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: []byte(key), Value: []byte(value)}})
+}
+
 func TestContains(t *testing.T) {
 	cases := []struct {
 		start, end string
@@ -56,16 +61,17 @@ func TestContains(t *testing.T) {
 
 func TestBoundsEnforced(t *testing.T) {
 	r := openRegion(t, []byte("b"), []byte("m"))
-	if err := r.Put([]byte("z"), []byte("v")); !errors.Is(err, ErrOutOfRange) {
+	if err := put(r, "z", "v"); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Put outside bounds: %v", err)
 	}
-	if err := r.Delete([]byte("a")); !errors.Is(err, ErrOutOfRange) {
+	del := []lsm.Write{{Key: []byte("a"), Delete: true}}
+	if err := r.ApplyBatch(telemetry.TSpan{}, del); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Delete outside bounds: %v", err)
 	}
 	if _, _, err := r.Get([]byte("z")); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Get outside bounds: %v", err)
 	}
-	if err := r.Put([]byte("f"), []byte("v")); err != nil {
+	if err := put(r, "f", "v"); err != nil {
 		t.Fatalf("Put inside bounds: %v", err)
 	}
 	v, ok, err := r.Get([]byte("f"))
@@ -77,86 +83,31 @@ func TestBoundsEnforced(t *testing.T) {
 func TestScanClipsToBounds(t *testing.T) {
 	r := openRegion(t, []byte("k100"), []byte("k200"))
 	for i := 100; i < 200; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := put(r, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
+	}
+	count := func(lo, hi []byte) int {
+		it, err := r.NewIterator(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		n := 0
+		for ; it.Valid(); it.Next() {
+			n++
+		}
+		if err := it.Error(); err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
 	// A scan wider than the region must be clipped, not error.
-	count := 0
-	if err := r.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
-		t.Fatal(err)
+	if n := count(nil, nil); n != 100 {
+		t.Fatalf("unbounded scan returned %d, want 100", n)
 	}
-	if count != 100 {
-		t.Fatalf("unbounded scan returned %d, want 100", count)
-	}
-	count = 0
-	if err := r.Scan([]byte("k000"), []byte("k150"), func(k, v []byte) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 50 {
-		t.Fatalf("clipped scan returned %d, want 50", count)
-	}
-}
-
-func TestSplit(t *testing.T) {
-	parent := openRegion(t, nil, nil)
-	const n = 100
-	for i := 0; i < n; i++ {
-		if err := parent.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	split, err := parent.SplitPoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(split) != "k050" {
-		t.Fatalf("median split point = %q, want k050", split)
-	}
-	left, right, err := parent.Split(split, t.TempDir(), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer left.Close()
-	defer right.Close()
-
-	countRegion := func(r *Region) int {
-		count := 0
-		if err := r.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		return count
-	}
-	if l, rr := countRegion(left), countRegion(right); l != 50 || rr != 50 {
-		t.Fatalf("split children hold %d + %d entries, want 50 + 50", l, rr)
-	}
-	// Children's bounds partition the parent's range.
-	if string(left.Info().EndKey) != string(split) || string(right.Info().StartKey) != string(split) {
-		t.Fatal("split children bounds do not meet at the split key")
-	}
-	// Every key readable from exactly its child.
-	if _, ok, _ := left.Get([]byte("k010")); !ok {
-		t.Fatal("left child missing k010")
-	}
-	if _, ok, _ := right.Get([]byte("k070")); !ok {
-		t.Fatal("right child missing k070")
-	}
-	if _, _, err := left.Get([]byte("k070")); !errors.Is(err, ErrOutOfRange) {
-		t.Fatal("left child accepted right-half key")
-	}
-}
-
-func TestSplitRejectsBadKeyAndSmallRegion(t *testing.T) {
-	r := openRegion(t, []byte("b"), []byte("m"))
-	if _, _, err := r.Split([]byte("z"), t.TempDir(), testOpts()); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("split outside bounds: %v", err)
-	}
-	if _, err := r.SplitPoint(); !errors.Is(err, ErrTooSmall) {
-		t.Fatalf("split point of empty region: %v", err)
-	}
-	r.Put([]byte("c"), []byte("v"))
-	if _, err := r.SplitPoint(); !errors.Is(err, ErrTooSmall) {
-		t.Fatalf("split point of single-key region: %v", err)
+	if n := count([]byte("k000"), []byte("k150")); n != 50 {
+		t.Fatalf("clipped scan returned %d, want 50", n)
 	}
 }
 
@@ -166,7 +117,9 @@ func TestDestroy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Put([]byte("k"), []byte("v"))
+	if err := put(r, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.Destroy(); err != nil {
 		t.Fatal(err)
 	}

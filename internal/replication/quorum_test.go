@@ -69,14 +69,6 @@ func (g *gatedApplier) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
 	return nil
 }
 
-func (g *gatedApplier) Put(key, value []byte) error {
-	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Value: value}})
-}
-
-func (g *gatedApplier) Delete(key []byte) error {
-	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Delete: true}})
-}
-
 func (g *gatedApplier) snapshot() (applies int, order []string, data map[string]string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -96,7 +88,7 @@ func TestQuorumAckDoesNotWaitForStraggler(t *testing.T) {
 	defer g.Close()
 
 	done := make(chan error, 1)
-	go func() { done <- g.Put([]byte("k"), []byte("v")) }()
+	go func() { done <- put(g, "k", "v") }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -200,12 +192,11 @@ func (c *crashingStore) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) e
 	return st.ApplyBatchTraced(parent, writes)
 }
 
-func (c *crashingStore) Put(key, value []byte) error {
-	return c.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Value: value}})
-}
+// storeMember makes a bare lsm.Store a pipeline member.
+type storeMember struct{ *lsm.Store }
 
-func (c *crashingStore) Delete(key []byte) error {
-	return c.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Delete: true}})
+func (s storeMember) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
+	return s.ApplyBatchTraced(parent, writes)
 }
 
 // (c) A straggler that crashes keeps its retained queue; after the store is
@@ -231,9 +222,9 @@ func TestStragglerCrashRestartReplaysToWatermark(t *testing.T) {
 		err:    errors.New("injected crash"),
 	}
 
-	g := NewGroup(p, r1, flaky)
+	g := NewGroup(storeMember{p}, storeMember{r1}, flaky)
 	for i := 0; i < total; i++ {
-		if err := g.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
+		if err := put(g, fmt.Sprintf("k%03d", i), fmt.Sprintf("v%03d", i)); err != nil {
 			t.Fatalf("put %d failed despite a healthy quorum: %v", i, err)
 		}
 	}
@@ -261,7 +252,7 @@ func TestStragglerCrashRestartReplaysToWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := openStore(sDir)
-	if err := g.RestartMember(2, recovered); err != nil {
+	if err := g.RestartMember(2, storeMember{recovered}); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Quiesce(); err != nil {
@@ -304,7 +295,7 @@ func TestLaggingMemberReadGate(t *testing.T) {
 	g := NewGroup(p, r1, straggler)
 	defer g.Close()
 
-	if err := g.Put([]byte("k"), []byte("v")); err != nil {
+	if err := put(g, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if g.CaughtUp(2) {
@@ -355,7 +346,7 @@ func TestFullCatchUpQueueRefusesWrites(t *testing.T) {
 	admitted := 0
 	var refusal error
 	for i := 0; i < maxQueue+2; i++ {
-		err := g.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		err := put(g, fmt.Sprintf("k%d", i), "v")
 		if err == nil {
 			admitted++
 			continue
@@ -378,7 +369,7 @@ func TestFullCatchUpQueueRefusesWrites(t *testing.T) {
 	if err := g.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Put([]byte("after"), []byte("v")); err != nil {
+	if err := put(g, "after", "v"); err != nil {
 		t.Fatalf("write refused after the queue drained: %v", err)
 	}
 }
@@ -397,7 +388,7 @@ func TestRestartReplayDoesNotDoubleAck(t *testing.T) {
 
 	g := NewGroup(p, r1, flaky)
 	for i := 0; i < 10; i++ {
-		if err := g.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := put(g, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,16 +12,16 @@
 // section — onto a bounded per-member catch-up queue. One long-lived worker
 // per member drains its queue strictly in sequence order (the member's WAL
 // order), so every member applies the same batches in the same order.
-// Apply/ApplyBatch return once quorum members — always including the
+// ApplyBatch returns once quorum members — always including the
 // primary — have durably applied the batch; members still behind (the
 // stragglers) catch up asynchronously from their queues, off the caller's
 // critical path.
 //
 // Watermarks make the divergence observable and safe:
 //
-//   - each member carries an applied high-water mark (the last sequence it
-//     durably applied);
-//   - the group carries a commit watermark (the highest sequence
+//   - the group keeps each member's applied high-water mark (the last
+//     sequence it durably applied; MemberApplied, Stats);
+//   - it carries a commit watermark (the highest sequence
 //     acknowledged at quorum).
 //
 // Because the primary is required for quorum, primary.applied >= commit
@@ -76,30 +76,14 @@ var (
 	ErrMemberRunning = errors.New("replication: member worker still running")
 )
 
-// Applier receives replicated mutations. Both the primary store and the
-// replica stores satisfy it.
-type Applier interface {
-	Put(key, value []byte) error
-	Delete(key []byte) error
-}
-
-// BatchApplier is satisfied by members that can apply a whole batch in one
+// Applier is one pipeline member: it durably applies a whole batch in one
 // engine round (one WAL group append, one memtable critical section) under
 // the operation's trace span, so each member's engine work shows up in the
-// span tree; region.Region does. The zero TSpan is inert, so untraced
-// batches take the same call. Members without it are applied key by key,
-// untraced. A wrapper around a member must forward parent, or the spans
-// beneath it vanish.
-type BatchApplier interface {
+// span tree. region.Region is the production member. The zero TSpan is
+// inert, so untraced batches take the same call. A wrapper around a member
+// must forward parent, or the spans beneath it vanish.
+type Applier interface {
 	ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error
-}
-
-// WatermarkObserver is satisfied by members that track their own applied
-// high-water mark (region.Region). The worker notifies it after each
-// durable apply, so the member's watermark is visible through /storage
-// without reaching back into the group.
-type WatermarkObserver interface {
-	NoteApplied(seq uint64)
 }
 
 // Options configures a pipeline.
@@ -324,7 +308,7 @@ func (g *Group) runMember(m *member) {
 		if pb.parent.Traced() {
 			sp = pb.parent.Child("replicate." + strconv.Itoa(m.idx))
 		}
-		err := applyBatchTo(app, pb.writes, sp)
+		err := app.ApplyBatch(sp, pb.writes)
 		sp.End()
 
 		if err != nil {
@@ -343,9 +327,6 @@ func (g *Group) runMember(m *member) {
 		}
 
 		m.applied.Store(pb.seq)
-		if wo, ok := app.(WatermarkObserver); ok {
-			wo.NoteApplied(pb.seq)
-		}
 		// Satellite fix: acks counts actual per-member acknowledgements at
 		// the point the member durably applies — one per write per member —
 		// instead of being bumped wholesale before/after the fan-out.
@@ -379,17 +360,6 @@ func (g *Group) Instrument(reg *telemetry.Registry) {
 		quorumT:    reg.Timer("replication.quorum_ack"),
 		fullT:      reg.Timer("replication.full_ack"),
 	}
-}
-
-// Put replicates one write through the pipeline (a batch of one),
-// returning at quorum.
-func (g *Group) Put(key, value []byte) error {
-	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Value: value}})
-}
-
-// Delete replicates one tombstone through the pipeline, returning at quorum.
-func (g *Group) Delete(key []byte) error {
-	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: key, Delete: true}})
 }
 
 // ApplyBatch submits the batch to every member's catch-up queue and returns
@@ -476,27 +446,6 @@ func (g *Group) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 		c := g.commit.Load()
 		if pb.seq <= c || g.commit.CompareAndSwap(c, pb.seq) {
 			break
-		}
-	}
-	return nil
-}
-
-// applyBatchTo delivers the batch to one member: in one round when the
-// member supports it, key by key otherwise.
-func applyBatchTo(m Applier, writes []lsm.Write, sp telemetry.TSpan) error {
-	if ba, ok := m.(BatchApplier); ok {
-		return ba.ApplyBatch(sp, writes)
-	}
-	for i := range writes {
-		w := &writes[i]
-		var err error
-		if w.Delete {
-			err = m.Delete(w.Key)
-		} else {
-			err = m.Put(w.Key, w.Value)
-		}
-		if err != nil {
-			return err
 		}
 	}
 	return nil

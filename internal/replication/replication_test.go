@@ -9,28 +9,39 @@ import (
 	"tpcxiot/internal/telemetry"
 )
 
-// mapApplier is an in-memory Applier for tests.
+// mapApplier is an in-memory Applier for tests; batchCalls counts the
+// rounds batches arrived in.
 type mapApplier struct {
-	data map[string]string
-	fail error
+	data       map[string]string
+	fail       error
+	batchCalls int
 }
 
 func newMapApplier() *mapApplier { return &mapApplier{data: map[string]string{}} }
 
-func (m *mapApplier) Put(key, value []byte) error {
+func (m *mapApplier) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
 	if m.fail != nil {
 		return m.fail
 	}
-	m.data[string(key)] = string(value)
+	m.batchCalls++
+	for i := range writes {
+		if writes[i].Delete {
+			delete(m.data, string(writes[i].Key))
+		} else {
+			m.data[string(writes[i].Key)] = string(writes[i].Value)
+		}
+	}
 	return nil
 }
 
-func (m *mapApplier) Delete(key []byte) error {
-	if m.fail != nil {
-		return m.fail
-	}
-	delete(m.data, string(key))
-	return nil
+// put replicates one write through g as a batch of one.
+func put(g *Group, key, value string) error {
+	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: []byte(key), Value: []byte(value)}})
+}
+
+// del replicates one tombstone through g as a batch of one.
+func del(g *Group, key string) error {
+	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: []byte(key), Delete: true}})
 }
 
 func TestPutReachesAllMembers(t *testing.T) {
@@ -43,7 +54,7 @@ func TestPutReachesAllMembers(t *testing.T) {
 	if g.Quorum() != 2 {
 		t.Fatalf("Quorum = %d, want 2", g.Quorum())
 	}
-	if err := g.Put([]byte("k"), []byte("v")); err != nil {
+	if err := put(g, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	// The ack fires at quorum; quiesce so the catch-up queues drain before
@@ -60,8 +71,8 @@ func TestDeleteReachesAllMembers(t *testing.T) {
 	p, r1, r2 := newMapApplier(), newMapApplier(), newMapApplier()
 	g := NewGroup(p, r1, r2)
 	defer g.Close()
-	g.Put([]byte("k"), []byte("v"))
-	if err := g.Delete([]byte("k")); err != nil {
+	put(g, "k", "v")
+	if err := del(g, "k"); err != nil {
 		t.Fatal(err)
 	}
 	g.Quiesce()
@@ -77,10 +88,10 @@ func TestMemberFailurePropagates(t *testing.T) {
 	sentinel := errors.New("disk gone")
 	r1.fail = sentinel
 	g := NewGroup(p, r1)
-	if err := g.Put([]byte("k"), []byte("v")); !errors.Is(err, sentinel) {
+	if err := put(g, "k", "v"); !errors.Is(err, sentinel) {
 		t.Fatalf("replica failure not surfaced: %v", err)
 	}
-	if err := g.Delete([]byte("k")); !errors.Is(err, sentinel) {
+	if err := del(g, "k"); !errors.Is(err, sentinel) {
 		t.Fatalf("replica delete failure not surfaced: %v", err)
 	}
 }
@@ -166,7 +177,7 @@ func TestPipelineOrdering(t *testing.T) {
 	p.fail = sentinel
 	g := NewGroup(p, r1)
 	defer g.Close()
-	if err := g.Put([]byte("k"), []byte("v")); !errors.Is(err, sentinel) {
+	if err := put(g, "k", "v"); !errors.Is(err, sentinel) {
 		t.Fatal("primary failure not surfaced")
 	}
 	g.Quiesce()
@@ -195,7 +206,7 @@ func TestGroupWithManyMembers(t *testing.T) {
 		t.Fatalf("Quorum = %d, want 3", g.Quorum())
 	}
 	for i := 0; i < 100; i++ {
-		if err := g.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := put(g, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,28 +221,6 @@ func TestGroupWithManyMembers(t *testing.T) {
 	}
 }
 
-// batchRecorder implements BatchApplier on top of mapApplier and records
-// how the batch arrived (one round vs per-key fallback).
-type batchRecorder struct {
-	mapApplier
-	batchCalls int
-}
-
-func (b *batchRecorder) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
-	if b.fail != nil {
-		return b.fail
-	}
-	b.batchCalls++
-	for i := range writes {
-		if writes[i].Delete {
-			delete(b.data, string(writes[i].Key))
-		} else {
-			b.data[string(writes[i].Key)] = string(writes[i].Value)
-		}
-	}
-	return nil
-}
-
 func testBatch(n int) []lsm.Write {
 	out := make([]lsm.Write, n)
 	for i := range out {
@@ -241,11 +230,7 @@ func testBatch(n int) []lsm.Write {
 }
 
 func TestApplyBatchReachesAllMembersInOneRound(t *testing.T) {
-	members := []*batchRecorder{
-		{mapApplier: *newMapApplier()},
-		{mapApplier: *newMapApplier()},
-		{mapApplier: *newMapApplier()},
-	}
+	members := []*mapApplier{newMapApplier(), newMapApplier(), newMapApplier()}
 	g := NewGroup(members[0], members[1], members[2])
 	defer g.Close()
 	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(50)); err != nil {
@@ -258,25 +243,6 @@ func TestApplyBatchReachesAllMembersInOneRound(t *testing.T) {
 		}
 		if m.batchCalls != 1 {
 			t.Fatalf("member %d applied in %d rounds, want 1", i, m.batchCalls)
-		}
-	}
-}
-
-func TestApplyBatchFallsBackToPerKey(t *testing.T) {
-	// Plain Appliers (no BatchApplier) still receive every write.
-	p, r1 := newMapApplier(), newMapApplier()
-	g := NewGroup(p, r1)
-	batch := testBatch(10)
-	batch = append(batch, lsm.Write{Key: []byte("k003"), Delete: true})
-	if err := g.ApplyBatch(telemetry.TSpan{}, batch); err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range []*mapApplier{p, r1} {
-		if len(m.data) != 9 {
-			t.Fatalf("member %d holds %d keys, want 9", i, len(m.data))
-		}
-		if _, ok := m.data["k003"]; ok {
-			t.Fatalf("member %d did not apply the batched delete", i)
 		}
 	}
 }

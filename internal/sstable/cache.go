@@ -47,15 +47,6 @@ type CacheStats struct {
 	Blocks        int64 `json:"blocks"`
 }
 
-// HitRate is hits over lookups, 0 when the cache is untouched.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Stats snapshots the cache counters.
 func (c *BlockCache) Stats() CacheStats {
 	st := CacheStats{

@@ -214,43 +214,41 @@ func TestFilterBuiltFromHashesOnAppend(t *testing.T) {
 	}
 }
 
-// TestLegacyTablesReadable: v1 and v2 images (see legacyTable) open, report
-// no column, and serve Get and iteration.
+// TestLegacyTablesReadable: a v2 image (see legacyTable) opens, reports no
+// column, and serves Get and iteration.
 func TestLegacyTablesReadable(t *testing.T) {
 	kvs := seqKVs(700)
-	for _, version := range []int{1, 2} {
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			r, err := openImage(legacyTable(version, kvs))
-			if err != nil {
-				t.Fatal(err)
+	t.Run("v2", func(t *testing.T) {
+		r, err := openImage(legacyTable(kvs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if r.NewColumnIterator() != nil || r.ColumnBytes() != 0 {
+			t.Fatalf("column bytes %d", r.ColumnBytes())
+		}
+		if _, _, ok := r.TimeBounds(); ok {
+			t.Fatal("legacy image written without time bounds reports some")
+		}
+		n := 0
+		it := r.NewIterator()
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			if kvs[string(it.Key())] != string(it.Value()) {
+				t.Fatalf("entry %q = %q", it.Key(), it.Value())
 			}
-			defer r.Close()
-			if r.version != version || r.NewColumnIterator() != nil || r.ColumnBytes() != 0 {
-				t.Fatalf("version %d, column bytes %d", r.version, r.ColumnBytes())
-			}
-			if _, _, ok := r.TimeBounds(); ok {
-				t.Fatal("legacy image written without time bounds reports some")
-			}
-			n := 0
-			it := r.NewIterator()
-			for it.SeekToFirst(); it.Valid(); it.Next() {
-				if kvs[string(it.Key())] != string(it.Value()) {
-					t.Fatalf("entry %q = %q", it.Key(), it.Value())
-				}
-				n++
-			}
-			if it.Error() != nil || n != len(kvs) {
-				t.Fatalf("iterated %d of %d entries, err %v", n, len(kvs), it.Error())
-			}
-			if v, err := r.Get([]byte("key-000321")); err != nil || string(v) != "value-000321" {
-				t.Fatalf("Get = %q, %v", v, err)
-			}
-			first, last := r.Bounds()
-			if string(first) != "key-000000" || string(last) != "key-000699" {
-				t.Fatalf("Bounds = %q..%q", first, last)
-			}
-		})
-	}
+			n++
+		}
+		if it.Error() != nil || n != len(kvs) {
+			t.Fatalf("iterated %d of %d entries, err %v", n, len(kvs), it.Error())
+		}
+		if v, err := r.Get([]byte("key-000321")); err != nil || string(v) != "value-000321" {
+			t.Fatalf("Get = %q, %v", v, err)
+		}
+		first, last := r.Bounds()
+		if string(first) != "key-000000" || string(last) != "key-000699" {
+			t.Fatalf("Bounds = %q..%q", first, last)
+		}
+	})
 }
 
 // TestEntryLengthOverflowRejected: an entry whose key and value lengths sum

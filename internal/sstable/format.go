@@ -43,26 +43,19 @@ var (
 )
 
 const (
-	// magicV1 marks a v1 footer ("IoTSSTb1"): no time bounds, no
-	// compression, 4-byte block trailers. Still readable, never written.
-	magicV1 uint64 = 0x496f545353546231
-
-	// magicV2 marks a v2 footer ("IoTSSTb2"): adds per-table min/max
-	// timestamps and a compression kind, and every block carries a 5-byte
-	// trailer (compression type + CRC). Still readable, never written.
+	// magicV2 marks a v2 footer ("IoTSSTb2"): per-table min/max timestamps
+	// and a compression kind, and every block carries a 5-byte trailer
+	// (compression type + CRC). Still readable, never written.
 	magicV2 uint64 = 0x496f545353546232
 
 	// magicV3 marks a v3 footer ("IoTSSTb3"): a v2 footer plus the column
 	// index handle and the column's total size. Blocks are as in v2.
 	magicV3 uint64 = 0x496f545353546233
 
-	// footerLenV1: index handle (16) + bloom handle (16) + entry count (8) +
-	// magic (8).
-	footerLenV1 = 48
-
-	// footerLenV2 adds min timestamp (8) + max timestamp (8) + compression
-	// kind (1) + flags (1) + reserved (6) before the magic.
-	footerLenV2 = footerLenV1 + 24
+	// footerLenV2: index handle (16) + bloom handle (16) + entry count (8) +
+	// min timestamp (8) + max timestamp (8) + compression kind (1) + flags
+	// (1) + reserved (6) + magic (8).
+	footerLenV2 = 72
 
 	// footerLenV3 adds the column index handle (16) + column bytes (8) before
 	// the magic. Both are zero for a table without a column.
@@ -72,12 +65,9 @@ const (
 	// data block.
 	restartInterval = 16
 
-	// trailerLenV1: 4-byte CRC32C appended to every block.
-	trailerLenV1 = 4
-
-	// trailerLenV2: 1-byte compression type + 4-byte CRC32C over the stored
-	// payload plus the type byte.
-	trailerLenV2 = 5
+	// trailerLen: 1-byte compression type + 4-byte CRC32C over the stored
+	// payload plus the type byte, after every block of a v2 or v3 table.
+	trailerLen = 5
 )
 
 // Compression selects the per-block encoding of data blocks. Index, filter,
@@ -144,7 +134,7 @@ func decodeHandle(b []byte) handle {
 //
 // column locates the column index block and columnBytes is everything the
 // column added to the file (its blocks, their trailers and its index); both
-// are zero for v1/v2 tables and v3 tables written without a column.
+// are zero for v2 tables and v3 tables written without a column.
 type footer struct {
 	index       handle
 	bloom       handle
@@ -155,7 +145,6 @@ type footer struct {
 	compression Compression
 	column      handle
 	columnBytes uint64
-	version     int // 1, 2 or 3
 }
 
 // encode serialises a v3 footer, the only version written.
@@ -178,47 +167,38 @@ func (f footer) encode() []byte {
 
 // decodeFooter parses the tail bytes of a file: b must be the last
 // footerLenV3 bytes, or the whole file when it is shorter than that (it can
-// then only hold an older, shorter footer). The magic in the final 8 bytes
-// selects the version.
+// then only hold the shorter v2 footer). The magic in the final 8 bytes
+// selects the version; any other magic, v1's included, is errBadMagic.
 func decodeFooter(b []byte) (footer, error) {
-	if len(b) < footerLenV1 {
+	if len(b) < footerLenV2 {
 		return footer{}, errShortFooter
 	}
-	switch magic := binary.LittleEndian.Uint64(b[len(b)-8:]); magic {
-	case magicV2, magicV3:
-		n, version := footerLenV2, 2
-		if magic == magicV3 {
-			n, version = footerLenV3, 3
-		}
-		if len(b) < n {
-			return footer{}, errShortFooter
-		}
-		b = b[len(b)-n:]
-		ft := footer{
-			index:       decodeHandle(b[0:16]),
-			bloom:       decodeHandle(b[16:32]),
-			entries:     binary.LittleEndian.Uint64(b[32:40]),
-			minTS:       int64(binary.LittleEndian.Uint64(b[40:48])),
-			maxTS:       int64(binary.LittleEndian.Uint64(b[48:56])),
-			compression: Compression(b[56]),
-			hasTS:       b[57]&flagHasTimeBounds != 0,
-			version:     version,
-		}
-		if version == 3 {
-			ft.column = decodeHandle(b[64:80])
-			ft.columnBytes = binary.LittleEndian.Uint64(b[80:88])
-		}
-		return ft, nil
-	case magicV1:
-		b = b[len(b)-footerLenV1:]
-		return footer{
-			index:   decodeHandle(b[0:16]),
-			bloom:   decodeHandle(b[16:32]),
-			entries: binary.LittleEndian.Uint64(b[32:40]),
-			version: 1,
-		}, nil
+	n := footerLenV2
+	switch binary.LittleEndian.Uint64(b[len(b)-8:]) {
+	case magicV2:
+	case magicV3:
+		n = footerLenV3
+	default:
+		return footer{}, errBadMagic
 	}
-	return footer{}, errBadMagic
+	if len(b) < n {
+		return footer{}, errShortFooter
+	}
+	b = b[len(b)-n:]
+	ft := footer{
+		index:       decodeHandle(b[0:16]),
+		bloom:       decodeHandle(b[16:32]),
+		entries:     binary.LittleEndian.Uint64(b[32:40]),
+		minTS:       int64(binary.LittleEndian.Uint64(b[40:48])),
+		maxTS:       int64(binary.LittleEndian.Uint64(b[48:56])),
+		compression: Compression(b[56]),
+		hasTS:       b[57]&flagHasTimeBounds != 0,
+	}
+	if n == footerLenV3 {
+		ft.column = decodeHandle(b[64:80])
+		ft.columnBytes = binary.LittleEndian.Uint64(b[80:88])
+	}
+	return ft, nil
 }
 
 func checksum(block []byte) uint32 {

@@ -26,22 +26,18 @@ func openImage(img []byte) (*Reader, error) {
 	return openFile(memFile{bytes.NewReader(img)}, int64(len(img)), NewBlockCache(1<<20))
 }
 
-// legacyTable lays a table out the way footer versions 1 and 2 did — 4-byte
-// trailers and a 48-byte footer, 5-byte trailers and a 72-byte footer — which
-// the writer no longer emits, so the reader's legacy paths keep their tests
-// and seeds. No time bounds, no compression. (For version 2 the image was
-// compared, once, byte for byte with what the last v2-writing commit's Writer
-// produced from the same entries.)
-func legacyTable(version int, kvs map[string]string) []byte {
+// legacyTable lays a table out the way footer version 2 did — 5-byte trailers
+// and a 72-byte footer — which the writer no longer emits, so the reader's v2
+// path keeps its tests and seeds. No time bounds, no compression. (The image
+// was compared, once, byte for byte with what the last v2-writing commit's
+// Writer produced from the same entries.)
+func legacyTable(kvs map[string]string) []byte {
 	var img []byte
 	writeBlock := func(raw []byte) handle {
 		h := handle{offset: uint64(len(img)), length: uint64(len(raw))}
 		img = append(img, raw...)
-		crc := checksum(raw)
-		if version != 1 {
-			img = append(img, byte(NoCompression))
-			crc = crc32.Update(crc, crcTable, []byte{byte(NoCompression)})
-		}
+		img = append(img, byte(NoCompression))
+		crc := crc32.Update(checksum(raw), crcTable, []byte{byte(NoCompression)})
 		img = binary.LittleEndian.AppendUint32(img, crc)
 		return h
 	}
@@ -71,18 +67,44 @@ func legacyTable(version int, kvs map[string]string) []byte {
 	ih.encode(ft[0:16])
 	bh.encode(ft[16:32])
 	binary.LittleEndian.PutUint64(ft[32:40], uint64(len(keys)))
-	if version == 1 {
-		binary.LittleEndian.PutUint64(ft[40:48], magicV1)
-		return append(img, ft[:footerLenV1]...)
-	}
 	binary.LittleEndian.PutUint64(ft[64:72], magicV2)
 	return append(img, ft[:]...)
 }
 
-// seedImages are the committed corpus: one well-formed table per footer
-// version and the damaged v3 tables a reader is most likely to trip on.
-// wantOpen says whether Open must accept the image; damage past the footer
-// and indexes surfaces later, from an iterator.
+// v1Table lays kvs out as the retired footer version 1 did — one data block,
+// 4-byte CRC trailers and a 48-byte footer ending in the magic "IoTSSTb1" —
+// a well-formed table of a format the reader no longer accepts.
+func v1Table(kvs map[string]string) []byte {
+	var img []byte
+	writeBlock := func(raw []byte) handle {
+		h := handle{offset: uint64(len(img)), length: uint64(len(raw))}
+		img = binary.LittleEndian.AppendUint32(append(img, raw...), checksum(raw))
+		return h
+	}
+	var data, index blockBuilder
+	var keys [][]byte
+	for _, k := range sortedKeys(kvs) {
+		keys = append(keys, []byte(k))
+		data.add([]byte(k), []byte(kvs[k]))
+	}
+	var hb [16]byte
+	writeBlock(data.finish()).encode(hb[:])
+	index.add(keys[len(keys)-1], hb[:])
+	bh := writeBlock(bloom.New(keys, 0))
+	ih := writeBlock(index.finish())
+	var ft [48]byte
+	ih.encode(ft[0:16])
+	bh.encode(ft[16:32])
+	binary.LittleEndian.PutUint64(ft[32:40], uint64(len(keys)))
+	binary.LittleEndian.PutUint64(ft[40:48], 0x496f545353546231)
+	return append(img, ft[:]...)
+}
+
+// seedImages are the committed corpus: one well-formed table per readable
+// footer version, a table with the retired v1 magic, and the damaged v3
+// tables a reader is most likely to trip on. wantOpen says whether Open must
+// accept the image — a refused one fails with ErrCorrupt; damage past the
+// footer and indexes surfaces later, from an iterator.
 type seedImage struct {
 	img      []byte
 	wantOpen bool
@@ -104,8 +126,8 @@ func seedImages(t testing.TB) map[string]seedImage {
 	}
 	colIndex := decodeHandle(v3[footerAt+64:])
 	return map[string]seedImage{
-		"v1":               {legacyTable(1, kvs), true},
-		"v2":               {legacyTable(2, kvs), true},
+		"v1":               {v1Table(kvs), false},
+		"v2":               {legacyTable(kvs), true},
 		"v3":               {v3, true},
 		"truncated-footer": {v3[:len(v3)-footerLenV3/2], false},
 		"column-index-past-eof": {edit(func(img []byte) {
@@ -170,8 +192,8 @@ func TestSeedCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		r, err := openImage([]byte(img))
-		if (err == nil) != seed.wantOpen {
-			t.Errorf("%s: open error %v, want open=%v", name, err, seed.wantOpen)
+		if (err == nil) != seed.wantOpen || (err != nil && !errors.Is(err, ErrCorrupt)) {
+			t.Errorf("%s: open error %v, want open=%v or ErrCorrupt", name, err, seed.wantOpen)
 		}
 		if err == nil {
 			r.Close()

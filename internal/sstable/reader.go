@@ -29,10 +29,9 @@ type Reader struct {
 	first    []byte // smallest key
 	last     []byte // largest key
 
-	version      int         // footer version: 1, 2 (both legacy) or 3
 	compression  Compression // data-block encoding declared by the footer
-	minTS, maxTS int64       // time bounds from the v2 footer
-	hasTS        bool        // false for v1 tables and timestamp-less keys
+	minTS, maxTS int64       // time bounds from the footer
+	hasTS        bool        // false when no key carried a timestamp
 
 	// cache holds parsed data and column blocks, bounded LRU-style. Private
 	// per reader unless a shared cache is supplied at open.
@@ -89,7 +88,7 @@ func openFile(f file, size int64, cache *BlockCache) (*Reader, error) {
 }
 
 func (r *Reader) loadFooter() error {
-	if r.size < footerLenV1 {
+	if r.size < footerLenV2 {
 		return corruptf("file of %d bytes has no footer", r.size)
 	}
 	// Read the largest possible footer (the whole file when it is shorter);
@@ -104,7 +103,6 @@ func (r *Reader) loadFooter() error {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	r.entries = ft.entries
-	r.version = ft.version
 	r.compression = ft.compression
 	r.minTS, r.maxTS, r.hasTS = ft.minTS, ft.maxTS, ft.hasTS
 
@@ -160,20 +158,16 @@ func (r *Reader) loadBounds() error {
 // storedLen is how many file bytes the block behind h occupies, trailer
 // included, or an error when the handle does not lie inside the file.
 func (r *Reader) storedLen(h handle) (uint64, error) {
-	trailer := uint64(trailerLenV2)
-	if r.version == 1 {
-		trailer = trailerLenV1
-	}
 	// Compared without adding: offset+length of a damaged handle can wrap.
-	if room := uint64(r.size) - trailer; h.length > room || h.offset > room-h.length {
+	if room := uint64(r.size) - trailerLen; h.length > room || h.offset > room-h.length {
 		return 0, corruptf("block handle %d+%d beyond file size %d", h.offset, h.length, r.size)
 	}
-	return h.length + trailer, nil
+	return h.length + trailerLen, nil
 }
 
-// readBlockRaw reads, checksum-verifies and (for v2 tables) decompresses a
-// block. The handle's length is the stored (possibly compressed) payload
-// size; disk-read accounting records the stored bytes actually fetched.
+// readBlockRaw reads, checksum-verifies and decompresses a block. The
+// handle's length is the stored (possibly compressed) payload size;
+// disk-read accounting records the stored bytes actually fetched.
 func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
 	n, err := r.storedLen(h)
 	if err != nil {
@@ -191,20 +185,10 @@ func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
 // payload then trailer, exactly storedLen long — and returns its raw
 // payload: a sub-slice of buf unless the block was compressed.
 func (r *Reader) decodeBlock(buf []byte, h handle) ([]byte, error) {
-	body := buf[:h.length]
-	ctype := NoCompression
-	crcOff := h.length
-	if r.version != 1 {
-		// v2 trailer: [type][crc32(payload+type)].
-		ctype = Compression(buf[h.length])
-		crcOff = h.length + 1
-	}
-	want := binary.LittleEndian.Uint32(buf[crcOff:])
-	got := checksum(body)
-	if r.version != 1 {
-		got = crc32.Update(got, crcTable, buf[h.length:h.length+1])
-	}
-	if got != want {
+	// Trailer: [type][crc32(payload+type)].
+	body, ctype := buf[:h.length], Compression(buf[h.length])
+	want := binary.LittleEndian.Uint32(buf[h.length+1:])
+	if crc32.Update(checksum(body), crcTable, buf[h.length:h.length+1]) != want {
 		return nil, corruptf("checksum mismatch for block at %d", h.offset)
 	}
 	switch ctype {
@@ -258,8 +242,8 @@ func (r *Reader) FilterPresent() bool { return r.filter != nil }
 func (r *Reader) Bounds() (first, last []byte) { return r.first, r.last }
 
 // TimeBounds returns the table's min/max key timestamps from the footer.
-// ok is false for legacy v1 tables and tables whose keys carried no
-// extractable timestamp; such tables can never be pruned by time.
+// ok is false for tables whose keys carried no extractable timestamp; such
+// tables can never be pruned by time.
 func (r *Reader) TimeBounds() (min, max int64, ok bool) {
 	return r.minTS, r.maxTS, r.hasTS
 }

@@ -10,13 +10,13 @@ import (
 	"testing"
 )
 
-// runTable is one table of the run-path tests: how it is written, or a
-// legacy image, and what a walk of it must account for.
+// runTable is one table of the run-path tests: how it is written, or a v2
+// legacyTable image, and what a walk of it must account for.
 type runTable struct {
 	name    string
 	kvs     map[string]string
 	opts    WriterOptions
-	legacy  int  // 1 or 2: build a legacyTable image instead of writing
+	legacy  bool // build a legacyTable image instead of writing
 	minRuns int  // a full walk reads at least this many runs ...
 	maxRuns int  // ... and at most this many
 	column  bool // walk the column beside the data blocks
@@ -50,8 +50,7 @@ func runTables() []runTable {
 		// own; more of them fit a run, so fewer runs.
 		{name: "flate", kvs: columnKVs(600, 1000), opts: WriterOptions{Compression: FlateCompression}, minRuns: 1, maxRuns: 4},
 		{name: "small-blocks", kvs: columnKVs(2000, 60), opts: WriterOptions{BlockSize: 512, Column: tailColumn}, minRuns: 2, maxRuns: 4, column: true},
-		{name: "legacy-v1", kvs: columnKVs(300, 1000), legacy: 1, minRuns: 4, maxRuns: 6},
-		{name: "legacy-v2", kvs: columnKVs(300, 1000), legacy: 2, minRuns: 4, maxRuns: 6},
+		{name: "legacy-v2", kvs: columnKVs(300, 1000), legacy: true, minRuns: 4, maxRuns: 6},
 	}
 }
 
@@ -59,8 +58,8 @@ func runTables() []runTable {
 func (rt runTable) open(t testing.TB) *Reader {
 	t.Helper()
 	cache := NewBlockCache(64 << 20)
-	if rt.legacy != 0 {
-		img := legacyTable(rt.legacy, rt.kvs)
+	if rt.legacy {
+		img := legacyTable(rt.kvs)
 		r, err := openFile(memFile{bytes.NewReader(img)}, int64(len(img)), cache)
 		if err != nil {
 			t.Fatal(err)

@@ -179,13 +179,13 @@ func (w *Writer) writeBlock(raw []byte, compressible bool) (handle, error) {
 	if _, err := w.w.Write(stored); err != nil {
 		return handle{}, fmt.Errorf("sstable: write block: %w", err)
 	}
-	var tr [trailerLenV2]byte
+	var tr [trailerLen]byte
 	tr[0] = byte(ctype)
 	putU32(tr[1:], crc32.Update(checksum(stored), crcTable, tr[:1]))
 	if _, err := w.w.Write(tr[:]); err != nil {
 		return handle{}, fmt.Errorf("sstable: write trailer: %w", err)
 	}
-	w.offset += uint64(len(stored)) + trailerLenV2
+	w.offset += uint64(len(stored)) + trailerLen
 	return h, nil
 }
 
@@ -269,7 +269,7 @@ func (w *Writer) Finish() error {
 			return err
 		}
 		ft.column = h
-		ft.columnBytes = w.colBytes + h.length + trailerLenV2
+		ft.columnBytes = w.colBytes + h.length + trailerLen
 	}
 
 	ih, err := w.writeBlock(w.index.finish(), false)
@@ -306,11 +306,6 @@ func (w *Writer) Abort() {
 
 // EntryCount returns the number of entries added so far.
 func (w *Writer) EntryCount() uint64 { return w.entries }
-
-// EstimatedSize returns the bytes written plus the pending block.
-func (w *Writer) EstimatedSize() uint64 {
-	return w.offset + uint64(w.data.estimatedSize())
-}
 
 // TimeBounds reports the min/max timestamps extracted from added keys so
 // far; ok is false when no key carried one.

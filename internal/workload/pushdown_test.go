@@ -46,7 +46,7 @@ const allFuncs = lsm.AggCount | lsm.AggMin | lsm.AggMax | lsm.AggSum | lsm.AggAv
 // the binding's Aggregator (the capability path) and streamWindows (the
 // client-side fold over the same binding's scan) return the same partials —
 // series, starts, counts, extrema — and the same row count. Sums may differ
-// in the last bits only where a region split inside a series makes the
+// in the last bits only where a region boundary inside a series makes the
 // client add two partial sums. It returns the capability path's result.
 func checkParity(t *testing.T, db ycsb.DB, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs) lsm.AggResult {
 	t.Helper()
