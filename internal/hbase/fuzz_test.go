@@ -3,8 +3,10 @@ package hbase
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -56,6 +58,16 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 	scanNext := func(id, chunk uint64) []byte {
 		return frame(opScanNext, func(w *frameWriter) { w.uvarint(id); w.uvarint(chunk) })
 	}
+	// Two puts of keys the region does not hold, cut inside the second
+	// value: every key in front of the cut decodes whole.
+	fresh := frame(opMutate, func(w *frameWriter) {
+		w.uvarint(2)
+		for ts := int64(0); ts < 2; ts++ {
+			w.uvarint(0)
+			w.bytes(kvp.Key{Substation: "sub0", Sensor: "sb", Timestamp: ts}.Encode())
+			w.bytes(kvp.Value{Reading: "1.5", Unit: "C"}.Encode())
+		}
+	})
 	// The get again, sampled: trace id 77, parent span 5 behind the flags.
 	traced := append([]byte{opGet, flagTrace, 77, 5}, get[2:]...)
 	return []fuzzSeed{
@@ -86,6 +98,7 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 		}), false},
 		{"mutate-count-lies", frame(opMutate, func(w *frameWriter) { w.uvarint(1 << 62) }), true},
 		{"truncated-varint", append(frame(opScanNext, nil), 0x80, 0x80), true},
+		{"truncated-mutate-tail", fresh[:len(fresh)-1], true},
 		{"truncated-mutate", mutate[:len(mutate)-10], true},
 		{"unknown-region", append([]byte{opGet, 0, 4}, "nope"...), true},
 		{"unknown-op", frame(99, nil), true},
@@ -146,7 +159,7 @@ func FuzzDispatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var req frameReader
 		framed := append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
-		if err := req.readFrame(bytes.NewReader(framed)); err != nil {
+		if req.readFrame(bytes.NewReader(framed)); req.err != nil {
 			return // shorter than an op and a flags byte: the connection is dropped
 		}
 		var resp frameWriter
@@ -159,24 +172,13 @@ func FuzzDispatch(f *testing.F) {
 			t.Fatal(err)
 		}
 		var back frameReader
-		if err := back.readFrame(&wire); err != nil {
-			t.Fatalf("response does not frame: %v", err)
+		if back.readFrame(&wire); back.err != nil {
+			t.Fatalf("response does not frame: %v", back.err)
 		}
-		switch back.op {
-		case statusOK:
-			if _, err := back.spans(); err != nil {
-				t.Fatalf("span block: %v", err)
-			}
-		case statusErr:
-			if msg, err := back.str(); err != nil || msg == "" {
-				t.Fatalf("error frame: %q, %v", msg, err)
-			}
-		case statusOverloaded:
-			if _, err := back.uvarint(); err != nil {
-				t.Fatalf("overloaded frame: %v", err)
-			}
-		default:
-			t.Fatalf("status %d", back.op)
+		// OK with a well-formed span block, an error with its message, or a
+		// load-shed with its hint.
+		if back.status(telemetry.TSpan{}); errors.Is(back.err, ErrBadFrame) || back.err != nil && back.err.Error() == "" {
+			t.Fatalf("status %d: %v", back.op, back.err)
 		}
 	})
 }
@@ -192,13 +194,147 @@ func TestDispatchSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := func() []Row {
+		rows, err := c.Scan(nil, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
 	for _, seed := range fuzzRequests(tr.info.Name, scanner) {
 		name, payload := seed.name, seed.payload
+		before := rows()
 		req := frameReader{op: payload[0], flags: payload[1], buf: payload, off: 2}
 		var resp frameWriter
 		cl.dispatch(&req, &resp, tr.primary)
 		if got := resp.buf[4] != statusOK; got != seed.wantErr {
 			t.Errorf("%s: status %d (%q), want error=%v", name, resp.buf[4], resp.buf[headerLen:min(len(resp.buf), 80)], seed.wantErr)
+		}
+		// A refused request changes no row: a mutate that does not decode
+		// (truncated-mutate, truncated-mutate-tail) applies none of its
+		// batch, not even the mutations in front of the cut.
+		if after := rows(); seed.wantErr && !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: changed the region's rows (%d before, %d after)", name, len(before), len(after))
+		}
+	}
+}
+
+// errServer stands for the error string of a statusErr response when
+// responseSeed states what a response decodes to.
+var errServer = errors.New("server error")
+
+// responseSeed is one of FuzzResponse's seeds: a response frame without its
+// length prefix, the op it answers, and what decoding it ends in: nil,
+// ErrBadFrame, ErrOverloaded or errServer.
+type responseSeed struct {
+	name    string
+	payload []byte
+	op      byte
+	want    error
+}
+
+// responseSeeds are FuzzResponse's seeds: the pinned response of every op
+// with and without a span block, and the malformed ones a client is most
+// likely to meet.
+func responseSeeds(t testing.TB) []responseSeed {
+	var seeds []responseSeed
+	for _, c := range wireCases() {
+		op := unhex(t, c.req)[0]
+		seeds = append(seeds,
+			responseSeed{c.name, unhex(t, c.resp), op, nil},
+			responseSeed{c.name + "-spans", unhex(t, c.respSpans), op, nil})
+	}
+	frame := func(status byte, fields func(w *frameWriter)) []byte {
+		var w frameWriter
+		w.reset(status)
+		fields(&w)
+		return append([]byte(nil), w.buf[4:]...)
+	}
+	chunk := frame(statusOK, func(w *frameWriter) {
+		at := w.beginChunk()
+		w.row([]byte("k"), []byte("v"))
+		w.endChunk(at, 1, false)
+	})
+	return append(seeds,
+		responseSeed{"server-error", frame(statusErr, func(w *frameWriter) { w.str("hbase: unknown region") }), opGet, errServer},
+		responseSeed{"overloaded", frame(statusOverloaded, func(w *frameWriter) { w.uvarint(1500) }), opMutate, ErrOverloaded},
+		responseSeed{"truncated-chunk", chunk[:len(chunk)-1], opScanNext, ErrBadFrame},
+		responseSeed{"row-count-lies", frame(statusOK, func(w *frameWriter) { w.endChunk(w.beginChunk(), 1<<20, true) }), opScanNext, ErrBadFrame},
+		responseSeed{"window-count-lies", frame(statusOK, func(w *frameWriter) { w.uvarint(2); w.uvarint(1 << 40) }), opAggregate, ErrBadFrame},
+		responseSeed{"span-count-lies", frame(statusOK, func(w *frameWriter) { w.buf[flagsIdx] |= flagSpans; w.uvarint(1 << 30) }), opGet, ErrBadFrame},
+		responseSeed{"unknown-status", []byte{7, 0}, opMutate, ErrBadFrame},
+	)
+}
+
+// decodeResponse reads payload as a response frame the way call does — the
+// status, and the span block stitched under a sampled span — and then with
+// every op's result decoder, returning what each op's decoding ended in
+// (nil, ErrBadFrame, ErrOverloaded or errServer). Any other error fails t,
+// as does a count off the wire that sized an allocation past the bytes
+// that carried it.
+func decodeResponse(t *testing.T, payload []byte) map[byte]error {
+	var resp frameReader
+	resp.readFrame(bytes.NewReader(append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)))
+	if resp.err != nil {
+		if len(payload) >= 2 {
+			t.Fatalf("a %d-byte frame does not frame: %v", len(payload), resp.err)
+		}
+		return nil
+	}
+	trace := telemetry.JoinRemote(wireTrace)
+	resp.status(trace.RemoteParent(wireTrace))
+	if spans := trace.TakeSpans(); 6*len(spans) > len(payload) {
+		t.Fatalf("%d spans stitched from %d bytes", len(spans), len(payload))
+	}
+	// Each decoder returns the bytes its counts claim at the least.
+	decoders := map[byte]func(r *frameReader) int{
+		opMutate:    func(*frameReader) int { return 0 },
+		opGet:       func(r *frameReader) int { r.value(); return 0 },
+		opScanOpen:  func(r *frameReader) int { r.uvarint(); return 0 },
+		opScanNext:  func(r *frameReader) int { rows, _ := r.chunk(); return 2 * cap(rows) },
+		opScanClose: func(*frameReader) int { return 0 },
+		opAggregate: func(r *frameReader) int { return 6 * cap(r.aggResult().Windows) },
+	}
+	out := make(map[byte]error, len(decoders))
+	for op, decode := range decoders {
+		r := resp // every decoder reads the same results
+		if n := decode(&r); n > len(payload) {
+			t.Fatalf("op %d: counts claim %d bytes of a %d-byte frame", op, n, len(payload))
+		}
+		var over *OverloadedError
+		switch {
+		case r.err == nil:
+			out[op] = nil
+		case errors.Is(r.err, ErrBadFrame):
+			out[op] = ErrBadFrame
+		case errors.As(r.err, &over):
+			out[op] = ErrOverloaded
+		case r.op == statusErr:
+			out[op] = errServer
+		default:
+			t.Fatalf("op %d: %v is none of the protocol's errors", op, r.err)
+		}
+	}
+	return out
+}
+
+// FuzzResponse feeds arbitrary bytes to the client as one response frame.
+// Whatever the bytes, decoding ends in results, ErrBadFrame, the server's
+// error string or an *OverloadedError — it never panics and never sizes an
+// allocation by a number it read off the wire.
+func FuzzResponse(f *testing.F) {
+	for _, seed := range responseSeeds(f) {
+		f.Add(seed.payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) { decodeResponse(t, payload) })
+}
+
+// TestResponseSeeds runs FuzzResponse's seeds as a plain test with the
+// outcome each must have for the op it answers.
+func TestResponseSeeds(t *testing.T) {
+	for _, seed := range responseSeeds(t) {
+		if got := decodeResponse(t, seed.payload)[seed.op]; got != seed.want {
+			t.Errorf("%s: decoding for op %d ended in %v, want %v", seed.name, seed.op, got, seed.want)
 		}
 	}
 }

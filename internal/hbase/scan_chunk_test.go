@@ -335,8 +335,8 @@ func TestScanNextServerAllocations(t *testing.T) {
 			if err := w.flush(&wire); err != nil {
 				t.Fatal(err)
 			}
-			if err := req.readFrame(&wire); err != nil {
-				t.Fatal(err)
+			if req.readFrame(&wire); req.err != nil {
+				t.Fatal(req.err)
 			}
 			cl.dispatch(&req, &resp, tr.primary)
 			if resp.buf[4] != statusOK || len(resp.buf) < chunk*1000 {

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 
-	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/telemetry"
 )
 
@@ -85,7 +83,7 @@ func (cl *Cluster) serveConn(conn net.Conn, srv *RegionServer) {
 	var req frameReader
 	var resp frameWriter
 	for {
-		if err := req.readFrame(r); err != nil {
+		if req.readFrame(r); req.err != nil {
 			return // EOF or broken frame: drop the connection
 		}
 		cl.dispatch(&req, &resp, srv)
@@ -96,198 +94,78 @@ func (cl *Cluster) serveConn(conn net.Conn, srv *RegionServer) {
 }
 
 // dispatch executes one request against the server and builds the response:
-// results go into the frame as the handler produces them; fail starts it
-// over. A sampled request (trace header present) gets its server-side work
-// collected in a joined trace whose spans are shipped back on the response
-// frame, right after the status, for client-side stitching.
+// results go into the frame as the handler produces them; a failure starts
+// it over. A sampled request (trace header present) gets its server-side
+// work collected in a joined trace whose spans are shipped back on the
+// response frame, right after the status, for client-side stitching.
 func (cl *Cluster) dispatch(req *frameReader, resp *frameWriter, srv *RegionServer) {
-	fail := func(err error) {
-		var over *OverloadedError
-		if errors.As(err, &over) {
-			resp.reset(statusOverloaded)
-			resp.uvarint(uint64(over.RetryAfter.Microseconds()))
-			return
-		}
-		resp.reset(statusErr)
-		resp.str(err.Error())
-	}
-	tctx, err := req.traceContext()
-	if err != nil {
-		fail(err)
-		return
-	}
+	tctx, region := req.request()
 	rop := telemetry.JoinRemote(tctx)
-	parent := rop.RemoteParent(tctx)
 	resp.reset(statusOK)
-	regionName, err := req.str()
-	if err != nil {
-		fail(err)
-		return
-	}
-	tr := cl.findRegion(regionName)
-	if tr == nil {
-		fail(fmt.Errorf("hbase: unknown region %q", regionName))
-		return
-	}
-
-	switch req.op {
-	case opMutate:
-		n, err := req.count(3) // a mutation is at least a flag and two lengths
-		if err != nil {
-			fail(err)
-			return
-		}
-		batch := make([]Mutation, 0, n)
-		for i := uint64(0); i < n; i++ {
-			del, err := req.uvarint()
-			if err != nil {
-				fail(err)
-				return
-			}
-			key, err := req.bytes()
-			if err != nil {
-				fail(err)
-				return
-			}
-			value, err := req.bytes()
-			if err != nil {
-				fail(err)
-				return
-			}
-			batch = append(batch, Mutation{
-				Key:    append([]byte(nil), key...),
-				Value:  append([]byte(nil), value...),
-				Delete: del == 1,
-			})
-		}
-		if err := srv.mutate(tr.group, batch, parent); err != nil {
-			fail(err)
-			return
-		}
-
-	case opGet:
-		key, err := req.bytes()
-		if err != nil {
-			fail(err)
-			return
-		}
-		v, found, err := srv.get(tr.replicas[0], key, parent)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if found {
-			resp.uvarint(1)
-			resp.bytes(v)
-		} else {
-			resp.uvarint(0)
-		}
-
-	case opScanOpen:
-		lo, err := req.optBytes()
-		if err != nil {
-			fail(err)
-			return
-		}
-		hi, err := req.optBytes()
-		if err != nil {
-			fail(err)
-			return
-		}
-		limit, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		id, err := srv.openScanner(tr.replicas[0], lo, hi, wireCount(limit), parent)
-		if err != nil {
-			fail(err)
-			return
-		}
-		resp.uvarint(id)
-
-	case opScanNext:
-		id, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		chunk, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		head := resp.beginChunk()
-		n, more, err := srv.next(id, wireCount(chunk), resp.row, parent)
-		if err != nil {
-			fail(err)
-			return
-		}
-		resp.endChunk(head, n, more)
-
-	case opAggregate:
-		lo, err := req.optBytes()
-		if err != nil {
-			fail(err)
-			return
-		}
-		hi, err := req.optBytes()
-		if err != nil {
-			fail(err)
-			return
-		}
-		var minTS, maxTS, windowMS uint64
-		for _, dst := range []*uint64{&minTS, &maxTS, &windowMS} {
-			if *dst, err = req.uvarint(); err != nil {
-				fail(err)
-				return
-			}
-		}
-		funcs, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		res, err := srv.aggregate(tr.replicas[0], lo, hi,
-			int64(minTS), int64(maxTS), int64(windowMS), lsm.AggFuncs(funcs), parent)
-		if err != nil {
-			fail(err)
-			return
-		}
-		resp.uvarint(uint64(res.RowsFolded))
-		resp.uvarint(uint64(len(res.Windows)))
-		for i := range res.Windows {
-			w := &res.Windows[i]
-			resp.bytes(w.Series)
-			resp.uvarint(uint64(w.WindowStart))
-			resp.uvarint(uint64(w.Count))
-			resp.uvarint(math.Float64bits(w.Min))
-			resp.uvarint(math.Float64bits(w.Max))
-			resp.uvarint(math.Float64bits(w.Sum))
-		}
-
-	case opScanClose:
-		id, err := req.uvarint()
-		if err != nil {
-			fail(err)
-			return
-		}
-		if err := srv.closeScanner(id); err != nil {
-			fail(err)
-			return
-		}
-
-	default:
-		fail(fmt.Errorf("hbase: unknown opcode %d", req.op))
+	if err := cl.serve(req, resp, srv, region, rop.RemoteParent(tctx)); err != nil {
+		resp.failure(err)
 		return
 	}
 	resp.spans(rop.TakeSpans())
 }
 
-// wireCount turns a row count off the wire into an int. One too large for
-// int is, for any range a region can hold, the same as the largest int.
-func wireCount(v uint64) int {
-	return int(min(v, math.MaxInt))
+// serve decodes the op's fields, runs its handler and encodes what the
+// handler returns. A request that does not decode, or names no region this
+// cluster holds, reaches no handler; on a handler error the results already
+// encoded are dropped with the rest of the frame.
+func (cl *Cluster) serve(req *frameReader, resp *frameWriter, srv *RegionServer, region string, parent telemetry.TSpan) error {
+	tr := cl.findRegion(region)
+	if tr == nil && req.err == nil {
+		return fmt.Errorf("hbase: unknown region %q", region)
+	}
+	switch req.op {
+	case opMutate:
+		batch := req.mutations()
+		if req.err != nil {
+			return req.err
+		}
+		return srv.mutate(tr.group, batch, parent)
+	case opGet:
+		key := req.bytes()
+		if req.err != nil {
+			return req.err
+		}
+		v, found, err := srv.get(tr.replicas[0], key, parent)
+		resp.value(v, found)
+		return err
+	case opScanOpen:
+		lo, hi, limit := req.scanOpen()
+		if req.err != nil {
+			return req.err
+		}
+		id, err := srv.openScanner(tr.replicas[0], lo, hi, limit, parent)
+		resp.uvarint(id)
+		return err
+	case opScanNext:
+		id, chunk := req.scanNext()
+		if req.err != nil {
+			return req.err
+		}
+		head := resp.beginChunk()
+		n, more, err := srv.next(id, chunk, resp.row, parent)
+		resp.endChunk(head, n, more)
+		return err
+	case opScanClose:
+		id := req.uvarint()
+		if req.err != nil {
+			return req.err
+		}
+		return srv.closeScanner(id)
+	case opAggregate:
+		lo, hi, minTS, maxTS, windowMS, funcs := req.aggregate()
+		if req.err != nil {
+			return req.err
+		}
+		res, err := srv.aggregate(tr.replicas[0], lo, hi, minTS, maxTS, windowMS, funcs, parent)
+		resp.aggResult(res)
+		return err
+	}
+	return fmt.Errorf("hbase: unknown opcode %d", req.op)
 }
 
 // findRegion resolves a region name to its routing entry.

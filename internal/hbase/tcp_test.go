@@ -279,29 +279,32 @@ func TestWireFormatRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fr frameReader
-	if err := fr.readFrame(&buf); err != nil {
-		t.Fatal(err)
+	if fr.readFrame(&buf); fr.err != nil {
+		t.Fatal(fr.err)
 	}
 	if fr.op != opScanOpen {
 		t.Fatalf("op = %d", fr.op)
 	}
-	if s, _ := fr.str(); s != "region-name" {
+	if s := fr.str(); s != "region-name" {
 		t.Fatalf("str = %q", s)
 	}
-	if b, err := fr.optBytes(); err != nil || b != nil {
-		t.Fatalf("nil optional = %v, %v", b, err)
+	if b := fr.optBytes(); b != nil {
+		t.Fatalf("nil optional = %v", b)
 	}
-	if b, err := fr.optBytes(); err != nil || b == nil || len(b) != 0 {
-		t.Fatalf("empty optional = %v, %v", b, err)
+	if b := fr.optBytes(); b == nil || len(b) != 0 {
+		t.Fatalf("empty optional = %v", b)
 	}
-	if b, _ := fr.optBytes(); string(b) != "bound" {
+	if b := fr.optBytes(); string(b) != "bound" {
 		t.Fatalf("bound optional = %q", b)
 	}
-	if v, _ := fr.uvarint(); v != 12345 {
+	if v := fr.uvarint(); v != 12345 {
 		t.Fatalf("uvarint = %d", v)
 	}
-	if b, _ := fr.bytes(); string(b) != "payload" {
+	if b := fr.bytes(); string(b) != "payload" {
 		t.Fatalf("bytes = %q", b)
+	}
+	if fr.err != nil {
+		t.Fatal(fr.err)
 	}
 }
 
@@ -309,24 +312,30 @@ func TestWireFormatRejectsGarbage(t *testing.T) {
 	var fr frameReader
 	// Oversized frame length.
 	junk := []byte{0xff, 0xff, 0xff, 0xff, 0x01}
-	if err := fr.readFrame(bytes.NewReader(junk)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("oversize frame: %v", err)
+	if fr.readFrame(bytes.NewReader(junk)); !errors.Is(fr.err, ErrBadFrame) {
+		t.Fatalf("oversize frame: %v", fr.err)
 	}
 	// Truncated body.
 	short := []byte{0x10, 0, 0, 0, 0x01, 0x02}
-	if err := fr.readFrame(bytes.NewReader(short)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("truncated frame: %v", err)
+	if fr.readFrame(bytes.NewReader(short)); !errors.Is(fr.err, ErrBadFrame) {
+		t.Fatalf("truncated frame: %v", fr.err)
 	}
 	// Field length overruns payload.
 	var fw frameWriter
 	fw.reset(opGet)
-	fw.buf = append(fw.buf, 0xff, 0x01) // declares a 255-byte field
+	fw.buf = append(fw.buf, 0xff, 0x01, 0x05) // declares a 255-byte field, then one byte
 	var buf bytes.Buffer
 	fw.flush(&buf)
-	if err := fr.readFrame(&buf); err != nil {
-		t.Fatal(err)
+	if fr.readFrame(&buf); fr.err != nil {
+		t.Fatal(fr.err)
 	}
-	if _, err := fr.bytes(); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("overrunning field: %v", err)
+	if b := fr.bytes(); b != nil || !errors.Is(fr.err, ErrBadFrame) {
+		t.Fatalf("overrunning field: %q, %v", b, fr.err)
+	}
+	// The failure sticks: every later read is a zero value and the first
+	// error stays.
+	first := fr.err
+	if v, n, b := fr.uvarint(), fr.count(1), fr.optBytes(); v != 0 || n != 0 || b != nil || fr.err != first {
+		t.Fatalf("after a failure: %d, %d, %q, %v", v, n, b, fr.err)
 	}
 }

@@ -2,11 +2,8 @@ package hbase
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"math"
 	"net"
-	"time"
 
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/telemetry"
@@ -133,214 +130,66 @@ func (t *tcpTransport) conn(srv *RegionServer) (*tcpConn, error) {
 	return c, nil
 }
 
-// call sends the request frame and reads the response into resp. On
-// transport errors the connection is discarded so the next call redials.
-// For sampled operations the server's span block is parsed off the response
-// and stitched under sp's trace before any result field is read.
-func (t *tcpTransport) call(srv *RegionServer, req *frameWriter, resp *frameReader, sp telemetry.TSpan) error {
-	c, err := t.conn(srv)
-	if err != nil {
-		return err
+// call sends tr's region an op request — the trace header when sp is
+// sampled, then the fields encode writes — and returns the response with
+// its status read: a server error, a load-shed, a failed round trip or a
+// malformed frame is the response's err, and every result read behind it is
+// a zero value. For sampled operations the server's span block is stitched
+// under sp's trace. A failed write or read discards the connection, so the
+// next call redials; a server error or a load-shed leaves it usable.
+func (t *tcpTransport) call(tr *tableRegion, op byte, sp telemetry.TSpan, encode func(req *frameWriter)) (resp frameReader) {
+	var req frameWriter
+	req.request(op, sp, tr.info.Name)
+	encode(&req)
+	c, err := t.conn(tr.primary)
+	if err == nil {
+		err = req.flush(c.c)
 	}
-	fail := func(err error) error {
+	if err != nil {
+		resp.fail(err)
+	} else {
+		resp.readFrame(c.r)
+	}
+	if resp.err != nil && c != nil {
 		c.c.Close()
-		delete(t.conns, srv)
-		return err
+		delete(t.conns, tr.primary)
 	}
-	if err := req.flush(c.c); err != nil {
-		return fail(err)
-	}
-	if err := resp.readFrame(c.r); err != nil {
-		return fail(err)
-	}
-	if resp.op == statusErr {
-		msg, err := resp.str()
-		if err != nil {
-			return fail(err)
-		}
-		return errors.New(msg) // server-side error; connection stays usable
-	}
-	if resp.op == statusOverloaded {
-		us, err := resp.uvarint()
-		if err != nil {
-			return fail(err)
-		}
-		// A shed is a healthy refusal: reconstruct the typed retryable
-		// error; the connection stays usable for the retry.
-		return &OverloadedError{RetryAfter: time.Duration(us) * time.Microsecond}
-	}
-	if resp.op != statusOK {
-		return fail(fmt.Errorf("%w: status %d", ErrBadFrame, resp.op))
-	}
-	spans, err := resp.spans()
-	if err != nil {
-		return fail(err)
-	}
-	sp.AddRemoteSpans(spans)
-	return nil
+	resp.status(sp)
+	return resp
 }
 
 func (t *tcpTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
-	var req frameWriter
-	var resp frameReader
-	req.reset(opMutate)
-	req.trace(sp)
-	req.str(tr.info.Name)
-	req.uvarint(uint64(len(batch)))
-	for _, m := range batch {
-		if m.Delete {
-			req.uvarint(1)
-		} else {
-			req.uvarint(0)
-		}
-		req.bytes(m.Key)
-		req.bytes(m.Value)
-	}
-	return t.call(tr.primary, &req, &resp, sp)
+	return t.call(tr, opMutate, sp, func(req *frameWriter) { req.mutations(batch) }).err
 }
 
 func (t *tcpTransport) get(tr *tableRegion, key []byte, sp telemetry.TSpan) ([]byte, bool, error) {
-	var req frameWriter
-	var resp frameReader
-	req.reset(opGet)
-	req.trace(sp)
-	req.str(tr.info.Name)
-	req.bytes(key)
-	if err := t.call(tr.primary, &req, &resp, sp); err != nil {
-		return nil, false, err
-	}
-	found, err := resp.uvarint()
-	if err != nil {
-		return nil, false, err
-	}
-	if found == 0 {
-		return nil, false, nil
-	}
-	v, err := resp.bytes()
-	if err != nil {
-		return nil, false, err
-	}
-	return append([]byte(nil), v...), true, nil
+	resp := t.call(tr, opGet, sp, func(req *frameWriter) { req.bytes(key) })
+	v, found := resp.value()
+	return v, found, resp.err
 }
 
 func (t *tcpTransport) openScanner(tr *tableRegion, lo, hi []byte, limit int, sp telemetry.TSpan) (uint64, error) {
-	var req frameWriter
-	var resp frameReader
-	req.reset(opScanOpen)
-	req.trace(sp)
-	req.str(tr.info.Name)
-	req.optBytes(lo)
-	req.optBytes(hi)
-	req.uvarint(uint64(max(limit, 0)))
-	if err := t.call(tr.primary, &req, &resp, sp); err != nil {
-		return 0, err
-	}
-	return resp.uvarint()
+	resp := t.call(tr, opScanOpen, sp, func(req *frameWriter) { req.scanOpen(lo, hi, limit) })
+	id := resp.uvarint()
+	return id, resp.err
 }
 
 func (t *tcpTransport) scanNext(tr *tableRegion, id uint64, chunk int, sp telemetry.TSpan) ([]Row, bool, error) {
-	var req frameWriter
-	var resp frameReader
-	req.reset(opScanNext)
-	req.trace(sp)
-	req.str(tr.info.Name)
-	req.uvarint(id)
-	req.uvarint(uint64(max(chunk, 0)))
-	if err := t.call(tr.primary, &req, &resp, sp); err != nil {
-		return nil, false, err
-	}
-	more, err := resp.uvarint()
-	if err != nil {
-		return nil, false, err
-	}
-	n, err := resp.count(2) // a row is at least two lengths
-	if err != nil {
-		return nil, false, err
-	}
-	rows := make([]Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := resp.bytes()
-		if err != nil {
-			return nil, false, err
-		}
-		v, err := resp.bytes()
-		if err != nil {
-			return nil, false, err
-		}
-		rows = append(rows, Row{Key: k, Value: v})
-	}
-	// The rows alias the frame buffer; hand its ownership to them instead
-	// of re-copying every key and value. resp is stack-local, so dropping
-	// the reference is all the detaching needed.
-	return rows, more == 1, nil
+	resp := t.call(tr, opScanNext, sp, func(req *frameWriter) { req.scanNext(id, chunk) })
+	rows, more := resp.chunk()
+	return rows, more, resp.err
 }
 
 func (t *tcpTransport) aggregate(tr *tableRegion, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs, sp telemetry.TSpan) (lsm.AggResult, error) {
-	var req frameWriter
-	var resp frameReader
-	req.reset(opAggregate)
-	req.trace(sp)
-	req.str(tr.info.Name)
-	req.optBytes(lo)
-	req.optBytes(hi)
-	req.uvarint(uint64(minTS))
-	req.uvarint(uint64(maxTS))
-	req.uvarint(uint64(windowMS))
-	req.uvarint(uint64(funcs))
-	if err := t.call(tr.primary, &req, &resp, sp); err != nil {
-		return lsm.AggResult{}, err
-	}
-	var res lsm.AggResult
-	folded, err := resp.uvarint()
-	if err != nil {
-		return lsm.AggResult{}, err
-	}
-	res.RowsFolded = int64(folded)
-	n, err := resp.uvarint()
-	if err != nil {
-		return lsm.AggResult{}, err
-	}
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096 // bound the pre-allocation; a bogus count fails below
-	}
-	res.Windows = make([]lsm.WindowAgg, 0, capHint)
-	for i := uint64(0); i < n; i++ {
-		var w lsm.WindowAgg
-		series, err := resp.bytes()
-		if err != nil {
-			return lsm.AggResult{}, err
-		}
-		w.Series = append([]byte(nil), series...)
-		ws, err := resp.uvarint()
-		if err != nil {
-			return lsm.AggResult{}, err
-		}
-		w.WindowStart = int64(ws)
-		count, err := resp.uvarint()
-		if err != nil {
-			return lsm.AggResult{}, err
-		}
-		w.Count = int64(count)
-		for _, dst := range []*float64{&w.Min, &w.Max, &w.Sum} {
-			bits, err := resp.uvarint()
-			if err != nil {
-				return lsm.AggResult{}, err
-			}
-			*dst = math.Float64frombits(bits)
-		}
-		res.Windows = append(res.Windows, w)
-	}
-	return res, nil
+	resp := t.call(tr, opAggregate, sp, func(req *frameWriter) { req.aggregate(lo, hi, minTS, maxTS, windowMS, funcs) })
+	res := resp.aggResult()
+	return res, resp.err
 }
 
-func (t *tcpTransport) closeScanner(tr *tableRegion, id uint64, sp telemetry.TSpan) error {
-	var req frameWriter
-	var resp frameReader
-	req.reset(opScanClose)
-	req.str(tr.info.Name)
-	req.uvarint(id)
-	return t.call(tr.primary, &req, &resp, sp)
+// closeScanner sends no trace header: Scanner.Close abandons a session
+// outside any sampled operation.
+func (t *tcpTransport) closeScanner(tr *tableRegion, id uint64, _ telemetry.TSpan) error {
+	return t.call(tr, opScanClose, telemetry.TSpan{}, func(req *frameWriter) { req.uvarint(id) }).err
 }
 
 func (t *tcpTransport) close() error {

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"time"
 
+	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/telemetry"
 )
 
@@ -19,29 +22,37 @@ import (
 //	uint32  payload length (little endian)
 //	byte    opcode (request) or status (response)
 //	byte    flags (trace header / span block present)
-//	payload fields, each length-prefixed with a uvarint
+//	fields  uvarints, and byte strings behind their uvarint length
 //
-// Requests carry an optional trace header (trace id + parent span id, when
-// the operation is sampled), then the region name followed by op-specific
-// fields; responses carry a status byte (statusOK/statusErr), an optional
-// span block (the server-side spans of a sampled operation, shipped back
-// for client-side stitching), and either results or an error string. The
+// A request starts with the trace header of a sampled operation and the
+// region name. A response starts with the span block of a sampled operation
+// (its server-side spans, for client-side stitching), unless it is an error
+// string (statusErr) or a retry-after hint (statusOverloaded). The op's
+// fields follow; each message's encoder (a frameWriter method) and decoder
+// (the frameReader method of the same name) sit side by side below:
+//
+//	op           request fields                   response fields
+//	opMutate     count, {delete, key, value}      -
+//	opGet        key                              found, [value]
+//	opScanOpen   lo?, hi?, limit                  scanner id
+//	opScanNext   scanner id, chunk                more, count, {key, value}
+//	opScanClose  scanner id                       -
+//	opAggregate  lo?, hi?, minTS, maxTS,          rows folded, count, {series,
+//	             windowMS, funcs                  start, count, min, max, sum}
+//
+// where lo? and hi? are byte strings behind a nil/present marker byte. The
 // protocol is deliberately minimal: one outstanding request per connection,
 // matching the one-client-per-worker-thread model.
 
 // opcodes. Scans are a session of three ops (open, a next per chunk,
-// close), the wire form of the server's scanner sessions; the retired
-// one-shot scan op (formerly opcode 3) shipped a whole region scan as a
-// single frame.
+// close), the wire form of the server's scanner sessions; opAggregate is
+// the aggregation pushdown, answered with per-(series, window) partials.
 const (
 	opMutate    byte = 1
 	opGet       byte = 2
 	opScanOpen  byte = 3
 	opScanNext  byte = 4
 	opScanClose byte = 5
-	// opAggregate is the aggregation-pushdown RPC: the request carries the
-	// key range, time range, window width and function mask; the response
-	// carries per-(series, window) partial aggregates instead of rows.
 	opAggregate byte = 6
 )
 
@@ -69,35 +80,302 @@ const maxFrame = 256 << 20
 // ErrBadFrame reports a malformed wire message.
 var ErrBadFrame = errors.New("hbase: malformed wire frame")
 
-// frameWriter accumulates one frame's payload.
+// frameWriter accumulates one frame: the length prefix, reserved until
+// flush, then the op/status and flags bytes and the fields.
 type frameWriter struct {
 	buf []byte
 }
+
+// flagsIdx locates the flags byte inside the writer's buffer (after the
+// 4-byte length prefix and the op/status byte); headerLen is where a
+// frame's fields start.
+const (
+	flagsIdx  = 5
+	headerLen = flagsIdx + 1
+)
 
 func (f *frameWriter) reset(op byte) {
 	f.buf = append(f.buf[:0], 0, 0, 0, 0, op, 0)
 }
 
-// flagsIdx locates the flags byte inside the writer's buffer (after the
-// 4-byte length prefix and the op/status byte).
-const flagsIdx = 5
-
-// trace writes the request trace header for a sampled operation. Must be
-// called immediately after reset, before any other field. A no-op for
-// untraced spans, so every request path can call it unconditionally.
-func (f *frameWriter) trace(sp telemetry.TSpan) {
-	ctx := sp.Context()
-	if !ctx.Sampled {
-		return
-	}
-	f.buf[flagsIdx] |= flagTrace
-	f.uvarint(ctx.TraceID)
-	f.uvarint(ctx.SpanID)
+func (f *frameWriter) uvarint(v uint64) {
+	f.buf = binary.AppendUvarint(f.buf, v)
 }
 
-// headerLen is where a frame's fields start: after the length prefix, the
-// op/status byte and the flags byte.
-const headerLen = flagsIdx + 1
+func (f *frameWriter) bytes(b []byte) {
+	f.buf = binary.AppendUvarint(f.buf, uint64(len(b)))
+	f.buf = append(f.buf, b...)
+}
+
+func (f *frameWriter) str(s string) {
+	f.buf = binary.AppendUvarint(f.buf, uint64(len(s)))
+	f.buf = append(f.buf, s...)
+}
+
+// flag writes a boolean as the uvarint 0 or 1.
+func (f *frameWriter) flag(b bool) {
+	if b {
+		f.buf = append(f.buf, 1)
+	} else {
+		f.buf = append(f.buf, 0)
+	}
+}
+
+// nilMarker distinguishes nil scan bounds from empty ones on the wire.
+const (
+	markerNil   byte = 0
+	markerBytes byte = 1
+)
+
+func (f *frameWriter) optBytes(b []byte) {
+	if b == nil {
+		f.buf = append(f.buf, markerNil)
+		return
+	}
+	f.buf = append(f.buf, markerBytes)
+	f.bytes(b)
+}
+
+// flush writes the frame to w in one Write: the buffer starts with its own
+// length prefix. A frame no reader would accept is refused here, before its
+// length could wrap the prefix.
+func (f *frameWriter) flush(w io.Writer) error {
+	n := len(f.buf) - 4
+	if n > maxFrame {
+		return fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrBadFrame, n, maxFrame)
+	}
+	binary.LittleEndian.PutUint32(f.buf[:4], uint32(n))
+	_, err := w.Write(f.buf)
+	return err
+}
+
+// frameReader decodes one frame's payload. Decoding is sticky: the first
+// read that fails records err, and every read after it returns a zero value
+// (0, nil, "", a count of 0 that ends decode loops), so a message decodes
+// field after field and its reader checks err once, at the end. The bounds
+// are those of a reader that stops at the first error: no field runs past
+// the frame and no count exceeds what the bytes left can hold.
+type frameReader struct {
+	op    byte
+	flags byte
+	buf   []byte
+	off   int
+	err   error
+}
+
+// readFrame reads a whole frame from r and starts decoding it at the first
+// field. A failed read is err: io.EOF signals a clean connection close.
+func (f *frameReader) readFrame(r io.Reader) {
+	f.err = nil
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		f.fail(err)
+		return
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n < 2 || n > maxFrame {
+		f.malformed("frame length %d", n)
+		return
+	}
+	if cap(f.buf) < int(n) {
+		f.buf = make([]byte, n)
+	}
+	f.buf = f.buf[:n]
+	if _, err := io.ReadFull(r, f.buf); err != nil {
+		f.malformed("truncated frame: %v", err)
+		return
+	}
+	f.op, f.flags, f.off = f.buf[0], f.buf[1], 2
+}
+
+// fail records err, unless an earlier failure is recorded, and moves to the
+// end of the frame so that every later read fails and returns a zero value.
+func (f *frameReader) fail(err error) {
+	if f.err == nil {
+		f.err = err
+	}
+	f.off = len(f.buf)
+}
+
+// malformed fails the frame with an ErrBadFrame. After a failure every read
+// lands here, and then there is nothing left to record.
+func (f *frameReader) malformed(format string, args ...any) {
+	if f.err == nil {
+		f.fail(fmt.Errorf("%w: "+format, append([]any{ErrBadFrame}, args...)...))
+	}
+}
+
+func (f *frameReader) uvarint() uint64 {
+	v, n := binary.Uvarint(f.buf[f.off:])
+	if n <= 0 {
+		f.malformed("bad uvarint")
+		return 0
+	}
+	f.off += n
+	return v
+}
+
+// bytes returns a field aliasing the frame buffer.
+func (f *frameReader) bytes() []byte {
+	n, sz := binary.Uvarint(f.buf[f.off:])
+	if sz <= 0 || uint64(len(f.buf)-f.off-sz) < n {
+		f.malformed("bad field length")
+		return nil
+	}
+	f.off += sz
+	out := f.buf[f.off : f.off+int(n)]
+	f.off += int(n)
+	return out
+}
+
+func (f *frameReader) str() string {
+	return string(f.bytes())
+}
+
+func (f *frameReader) optBytes() []byte {
+	if f.off >= len(f.buf) {
+		f.malformed("missing optional marker")
+		return nil
+	}
+	f.off++
+	if f.buf[f.off-1] == markerNil {
+		return nil
+	}
+	return f.bytes()
+}
+
+// count reads an element count and refuses one the rest of the frame could
+// not hold at min bytes an element, so no number off the wire sizes an
+// allocation beyond the bytes that follow it. Every count the protocol
+// carries is read here.
+func (f *frameReader) count(min int) int {
+	n := f.uvarint()
+	if left := len(f.buf) - f.off; n > uint64(left/min) {
+		f.malformed("%d elements in %d bytes", n, left)
+		return 0
+	}
+	return int(n)
+}
+
+// wireCount turns a row count off the wire into an int. One too large for
+// int is, for any range a region can hold, the same as the largest int.
+func wireCount(v uint64) int {
+	return int(min(v, math.MaxInt))
+}
+
+// request starts a request frame: the op, the trace header of a sampled
+// operation, and the region name. The op's fields follow.
+func (f *frameWriter) request(op byte, sp telemetry.TSpan, region string) {
+	f.reset(op)
+	if ctx := sp.Context(); ctx.Sampled {
+		f.buf[flagsIdx] |= flagTrace
+		f.uvarint(ctx.TraceID)
+		f.uvarint(ctx.SpanID)
+	}
+	f.str(region)
+}
+
+func (f *frameReader) request() (ctx telemetry.TraceContext, region string) {
+	if f.flags&flagTrace != 0 {
+		ctx = telemetry.TraceContext{TraceID: f.uvarint(), SpanID: f.uvarint(), Sampled: true}
+	}
+	return ctx, f.str()
+}
+
+// mutations is an opMutate request's batch.
+func (f *frameWriter) mutations(batch []Mutation) {
+	f.uvarint(uint64(len(batch)))
+	for _, m := range batch {
+		f.flag(m.Delete)
+		f.bytes(m.Key)
+		f.bytes(m.Value)
+	}
+}
+
+// mutations copies keys and values out of the frame, which the connection
+// reuses for its next request.
+func (f *frameReader) mutations() []Mutation {
+	batch := make([]Mutation, f.count(3)) // a flag and two lengths at least
+	for i := range batch {
+		m := &batch[i]
+		m.Delete = f.uvarint() == 1
+		m.Key = append([]byte(nil), f.bytes()...)
+		m.Value = append([]byte(nil), f.bytes()...)
+	}
+	return batch
+}
+
+// scanOpen is an opScanOpen request: the bounds and the row limit (0 for
+// none).
+func (f *frameWriter) scanOpen(lo, hi []byte, limit int) {
+	f.optBytes(lo)
+	f.optBytes(hi)
+	f.uvarint(uint64(max(limit, 0)))
+}
+
+func (f *frameReader) scanOpen() (lo, hi []byte, limit int) {
+	return f.optBytes(), f.optBytes(), wireCount(f.uvarint())
+}
+
+// scanNext is an opScanNext request: the scanner and the rows wanted.
+func (f *frameWriter) scanNext(id uint64, chunk int) {
+	f.uvarint(id)
+	f.uvarint(uint64(max(chunk, 0)))
+}
+
+func (f *frameReader) scanNext() (id uint64, chunk int) {
+	return f.uvarint(), wireCount(f.uvarint())
+}
+
+// aggregate is an opAggregate request.
+func (f *frameWriter) aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs) {
+	f.optBytes(lo)
+	f.optBytes(hi)
+	f.uvarint(uint64(minTS))
+	f.uvarint(uint64(maxTS))
+	f.uvarint(uint64(windowMS))
+	f.uvarint(uint64(funcs))
+}
+
+func (f *frameReader) aggregate() (lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs) {
+	return f.optBytes(), f.optBytes(), int64(f.uvarint()), int64(f.uvarint()), int64(f.uvarint()),
+		lsm.AggFuncs(f.uvarint())
+}
+
+// failure starts the frame over as the response to a request that failed:
+// a load-shed's retry-after hint, or the error's text.
+func (f *frameWriter) failure(err error) {
+	var over *OverloadedError
+	if errors.As(err, &over) {
+		f.reset(statusOverloaded)
+		f.uvarint(uint64(over.RetryAfter.Microseconds()))
+		return
+	}
+	f.reset(statusErr)
+	f.str(err.Error())
+}
+
+// status reads a response's status and, under statusOK, its span block,
+// which it stitches under sp. A server error or a load-shed becomes err —
+// the value the in-process transport would have returned — so the results
+// behind it read as zero values like those of a malformed frame.
+func (f *frameReader) status(sp telemetry.TSpan) {
+	if f.err != nil {
+		return
+	}
+	switch f.op {
+	case statusOK:
+		if spans := f.spans(); f.err == nil {
+			sp.AddRemoteSpans(spans)
+		}
+	case statusErr:
+		f.fail(errors.New(f.str()))
+	case statusOverloaded:
+		f.fail(&OverloadedError{RetryAfter: time.Duration(f.uvarint()) * time.Microsecond})
+	default:
+		f.malformed("status %d", f.op)
+	}
+}
 
 // spans puts the response span block — the server-side spans of a sampled
 // operation, shipped back for client-side stitching — right after the
@@ -127,6 +405,38 @@ func (f *frameWriter) spans(spans []telemetry.SpanRecord) {
 	copy(f.buf[headerLen:], block)
 }
 
+func (f *frameReader) spans() []telemetry.SpanRecord {
+	if f.flags&flagSpans == 0 {
+		return nil
+	}
+	spans := make([]telemetry.SpanRecord, f.count(6)) // four uvarints, two lengths
+	for i := range spans {
+		s := &spans[i]
+		s.SpanID = f.uvarint()
+		s.ParentID = f.uvarint()
+		s.StartNs = int64(f.uvarint())
+		s.DurNs = int64(f.uvarint())
+		s.Name = f.str()
+		s.Service = f.str()
+	}
+	return spans
+}
+
+// value is an opGet response: whether the key was found, and its value.
+func (f *frameWriter) value(v []byte, found bool) {
+	f.flag(found)
+	if found {
+		f.bytes(v)
+	}
+}
+
+func (f *frameReader) value() ([]byte, bool) {
+	if f.uvarint() == 0 {
+		return nil, false
+	}
+	return append([]byte(nil), f.bytes()...), true
+}
+
 // countWidth is the fixed width of a chunk's row count on the wire: a
 // uvarint padded with continuation bytes, which uvarint readers decode as
 // usual, so it can be filled in behind rows already written. The constant
@@ -135,8 +445,9 @@ const countWidth = 3
 
 const _ = uint(1<<(7*countWidth) - 1 - scanChunkBytes/2)
 
-// beginChunk reserves the head of a scan chunk — the more flag and the row
-// count, known only after the rows that follow — and returns its position.
+// beginChunk reserves the head of an opScanNext response — the more flag
+// and the row count, known only after the rows that follow — and returns
+// its position.
 func (f *frameWriter) beginChunk() int {
 	at := len(f.buf)
 	f.buf = append(f.buf, make([]byte, 1+countWidth)...)
@@ -161,183 +472,44 @@ func (f *frameWriter) endChunk(at, n int, more bool) {
 	f.buf[at+countWidth] = byte(n)
 }
 
-func (f *frameWriter) bytes(b []byte) {
-	f.buf = binary.AppendUvarint(f.buf, uint64(len(b)))
-	f.buf = append(f.buf, b...)
+// chunk decodes an opScanNext response. The rows alias the frame buffer,
+// whose ownership passes to them instead of every key and value being
+// copied again; the caller must not reuse the reader's buffer.
+func (f *frameReader) chunk() (rows []Row, more bool) {
+	more = f.uvarint() == 1
+	rows = make([]Row, f.count(2)) // two lengths at least
+	for i := range rows {
+		rows[i] = Row{Key: f.bytes(), Value: f.bytes()}
+	}
+	return rows, more
 }
 
-func (f *frameWriter) str(s string) {
-	f.buf = binary.AppendUvarint(f.buf, uint64(len(s)))
-	f.buf = append(f.buf, s...)
+// aggResult is an opAggregate response.
+func (f *frameWriter) aggResult(res lsm.AggResult) {
+	f.uvarint(uint64(res.RowsFolded))
+	f.uvarint(uint64(len(res.Windows)))
+	for i := range res.Windows {
+		w := &res.Windows[i]
+		f.bytes(w.Series)
+		f.uvarint(uint64(w.WindowStart))
+		f.uvarint(uint64(w.Count))
+		f.uvarint(math.Float64bits(w.Min))
+		f.uvarint(math.Float64bits(w.Max))
+		f.uvarint(math.Float64bits(w.Sum))
+	}
 }
 
-func (f *frameWriter) uvarint(v uint64) {
-	f.buf = binary.AppendUvarint(f.buf, v)
-}
-
-// flush writes the frame to w in one Write: the buffer starts with its own
-// length prefix. A frame no reader would accept is refused here, before its
-// length could wrap the prefix.
-func (f *frameWriter) flush(w io.Writer) error {
-	n := len(f.buf) - 4
-	if n > maxFrame {
-		return fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrBadFrame, n, maxFrame)
+func (f *frameReader) aggResult() lsm.AggResult {
+	res := lsm.AggResult{RowsFolded: int64(f.uvarint())}
+	res.Windows = make([]lsm.WindowAgg, f.count(6)) // a length and five uvarints at least
+	for i := range res.Windows {
+		w := &res.Windows[i]
+		w.Series = append([]byte(nil), f.bytes()...)
+		w.WindowStart = int64(f.uvarint())
+		w.Count = int64(f.uvarint())
+		w.Min = math.Float64frombits(f.uvarint())
+		w.Max = math.Float64frombits(f.uvarint())
+		w.Sum = math.Float64frombits(f.uvarint())
 	}
-	binary.LittleEndian.PutUint32(f.buf[:4], uint32(n))
-	_, err := w.Write(f.buf)
-	return err
-}
-
-// frameReader parses one frame's payload.
-type frameReader struct {
-	op    byte
-	flags byte
-	buf   []byte
-	off   int
-}
-
-// readFrame reads a whole frame from r.
-func (f *frameReader) readFrame(r io.Reader) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err // io.EOF signals clean connection close
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 2 || n > maxFrame {
-		return fmt.Errorf("%w: frame length %d", ErrBadFrame, n)
-	}
-	if cap(f.buf) < int(n) {
-		f.buf = make([]byte, n)
-	}
-	f.buf = f.buf[:n]
-	if _, err := io.ReadFull(r, f.buf); err != nil {
-		return fmt.Errorf("%w: truncated frame: %v", ErrBadFrame, err)
-	}
-	f.op = f.buf[0]
-	f.flags = f.buf[1]
-	f.off = 2
-	return nil
-}
-
-// traceContext parses the request trace header, if present. Must be called
-// before any other field read.
-func (f *frameReader) traceContext() (telemetry.TraceContext, error) {
-	if f.flags&flagTrace == 0 {
-		return telemetry.TraceContext{}, nil
-	}
-	tid, err := f.uvarint()
-	if err != nil {
-		return telemetry.TraceContext{}, err
-	}
-	sid, err := f.uvarint()
-	if err != nil {
-		return telemetry.TraceContext{}, err
-	}
-	return telemetry.TraceContext{TraceID: tid, SpanID: sid, Sampled: true}, nil
-}
-
-// spans parses the response span block, if present. Must be called before
-// any result field read.
-func (f *frameReader) spans() ([]telemetry.SpanRecord, error) {
-	if f.flags&flagSpans == 0 {
-		return nil, nil
-	}
-	n, err := f.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	capHint := n
-	if capHint > 1024 {
-		capHint = 1024 // bound the pre-allocation; a bogus count fails below
-	}
-	out := make([]telemetry.SpanRecord, 0, capHint)
-	for i := uint64(0); i < n; i++ {
-		var s telemetry.SpanRecord
-		if s.SpanID, err = f.uvarint(); err != nil {
-			return nil, err
-		}
-		if s.ParentID, err = f.uvarint(); err != nil {
-			return nil, err
-		}
-		start, err := f.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		dur, err := f.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		s.StartNs, s.DurNs = int64(start), int64(dur)
-		if s.Name, err = f.str(); err != nil {
-			return nil, err
-		}
-		if s.Service, err = f.str(); err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func (f *frameReader) bytes() ([]byte, error) {
-	n, sz := binary.Uvarint(f.buf[f.off:])
-	if sz <= 0 || uint64(len(f.buf)-f.off-sz) < n {
-		return nil, fmt.Errorf("%w: bad field length", ErrBadFrame)
-	}
-	f.off += sz
-	out := f.buf[f.off : f.off+int(n)]
-	f.off += int(n)
-	return out, nil
-}
-
-func (f *frameReader) str() (string, error) {
-	b, err := f.bytes()
-	return string(b), err
-}
-
-// count reads an element count and refuses one the rest of the frame could
-// not hold at min bytes an element, so no number off the wire sizes an
-// allocation.
-func (f *frameReader) count(min int) (uint64, error) {
-	n, err := f.uvarint()
-	if err == nil && n > uint64((len(f.buf)-f.off)/min) {
-		err = fmt.Errorf("%w: %d elements in %d bytes", ErrBadFrame, n, len(f.buf)-f.off)
-	}
-	return n, err
-}
-
-func (f *frameReader) uvarint() (uint64, error) {
-	v, sz := binary.Uvarint(f.buf[f.off:])
-	if sz <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrBadFrame)
-	}
-	f.off += sz
-	return v, nil
-}
-
-// nilMarker distinguishes nil scan bounds from empty ones on the wire.
-const (
-	markerNil   byte = 0
-	markerBytes byte = 1
-)
-
-func (f *frameWriter) optBytes(b []byte) {
-	if b == nil {
-		f.buf = append(f.buf, markerNil)
-		return
-	}
-	f.buf = append(f.buf, markerBytes)
-	f.bytes(b)
-}
-
-func (f *frameReader) optBytes() ([]byte, error) {
-	if f.off >= len(f.buf) {
-		return nil, fmt.Errorf("%w: missing optional marker", ErrBadFrame)
-	}
-	marker := f.buf[f.off]
-	f.off++
-	if marker == markerNil {
-		return nil, nil
-	}
-	return f.bytes()
+	return res
 }

@@ -1,0 +1,144 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// frameRecord frames rec the way Append writes it.
+func frameRecord(rec string) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(rec)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum([]byte(rec), crcTable))
+	return append(b, rec...)
+}
+
+// leadingRecords models replay: the records of data in order up to the
+// first that is not intact, and whether every byte of data was an intact
+// record.
+func leadingRecords(data []byte) (recs [][]byte, whole bool) {
+	for len(data) > 0 {
+		if len(data) < headerLen {
+			return recs, false
+		}
+		n := uint64(binary.LittleEndian.Uint32(data))
+		if n == 0 || n > MaxRecordSize || n > uint64(len(data)-headerLen) {
+			return recs, false
+		}
+		rec := data[headerLen : headerLen+n]
+		if crc32.Checksum(rec, crcTable) != binary.LittleEndian.Uint32(data[4:]) {
+			return recs, false
+		}
+		recs = append(recs, rec)
+		data = data[headerLen+n:]
+	}
+	return recs, true
+}
+
+// replayBytes replays data as one segment, the last or an earlier one, and
+// checks the outcome against leadingRecords: fn is handed exactly the
+// leading intact records; the last segment replays without error; an
+// earlier one returns nil when every byte is an intact record and
+// ErrCorrupt otherwise. It returns the records replayed.
+func replayBytes(t *testing.T, data []byte, last bool) [][]byte {
+	t.Helper()
+	var got [][]byte
+	err := replaySegment(bytes.NewReader(data), int64(len(data)), "wal-00000001.log", last, nil, func(rec []byte) error {
+		got = append(got, rec)
+		return nil
+	})
+	want, whole := leadingRecords(data)
+	if last || whole {
+		if err != nil {
+			t.Fatalf("replay (last %v) of %d bytes: %v", last, len(data), err)
+		}
+	} else if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replay of a damaged earlier segment: %v, want ErrCorrupt", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay (last %v) handed %q, want the leading intact records %q", last, got, want)
+	}
+	return got
+}
+
+// replaySeed is one of FuzzWALReplay's seeds: a segment's bytes and the
+// records replay hands on from it.
+type replaySeed struct {
+	name    string
+	data    []byte
+	records int
+}
+
+func replaySeeds() []replaySeed {
+	valid := append(frameRecord("one"), frameRecord("two")...)
+	tail := func(b []byte) []byte { return append(append([]byte(nil), valid...), b...) }
+	crc := tail(nil)
+	crc[len(crc)-1] ^= 0xff
+	return []replaySeed{
+		{"valid", valid, 2},
+		{"zero-tail", tail(make([]byte, 4096)), 2},
+		{"ff-header", tail(bytes.Repeat([]byte{0xff}, 8)), 2},
+		{"torn-header", tail([]byte{3, 0, 0}), 2},
+		{"torn-body", tail(frameRecord("three")[:headerLen+2]), 2},
+		{"crc-mismatch", crc, 1},
+	}
+}
+
+// FuzzWALReplay feeds arbitrary bytes to replay as the only segment and as
+// an earlier one. Replay never panics, hands on exactly the leading intact
+// records, tolerates any tail in the last segment and refuses a damaged
+// earlier one with ErrCorrupt.
+func FuzzWALReplay(f *testing.F) {
+	for _, s := range replaySeeds() {
+		f.Add(s.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		replayBytes(t, data, true)
+		replayBytes(t, data, false)
+	})
+}
+
+// TestWALReplaySeeds runs FuzzWALReplay's seeds as a plain test, with the
+// record count each must replay.
+func TestWALReplaySeeds(t *testing.T) {
+	for _, s := range replaySeeds() {
+		if got := replayBytes(t, s.data, true); len(got) != s.records {
+			t.Errorf("%s: replayed %d records, want %d", s.name, len(got), s.records)
+		}
+		replayBytes(t, s.data, false)
+	}
+}
+
+// TestTornTailLastVersusEarlierSegment: each tail a crash can leave ends
+// replay quietly while its segment is the last, and is ErrCorrupt once a
+// later segment exists.
+func TestTornTailLastVersusEarlierSegment(t *testing.T) {
+	for _, s := range replaySeeds() {
+		if _, whole := leadingRecords(s.data); whole {
+			continue
+		}
+		t.Run(s.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seg := filepath.Join(dir, segmentName(1))
+			if err := os.WriteFile(seg, s.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got := replayAll(t, dir); len(got) != s.records {
+				t.Fatalf("last segment: replayed %d records, want %d", len(got), s.records)
+			}
+			l := openTest(t, Options{Dir: dir}) // appends go to segment 2
+			if err := l.Append([]byte("later")); err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+			if err := Replay(dir, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("earlier segment: %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}

@@ -200,7 +200,8 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 // Append writes the records as one atomic group: either all records are
 // durable after a successful return (under SyncOnAppend) or, after a crash,
 // replay stops at the first incomplete record. Concurrent appenders under
-// SyncOnAppend share fsyncs via group commit.
+// SyncOnAppend share fsyncs via group commit. A record must hold 1 to
+// MaxRecordSize bytes.
 func (l *Log) Append(records ...[]byte) error {
 	return l.AppendTraced(telemetry.TSpan{}, records...)
 }
@@ -215,18 +216,24 @@ func (l *Log) AppendTraced(parent telemetry.TSpan, records ...[]byte) error {
 	return err
 }
 
+// errEmptyRecord refuses an empty record: replay reads a zero length as the
+// zero-filled tail a crash can leave.
+var errEmptyRecord = errors.New("wal: empty record")
+
 // append is the untimed body of Append.
 func (l *Log) append(records [][]byte, trace telemetry.TSpan) error {
+	for _, rec := range records {
+		if len(rec) == 0 {
+			return errEmptyRecord
+		}
+		if len(rec) > MaxRecordSize {
+			return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(rec))
+		}
+	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
-	}
-	for _, rec := range records {
-		if len(rec) > MaxRecordSize {
-			l.mu.Unlock()
-			return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(rec))
-		}
 	}
 	start := l.appended
 	for _, rec := range records {
@@ -435,9 +442,13 @@ func (l *Log) Close() error {
 }
 
 // Replay invokes fn for every intact record across all segments in append
-// order. A torn or corrupt tail record ends replay without error (that is
-// the crash-recovery contract); corruption in the middle of a segment
-// returns ErrCorrupt.
+// order. A record is intact when its header is whole, its length is neither
+// 0 nor over MaxRecordSize, its body lies inside the file and its CRC
+// matches. In the last segment the first record that is not intact ends
+// replay without error — it is what a crash leaves at the tail: a
+// half-written record, or the zeros of a file extended but never written —
+// so damage anywhere in the last segment drops the records behind it. In
+// any earlier segment the same damage is ErrCorrupt.
 func Replay(dir string, fn func(record []byte) error) error {
 	return ReplayLog(dir, nil, fn)
 }
@@ -458,63 +469,71 @@ func ReplayLog(dir string, logger *telemetry.Logger, fn func(record []byte) erro
 		return err
 	}
 	for i, seq := range segs {
-		last := i == len(segs)-1
-		if err := replaySegment(filepath.Join(dir, segmentName(seq)), last, logger, fn); err != nil {
+		if err := replayFile(filepath.Join(dir, segmentName(seq)), i == len(segs)-1, logger, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func replaySegment(path string, tolerateTornTail bool, logger *telemetry.Logger, fn func([]byte) error) error {
+func replayFile(path string, last bool, logger *telemetry.Logger, fn func([]byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("wal: open for replay: %w", err)
 	}
 	defer f.Close()
-	tornTail := func(reason string, recs int64) {
-		logger.Warn("wal replay stopped at torn tail record",
-			telemetry.F("segment", filepath.Base(path)),
-			telemetry.F("reason", reason),
-			telemetry.F("records_replayed", recs))
+	info, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: stat for replay: %w", err)
 	}
-	r := bufio.NewReaderSize(f, 256<<10)
+	return replaySegment(bufio.NewReaderSize(f, 256<<10), info.Size(), filepath.Base(path), last, logger, fn)
+}
+
+// replaySegment replays the size bytes of segment name that r yields, by
+// Replay's rules; last says whether it is the log's last segment. No header
+// sizes an allocation: a record's buffer is made once its length has passed
+// the checks, so it fits in the bytes left.
+func replaySegment(r io.Reader, size int64, name string, last bool, logger *telemetry.Logger, fn func([]byte) error) error {
 	var replayed int64
-	for {
+	torn := func(reason string) error {
+		if !last {
+			return fmt.Errorf("%w: %s in %s", ErrCorrupt, reason, name)
+		}
+		logger.Warn("wal replay stopped at torn tail record",
+			telemetry.F("segment", name),
+			telemetry.F("reason", reason),
+			telemetry.F("records_replayed", replayed))
+		return nil
+	}
+	for left := size; left > 0; replayed++ {
+		if left < headerLen {
+			return torn("truncated header")
+		}
 		var hdr [headerLen]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			if err == io.ErrUnexpectedEOF && tolerateTornTail {
-				tornTail("truncated header", replayed)
-				return nil
-			}
-			return fmt.Errorf("%w: truncated header in %s", ErrCorrupt, filepath.Base(path))
+			return fmt.Errorf("wal: replay %s: %w", name, err)
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n > MaxRecordSize {
-			return fmt.Errorf("%w: record length %d in %s", ErrCorrupt, n, filepath.Base(path))
+		left -= headerLen
+		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+		switch {
+		case n == 0:
+			return torn("empty record")
+		case n > MaxRecordSize:
+			return torn(fmt.Sprintf("record length %d", n))
+		case n > left:
+			return torn("truncated record body")
 		}
 		rec := make([]byte, n)
 		if _, err := io.ReadFull(r, rec); err != nil {
-			if (err == io.EOF || err == io.ErrUnexpectedEOF) && tolerateTornTail {
-				tornTail("truncated record body", replayed)
-				return nil
-			}
-			return fmt.Errorf("%w: truncated record in %s", ErrCorrupt, filepath.Base(path))
+			return fmt.Errorf("wal: replay %s: %w", name, err)
 		}
+		left -= n
 		if crc32.Checksum(rec, crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			if tolerateTornTail {
-				// A torn write can scramble the final record; stop replay.
-				tornTail("checksum mismatch", replayed)
-				return nil
-			}
-			return fmt.Errorf("%w: checksum mismatch in %s", ErrCorrupt, filepath.Base(path))
+			return torn("checksum mismatch")
 		}
 		if err := fn(rec); err != nil {
 			return err
 		}
-		replayed++
 	}
+	return nil
 }

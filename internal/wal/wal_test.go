@@ -72,16 +72,17 @@ func TestAppendGroup(t *testing.T) {
 	}
 }
 
-func TestEmptyRecord(t *testing.T) {
+// TestEmptyRecordRefused: replay reads a zero length as a zero-filled torn
+// tail, so Append refuses an empty record, and with it the whole group.
+func TestEmptyRecordRefused(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir})
-	if err := l.Append([]byte{}); err != nil {
-		t.Fatal(err)
+	if err := l.Append([]byte("a"), []byte{}); err == nil {
+		t.Fatal("empty record appended")
 	}
 	l.Close()
-	got := replayAll(t, dir)
-	if len(got) != 1 || len(got[0]) != 0 {
-		t.Fatalf("empty record mishandled: %v", got)
+	if got := replayAll(t, dir); len(got) != 0 {
+		t.Fatalf("a refused group left %q in the log", got)
 	}
 }
 
