@@ -75,13 +75,13 @@ func TestPacedStallDivergenceAndAudit(t *testing.T) {
 	cluster, err := hbase.NewCluster(hbase.Config{
 		Nodes:   3,
 		DataDir: t.TempDir(),
-		// Two handlers for four clients and a watermark of one: a stalled
-		// primary blocks both handlers, the other clients' flushes queue
-		// past the watermark, and the stall window sheds (the clients ride
-		// it out with retries — nothing may be lost). Keeping a second
-		// handler also lets the post-stall backlog drain in parallel, so
-		// the slow *service* times stay confined to the flushes caught in
-		// the stall itself.
+		// Two handlers and a watermark of one against the four clients of a
+		// region: a stalled primary blocks both handlers on two mutates,
+		// a third queues, and the fourth client's sender is shed and
+		// retried for the rest of the stall (nothing may be lost). Keeping a
+		// second handler also lets the post-stall backlog drain in
+		// parallel, so the slow *service* times stay confined to the puts
+		// caught in the stall itself.
 		HandlerCount:   2,
 		ShedWatermark:  1,
 		RetryMax:       100_000,
@@ -103,19 +103,20 @@ func TestPacedStallDivergenceAndAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	// A 64 KiB client buffer makes each of the four threads flush every
-	// ~85 ms at this rate, so all four have a mutate outstanding well inside
-	// the 800 ms stall: two hold the handlers, one queues, and the fourth is
-	// shed and retried for the rest of it — the stalled interval always
-	// carries an overload signal. (At 512 KiB a thread flushes every ~0.7 s
-	// and a stall could pass with three mutates in flight and nothing shed.)
-	sut, err := NewClusterSUT(cluster, 2, 64<<10)
+	// Four threads per driver, each with a 32 KiB client buffer, seal a
+	// buffer every ~85 ms at this rate, so every client of a region has a
+	// mutate on the wire early in the stall: the stall always sheds. A put
+	// blocks only once its client has a second buffer queued behind the
+	// stuck one, so the sheds and retries are what mark the stalled
+	// intervals, in which almost no op completes; small buffers keep the
+	// post-stall drain, and with it the service tail, short.
+	sut, err := NewClusterSUT(cluster, 2, 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The stall is armed against the measured run (the second execution):
-	// 1.2 s in, the primary freezes for 800 ms.
+	// 1.2 s in, the primary freezes for 1.2 s.
 	var executions atomic.Int32
 	cfg := pacedRunConfig(sut, reg, func(*telemetry.Ticker) {
 		if executions.Add(1) != 2 {
@@ -124,10 +125,11 @@ func TestPacedStallDivergenceAndAudit(t *testing.T) {
 		go func() {
 			time.Sleep(1200 * time.Millisecond)
 			stall.Store(true)
-			time.Sleep(800 * time.Millisecond)
+			time.Sleep(1200 * time.Millisecond)
 			stall.Store(false)
 		}()
 	})
+	cfg.ThreadsPerDriver = 4
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,14 +164,13 @@ func TestPacedStallDivergenceAndAudit(t *testing.T) {
 	var signalled bool
 	for _, v := range rule.Violations {
 		for _, s := range v.Signals {
-			if strings.HasPrefix(s, "sheds=") || strings.HasPrefix(s, "client_retries=") ||
-				strings.HasPrefix(s, "catchup_depth=") || strings.HasPrefix(s, "quorum_lag=") {
+			if strings.HasPrefix(s, "sheds=") {
 				signalled = true
 			}
 		}
 	}
 	if !signalled {
-		t.Fatalf("no violation carries a co-occurring overload signal: %+v", rule.Violations)
+		t.Fatalf("no violation carries the stall's sheds: %+v", rule.Violations)
 	}
 	if dc, _ := verdict.Rule(audit.RuleDataCheck); !dc.Passed {
 		t.Fatalf("sheds lost writes: %+v", dc)

@@ -187,6 +187,14 @@ func writeTelemetry(b *strings.Builder, t *telemetry.Summary) {
 		}
 		fmt.Fprintf(b, "    %-18s %s\n", stage, snap)
 	}
+	// The client line: buffers the clients' senders shipped, puts that
+	// blocked with two flushes outstanding, and the ingest-to-visible lag
+	// from sealing a buffer to its ack.
+	if lag, ok := t.Histogram("hbase.flush_lag"); ok && lag.Count() > 0 {
+		fmt.Fprintf(b, "  client: %d buffer flushes, %d puts waited at the in-flight bound, seal-to-ack lag p50 %.2fms p99 %.2fms\n",
+			counterValue(t, "hbase.buffer_flushes"), counterValue(t, "hbase.client_flush_waits"),
+			msI(lag.Percentile(50)), msI(lag.Percentile(99)))
+	}
 	if snap, ok := t.Histogram("scan.next"); ok {
 		fmt.Fprintf(b, "  scan path (ns per chunk fetch):\n")
 		fmt.Fprintf(b, "    %-18s %s\n", "scan.next", snap)
@@ -226,7 +234,7 @@ func writeTelemetry(b *strings.Builder, t *telemetry.Summary) {
 		}
 	}
 	if sheds := counterValue(t, "hbase.sheds"); sheds > 0 {
-		fmt.Fprintf(b, "  admission control: %d sheds (%d queue-full), %d client retries, %d retry-exhausted, %d readings deferred\n",
+		fmt.Fprintf(b, "  admission control: %d sheds (%d queue-full), %d client retries, %d retry-exhausted, %d ops deferred\n",
 			sheds,
 			counterValue(t, "replication.catchup_full"),
 			counterValue(t, "hbase.client_retries"),

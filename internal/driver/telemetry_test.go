@@ -86,6 +86,9 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if got := sum.Counter("hbase.buffer_flushes"); got == 0 {
 		t.Fatal("no client buffer flushes counted")
 	}
+	if lag, ok := sum.Histogram("hbase.flush_lag"); !ok || lag.Count() == 0 {
+		t.Fatal("no seal-to-ack lag measured for the sealed buffers")
+	}
 	if got := sum.Counter("lsm.flushes"); got == 0 {
 		t.Fatal("no memtable flushes counted (64 KiB memtables must have rotated)")
 	}
@@ -112,7 +115,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 	// Report renders the telemetry sections and streams points via Logf.
 	report := res.Report()
-	for _, want := range []string{"Telemetry", "put.wal_append", "counters:", "time series"} {
+	for _, want := range []string{"Telemetry", "put.wal_append", "seal-to-ack lag p50", "counters:", "time series"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}

@@ -15,9 +15,10 @@ import (
 // across partials. windowMS = 0 folds the whole time range into one window
 // per series; see lsm.AggregateTime for windowing semantics.
 //
-// Before reading, only the overlapping regions' write buffers are flushed
-// (the same read-your-writes rule Get and Scanner follow), so an aggregate
-// over one key range never forces unrelated regions' batches out early.
+// Before reading, it waits for the client's sender and then flushes only the
+// overlapping regions' write buffers (the same read-your-writes rule Get and
+// Scanner follow), so an aggregate over one key range never forces
+// unrelated regions' batches out early.
 //
 // The fan-out walks regions in key order. A region boundary set at
 // CreateTable can fall inside a series' key run, so the same (series,
@@ -28,6 +29,9 @@ func (c *Client) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs ls
 	if c.closed {
 		return lsm.AggResult{}, ErrClientClosed
 	}
+	if err := c.settle(); err != nil {
+		return lsm.AggResult{}, err
+	}
 	_, sp := c.tracer.StartTrace("client.aggregate")
 	defer sp.End()
 
@@ -36,10 +40,8 @@ func (c *Client) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs ls
 		if !rangesOverlap(lo, hi, tr.info.StartKey, tr.info.EndKey) {
 			continue
 		}
-		if len(c.buffers[tr]) > 0 {
-			if err := c.flushRegion(tr, sp); err != nil {
-				return lsm.AggResult{}, err
-			}
+		if err := c.flushRegion(tr, sp); err != nil {
+			return lsm.AggResult{}, err
 		}
 		asp := sp.Child("rpc.aggregate")
 		res, err := c.rpc.aggregate(tr, lo, hi, minTS, maxTS, windowMS, funcs, asp)

@@ -448,6 +448,11 @@ func TestAggregateServedFromReadingColumns(t *testing.T) {
 	defer tcp.Close()
 	flushAll := func() {
 		t.Helper()
+		for _, c := range []*Client{inproc, tcp} {
+			if err := c.FlushCommits(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := cl.Quiesce(); err != nil {
 			t.Fatal(err)
 		}
@@ -514,6 +519,9 @@ func TestAggregateServedFromReadingColumns(t *testing.T) {
 		if err := inproc.Put(k, v); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := inproc.FlushCommits(); err != nil {
+		t.Fatal(err)
 	}
 	if column, decoded := check("with memtable rows", tcp); decoded != 10 || column == 0 {
 		t.Fatalf("ten unflushed rows: %d from columns, %d decoded", column, decoded)

@@ -96,6 +96,15 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 			w.uvarint(0)
 			w.uvarint(math.MaxUint64)
 		}), false},
+		{"mutate-empty-key", frame(opMutate, func(w *frameWriter) {
+			w.uvarint(2)
+			w.uvarint(0)
+			w.bytes(key)
+			w.bytes([]byte("v"))
+			w.uvarint(0)
+			w.bytes(nil)
+			w.bytes([]byte("v"))
+		}), true},
 		{"mutate-count-lies", frame(opMutate, func(w *frameWriter) { w.uvarint(1 << 62) }), true},
 		{"truncated-varint", append(frame(opScanNext, nil), 0x80, 0x80), true},
 		{"truncated-mutate-tail", fresh[:len(fresh)-1], true},
@@ -143,6 +152,9 @@ func FuzzDispatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	putReadings(f, c)
+	if err := c.FlushCommits(); err != nil {
+		f.Fatal(err)
+	}
 	tbl, _ := cl.Table("iot")
 	tr := tbl.regions[0]
 	if err := tr.replicas[0].Flush(); err != nil {
@@ -184,7 +196,9 @@ func FuzzDispatch(f *testing.F) {
 }
 
 // TestDispatchSeeds runs FuzzDispatch's seeds as a plain test with the
-// outcome each must have, so tier-1 covers them without the fuzz engine.
+// outcome each must have, so tier-1 covers them without the fuzz engine. No
+// seed may leave a replication member with a standing error: the region
+// must keep taking writes.
 func TestDispatchSeeds(t *testing.T) {
 	cl, c := newTestCluster(t, 3, nil)
 	putReadings(t, c)
@@ -215,6 +229,14 @@ func TestDispatchSeeds(t *testing.T) {
 		// batch, not even the mutations in front of the cut.
 		if after := rows(); seed.wantErr && !reflect.DeepEqual(after, before) {
 			t.Errorf("%s: changed the region's rows (%d before, %d after)", name, len(before), len(after))
+		}
+		if err := cl.Quiesce(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		for i := 0; i < tr.group.Factor(); i++ {
+			if err := tr.group.MemberErr(i); err != nil {
+				t.Fatalf("%s: member %d stopped: %v", name, i, err)
+			}
 		}
 	}
 }

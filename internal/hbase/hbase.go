@@ -92,12 +92,15 @@ type Config struct {
 	// Registry, when non-nil, collects cluster-wide telemetry: it is handed
 	// to every region's LSM store (and through it the WAL), to replication
 	// groups ("replication.acks") and to clients ("hbase.buffer_flushes",
-	// "put.client_flush").
+	// "hbase.client_flush_waits", "put.client_flush", "hbase.flush_lag").
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, samples client operations into distributed
-	// traces: each sampled Put/Get/scan chunk yields one span tree covering
-	// client, RPC, server, region, LSM, WAL and replication work. Nil
-	// disables tracing entirely (zero per-op cost).
+	// traces. A sampled Get or scan chunk yields one span tree covering
+	// client, RPC, server, region, LSM, WAL and replication work. A write is
+	// split in two: a sampled Put's client.put tree covers buffering and any
+	// client.flush_wait at the in-flight bound, and a sampled shipped buffer
+	// is a client.flush tree covering the RPC and server work. Nil disables
+	// tracing entirely (zero per-op cost).
 	Tracer *telemetry.Tracer
 	// Logger, when non-nil, receives structured events from every region's
 	// engine (WAL replay warnings, flush/compaction failures). It is copied

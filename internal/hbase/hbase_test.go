@@ -208,8 +208,11 @@ func TestReplicationFactorOnAllReplicas(t *testing.T) {
 	cl, c := newTestCluster(t, 5, [][]byte{[]byte("m")})
 	c.Put([]byte("alpha"), []byte("1"))
 	c.Put([]byte("zulu"), []byte("2"))
-	// Writes ack at quorum; drain the catch-up queues before asserting
-	// all-replica convergence.
+	// Writes ack at quorum once flushed; drain the catch-up queues before
+	// asserting all-replica convergence.
+	if err := c.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
 	if err := cl.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +271,9 @@ func TestReplicaPlacementDistinctServers(t *testing.T) {
 func TestDropTablePurgesData(t *testing.T) {
 	cl, c := newTestCluster(t, 3, nil)
 	c.Put([]byte("k"), []byte("v"))
+	if err := c.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
 	if err := cl.DropTable("iot"); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +329,29 @@ func TestClosedClusterRejectsOps(t *testing.T) {
 
 func TestClosedClientRejectsOps(t *testing.T) {
 	_, c := newTestCluster(t, 3, nil)
+	for i := 0; i < 10; i++ {
+		if err := c.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc, err := c.NewScannerChunk(nil, nil, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := sc.Next(); !ok || err != nil {
+		t.Fatalf("first row: %v, %v", ok, err)
+	}
 	c.Close()
+	// The chunk in hand drains; the next chunk would need the closed client.
+	for i := 1; i < 4; i++ {
+		if _, ok, err := sc.Next(); !ok || err != nil {
+			t.Fatalf("row %d of the first chunk: %v, %v", i, ok, err)
+		}
+	}
+	if _, _, err := sc.Next(); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("Scanner.Next after its client closed: %v", err)
+	}
+	sc.Close()
 	if err := c.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("Put after close: %v", err)
 	}

@@ -298,6 +298,9 @@ func TestClientBackoffRetriesThroughOverload(t *testing.T) {
 			t.Fatalf("put %d failed despite retries: %v", i, err)
 		}
 	}
+	if err := c.FlushCommits(); err != nil {
+		t.Fatalf("flush failed despite retries: %v", err)
+	}
 	retries, exhausted := c.RetryStats()
 	if retries == 0 {
 		t.Fatal("no retries recorded: the straggler never caused a shed (timing too generous?)")

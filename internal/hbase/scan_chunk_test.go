@@ -58,6 +58,10 @@ func newScanFixture(t *testing.T, rows, valueLen int) *scanFixture {
 			t.Fatal(err)
 		}
 	}
+	// Acked: the stores hold every seeded row.
+	if err := f.inproc.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
 	return f
 }
 
@@ -112,6 +116,7 @@ func TestScannerParity(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		defer w.Close()
 		val := bytes.Repeat([]byte("w"), 300)
 		for i := 0; ; i++ {
 			select {
@@ -194,6 +199,9 @@ func TestScanSnapshotPinnedAtOpen(t *testing.T) {
 		}
 		late := []byte("s000004-late-" + name)
 		if err := f.inproc.Put(late, []byte("late")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.inproc.FlushCommits(); err != nil {
 			t.Fatal(err)
 		}
 		rest, more, err := rpc.scanNext(tr, id, 100, telemetry.TSpan{})

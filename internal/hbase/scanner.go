@@ -20,13 +20,14 @@ const defaultScanChunk = DefaultScanChunk
 // the client half of the scanner-session protocol, mirroring HBase's
 // ClientScanner. Each overlapping region is scanned through a server-side
 // snapshot scanner in fixed-size chunks, and while the caller consumes one
-// chunk the Scanner prefetches the next, overlapping aggregation with the
-// chunk RPC. Memory use is O(chunk), independent of the result size.
+// chunk the client's sender prefetches the next, overlapping aggregation
+// with the chunk RPC. Memory use is O(chunk), independent of the result
+// size.
 //
 // A Scanner belongs to its Client and, like the Client, serves a single
-// goroutine. While a Scanner is open the owning client must not issue
-// other operations (the prefetched chunk may be in flight on the shared
-// connection); fully drain or Close it first.
+// goroutine. The client stays usable while a Scanner is open: the prefetch
+// and any buffer a Put seals meanwhile queue on the same sender, so the
+// connection carries one request at a time.
 type Scanner struct {
 	c      *Client
 	lo, hi []byte
@@ -38,8 +39,10 @@ type Scanner struct {
 	regions []*tableRegion // overlapping regions in key order
 	ri      int            // index of the region being scanned
 	id      uint64         // open scanner-session id on regions[ri]
-	open    bool           // a server-side session is open
-	pre     chan chunkResult
+	// open: a server-side session is open and its next chunk is queued on
+	// the client's sender, which leaves the chunk in fetched.
+	open    bool
+	fetched chunkResult
 
 	cur    []Row
 	curIdx int
@@ -67,6 +70,9 @@ func (c *Client) NewScanner(lo, hi []byte, limit int) (*Scanner, error) {
 func (c *Client) NewScannerChunk(lo, hi []byte, limit, chunk int) (*Scanner, error) {
 	if c.closed {
 		return nil, ErrClientClosed
+	}
+	if err := c.settle(); err != nil {
+		return nil, err
 	}
 	if chunk <= 0 {
 		chunk = DefaultScanChunk
@@ -105,13 +111,9 @@ func (s *Scanner) Next() (Row, bool, error) {
 			s.curIdx++
 			if s.limited {
 				s.remaining--
-				if s.remaining <= 0 {
-					// The server closed the session when its own limit hit;
-					// nothing remains to release.
-					s.done = true
-					s.open = false
-					s.drainPrefetch()
-				}
+				// The chunk holding the last row said more=false: the server
+				// closed the session at its own limit, and nothing is queued.
+				s.done = s.remaining <= 0
 			}
 			return row, true, nil
 		}
@@ -119,13 +121,20 @@ func (s *Scanner) Next() (Row, bool, error) {
 	}
 }
 
-// fill advances to the next non-empty chunk: receiving the prefetched
-// chunk of the current region, moving to the next region, or finishing.
+// fill advances to the next non-empty chunk: taking the prefetched chunk of
+// the current region, moving to the next region, or finishing. A scanner
+// whose client closed fails with ErrClientClosed: the client's sender and
+// transport are gone.
 func (s *Scanner) fill() {
+	if s.c.closed {
+		s.err = ErrClientClosed
+		return
+	}
 	for {
 		if s.open {
-			res := <-s.pre
-			s.pre = nil
+			s.c.idle()
+			res := s.fetched
+			s.fetched = chunkResult{}
 			if res.err != nil {
 				s.open = false
 				s.err = fmt.Errorf("hbase: scan %s: %w", s.regions[s.ri].info.Name, res.err)
@@ -154,6 +163,7 @@ func (s *Scanner) fill() {
 		if s.limited {
 			lim = s.remaining
 		}
+		s.c.idle()
 		_, sp := s.c.tracer.StartTrace("client.scan_open")
 		osp := sp.Child("rpc.scan_open")
 		id, err := s.c.rpc.openScanner(tr, s.lo, s.hi, lim, osp)
@@ -169,37 +179,20 @@ func (s *Scanner) fill() {
 	}
 }
 
-// prefetch launches the next chunk fetch. Exactly one fetch is ever in
-// flight, so the single-outstanding-request transport contract holds. Each
-// chunk fetch is its own trace root — a sampled chunk carries the server's
-// scan_next spans beneath its rpc.scan_next span.
+// prefetch queues the next chunk fetch on the client's sender, behind any
+// buffer a Put sealed, so the connection carries one request at a time.
+// Each chunk fetch is its own trace root — a sampled chunk carries the
+// server's scan_next spans beneath its rpc.scan_next span.
 func (s *Scanner) prefetch() {
-	ch := make(chan chunkResult, 1)
-	s.pre = ch
-	tr, id, chunk, rpc, tracer := s.regions[s.ri], s.id, s.chunk, s.c.rpc, s.c.tracer
-	go func() {
-		_, sp := tracer.StartTrace("client.scan_chunk")
+	tr, id := s.regions[s.ri], s.id
+	s.c.submit(func() {
+		_, sp := s.c.tracer.StartTrace("client.scan_chunk")
 		nsp := sp.Child("rpc.scan_next")
-		rows, more, err := rpc.scanNext(tr, id, chunk, nsp)
+		rows, more, err := s.c.rpc.scanNext(tr, id, s.chunk, nsp)
 		nsp.End()
 		sp.End()
-		ch <- chunkResult{rows: rows, more: more, err: err}
-	}()
-}
-
-// drainPrefetch waits out an in-flight chunk fetch so the transport is
-// quiescent; the result is discarded but updates session-open state.
-func (s *Scanner) drainPrefetch() {
-	if s.pre == nil {
-		return
-	}
-	res := <-s.pre
-	s.pre = nil
-	if res.err != nil || !res.more {
-		s.open = false
-	} else {
-		s.open = true
-	}
+		s.fetched = chunkResult{rows: rows, more: more, err: err}
+	}, telemetry.TSpan{})
 }
 
 // Close releases the scanner, abandoning any open server-side session.
@@ -209,12 +202,13 @@ func (s *Scanner) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.drainPrefetch()
-	if s.open {
-		s.open = false
-		if err := s.c.rpc.closeScanner(s.regions[s.ri], s.id, telemetry.TSpan{}); err != nil {
-			return err
-		}
+	if !s.open {
+		return nil
 	}
-	return nil
+	s.open = false
+	s.c.idle()
+	if res := s.fetched; res.err != nil || !res.more {
+		return nil // the last chunk ended the session
+	}
+	return s.c.rpc.closeScanner(s.regions[s.ri], s.id, telemetry.TSpan{})
 }

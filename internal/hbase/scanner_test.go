@@ -222,6 +222,9 @@ func TestScannerSnapshotUnderFlushCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := w.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Compact the primary the scanner is reading from: the tables its
 	// snapshot pinned are retired from the table set.
@@ -296,6 +299,7 @@ func TestScannerConcurrentIngestRace(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		defer wc.Close()
 		val := bytes.Repeat([]byte("x"), 256)
 		for i := 0; ; i++ {
 			select {

@@ -230,11 +230,14 @@ type Mutation = lsm.Write
 // mutate is the server-side write RPC: the whole batch executes under one
 // handler slot and ships through the region's replication group as a single
 // batched round — one WAL group append and one memtable critical section
-// per replica, with the replica fan-out running in parallel. Under a sampled
+// per replica, with the replica fan-out running in parallel. A batch holding
+// an empty key or a key outside the region is refused whole before the
+// fan-out, with no sequence assigned: a member that failed to apply it
+// would stop, and the region would take no more writes. Under a sampled
 // parent (the zero TSpan is inert) the RPC appears as a "server.mutate" span
 // in this server's service, with a "server.handler_wait" child covering time
 // queued for a handler slot and the replication/engine spans beneath.
-func (s *RegionServer) mutate(g *replication.Group, batch []Mutation, parent telemetry.TSpan) error {
+func (s *RegionServer) mutate(tr *tableRegion, batch []Mutation, parent telemetry.TSpan) error {
 	sp := parent.ChildIn(s.service, "server.mutate")
 	defer sp.End()
 	waitSp := sp.Child("server.handler_wait")
@@ -245,11 +248,14 @@ func (s *RegionServer) mutate(g *replication.Group, batch []Mutation, parent tel
 	waitSp.End()
 	defer s.release()
 	s.requests.Inc()
-	if err := g.ApplyBatch(sp, batch); err != nil {
+	if err := tr.info.CheckKeys(batch); err != nil {
+		return fmt.Errorf("hbase: mutate: %w", err)
+	}
+	if err := tr.group.ApplyBatch(sp, batch); err != nil {
 		// A full catch-up queue is the replication layer's overload signal:
 		// surface it as the same retryable shed the handler queue produces.
 		if errors.Is(err, replication.ErrCatchUpFull) {
-			return s.shed(int64(g.MaxQueueDepth()))
+			return s.shed(int64(tr.group.MaxQueueDepth()))
 		}
 		return err
 	}

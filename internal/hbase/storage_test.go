@@ -156,6 +156,9 @@ func TestStorageEndpointsUnderLoad(t *testing.T) {
 					return
 				}
 			}
+			if err := c.Close(); err != nil {
+				t.Error(err)
+			}
 		}(w)
 	}
 	wg.Add(1)

@@ -124,7 +124,7 @@ func (cl *Cluster) serve(req *frameReader, resp *frameWriter, srv *RegionServer,
 		if req.err != nil {
 			return req.err
 		}
-		return srv.mutate(tr.group, batch, parent)
+		return srv.mutate(tr, batch, parent)
 	case opGet:
 		key := req.bytes()
 		if req.err != nil {

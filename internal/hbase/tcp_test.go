@@ -2,10 +2,18 @@ package hbase
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
+
+	"tpcxiot/internal/lsm"
+	"tpcxiot/internal/region"
+	"tpcxiot/internal/telemetry"
 )
 
 func newTCPCluster(t *testing.T, nodes int, splits [][]byte) (*Cluster, *Client) {
@@ -116,6 +124,12 @@ func TestTCPParityWithInproc(t *testing.T) {
 	if err := inproc.Put([]byte("zz-from-inproc"), []byte("2")); err != nil {
 		t.Fatal(err)
 	}
+	// A write is visible to another client once its own client acked it.
+	for _, c := range []*Client{tcpClient, inproc} {
+		if err := c.FlushCommits(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if v, ok, _ := inproc.Get([]byte("from-tcp")); !ok || string(v) != "1" {
 		t.Fatal("in-process client cannot see TCP write")
 	}
@@ -223,6 +237,9 @@ func TestTCPServerSideErrorKeepsConnection(t *testing.T) {
 	// error without poisoning the connection for subsequent requests.
 	cl, c := newTCPCluster(t, 3, nil)
 	c.Put([]byte("k"), []byte("v"))
+	if err := c.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Drop the table and recreate it under a DIFFERENT name: the old
 	// client's routing entries now name regions no server knows, so its
@@ -258,6 +275,9 @@ func TestTCPServerSideErrorKeepsConnection(t *testing.T) {
 func TestClusterCloseStopsTCP(t *testing.T) {
 	cl, c := newTCPCluster(t, 3, nil)
 	c.Put([]byte("k"), []byte("v"))
+	if err := c.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
 	cl.Close()
 	if _, err := cl.NewTCPClient("iot", 0); err == nil {
 		t.Fatal("TCP client creatable after close")
@@ -337,5 +357,125 @@ func TestWireFormatRejectsGarbage(t *testing.T) {
 	first := fr.err
 	if v, n, b := fr.uvarint(), fr.count(1), fr.optBytes(); v != 0 || n != 0 || b != nil || fr.err != first {
 		t.Fatalf("after a failure: %d, %d, %q, %v", v, n, b, fr.err)
+	}
+}
+
+// TestMutateRefusesBadKeysBeforeFanOut: a mutate frame holding an empty key,
+// or a key of another region, is refused whole by the region server before
+// the replication fan-out. No member stops on it, so the region keeps
+// taking writes; and a client refuses an empty key before buffering it.
+func TestMutateRefusesBadKeysBeforeFanOut(t *testing.T) {
+	cl, c := newTCPCluster(t, 3, [][]byte{[]byte("m")})
+	rpc, err := newTCPTransport(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rpc.close()
+	tbl, _ := cl.Table("iot")
+	low := tbl.regions[0] // [nil, "m")
+	v := []byte("v")
+	for name, key := range map[string][]byte{"empty key": nil, "key of another region": []byte("z")} {
+		err := rpc.mutate(low, []Mutation{{Key: []byte("a"), Value: v}, {Key: key, Value: v}}, telemetry.TSpan{})
+		if err == nil {
+			t.Fatalf("%s: mutate accepted", name)
+		}
+	}
+	if err := rpc.mutate(low, []Mutation{{Key: []byte("b"), Value: v}}, telemetry.TSpan{}); err != nil {
+		t.Fatalf("a good mutate after the refused ones: %v", err)
+	}
+	if err := cl.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < low.group.Factor(); i++ {
+		if err := low.group.MemberErr(i); err != nil {
+			t.Fatalf("member %d stopped: %v", i, err)
+		}
+		rep := low.replicas[i].Store()
+		if _, ok, _ := rep.Get([]byte("a")); ok {
+			t.Fatalf("member %d applied part of a refused batch", i)
+		}
+		if _, ok, err := rep.Get([]byte("b")); err != nil || !ok {
+			t.Fatalf("member %d lacks the good write: ok=%v err=%v", i, ok, err)
+		}
+	}
+
+	if err := c.Put(nil, v); !errors.Is(err, lsm.ErrBadKey) {
+		t.Fatalf("Put of an empty key = %v, want lsm.ErrBadKey", err)
+	}
+	if err := c.Delete([]byte{}); !errors.Is(err, lsm.ErrBadKey) {
+		t.Fatalf("Delete of an empty key = %v, want lsm.ErrBadKey", err)
+	}
+	if n := c.BufferedBytes(); n != 0 {
+		t.Fatalf("refused puts buffered %d bytes", n)
+	}
+	if err := low.info.CheckKeys([]Mutation{{Key: []byte("z")}}); !errors.Is(err, region.ErrOutOfRange) {
+		t.Fatalf("CheckKeys of a key above the region = %v", err)
+	}
+}
+
+// TestTCPMutateReusesRequestFrame: a steady-state mutate of a kit-sized
+// batch encodes into the connection's request frame, allocating nothing of
+// the request's size — not the frame grown from empty call after call.
+func TestTCPMutateReusesRequestFrame(t *testing.T) {
+	cl, _ := newTestCluster(t, 3, nil)
+	tbl, _ := cl.Table("iot")
+	tr := tbl.regions[0]
+	// A stand-in server that reads each request into one reused buffer and
+	// acks it, allocating nothing per call.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var hdr [4]byte
+		var payload []byte
+		ack := []byte{2, 0, 0, 0, statusOK, 0}
+		for {
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return
+			}
+			n := int(binary.LittleEndian.Uint32(hdr[:]))
+			if cap(payload) < n {
+				payload = make([]byte, n)
+			}
+			if _, err := io.ReadFull(conn, payload[:n]); err != nil {
+				return
+			}
+			if _, err := conn.Write(ack); err != nil {
+				return
+			}
+		}
+	}()
+	rpc := &tcpTransport{
+		addrs: map[*RegionServer]string{tr.primary: ln.Addr().String()},
+		conns: map[*RegionServer]*tcpConn{},
+	}
+	t.Cleanup(func() { rpc.close() })
+
+	batch := make([]Mutation, 256)
+	for i := range batch {
+		batch[i] = Mutation{Key: []byte(fmt.Sprintf("k%06d", i)), Value: bytes.Repeat([]byte("v"), 1000)}
+	}
+	mutate := func() {
+		if err := rpc.mutate(tr, batch, telemetry.TSpan{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mutate() // dial, and grow the frame once
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		mutate()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 16<<10 {
+		t.Fatalf("a 256-row mutate allocates %d bytes per call; the request alone is %d", perCall, len(rpc.conns[tr.primary].req.buf))
 	}
 }

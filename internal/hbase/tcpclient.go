@@ -32,7 +32,7 @@ type transport interface {
 type inprocTransport struct{}
 
 func (inprocTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
-	return tr.primary.mutate(tr.group, batch, sp)
+	return tr.primary.mutate(tr, batch, sp)
 }
 
 func (inprocTransport) get(tr *tableRegion, key []byte, sp telemetry.TSpan) ([]byte, bool, error) {
@@ -79,16 +79,21 @@ func (inprocTransport) aggregate(tr *tableRegion, lo, hi []byte, minTS, maxTS, w
 func (inprocTransport) close() error { return nil }
 
 // tcpTransport speaks the wire protocol, one lazily dialled connection per
-// region server. Like a Client, a tcpTransport serves a single worker
-// thread, so no locking is needed.
+// region server. It has one user at a time — its Client's caller or the
+// Client's sender, handing it over through the sender's queue — so no
+// locking is needed.
 type tcpTransport struct {
 	addrs map[*RegionServer]string
 	conns map[*RegionServer]*tcpConn
 }
 
+// tcpConn is one connection and its request frame, reused call after call:
+// a kit batch is rebuilt in place instead of grown from empty. Response
+// frames are not reused, because chunk rows alias them.
 type tcpConn struct {
-	c net.Conn
-	r *bufio.Reader
+	c   net.Conn
+	r   *bufio.Reader
+	req frameWriter
 }
 
 // connReadBuf sizes the reader in front of a connection, at both ends: a
@@ -138,12 +143,11 @@ func (t *tcpTransport) conn(srv *RegionServer) (*tcpConn, error) {
 // under sp's trace. A failed write or read discards the connection, so the
 // next call redials; a server error or a load-shed leaves it usable.
 func (t *tcpTransport) call(tr *tableRegion, op byte, sp telemetry.TSpan, encode func(req *frameWriter)) (resp frameReader) {
-	var req frameWriter
-	req.request(op, sp, tr.info.Name)
-	encode(&req)
 	c, err := t.conn(tr.primary)
 	if err == nil {
-		err = req.flush(c.c)
+		c.req.request(op, sp, tr.info.Name)
+		encode(&c.req)
+		err = c.req.flush(c.c)
 	}
 	if err != nil {
 		resp.fail(err)

@@ -44,12 +44,39 @@ func newTracedTCPCluster(t *testing.T, nodes int, splits [][]byte) (*Client, *te
 
 // traceByRoot finds the first completed trace whose root span has the name.
 func traceByRoot(tr *telemetry.Tracer, root string) *telemetry.Trace {
+	return traceWith(tr, root, root)
+}
+
+// traceWith finds the first completed trace whose root span has the name
+// root and which holds a span named span.
+func traceWith(tr *telemetry.Tracer, root, span string) *telemetry.Trace {
 	for _, trace := range tr.Traces() {
-		if trace.Root().Name == root {
+		if _, ok := spanNames(trace)[span]; ok && trace.Root().Name == root {
 			return trace
 		}
 	}
 	return nil
+}
+
+// putFlushTrace puts one row through c, flushes, and returns the trace of
+// the flush that shipped it: the sealed buffer is a trace root of its own,
+// client.flush, apart from the client.put that sealed it.
+func putFlushTrace(t *testing.T, c *Client, tracer *telemetry.Tracer) *telemetry.Trace {
+	t.Helper()
+	if err := c.Put([]byte("k1"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
+	if traceByRoot(tracer, "client.put") == nil {
+		t.Fatalf("no client.put trace; have %d traces", len(tracer.Traces()))
+	}
+	trace := traceWith(tracer, "client.flush", "rpc.mutate")
+	if trace == nil {
+		t.Fatalf("no client.flush trace shipping the put; have %d traces", len(tracer.Traces()))
+	}
+	return trace
 }
 
 // spanNames collects the set of span names in a trace.
@@ -62,23 +89,15 @@ func spanNames(tr *telemetry.Trace) map[string]telemetry.SpanRecord {
 }
 
 // TestTCPPutTraceStitched is the acceptance test for the tracing tentpole:
-// one Put over the TCP wire protocol must yield a single stitched trace
-// whose client-side span tree contains the server's WAL and LSM child spans,
-// all sharing the client's trace id.
+// the flush that ships one Put over the TCP wire protocol must yield a
+// single stitched trace whose client-side span tree contains the server's
+// WAL and LSM child spans, all sharing the client's trace id.
 func TestTCPPutTraceStitched(t *testing.T) {
 	c, tracer := newTracedTCPCluster(t, 3, nil)
-
-	if err := c.Put([]byte("k1"), []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-
-	trace := traceByRoot(tracer, "client.put")
-	if trace == nil {
-		t.Fatalf("no client.put trace; have %d traces", len(tracer.Traces()))
-	}
+	trace := putFlushTrace(t, c, tracer)
 	names := spanNames(trace)
 	for _, want := range []string{
-		"client.put", "client.flush", "rpc.mutate", // client side
+		"client.flush", "rpc.mutate", // client side
 		"server.mutate", "replication.fanout", // server side, shipped back
 		"region.apply", "lsm.apply_batch", "wal.append", "lsm.memtable_insert",
 	} {
@@ -186,7 +205,8 @@ func TestTCPScanChunkTraced(t *testing.T) {
 }
 
 // TestInprocPutTraced asserts the in-process transport threads spans through
-// without a wire crossing: same tree shape as TCP, no span block involved.
+// without a wire crossing: the flush's tree has the same shape as over TCP,
+// with no span block involved.
 func TestInprocPutTraced(t *testing.T) {
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{SampleEvery: 1})
 	cl, err := NewCluster(Config{
@@ -208,14 +228,7 @@ func TestInprocPutTraced(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Put([]byte("k1"), []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	trace := traceByRoot(tracer, "client.put")
-	if trace == nil {
-		t.Fatal("no client.put trace")
-	}
-	names := spanNames(trace)
+	names := spanNames(putFlushTrace(t, c, tracer))
 	for _, want := range []string{"server.mutate", "replication.fanout", "lsm.apply_batch", "wal.append"} {
 		if _, ok := names[want]; !ok {
 			t.Errorf("in-process trace missing %q; has %v", want, keys(names))
@@ -254,13 +267,7 @@ func TestWrappedMemberKeepsEngineSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Put([]byte("k1"), []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	trace := traceByRoot(tracer, "client.put")
-	if trace == nil {
-		t.Fatal("no client.put trace")
-	}
+	trace := putFlushTrace(t, c, tracer)
 	// child returns the span named name whose parent is the given span.
 	child := func(parent uint64, name string) (telemetry.SpanRecord, bool) {
 		for _, s := range trace.Spans {

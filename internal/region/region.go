@@ -45,6 +45,21 @@ func (in Info) Contains(key []byte) bool {
 	return true
 }
 
+// CheckKeys refuses a batch holding an empty key or a key outside the
+// region's bounds: the whole batch, before any of it is applied.
+func (in Info) CheckKeys(writes []lsm.Write) error {
+	for i := range writes {
+		key := writes[i].Key
+		if len(key) == 0 {
+			return fmt.Errorf("region %s: %w", in.Name, lsm.ErrBadKey)
+		}
+		if !in.Contains(key) {
+			return fmt.Errorf("%w: %q not in %s", ErrOutOfRange, key, in)
+		}
+	}
+	return nil
+}
+
 // String renders the region identity with its bounds.
 func (in Info) String() string {
 	return fmt.Sprintf("%s[%q,%q)", in.Name, in.StartKey, in.EndKey)
@@ -78,18 +93,16 @@ func (r *Region) Info() Info { return r.info }
 func (r *Region) Store() *lsm.Store { return r.store }
 
 // ApplyBatch applies a batch of writes in one engine round: a single
-// bounds-check pass over every key, then the store's batched WAL group
-// append and memtable apply. It is the region's only write path and makes
-// the region a replication.Applier. Rejecting before any write keeps the
-// batch all-or-nothing with respect to region bounds. When parent is live
+// CheckKeys pass over every key, then the store's batched WAL group append
+// and memtable apply. It is the region's only write path and makes the
+// region a replication.Applier. Rejecting before any write keeps the batch
+// all-or-nothing with respect to region bounds. When parent is live
 // (the zero TSpan is inert) the apply appears as a "region.apply" span in
 // the region's own service (the node dir plus region name, e.g.
 // "node-02/iot,00001"), with the engine's WAL/memtable children beneath it.
 func (r *Region) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
-	for i := range writes {
-		if !r.info.Contains(writes[i].Key) {
-			return fmt.Errorf("%w: %q not in %s", ErrOutOfRange, writes[i].Key, r.info)
-		}
+	if err := r.info.CheckKeys(writes); err != nil {
+		return err
 	}
 	sp := parent.ChildIn(r.service, "region.apply")
 	err := r.store.ApplyBatchTraced(sp, writes)

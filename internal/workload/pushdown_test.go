@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -421,4 +422,64 @@ func runDashboardInstance(t *testing.T, binding ycsb.Binding) InstanceStats {
 		t.Fatal(err)
 	}
 	return inst.Stats()
+}
+
+// shedOnReadDB reports a shed flush on the first read after any insert, as
+// an hbase client does when its sender gave up on a sealed buffer: the read
+// does not run, and the batch waits in the client's buffer.
+type shedOnReadDB struct {
+	ycsb.DB
+	pending bool
+	sheds   int64
+}
+
+func (d *shedOnReadDB) Insert(key, value []byte) error {
+	d.pending = true
+	return d.DB.Insert(key, value)
+}
+
+func (d *shedOnReadDB) ScanIter(lo, hi []byte, limit int) (ycsb.RowIter, error) {
+	if d.pending {
+		d.pending = false
+		d.sheds++
+		return nil, fmt.Errorf("hbase: flush to iot,0: %w", hbase.ErrOverloaded)
+	}
+	return d.DB.ScanIter(lo, hi, limit)
+}
+
+// TestQueryServedAfterReportedShed: a query whose client reports a shed
+// flush instead of reading runs once more and folds every row the same
+// query folds on an unshed run. The shed is counted; the query is neither
+// lost nor counted as served with no rows.
+func TestQueryServedAfterReportedShed(t *testing.T) {
+	run := func(db ycsb.DB) InstanceStats {
+		clock := newVirtualClock(time.UnixMilli(1_700_000_000_000), time.Millisecond)
+		inst, err := NewInstance(InstanceConfig{
+			Substation: "substation-00000",
+			Readings:   8_000,
+			Seed:       4,
+			Now:        clock.Now,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		binding := func(int) (ycsb.DB, error) { return db, nil }
+		if _, err := ycsb.Run(ycsb.RunConfig{Threads: 1}, binding, inst); err != nil {
+			t.Fatal(err)
+		}
+		return inst.Stats()
+	}
+	want := run(ycsb.NewMemDB())
+	shedding := &shedOnReadDB{DB: ycsb.NewMemDB()}
+	got := run(shedding)
+	if shedding.sheds == 0 || got.Shed != shedding.sheds {
+		t.Fatalf("%d sheds reported, %d counted", shedding.sheds, got.Shed)
+	}
+	if want.Queries == 0 || want.RowsAggregated == 0 {
+		t.Fatalf("unshed run: %d queries over %d rows; test data broken", want.Queries, want.RowsAggregated)
+	}
+	if got.Queries != want.Queries || got.RowsAggregated != want.RowsAggregated || got.HistoricalRows != want.HistoricalRows {
+		t.Fatalf("shed run served %d queries over %d recent / %d historical rows, unshed %d over %d / %d",
+			got.Queries, got.RowsAggregated, got.HistoricalRows, want.Queries, want.RowsAggregated, want.HistoricalRows)
+	}
 }

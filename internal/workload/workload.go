@@ -239,10 +239,11 @@ type InstanceStats struct {
 	RowsAggregated int64
 	// HistoricalRows is the same for the random historical interval.
 	HistoricalRows int64
-	// Shed counts inserts whose flush was load-shed by the cluster after
-	// the client exhausted its retries. The shed batch stays buffered on
-	// the client, so the readings are deferred to a later flush — counted
-	// here, not lost.
+	// Shed counts operations that met a flush load-shed by the cluster
+	// after the client exhausted its retries: an insert, or a query whose
+	// client had a shed flush to report — that query runs once more and is
+	// served. The shed batch stays buffered on the client, so the readings
+	// are deferred to a later flush — counted here, not lost.
 	Shed int64
 	// AnalyticQueries counts executions of the analytic templates
 	// (downsample, window-count); AnalyticWindows is the window partials
@@ -455,21 +456,37 @@ func (t *instanceThread) insert(db ycsb.DB) error {
 	v := kvp.Value{Reading: reading, Unit: unit, Padding: pad}
 	t.valBuf = v.Append(t.valBuf[:0])
 
-	if err := db.Insert(t.keyBuf, t.valBuf); err != nil {
-		if errors.Is(err, hbase.ErrOverloaded) {
-			// The cluster shed the flush even after the client's retries.
-			// The batch stays buffered client-side and ships on a later
-			// flush, so the reading is deferred, not lost: count the shed
-			// and keep generating — graceful degradation, not a run abort.
-			t.inst.shed.Add(1)
-			t.inst.shedC.Inc()
-			t.inst.inserted.Add(1)
-			return nil
-		}
+	if err := db.Insert(t.keyBuf, t.valBuf); err != nil && !t.shed(err) {
 		return fmt.Errorf("workload: insert: %w", err)
 	}
 	t.inst.inserted.Add(1)
 	return nil
+}
+
+// shed reports whether err is a flush the cluster shed even after the
+// client's retries, and counts it. The client keeps the batch buffered and
+// ships it on a later flush, so the readings are deferred, not lost: the run
+// keeps generating. Graceful degradation, not a run abort.
+func (t *instanceThread) shed(err error) bool {
+	if !errors.Is(err, hbase.ErrOverloaded) {
+		return false
+	}
+	t.inst.shed.Add(1)
+	t.inst.shedC.Inc()
+	return true
+}
+
+// serve runs a query's reads. A client may report a shed flush on the read
+// instead of running it; the shed batch is back in the client's buffer, and
+// the query runs once more, its read flushing that region's batch first. A
+// second shed — the read's own flush exhausting its retries — fails the
+// query.
+func (t *instanceThread) serve(query func() error) error {
+	err := query()
+	if t.shed(err) {
+		err = query()
+	}
+	return err
 }
 
 func (t *instanceThread) runQuery(db ycsb.DB) error {
@@ -492,7 +509,11 @@ func (t *instanceThread) runQuery(db ycsb.DB) error {
 	histStart := now.Add(-time.Duration(offset) * time.Millisecond)
 
 	sp := t.inst.queryTimers[kind].Start()
-	res, err := RunQuery(db, kind, t.inst.cfg.Substation, s.Key, now, histStart)
+	var res QueryResult
+	err := t.serve(func() (err error) {
+		res, err = RunQuery(db, kind, t.inst.cfg.Substation, s.Key, now, histStart)
+		return err
+	})
 	sp.End()
 	if err != nil {
 		return err
@@ -524,8 +545,12 @@ func (t *instanceThread) runAnalyticQuery(db ycsb.DB, kind QueryKind, sensor str
 	}
 	nowMS := now.UnixMilli()
 	sp := t.inst.queryTimers[kind].Start()
-	res, err := RunWindowQuery(db, t.inst.cfg.Substation, sensor,
-		nowMS-span.Milliseconds(), nowMS, window.Milliseconds(), funcs)
+	var res lsm.AggResult
+	err := t.serve(func() (err error) {
+		res, err = RunWindowQuery(db, t.inst.cfg.Substation, sensor,
+			nowMS-span.Milliseconds(), nowMS, window.Milliseconds(), funcs)
+		return err
+	})
 	sp.End()
 	if err != nil {
 		return err
