@@ -84,10 +84,9 @@ func main() {
 		Result:           result,
 		Pricing:          cfg,
 		Audit: audit.Record{
-			Method:    audit.PeerAudit,
-			Auditors:  []string{"reviewer-a", "reviewer-b", "reviewer-c"},
-			Date:      time.Now(),
-			Checklist: result.Checks(),
+			Method:   audit.PeerAudit,
+			Auditors: []string{"reviewer-a", "reviewer-b", "reviewer-c"},
+			Date:     time.Now(),
 		},
 	}
 	if err := report.Validate(); err != nil {

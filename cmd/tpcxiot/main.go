@@ -9,10 +9,12 @@
 //
 // A compliant run requires -kvps large enough that every workload
 // execution exceeds 1800 s; smaller runs complete quickly but are reported
-// as non-compliant (useful for laptop-scale shape checks).
+// as non-compliant (useful for laptop-scale shape checks). The process
+// exits 0 for a valid result, 2 for an invalid one and 1 on error.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -24,7 +26,6 @@ import (
 	"time"
 
 	"tpcxiot/internal/audit"
-	"tpcxiot/internal/benchfmt"
 	"tpcxiot/internal/driver"
 	"tpcxiot/internal/hbase"
 	"tpcxiot/internal/lsm"
@@ -35,6 +36,13 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+// run executes the benchmark and returns the process exit code. Returning
+// instead of exiting lets the deferred cleanup — the cluster, the
+// observability server and a temporary data directory — run on every path.
+func run() int {
 	var (
 		drivers     = flag.Int("drivers", 2, "driver instances (simulated power substations)")
 		kvps        = flag.Int64("kvps", 200_000, "total kvps to ingest per workload execution")
@@ -56,7 +64,7 @@ func main() {
 		status      = flag.Duration("status", 0, "log a status line for driver 0 on this interval (e.g. 2s)")
 		targetRate  = flag.Float64("target-rate", 0, "pace the run at this system-wide intended rate in ops/s (split across drivers and threads into a fixed intended-start schedule); paced runs additionally record coordinated-omission-corrected intended latency (0 = open loop)")
 		auditTol    = flag.Float64("audit-tolerance", 0, "sustained-performance band for the run-validity auditor: every complete telemetry interval must stay within this fraction of the mean interval rate (0 = auditor default 0.20)")
-		auditJSON   = flag.String("audit-json", "", "write the audit verdict as a benchfmt JSON artifact to this file (default results/audit-<pid>.json when -telemetry is on)")
+		auditJSON   = flag.String("audit-json", "", "write the run's audit verdicts as JSON to this file (default results/audit-<pid>.json when -telemetry is on)")
 
 		telemetryOn  = flag.Bool("telemetry", false, "collect engine counters, op-path spans and a per-interval time series")
 		telemetryInt = flag.Duration("telemetry-interval", 10*time.Second, "telemetry sampling period")
@@ -69,13 +77,17 @@ func main() {
 		traceJSON    = flag.String("trace-json", "", "write sampled traces as Chrome trace-event JSON to this file at exit (default results/trace-<pid>.json when tracing is on)")
 	)
 	flag.Parse()
+	fail := func(err error) int {
+		log.Print(err)
+		return 1
+	}
 
 	dir := *dataDir
 	if dir == "" {
 		var err error
 		dir, err = os.MkdirTemp("", "tpcxiot-*")
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		defer os.RemoveAll(dir)
 	}
@@ -95,11 +107,11 @@ func main() {
 		eventsW := os.Stderr
 		if *eventsPath != "" {
 			if err := os.MkdirAll(filepath.Dir(*eventsPath), 0o755); err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
 			f, err := os.Create(*eventsPath)
 			if err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
 			defer f.Close()
 			eventsW = f
@@ -123,7 +135,7 @@ func main() {
 	}
 	compr, err := sstable.ParseCompression(*compression)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	quorumAcks := *quorum
 	if quorumAcks < 0 {
@@ -145,7 +157,7 @@ func main() {
 		Logger:   elog,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	defer cluster.Close()
 
@@ -153,14 +165,38 @@ func main() {
 		*auditJSON = filepath.Join("results", fmt.Sprintf("audit-%d.json", os.Getpid()))
 	}
 
-	// Live audit state: the run-validity auditor, the verdicts completed
-	// iterations produced (via OnVerdict), and the in-flight telemetry
-	// ticker — shared by the /audit endpoint and the SIGINT flush.
-	auditor := audit.NewAuditor(audit.Config{Tolerance: *auditTol, MinSeconds: *minSeconds})
-	var auditMu sync.Mutex
+	// Live audit state: the verdicts evaluated so far (via OnVerdict) and
+	// the in-flight execution's telemetry ticker, shared by the /audit
+	// endpoint and the SIGINT flush. The auditor here only evaluates the
+	// interval rules of an execution still in flight.
+	auditor := audit.NewAuditor(audit.Config{Tolerance: *auditTol})
+	var mu sync.Mutex
 	var verdicts []audit.Verdict
-	var tickerMu sync.Mutex
 	var liveTicker *telemetry.Ticker
+	// snapshot samples the in-flight execution's series; nil between
+	// executions.
+	snapshot := func() *telemetry.Series {
+		mu.Lock()
+		t := liveTicker
+		mu.Unlock()
+		if t == nil {
+			return nil
+		}
+		return t.Snapshot()
+	}
+	// trail returns the verdicts evaluated so far plus, for a live series, a
+	// partial verdict of the iteration in flight.
+	trail := func(live *telemetry.Series) []audit.Verdict {
+		mu.Lock()
+		out := append([]audit.Verdict(nil), verdicts...)
+		mu.Unlock()
+		if live != nil {
+			v := auditor.EvaluatePartial(live, *targetRate)
+			v.Iteration = len(out)
+			out = append(out, v)
+		}
+		return out
+	}
 
 	// The observability server mounts after the cluster exists so /storage
 	// and /healthz can introspect the live stores, not a placeholder.
@@ -172,26 +208,10 @@ func main() {
 			h := cluster.Health()
 			return h, h.OK
 		})
-		// /audit serves the completed iterations' verdicts plus, while an
-		// execution is in flight, a live partial evaluation of its interval
-		// series so the run can be audited before it finishes.
-		telemetry.MountJSON(mux, "/audit", func() any {
-			var snap auditSnapshot
-			auditMu.Lock()
-			snap.Verdicts = append([]audit.Verdict(nil), verdicts...)
-			auditMu.Unlock()
-			tickerMu.Lock()
-			t := liveTicker
-			tickerMu.Unlock()
-			if t != nil {
-				live := auditor.EvaluatePartial(t.Snapshot(), *targetRate)
-				snap.Live = &live
-			}
-			return snap
-		})
+		telemetry.MountJSON(mux, "/audit", func() any { return trail(snapshot()) })
 		srv, addr, err := telemetry.ServeMux(*telemetryAdr, mux)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		defer srv.Close()
 		log.Printf("telemetry: /metrics, /storage, /healthz, /audit, /trace and /debug/pprof on http://%s", addr)
@@ -199,17 +219,17 @@ func main() {
 
 	sut, err := driver.NewClusterSUT(cluster, *drivers, *writeBuffer)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if *useTCP {
 		if err := sut.UseTCP(); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 	}
 
 	// On SIGINT/SIGTERM, flush what telemetry exists — the in-flight
-	// interval series, the trace buffer, and the audit verdict (completed
-	// iterations plus a partial evaluation of the interrupted execution) —
+	// interval series, the trace buffer, and the audit artefact (the
+	// verdicts so far plus a partial one of the interrupted execution) —
 	// before exiting, so an interrupted run still leaves an auditable trail.
 	if reg != nil {
 		sigc := make(chan os.Signal, 1)
@@ -217,30 +237,15 @@ func main() {
 		go func() {
 			<-sigc
 			log.Printf("interrupted: flushing telemetry")
-			tickerMu.Lock()
-			t := liveTicker
-			tickerMu.Unlock()
-			var partial *audit.Verdict
-			if t != nil {
-				s := t.Snapshot()
-				if len(s.Points) > 0 {
-					if err := writeOneSeriesCSV(*telemetryCSV, s); err != nil {
-						log.Printf("telemetry: csv export: %v", err)
-					} else {
-						log.Printf("telemetry: partial series written to %s", *telemetryCSV)
-					}
+			s := snapshot()
+			if s != nil && len(s.Points) > 0 {
+				if err := writeOneSeriesCSV(*telemetryCSV, s); err != nil {
+					log.Printf("telemetry: csv export: %v", err)
+				} else {
+					log.Printf("telemetry: partial series written to %s", *telemetryCSV)
 				}
-				v := auditor.EvaluatePartial(s, *targetRate)
-				partial = &v
 			}
-			auditMu.Lock()
-			done := append([]audit.Verdict(nil), verdicts...)
-			auditMu.Unlock()
-			if err := writeAuditJSON(*auditJSON, done, partial); err != nil {
-				log.Printf("audit: artifact export: %v", err)
-			} else if *auditJSON != "" {
-				log.Printf("audit: partial verdict written to %s", *auditJSON)
-			}
+			writeAuditJSON(*auditJSON, trail(s))
 			flushTraceJSON(*traceJSON, tracer)
 			os.Exit(130)
 		}()
@@ -258,12 +263,13 @@ func main() {
 		Analytics:          *analytics,
 		TargetRate:         *targetRate,
 		AuditTolerance:     *auditTol,
-		OnVerdict: func(it int, v audit.Verdict) {
-			auditMu.Lock()
+		OnVerdict: func(v audit.Verdict) {
+			mu.Lock()
 			verdicts = append(verdicts, v)
-			auditMu.Unlock()
+			liveTicker = nil
+			mu.Unlock()
 			if !v.Valid {
-				log.Printf("audit: iteration %d verdict INVALID: %s", it+1, v.Check().Detail)
+				log.Printf("audit: verdict %d INVALID", v.Iteration)
 			}
 		},
 		Telemetry:         reg,
@@ -271,19 +277,16 @@ func main() {
 		HealthInterval:    *healthInt,
 		Tracer:            tracer,
 		OnTicker: func(t *telemetry.Ticker) {
-			tickerMu.Lock()
+			mu.Lock()
 			liveTicker = t
-			tickerMu.Unlock()
+			mu.Unlock()
 		},
 		Logf: func(format string, args ...any) {
 			log.Printf(format, args...)
 		},
 	})
-	if err != nil {
-		if res != nil {
-			fmt.Print(res.Report())
-		}
-		log.Fatal(err)
+	if res == nil {
+		return fail(err)
 	}
 	fmt.Print(res.Report())
 	if reg != nil {
@@ -291,74 +294,36 @@ func main() {
 			log.Printf("telemetry: csv export: %v", err)
 		}
 	}
-	auditMu.Lock()
-	done := append([]audit.Verdict(nil), verdicts...)
-	auditMu.Unlock()
-	if err := writeAuditJSON(*auditJSON, done, nil); err != nil {
-		log.Printf("audit: artifact export: %v", err)
-	} else if *auditJSON != "" && len(done) > 0 {
-		log.Printf("audit: verdict artifact written to %s", *auditJSON)
-	}
+	writeAuditJSON(*auditJSON, res.Verdicts())
 	flushTraceJSON(*traceJSON, tracer)
-	if !res.Valid() {
-		os.Exit(2)
-	}
-}
-
-// auditSnapshot is the /audit endpoint's response: the verdicts of every
-// completed iteration plus, while an execution is in flight, a live partial
-// evaluation of its interval series.
-type auditSnapshot struct {
-	Verdicts []audit.Verdict `json:"verdicts"`
-	Live     *audit.Verdict  `json:"live,omitempty"`
-}
-
-// writeAuditJSON exports the run's audit verdicts as one benchfmt document:
-// one result per (iteration, rule), with an interrupted partial verdict —
-// when the run was cut short — keyed iteration=interrupted. No-op when path
-// is empty or there is nothing to write.
-func writeAuditJSON(path string, verdicts []audit.Verdict, partial *audit.Verdict) error {
-	if path == "" || (len(verdicts) == 0 && partial == nil) {
-		return nil
-	}
-	combined := &benchfmt.File{
-		Benchmark:   "RunValidityAudit",
-		Description: "live run-validity audit verdicts, one result per (iteration, rule)",
-	}
-	valid := len(verdicts) > 0
-	annotate := func(v audit.Verdict, iteration string) {
-		vf := v.Benchfmt()
-		for _, r := range vf.Results {
-			r.Variant["iteration"] = iteration
-			combined.Results = append(combined.Results, r)
-		}
-	}
-	for i, v := range verdicts {
-		annotate(v, fmt.Sprint(i+1))
-		if !v.Valid {
-			valid = false
-		}
-	}
-	if partial != nil {
-		annotate(*partial, "interrupted")
-	}
-	combined.Summary = map[string]any{
-		"valid":       valid,
-		"iterations":  len(verdicts),
-		"interrupted": partial != nil,
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	werr := combined.Write(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	if !res.Valid() {
+		return 2
 	}
-	return werr
+	return 0
+}
+
+// writeAuditJSON exports the run's audit verdicts — the prerequisites, one
+// per iteration, and a partial one when the run was interrupted — as one
+// JSON list. No-op when path is empty.
+func writeAuditJSON(path string, verdicts []audit.Verdict) {
+	if path == "" {
+		return
+	}
+	err := os.MkdirAll(filepath.Dir(path), 0o755)
+	if err == nil {
+		var b []byte
+		if b, err = json.MarshalIndent(verdicts, "", "  "); err == nil {
+			err = os.WriteFile(path, append(b, '\n'), 0o644)
+		}
+	}
+	if err != nil {
+		log.Printf("audit: artefact export: %v", err)
+		return
+	}
+	log.Printf("audit: %d verdict(s) written to %s", len(verdicts), path)
 }
 
 // flushTraceJSON exports the tracer's completed-trace buffer as Chrome

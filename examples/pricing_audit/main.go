@@ -65,10 +65,9 @@ func main() {
 		Result:           result,
 		Pricing:          cfg,
 		Audit: audit.Record{
-			Method:    audit.PeerAudit,
-			Auditors:  []string{"reviewer-a", "reviewer-b", "reviewer-c"},
-			Date:      time.Now(),
-			Checklist: result.Checks(),
+			Method:   audit.PeerAudit,
+			Auditors: []string{"reviewer-a", "reviewer-b", "reviewer-c"},
+			Date:     time.Now(),
 		},
 	}
 	if err := report.Validate(); err != nil {
@@ -76,7 +75,9 @@ func main() {
 	}
 	fmt.Print(report.ExecutiveSummary())
 	fmt.Println()
-	fmt.Println("Audit checklist")
-	fmt.Println("---------------")
-	fmt.Print(result.Checks().String())
+	fmt.Println("Audit verdicts")
+	fmt.Println("--------------")
+	for _, v := range result.Verdicts() {
+		fmt.Print(v)
+	}
 }

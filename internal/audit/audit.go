@@ -1,14 +1,19 @@
-// Package audit implements the prerequisite, validity and audit checks of
-// the TPCx-IoT execution rules (Sections III-B and IV-D).
+// Package audit evaluates the TPCx-IoT execution rules (Sections III-B and
+// IV-D) into structured verdicts.
 //
-// Before the warmup run the benchmark driver performs the file check
-// (md5 checksums of all non-changeable kit files against a reference
-// manifest) and the data-replication check (three-way replication). After
-// each measured run the data check verifies the runtime requirements:
-// at least 1 800 s of workload execution, at least 20 kvps/s ingested per
-// sensor, and a healthy number of readings aggregated per query. Results
-// must additionally be audited — independently or by a peer review
-// committee — before publication.
+// Before the first warmup, Prerequisites checks the kit files against their
+// reference md5 checksums and the storage tier's three-way replication.
+// After each measured run, Auditor.Evaluate checks what the iteration
+// produced: at least 1 800 s of warmup and of measured execution, exactly
+// the requested kvps ingested (and stored, when the SUT can count them), at
+// least 20 kvps/s per sensor, a healthy number of readings aggregated per
+// query, throughput sustained interval by interval, and a bounded share of
+// shed operations. Repeatability compares the two iterations' measured
+// runs. Each rule is evaluated once, into a RuleResult of a Verdict: the
+// report, the /audit endpoint and the -audit-json artefact all render the
+// same verdicts, and a run is valid when every verdict is. Results must
+// additionally be audited — independently or by a peer review committee —
+// before publication (Record).
 package audit
 
 import (
@@ -38,51 +43,168 @@ const (
 	RequiredReplication = 3
 )
 
-// Check is the outcome of one audit item.
-type Check struct {
-	// Name identifies the check, e.g. "file-check".
-	Name string
-	// Passed reports the verdict.
-	Passed bool
-	// Detail is a human-readable explanation with the measured values.
-	Detail string
+// Rule names. Every RuleResult carries one, so consumers (the report, the
+// CI gate reading the artefact, tests) match on names rather than positions.
+const (
+	// RuleFileCheck: no non-changeable kit file differs from its reference
+	// checksum.
+	RuleFileCheck = "file-check"
+	// RuleReplication: the storage tier keeps at least RequiredReplication
+	// copies.
+	RuleReplication = "data-replication-check"
+	// RuleSustainedThroughput: each complete telemetry interval's operation
+	// rate stays within the tolerance band around the run mean.
+	RuleSustainedThroughput = "sustained-throughput"
+	// RuleWarmupDuration: an untimed warmup execution preceded the measured
+	// run and lasted at least its floor.
+	RuleWarmupDuration = "warmup-duration"
+	// RuleMeasuredDuration: the measured run lasted at least its floor (the
+	// specification's 1 800 s for a publishable run).
+	RuleMeasuredDuration = "measured-duration"
+	// RuleDataCheck: the measured run ingested exactly the requested kvps —
+	// TPCx-IoT is a fixed-workload benchmark, so a shortfall is lost data.
+	RuleDataCheck = "data-check"
+	// RuleShedBudget: the share of operations deferred by load shedding
+	// (after the client exhausted its retries) stays under budget.
+	RuleShedBudget = "shed-budget"
+	// RulePerSensorRate: the average ingest rate per sensor reaches
+	// MinPerSensorRate.
+	RulePerSensorRate = "per-sensor-ingest-rate"
+	// RuleRowsPerQuery: dashboard queries aggregate at least MinRowsPerQuery
+	// readings on average.
+	RuleRowsPerQuery = "readings-per-query"
+	// RuleStoredRows: the storage tier holds every reading the iteration
+	// ingested (warmup plus measured run) — the storage-level complement of
+	// RuleDataCheck's client-side count.
+	RuleStoredRows = "stored-rows"
+	// RuleRepeatability: the two iterations' throughputs agree within the
+	// tolerance; the TPC requires a repetition run to show repeatability.
+	RuleRepeatability = "repeatability"
+)
+
+// IntervalViolation pins one rule violation to one telemetry interval:
+// which interval, what was observed, what band it broke, and the signals
+// that co-occurred in the same interval.
+type IntervalViolation struct {
+	// Interval is the point's index within the measured run's series.
+	Interval int `json:"interval"`
+	// ElapsedSeconds is the interval's end relative to the run start.
+	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	// Observed is the interval's measured value (ops/s for the sustained
+	// rule).
+	Observed float64 `json:"observed"`
+	// Lo and Hi bound the allowed band the observation fell outside of.
+	Lo float64 `json:"lo"`
+	Hi float64 `json:"hi"`
+	// Signals names the co-occurring telemetry signals (shed counts,
+	// compaction debt, GC pauses, catch-up lag) active in this interval.
+	Signals []string `json:"signals,omitempty"`
 }
 
-// Checklist aggregates checks for a run.
-type Checklist []Check
-
-// Passed reports whether every check passed.
-func (cl Checklist) Passed() bool {
-	for _, c := range cl {
-		if !c.Passed {
-			return false
-		}
-	}
-	return true
+// RuleResult is one rule's outcome: the observed value against its bound,
+// a human-readable detail, and for an interval-scoped rule the intervals
+// that broke it.
+type RuleResult struct {
+	Rule   string `json:"rule"`
+	Passed bool   `json:"passed"`
+	// Observed and Bound are the rule's headline numbers (run-level value
+	// against its limit; for the sustained rule the mean rate against the
+	// tolerance fraction).
+	Observed float64 `json:"observed"`
+	Bound    float64 `json:"bound"`
+	// Detail is the human-readable one-liner.
+	Detail string `json:"detail,omitempty"`
+	// Violations pins interval-scoped failures; empty for run-level rules.
+	Violations []IntervalViolation `json:"violations,omitempty"`
 }
 
-// Failed returns the checks that did not pass.
-func (cl Checklist) Failed() Checklist {
-	var out Checklist
-	for _, c := range cl {
-		if !c.Passed {
-			out = append(out, c)
+// Verdict holds every rule evaluated over one scope of a run: its
+// prerequisites, or one iteration.
+type Verdict struct {
+	// Iteration numbers the iteration from 1; 0 marks the prerequisites.
+	Iteration int `json:"iteration"`
+	// Valid reports whether every rule passed. An interrupted verdict is
+	// never valid.
+	Valid bool `json:"valid"`
+	// Interrupted marks a partial verdict over an execution still in flight
+	// (the /audit endpoint, a SIGINT flush): only the interval-scoped rules
+	// were evaluated.
+	Interrupted bool `json:"interrupted,omitempty"`
+	// TargetRate echoes the paced rate (0 = open loop).
+	TargetRate float64 `json:"target_rate_ops_per_s,omitempty"`
+	// MeanRate is the mean ops/s over the complete intervals.
+	MeanRate float64 `json:"mean_interval_ops_per_s,omitempty"`
+	// Intervals counts the complete intervals evaluated.
+	Intervals int `json:"complete_intervals,omitempty"`
+	// Rules holds every evaluated rule, in evaluation order.
+	Rules []RuleResult `json:"rules"`
+}
+
+// Add appends rule results to the verdict and recomputes Valid.
+func (v *Verdict) Add(rules ...RuleResult) {
+	v.Rules = append(v.Rules, rules...)
+	v.Valid = !v.Interrupted && len(v.Failed()) == 0
+}
+
+// Failed returns the rules that did not pass.
+func (v Verdict) Failed() []RuleResult {
+	var out []RuleResult
+	for _, r := range v.Rules {
+		if !r.Passed {
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// String renders the checklist as a report section.
-func (cl Checklist) String() string {
+// Rule returns the named rule's result and whether it was evaluated.
+func (v Verdict) Rule(name string) (RuleResult, bool) {
+	for _, r := range v.Rules {
+		if r.Rule == name {
+			return r, true
+		}
+	}
+	return RuleResult{}, false
+}
+
+// Violations flattens every interval violation across rules.
+func (v Verdict) Violations() []IntervalViolation {
+	var out []IntervalViolation
+	for _, r := range v.Rules {
+		out = append(out, r.Violations...)
+	}
+	return out
+}
+
+// String renders one [PASS]/[FAIL] line per rule.
+func (v Verdict) String() string {
 	var b strings.Builder
-	for _, c := range cl {
+	for _, r := range v.Rules {
 		mark := "PASS"
-		if !c.Passed {
+		if !r.Passed {
 			mark = "FAIL"
 		}
-		fmt.Fprintf(&b, "[%s] %-24s %s\n", mark, c.Name, c.Detail)
+		fmt.Fprintf(&b, "[%s] %-22s %s\n", mark, r.Rule, r.Detail)
 	}
 	return b.String()
+}
+
+// Prerequisites evaluates the checks that gate a run before its first
+// warmup: the file check when a manifest is given, and the replication
+// factor.
+func Prerequisites(m Manifest, factor int) Verdict {
+	var v Verdict
+	if m != nil {
+		v.Add(fileCheck(m))
+	}
+	v.Add(RuleResult{
+		Rule:     RuleReplication,
+		Passed:   factor >= RequiredReplication,
+		Observed: float64(factor),
+		Bound:    RequiredReplication,
+		Detail:   fmt.Sprintf("replication factor %d (require >= %d)", factor, RequiredReplication),
+	})
+	return v
 }
 
 // Manifest maps kit file paths to their reference MD5 checksums (hex).
@@ -115,9 +237,9 @@ func fileMD5(path string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// FileCheck verifies every manifest entry against the file on disk: the
+// fileCheck verifies every manifest entry against the file on disk: the
 // prerequisite that no non-changeable kit file was altered.
-func FileCheck(m Manifest) Check {
+func fileCheck(m Manifest) RuleResult {
 	paths := make([]string, 0, len(m))
 	for p := range m {
 		paths = append(paths, p)
@@ -134,92 +256,70 @@ func FileCheck(m Manifest) Check {
 			bad = append(bad, fmt.Sprintf("%s (checksum mismatch)", p))
 		}
 	}
-	if len(bad) > 0 {
-		return Check{Name: "file-check", Passed: false,
-			Detail: fmt.Sprintf("%d of %d kit files altered or missing: %s",
-				len(bad), len(m), strings.Join(bad, ", "))}
-	}
-	return Check{Name: "file-check", Passed: true,
+	r := RuleResult{Rule: RuleFileCheck, Passed: len(bad) == 0, Observed: float64(len(bad)),
 		Detail: fmt.Sprintf("%d kit files match the reference checksums", len(m))}
+	if len(bad) > 0 {
+		r.Detail = fmt.Sprintf("%d of %d kit files altered or missing: %s",
+			len(bad), len(m), strings.Join(bad, ", "))
+	}
+	return r
 }
 
-// ReplicationCheck verifies the storage tier's replication factor.
-func ReplicationCheck(factor int) Check {
-	return Check{
-		Name:   "data-replication-check",
-		Passed: factor >= RequiredReplication,
-		Detail: fmt.Sprintf("replication factor %d (require >= %d)", factor, RequiredReplication),
+// duration verifies an execution ran, and for at least min seconds (pass
+// MinWorkloadSeconds for a compliant run; scaled-down experiments pass a
+// smaller floor and must disclose it).
+func duration(rule, what string, seconds, min float64) RuleResult {
+	require := fmt.Sprintf(">= %gs", min)
+	if min <= 0 {
+		require = "> 0s"
+	}
+	return RuleResult{
+		Rule:     rule,
+		Passed:   seconds > 0 && seconds >= min,
+		Observed: seconds,
+		Bound:    min,
+		Detail:   fmt.Sprintf("%s ran %.1fs (require %s)", what, seconds, require),
 	}
 }
 
-// DurationCheck verifies a workload execution ran at least minSeconds
-// (pass MinWorkloadSeconds for a compliant run; scaled-down experiments may
-// pass a smaller bound and must disclose it).
-func DurationCheck(name string, elapsed time.Duration, minSeconds float64) Check {
-	return Check{
-		Name:   name,
-		Passed: elapsed.Seconds() >= minSeconds,
-		Detail: fmt.Sprintf("elapsed %.1fs (require >= %.0fs)", elapsed.Seconds(), minSeconds),
+// atLeast verifies a run-level value reaches its floor.
+func atLeast(rule string, observed, min float64, unit string) RuleResult {
+	return RuleResult{
+		Rule:     rule,
+		Passed:   observed >= min,
+		Observed: observed,
+		Bound:    min,
+		Detail:   fmt.Sprintf("%.1f %s (require >= %.0f)", observed, unit, min),
 	}
 }
 
-// PerSensorRateCheck verifies the average per-sensor ingest rate.
-func PerSensorRateCheck(perSensorRate, min float64) Check {
-	return Check{
-		Name:   "per-sensor-ingest-rate",
-		Passed: perSensorRate >= min,
-		Detail: fmt.Sprintf("%.1f kvps/s per sensor (require >= %.0f)", perSensorRate, min),
+// exact verifies a count equals its expectation; detail formats got, want.
+func exact(rule string, got, want int64, detail string) RuleResult {
+	return RuleResult{
+		Rule:     rule,
+		Passed:   got == want,
+		Observed: float64(got),
+		Bound:    float64(want),
+		Detail:   fmt.Sprintf(detail, got, want),
 	}
 }
 
-// QueryAggregateCheck verifies the mean readings aggregated per query.
-func QueryAggregateCheck(avgRows, min float64) Check {
-	return Check{
-		Name:   "readings-per-query",
-		Passed: avgRows >= min,
-		Detail: fmt.Sprintf("%.1f readings aggregated per query (require >= %.0f)", avgRows, min),
-	}
-}
-
-// DataCheck verifies the measured run ingested exactly the requested kvps —
-// TPCx-IoT is a fixed-workload benchmark, so a shortfall means lost data.
-func DataCheck(ingested, expected int64) Check {
-	return Check{
-		Name:   "data-check",
-		Passed: ingested == expected,
-		Detail: fmt.Sprintf("ingested %d of %d kvps", ingested, expected),
-	}
-}
-
-// StoredRowsCheck verifies the storage tier holds every reading ingested
-// during the iteration (warmup plus measured run) — the storage-level
-// complement of DataCheck's client-side accounting.
-func StoredRowsCheck(stored, expected int64) Check {
-	return Check{
-		Name:   "stored-rows",
-		Passed: stored == expected,
-		Detail: fmt.Sprintf("storage holds %d of %d ingested readings", stored, expected),
-	}
-}
-
-// RepeatabilityCheck compares the two iterations' throughput. The TPC
-// requires a repetition run to demonstrate repeatability; tolerance is the
+// Repeatability compares the two iterations' throughput; tolerance is the
 // allowed relative difference (e.g. 0.10 for 10%).
-func RepeatabilityCheck(iotps1, iotps2, tolerance float64) Check {
+func Repeatability(iotps1, iotps2, tolerance float64) RuleResult {
+	r := RuleResult{Rule: RuleRepeatability, Bound: tolerance}
 	if iotps1 <= 0 || iotps2 <= 0 {
-		return Check{Name: "repeatability", Passed: false,
-			Detail: fmt.Sprintf("non-positive throughput: %.1f vs %.1f", iotps1, iotps2)}
+		r.Detail = fmt.Sprintf("non-positive throughput: %.1f vs %.1f", iotps1, iotps2)
+		return r
 	}
 	lo, hi := iotps1, iotps2
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	diff := (hi - lo) / hi
-	return Check{
-		Name:   "repeatability",
-		Passed: diff <= tolerance,
-		Detail: fmt.Sprintf("iterations differ by %.1f%% (allow <= %.0f%%)", diff*100, tolerance*100),
-	}
+	r.Observed = (hi - lo) / hi
+	r.Passed = r.Observed <= tolerance
+	r.Detail = fmt.Sprintf("iterations differ by %.1f%% (allow <= %.0f%%)", r.Observed*100, tolerance*100)
+	return r
 }
 
 // Method is how a result is audited before publication.
@@ -243,12 +343,12 @@ func (m Method) String() string {
 	return "independent audit"
 }
 
-// Record documents the audit of a result.
+// Record documents who audited a result and when; the rules they reviewed
+// are the result's verdicts.
 type Record struct {
-	Method    Method
-	Auditors  []string
-	Date      time.Time
-	Checklist Checklist
+	Method   Method
+	Auditors []string
+	Date     time.Time
 }
 
 // Validate enforces the specification's composition rules: an independent

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -75,10 +76,9 @@ func TestSustainedThroughputJustOutsideBoundaryFails(t *testing.T) {
 	if first.Interval != 0 || first.Observed != 1201 || first.Lo != 800 || first.Hi != 1200 {
 		t.Fatalf("violation structure wrong: %+v", first)
 	}
-	// And the failure surfaces through the checklist bridge.
-	check := v.Check()
-	if check.Passed || !strings.Contains(check.Detail, RuleSustainedThroughput) {
-		t.Fatalf("check must carry the failed rule name: %+v", check)
+	// And the failure surfaces in the rendered verdict.
+	if !strings.Contains(v.String(), "[FAIL] "+RuleSustainedThroughput) {
+		t.Fatalf("rendered verdict must carry the failed rule: %s", v)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestRunLevelRuleBoundaries(t *testing.T) {
 	t.Run("duration exactly on floor passes", func(t *testing.T) {
 		run := healthyRun(nil)
 		run.MeasuredSeconds = 10
-		r, _ := a.Evaluate(run).Rule(RuleMinDuration)
+		r, _ := a.Evaluate(run).Rule(RuleMeasuredDuration)
 		if !r.Passed {
 			t.Fatalf("boundary duration must pass: %+v", r)
 		}
@@ -186,14 +186,14 @@ func TestRunLevelRuleBoundaries(t *testing.T) {
 		run := healthyRun(nil)
 		run.MeasuredSeconds = 9.99
 		v := a.Evaluate(run)
-		if r, _ := v.Rule(RuleMinDuration); r.Passed || v.Valid {
+		if r, _ := v.Rule(RuleMeasuredDuration); r.Passed || v.Valid {
 			t.Fatalf("short run must fail min-duration: %+v", r)
 		}
 	})
 	t.Run("missing warmup fails", func(t *testing.T) {
 		run := healthyRun(nil)
 		run.WarmupSeconds = 0
-		if r, _ := a.Evaluate(run).Rule(RuleWarmupExclusion); r.Passed {
+		if r, _ := a.Evaluate(run).Rule(RuleWarmupDuration); r.Passed {
 			t.Fatalf("run without warmup must fail: %+v", r)
 		}
 	})
@@ -240,28 +240,81 @@ func TestEvaluatePartialIsInterruptedAndNeverValid(t *testing.T) {
 	}
 }
 
-func TestVerdictBenchfmtExport(t *testing.T) {
+// TestVerdictJSONArtefact pins the field names of the -audit-json artefact
+// and the /audit endpoint, which CI reads: a list of verdicts, each with its
+// iteration, validity and per-rule outcomes.
+func TestVerdictJSONArtefact(t *testing.T) {
 	a := NewAuditor(Config{MinSeconds: 1})
 	v := a.Evaluate(healthyRun(seriesOf(time.Second, 1201, 1000, 799)))
-	f := v.Benchfmt()
-	if f.Benchmark != "RunValidityAudit" {
-		t.Fatalf("benchmark name = %q", f.Benchmark)
+	v.Iteration = 1
+	b, err := json.Marshal([]Verdict{Prerequisites(nil, 3), v})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(f.Results) != len(v.Rules) {
-		t.Fatalf("results = %d, want one per rule (%d)", len(f.Results), len(v.Rules))
+	var doc []struct {
+		Iteration int  `json:"iteration"`
+		Valid     bool `json:"valid"`
+		Rules     []struct {
+			Rule       string            `json:"rule"`
+			Passed     bool              `json:"passed"`
+			Violations []json.RawMessage `json:"violations"`
+		} `json:"rules"`
 	}
-	byRule := map[string]map[string]float64{}
-	for _, r := range f.Results {
-		byRule[r.Variant["rule"]] = r.Metrics
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
 	}
-	m, ok := byRule[RuleSustainedThroughput]
-	if !ok {
-		t.Fatalf("missing sustained-throughput result: %+v", byRule)
+	if len(doc) != 2 || doc[0].Iteration != 0 || !doc[0].Valid || doc[1].Iteration != 1 || doc[1].Valid {
+		t.Fatalf("artefact verdicts wrong: %s", b)
 	}
-	if m["passed"] != 0 || m["violations"] != 2 {
-		t.Fatalf("sustained metrics wrong: %+v", m)
+	var found bool
+	for _, r := range doc[1].Rules {
+		if r.Rule == RuleSustainedThroughput {
+			found = true
+			if r.Passed || len(r.Violations) != 2 {
+				t.Fatalf("sustained rule wrong in artefact: %s", b)
+			}
+		}
 	}
-	if valid, _ := f.Summary["valid"].(bool); valid {
-		t.Fatalf("summary.valid must be false: %+v", f.Summary)
+	if !found {
+		t.Fatalf("artefact misses %s: %s", RuleSustainedThroughput, b)
+	}
+}
+
+// TestEvaluateRulesOncePerEvidence checks that every rule appears at most
+// once in an iteration's verdict, and that the specification floors and the
+// stored-rows rule are evaluated only when their evidence is given.
+func TestEvaluateRulesOncePerEvidence(t *testing.T) {
+	a := NewAuditor(Config{MinSeconds: 1})
+	run := healthyRun(nil)
+	names := func(v Verdict) map[string]int {
+		seen := map[string]int{}
+		for _, r := range v.Rules {
+			seen[r.Rule]++
+		}
+		return seen
+	}
+	seen := names(a.Evaluate(run))
+	for _, rule := range []string{RulePerSensorRate, RuleRowsPerQuery, RuleStoredRows} {
+		if seen[rule] != 0 {
+			t.Fatalf("%s evaluated without its evidence", rule)
+		}
+	}
+
+	// 1000 kvps in 10 s over one substation is 0.5 kvps/s per sensor.
+	stored := int64(1999)
+	run.Substations, run.RowsPerQuery = 1, 250
+	run.StoredRows, run.WarmupKVPs = &stored, 1000
+	v := a.Evaluate(run)
+	for rule, n := range names(v) {
+		if n != 1 {
+			t.Fatalf("%s evaluated %d times", rule, n)
+		}
+	}
+	want := map[string]bool{RulePerSensorRate: false, RuleRowsPerQuery: true, RuleStoredRows: false}
+	for rule, passed := range want {
+		r, ok := v.Rule(rule)
+		if !ok || r.Passed != passed {
+			t.Fatalf("%s: evaluated %v, result %+v", rule, ok, r)
+		}
 	}
 }

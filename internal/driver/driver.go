@@ -146,10 +146,11 @@ type Config struct {
 	// AuditShedBudget is the auditor's allowed shed-operation fraction.
 	// 0 selects the auditor default (0.05).
 	AuditShedBudget float64
-	// OnVerdict, when set, receives each iteration's audit verdict right
-	// after evaluation (iteration index first) — the hook the CLI uses to
-	// refresh the /audit endpoint and stream the verdict artifact.
-	OnVerdict func(iteration int, v audit.Verdict)
+	// OnVerdict, when set, receives each verdict right after evaluation:
+	// the prerequisites first, then each iteration's — the hook the CLI
+	// uses to serve /audit and to flush the audit artefact of an
+	// interrupted run.
+	OnVerdict func(v audit.Verdict)
 
 	// sequencer issues per-sensor monotonic timestamps shared by every
 	// workload execution of this run, so a measured run never re-mints a
@@ -188,6 +189,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
+	}
+	if c.OnVerdict == nil {
+		c.OnVerdict = func(audit.Verdict) {}
 	}
 	if c.TelemetryInterval <= 0 {
 		c.TelemetryInterval = 10 * time.Second
@@ -302,11 +306,9 @@ func (e Execution) AvgRowsPerQuery() float64 {
 type Iteration struct {
 	Warmup   Execution
 	Measured Execution
-	Checks   audit.Checklist
-	// Verdict is the live run-validity audit of the measured run: named
-	// rules with structured outcomes, interval violations joined to
-	// co-occurring telemetry signals. Its pass/fail is folded into Checks
-	// as the "run-validity-audit" entry.
+	// Verdict holds every execution rule evaluated over the iteration,
+	// interval violations joined to co-occurring telemetry signals; the
+	// last iteration of a multi-iteration run also carries repeatability.
 	Verdict audit.Verdict
 }
 
@@ -320,7 +322,7 @@ type Result struct {
 	// SUTDescription names the system under test.
 	SUTDescription string
 	// Prerequisites holds the pre-run checks.
-	Prerequisites audit.Checklist
+	Prerequisites audit.Verdict
 	// Iterations holds each benchmark iteration.
 	Iterations []Iteration
 	// Metric aggregates the measured runs.
@@ -337,17 +339,26 @@ type Result struct {
 	SlowTraces []*telemetry.Trace
 }
 
-// Checks flattens every checklist in the result.
-func (r *Result) Checks() audit.Checklist {
-	out := append(audit.Checklist(nil), r.Prerequisites...)
+// Verdicts returns the run's audit in evaluation order: the prerequisites,
+// then one verdict per iteration. The report, the /audit endpoint and the
+// -audit-json artefact are renderings of this list.
+func (r *Result) Verdicts() []audit.Verdict {
+	out := []audit.Verdict{r.Prerequisites}
 	for _, it := range r.Iterations {
-		out = append(out, it.Checks...)
+		out = append(out, it.Verdict)
 	}
 	return out
 }
 
-// Valid reports whether every check passed.
-func (r *Result) Valid() bool { return r.Checks().Passed() }
+// Valid reports whether every verdict is valid.
+func (r *Result) Valid() bool {
+	for _, v := range r.Verdicts() {
+		if !v.Valid {
+			return false
+		}
+	}
+	return true
+}
 
 // IoTps returns the reported performance metric.
 func (r *Result) IoTps() float64 {
@@ -372,9 +383,10 @@ func Run(cfg Config) (*Result, error) {
 		Compliant:      c.MinWorkloadSeconds >= audit.MinWorkloadSeconds,
 	}
 	auditor := audit.NewAuditor(audit.Config{
-		Tolerance:  c.AuditTolerance,
-		MinSeconds: c.MinWorkloadSeconds,
-		ShedBudget: c.AuditShedBudget,
+		Tolerance:        c.AuditTolerance,
+		MinSeconds:       c.MinWorkloadSeconds,
+		MinWarmupSeconds: c.MinWorkloadSeconds,
+		ShedBudget:       c.AuditShedBudget,
 	})
 
 	// Runtime health sampling for the whole run; every execution's interval
@@ -386,13 +398,10 @@ func Run(cfg Config) (*Result, error) {
 
 	// Prerequisite checks: file check (when a manifest is supplied) and the
 	// data replication check. A failure aborts the run.
-	if c.Manifest != nil {
-		res.Prerequisites = append(res.Prerequisites, audit.FileCheck(c.Manifest))
-	}
-	res.Prerequisites = append(res.Prerequisites,
-		audit.ReplicationCheck(c.SUT.ReplicationFactor()))
-	if !res.Prerequisites.Passed() {
-		return res, fmt.Errorf("%w:\n%s", ErrPrerequisite, res.Prerequisites.Failed())
+	res.Prerequisites = audit.Prerequisites(c.Manifest, c.SUT.ReplicationFactor())
+	c.OnVerdict(res.Prerequisites)
+	if !res.Prerequisites.Valid {
+		return res, fmt.Errorf("%w:\n%s", ErrPrerequisite, res.Prerequisites)
 	}
 
 	for it := 0; it < c.Iterations; it++ {
@@ -407,32 +416,17 @@ func Run(cfg Config) (*Result, error) {
 			return res, fmt.Errorf("driver: iteration %d measured: %w", it+1, err)
 		}
 
-		iter := Iteration{Warmup: warmup, Measured: measured}
-		iter.Checks = append(iter.Checks,
-			audit.DurationCheck("warmup-duration", warmup.Elapsed(), c.MinWorkloadSeconds),
-			audit.DurationCheck("measured-duration", measured.Elapsed(), c.MinWorkloadSeconds),
-			audit.DataCheck(measured.KVPs, c.TotalKVPs),
-			audit.PerSensorRateCheck(
-				metrics.PerSensorIoTps(measured.IoTps(), c.Drivers),
-				audit.MinPerSensorRate),
-			audit.QueryAggregateCheck(measured.AvgRowsPerQuery(), audit.MinRowsPerQuery),
-		)
-		// When the SUT can count stored rows, verify the storage tier holds
-		// everything this iteration ingested (warmup + measured coexist
-		// until the next cleanup) — a stronger data check than client-side
-		// accounting.
+		// When the SUT can count stored rows, the stored-rows rule checks the
+		// storage tier, not only the client-side accounting.
+		var stored *int64
 		if counter, ok := c.SUT.(RowCounter); ok {
-			stored, err := counter.CountRows()
+			n, err := counter.CountRows()
 			if err != nil {
 				return res, fmt.Errorf("driver: stored-row count: %w", err)
 			}
-			iter.Checks = append(iter.Checks,
-				audit.StoredRowsCheck(stored, warmup.KVPs+measured.KVPs))
+			stored = &n
 		}
-		// Live run-validity audit: the measured run's interval series plus
-		// its metadata, evaluated into a structured verdict whose pass/fail
-		// joins the iteration checklist.
-		iter.Verdict = auditor.Evaluate(audit.RunInfo{
+		v := auditor.Evaluate(audit.RunInfo{
 			WarmupSeconds:   warmup.Elapsed().Seconds(),
 			MeasuredSeconds: measured.Elapsed().Seconds(),
 			KVPs:            measured.KVPs,
@@ -441,15 +435,23 @@ func Run(cfg Config) (*Result, error) {
 			ShedOps:         measured.ShedOps(),
 			TargetRate:      c.TargetRate,
 			Series:          measured.Series,
+			Substations:     c.Drivers,
+			RowsPerQuery:    measured.AvgRowsPerQuery(),
+			StoredRows:      stored,
+			WarmupKVPs:      warmup.KVPs,
 		})
-		iter.Checks = append(iter.Checks, iter.Verdict.Check())
-		if c.OnVerdict != nil {
-			c.OnVerdict(it, iter.Verdict)
-		}
-		res.Iterations = append(res.Iterations, iter)
+		v.Iteration = it + 1
+		res.Iterations = append(res.Iterations, Iteration{Warmup: warmup, Measured: measured, Verdict: v})
 		res.Metric.Runs = append(res.Metric.Runs, metrics.Run{
 			KVPs: measured.KVPs, Start: measured.Start, End: measured.End,
 		})
+		if it > 0 && it == c.Iterations-1 {
+			res.Iterations[it].Verdict.Add(audit.Repeatability(
+				res.Iterations[0].Measured.IoTps(),
+				res.Iterations[1].Measured.IoTps(),
+				c.RepeatabilityTolerance))
+		}
+		c.OnVerdict(res.Iterations[it].Verdict)
 
 		if it < c.Iterations-1 {
 			c.Logf("iteration %d/%d: system cleanup", it+1, c.Iterations)
@@ -459,14 +461,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	if len(res.Iterations) >= 2 {
-		last := len(res.Iterations) - 1
-		res.Iterations[last].Checks = append(res.Iterations[last].Checks,
-			audit.RepeatabilityCheck(
-				res.Iterations[0].Measured.IoTps(),
-				res.Iterations[1].Measured.IoTps(),
-				c.RepeatabilityTolerance))
-	}
 	res.Telemetry = c.Telemetry.Summary()
 	res.SlowTraces = c.Tracer.SlowTraces()
 	return res, nil

@@ -87,7 +87,7 @@ func TestPrerequisiteFailureAborts(t *testing.T) {
 	if !errors.Is(err, ErrPrerequisite) {
 		t.Fatalf("factor-2 SUT not rejected: %v", err)
 	}
-	if res == nil || res.Prerequisites.Passed() {
+	if res == nil || res.Prerequisites.Valid {
 		t.Fatal("prerequisites should record the failure")
 	}
 	if len(res.Iterations) != 0 {
@@ -150,10 +150,34 @@ func TestFullBenchmarkRun(t *testing.T) {
 			t.Fatalf("shares sum to %d", shares)
 		}
 		// Data check must pass.
-		for _, c := range it.Checks {
-			if c.Name == "data-check" && !c.Passed {
-				t.Fatalf("data check failed: %s", c.Detail)
-			}
+		if r, ok := it.Verdict.Rule(audit.RuleDataCheck); !ok || !r.Passed {
+			t.Fatalf("data check missing or failed: %+v", r)
+		}
+		if it.Verdict.Iteration != i+1 {
+			t.Fatalf("iteration %d verdict numbered %d", i, it.Verdict.Iteration)
+		}
+	}
+	// Every execution rule is evaluated exactly once per run scope: the
+	// prerequisites, then each iteration, repeatability on the last.
+	perIteration := []string{audit.RuleSustainedThroughput, audit.RuleWarmupDuration,
+		audit.RuleMeasuredDuration, audit.RuleDataCheck, audit.RuleShedBudget,
+		audit.RulePerSensorRate, audit.RuleRowsPerQuery}
+	want := [][]string{
+		{audit.RuleReplication},
+		perIteration,
+		append(append([]string(nil), perIteration...), audit.RuleRepeatability),
+	}
+	verdicts := res.Verdicts()
+	if len(verdicts) != len(want) {
+		t.Fatalf("%d verdicts, want %d", len(verdicts), len(want))
+	}
+	for i, v := range verdicts {
+		var got []string
+		for _, r := range v.Rules {
+			got = append(got, r.Rule)
+		}
+		if strings.Join(got, ",") != strings.Join(want[i], ",") {
+			t.Fatalf("verdict %d rules %v, want %v", i, got, want[i])
 		}
 	}
 	if res.Compliant {
@@ -204,8 +228,8 @@ func TestSingleIterationSkipsCleanupAndRepeatability(t *testing.T) {
 	if sut.cleanups != 0 {
 		t.Fatal("cleanup ran for a single iteration")
 	}
-	for _, c := range res.Checks() {
-		if c.Name == "repeatability" {
+	for _, v := range res.Verdicts() {
+		if _, ok := v.Rule(audit.RuleRepeatability); ok {
 			t.Fatal("repeatability check present with one iteration")
 		}
 	}

@@ -57,7 +57,7 @@ func (r *Result) Report() string {
 		}
 		writeSeries(&b, it.Measured.Series)
 		writeAudit(&b, it.Verdict)
-		fmt.Fprintf(&b, "%s\n", it.Checks)
+		fmt.Fprintf(&b, "\n")
 	}
 
 	writeTelemetry(&b, r.Telemetry)
@@ -101,9 +101,9 @@ func writeIntended(b *strings.Builder, op string, service, intended histogram.Sn
 	fmt.Fprintf(b, "\n")
 }
 
-// writeAudit renders the iteration's live run-validity verdict: one line
-// per rule, then the interval-attribution table joining each violating
-// interval to the telemetry signals active in it.
+// writeAudit renders the iteration's verdict: one line per rule, then the
+// interval-attribution table joining each violating interval to the
+// telemetry signals active in it.
 func writeAudit(b *strings.Builder, v audit.Verdict) {
 	if len(v.Rules) == 0 {
 		return
@@ -122,12 +122,8 @@ func writeAudit(b *strings.Builder, v audit.Verdict) {
 		fmt.Fprintf(b, ", mean %.1f ops/s", v.MeanRate)
 	}
 	fmt.Fprintf(b, ")\n")
-	for _, r := range v.Rules {
-		mark := "PASS"
-		if !r.Passed {
-			mark = "FAIL"
-		}
-		fmt.Fprintf(b, "    [%s] %-22s %s\n", mark, r.Rule, r.Detail)
+	for _, line := range strings.Split(strings.TrimSuffix(v.String(), "\n"), "\n") {
+		fmt.Fprintf(b, "    %s\n", line)
 	}
 	viols := v.Violations()
 	if len(viols) == 0 {

@@ -22,7 +22,7 @@ func SimulatedResult(nodes, substations int, totalKVPs int64, seed uint64, start
 		SUTDescription: fmt.Sprintf(
 			"simulated testbed: %d-node HBase 1.2.0 cluster (Cisco UCS B200 M4 model), 3-way replication",
 			nodes),
-		Prerequisites: audit.Checklist{audit.ReplicationCheck(3)},
+		Prerequisites: audit.Prerequisites(nil, 3),
 		Compliant:     true,
 	}
 	clock := start
@@ -39,8 +39,9 @@ func SimulatedResult(nodes, substations int, totalKVPs int64, seed uint64, start
 		iter := driver.Iteration{
 			Warmup:   toDriverExecution(bench.Warmup, substations, clock),
 			Measured: toDriverExecution(bench.Measured, substations, clock.Add(bench.Warmup.Elapsed)),
+			Verdict:  bench.Verdict,
 		}
-		iter.Checks = bench.Checks
+		iter.Verdict.Iteration = it + 1
 		res.Iterations = append(res.Iterations, iter)
 		res.Metric.Runs = append(res.Metric.Runs, metrics.Run{
 			KVPs:  bench.Measured.KVPs,
@@ -49,10 +50,9 @@ func SimulatedResult(nodes, substations int, totalKVPs int64, seed uint64, start
 		})
 		clock = iter.Measured.End
 	}
-	res.Iterations[1].Checks = append(res.Iterations[1].Checks,
-		audit.RepeatabilityCheck(
-			res.Iterations[0].Measured.IoTps(),
-			res.Iterations[1].Measured.IoTps(), 0.10))
+	res.Iterations[1].Verdict.Add(audit.Repeatability(
+		res.Iterations[0].Measured.IoTps(),
+		res.Iterations[1].Measured.IoTps(), 0.10))
 	return res, nil
 }
 

@@ -205,9 +205,6 @@ func (r *Report) Render() string {
 	if !r.Audit.Date.IsZero() {
 		fmt.Fprintf(&b, "Audited: %s\n", r.Audit.Date.Format(time.DateOnly))
 	}
-	if len(r.Audit.Checklist) > 0 {
-		b.WriteString(r.Audit.Checklist.String())
-	}
 	return b.String()
 }
 

@@ -18,10 +18,8 @@ func sampleResult() *driver.Result {
 		Drivers:        32,
 		TotalKVPs:      400_000_000,
 		SUTDescription: "8-node HBase cluster",
-		Prerequisites: audit.Checklist{
-			audit.ReplicationCheck(3),
-		},
-		Compliant: true,
+		Prerequisites:  audit.Prerequisites(nil, 3),
+		Compliant:      true,
 	}
 	res.Metric = metrics.Result{
 		Runs: []metrics.Run{

@@ -154,16 +154,20 @@ func (s *Series) GaugeStats(name string) (peak int64, mean float64, ok bool) {
 // under it.
 const completeIntervalFraction = 0.9
 
-// Complete returns the points that cover a full sampling period. The final
+// IsComplete reports whether p covers a full sampling period. The final
 // point of a run spans only the tail since the last tick; folding it into
 // per-interval rate statistics makes a short tail read as a throughput
 // collapse, so peak/trough summaries and run-validity evaluation operate on
 // complete intervals only.
+func (s *Series) IsComplete(p Point) bool {
+	return p.Interval >= time.Duration(completeIntervalFraction*float64(s.Interval))
+}
+
+// Complete returns the points that cover a full sampling period.
 func (s *Series) Complete() []Point {
-	floor := time.Duration(completeIntervalFraction * float64(s.Interval))
 	out := make([]Point, 0, len(s.Points))
 	for _, p := range s.Points {
-		if p.Interval >= floor {
+		if s.IsComplete(p) {
 			out = append(out, p)
 		}
 	}

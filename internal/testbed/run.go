@@ -158,7 +158,8 @@ func Execute(cfg Config) (Execution, error) {
 type BenchmarkResult struct {
 	Warmup   Execution
 	Measured Execution
-	Checks   audit.Checklist
+	// Verdict holds the execution rules evaluated over the iteration.
+	Verdict audit.Verdict
 }
 
 // RunBenchmark simulates the warmup and measured executions of one
@@ -182,12 +183,14 @@ func RunBenchmark(cfg Config) (BenchmarkResult, error) {
 	}
 	res.Warmup = warm
 	res.Measured = meas
-	res.Checks = audit.Checklist{
-		audit.DurationCheck("warmup-duration", warm.Elapsed, audit.MinWorkloadSeconds),
-		audit.DurationCheck("measured-duration", meas.Elapsed, audit.MinWorkloadSeconds),
-		audit.DataCheck(meas.KVPs, cfg.TotalKVPs),
-		audit.PerSensorRateCheck(meas.PerSensorIoTps(cfg.Substations), audit.MinPerSensorRate),
-		audit.QueryAggregateCheck(meas.AvgRowsPerQuery, audit.MinRowsPerQuery),
-	}
+	res.Verdict = audit.NewAuditor(audit.Config{MinWarmupSeconds: audit.MinWorkloadSeconds}).Evaluate(audit.RunInfo{
+		WarmupSeconds:   warm.Elapsed.Seconds(),
+		MeasuredSeconds: meas.Elapsed.Seconds(),
+		KVPs:            meas.KVPs,
+		ExpectedKVPs:    cfg.TotalKVPs,
+		TotalOps:        meas.KVPs + meas.Queries,
+		Substations:     cfg.Substations,
+		RowsPerQuery:    meas.AvgRowsPerQuery,
+	})
 	return res, nil
 }

@@ -263,17 +263,17 @@ func TestRunBenchmarkChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]audit.Check{}
-	for _, c := range res.Checks {
-		byName[c.Name] = c
+	byName := map[string]audit.RuleResult{}
+	for _, r := range res.Verdict.Rules {
+		byName[r.Rule] = r
 	}
-	if c := byName["data-check"]; !c.Passed {
+	if c := byName[audit.RuleDataCheck]; !c.Passed {
 		t.Fatalf("data check failed: %s", c.Detail)
 	}
-	if c := byName["per-sensor-ingest-rate"]; !c.Passed {
+	if c := byName[audit.RulePerSensorRate]; !c.Passed {
 		t.Fatalf("per-sensor rate check failed at 8 substations: %s", c.Detail)
 	}
-	if c := byName["measured-duration"]; c.Passed {
+	if c, ok := byName[audit.RuleMeasuredDuration]; !ok || c.Passed {
 		t.Fatal("short scaled run should fail the 1800s duration rule")
 	}
 	if res.Warmup.Elapsed == res.Measured.Elapsed {
