@@ -78,8 +78,7 @@ func BenchmarkFig8DriverGeneration(b *testing.B) {
 // discardDB is the /dev/null binding.
 type discardDB struct{}
 
-func (discardDB) Insert(key, value []byte) error        { return nil }
-func (discardDB) Read(key []byte) ([]byte, bool, error) { return nil, false, nil }
+func (discardDB) Insert(key, value []byte) error { return nil }
 func (discardDB) ScanIter(lo, hi []byte, n int) (ycsb.RowIter, error) {
 	return ycsb.SliceIter(nil), nil
 }

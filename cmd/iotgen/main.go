@@ -24,8 +24,7 @@ import (
 // nothing.
 type discardDB struct{}
 
-func (discardDB) Insert(key, value []byte) error        { return nil }
-func (discardDB) Read(key []byte) ([]byte, bool, error) { return nil, false, nil }
+func (discardDB) Insert(key, value []byte) error { return nil }
 func (discardDB) ScanIter(lo, hi []byte, n int) (ycsb.RowIter, error) {
 	return ycsb.SliceIter(nil), nil
 }

@@ -27,6 +27,27 @@ func newLiveCluster(t *testing.T, nodes int) *hbase.Cluster {
 
 // TestLiveBenchmarkEndToEnd runs the complete two-iteration benchmark
 // against the real storage engine: WAL, memtables, replication, scans.
+// scanAll reads every row of the table through a Scanner.
+func scanAll(t *testing.T, c *hbase.Client) []hbase.Row {
+	t.Helper()
+	sc, err := c.NewScanner(nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	var rows []hbase.Row
+	for {
+		row, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return rows
+		}
+		rows = append(rows, row)
+	}
+}
+
 func TestLiveBenchmarkEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live end-to-end run")
@@ -70,10 +91,7 @@ func TestLiveBenchmarkEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := client.Scan(nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := scanAll(t, client)
 	if len(rows) != 2*kvps {
 		t.Fatalf("store holds %d rows after the final iteration, want %d (warmup + measured)", len(rows), 2*kvps)
 	}
@@ -123,10 +141,7 @@ func TestLiveCleanupBetweenIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, _ := cluster.NewClient("iot", 0)
-	rows, err := client.Scan(nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := scanAll(t, client)
 	if len(rows) != 500 {
 		t.Fatalf("pre-cleanup rows = %d", len(rows))
 	}
@@ -134,10 +149,7 @@ func TestLiveCleanupBetweenIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	client2, _ := cluster.NewClient("iot", 0)
-	rows, err = client2.Scan(nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows = scanAll(t, client2)
 	if len(rows) != 0 {
 		t.Fatalf("cleanup left %d rows behind", len(rows))
 	}
@@ -285,10 +297,7 @@ func TestLiveBenchmarkOverTCP(t *testing.T) {
 	// Data actually landed.
 	client, _ := cluster.NewTCPClient("iot", 0)
 	defer client.Close()
-	rows, err := client.Scan(nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := scanAll(t, client)
 	if len(rows) != 8_000 { // warmup + measured
 		t.Fatalf("store holds %d rows", len(rows))
 	}

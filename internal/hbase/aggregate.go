@@ -16,9 +16,9 @@ import (
 // per series; see lsm.AggregateTime for windowing semantics.
 //
 // Before reading, it waits for the client's sender and then flushes only the
-// overlapping regions' write buffers (the same read-your-writes rule Get and
-// Scanner follow), so an aggregate over one key range never forces
-// unrelated regions' batches out early.
+// overlapping regions' write buffers (the same read-your-writes rule Scanner
+// follows), so an aggregate over one key range never forces unrelated
+// regions' batches out early.
 //
 // The fan-out walks regions in key order. A region boundary set at
 // CreateTable can fall inside a series' key run, so the same (series,

@@ -228,13 +228,13 @@ func TestAggregateFlushesOnlyOverlappingRegions(t *testing.T) {
 		t.Fatalf("BufferedBytes = %d (before %d): only the overlapping region may flush", got, before)
 	}
 	// And its rows are not stored yet.
-	if _, found, err := c.Get([]byte("z000")); err != nil {
+	if _, found, err := getKey(c, []byte("z000")); err != nil {
 		t.Fatal(err)
 	} else if !found {
-		// Get flushes the target region first, so by now it IS found; the
-		// real assertion is the buffer count above. Reaching here means the
+		// A read flushes its region first, so by now it IS found; the real
+		// assertion is the buffer count above. Reaching here means the
 		// flush-on-read path works too.
-		t.Fatal("Get after flush-on-read did not find the row")
+		t.Fatal("read after flush-on-read did not find the row")
 	}
 }
 

@@ -33,7 +33,7 @@ const maxInFlight = 2
 // A write is acknowledged once FlushCommits, Close or a read returns nil
 // after it: those first wait until the sender is idle, then use the
 // transport on the caller's goroutine. The sender's first failure is
-// returned by the next Put, Delete, FlushCommits, Close, Get, NewScanner or
+// returned by the next Put, Delete, FlushCommits, Close, NewScanner or
 // Aggregate, with every batch it did not ship back in the buffer.
 type Client struct {
 	table  *Table
@@ -286,11 +286,11 @@ func (c *Client) FlushCommits() error {
 
 // flushRegion ships one region's buffered batch on the caller's goroutine,
 // leaving every other region's buffer untouched. Reads flush this way: only
-// the region being read needs its writes visible, so a Get or Scan over one
-// key range does not force every region's batch out early. The sender must
-// be idle. A read's flush is not a buffer flush: it is neither counted in
-// hbase.buffer_flushes nor timed in put.client_flush. On a failure the
-// batch stays buffered.
+// the region being read needs its writes visible, so a scan or aggregate
+// over one key range does not force every region's batch out early. The
+// sender must be idle. A read's flush is not a buffer flush: it is neither
+// counted in hbase.buffer_flushes nor timed in put.client_flush. On a
+// failure the batch stays buffered.
 func (c *Client) flushRegion(tr *tableRegion, sp telemetry.TSpan) error {
 	batch := c.buffers[tr]
 	if len(batch) == 0 {
@@ -379,51 +379,6 @@ func mutationBytes(batch []Mutation) int64 {
 // BufferedBytes reports the current client-side buffer occupancy: what is
 // buffered and not sealed, plus what a failed flush put back.
 func (c *Client) BufferedBytes() int64 { return c.buffered }
-
-// Get reads one key from the region's primary, after flushing any buffered
-// write for that region so the client reads its own writes. Only the
-// target region's batch is shipped — other regions keep batching.
-func (c *Client) Get(key []byte) ([]byte, bool, error) {
-	if c.closed {
-		return nil, false, ErrClientClosed
-	}
-	if err := c.settle(); err != nil {
-		return nil, false, err
-	}
-	_, sp := c.tracer.StartTrace("client.get")
-	defer sp.End()
-	tr := c.table.locate(key)
-	if err := c.flushRegion(tr, sp); err != nil {
-		return nil, false, err
-	}
-	gsp := sp.Child("rpc.get")
-	v, ok, err := c.rpc.get(tr, key, gsp)
-	gsp.End()
-	return v, ok, err
-}
-
-// Scan reads all rows with lo <= key < hi (nil hi scans to the table end)
-// and materializes the whole result. It is a thin wrapper over Scanner for
-// callers that want a slice; use NewScanner to stream in O(chunk) memory.
-// limit <= 0 is unlimited.
-func (c *Client) Scan(lo, hi []byte, limit int) ([]Row, error) {
-	sc, err := c.NewScanner(lo, hi, limit)
-	if err != nil {
-		return nil, err
-	}
-	defer sc.Close()
-	var out []Row
-	for {
-		row, ok, err := sc.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, row)
-	}
-}
 
 // rangesOverlap reports whether scan range [lo,hi) intersects region range
 // [start,end), treating nil as unbounded.

@@ -87,7 +87,7 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		for _, k := range []string{fmt.Sprintf("a%03d", i), fmt.Sprintf("z%03d", i)} {
-			if _, ok, err := c.Get([]byte(k)); err != nil || !ok {
+			if _, ok, err := getKey(c, []byte(k)); err != nil || !ok {
 				t.Fatalf("key %q lost across failed flush + retry: ok=%v err=%v", k, ok, err)
 			}
 		}
@@ -130,7 +130,7 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 		t.Fatalf("BufferedBytes = %d after the healed flush, want 0", got)
 	}
 	for _, k := range keys {
-		if _, ok, err := auto.Get([]byte(k)); err != nil || !ok {
+		if _, ok, err := getKey(auto, []byte(k)); err != nil || !ok {
 			t.Fatalf("key %q lost across a sender failure: ok=%v err=%v", k, ok, err)
 		}
 	}
@@ -212,8 +212,8 @@ func TestSenderKeepsRegionOrderAcrossSheds(t *testing.T) {
 	if err := c.FlushCommits(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, err := c.Get(k); err != nil || !ok || string(v) != "v2" {
-		t.Fatalf("Get(k) = %q,%v,%v; want the later write v2", v, ok, err)
+	if v, ok, err := getKey(c, k); err != nil || !ok || string(v) != "v2" {
+		t.Fatalf("read k = %q,%v,%v; want the later write v2", v, ok, err)
 	}
 	want := []string{"shed v1", "shed v1", "shed v1", "ack v1", "ack v2"}
 	if !reflect.DeepEqual(shed.log, want) {
@@ -304,7 +304,7 @@ func TestSenderBoundsInFlight(t *testing.T) {
 		t.Fatal("no client.put trace with a client.flush_wait span")
 	}
 	for i := 0; i < 3; i++ {
-		if _, ok, err := c.Get([]byte(fmt.Sprintf("k%d", i))); err != nil || !ok {
+		if _, ok, err := getKey(c, []byte(fmt.Sprintf("k%d", i))); err != nil || !ok {
 			t.Fatalf("k%d: ok=%v err=%v", i, ok, err)
 		}
 	}
@@ -322,9 +322,9 @@ func (s slowTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TS
 	return s.transport.mutate(tr, batch, sp)
 }
 
-// TestReadYourWritesWhileFlushing: Get, NewScanner and Aggregate see every
-// write the client made before them, sealed buffers still on the wire
-// included, in-process and over TCP.
+// TestReadYourWritesWhileFlushing: NewScanner and Aggregate see every write
+// the client made before them, sealed buffers still on the wire included,
+// in-process and over TCP. The first read of a round is a one-key scan.
 func TestReadYourWritesWhileFlushing(t *testing.T) {
 	split := kvp.Key{Substation: "sub0", Sensor: "sb", Timestamp: 0}.Encode()
 	cl, _ := newTCPCluster(t, 3, [][]byte{split})
@@ -350,10 +350,10 @@ func TestReadYourWritesWhileFlushing(t *testing.T) {
 				last = k
 				written++
 			}
-			if _, ok, err := c.Get(last); err != nil || !ok {
-				t.Fatalf("%s round %d: Get of the last write: ok=%v err=%v", name, round, ok, err)
+			if _, ok, err := getKey(c, last); err != nil || !ok {
+				t.Fatalf("%s round %d: read of the last write: ok=%v err=%v", name, round, ok, err)
 			}
-			// The Get acked everything before it; write more to read behind.
+			// The read acked everything before it; write more to read behind.
 			for i := 40; i < 80; i++ {
 				k, v := aggKVP(t, "sub0", []string{"sa", "sb"}[i%2], int64(round*1000+i), 1)
 				if err := c.Put(k, v); err != nil {
@@ -372,9 +372,9 @@ func TestReadYourWritesWhileFlushing(t *testing.T) {
 				}
 				written++
 			}
-			rows, err := c.Scan(lo, hi, 0)
+			rows, err := scanAll(c, lo, hi, 0)
 			if err != nil || int64(len(rows)) != written {
-				t.Fatalf("%s round %d: Scan returned %d rows (%v), want %d", name, round, len(rows), err, written)
+				t.Fatalf("%s round %d: scan returned %d rows (%v), want %d", name, round, len(rows), err, written)
 			}
 		}
 		if err := c.Close(); err != nil {
@@ -460,7 +460,7 @@ func TestPutSealsBehindScannerPrefetch(t *testing.T) {
 	if err := sc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := c.Get([]byte("late")); err != nil || !ok {
+	if _, ok, err := getKey(c, []byte("late")); err != nil || !ok {
 		t.Fatalf("the write sealed during the scan: ok=%v err=%v", ok, err)
 	}
 	if most := st.most.Load(); most != 1 {
@@ -493,7 +493,7 @@ func TestCloseDrainsSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, ok, err := reader.Get([]byte(fmt.Sprintf("k%02d", i))); err != nil || !ok {
+		if _, ok, err := getKey(reader, []byte(fmt.Sprintf("k%02d", i))); err != nil || !ok {
 			t.Fatalf("k%02d not stored after Close: ok=%v err=%v", i, ok, err)
 		}
 	}
@@ -584,8 +584,8 @@ func TestCloseOutlastsTransientShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, err := r.Get(k); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("Get(k) = %q,%v,%v after Close", v, ok, err)
+	if v, ok, err := getKey(r, k); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("read k = %q,%v,%v after Close", v, ok, err)
 	}
 }
 
@@ -615,8 +615,8 @@ func TestReadFlushIsNotABufferFlush(t *testing.T) {
 	if err := c.Put([]byte("k1"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := c.Get([]byte("k1")); err != nil || !ok {
-		t.Fatalf("Get(k1): ok=%v err=%v", ok, err)
+	if _, ok, err := getKey(c, []byte("k1")); err != nil || !ok {
+		t.Fatalf("read k1: ok=%v err=%v", ok, err)
 	}
 	if n, timed := flushes(); n != 0 || timed != 0 || c.BufferedBytes() != 0 {
 		t.Fatalf("after a read flush: %d buffer flushes, %d timed, %d bytes buffered", n, timed, c.BufferedBytes())

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,6 +25,11 @@ type fuzzSeed struct {
 	wantErr bool
 }
 
+// opRetired is the opcode of the retired point read. Frames carrying it are
+// kept as seeds: a server refuses them as an unknown opcode, before any
+// handler runs.
+const opRetired byte = 2
+
 // fuzzRequests are FuzzDispatch's seeds, in an order a plain test can replay
 // (the scanner is closed after its next): a well-formed request of every op,
 // and the malformed ones a server is most likely to meet.
@@ -38,7 +44,7 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 		return append([]byte(nil), w.buf[4:]...)
 	}
 	key := kvp.Key{Substation: "sub0", Sensor: "sa", Timestamp: 1000}.Encode()
-	get := frame(opGet, func(w *frameWriter) { w.bytes(key) })
+	get := frame(opRetired, func(w *frameWriter) { w.bytes(key) })
 	mutate := frame(opMutate, func(w *frameWriter) {
 		w.uvarint(2)
 		w.uvarint(0)
@@ -69,11 +75,11 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 		}
 	})
 	// The get again, sampled: trace id 77, parent span 5 behind the flags.
-	traced := append([]byte{opGet, flagTrace, 77, 5}, get[2:]...)
+	traced := append([]byte{opRetired, flagTrace, 77, 5}, get[2:]...)
 	return []fuzzSeed{
 		{"mutate", mutate, false},
-		{"get", get, false},
-		{"get-traced", traced, false},
+		{"get", get, true},
+		{"get-traced", traced, true},
 		{"scan-open", scanOpen(3), false},
 		{"scan-open-huge", scanOpen(math.MaxUint64), false},
 		{"scan-next", scanNext(scanner, 2), false},
@@ -109,9 +115,9 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 		{"truncated-varint", append(frame(opScanNext, nil), 0x80, 0x80), true},
 		{"truncated-mutate-tail", fresh[:len(fresh)-1], true},
 		{"truncated-mutate", mutate[:len(mutate)-10], true},
-		{"unknown-region", append([]byte{opGet, 0, 4}, "nope"...), true},
+		{"unknown-region", append([]byte{opRetired, 0, 4}, "nope"...), true},
 		{"unknown-op", frame(99, nil), true},
-		{"trace-flag-alone", []byte{opGet, flagTrace}, true},
+		{"trace-flag-alone", []byte{opRetired, flagTrace}, true},
 	}
 }
 
@@ -198,7 +204,8 @@ func FuzzDispatch(f *testing.F) {
 // TestDispatchSeeds runs FuzzDispatch's seeds as a plain test with the
 // outcome each must have, so tier-1 covers them without the fuzz engine. No
 // seed may leave a replication member with a standing error: the region
-// must keep taking writes.
+// must keep taking writes. A refused seed leaves the region's rows as they
+// were.
 func TestDispatchSeeds(t *testing.T) {
 	cl, c := newTestCluster(t, 3, nil)
 	putReadings(t, c)
@@ -209,7 +216,7 @@ func TestDispatchSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := func() []Row {
-		rows, err := c.Scan(nil, nil, 0)
+		rows, err := scanAll(c, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,9 +227,14 @@ func TestDispatchSeeds(t *testing.T) {
 		before := rows()
 		req := frameReader{op: payload[0], flags: payload[1], buf: payload, off: 2}
 		var resp frameWriter
+		handled := tr.primary.requests.Load()
 		cl.dispatch(&req, &resp, tr.primary)
 		if got := resp.buf[4] != statusOK; got != seed.wantErr {
 			t.Errorf("%s: status %d (%q), want error=%v", name, resp.buf[4], resp.buf[headerLen:min(len(resp.buf), 80)], seed.wantErr)
+		}
+		// Every handler counts a request; the retired opcode reaches none.
+		if payload[0] == opRetired && tr.primary.requests.Load() != handled {
+			t.Errorf("%s: the retired opcode reached a handler", name)
 		}
 		// A refused request changes no row: a mutate that does not decode
 		// (truncated-mutate, truncated-mutate-tail) applies none of its
@@ -266,6 +278,12 @@ func responseSeeds(t testing.TB) []responseSeed {
 			responseSeed{c.name, unhex(t, c.resp), op, nil},
 			responseSeed{c.name + "-spans", unhex(t, c.respSpans), op, nil})
 	}
+	// The responses of the retired point read, behind mutate's: a frame no
+	// client asks for any more, which read as a scan open's result still
+	// decodes.
+	seeds = slices.Insert(seeds, 2,
+		responseSeed{"retired-get", unhex(t, "000001060301322e3543"), opScanOpen, nil},
+		responseSeed{"retired-get-spans", unhex(t, "00020109056414097365727665722e6f700372733001060301322e3543"), opScanOpen, nil})
 	frame := func(status byte, fields func(w *frameWriter)) []byte {
 		var w frameWriter
 		w.reset(status)
@@ -278,12 +296,12 @@ func responseSeeds(t testing.TB) []responseSeed {
 		w.endChunk(at, 1, false)
 	})
 	return append(seeds,
-		responseSeed{"server-error", frame(statusErr, func(w *frameWriter) { w.str("hbase: unknown region") }), opGet, errServer},
+		responseSeed{"server-error", frame(statusErr, func(w *frameWriter) { w.str("hbase: unknown opcode 2") }), opScanOpen, errServer},
 		responseSeed{"overloaded", frame(statusOverloaded, func(w *frameWriter) { w.uvarint(1500) }), opMutate, ErrOverloaded},
 		responseSeed{"truncated-chunk", chunk[:len(chunk)-1], opScanNext, ErrBadFrame},
 		responseSeed{"row-count-lies", frame(statusOK, func(w *frameWriter) { w.endChunk(w.beginChunk(), 1<<20, true) }), opScanNext, ErrBadFrame},
 		responseSeed{"window-count-lies", frame(statusOK, func(w *frameWriter) { w.uvarint(2); w.uvarint(1 << 40) }), opAggregate, ErrBadFrame},
-		responseSeed{"span-count-lies", frame(statusOK, func(w *frameWriter) { w.buf[flagsIdx] |= flagSpans; w.uvarint(1 << 30) }), opGet, ErrBadFrame},
+		responseSeed{"span-count-lies", frame(statusOK, func(w *frameWriter) { w.buf[flagsIdx] |= flagSpans; w.uvarint(1 << 30) }), opScanOpen, ErrBadFrame},
 		responseSeed{"unknown-status", []byte{7, 0}, opMutate, ErrBadFrame},
 	)
 }
@@ -311,7 +329,6 @@ func decodeResponse(t *testing.T, payload []byte) map[byte]error {
 	// Each decoder returns the bytes its counts claim at the least.
 	decoders := map[byte]func(r *frameReader) int{
 		opMutate:    func(*frameReader) int { return 0 },
-		opGet:       func(r *frameReader) int { r.value(); return 0 },
 		opScanOpen:  func(r *frameReader) int { r.uvarint(); return 0 },
 		opScanNext:  func(r *frameReader) int { rows, _ := r.chunk(); return 2 * cap(rows) },
 		opScanClose: func(*frameReader) int { return 0 },

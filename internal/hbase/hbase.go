@@ -95,7 +95,7 @@ type Config struct {
 	// "hbase.client_flush_waits", "put.client_flush", "hbase.flush_lag").
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, samples client operations into distributed
-	// traces. A sampled Get or scan chunk yields one span tree covering
+	// traces. A sampled aggregate or scan chunk yields one span tree covering
 	// client, RPC, server, region, LSM, WAL and replication work. A write is
 	// split in two: a sampled Put's client.put tree covers buffering and any
 	// client.flush_wait at the in-flight bound, and a sampled shipped buffer

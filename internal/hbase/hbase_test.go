@@ -37,6 +37,34 @@ func newTestCluster(t testing.TB, nodes int, splits [][]byte) (*Cluster, *Client
 	return cl, c
 }
 
+// scanAll reads the rows of [lo, hi) through a Scanner, at most limit of
+// them (<= 0 is unlimited).
+func scanAll(c *Client, lo, hi []byte, limit int) ([]Row, error) {
+	sc, err := c.NewScanner(lo, hi, limit)
+	if err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	var rows []Row
+	for {
+		row, ok, err := sc.Next()
+		if err != nil || !ok {
+			return rows, err
+		}
+		rows = append(rows, row)
+	}
+}
+
+// getKey reads one key through a Scanner over [key, key+"\x00"), the
+// range that holds that key alone.
+func getKey(c *Client, key []byte) ([]byte, bool, error) {
+	rows, err := scanAll(c, key, append(key[:len(key):len(key)], 0), 1)
+	if err != nil || len(rows) == 0 {
+		return nil, false, err
+	}
+	return rows[0].Value, true, nil
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewCluster(Config{}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("missing DataDir: %v", err)
@@ -59,11 +87,11 @@ func TestPutGetSingleRegion(t *testing.T) {
 	if err := c.Put([]byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := c.Get([]byte("k1"))
+	v, ok, err := getKey(c, []byte("k1"))
 	if err != nil || !ok || string(v) != "v1" {
-		t.Fatalf("Get = %q,%v,%v", v, ok, err)
+		t.Fatalf("read = %q,%v,%v", v, ok, err)
 	}
-	if _, ok, _ := c.Get([]byte("absent")); ok {
+	if _, ok, _ := getKey(c, []byte("absent")); ok {
 		t.Fatal("absent key reported present")
 	}
 }
@@ -93,9 +121,9 @@ func TestRoutingAcrossRegions(t *testing.T) {
 		}
 	}
 	for _, k := range []string{"apple", "grape", "zebra", "g", "p"} {
-		v, ok, err := c.Get([]byte(k))
+		v, ok, err := getKey(c, []byte(k))
 		if err != nil || !ok || string(v) != "v-"+k {
-			t.Fatalf("Get(%q) = %q,%v,%v", k, v, ok, err)
+			t.Fatalf("read %q = %q,%v,%v", k, v, ok, err)
 		}
 	}
 }
@@ -129,7 +157,7 @@ func TestWriteBufferBatching(t *testing.T) {
 	// All rows visible through a fresh client.
 	c2, _ := cl.NewClient("iot", 0)
 	for i := 0; i < 15; i++ {
-		if _, ok, _ := c2.Get([]byte(fmt.Sprintf("k%d", i))); !ok {
+		if _, ok, _ := getKey(c2, []byte(fmt.Sprintf("k%d", i))); !ok {
 			t.Fatalf("k%d lost", i)
 		}
 	}
@@ -142,11 +170,11 @@ func TestReadYourOwnBufferedWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Put([]byte("mine"), []byte("v"))
-	v, ok, err := c.Get([]byte("mine"))
+	v, ok, err := getKey(c, []byte("mine"))
 	if err != nil || !ok || string(v) != "v" {
 		t.Fatalf("client cannot read its own buffered write: %q,%v,%v", v, ok, err)
 	}
-	rows, err := c.Scan(nil, nil, 0)
+	rows, err := scanAll(c, nil, nil, 0)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("scan after buffered write: %d rows, %v", len(rows), err)
 	}
@@ -160,7 +188,7 @@ func TestScanSpansRegions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := c.Scan([]byte("k025"), []byte("k175"), 0)
+	rows, err := scanAll(c, []byte("k025"), []byte("k175"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +207,12 @@ func TestScanLimit(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
-	rows, err := c.Scan(nil, nil, 30)
+	rows, err := scanAll(c, nil, nil, 30)
 	if err != nil || len(rows) != 30 {
 		t.Fatalf("limited scan: %d rows, %v", len(rows), err)
 	}
 	// Limit spanning a region boundary.
-	rows, err = c.Scan([]byte("k045"), nil, 10)
+	rows, err = scanAll(c, []byte("k045"), nil, 10)
 	if err != nil || len(rows) != 10 {
 		t.Fatalf("boundary-limited scan: %d rows, %v", len(rows), err)
 	}
@@ -199,7 +227,7 @@ func TestDelete(t *testing.T) {
 	if err := c.Delete([]byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.Get([]byte("k")); ok {
+	if _, ok, _ := getKey(c, []byte("k")); ok {
 		t.Fatal("deleted key visible")
 	}
 }
@@ -285,7 +313,7 @@ func TestDropTablePurgesData(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2, _ := cl.NewClient("iot", 0)
-	if _, ok, _ := c2.Get([]byte("k")); ok {
+	if _, ok, _ := getKey(c2, []byte("k")); ok {
 		t.Fatal("data survived drop + recreate")
 	}
 }
@@ -355,11 +383,11 @@ func TestClosedClientRejectsOps(t *testing.T) {
 	if err := c.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("Put after close: %v", err)
 	}
-	if _, _, err := c.Get([]byte("k")); !errors.Is(err, ErrClientClosed) {
-		t.Fatalf("Get after close: %v", err)
+	if _, err := c.Aggregate(nil, nil, 0, 1, 0, lsm.AggCount); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("Aggregate after close: %v", err)
 	}
-	if _, err := c.Scan(nil, nil, 0); !errors.Is(err, ErrClientClosed) {
-		t.Fatalf("Scan after close: %v", err)
+	if _, err := c.NewScanner(nil, nil, 0); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("NewScanner after close: %v", err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
@@ -394,7 +422,7 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 	c, _ := cl.NewClient("iot", 0)
-	rows, err := c.Scan(nil, nil, 0)
+	rows, err := scanAll(c, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +436,7 @@ func TestServerStatsAccumulate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
 	}
-	c.Scan(nil, nil, 0)
+	scanAll(c, nil, nil, 0)
 	var mutations, rows int64
 	for _, s := range cl.Servers() {
 		st := s.Stats()

@@ -253,7 +253,7 @@ func TestOverloadedErrorOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reader.Get([]byte("fill0000")); err != nil {
+	if _, _, err := getKey(reader, []byte("fill0000")); err != nil {
 		t.Fatalf("reads failing during write overload: %v", err)
 	}
 	if err := reader.Close(); err != nil {

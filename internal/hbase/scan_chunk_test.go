@@ -75,11 +75,14 @@ func (f *scanFixture) storeRows(t *testing.T, lo, hi []byte) []Row {
 	}
 	var rows []Row
 	for _, tr := range tbl.regions {
-		err := tr.replicas[0].Store().Scan(lo, hi, func(k, v []byte) error {
-			rows = append(rows, Row{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
-			return nil
-		})
+		it, err := tr.replicas[0].Store().NewIterator(lo, hi)
 		if err != nil {
+			t.Fatal(err)
+		}
+		for ; it.Valid(); it.Next() {
+			rows = append(rows, Row{Key: append([]byte(nil), it.Key()...), Value: append([]byte(nil), it.Value()...)})
+		}
+		if err := it.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -127,10 +127,10 @@ func TestScannerCrossRegionMidLimitTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The connection must be quiescent again: a second scan and a Get both
-	// work on the same client after the first scanner closes.
-	if v, ok, err := c.Get(seedKey(77)); err != nil || !ok || !bytes.Equal(v, seedVal(77)) {
-		t.Fatalf("Get after scan = %q,%v,%v", v, ok, err)
+	// The connection must be quiescent again: a point read and a second scan
+	// both work on the same client after the first scanner closes.
+	if v, ok, err := getKey(c, seedKey(77)); err != nil || !ok || !bytes.Equal(v, seedVal(77)) {
+		t.Fatalf("read after scan = %q,%v,%v", v, ok, err)
 	}
 	sc, err = c.NewScannerChunk(seedKey(55), seedKey(65), 0, 3)
 	if err != nil {
@@ -251,8 +251,8 @@ func TestScannerSnapshotUnderFlushCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := r.Get([]byte("k0004-new")); err != nil || !ok {
-		t.Fatalf("post-compaction Get = %v,%v", ok, err)
+	if _, ok, err := getKey(r, []byte("k0004-new")); err != nil || !ok {
+		t.Fatalf("post-compaction read = %v,%v", ok, err)
 	}
 }
 

@@ -68,16 +68,16 @@ type RegionServer struct {
 
 	// Event counters, each counted once where the event happens: Stats
 	// reads them; counterTable names those the registry reports. Rows read
-	// are rowsGot + rowsStreamed + aggRowsFolded. The aggregation-pushdown
+	// are rowsStreamed + aggRowsFolded. The aggregation-pushdown
 	// counters are queries served, rows folded into partial aggregates
 	// inside the server (rows that never crossed the wire), and window
 	// partials returned.
-	requests, mutations, rowsGot telemetry.Counter
-	sheds                        telemetry.Counter // mutates refused under overload
-	scannerOpens, scanChunks     telemetry.Counter
-	rowsStreamed, leaseExpiries  telemetry.Counter
-	aggQueries, aggRowsFolded    telemetry.Counter
-	aggWindows                   telemetry.Counter
+	requests, mutations         telemetry.Counter
+	sheds                       telemetry.Counter // mutates refused under overload
+	scannerOpens, scanChunks    telemetry.Counter
+	rowsStreamed, leaseExpiries telemetry.Counter
+	aggQueries, aggRowsFolded   telemetry.Counter
+	aggWindows                  telemetry.Counter
 
 	nextSpan *telemetry.Timer // scan.next: one chunk fetch
 	aggSpan  *telemetry.Timer // agg.fold: one region fold
@@ -267,23 +267,6 @@ func (s *RegionServer) mutate(tr *tableRegion, batch []Mutation, parent telemetr
 	return nil
 }
 
-// get is the server-side point-read RPC ("server.get" span), served from
-// the primary replica.
-func (s *RegionServer) get(r *region.Region, key []byte, parent telemetry.TSpan) ([]byte, bool, error) {
-	sp := parent.ChildIn(s.service, "server.get")
-	defer sp.End()
-	waitSp := sp.Child("server.handler_wait")
-	s.acquire()
-	waitSp.End()
-	defer s.release()
-	s.requests.Inc()
-	v, ok, err := r.Get(key)
-	if ok {
-		s.rowsGot.Inc()
-	}
-	return v, ok, err
-}
-
 // Row is one key-value pair returned by a scan chunk. Rows are owned
 // copies, safe to retain.
 type Row struct {
@@ -386,7 +369,7 @@ func (s *RegionServer) next(id uint64, chunk int, sink rowSink, parent telemetry
 // whole fold, which runs inside the region against a snapshot-pinned
 // iterator with file-level key/time/Bloom pruning, and only the per-window
 // partials come back — the rows are reduced where they live. Reads take
-// acquire (never shed), consistent with get and the scanner RPCs. The RPC
+// acquire (never shed), consistent with the scanner RPCs. The RPC
 // appears as "server.aggregate" in this server's service with the handler
 // wait and the fold ("agg.fold") as children.
 func (s *RegionServer) aggregate(r *region.Region, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs, parent telemetry.TSpan) (lsm.AggResult, error) {
@@ -479,7 +462,7 @@ func (s *RegionServer) Stats() ServerStats {
 		Regions:      regions,
 		Requests:     s.requests.Load(),
 		Mutations:    s.mutations.Load(),
-		RowsRead:     s.rowsGot.Load() + s.rowsStreamed.Load() + s.aggRowsFolded.Load(),
+		RowsRead:     s.rowsStreamed.Load() + s.aggRowsFolded.Load(),
 		OpenScanners: s.OpenScannerCount(),
 		Sheds:        s.sheds.Load(),
 		ShedStreak:   s.shedStreak.Load(),

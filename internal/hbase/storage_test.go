@@ -68,7 +68,7 @@ func TestStorageReport(t *testing.T) {
 	// A scan of the flushed table reads it in runs, and /storage says how
 	// much of the disk bytes that was.
 	before := rep.Totals
-	if got, err := c.Scan(nil, nil, 0); err != nil || len(got) != rows {
+	if got, err := scanAll(c, nil, nil, 0); err != nil || len(got) != rows {
 		t.Fatalf("scan = %d rows, %v", len(got), err)
 	}
 	doc, err := json.Marshal(cl.Storage())

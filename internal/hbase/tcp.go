@@ -125,14 +125,6 @@ func (cl *Cluster) serve(req *frameReader, resp *frameWriter, srv *RegionServer,
 			return req.err
 		}
 		return srv.mutate(tr, batch, parent)
-	case opGet:
-		key := req.bytes()
-		if req.err != nil {
-			return req.err
-		}
-		v, found, err := srv.get(tr.replicas[0], key, parent)
-		resp.value(v, found)
-		return err
 	case opScanOpen:
 		lo, hi, limit := req.scanOpen()
 		if req.err != nil {

@@ -63,17 +63,17 @@ func TestTCPPutGetDelete(t *testing.T) {
 	if err := c.Put([]byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := c.Get([]byte("k1"))
+	v, ok, err := getKey(c, []byte("k1"))
 	if err != nil || !ok || string(v) != "v1" {
-		t.Fatalf("Get over TCP = %q,%v,%v", v, ok, err)
+		t.Fatalf("read over TCP = %q,%v,%v", v, ok, err)
 	}
-	if _, ok, _ := c.Get([]byte("absent")); ok {
+	if _, ok, _ := getKey(c, []byte("absent")); ok {
 		t.Fatal("absent key present over TCP")
 	}
 	if err := c.Delete([]byte("k1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.Get([]byte("k1")); ok {
+	if _, ok, _ := getKey(c, []byte("k1")); ok {
 		t.Fatal("deleted key visible over TCP")
 	}
 }
@@ -86,7 +86,7 @@ func TestTCPScanAcrossRegions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := c.Scan([]byte("k025"), []byte("k125"), 0)
+	rows, err := scanAll(c, []byte("k025"), []byte("k125"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestTCPScanAcrossRegions(t *testing.T) {
 		}
 	}
 	// Nil and empty bounds behave like the in-process client.
-	all, err := c.Scan(nil, nil, 0)
+	all, err := scanAll(c, nil, nil, 0)
 	if err != nil || len(all) != 150 {
 		t.Fatalf("unbounded TCP scan = %d rows, %v", len(all), err)
 	}
-	limited, err := c.Scan(nil, nil, 7)
+	limited, err := scanAll(c, nil, nil, 7)
 	if err != nil || len(limited) != 7 {
 		t.Fatalf("limited TCP scan = %d rows, %v", len(limited), err)
 	}
@@ -130,17 +130,17 @@ func TestTCPParityWithInproc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v, ok, _ := inproc.Get([]byte("from-tcp")); !ok || string(v) != "1" {
+	if v, ok, _ := getKey(inproc, []byte("from-tcp")); !ok || string(v) != "1" {
 		t.Fatal("in-process client cannot see TCP write")
 	}
-	if v, ok, _ := tcpClient.Get([]byte("zz-from-inproc")); !ok || string(v) != "2" {
+	if v, ok, _ := getKey(tcpClient, []byte("zz-from-inproc")); !ok || string(v) != "2" {
 		t.Fatal("TCP client cannot see in-process write")
 	}
-	a, err := tcpClient.Scan(nil, nil, 0)
+	a, err := scanAll(tcpClient, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := inproc.Scan(nil, nil, 0)
+	b, err := scanAll(inproc, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTCPBatchedMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	check, _ := cl.NewClient("iot", 0)
-	rows, err := check.Scan(nil, nil, 0)
+	rows, err := scanAll(check, nil, nil, 0)
 	if err != nil || len(rows) != 64 {
 		t.Fatalf("batched TCP writes: %d rows, %v", len(rows), err)
 	}
@@ -203,7 +203,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 	c, _ := cl.NewClient("iot", 0)
-	rows, err := c.Scan(nil, nil, 0)
+	rows, err := scanAll(c, nil, nil, 0)
 	if err != nil || len(rows) != workers*per {
 		t.Fatalf("concurrent TCP writes: %d rows, %v", len(rows), err)
 	}
@@ -218,7 +218,7 @@ func TestTCPLargeValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := c.Scan(nil, nil, 0)
+	rows, err := scanAll(c, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +250,12 @@ func TestTCPServerSideErrorKeepsConnection(t *testing.T) {
 	if _, err := cl.CreateTable("iot2", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get([]byte("k")); err == nil {
+	if _, _, err := getKey(c, []byte("k")); err == nil {
 		t.Fatal("stale region read should fail")
 	}
 	// The same client's connection survives the error: a second request
 	// over it gets a clean response too (another server-side error here).
-	if _, err := c.Scan(nil, nil, 0); err == nil {
+	if _, err := scanAll(c, nil, nil, 0); err == nil {
 		t.Fatal("stale region scan should fail")
 	}
 	// A fresh client for the new table over the same listeners works.
@@ -267,7 +267,7 @@ func TestTCPServerSideErrorKeepsConnection(t *testing.T) {
 	if err := fresh.Put([]byte("k2"), []byte("v2")); err != nil {
 		t.Fatalf("connection pool poisoned: %v", err)
 	}
-	if v, ok, err := fresh.Get([]byte("k2")); err != nil || !ok || string(v) != "v2" {
+	if v, ok, err := getKey(fresh, []byte("k2")); err != nil || !ok || string(v) != "v2" {
 		t.Fatalf("fresh client read: %q,%v,%v", v, ok, err)
 	}
 }
@@ -342,7 +342,7 @@ func TestWireFormatRejectsGarbage(t *testing.T) {
 	}
 	// Field length overruns payload.
 	var fw frameWriter
-	fw.reset(opGet)
+	fw.reset(opScanClose)
 	fw.buf = append(fw.buf, 0xff, 0x01, 0x05) // declares a 255-byte field, then one byte
 	var buf bytes.Buffer
 	fw.flush(&buf)

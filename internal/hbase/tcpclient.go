@@ -18,7 +18,6 @@ import (
 // as the frame trace header and stitches the returned server spans back in.
 type transport interface {
 	mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error
-	get(tr *tableRegion, key []byte, sp telemetry.TSpan) ([]byte, bool, error)
 	openScanner(tr *tableRegion, lo, hi []byte, limit int, sp telemetry.TSpan) (uint64, error)
 	scanNext(tr *tableRegion, id uint64, chunk int, sp telemetry.TSpan) ([]Row, bool, error)
 	closeScanner(tr *tableRegion, id uint64, sp telemetry.TSpan) error
@@ -33,10 +32,6 @@ type inprocTransport struct{}
 
 func (inprocTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
 	return tr.primary.mutate(tr, batch, sp)
-}
-
-func (inprocTransport) get(tr *tableRegion, key []byte, sp telemetry.TSpan) ([]byte, bool, error) {
-	return tr.primary.get(tr.replicas[0], key, sp)
 }
 
 func (inprocTransport) openScanner(tr *tableRegion, lo, hi []byte, limit int, sp telemetry.TSpan) (uint64, error) {
@@ -97,7 +92,7 @@ type tcpConn struct {
 }
 
 // connReadBuf sizes the reader in front of a connection, at both ends: a
-// small message (an ack, a point read, an aggregate) arrives header and all
+// small message (an ack, a scan open, an aggregate) arrives header and all
 // in one read(2), and bufio reads a payload larger than its buffer straight
 // into the frame buffer instead of copying it through.
 const connReadBuf = 4 << 10
@@ -164,12 +159,6 @@ func (t *tcpTransport) call(tr *tableRegion, op byte, sp telemetry.TSpan, encode
 
 func (t *tcpTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
 	return t.call(tr, opMutate, sp, func(req *frameWriter) { req.mutations(batch) }).err
-}
-
-func (t *tcpTransport) get(tr *tableRegion, key []byte, sp telemetry.TSpan) ([]byte, bool, error) {
-	resp := t.call(tr, opGet, sp, func(req *frameWriter) { req.bytes(key) })
-	v, found := resp.value()
-	return v, found, resp.err
 }
 
 func (t *tcpTransport) openScanner(tr *tableRegion, lo, hi []byte, limit int, sp telemetry.TSpan) (uint64, error) {

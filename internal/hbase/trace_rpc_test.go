@@ -162,7 +162,7 @@ func TestTCPScanChunkTraced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := c.Scan(nil, nil, 0)
+	rows, err := scanAll(c, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,6 @@ import (
 //
 //	op           request fields                   response fields
 //	opMutate     count, {delete, key, value}      -
-//	opGet        key                              found, [value]
 //	opScanOpen   lo?, hi?, limit                  scanner id
 //	opScanNext   scanner id, chunk                more, count, {key, value}
 //	opScanClose  scanner id                       -
@@ -47,9 +46,10 @@ import (
 // opcodes. Scans are a session of three ops (open, a next per chunk,
 // close), the wire form of the server's scanner sessions; opAggregate is
 // the aggregation pushdown, answered with per-(series, window) partials.
+// Opcode 2, once a point read, is retired and not reused: a frame carrying
+// it is refused as an unknown opcode.
 const (
 	opMutate    byte = 1
-	opGet       byte = 2
 	opScanOpen  byte = 3
 	opScanNext  byte = 4
 	opScanClose byte = 5
@@ -420,21 +420,6 @@ func (f *frameReader) spans() []telemetry.SpanRecord {
 		s.Service = f.str()
 	}
 	return spans
-}
-
-// value is an opGet response: whether the key was found, and its value.
-func (f *frameWriter) value(v []byte, found bool) {
-	f.flag(found)
-	if found {
-		f.bytes(v)
-	}
-}
-
-func (f *frameReader) value() ([]byte, bool) {
-	if f.uvarint() == 0 {
-		return nil, false
-	}
-	return append([]byte(nil), f.bytes()...), true
 }
 
 // countWidth is the fixed width of a chunk's row count on the wire: a

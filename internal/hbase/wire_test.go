@@ -68,18 +68,6 @@ func wireCases() []wireCase {
 			respSpans: "00020109056414097365727665722e6f7003727330",
 		},
 		{
-			name: "get",
-			call: func(rpc *tcpTransport, tr *tableRegion, sp telemetry.TSpan) (any, error) {
-				v, found, err := rpc.get(tr, wireKey(250), sp)
-				return []any{v, found}, err
-			},
-			want:      []any{wireReading("2.5"), true},
-			req:       "020009696f742c30303030300c7300610080000000000000fa",
-			reqTraced: "02014d0509696f742c30303030300c7300610080000000000000fa",
-			resp:      "000001060301322e3543",
-			respSpans: "00020109056414097365727665722e6f700372733001060301322e3543",
-		},
-		{
 			name: "scan-open",
 			call: func(rpc *tcpTransport, tr *tableRegion, sp telemetry.TSpan) (any, error) {
 				return rpc.openScanner(tr, nil, []byte("z"), 5, sp)

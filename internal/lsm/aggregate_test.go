@@ -278,7 +278,7 @@ func TestAggregateTimeMatchesStreamedFold(t *testing.T) {
 	}
 
 	// Brute-force oracle over the plain iterator.
-	it, err := s.NewIteratorTime(lo, hi, minTS, maxTS)
+	it, err := s.newIter(lo, hi, minTS, maxTS, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

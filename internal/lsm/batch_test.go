@@ -170,7 +170,7 @@ func TestBatchCrashRecoveryParity(t *testing.T) {
 	defer rk.Close()
 	collect := func(s *Store) map[string]string {
 		out := map[string]string{}
-		if err := s.Scan(nil, nil, func(k, v []byte) error {
+		if err := scan(s, nil, nil, func(k, v []byte) error {
 			out[string(k)] = string(v)
 			return nil
 		}); err != nil {
@@ -228,7 +228,7 @@ func TestConcurrentApplyBatchScanCompact(t *testing.T) {
 				return
 			default:
 			}
-			if err := s.Scan(nil, nil, func(k, v []byte) error { return nil }); err != nil {
+			if err := scan(s, nil, nil, func(k, v []byte) error { return nil }); err != nil {
 				t.Errorf("scan: %v", err)
 				return
 			}
@@ -257,7 +257,7 @@ func TestConcurrentApplyBatchScanCompact(t *testing.T) {
 		return
 	}
 	n := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { n++; return nil }); err != nil {
+	if err := scan(s, nil, nil, func(k, v []byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != totalWrites {

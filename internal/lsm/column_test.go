@@ -318,7 +318,7 @@ func TestStoreWrittenByParentCommitUpgradesInPlace(t *testing.T) {
 		t.Helper()
 		m.check(stage) // AggregateTime == oracle == value-decode fold, bit for bit
 		n := 0
-		err := s.Scan(nil, nil, func(k, v []byte) error {
+		err := scan(s, nil, nil, func(k, v []byte) error {
 			want, ok := m.live[string(k)]
 			if got, err := kvp.ReadingOf(v); !ok || err != nil || got != want {
 				return fmt.Errorf("scan yields %q = %v (%v), oracle has %v (present %v)", k, got, err, want, ok)

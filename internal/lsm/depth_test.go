@@ -397,7 +397,7 @@ func TestLongInOrderWindowIsNotRewritten(t *testing.T) {
 		t.Fatalf("fold + cold merge wrote %d bytes for %d flushed, want at most 2x", st.CompactWriteBytes, st.FlushBytes)
 	}
 	rows := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { rows++; return nil }); err != nil {
+	if err := scan(s, nil, nil, func(k, v []byte) error { rows++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if rows != flushes*rowsPerFlush+1 {

@@ -30,7 +30,7 @@ type Iter struct {
 	hi     []byte // exclusive upper bound; nil = end of keyspace
 	closed bool
 
-	// Time filter, set by NewIteratorTime: only entries whose key timestamp
+	// Time filter, set by AggregateTime: only entries whose key timestamp
 	// falls in [tsLo, tsHi) are yielded (entries without an extractable
 	// timestamp never match a time-range query).
 	tsLo, tsHi int64
@@ -53,18 +53,6 @@ type Iter struct {
 // the snapshot — never pinned, never read.
 func (s *Store) NewIterator(lo, hi []byte) (*Iter, error) {
 	return s.newIter(lo, hi, 0, 0, false, false)
-}
-
-// NewIteratorTime is NewIterator restricted to entries whose key timestamp
-// (per kvp.TimestampOf) satisfies minTS <= ts < maxTS, both unix ms.
-// Entries without an extractable timestamp are outside every time range.
-// Beyond the per-entry filter, whole table files are pruned when their
-// footer time bounds cannot intersect the range, so scans over cold windows
-// skip the bulk of the store without any I/O; tables without time bounds
-// (no timestamped keys) are conservatively read and filtered entry by
-// entry.
-func (s *Store) NewIteratorTime(lo, hi []byte, minTS, maxTS int64) (*Iter, error) {
-	return s.newIter(lo, hi, minTS, maxTS, true, false)
 }
 
 // newIter opens the snapshot. With column set, every table that has a

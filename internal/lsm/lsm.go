@@ -917,8 +917,8 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 		}
 		return err
 	}
-	if err := os.Rename(path+tmpSuffix, path); err != nil {
-		return fmt.Errorf("lsm: install table: %w", err)
+	if err := s.installTable(path); err != nil {
+		return err
 	}
 	r, err := sstable.OpenWithCache(path, s.cache)
 	if err != nil {
@@ -948,6 +948,17 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 		// WAL segments consume disk and replay time, so the caller must know.
 		return fmt.Errorf("lsm: wal truncate after flush: %w", err)
 	}
+	return nil
+}
+
+// installTable renames a finished table into place and syncs the store
+// directory, so that the entry is durable before a manifest commit names
+// the table and the WAL that holds its rows is truncated.
+func (s *Store) installTable(path string) error {
+	if err := os.Rename(path+tmpSuffix, path); err != nil {
+		return fmt.Errorf("lsm: install table: %w", err)
+	}
+	syncDir(s.opts.Dir)
 	return nil
 }
 
@@ -1109,8 +1120,8 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		if err := w.Finish(); err != nil {
 			return err
 		}
-		if err := os.Rename(path+tmpSuffix, path); err != nil {
-			return fmt.Errorf("lsm: install table: %w", err)
+		if err := s.installTable(path); err != nil {
+			return err
 		}
 		r, err := sstable.OpenWithCache(path, s.cache)
 		if err != nil {
@@ -1290,24 +1301,6 @@ func decodeLive(stored []byte) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	return stored[1:], true, nil
-}
-
-// Scan returns all live entries with lo <= key < hi in ascending order,
-// calling fn for each. fn's slices are only valid during the call. A nil hi
-// scans to the end of the keyspace. Scan is a materializing loop over
-// NewIterator and shares its snapshot semantics.
-func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) error) error {
-	it, err := s.NewIterator(lo, hi)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for ; it.Valid(); it.Next() {
-		if err := fn(it.Key(), it.Value()); err != nil {
-			return err
-		}
-	}
-	return it.Error()
 }
 
 // Stats returns a snapshot of cumulative counters, the amplification

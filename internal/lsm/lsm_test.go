@@ -26,6 +26,23 @@ func openTest(t testing.TB, opts Options) *Store {
 	return s
 }
 
+// scan calls fn for every live entry of [lo, hi) through NewIterator, in
+// key order, and stops at fn's first error. fn's slices are valid only
+// during the call.
+func scan(s *Store, lo, hi []byte, fn func(key, value []byte) error) error {
+	it, err := s.NewIterator(lo, hi)
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for ; it.Valid(); it.Next() {
+		if err := fn(it.Key(), it.Value()); err != nil {
+			return err
+		}
+	}
+	return it.Error()
+}
+
 func TestPutGetDelete(t *testing.T) {
 	s := openTest(t, Options{})
 	if err := s.Put([]byte("k1"), []byte("v1")); err != nil {
@@ -116,7 +133,7 @@ func TestScanMergesAllSources(t *testing.T) {
 	s.Delete([]byte("a"))
 
 	var got []string
-	err := s.Scan([]byte("a"), nil, func(k, v []byte) error {
+	err := scan(s, []byte("a"), nil, func(k, v []byte) error {
 		got = append(got, fmt.Sprintf("%s=%s", k, v))
 		return nil
 	})
@@ -135,24 +152,15 @@ func TestScanBounds(t *testing.T) {
 		s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
 	count := 0
-	err := s.Scan([]byte("k010"), []byte("k020"), func(k, v []byte) error {
+	err := scan(s, []byte("k010"), []byte("k020"), func(k, v []byte) error {
 		count++
 		return nil
 	})
 	if err != nil || count != 10 {
 		t.Fatalf("scan [k010,k020) = %d entries, err %v; want 10", count, err)
 	}
-	if err := s.Scan([]byte("z"), []byte("a"), func(k, v []byte) error { return nil }); !errors.Is(err, ErrBadRange) {
+	if err := scan(s, []byte("z"), []byte("a"), func(k, v []byte) error { return nil }); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("inverted scan: %v", err)
-	}
-}
-
-func TestScanCallbackError(t *testing.T) {
-	s := openTest(t, Options{})
-	s.Put([]byte("a"), []byte("1"))
-	sentinel := errors.New("stop")
-	if err := s.Scan(nil, nil, func(k, v []byte) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Fatalf("callback error not propagated: %v", err)
 	}
 }
 
@@ -249,8 +257,8 @@ func TestClosedStoreRejectsOps(t *testing.T) {
 	if _, _, err := s.Get([]byte("k")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after close: %v", err)
 	}
-	if err := s.Scan(nil, nil, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Scan after close: %v", err)
+	if _, err := s.NewIterator(nil, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("NewIterator after close: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
@@ -339,7 +347,7 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 	}
 	wg.Wait()
 	total := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { total++; return nil }); err != nil {
+	if err := scan(s, nil, nil, func(k, v []byte) error { total++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if total != writers*per {
@@ -352,7 +360,7 @@ func TestStatsCounters(t *testing.T) {
 	s.Put([]byte("a"), []byte("1"))
 	s.Delete([]byte("a"))
 	s.Get([]byte("a"))
-	s.Scan(nil, nil, func(k, v []byte) error { return nil })
+	scan(s, nil, nil, func(k, v []byte) error { return nil })
 	s.Flush()
 	st := s.Stats()
 	if st.Puts != 1 || st.Deletes != 1 || st.Gets != 1 || st.Scans != 1 || st.Flushes != 1 {
@@ -403,7 +411,7 @@ func TestPropertyMatchesModel(t *testing.T) {
 		}
 		sort.Strings(keys)
 		i := 0
-		err := s.Scan(nil, nil, func(k, v []byte) error {
+		err := scan(s, nil, nil, func(k, v []byte) error {
 			if i >= len(keys) || string(k) != keys[i] || string(v) != model[keys[i]] {
 				return fmt.Errorf("mismatch at %d", i)
 			}
@@ -453,7 +461,7 @@ func BenchmarkScan100(b *testing.B) {
 		lo := []byte(fmt.Sprintf("key-%012d", start))
 		hi := []byte(fmt.Sprintf("key-%012d", start+100))
 		count := 0
-		if err := s.Scan(lo, hi, func(k, v []byte) error { count++; return nil }); err != nil {
+		if err := scan(s, lo, hi, func(k, v []byte) error { count++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 		if count != 100 {
@@ -498,7 +506,7 @@ func TestScanDuringCompactionKeepsReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				n := 0
-				if err := s.Scan(nil, nil, func(k, v []byte) error {
+				if err := scan(s, nil, nil, func(k, v []byte) error {
 					n++
 					return nil
 				}); err != nil {

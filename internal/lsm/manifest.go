@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"tpcxiot/internal/telemetry"
+	"tpcxiot/internal/wal"
 )
 
 // The manifest is the store's versioned table-set log, replacing the
@@ -266,9 +267,12 @@ func (m *manifest) close() error {
 	return err
 }
 
-// syncFile fsyncs one path; syncDir best-effort fsyncs a directory so a
-// rename is durable (some filesystems need it, others reject directory
-// syncs — those errors are ignored).
+// syncDir makes a directory's entries durable: CURRENT's rename here, a
+// table's rename before the manifest commit that names it. A package var so
+// tests can observe the order of directory syncs and manifest commits.
+var syncDir = wal.SyncDir
+
+// syncFile fsyncs one path.
 func syncFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -282,15 +286,6 @@ func syncFile(path string) error {
 		return fmt.Errorf("lsm: sync %s: %w", filepath.Base(path), err)
 	}
 	return nil
-}
-
-func syncDir(dir string) {
-	f, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	f.Sync()
-	f.Close()
 }
 
 // meta renders a handle's manifest record.

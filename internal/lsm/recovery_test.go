@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -94,7 +95,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		sort.Strings(want)
 		i := 0
 		scanOK := true
-		err = re.Scan(nil, nil, func(k, v []byte) error {
+		err = scan(re, nil, nil, func(k, v []byte) error {
 			if i >= len(want) || string(k) != want[i] || string(v) != model[want[i]] {
 				scanOK = false
 			}
@@ -145,7 +146,7 @@ func TestCrashDuringHeavyIngest(t *testing.T) {
 	}
 	defer re.Close()
 	count := 0
-	if err := re.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
+	if err := scan(re, nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != n {
@@ -176,9 +177,56 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
+// tornTails are the tails a crash can leave on the last WAL segment: the
+// zeros of a file extended but never written, and a header of garbage.
+var tornTails = []struct {
+	name  string
+	bytes []byte
+}{
+	{"zeros", make([]byte, 4<<10)},
+	{"ff-header", bytes.Repeat([]byte{0xff}, 8)},
+}
+
+// tearLastSegment appends tail to the last WAL segment of the store in dir.
+func tearLastSegment(t *testing.T, dir string, tail []byte) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment: %v", err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// putKeys writes key-NN = val-NN for NN in [from, to).
+func putKeys(t *testing.T, s *Store, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key-%02d", i)), []byte(fmt.Sprintf("val-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkKeys asserts that key-NN = val-NN for every NN below n.
+func checkKeys(t *testing.T, s *Store, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		k, want := fmt.Sprintf("key-%02d", i), fmt.Sprintf("val-%02d", i)
+		if got, ok, err := s.Get([]byte(k)); err != nil || !ok || string(got) != want {
+			t.Fatalf("%s after reopen: %q, %v, %v", k, got, ok, err)
+		}
+	}
+}
+
 // TestTornWALTailReopens: writes acknowledged under SyncOnAppend survive
-// the tails a crash can leave on the last WAL segment — the zeros of a file
-// extended but never written, or a header of garbage — and the store
+// the tails a crash can leave on the last WAL segment, and the store
 // reopens with every one of them.
 func TestTornWALTailReopens(t *testing.T) {
 	dir := t.TempDir()
@@ -188,45 +236,136 @@ func TestTornWALTailReopens(t *testing.T) {
 	}
 	defer s.Close()
 	const keys = 10
-	for i := 0; i < keys; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("key-%02d", i)), []byte(fmt.Sprintf("val-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tail := range []struct {
-		name  string
-		bytes []byte
-	}{
-		{"zeros", make([]byte, 4<<10)},
-		{"ff-header", bytes.Repeat([]byte{0xff}, 8)},
-	} {
+	putKeys(t, s, 0, keys)
+	for _, tail := range tornTails {
 		t.Run(tail.name, func(t *testing.T) {
 			crashed := filepath.Join(t.TempDir(), "store")
 			copyDir(t, dir, crashed)
-			segs, err := filepath.Glob(filepath.Join(crashed, "wal", "wal-*.log"))
-			if err != nil || len(segs) == 0 {
-				t.Fatalf("no WAL segment: %v", err)
-			}
-			f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write(tail.bytes); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+			tearLastSegment(t, crashed, tail.bytes)
 
 			re, err := Open(Options{Dir: crashed, WALSync: wal.SyncNever})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			for i := 0; i < keys; i++ {
-				k, want := fmt.Sprintf("key-%02d", i), fmt.Sprintf("val-%02d", i)
-				if got, ok, err := re.Get([]byte(k)); err != nil || !ok || string(got) != want {
-					t.Fatalf("%s after reopen: %q, %v, %v", k, got, ok, err)
-				}
-			}
+			checkKeys(t, re, keys)
 		})
+	}
+}
+
+// TestTornWALTailSurvivesSecondCrash: the reopen that tolerates a torn tail
+// also cuts it off, so after more acknowledged writes — now in a later
+// segment — a second crash and reopen recover every one of them. Left in
+// place, the tail would sit in a segment that is no longer the last, where
+// replay refuses it as corrupt.
+func TestTornWALTailSurvivesSecondCrash(t *testing.T) {
+	opts := func(dir string) Options {
+		return Options{Dir: dir, WALSync: wal.SyncOnAppend, DisableAutoFlush: true}
+	}
+	for _, tail := range tornTails {
+		t.Run(tail.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(opts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			putKeys(t, s, 0, 10)
+			crashed := filepath.Join(t.TempDir(), "store")
+			copyDir(t, dir, crashed)
+			tearLastSegment(t, crashed, tail.bytes)
+
+			re, err := Open(opts(crashed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			putKeys(t, re, 10, 20)
+			again := filepath.Join(t.TempDir(), "store")
+			copyDir(t, crashed, again)
+
+			last, err := Open(opts(again))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer last.Close()
+			checkKeys(t, last, 20)
+		})
+	}
+}
+
+// TestTableRenameSyncedBeforeManifestCommit: a flushed or compacted table's
+// directory entry is synced after its rename and before the manifest commit
+// that names it. Otherwise a power loss could keep the commit and lose the
+// entry, after the WAL that held the table's rows was truncated.
+func TestTableRenameSyncedBeforeManifestCommit(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, manifestName(1))
+	// syncedAt maps each table file to the manifest's size when a sync of
+	// the store directory first found the file renamed into place.
+	var mu sync.Mutex
+	syncedAt := map[string]int64{}
+	defer func(orig func(string)) { syncDir = orig }(syncDir)
+	syncDir = func(d string) {
+		wal.SyncDir(d)
+		if d != dir {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		tables, _ := filepath.Glob(filepath.Join(dir, "*.sst"))
+		for _, name := range tables {
+			if _, ok := syncedAt[name]; !ok {
+				fi, err := os.Stat(manifest)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				syncedAt[name] = fi.Size()
+			}
+		}
+	}
+
+	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for round := 0; round < 2; round++ {
+		putKeys(t, s, round*10, round*10+10)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	committed := 0
+	for off := 0; off < len(data); {
+		edit, n, err := decodeManifestRecord(data[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range edit.Added {
+			committed++
+			at, ok := syncedAt[s.tablePath(m.ID)]
+			switch {
+			case !ok:
+				t.Errorf("table %d: committed with no directory sync after its rename", m.ID)
+			case at > int64(off):
+				t.Errorf("table %d: directory first synced with %d manifest bytes, after the commit at %d", m.ID, at, off)
+			}
+		}
+		off += n
+	}
+	if committed != 3 {
+		t.Fatalf("manifest names %d tables, want 2 flushes and 1 compaction output", committed)
 	}
 }

@@ -87,7 +87,7 @@ func TestColdWindowsSettleToOneTable(t *testing.T) {
 
 	// Nothing lost: 50 readings across the five batches.
 	count := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
+	if err := scan(s, nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 50 {
@@ -119,7 +119,7 @@ func TestHotWindowTierMerge(t *testing.T) {
 		t.Fatalf("TableCount after hot-tier merge = %d, want 1", got)
 	}
 	count := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
+	if err := scan(s, nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 30 {
@@ -176,9 +176,10 @@ func TestWindowedCompactionLeavesSettledWindowsAlone(t *testing.T) {
 }
 
 // TestTimeRangeScanMatchesFilteredScan is the pruning correctness property:
-// for any time range, NewIteratorTime must yield exactly the entries a full Scan
-// yields after per-entry timestamp filtering — file pruning can never change
-// results, only skip I/O.
+// for any time range, the time-filtered iterator the aggregate fold reads
+// must yield exactly the entries a full scan yields after per-entry
+// timestamp filtering — file pruning can never change results, only skip
+// I/O.
 func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
 	s, err := Open(Options{
 		Dir:              t.TempDir(),
@@ -228,7 +229,7 @@ func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
 	for _, r := range ranges {
 		tsLo, tsHi := r[0], r[1]
 		var want []entry
-		err := s.Scan(nil, nil, func(k, v []byte) error {
+		err := scan(s, nil, nil, func(k, v []byte) error {
 			if ts, ok := kvp.TimestampOf(k); ok && ts >= tsLo && ts < tsHi {
 				want = append(want, entry{string(k), string(v)})
 			}
@@ -238,7 +239,7 @@ func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []entry
-		it, err := s.NewIteratorTime(nil, nil, tsLo, tsHi)
+		it, err := s.newIter(nil, nil, tsLo, tsHi, true, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +251,7 @@ func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
 		}
 		it.Close()
 		if len(got) != len(want) {
-			t.Fatalf("range [%d,%d): NewIteratorTime yielded %d entries, filtered Scan %d", tsLo, tsHi, len(got), len(want))
+			t.Fatalf("range [%d,%d): time-filtered iterator yielded %d entries, filtered scan %d", tsLo, tsHi, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
@@ -290,7 +291,7 @@ func TestTimeRangePruningSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	it, err := re.NewIteratorTime(nil, nil, 5000, 6000)
+	it, err := re.newIter(nil, nil, 5000, 6000, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,14 +110,6 @@ func (r *Region) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	return err
 }
 
-// Get reads a key, rejecting keys outside the region.
-func (r *Region) Get(key []byte) ([]byte, bool, error) {
-	if !r.info.Contains(key) {
-		return nil, false, fmt.Errorf("%w: %q not in %s", ErrOutOfRange, key, r.info)
-	}
-	return r.store.Get(key)
-}
-
 // clampRange clips a scan range to the region bounds.
 func (r *Region) clampRange(lo, hi []byte) (clo, chi []byte) {
 	if r.info.StartKey != nil && (lo == nil || bytes.Compare(lo, r.info.StartKey) < 0) {

@@ -68,15 +68,12 @@ func TestBoundsEnforced(t *testing.T) {
 	if err := r.ApplyBatch(telemetry.TSpan{}, del); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Delete outside bounds: %v", err)
 	}
-	if _, _, err := r.Get([]byte("z")); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("Get outside bounds: %v", err)
-	}
 	if err := put(r, "f", "v"); err != nil {
 		t.Fatalf("Put inside bounds: %v", err)
 	}
-	v, ok, err := r.Get([]byte("f"))
+	v, ok, err := r.Store().Get([]byte("f"))
 	if err != nil || !ok || string(v) != "v" {
-		t.Fatalf("Get inside bounds = %q,%v,%v", v, ok, err)
+		t.Fatalf("read inside bounds = %q,%v,%v", v, ok, err)
 	}
 }
 
@@ -128,7 +125,7 @@ func TestDestroy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if _, ok, _ := r2.Get([]byte("k")); ok {
+	if _, ok, _ := r2.Store().Get([]byte("k")); ok {
 		t.Fatal("destroyed region retained data")
 	}
 }
@@ -143,8 +140,8 @@ func TestApplyBatchBoundsCheckedBeforeApply(t *testing.T) {
 	if err := r.ApplyBatch(telemetry.TSpan{}, good); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, err := r.Get([]byte("grape")); err != nil || !ok || string(v) != "2" {
-		t.Fatalf("Get(grape) = %q,%v,%v", v, ok, err)
+	if v, ok, err := r.Store().Get([]byte("grape")); err != nil || !ok || string(v) != "2" {
+		t.Fatalf("read grape = %q,%v,%v", v, ok, err)
 	}
 
 	// One out-of-range key rejects the whole batch before anything applies.
@@ -155,7 +152,7 @@ func TestApplyBatchBoundsCheckedBeforeApply(t *testing.T) {
 	if err := r.ApplyBatch(telemetry.TSpan{}, bad); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out-of-range batch: %v", err)
 	}
-	if _, ok, _ := r.Get([]byte("cherry")); ok {
+	if _, ok, _ := r.Store().Get([]byte("cherry")); ok {
 		t.Fatal("rejected batch partially applied")
 	}
 }

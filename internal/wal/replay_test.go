@@ -115,11 +115,14 @@ func TestWALReplaySeeds(t *testing.T) {
 }
 
 // TestTornTailLastVersusEarlierSegment: each tail a crash can leave ends
-// replay quietly while its segment is the last, and is ErrCorrupt once a
-// later segment exists.
+// replay quietly while its segment is the last, and replay cuts the segment
+// back to its intact records, so the log appending behind it replays
+// whole. The same damage in a segment that is no longer the last is
+// ErrCorrupt.
 func TestTornTailLastVersusEarlierSegment(t *testing.T) {
 	for _, s := range replaySeeds() {
-		if _, whole := leadingRecords(s.data); whole {
+		recs, whole := leadingRecords(s.data)
+		if whole {
 			continue
 		}
 		t.Run(s.name, func(t *testing.T) {
@@ -131,11 +134,24 @@ func TestTornTailLastVersusEarlierSegment(t *testing.T) {
 			if got := replayAll(t, dir); len(got) != s.records {
 				t.Fatalf("last segment: replayed %d records, want %d", len(got), s.records)
 			}
+			intact := 0
+			for _, rec := range recs {
+				intact += headerLen + len(rec)
+			}
+			if data, err := os.ReadFile(seg); err != nil || !bytes.Equal(data, s.data[:intact]) {
+				t.Fatalf("last segment after replay: %d bytes (%v), want its %d intact bytes", len(data), err, intact)
+			}
 			l := openTest(t, Options{Dir: dir}) // appends go to segment 2
 			if err := l.Append([]byte("later")); err != nil {
 				t.Fatal(err)
 			}
 			l.Close()
+			if got := replayAll(t, dir); len(got) != s.records+1 {
+				t.Fatalf("after a later segment: replayed %d records, want %d", len(got), s.records+1)
+			}
+			if err := os.WriteFile(seg, s.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 			if err := Replay(dir, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("earlier segment: %v, want ErrCorrupt", err)
 			}

@@ -183,11 +183,17 @@ func listSegments(dir string) ([]uint64, error) {
 	return segs, nil
 }
 
+// openSegmentLocked creates segment seq and makes it the active one. Unless
+// the policy is SyncNever the directory is synced too, so the new entry
+// survives a power loss along with the records synced into it.
 func (l *Log) openSegmentLocked(seq uint64) error {
 	f, err := os.OpenFile(filepath.Join(l.opts.Dir, segmentName(seq)),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: open segment: %w", err)
+	}
+	if l.opts.Sync != SyncNever {
+		SyncDir(l.opts.Dir)
 	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 256<<10)
@@ -393,7 +399,9 @@ func (l *Log) SegmentCount() int {
 
 // Truncate removes all segments with sequence numbers strictly below upTo.
 // The engine calls it after flushing memstore contents covered by those
-// segments. The active segment is never removed.
+// segments. The active segment is never removed. The directory is synced
+// after the removals: a segment that came back after a power loss would
+// replay its older values over the tables that replaced them.
 func (l *Log) Truncate(upTo uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -409,6 +417,9 @@ func (l *Log) Truncate(upTo uint64) error {
 		if err := os.Remove(filepath.Join(l.opts.Dir, segmentName(seq))); err != nil {
 			return fmt.Errorf("wal: remove segment %d: %w", seq, err)
 		}
+	}
+	if len(keep) < len(l.segments) {
+		SyncDir(l.opts.Dir)
 	}
 	l.segments = keep
 	// Retired handles belong to rotated-out segments; with the tail
@@ -441,14 +452,27 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
+// SyncDir fsyncs a directory so that the entries created, renamed or
+// removed in it survive a power loss. It is best effort: some filesystems
+// refuse a directory sync, and those errors are ignored.
+func SyncDir(dir string) {
+	f, err := os.Open(dir)
+	if err != nil {
+		return
+	}
+	f.Sync()
+	f.Close()
+}
+
 // Replay invokes fn for every intact record across all segments in append
 // order. A record is intact when its header is whole, its length is neither
 // 0 nor over MaxRecordSize, its body lies inside the file and its CRC
 // matches. In the last segment the first record that is not intact ends
 // replay without error — it is what a crash leaves at the tail: a
 // half-written record, or the zeros of a file extended but never written —
-// so damage anywhere in the last segment drops the records behind it. In
-// any earlier segment the same damage is ErrCorrupt.
+// so damage anywhere in the last segment drops the records behind it, and
+// the segment is truncated to the records before it. In any earlier segment
+// the same damage is ErrCorrupt.
 func Replay(dir string, fn func(record []byte) error) error {
 	return ReplayLog(dir, nil, fn)
 }
@@ -476,8 +500,16 @@ func ReplayLog(dir string, logger *telemetry.Logger, fn func(record []byte) erro
 	return nil
 }
 
+// replayFile replays one segment file. The last segment is cut back to its
+// intact records, and the cut synced, before the log opens a segment after
+// it: left in place, a torn tail would sit in a segment that is no longer
+// the last, where the next replay refuses it as ErrCorrupt.
 func replayFile(path string, last bool, logger *telemetry.Logger, fn func([]byte) error) error {
-	f, err := os.Open(path)
+	flag := os.O_RDONLY
+	if last {
+		flag = os.O_RDWR
+	}
+	f, err := os.OpenFile(path, flag, 0)
 	if err != nil {
 		return fmt.Errorf("wal: open for replay: %w", err)
 	}
@@ -486,7 +518,20 @@ func replayFile(path string, last bool, logger *telemetry.Logger, fn func([]byte
 	if err != nil {
 		return fmt.Errorf("wal: stat for replay: %w", err)
 	}
-	return replaySegment(bufio.NewReaderSize(f, 256<<10), info.Size(), filepath.Base(path), last, logger, fn)
+	var intact int64
+	err = replaySegment(bufio.NewReaderSize(f, 256<<10), info.Size(), filepath.Base(path), last, logger, func(rec []byte) error {
+		intact += headerLen + int64(len(rec))
+		return fn(rec)
+	})
+	if err == nil && intact < info.Size() {
+		if err = f.Truncate(intact); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			return fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+	}
+	return err
 }
 
 // replaySegment replays the size bytes of segment name that r yields, by

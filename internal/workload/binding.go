@@ -16,9 +16,6 @@ type clientDB struct {
 // Insert implements ycsb.DB.
 func (d clientDB) Insert(key, value []byte) error { return d.c.Put(key, value) }
 
-// Read implements ycsb.DB.
-func (d clientDB) Read(key []byte) ([]byte, bool, error) { return d.c.Get(key) }
-
 // ScanIter implements ycsb.DB over the client's streaming Scanner: rows
 // arrive chunk by chunk from the server-side scanner sessions, so the
 // binding holds O(chunk) memory however large the range is.
@@ -77,74 +74,4 @@ func ClusterBindingTCP(cl *hbase.Cluster, table string, writeBufferBytes int64) 
 		}
 		return clientDB{c: c}, nil
 	}
-}
-
-// storeDB adapts a single embedded LSM store to ycsb.DB — the smallest
-// possible gateway: one node, no replication, no network. Useful for
-// embedded deployments and for isolating the storage engine in benchmarks.
-type storeDB struct {
-	s *lsm.Store
-}
-
-// Insert implements ycsb.DB.
-func (d storeDB) Insert(key, value []byte) error { return d.s.Put(key, value) }
-
-// Read implements ycsb.DB.
-func (d storeDB) Read(key []byte) ([]byte, bool, error) { return d.s.Get(key) }
-
-// ScanIter implements ycsb.DB directly over the engine's snapshot-pinned
-// iterator — the zero-copy embedded path: rows are borrowed from the LSM
-// snapshot until the next call, exactly the RowIter contract.
-func (d storeDB) ScanIter(lo, hi []byte, limit int) (ycsb.RowIter, error) {
-	it, err := d.s.NewIterator(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return &lsmIter{it: it, limited: limit > 0, remaining: limit}, nil
-}
-
-// lsmIter adapts lsm.Iter to ycsb.RowIter with a client-side row limit.
-type lsmIter struct {
-	it        *lsm.Iter
-	started   bool
-	limited   bool
-	remaining int
-}
-
-func (l *lsmIter) Next() (ycsb.KV, bool, error) {
-	if l.limited && l.remaining <= 0 {
-		return ycsb.KV{}, false, nil
-	}
-	// Advance lazily so the previously returned borrowed slices stay valid
-	// until this call, per the RowIter contract.
-	if l.started {
-		l.it.Next()
-	} else {
-		l.started = true
-	}
-	if !l.it.Valid() {
-		return ycsb.KV{}, false, l.it.Error()
-	}
-	if l.limited {
-		l.remaining--
-	}
-	return ycsb.KV{Key: l.it.Key(), Value: l.it.Value()}, true, nil
-}
-
-func (l *lsmIter) Close() error { return l.it.Close() }
-
-// Aggregate implements Aggregator directly over the engine's windowed fold
-// — the embedded pushdown path (no RPC, but the same snapshot-pinned,
-// file-pruned single-pass reduction).
-func (d storeDB) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs) (lsm.AggResult, error) {
-	return d.s.AggregateTime(lo, hi, minTS, maxTS, windowMS, funcs)
-}
-
-// Close implements ycsb.DB; the store is shared, so this is a no-op.
-func (d storeDB) Close() error { return nil }
-
-// StoreBinding returns a ycsb.Binding over one embedded LSM store shared by
-// all worker threads (the store is safe for concurrent use).
-func StoreBinding(s *lsm.Store) ycsb.Binding {
-	return func(thread int) (ycsb.DB, error) { return storeDB{s: s}, nil }
 }

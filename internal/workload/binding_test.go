@@ -4,18 +4,30 @@ import (
 	"testing"
 	"time"
 
+	"tpcxiot/internal/hbase"
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/wal"
 	"tpcxiot/internal/ycsb"
 )
 
-func TestStoreBindingEndToEnd(t *testing.T) {
-	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever})
+// newCluster starts an in-process three-node cluster holding the table
+// "iot" in one region, its stores opened with opts and WAL syncs off.
+func newCluster(t *testing.T, opts lsm.Options) *hbase.Cluster {
+	t.Helper()
+	opts.WALSync = wal.SyncNever
+	cl, err := hbase.NewCluster(hbase.Config{Nodes: 3, DataDir: t.TempDir(), Store: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { cl.Close() })
+	if _, err := cl.CreateTable("iot", nil); err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
 
+func TestClusterBindingEndToEnd(t *testing.T) {
+	cl := newCluster(t, lsm.Options{})
 	clock := newVirtualClock(time.UnixMilli(1_700_000_000_000), time.Millisecond)
 	inst, err := NewInstance(InstanceConfig{
 		Substation: "substation-00000",
@@ -26,7 +38,7 @@ func TestStoreBindingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ycsb.Run(ycsb.RunConfig{Threads: 2}, StoreBinding(s), inst)
+	rep, err := ycsb.Run(ycsb.RunConfig{Threads: 2}, ClusterBinding(cl, "iot", 64<<10), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,27 +46,29 @@ func TestStoreBindingEndToEnd(t *testing.T) {
 		t.Fatalf("inserted %d", rep.Ops[ycsb.OpInsert])
 	}
 	if inst.Stats().Queries == 0 {
-		t.Fatal("no queries ran against the embedded store")
+		t.Fatal("no queries ran against the cluster")
 	}
-	// Everything readable directly from the store.
-	count := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 4_000 {
-		t.Fatalf("store holds %d rows", count)
-	}
-}
-
-func TestStoreBindingScanLimit(t *testing.T) {
-	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever})
+	// Everything readable through a fresh client.
+	db, err := ClusterBinding(cl, "iot", 0)(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	db, _ := StoreBinding(s)(0)
+	defer db.Close()
+	if n := len(scanRows(t, db, nil, nil, 0)); n != 4_000 {
+		t.Fatalf("cluster holds %d rows", n)
+	}
+}
+
+func TestClusterBindingScanLimit(t *testing.T) {
+	db, err := ClusterBinding(newCluster(t, lsm.Options{}), "iot", 0)(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	for i := 0; i < 50; i++ {
-		db.Insert([]byte{byte(i)}, []byte("v"))
+		if err := db.Insert([]byte{byte(i)}, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := len(scanRows(t, db, nil, nil, 10)); n != 10 {
 		t.Fatalf("limited scan: %d rows", n)

@@ -75,27 +75,38 @@ func checkParity(t *testing.T, db ycsb.DB, lo, hi []byte, minTS, maxTS, windowMS
 	return pushed
 }
 
-// TestAggregatorMatchesStreamWindows covers the static cases on the embedded
-// store: whole-range, multi-window and count-only requests, an empty range,
-// a single-row range, and windows that straddle a compaction-tier boundary
-// (the rows are flushed in two halves under a 10 s store window, so the
-// fold merges tables from different tiers and the memtable).
+// TestAggregatorMatchesStreamWindows covers the static cases on an
+// in-process cluster: whole-range, multi-window and count-only requests, an
+// empty range, a single-row range, and windows that straddle a
+// compaction-tier boundary (the rows are flushed in three parts under a
+// 10 s store window, so the fold merges tables from different tiers and
+// the memtable).
 func TestAggregatorMatchesStreamWindows(t *testing.T) {
 	sub, sensor := "ps", "pmu-freq-000"
 	base := time.UnixMilli(1_700_000_000_000)
-	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever, WindowDuration: 10 * time.Second})
+	cl := newCluster(t, lsm.Options{WindowDuration: 10 * time.Second})
+	db, err := ClusterBinding(cl, "iot", 0)(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	db, _ := StoreBinding(s)(0)
+	defer db.Close()
 	rng := rand.New(rand.NewSource(42))
 	minTS := base.UnixMilli()
 	for i := 0; i < 300; i++ {
 		putReading(t, db, sub, sensor, minTS+rng.Int63n(60_000), rng)
 		if i == 100 || i == 200 {
-			if err := s.Flush(); err != nil {
+			if err := db.(clientDB).c.FlushCommits(); err != nil {
 				t.Fatal(err)
+			}
+			if err := cl.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			for _, srv := range cl.Servers() {
+				for _, r := range srv.Regions() {
+					if err := r.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
 	}
@@ -216,18 +227,18 @@ func TestAggregatorParityUnderChurn(t *testing.T) {
 	}
 }
 
-// TestRunQueryMemDBMatchesStoreBinding: the same rows behind a binding
+// TestRunQueryMemDBMatchesClusterBinding: the same rows behind a binding
 // without Aggregator (MemDB, served by the streamWindows fallback) and one
-// with it (the embedded store) answer every dashboard template identically.
-func TestRunQueryMemDBMatchesStoreBinding(t *testing.T) {
+// with it (an in-process cluster) answer every dashboard template
+// identically.
+func TestRunQueryMemDBMatchesClusterBinding(t *testing.T) {
 	sub, sensor := "ps", "pmu-freq-000"
 	base := time.UnixMilli(1_700_000_000_000)
-	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever})
+	store, err := ClusterBinding(newCluster(t, lsm.Options{}), "iot", 64<<10)(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	store, _ := StoreBinding(s)(0)
+	defer store.Close()
 	var mem ycsb.DB = ycsb.NewMemDB()
 	if _, ok := mem.(Aggregator); ok {
 		t.Fatal("memdb unexpectedly implements Aggregator; pick another fallback DB")
@@ -257,22 +268,18 @@ func TestRunQueryMemDBMatchesStoreBinding(t *testing.T) {
 			t.Fatalf("%v: an interval is empty; test data broken", kind)
 		}
 		if got != want || got.Value() != want.Value() {
-			t.Fatalf("%v: memdb %+v (value %g), store %+v (value %g)", kind, got, got.Value(), want, want.Value())
+			t.Fatalf("%v: memdb %+v (value %g), cluster %+v (value %g)", kind, got, got.Value(), want, want.Value())
 		}
 	}
 }
 
 // TestSequencerUniqueAcrossExecutions is the timestamp-collision regression:
 // two workload executions (fresh Instances) sharing one Sequencer against
-// the same store must never overwrite each other's keys, even under a clock
+// the same table must never overwrite each other's keys, even under a clock
 // that barely advances — the condition that used to alias keys because each
 // execution restarted from the wall clock.
 func TestSequencerUniqueAcrossExecutions(t *testing.T) {
-	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	binding := ClusterBinding(newCluster(t, lsm.Options{}), "iot", 64<<10)
 
 	const perRun = 3000
 	seq := NewSequencer()
@@ -292,16 +299,17 @@ func TestSequencerUniqueAcrossExecutions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ycsb.Run(ycsb.RunConfig{Threads: 4}, StoreBinding(s), inst); err != nil {
+		if _, err := ycsb.Run(ycsb.RunConfig{Threads: 4}, binding, inst); err != nil {
 			t.Fatal(err)
 		}
 	}
-	count := 0
-	if err := s.Scan(nil, nil, func(k, v []byte) error { count++; return nil }); err != nil {
+	db, err := binding(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 2*perRun {
-		t.Fatalf("store holds %d rows after two %d-row executions: %d keys collided",
+	defer db.Close()
+	if count := len(scanRows(t, db, nil, nil, 0)); count != 2*perRun {
+		t.Fatalf("table holds %d rows after two %d-row executions: %d keys collided",
 			count, perRun, 2*perRun-count)
 	}
 }
@@ -338,12 +346,7 @@ func TestNextTimestampMonotonic(t *testing.T) {
 // counters tick, and the dashboard validity statistics stay untouched by
 // analytic work.
 func TestAnalyticTemplatesRun(t *testing.T) {
-	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
+	cl := newCluster(t, lsm.Options{})
 	clock := newVirtualClock(time.UnixMilli(1_700_000_000_000), time.Millisecond)
 	inst, err := NewInstance(InstanceConfig{
 		Substation: "substation-00000",
@@ -355,7 +358,7 @@ func TestAnalyticTemplatesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ycsb.Run(ycsb.RunConfig{Threads: 2}, StoreBinding(s), inst); err != nil {
+	if _, err := ycsb.Run(ycsb.RunConfig{Threads: 2}, ClusterBinding(cl, "iot", 64<<10), inst); err != nil {
 		t.Fatal(err)
 	}
 	st := inst.Stats()
@@ -379,19 +382,14 @@ func TestAnalyticTemplatesRun(t *testing.T) {
 
 // TestAnalyticsOffKeepsDashboardRotation: without Analytics the rotation
 // must stay the four dashboard templates only. The same instance config
-// runs against the embedded store (Aggregator: rows fold in the engine) and
-// MemDB (no capability: the streamWindows fallback, nothing counted as
-// pushed down).
+// runs against an in-process cluster (Aggregator: rows fold in the region
+// servers) and MemDB (no capability: the streamWindows fallback, nothing
+// counted as pushed down).
 func TestAnalyticsOffKeepsDashboardRotation(t *testing.T) {
-	s, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	mem := ycsb.NewMemDB()
 	for name, binding := range map[string]ycsb.Binding{
-		"store": StoreBinding(s),
-		"memdb": func(int) (ycsb.DB, error) { return mem, nil },
+		"cluster": ClusterBinding(newCluster(t, lsm.Options{}), "iot", 64<<10),
+		"memdb":   func(int) (ycsb.DB, error) { return mem, nil },
 	} {
 		st := runDashboardInstance(t, binding)
 		if st.AnalyticQueries != 0 {
@@ -400,7 +398,7 @@ func TestAnalyticsOffKeepsDashboardRotation(t *testing.T) {
 		if st.Queries == 0 || st.RowsAggregated == 0 {
 			t.Fatalf("%s: dashboard queries = %d over %d recent rows", name, st.Queries, st.RowsAggregated)
 		}
-		if pushed := st.PushdownRows != 0; pushed != (name == "store") {
+		if pushed := st.PushdownRows != 0; pushed != (name == "cluster") {
 			t.Fatalf("%s: PushdownRows = %d", name, st.PushdownRows)
 		}
 	}

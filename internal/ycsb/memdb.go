@@ -34,17 +34,6 @@ func (m *MemDB) Insert(key, value []byte) error {
 	return nil
 }
 
-// Read implements DB.
-func (m *MemDB) Read(key []byte) ([]byte, bool, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	v, ok := m.vals[string(key)]
-	if !ok {
-		return nil, false, nil
-	}
-	return append([]byte(nil), v...), true, nil
-}
-
 // sortLocked re-sorts the key index if needed. Caller holds the write lock.
 func (m *MemDB) sortLocked() {
 	if !m.dirty {

@@ -36,8 +36,6 @@ type KV struct {
 type DB interface {
 	// Insert stores one key-value pair.
 	Insert(key, value []byte) error
-	// Read fetches one key.
-	Read(key []byte) (value []byte, found bool, err error)
 	// ScanIter streams rows with lo <= key < hi in key order, at most limit
 	// (0 = unlimited), in O(1) binding-side memory for backends with a
 	// streaming scan path. The caller must Close the iterator.
@@ -85,9 +83,7 @@ type OpKind int
 // Operation kinds.
 const (
 	OpInsert OpKind = iota
-	OpRead
-	OpScan
-	OpQuery // TPCx-IoT analytic query (two scans + aggregation)
+	OpQuery         // TPCx-IoT analytic query (two scans + aggregation)
 	opKinds
 )
 
@@ -96,10 +92,6 @@ func (k OpKind) String() string {
 	switch k {
 	case OpInsert:
 		return "INSERT"
-	case OpRead:
-		return "READ"
-	case OpScan:
-		return "SCAN"
 	case OpQuery:
 		return "QUERY"
 	default:
@@ -143,8 +135,7 @@ type RunConfig struct {
 	// is zero. Called from a dedicated goroutine.
 	Status func(Status)
 	// Registry, when non-nil, additionally receives every operation latency
-	// in the shared histograms "op.INSERT", "op.READ", "op.SCAN" and
-	// "op.QUERY" — and, when the run is paced, every intended latency in
+	// in the shared histograms "op.INSERT" and "op.QUERY" — and, when the run is paced, every intended latency in
 	// "intended.INSERT" etc., so a telemetry Ticker surfaces both
 	// distributions per interval. The run's own Report is unaffected; the
 	// registry gives the Ticker a cluster-wide cross-instance view.
@@ -156,7 +147,7 @@ type Status struct {
 	// Elapsed is time since the run started.
 	Elapsed time.Duration
 	// Ops counts operations completed so far, per kind.
-	Ops [4]int64
+	Ops [opKinds]int64
 	// CurrentOpsPerSec is the throughput over the last interval.
 	CurrentOpsPerSec float64
 }
@@ -172,9 +163,8 @@ func (s Status) Total() int64 {
 
 // String renders the snapshot as a YCSB-style status line.
 func (s Status) String() string {
-	return fmt.Sprintf("%8.0fs: %d ops, %.0f ops/s (insert %d, read %d, scan %d, query %d)",
-		s.Elapsed.Seconds(), s.Total(), s.CurrentOpsPerSec,
-		s.Ops[OpInsert], s.Ops[OpRead], s.Ops[OpScan], s.Ops[OpQuery])
+	return fmt.Sprintf("%8.0fs: %d ops, %.0f ops/s (insert %d, query %d)",
+		s.Elapsed.Seconds(), s.Total(), s.CurrentOpsPerSec, s.Ops[OpInsert], s.Ops[OpQuery])
 }
 
 // Report is the outcome of one client run.

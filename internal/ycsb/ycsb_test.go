@@ -3,6 +3,7 @@ package ycsb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,7 +242,7 @@ func TestIntendedLatencyExposesStall(t *testing.T) {
 
 func TestOpKindString(t *testing.T) {
 	want := map[OpKind]string{
-		OpInsert: "INSERT", OpRead: "READ", OpScan: "SCAN", OpQuery: "QUERY",
+		OpInsert: "INSERT", OpQuery: "QUERY",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -293,9 +294,8 @@ func TestMemDBScanSemantics(t *testing.T) {
 	if db.Len() != 10 {
 		t.Fatalf("overwrite changed Len to %d", db.Len())
 	}
-	v, ok, _ := db.Read([]byte("k05"))
-	if !ok || string(v) != "new" {
-		t.Fatalf("overwrite lost: %q", v)
+	if rows := scan([]byte("k05"), []byte("k06"), 0); len(rows) != 1 || string(rows[0].Value) != "new" {
+		t.Fatalf("overwrite lost: %q", rows)
 	}
 }
 
@@ -331,8 +331,8 @@ func TestStatusReporting(t *testing.T) {
 	if last.Elapsed <= 0 {
 		t.Fatal("status elapsed not positive")
 	}
-	if last.String() == "" {
-		t.Fatal("empty status line")
+	if line := last.String(); !strings.HasSuffix(line, fmt.Sprintf("(insert %d, query 0)", last.Ops[OpInsert])) {
+		t.Fatalf("status line %q does not end in the per-kind counts", line)
 	}
 	// Counts must be monotone across snapshots.
 	for i := 1; i < len(snaps); i++ {
