@@ -22,6 +22,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -35,13 +36,22 @@ import (
 	"tpcxiot/internal/wal"
 )
 
+// interrupted is set by the SIGINT/SIGTERM handler, which then owns the
+// exit: it flushes the run's artefacts, cleans up and exits 130.
+var interrupted atomic.Bool
+
 func main() {
-	os.Exit(run())
+	code := run()
+	if interrupted.Load() {
+		select {} // the handler exits once its flush and cleanup are done
+	}
+	os.Exit(code)
 }
 
 // run executes the benchmark and returns the process exit code. Returning
-// instead of exiting lets the deferred cleanup — the cluster, the
-// observability server and a temporary data directory — run on every path.
+// instead of exiting lets the cleanup — the cluster, the observability
+// server and a temporary data directory — run on every path; an interrupt
+// runs the same cleanup before it exits.
 func run() int {
 	var (
 		drivers     = flag.Int("drivers", 2, "driver instances (simulated power substations)")
@@ -82,6 +92,20 @@ func run() int {
 		return 1
 	}
 
+	// SIGINT and SIGTERM are caught from here on. A signal waits in sigc
+	// until the handler below starts, once everything it cleans up exists.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	// teardown is run's cleanup, newest step first, run once: on return, or
+	// by the interrupt handler before it exits.
+	var steps []func()
+	teardown := sync.OnceFunc(func() {
+		for i := len(steps) - 1; i >= 0; i-- {
+			steps[i]()
+		}
+	})
+	defer teardown()
+
 	dir := *dataDir
 	if dir == "" {
 		var err error
@@ -89,7 +113,7 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
-		defer os.RemoveAll(dir)
+		steps = append(steps, func() { os.RemoveAll(dir) })
 	}
 
 	// Telemetry: one registry shared by the cluster (engine counters, put
@@ -113,7 +137,7 @@ func run() int {
 			if err != nil {
 				return fail(err)
 			}
-			defer f.Close()
+			steps = append(steps, func() { f.Close() })
 			eventsW = f
 		}
 		elog = telemetry.NewLogger(eventsW, telemetry.LevelInfo).Instrument(reg)
@@ -159,7 +183,7 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	defer cluster.Close()
+	steps = append(steps, func() { cluster.Close() })
 
 	if reg != nil && *auditJSON == "" {
 		*auditJSON = filepath.Join("results", fmt.Sprintf("audit-%d.json", os.Getpid()))
@@ -213,7 +237,7 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
-		defer srv.Close()
+		steps = append(steps, func() { srv.Close() })
 		log.Printf("telemetry: /metrics, /storage, /healthz, /audit, /trace and /debug/pprof on http://%s", addr)
 	}
 
@@ -229,27 +253,26 @@ func run() int {
 
 	// On SIGINT/SIGTERM, flush what telemetry exists — the in-flight
 	// interval series, the trace buffer, and the audit artefact (the
-	// verdicts so far plus a partial one of the interrupted execution) —
-	// before exiting, so an interrupted run still leaves an auditable trail.
-	if reg != nil {
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sigc
-			log.Printf("interrupted: flushing telemetry")
-			s := snapshot()
-			if s != nil && len(s.Points) > 0 {
-				if err := writeOneSeriesCSV(*telemetryCSV, s); err != nil {
-					log.Printf("telemetry: csv export: %v", err)
-				} else {
-					log.Printf("telemetry: partial series written to %s", *telemetryCSV)
-				}
+	// verdicts so far plus a partial one of the interrupted execution) — so
+	// an interrupted run still leaves an auditable trail, then tear down and
+	// exit 130.
+	go func() {
+		<-sigc
+		interrupted.Store(true)
+		log.Printf("interrupted: flushing telemetry and cleaning up")
+		s := snapshot()
+		if s != nil && len(s.Points) > 0 {
+			if err := writeOneSeriesCSV(*telemetryCSV, s); err != nil {
+				log.Printf("telemetry: csv export: %v", err)
+			} else {
+				log.Printf("telemetry: partial series written to %s", *telemetryCSV)
 			}
-			writeAuditJSON(*auditJSON, trail(s))
-			flushTraceJSON(*traceJSON, tracer)
-			os.Exit(130)
-		}()
-	}
+		}
+		writeAuditJSON(*auditJSON, trail(s))
+		flushTraceJSON(*traceJSON, tracer)
+		teardown()
+		os.Exit(130)
+	}()
 
 	res, err := driver.Run(driver.Config{
 		Drivers:            *drivers,
@@ -285,6 +308,9 @@ func run() int {
 			log.Printf(format, args...)
 		},
 	})
+	if interrupted.Load() {
+		return 130 // the cluster closed under the run: there is nothing to report
+	}
 	if res == nil {
 		return fail(err)
 	}

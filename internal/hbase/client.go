@@ -33,7 +33,7 @@ const maxInFlight = 2
 // A write is acknowledged once FlushCommits, Close or a read returns nil
 // after it: those first wait until the sender is idle, then use the
 // transport on the caller's goroutine. The sender's first failure is
-// returned by the next Put, Delete, FlushCommits, Close, NewScanner or
+// returned by the next Put, FlushCommits, Close, NewScanner or
 // Aggregate, with every batch it did not ship back in the buffer.
 type Client struct {
 	table  *Table
@@ -128,37 +128,22 @@ func (cl *Cluster) newClient(tableName string, writeBufferBytes int64, rpc trans
 	}, nil
 }
 
-// Put buffers a write. The key and value are copied; an empty key is
-// refused here, before it could reach a region. When the put is the sampled
-// one, its span tree covers buffering and any wait at the in-flight bound;
-// the flush it seals is a trace of its own.
+// Put buffers a write in its region's batch. The key and value are copied;
+// an empty key is refused here, before it could reach a region. The write is
+// buffered even when the call returns the sender's failure, so it ships with
+// a later flush. When the put is the sampled one, its span tree covers
+// buffering and any wait at the in-flight bound; the flush it seals is a
+// trace of its own.
 func (c *Client) Put(key, value []byte) error {
 	_, sp := c.tracer.StartTrace("client.put")
-	err := c.buffer(Mutation{
-		Key:   append([]byte(nil), key...),
-		Value: append([]byte(nil), value...),
-	}, sp)
-	sp.End()
-	return err
-}
-
-// Delete buffers a tombstone.
-func (c *Client) Delete(key []byte) error {
-	_, sp := c.tracer.StartTrace("client.delete")
-	err := c.buffer(Mutation{Key: append([]byte(nil), key...), Delete: true}, sp)
-	sp.End()
-	return err
-}
-
-// buffer adds m to its region's batch. The mutation is buffered even when
-// the call returns the sender's failure, so it ships with a later flush.
-func (c *Client) buffer(m Mutation, sp telemetry.TSpan) error {
+	defer sp.End()
 	if c.closed {
 		return ErrClientClosed
 	}
-	if len(m.Key) == 0 {
+	if len(key) == 0 {
 		return fmt.Errorf("hbase: %w", lsm.ErrBadKey)
 	}
+	m := Mutation{Key: append([]byte(nil), key...), Value: append([]byte(nil), value...)}
 	tr := c.table.locate(m.Key)
 	c.buffers[tr] = append(c.buffers[tr], m)
 	c.buffered += int64(len(m.Key) + len(m.Value))

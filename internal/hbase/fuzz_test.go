@@ -45,13 +45,25 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 	}
 	key := kvp.Key{Substation: "sub0", Sensor: "sa", Timestamp: 1000}.Encode()
 	get := frame(opRetired, func(w *frameWriter) { w.bytes(key) })
+	// A put and its overwrite.
 	mutate := frame(opMutate, func(w *frameWriter) {
 		w.uvarint(2)
 		w.uvarint(0)
 		w.bytes(key)
 		w.bytes(kvp.Value{Reading: "21.25", Unit: "C", Padding: make([]byte, 64)}.Encode())
+		w.uvarint(0)
+		w.bytes(key)
+		w.bytes(kvp.Value{Reading: "21.5", Unit: "C"}.Encode())
+	})
+	// A put of a key the region does not hold, then a mutation that sets the
+	// retired delete flag on a key it does.
+	deleteFlag := frame(opMutate, func(w *frameWriter) {
+		w.uvarint(2)
+		w.uvarint(0)
+		w.bytes(kvp.Key{Substation: "sub0", Sensor: "sc", Timestamp: 0}.Encode())
+		w.bytes(kvp.Value{Reading: "1.5", Unit: "C"}.Encode())
 		w.uvarint(1)
-		w.bytes([]byte("gone"))
+		w.bytes(key)
 		w.bytes(nil)
 	})
 	scanOpen := func(limit uint64) []byte {
@@ -112,6 +124,7 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 			w.bytes([]byte("v"))
 		}), true},
 		{"mutate-count-lies", frame(opMutate, func(w *frameWriter) { w.uvarint(1 << 62) }), true},
+		{"mutate-delete-flag", deleteFlag, true},
 		{"truncated-varint", append(frame(opScanNext, nil), 0x80, 0x80), true},
 		{"truncated-mutate-tail", fresh[:len(fresh)-1], true},
 		{"truncated-mutate", mutate[:len(mutate)-10], true},
@@ -204,23 +217,39 @@ func FuzzDispatch(f *testing.F) {
 // TestDispatchSeeds runs FuzzDispatch's seeds as a plain test with the
 // outcome each must have, so tier-1 covers them without the fuzz engine. No
 // seed may leave a replication member with a standing error: the region
-// must keep taking writes. A refused seed leaves the region's rows as they
+// must keep taking writes. A refused seed leaves every member's rows as they
 // were.
 func TestDispatchSeeds(t *testing.T) {
 	cl, c := newTestCluster(t, 3, nil)
 	putReadings(t, c)
+	if err := c.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
 	tbl, _ := cl.Table("iot")
 	tr := tbl.regions[0]
 	scanner, err := tr.primary.openScanner(tr.replicas[0], nil, nil, 0, telemetry.TSpan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := func() []Row {
-		rows, err := scanAll(c, nil, nil, 0)
-		if err != nil {
-			t.Fatal(err)
+	// rows is every member's store, key=value in key order.
+	rows := func() [][]string {
+		out := make([][]string, len(tr.replicas))
+		for i, rep := range tr.replicas {
+			it, err := rep.Store().NewIterator(nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ; it.Valid(); it.Next() {
+				out[i] = append(out[i], string(it.Key())+"="+string(it.Value()))
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return rows
+		return out
 	}
 	for _, seed := range fuzzRequests(tr.info.Name, scanner) {
 		name, payload := seed.name, seed.payload
@@ -232,15 +261,17 @@ func TestDispatchSeeds(t *testing.T) {
 		if got := resp.buf[4] != statusOK; got != seed.wantErr {
 			t.Errorf("%s: status %d (%q), want error=%v", name, resp.buf[4], resp.buf[headerLen:min(len(resp.buf), 80)], seed.wantErr)
 		}
-		// Every handler counts a request; the retired opcode reaches none.
-		if payload[0] == opRetired && tr.primary.requests.Load() != handled {
-			t.Errorf("%s: the retired opcode reached a handler", name)
+		// Every handler counts a request; the retired opcode reaches none,
+		// and neither does a mutation that sets the retired delete flag.
+		if (payload[0] == opRetired || name == "mutate-delete-flag") && tr.primary.requests.Load() != handled {
+			t.Errorf("%s: the request reached a handler", name)
 		}
-		// A refused request changes no row: a mutate that does not decode
-		// (truncated-mutate, truncated-mutate-tail) applies none of its
-		// batch, not even the mutations in front of the cut.
+		// A refused request changes no member's rows: a mutate that does not
+		// decode (truncated-mutate, truncated-mutate-tail, mutate-delete-flag)
+		// applies none of its batch, not even the mutations in front of the
+		// fault.
 		if after := rows(); seed.wantErr && !reflect.DeepEqual(after, before) {
-			t.Errorf("%s: changed the region's rows (%d before, %d after)", name, len(before), len(after))
+			t.Errorf("%s: changed the region's rows (%d before, %d after on the primary)", name, len(before[0]), len(after[0]))
 		}
 		if err := cl.Quiesce(); err != nil {
 			t.Errorf("%s: %v", name, err)

@@ -221,17 +221,6 @@ func TestScanLimit(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	_, c := newTestCluster(t, 3, nil)
-	c.Put([]byte("k"), []byte("v"))
-	if err := c.Delete([]byte("k")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := getKey(c, []byte("k")); ok {
-		t.Fatal("deleted key visible")
-	}
-}
-
 func TestReplicationFactorOnAllReplicas(t *testing.T) {
 	cl, c := newTestCluster(t, 5, [][]byte{[]byte("m")})
 	c.Put([]byte("alpha"), []byte("1"))

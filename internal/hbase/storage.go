@@ -59,7 +59,6 @@ type StorageReport struct {
 // the summed ledger by the caller, never summed themselves.
 func addStats(a *lsm.Stats, b lsm.Stats) {
 	a.Puts += b.Puts
-	a.Deletes += b.Deletes
 	a.Gets += b.Gets
 	a.Scans += b.Scans
 	a.Flushes += b.Flushes

@@ -58,7 +58,7 @@ func TestTCPRequiresServing(t *testing.T) {
 	}
 }
 
-func TestTCPPutGetDelete(t *testing.T) {
+func TestTCPPutGetOverwrite(t *testing.T) {
 	_, c := newTCPCluster(t, 3, nil)
 	if err := c.Put([]byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
@@ -70,11 +70,11 @@ func TestTCPPutGetDelete(t *testing.T) {
 	if _, ok, _ := getKey(c, []byte("absent")); ok {
 		t.Fatal("absent key present over TCP")
 	}
-	if err := c.Delete([]byte("k1")); err != nil {
+	if err := c.Put([]byte("k1"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := getKey(c, []byte("k1")); ok {
-		t.Fatal("deleted key visible over TCP")
+	if v, ok, err := getKey(c, []byte("k1")); err != nil || !ok || string(v) != "v2" {
+		t.Fatalf("read of the overwrite over TCP = %q,%v,%v", v, ok, err)
 	}
 }
 
@@ -401,9 +401,6 @@ func TestMutateRefusesBadKeysBeforeFanOut(t *testing.T) {
 
 	if err := c.Put(nil, v); !errors.Is(err, lsm.ErrBadKey) {
 		t.Fatalf("Put of an empty key = %v, want lsm.ErrBadKey", err)
-	}
-	if err := c.Delete([]byte{}); !errors.Is(err, lsm.ErrBadKey) {
-		t.Fatalf("Delete of an empty key = %v, want lsm.ErrBadKey", err)
 	}
 	if n := c.BufferedBytes(); n != 0 {
 		t.Fatalf("refused puts buffered %d bytes", n)

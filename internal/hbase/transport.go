@@ -32,7 +32,7 @@ import (
 // (the frameReader method of the same name) sit side by side below:
 //
 //	op           request fields                   response fields
-//	opMutate     count, {delete, key, value}      -
+//	opMutate     count, {0, key, value}           -
 //	opScanOpen   lo?, hi?, limit                  scanner id
 //	opScanNext   scanner id, chunk                more, count, {key, value}
 //	opScanClose  scanner id                       -
@@ -110,15 +110,6 @@ func (f *frameWriter) bytes(b []byte) {
 func (f *frameWriter) str(s string) {
 	f.buf = binary.AppendUvarint(f.buf, uint64(len(s)))
 	f.buf = append(f.buf, s...)
-}
-
-// flag writes a boolean as the uvarint 0 or 1.
-func (f *frameWriter) flag(b bool) {
-	if b {
-		f.buf = append(f.buf, 1)
-	} else {
-		f.buf = append(f.buf, 0)
-	}
 }
 
 // nilMarker distinguishes nil scan bounds from empty ones on the wire.
@@ -282,11 +273,13 @@ func (f *frameReader) request() (ctx telemetry.TraceContext, region string) {
 	return ctx, f.str()
 }
 
-// mutations is an opMutate request's batch.
+// mutations is an opMutate request's batch. Each mutation leads with a flag
+// byte that once marked a delete; it is always 0, and a frame that sets it
+// is malformed.
 func (f *frameWriter) mutations(batch []Mutation) {
 	f.uvarint(uint64(len(batch)))
 	for _, m := range batch {
-		f.flag(m.Delete)
+		f.buf = append(f.buf, 0)
 		f.bytes(m.Key)
 		f.bytes(m.Value)
 	}
@@ -298,7 +291,9 @@ func (f *frameReader) mutations() []Mutation {
 	batch := make([]Mutation, f.count(3)) // a flag and two lengths at least
 	for i := range batch {
 		m := &batch[i]
-		m.Delete = f.uvarint() == 1
+		if f.uvarint() != 0 {
+			f.malformed("mutation %d sets the retired delete flag", i)
+		}
 		m.Key = append([]byte(nil), f.bytes()...)
 		m.Value = append([]byte(nil), f.bytes()...)
 	}

@@ -59,11 +59,10 @@ func wireCases() []wireCase {
 				return nil, rpc.mutate(tr, []Mutation{
 					{Key: wireKey(0), Value: wireReading("1.5")},
 					{Key: wireKey(250), Value: wireReading("2.5")},
-					{Key: []byte("gone"), Delete: true},
 				}, sp)
 			},
-			req:       "010009696f742c303030303003000c730061008000000000000000060301312e3543000c7300610080000000000000fa060301322e35430104676f6e6500",
-			reqTraced: "01014d0509696f742c303030303003000c730061008000000000000000060301312e3543000c7300610080000000000000fa060301322e35430104676f6e6500",
+			req:       "010009696f742c303030303002000c730061008000000000000000060301312e3543000c7300610080000000000000fa060301322e3543",
+			reqTraced: "01014d0509696f742c303030303002000c730061008000000000000000060301312e3543000c7300610080000000000000fa060301322e3543",
 			resp:      "0000",
 			respSpans: "00020109056414097365727665722e6f7003727330",
 		},

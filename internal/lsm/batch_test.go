@@ -20,23 +20,21 @@ func TestApplyBatchBasics(t *testing.T) {
 		{Key: []byte("a"), Value: []byte("1")},
 		{Key: []byte("b"), Value: []byte("2")},
 		{Key: []byte("c"), Value: []byte("3")},
-		{Key: []byte("b"), Delete: true},
+		{Key: []byte("b"), Value: []byte("2'")},
 	}
 	if err := s.ApplyBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	for _, kv := range []struct{ k, v string }{{"a", "1"}, {"c", "3"}} {
+	// The in-batch overwrite shadows the put before it.
+	for _, kv := range []struct{ k, v string }{{"a", "1"}, {"b", "2'"}, {"c", "3"}} {
 		got, ok, err := s.Get([]byte(kv.k))
 		if err != nil || !ok || string(got) != kv.v {
 			t.Fatalf("Get(%q) = %q,%v,%v", kv.k, got, ok, err)
 		}
 	}
-	if _, ok, _ := s.Get([]byte("b")); ok {
-		t.Fatal("in-batch delete did not shadow the preceding put")
-	}
 	st := s.Stats()
-	if st.Puts != 3 || st.Deletes != 1 || st.BatchApplies != 1 {
-		t.Fatalf("stats = %+v, want 3 puts, 1 delete, 1 batch apply", st)
+	if st.Puts != 4 || st.BatchApplies != 1 {
+		t.Fatalf("stats = %+v, want 4 puts, 1 batch apply", st)
 	}
 }
 
@@ -114,7 +112,7 @@ func TestApplyBatchAutoFlush(t *testing.T) {
 }
 
 // TestBatchCrashRecoveryParity writes the same mutation sequence through
-// ApplyBatch and through per-key Put/Delete, crashes both stores before any
+// ApplyBatch and through per-key Put, crashes both stores before any
 // flush, and asserts WAL replay recovers identical contents: a batch is one
 // group append on the wire but record-per-mutation for recovery.
 func TestBatchCrashRecoveryParity(t *testing.T) {
@@ -124,9 +122,6 @@ func TestBatchCrashRecoveryParity(t *testing.T) {
 			Key:   []byte(fmt.Sprintf("key-%03d", i%64)), // collisions: overwrites
 			Value: []byte(fmt.Sprintf("val-%04d", i)),
 		})
-		if i%7 == 0 {
-			ops = append(ops, Write{Key: []byte(fmt.Sprintf("key-%03d", (i+3)%64)), Delete: true})
-		}
 	}
 
 	batchDir, keyDir := t.TempDir(), t.TempDir()
@@ -153,13 +148,7 @@ func TestBatchCrashRecoveryParity(t *testing.T) {
 
 	sk := open(keyDir)
 	for _, w := range ops {
-		var err error
-		if w.Delete {
-			err = sk.Delete(w.Key)
-		} else {
-			err = sk.Put(w.Key, w.Value)
-		}
-		if err != nil {
+		if err := sk.Put(w.Key, w.Value); err != nil {
 			t.Fatal(err)
 		}
 	}

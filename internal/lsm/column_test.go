@@ -3,10 +3,7 @@ package lsm
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -103,16 +100,14 @@ func TestColumnFoldFollowsRowsThroughTheStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	put(1500, 2500)
-	// An overwrite and a delete in the memtable shadow column entries.
+	// Two overwrites in the memtable shadow column entries.
 	aggPut(t, s, "sub0", "sa", 500, 1e6)
-	if err := s.Delete(kvp.Key{Substation: "sub0", Sensor: "sb", Timestamp: 510}.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	fold("two tables under a shadowing memtable", 499, 298)
+	aggPut(t, s, "sub0", "sb", 510, -1e6)
+	fold("two tables under a shadowing memtable", 500, 298)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fold("three tables", 499, 499)
+	fold("three tables", 500, 500)
 
 	for _, ts := range s.TableStats() {
 		if ts.ColumnBytes <= 0 || ts.ColumnBytes*20 > ts.SizeBytes {
@@ -126,7 +121,7 @@ func TestColumnFoldFollowsRowsThroughTheStore(t *testing.T) {
 	if len(stats) != 1 || stats[0].ColumnBytes <= 0 {
 		t.Fatalf("after a full compaction: %+v", stats)
 	}
-	fold("compaction output", 499, 499)
+	fold("compaction output", 500, 500)
 	if got, total := reg.CounterValue(telemetry.Tagged("lsm.agg_rows_column", tags...)), reg.CounterValue("lsm.agg_rows_column"); got == 0 || got != total {
 		t.Fatalf("tagged lsm.agg_rows_column = %d, untagged %d", got, total)
 	}
@@ -152,22 +147,18 @@ func TestCompactionRebuildsColumnFromValues(t *testing.T) {
 		aggPut(t, s, "sub0", "sa", ts, -1)
 	}
 	aggPut(t, s, "sub0", "sa", 1505, 42) // the newer table overwrites the bad value
-	if err := s.Delete(kvp.Key{Substation: "sub0", Sensor: "sa", Timestamp: 20}.Encode()); err != nil {
-		t.Fatal(err)
-	}
+	aggPut(t, s, "sub0", "sa", 20, -2)   // and a sound one
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.TableStats(); len(st) != 2 || st[0].ColumnBytes == 0 || st[1].ColumnBytes != 0 {
 		t.Fatalf("inputs: want the newer table with a column and the older without: %+v", st)
 	}
-	// A hot-tier style merge keeps tombstones; check that shape, then the
-	// full merge that drops them.
-	for _, dropTombstones := range []bool{false, true} {
+	// Merge the two tables, then the output with one newer table.
+	for round := 0; round < 2; round++ {
 		s.compactMu.Lock()
 		s.mu.RLock()
 		pick := s.pickSpanLocked(0, len(s.tables), "test")
-		pick.dropTombstones = dropTombstones
 		for _, in := range pick.inputs {
 			in.acquire()
 		}
@@ -186,14 +177,11 @@ func TestCompactionRebuildsColumnFromValues(t *testing.T) {
 		}
 		data.SeekToFirst()
 		col.SeekToFirst()
-		n, tombs := 0, 0
+		n := 0
 		for ; data.Valid() && col.Valid(); data.Next() {
 			want, ok := s.readingColumn(nil, data.Value())
 			if !ok || !bytes.Equal(col.Key(), data.Key()) || !bytes.Equal(col.Value(), want) {
 				t.Fatalf("entry %d (%q): column holds %x, the value projects to %x", n, data.Key(), col.Value(), want)
-			}
-			if data.Value()[0] == tagTombstone {
-				tombs++
 			}
 			n++
 			col.Next()
@@ -201,15 +189,13 @@ func TestCompactionRebuildsColumnFromValues(t *testing.T) {
 		if data.Valid() || col.Valid() || data.Error() != nil || col.Error() != nil {
 			t.Fatalf("sequences diverge after %d entries", n)
 		}
-		// 330 distinct keys either round: the kept tombstone of the first is
-		// replaced by the row added below in the second.
-		wantTombs := map[bool]int{false: 1, true: 0}[dropTombstones]
-		if n != 330 || tombs != wantTombs {
-			t.Fatalf("dropTombstones=%v: %d entries with %d tombstones, want 330 with %d", dropTombstones, n, tombs, wantTombs)
+		// 330 distinct keys, and the row added below for the second round.
+		if n != 330+round {
+			t.Fatalf("round %d: %d entries, want %d", round, n, 330+round)
 		}
 		lo, hi := aggRange("sub0", 0, 0)
-		if res := foldBothWays(t, s, lo, hi, 0, math.MaxInt64, 500, allAggFuncs); res.RowsFolded != int64(330-wantTombs) {
-			t.Fatalf("folded %d rows, want %d", res.RowsFolded, 330-wantTombs)
+		if res := foldBothWays(t, s, lo, hi, 0, math.MaxInt64, 500, allAggFuncs); res.RowsFolded != int64(n) {
+			t.Fatalf("folded %d rows, want %d", res.RowsFolded, n)
 		}
 		// Give the next round two tables again.
 		aggPut(t, s, "sub0", "sa", 2995, 7)
@@ -266,142 +252,6 @@ func TestUndecodableValueFallsBackToDataBlocks(t *testing.T) {
 	}
 }
 
-// v2StoreOps is what the parent commit applied, through an oooModel, to
-// write testdata/v2store: two footer-v2 tables, the second overwriting and
-// deleting rows of the first (its WAL is not kept: everything was flushed).
-func v2StoreOps(put func(sensor string, ts int64, reading float64), del func(sensor string, ts int64), flush func()) {
-	for ts := int64(0); ts < 5000; ts += 250 {
-		for i, sen := range []string{"sa", "sb", "sc"} {
-			put(sen, ts, float64(ts%977)/7+float64(i))
-		}
-	}
-	flush()
-	for ts := int64(5000); ts < 10_000; ts += 250 {
-		put("sa", ts, float64(ts%977)/7)
-	}
-	for ts := int64(250); ts <= 500; ts += 250 {
-		put("sb", ts, -float64(ts)/3)
-	}
-	del("sc", 1000)
-	del("sc", 1250)
-	flush()
-}
-
-// TestStoreWrittenByParentCommitUpgradesInPlace opens a copy of a store
-// directory the parent commit wrote (footer v2, no columns), checks it
-// against the oracle, then keeps using it: new flushes are v3 tables that
-// shadow v2 rows, the memtable shadows both, and Get, scan and AggregateTime
-// stay equal to the oracle over the mix — the v2 rows decoded from data
-// blocks, the v3 rows read from columns. A full compaction then rewrites the
-// lot into one table with a column.
-func TestStoreWrittenByParentCommitUpgradesInPlace(t *testing.T) {
-	dir := t.TempDir()
-	files, err := os.ReadDir("testdata/v2store")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join("testdata/v2store", f.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reg := telemetry.NewRegistry()
-	s := openTest(t, Options{Dir: dir, DisableAutoFlush: true, Registry: reg})
-	m := &oooModel{t: t, s: s, live: map[string]float64{}}
-	v2StoreOps(m.put, m.del, func() { m.batch = m.batch[:0] }) // the oracle only: the rows are on disk
-
-	checkAll := func(stage string) {
-		t.Helper()
-		m.check(stage) // AggregateTime == oracle == value-decode fold, bit for bit
-		n := 0
-		err := scan(s, nil, nil, func(k, v []byte) error {
-			want, ok := m.live[string(k)]
-			if got, err := kvp.ReadingOf(v); !ok || err != nil || got != want {
-				return fmt.Errorf("scan yields %q = %v (%v), oracle has %v (present %v)", k, got, err, want, ok)
-			}
-			n++
-			return nil
-		})
-		if err != nil || n != len(m.live) {
-			t.Fatalf("%s: scanned %d of %d rows: %v", stage, n, len(m.live), err)
-		}
-		for k, want := range m.live {
-			v, ok, err := s.Get([]byte(k))
-			if got, rerr := kvp.ReadingOf(v); err != nil || !ok || rerr != nil || got != want {
-				t.Fatalf("%s: Get(%q) = %v, %v, %v; oracle has %v", stage, k, got, ok, err, want)
-			}
-		}
-		// Every key some stage deletes: absent unless the oracle has it back.
-		for _, k := range []kvp.Key{{Sensor: "sc", Timestamp: 1000}, {Sensor: "sc", Timestamp: 1250},
-			{Sensor: "sb", Timestamp: 1500}, {Sensor: "sb", Timestamp: 10_250}} {
-			k.Substation = "sub0"
-			if _, live := m.live[string(k.Encode())]; live {
-				continue
-			}
-			if _, ok, err := s.Get(k.Encode()); ok || err != nil {
-				t.Fatalf("%s: deleted %s@%d: present %v, err %v", stage, k.Sensor, k.Timestamp, ok, err)
-			}
-		}
-	}
-
-	if st := s.TableStats(); len(st) != 2 || st[0].ColumnBytes != 0 || st[1].ColumnBytes != 0 {
-		t.Fatalf("the parent's store should open as two column-less tables: %+v", st)
-	}
-	checkAll("as written by the parent")
-	if st := s.Stats(); st.RunReads == 0 || st.RunBytes > st.DiskReadBytes {
-		t.Fatalf("scanning the v2 tables should read them in runs: %d runs, %d of %d disk bytes", st.RunReads, st.RunBytes, st.DiskReadBytes)
-	}
-	if c, d := columnShare(reg); c != 0 || d == 0 {
-		t.Fatalf("v2-only store: %d rows from columns, %d decoded", c, d)
-	}
-
-	// A v3 table over the v2 ones: new rows, an overwrite of a v2 row, a
-	// delete of another, and a re-insert of a row the v2 tables deleted.
-	for ts := int64(10_000); ts < 12_000; ts += 250 {
-		m.put("sb", ts, float64(ts)/11)
-	}
-	m.put("sa", 750, 999.25)
-	m.del("sb", 1500)
-	m.put("sc", 1000, 3.5)
-	m.flush()
-	// And a memtable over all three.
-	m.put("sa", 750, -999.25)
-	m.put("sc", 20_000, 1)
-	m.del("sb", 10_250)
-	if err := s.ApplyBatch(m.batch); err != nil {
-		t.Fatal(err)
-	}
-	m.batch = m.batch[:0]
-	if st := s.TableStats(); len(st) != 3 || st[0].ColumnBytes == 0 || st[1].ColumnBytes != 0 {
-		t.Fatalf("want one v3 table over the two v2 ones: %+v", st)
-	}
-	c0, d0 := columnShare(reg)
-	checkAll("v2 + v3 + memtable")
-	if c1, d1 := columnShare(reg); c1 == c0 || d1 == d0 {
-		t.Fatalf("mixed store: column rows %d -> %d, decoded rows %d -> %d; both paths should have served", c0, c1, d0, d1)
-	}
-
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.TableStats(); len(st) != 1 || st[0].ColumnBytes == 0 {
-		t.Fatalf("full compaction of v2 and v3 inputs: %+v", st)
-	}
-	c0, d0 = columnShare(reg)
-	checkAll("rewritten as one v3 table")
-	// m.check folds twice, the second time forced onto the data blocks.
-	if c1, d1 := columnShare(reg); c1-c0 != d1-d0 || c1 == c0 {
-		t.Fatalf("after the rewrite the column fold should serve every row: %d column, %d decoded", c1-c0, d1-d0)
-	}
-}
-
 // TestColumnFoldParityUnderChurn: the two folds agree while writers ingest,
 // memtables flush and the compactor merges beneath them. Writers append above
 // the queried range and backfill below it, so the queried rows never change
@@ -420,7 +270,7 @@ func TestColumnFoldParityUnderChurn(t *testing.T) {
 			m.flush()
 		}
 	}
-	m.del("sa", settledLo)
+	m.put("sa", settledLo, 0.5) // an overwrite in a newer table
 	m.flush()
 
 	done := make(chan struct{})

@@ -12,7 +12,7 @@
 //   - A cold window (any but the newest table's) holding several tables is
 //     merged once, whole, into a table that is never rewritten.
 //   - The hot window's in-order flushes are time-disjoint and left alone.
-//     Late, backfilled, overwritten or deleted keys widen a flush's range;
+//     Late, backfilled or overwritten keys widen a flush's range;
 //     at depth CompactTrigger a tier of similar-sized tables merges.
 //   - Disjoint tables still pin a descriptor each: past hotFileBudget the
 //     hot window folds its oldest flush-sized tables, foldWidth at a time.
@@ -22,8 +22,7 @@
 // Correctness invariant: a pick is always a contiguous span of the
 // newest-first table list, and its output is installed at the span's
 // position. Shadowing order is therefore preserved no matter which span is
-// chosen. Tombstones may be dropped only when the span reaches the oldest
-// table (nothing older remains to resurrect).
+// chosen.
 package lsm
 
 import (
@@ -108,10 +107,9 @@ func (s *Store) setTablesLocked(tables []*tableHandle) {
 // compactionPick is one unit of compaction work: a contiguous span of the
 // newest-first table list.
 type compactionPick struct {
-	start, n       int // span within s.tables at pick time
-	inputs         []*tableHandle
-	dropTombstones bool
-	reason         string // "cold-window", "hot-tier", "hot-budget", "backpressure" or "full"
+	start, n int // span within s.tables at pick time
+	inputs   []*tableHandle
+	reason   string // "cold-window", "hot-tier", "hot-budget", "backpressure" or "full"
 }
 
 // tableRun is a maximal contiguous span of tables sharing a window.
@@ -257,10 +255,7 @@ func (s *Store) pickSpanLocked(start, n int, reason string) *compactionPick {
 		start:  start,
 		n:      n,
 		inputs: append([]*tableHandle(nil), s.tables[start:start+n]...),
-		// Nothing older than the span means no shadowed version a dropped
-		// tombstone could resurrect.
-		dropTombstones: start+n == len(s.tables),
-		reason:         reason,
+		reason: reason,
 	}
 }
 

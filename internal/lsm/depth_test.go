@@ -176,12 +176,6 @@ func (m *oooModel) put(sensor string, ts int64, reading float64) {
 	m.live[string(enc)] = reading
 }
 
-func (m *oooModel) del(sensor string, ts int64) {
-	key := kvp.Key{Substation: "sub0", Sensor: sensor, Timestamp: ts}.Encode()
-	m.batch = append(m.batch, Write{Key: key, Delete: true})
-	delete(m.live, string(key))
-}
-
 func (m *oooModel) flush() {
 	m.t.Helper()
 	if err := m.s.ApplyBatch(m.batch); err != nil {
@@ -234,10 +228,10 @@ func (m *oooModel) check(stage string) {
 }
 
 // TestOutOfOrderIngestRaisesDepthAndMerges is the overflow shape: in-order
-// flushes interleaved with late and backfilled readings, overwrites and
-// deletes of old-window keys. In-order tables stay unmerged; late data widens
-// flush tables until depth reaches CompactTrigger, a hot-tier merge brings it
-// back down, and the cold merge resurrects nothing — with AggregateTime equal
+// flushes interleaved with late and backfilled readings and overwrites of
+// old-window keys. In-order tables stay unmerged; late data widens flush
+// tables until depth reaches CompactTrigger, a hot-tier merge brings it back
+// down, and the cold merge brings no stale version back — with AggregateTime equal
 // to the map oracle at every stage.
 func TestOutOfOrderIngestRaisesDepthAndMerges(t *testing.T) {
 	const windowMS, trigger = 10_000, 4
@@ -271,13 +265,13 @@ func TestOutOfOrderIngestRaisesDepthAndMerges(t *testing.T) {
 	}
 	m.check("in-order")
 
-	// Window 1 opens with a tombstone for a window-0 key riding along: the
-	// flush table's time range widens down to the deleted key.
+	// Window 1 opens with an overwrite of a window-0 key riding along: the
+	// flush table's time range widens down to the overwritten key.
 	inOrder(windowMS)
-	m.del("sa", 300)
+	m.put("sa", 300, -300)
 	m.flush()
-	if top := s.TableStats()[0]; top.MinTS != 300 || top.Tombstones != 1 {
-		t.Fatalf("tombstone flush: minTS %d with %d tombstones, want 300 and 1", top.MinTS, top.Tombstones)
+	if top := s.TableStats()[0]; top.MinTS != 300 {
+		t.Fatalf("overwrite flush: minTS %d, want 300", top.MinTS)
 	}
 	if err := s.CompactPending(); err != nil { // window 0 went cold: one whole-window merge
 		t.Fatal(err)
@@ -288,7 +282,7 @@ func TestOutOfOrderIngestRaisesDepthAndMerges(t *testing.T) {
 	m.check("window 0 cold")
 
 	// Late data: every flush now carries in-order rows plus backfill,
-	// overwrites and deletes of window-0 keys, so all of them overlap. Hold
+	// and overwrites of window-0 keys, so all of them overlap. Hold
 	// the compactor off to watch depth climb.
 	before := s.Stats().Compactions
 	s.compactMu.Lock()
@@ -296,7 +290,7 @@ func TestOutOfOrderIngestRaisesDepthAndMerges(t *testing.T) {
 		inOrder(windowMS + f*1000)
 		m.put("sa", 50+f, 1000+float64(f)) // backfill: a reading that never arrived
 		m.put("sb", 100*f, -float64(f))    // overwrite
-		m.del("sc", 100*f)                 // delete
+		m.put("sc", 100*f, 500+float64(f)) // overwrite of another series
 		m.flush()
 	}
 	depth := depthInSync(t, s)
@@ -323,19 +317,19 @@ func TestOutOfOrderIngestRaisesDepthAndMerges(t *testing.T) {
 	m.check("hot tier merged")
 
 	// Window 2: window 1 goes cold. Its merged table still shadows window
-	// 0's with tombstones; nothing deleted may come back.
+	// 0's with newer versions; no stale version may come back.
 	inOrder(2 * windowMS)
 	m.flush()
 	if err := s.CompactPending(); err != nil {
 		t.Fatal(err)
 	}
 	m.check("window 1 cold")
-	for _, dead := range [][]byte{
-		kvp.Key{Substation: "sub0", Sensor: "sa", Timestamp: 300}.Encode(),
-		kvp.Key{Substation: "sub0", Sensor: "sc", Timestamp: 100}.Encode(),
-	} {
-		if v, ok, err := s.Get(dead); ok || err != nil {
-			t.Fatalf("deleted key %q resurrected: %q, %v", dead, v, err)
+	for _, k := range []kvp.Key{{Sensor: "sa", Timestamp: 300}, {Sensor: "sc", Timestamp: 100}} {
+		k.Substation = "sub0"
+		v, ok, err := s.Get(k.Encode())
+		got, rerr := kvp.ReadingOf(v)
+		if want := m.live[string(k.Encode())]; err != nil || !ok || rerr != nil || got != want {
+			t.Fatalf("%s@%d = %v (%v, %v, %v), want the overwrite %v", k.Sensor, k.Timestamp, got, ok, err, rerr, want)
 		}
 	}
 	if err := s.Compact(); err != nil {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"fmt"
 
 	"tpcxiot/internal/kvp"
 	"tpcxiot/internal/sstable"
@@ -17,8 +18,8 @@ import (
 // snapshot is never consulted (its contents are the pinned memtable's, so
 // consulting both would duplicate rows).
 //
-// Iterators position only on live entries (tombstones are merged away) and
-// stop at the exclusive upper bound fixed at open. Key and Value return
+// Iterators position only on the newest version of each key and stop at the
+// exclusive upper bound fixed at open. Key and Value return
 // slices owned by the snapshot, valid until the next call to Next or Close;
 // callers that retain rows must copy them. An Iter is not safe for
 // concurrent use, but any number of iterators may run concurrently with
@@ -43,7 +44,7 @@ type Iter struct {
 	bytesRead int64
 }
 
-// NewIterator opens a streaming iterator over live entries with
+// NewIterator opens a streaming iterator over the entries with
 // lo <= key < hi, in ascending key order. A nil hi scans to the end of the
 // keyspace. The returned iterator is positioned at the first entry (check
 // Valid); it observes a snapshot pinned at this call and MUST be closed to
@@ -57,8 +58,8 @@ func (s *Store) NewIterator(lo, hi []byte) (*Iter, error) {
 
 // newIter opens the snapshot. With column set, every table that has a
 // reading column contributes its column iterator in place of its data-block
-// iterator: the same keys in the same order, so shadowing and tombstones
-// merge exactly as before, but a live entry's stored value is then
+// iterator: the same keys in the same order, so shadowing merges exactly
+// as before, but an entry's stored value is then
 // [tagReading][float64 bits] and Value is not the row. Only the aggregate
 // fold, which reads the stored form, sets it.
 func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) (*Iter, error) {
@@ -121,7 +122,7 @@ func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) 
 		store: s, held: held, merged: newMergeIterator(sources), hi: hi,
 		tsLo: tsLo, tsHi: tsHi, tsFilter: tsFilter,
 	}
-	it.skipDead()
+	it.skip()
 	it.account()
 	return it, nil
 }
@@ -130,50 +131,53 @@ func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) 
 // read ledger. Called once per positioning, never per Key/Value access.
 func (it *Iter) account() {
 	if it.merged.Valid() {
-		// len(Value())-1 strips the live tag byte callers never see.
+		// len(Value())-1 strips the tag byte callers never see.
 		it.bytesRead += int64(len(it.merged.Key()) + len(it.merged.Value()) - 1)
 	}
 }
 
-// skipDead advances the merge past tombstones, entries outside the time
-// filter, and clamps at the upper bound, so the iterator rests on a live
-// in-range entry or exhausts.
-func (it *Iter) skipDead() {
+// skip advances the merge past entries outside the time filter and clamps
+// at the upper bound, so the iterator rests on an in-range entry or
+// exhausts. An entry without a tag byte, or with a tag no row carries,
+// fails the iterator with ErrCorrupt before Value could slice it.
+func (it *Iter) skip() {
 	for it.merged.Valid() {
-		if it.hi != nil && bytes.Compare(it.merged.Key(), it.hi) >= 0 {
+		key, v := it.merged.Key(), it.merged.Value()
+		if it.hi != nil && bytes.Compare(key, it.hi) >= 0 {
 			it.merged.exhaust() // past the bound
 			return
 		}
-		if v := it.merged.Value(); len(v) > 0 && (v[0] == tagValue || v[0] == tagReading) {
-			if !it.tsFilter {
-				return
-			}
-			ts, ok := kvp.TimestampOf(it.merged.Key())
-			if ok && ts >= it.tsLo && ts < it.tsHi {
-				return
-			}
+		if len(v) == 0 || (v[0] != tagValue && v[0] != tagReading) {
+			it.merged.err = fmt.Errorf("%w: stored value %x under key %q", ErrCorrupt, v, key)
+			return
+		}
+		if !it.tsFilter {
+			return
+		}
+		if ts, ok := kvp.TimestampOf(key); ok && ts >= it.tsLo && ts < it.tsHi {
+			return
 		}
 		it.merged.Next()
 	}
 }
 
-// Valid reports whether the iterator is positioned at a live entry.
+// Valid reports whether the iterator is positioned at an entry.
 func (it *Iter) Valid() bool { return !it.closed && it.merged.Valid() }
 
 // Key returns the current key; valid until the next Next or Close.
 func (it *Iter) Key() []byte { return it.merged.Key() }
 
-// Value returns the current live value (tag stripped); valid until the
-// next Next or Close.
+// Value returns the current value (tag stripped); valid until the next Next
+// or Close.
 func (it *Iter) Value() []byte { return it.merged.Value()[1:] }
 
-// Next advances to the following live entry.
+// Next advances to the following entry.
 func (it *Iter) Next() {
 	if !it.Valid() {
 		return
 	}
 	it.merged.Next()
-	it.skipDead()
+	it.skip()
 	it.account()
 }
 

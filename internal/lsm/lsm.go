@@ -13,7 +13,8 @@
 //
 // Writes are durable (per the WAL sync policy) before they are visible.
 // Reads merge the active memtable, the flushing memtable, and the store
-// files newest-first. Deletes are tombstones that full compactions drop.
+// files newest-first. The store is insert-only: a later write of a key
+// shadows the earlier one, and nothing removes a key.
 package lsm
 
 import (
@@ -126,24 +127,25 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// value encoding inside memtables and tables: first byte tags live values
-// versus tombstones. tagReading appears only in a table's reading column,
-// where a live row is its tag plus the float64 bits of kvp.ReadingOf of
-// the value — all an aggregate needs of a 1 KiB row.
+// value encoding inside memtables and tables: the first byte is a tag.
+// tagValue prefixes every stored row. tagReading appears only in a table's
+// reading column, where a row is its tag plus the float64 bits of
+// kvp.ReadingOf of the value — all an aggregate needs of a 1 KiB row. Any
+// other stored value, an empty one included, is ErrCorrupt wherever a read
+// meets it.
 const (
-	tagValue     = 1
-	tagTombstone = 0
-	tagReading   = 2
+	tagValue   = 1
+	tagReading = 2
 )
 
 // readingColumn is the sstable.WriterOptions.Column hook of every table the
-// store writes: a live value projects to [tagReading][float64 bits], a
-// tombstone to itself. A value kvp.ReadingOf cannot decode leaves the table
-// without a column, so the aggregate that meets it reports the decode error
-// from the data blocks as it always has.
+// store writes: a row projects to [tagReading][float64 bits]. A value that
+// is not a tagged row, or that kvp.ReadingOf cannot decode, leaves the table
+// without a column, so the read that meets it reports the error from the
+// data blocks.
 func (s *Store) readingColumn(dst, stored []byte) ([]byte, bool) {
 	if len(stored) == 0 || stored[0] != tagValue {
-		return append(dst, stored...), true
+		return dst, false
 	}
 	v, err := kvp.ReadingOf(stored[1:])
 	if err != nil {
@@ -207,7 +209,7 @@ type Store struct {
 
 	// Event counters: each counted once, where the event happens. Stats
 	// reads them; counterTable names those the registry reports.
-	puts, deletes, gets, scans   telemetry.Counter
+	puts, gets, scans            telemetry.Counter
 	flushes, compactions, stalls telemetry.Counter
 	batchApplies, truncErrs      telemetry.Counter
 
@@ -289,12 +291,9 @@ type tableHandle struct {
 
 	// Introspection metadata, immutable after construction. size and
 	// columnBytes mirror the reader so stats never touch a possibly-closed
-	// one (columnBytes 0: no reading column); tombstones is counted by the
-	// flush or compaction that wrote the table and recovered from its
-	// manifest record.
+	// one (columnBytes 0: no reading column).
 	size        int64
 	columnBytes int64
-	tombstones  int64
 	created     time.Time
 
 	// Pruning metadata mirrored from the reader's footer so Get and
@@ -307,10 +306,10 @@ type tableHandle struct {
 	hasTS             bool
 }
 
-func newTableHandle(id uint64, path string, reader *sstable.Reader, tombstones int64) *tableHandle {
+func newTableHandle(id uint64, path string, reader *sstable.Reader) *tableHandle {
 	t := &tableHandle{
 		id: id, path: path, reader: reader,
-		size: reader.Size(), columnBytes: reader.ColumnBytes(), tombstones: tombstones, created: time.Now(),
+		size: reader.Size(), columnBytes: reader.ColumnBytes(), created: time.Now(),
 	}
 	t.firstKey, t.lastKey = reader.Bounds()
 	t.minTS, t.maxTS, t.hasTS = reader.TimeBounds()
@@ -338,16 +337,15 @@ func (t *tableHandle) release() {
 // snapshot.
 type Stats struct {
 	Puts         int64 `json:"puts"`
-	Deletes      int64 `json:"deletes"`
 	Gets         int64 `json:"gets"`
 	Scans        int64 `json:"scans"`
 	Flushes      int64 `json:"flushes"`
 	Compactions  int64 `json:"compactions"`
 	StallEvents  int64 `json:"stall_events"`  // writes that blocked on MaxStoreFiles overlapping tables
-	BatchApplies int64 `json:"batch_applies"` // apply rounds; (Puts+Deletes)/BatchApplies = mean batch size
+	BatchApplies int64 `json:"batch_applies"` // apply rounds; Puts/BatchApplies = mean batch size
 
 	// Write-side amplification ledger. LogicalBytes is the user payload
-	// accepted (keys + live values); WALBytes, FlushBytes and
+	// accepted (keys + values); WALBytes, FlushBytes and
 	// CompactWriteBytes are the physical writes that payload cost; their sum
 	// over LogicalBytes is the write amplification. CompactReadBytes is what
 	// compactions re-read and measures churn (it appears in read traffic, not
@@ -566,11 +564,14 @@ func (s *Store) recoverTables() error {
 	sort.Slice(metas, func(i, j int) bool { return metas[i].ID > metas[j].ID })
 	for _, m := range metas {
 		path := s.tablePath(m.ID)
+		if m.Tombstones > 0 {
+			return fmt.Errorf("%w: manifest table %s holds %d deletes", ErrCorrupt, path, m.Tombstones)
+		}
 		r, err := sstable.OpenWithCache(path, s.cache)
 		if err != nil {
 			return fmt.Errorf("%w: manifest table %s: %v", ErrCorrupt, path, err)
 		}
-		h := newTableHandle(m.ID, path, r, m.Tombstones)
+		h := newTableHandle(m.ID, path, r)
 		h.created = time.UnixMilli(m.CreatedMS)
 		s.tables = append(s.tables, h)
 		if m.ID >= s.nextID {
@@ -647,16 +648,10 @@ func (b *encodeBuf) encode(writes []Write) [][]byte {
 	for i := range writes {
 		w := &writes[i]
 		start := len(b.arena)
-		if w.Delete {
-			b.arena = append(b.arena, tagTombstone)
-			b.arena = binary.AppendUvarint(b.arena, uint64(len(w.Key)))
-			b.arena = append(b.arena, w.Key...)
-		} else {
-			b.arena = append(b.arena, tagValue)
-			b.arena = binary.AppendUvarint(b.arena, uint64(len(w.Key)))
-			b.arena = append(b.arena, w.Key...)
-			b.arena = append(b.arena, w.Value...)
-		}
+		b.arena = append(b.arena, tagValue)
+		b.arena = binary.AppendUvarint(b.arena, uint64(len(w.Key)))
+		b.arena = append(b.arena, w.Key...)
+		b.arena = append(b.arena, w.Value...)
 		b.recs = append(b.recs, b.arena[start:len(b.arena)])
 	}
 	return b.recs
@@ -666,44 +661,29 @@ func (s *Store) applyRecord(rec []byte) error {
 	if len(rec) < 2 {
 		return fmt.Errorf("%w: wal record of %d bytes", ErrCorrupt, len(rec))
 	}
-	op := rec[0]
+	if op := rec[0]; op != tagValue {
+		return fmt.Errorf("%w: wal op %d", ErrCorrupt, op)
+	}
 	klen, n := binary.Uvarint(rec[1:])
 	if n <= 0 || uint64(len(rec)-1-n) < klen {
 		return fmt.Errorf("%w: wal record key length", ErrCorrupt)
 	}
 	key := rec[1+n : 1+n+int(klen)]
 	value := rec[1+n+int(klen):]
-	switch op {
-	case tagValue:
-		s.active.Put(key, append([]byte{tagValue}, value...))
-	case tagTombstone:
-		s.active.Put(key, []byte{tagTombstone})
-	default:
-		return fmt.Errorf("%w: wal op %d", ErrCorrupt, op)
-	}
+	s.active.Put(key, append([]byte{tagValue}, value...))
 	return nil
 }
 
-// Write is one mutation in a batch: a put of Value under Key, or a
-// tombstone for Key when Delete is set (Value is then ignored).
+// Write is one mutation in a batch: a put of Value under Key.
 type Write struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
+	Key   []byte
+	Value []byte
 }
 
 // Put stores value under key, durably per the WAL policy.
 func (s *Store) Put(key, value []byte) error {
 	return s.ApplyBatch([]Write{{Key: key, Value: value}})
 }
-
-// Delete removes key by writing a tombstone.
-func (s *Store) Delete(key []byte) error {
-	return s.ApplyBatch([]Write{{Key: key, Delete: true}})
-}
-
-// tombstoneValue is the stored form of a delete; memtable.Put copies it.
-var tombstoneValue = []byte{tagTombstone}
 
 // ApplyBatch applies the writes as one engine round: a single WAL append
 // covering every record (one fsync group under SyncOnAppend), then a single
@@ -727,16 +707,13 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 	}
 	// Validation doubles as the logical-byte count: the user payload this
 	// batch asks the store to persist, before any log framing or table
-	// encoding. Tombstones carry only their key.
+	// encoding.
 	var logical int64
 	for i := range writes {
 		if len(writes[i].Key) == 0 {
 			return ErrBadKey
 		}
-		logical += int64(len(writes[i].Key))
-		if !writes[i].Delete {
-			logical += int64(len(writes[i].Value))
-		}
+		logical += int64(len(writes[i].Key) + len(writes[i].Value))
 	}
 	batchSp := parent.Child("lsm.apply_batch")
 	defer batchSp.End()
@@ -790,22 +767,13 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	var puts, deletes int64
 	for i := range writes {
-		w := &writes[i]
-		if w.Delete {
-			s.active.Put(w.Key, tombstoneValue)
-			deletes++
-		} else {
-			// Build the tagged value in scratch; the memtable copies it.
-			eb.val = append(eb.val[:0], tagValue)
-			eb.val = append(eb.val, w.Value...)
-			s.active.Put(w.Key, eb.val)
-			puts++
-		}
+		// Build the tagged value in scratch; the memtable copies it.
+		eb.val = append(eb.val[:0], tagValue)
+		eb.val = append(eb.val, writes[i].Value...)
+		s.active.Put(writes[i].Key, eb.val)
 	}
-	s.puts.Add(puts)
-	s.deletes.Add(deletes)
+	s.puts.Add(int64(len(writes)))
 	insertSp.End()
 	memSp.End()
 	s.batchApplies.Inc()
@@ -895,12 +863,7 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 		return err
 	}
 	it := imm.NewIterator()
-	it.SeekToFirst()
-	var tombs int64
-	for ; it.Valid(); it.Next() {
-		if v := it.Value(); len(v) > 0 && v[0] == tagTombstone {
-			tombs++
-		}
+	for it.SeekToFirst(); it.Valid(); it.Next() {
 		if err := w.Add(it.Key(), it.Value()); err != nil {
 			w.Abort()
 			return err
@@ -924,7 +887,7 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 	if err != nil {
 		return err
 	}
-	h := newTableHandle(id, path, r, tombs)
+	h := newTableHandle(id, path, r)
 	s.accountCompression(w)
 
 	// The manifest commit is the transition: if it fails (or we crash before
@@ -1045,8 +1008,8 @@ func (s *Store) compactOnce() (bool, error) {
 
 // compactPick merges one picked span of tables into a single output and
 // swaps it into the span's position. Caller holds compactMu and has
-// acquired every input; compactPick releases them. Tombstones survive the
-// merge unless the pick says nothing older exists.
+// acquired every input; compactPick releases them. The store is
+// insert-only, so the merge of non-empty inputs is never empty.
 func (s *Store) compactPick(pick *compactionPick) error {
 	old := pick.inputs
 	defer func() {
@@ -1079,60 +1042,35 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		iters[i] = it
 	}
 	merged := newMergeIterator(iters)
-	wrote := 0
-	var tombs int64
-	for merged.Valid() {
-		v := merged.Value()
-		live := len(v) > 0 && v[0] == tagValue
-		if live || !pick.dropTombstones {
-			if err := w.Add(merged.Key(), v); err != nil {
-				w.Abort()
-				return err
-			}
-			wrote++
-			if !live {
-				tombs++
-			}
+	for ; merged.Valid(); merged.Next() {
+		if err := w.Add(merged.Key(), merged.Value()); err != nil {
+			w.Abort()
+			return err
 		}
-		merged.Next()
 	}
 	if err := merged.Error(); err != nil {
 		w.Abort()
 		return err
 	}
-	// The merge read every input in full; account those bytes whether or not
-	// anything survives (an all-tombstone merge still did the I/O).
-	var readBytes int64
-	for _, t := range old {
-		readBytes += t.size
+	if err := w.Finish(); err != nil {
+		return err
 	}
-	s.compactReadBytes.Add(readBytes)
-
-	var out *tableHandle
-	var writeBytes int64
-	edit := manifestEdit{Deleted: make([]uint64, 0, len(old))}
+	if err := s.installTable(path); err != nil {
+		return err
+	}
+	r, err := sstable.OpenWithCache(path, s.cache)
+	if err != nil {
+		return err
+	}
+	out := newTableHandle(id, path, r)
+	s.accountCompression(w)
+	// The merge read every input in full.
+	edit := manifestEdit{Added: []tableMeta{out.meta()}, Deleted: make([]uint64, 0, len(old))}
 	for _, t := range old {
 		edit.Deleted = append(edit.Deleted, t.id)
+		s.compactReadBytes.Add(t.size)
 	}
-	if wrote == 0 {
-		w.Abort()
-	} else {
-		if err := w.Finish(); err != nil {
-			return err
-		}
-		if err := s.installTable(path); err != nil {
-			return err
-		}
-		r, err := sstable.OpenWithCache(path, s.cache)
-		if err != nil {
-			return err
-		}
-		out = newTableHandle(id, path, r, tombs)
-		writeBytes = out.size
-		s.accountCompression(w)
-		edit.Added = []tableMeta{out.meta()}
-	}
-	s.compactWriteBytes.Add(writeBytes)
+	s.compactWriteBytes.Add(out.size)
 
 	// Manifest commit, then the in-memory swap it authorises. A crash before
 	// the commit leaves the output an orphan; after it, the inputs are the
@@ -1143,9 +1081,7 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		s.flushCond.Broadcast()
 	})
 	if err != nil {
-		if out != nil {
-			out.release()
-		}
+		out.release()
 		return fmt.Errorf("lsm: manifest commit after compaction: %w", err)
 	}
 
@@ -1160,8 +1096,7 @@ func (s *Store) compactPick(pick *compactionPick) error {
 
 // replaceTablesLocked swaps the tables of a compacted span (matched by
 // identity — flushes may have prepended newer tables since the pick) for the
-// merged output, which takes the span's position. A nil out (everything
-// merged away) just removes the span. Caller holds mu.
+// merged output, which takes the span's position. Caller holds mu.
 func (s *Store) replaceTablesLocked(old []*tableHandle, out *tableHandle) {
 	oldSet := make(map[*tableHandle]bool, len(old))
 	for _, t := range old {
@@ -1171,7 +1106,7 @@ func (s *Store) replaceTablesLocked(old []*tableHandle, out *tableHandle) {
 	inserted := false
 	for _, t := range s.tables {
 		if oldSet[t] {
-			if !inserted && out != nil {
+			if !inserted {
 				ns = append(ns, out)
 			}
 			inserted = true
@@ -1182,9 +1117,9 @@ func (s *Store) replaceTablesLocked(old []*tableHandle, out *tableHandle) {
 	s.setTablesLocked(ns)
 }
 
-// Compact forces a full compaction: every table merges into one and every
-// tombstone is dropped. The heavy hammer — benchmarks settling to a known
-// state use CompactPending, which respects window boundaries.
+// Compact forces a full compaction: every table merges into one. The heavy
+// hammer — benchmarks settling to a known state use CompactPending, which
+// respects window boundaries.
 func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -1282,24 +1217,13 @@ func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
 	return nil, false, nil
 }
 
-// returnLive decodes a stored value and accounts the user bytes returned.
-// Tombstone hits return no payload and count nothing.
+// returnLive strips a stored row's tag and accounts the user bytes
+// returned.
 func (s *Store) returnLive(key, stored []byte) ([]byte, bool, error) {
-	v, ok, err := decodeLive(stored)
-	if ok {
-		n := int64(len(key) + len(v))
-		s.logicalReadBytes.Add(n)
+	if len(stored) == 0 || stored[0] != tagValue {
+		return nil, false, fmt.Errorf("%w: stored value %x under key %q", ErrCorrupt, stored, key)
 	}
-	return v, ok, err
-}
-
-func decodeLive(stored []byte) ([]byte, bool, error) {
-	if len(stored) == 0 {
-		return nil, false, fmt.Errorf("%w: empty stored value", ErrCorrupt)
-	}
-	if stored[0] == tagTombstone {
-		return nil, false, nil
-	}
+	s.logicalReadBytes.Add(int64(len(key) + len(stored) - 1))
 	return stored[1:], true, nil
 }
 
@@ -1308,7 +1232,6 @@ func decodeLive(stored []byte) ([]byte, bool, error) {
 func (s *Store) Stats() Stats {
 	st := Stats{
 		Puts:         s.puts.Load(),
-		Deletes:      s.deletes.Load(),
 		Gets:         s.gets.Load(),
 		Scans:        s.scans.Load(),
 		Flushes:      s.flushes.Load(),
@@ -1354,7 +1277,6 @@ func (s *Store) Stats() Stats {
 
 // TableStat describes one live store file for introspection endpoints.
 // Keys are reported as strings (the benchmark keyspace is printable).
-// Tombstones is counted by the flush or compaction that wrote the table.
 // ColumnBytes is the part of SizeBytes that is the reading column; 0 means
 // the table has none and aggregates fold its data blocks.
 type TableStat struct {
@@ -1365,7 +1287,6 @@ type TableStat struct {
 	SizeBytes   int64   `json:"size_bytes"`
 	ColumnBytes int64   `json:"column_bytes"`
 	Entries     uint64  `json:"entries"`
-	Tombstones  int64   `json:"tombstones"`
 	AgeSeconds  float64 `json:"age_seconds"`
 	HasBloom    bool    `json:"has_bloom"`
 
@@ -1397,7 +1318,6 @@ func (s *Store) TableStats() []TableStat {
 			SizeBytes:     t.size,
 			ColumnBytes:   t.columnBytes,
 			Entries:       t.reader.EntryCount(),
-			Tombstones:    t.tombstones,
 			AgeSeconds:    now.Sub(t.created).Seconds(),
 			HasBloom:      t.reader.FilterPresent(),
 			MinTS:         t.minTS,

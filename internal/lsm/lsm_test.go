@@ -43,7 +43,7 @@ func scan(s *Store, lo, hi []byte, fn func(key, value []byte) error) error {
 	return it.Error()
 }
 
-func TestPutGetDelete(t *testing.T) {
+func TestPutGetOverwrite(t *testing.T) {
 	s := openTest(t, Options{})
 	if err := s.Put([]byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
@@ -52,11 +52,11 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil || !ok || string(v) != "v1" {
 		t.Fatalf("Get = %q,%v,%v", v, ok, err)
 	}
-	if err := s.Delete([]byte("k1")); err != nil {
+	if err := s.Put([]byte("k1"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := s.Get([]byte("k1")); ok {
-		t.Fatal("deleted key still visible")
+	if v, ok, err := s.Get([]byte("k1")); err != nil || !ok || string(v) != "v2" {
+		t.Fatalf("Get after overwrite = %q,%v,%v", v, ok, err)
 	}
 	if _, ok, _ := s.Get([]byte("never")); ok {
 		t.Fatal("absent key reported present")
@@ -93,28 +93,38 @@ func TestOverwriteAcrossFlush(t *testing.T) {
 	}
 }
 
-func TestDeleteAcrossFlushAndCompaction(t *testing.T) {
+func TestOverwriteAcrossFlushAndCompaction(t *testing.T) {
 	s := openTest(t, Options{DisableAutoFlush: true})
-	s.Put([]byte("gone"), []byte("v"))
+	s.Put([]byte("moved"), []byte("stale"))
 	s.Put([]byte("stays"), []byte("v"))
 	s.Flush()
-	s.Delete([]byte("gone"))
+	s.Put([]byte("moved"), []byte("fresh"))
 	s.Flush()
 
-	if _, ok, _ := s.Get([]byte("gone")); ok {
-		t.Fatal("tombstone in newer table did not shadow older value")
+	if v, ok, _ := s.Get([]byte("moved")); !ok || string(v) != "fresh" {
+		t.Fatalf("Get = %q,%v; the newer table must shadow the older value", v, ok)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := s.Get([]byte("gone")); ok {
-		t.Fatal("key resurrected by compaction")
+	if v, ok, _ := s.Get([]byte("moved")); !ok || string(v) != "fresh" {
+		t.Fatalf("Get after compaction = %q,%v; the stale version came back", v, ok)
 	}
 	if v, ok, _ := s.Get([]byte("stays")); !ok || string(v) != "v" {
-		t.Fatal("live key lost in compaction")
+		t.Fatal("key lost in compaction")
 	}
-	if got := s.Stats().Tables; got != 1 {
-		t.Fatalf("TableCount after full compaction = %d, want 1", got)
+	var got []string
+	if err := scan(s, nil, nil, func(k, v []byte) error {
+		got = append(got, fmt.Sprintf("%s=%s", k, v))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[moved=fresh stays=v]" {
+		t.Fatalf("scan after compaction = %v", got)
+	}
+	if ts := s.TableStats(); len(ts) != 1 || ts[0].Entries != 2 {
+		t.Fatalf("tables after full compaction = %+v, want one of 2 entries", ts)
 	}
 }
 
@@ -130,7 +140,7 @@ func TestScanMergesAllSources(t *testing.T) {
 	s.Flush()
 	// Memtable
 	s.Put([]byte("d"), []byte("4"))
-	s.Delete([]byte("a"))
+	s.Put([]byte("a"), []byte("new-a"))
 
 	var got []string
 	err := scan(s, []byte("a"), nil, func(k, v []byte) error {
@@ -140,7 +150,7 @@ func TestScanMergesAllSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "[b=2 c=new-c d=4]"
+	want := "[a=new-a b=2 c=new-c d=4]"
 	if fmt.Sprint(got) != want {
 		t.Fatalf("scan = %v, want %v", got, want)
 	}
@@ -195,7 +205,7 @@ func TestRecoveryFromWAL(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	s.Delete([]byte("k010"))
+	s.Put([]byte("k010"), []byte("v10-new"))
 	// Simulate a crash: close the log without flushing the memtable.
 	// (Close() flushes, so reach into the WAL directly by abandoning the
 	// store after syncing its log.)
@@ -215,13 +225,11 @@ func TestRecoveryFromWAL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := fmt.Sprintf("v%d", i)
 		if i == 10 {
-			if ok {
-				t.Fatal("deleted key resurrected by recovery")
-			}
-			continue
+			want = "v10-new" // the replayed overwrite shadows the first put
 		}
-		if !ok || string(v) != fmt.Sprintf("v%d", i) {
+		if !ok || string(v) != want {
 			t.Fatalf("recovery lost %s: %q,%v", k, v, ok)
 		}
 	}
@@ -358,39 +366,33 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	s := openTest(t, Options{DisableAutoFlush: true})
 	s.Put([]byte("a"), []byte("1"))
-	s.Delete([]byte("a"))
+	s.Put([]byte("a"), []byte("2"))
 	s.Get([]byte("a"))
 	scan(s, nil, nil, func(k, v []byte) error { return nil })
 	s.Flush()
 	st := s.Stats()
-	if st.Puts != 1 || st.Deletes != 1 || st.Gets != 1 || st.Scans != 1 || st.Flushes != 1 {
+	if st.Puts != 2 || st.Gets != 1 || st.Scans != 1 || st.Flushes != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestPropertyMatchesModel(t *testing.T) {
+	// Keys repeat across flushes, so later puts shadow earlier ones in other
+	// tables and in the memtable.
 	type op struct {
-		Del bool
-		K   uint8
-		V   uint16
+		K uint8
+		V uint16
 	}
 	f := func(ops []op) bool {
 		s := openTest(t, Options{DisableAutoFlush: true, MemtableSize: 1 << 20})
 		model := map[string]string{}
 		for i, o := range ops {
-			k := fmt.Sprintf("key-%03d", o.K)
-			if o.Del {
-				if s.Delete([]byte(k)) != nil {
-					return false
-				}
-				delete(model, k)
-			} else {
-				v := fmt.Sprintf("val-%05d", o.V)
-				if s.Put([]byte(k), []byte(v)) != nil {
-					return false
-				}
-				model[k] = v
+			k := fmt.Sprintf("key-%03d", o.K%64)
+			v := fmt.Sprintf("val-%05d", o.V)
+			if s.Put([]byte(k), []byte(v)) != nil {
+				return false
 			}
+			model[k] = v
 			if i%7 == 3 {
 				if s.Flush() != nil {
 					return false

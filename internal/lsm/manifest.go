@@ -46,7 +46,8 @@ var errManifestTorn = errors.New("lsm: torn manifest record")
 // tableMeta is the manifest's record of one live table: identity plus the
 // metadata recovery would otherwise have to rescan the file for. Key bounds
 // and time bounds ride along so the manifest is a complete description of
-// the table set's pruning surface.
+// the table set's pruning surface. Tombstones is decoded only to refuse a
+// table written when the store had deletes: Open fails on a count above 0.
 type tableMeta struct {
 	ID         uint64 `json:"id"`
 	Size       int64  `json:"size"`
@@ -55,12 +56,12 @@ type tableMeta struct {
 	MinTS      int64  `json:"min_ts,omitempty"`
 	MaxTS      int64  `json:"max_ts,omitempty"`
 	HasTS      bool   `json:"has_ts,omitempty"`
-	Tombstones int64  `json:"tombstones"`
+	Tombstones int64  `json:"tombstones,omitempty"`
 	CreatedMS  int64  `json:"created_ms"` // unix ms of the creating flush/compaction
 }
 
 // manifestEdit is one atomic table-set transition. A flush adds one table;
-// a compaction adds its output (when non-empty) and deletes its inputs.
+// a compaction adds its output and deletes its inputs.
 type manifestEdit struct {
 	Added   []tableMeta `json:"added,omitempty"`
 	Deleted []uint64    `json:"deleted,omitempty"`
@@ -291,14 +292,13 @@ func syncFile(path string) error {
 // meta renders a handle's manifest record.
 func (t *tableHandle) meta() tableMeta {
 	return tableMeta{
-		ID:         t.id,
-		Size:       t.size,
-		FirstKey:   t.firstKey,
-		LastKey:    t.lastKey,
-		MinTS:      t.minTS,
-		MaxTS:      t.maxTS,
-		HasTS:      t.hasTS,
-		Tombstones: t.tombstones,
-		CreatedMS:  t.created.UnixMilli(),
+		ID:        t.id,
+		Size:      t.size,
+		FirstKey:  t.firstKey,
+		LastKey:   t.lastKey,
+		MinTS:     t.minTS,
+		MaxTS:     t.maxTS,
+		HasTS:     t.hasTS,
+		CreatedMS: t.created.UnixMilli(),
 	}
 }

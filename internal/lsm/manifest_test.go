@@ -27,15 +27,15 @@ func currentManifestPath(t *testing.T, dir string) string {
 // TestManifestAuthoritativeAfterCompactionCrash simulates a crash between the
 // compaction's manifest commit and the unlink of its input files: the inputs
 // reappear on disk but the manifest no longer references them. Recovery must
-// trust the manifest — the resurrected inputs are orphans to remove, and a
-// tombstone the compaction dropped must not come back to life through them.
+// trust the manifest — the resurrected inputs are orphans to remove, and the
+// stale version the compaction dropped must not come back through them.
 func TestManifestAuthoritativeAfterCompactionCrash(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Table 1: doomed holds a value; table 2: its tombstone.
+	// Table 1: doomed holds a value; table 2: its overwrite.
 	if err := s.Put([]byte("doomed"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +45,15 @@ func TestManifestAuthoritativeAfterCompactionCrash(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete([]byte("doomed")); err != nil {
+	if err := s.Put([]byte("doomed"), []byte("v1'")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Stash the two input tables, compact (dropping the tombstone AND the
-	// shadowed value), then put the inputs back: the on-disk state of a crash
+	// Stash the two input tables, compact (dropping the shadowed value),
+	// then put the inputs back: the on-disk state of a crash
 	// after the manifest commit but before the input unlink.
 	var stash = map[string][]byte{}
 	for _, ts := range s.TableStats() {
@@ -84,8 +84,11 @@ func TestManifestAuthoritativeAfterCompactionCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if _, ok, err := re.Get([]byte("doomed")); err != nil || ok {
-		t.Fatalf("deleted key resurrected through orphaned compaction input: ok=%v err=%v", ok, err)
+	if v, ok, err := re.Get([]byte("doomed")); err != nil || !ok || string(v) != "v1'" {
+		t.Fatalf("Get(doomed) = %q,%v,%v; want the overwrite, not a version from an orphaned compaction input", v, ok, err)
+	}
+	if got := re.Stats().Tables; got != 1 {
+		t.Fatalf("tables after reopen = %d, want the compaction output alone", got)
 	}
 	if v, ok, err := re.Get([]byte("kept")); err != nil || !ok || string(v) != "v2" {
 		t.Fatalf("Get(kept) = %q,%v,%v", v, ok, err)

@@ -57,8 +57,7 @@ func linearMerge(sources []iterator, emit func(k, v []byte)) {
 }
 
 // randomSources builds n sorted sources over a small keyspace so duplicates
-// across sources are common; values name their source, and some are
-// tombstones.
+// across sources are common; values name their source.
 func randomSources(rng *rand.Rand, n int) [][2][][]byte {
 	out := make([][2][][]byte, n)
 	for s := range out {
@@ -73,9 +72,6 @@ func randomSources(rng *rand.Rand, n int) [][2][][]byte {
 		sort.Ints(ids)
 		for _, id := range ids {
 			v := append([]byte{tagValue}, fmt.Sprintf("src%d", s)...)
-			if rng.Intn(5) == 0 {
-				v = []byte{tagTombstone}
-			}
 			out[s][0] = append(out[s][0], []byte(fmt.Sprintf("k%03d", id)))
 			out[s][1] = append(out[s][1], v)
 		}
@@ -92,7 +88,7 @@ func iteratorsOver(data [][2][][]byte) []iterator {
 }
 
 // TestMergeHeapMatchesLinearMerge: for random sources — empty ones, heavy
-// key overlap, tombstones — the heap merge yields exactly the sequence of the
+// key overlap — the heap merge yields exactly the sequence of the
 // linear merge it replaced.
 func TestMergeHeapMatchesLinearMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))

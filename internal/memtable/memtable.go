@@ -5,8 +5,8 @@
 // memtable of LevelDB-family engines): writes are serialised by a mutex and
 // publish new nodes with atomic stores, so readers — point gets and range
 // scans — traverse the list without taking any lock. Nodes are never
-// unlinked; deletion is expressed by writing a tombstone at a higher layer
-// (see the lsm package), and the whole table is discarded after a flush.
+// unlinked: a later Put of a key replaces its value, and the whole table is
+// discarded after a flush.
 package memtable
 
 import (

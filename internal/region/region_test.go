@@ -64,9 +64,8 @@ func TestBoundsEnforced(t *testing.T) {
 	if err := put(r, "z", "v"); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Put outside bounds: %v", err)
 	}
-	del := []lsm.Write{{Key: []byte("a"), Delete: true}}
-	if err := r.ApplyBatch(telemetry.TSpan{}, del); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("Delete outside bounds: %v", err)
+	if err := put(r, "a", "v"); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("Put below bounds: %v", err)
 	}
 	if err := put(r, "f", "v"); err != nil {
 		t.Fatalf("Put inside bounds: %v", err)
@@ -135,13 +134,16 @@ func TestApplyBatchBoundsCheckedBeforeApply(t *testing.T) {
 	good := []lsm.Write{
 		{Key: []byte("banana"), Value: []byte("1")},
 		{Key: []byte("grape"), Value: []byte("2")},
-		{Key: []byte("fig"), Delete: true},
+		{Key: []byte("banana"), Value: []byte("3")},
 	}
 	if err := r.ApplyBatch(telemetry.TSpan{}, good); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok, err := r.Store().Get([]byte("grape")); err != nil || !ok || string(v) != "2" {
 		t.Fatalf("read grape = %q,%v,%v", v, ok, err)
+	}
+	if v, ok, err := r.Store().Get([]byte("banana")); err != nil || !ok || string(v) != "3" {
+		t.Fatalf("read banana = %q,%v,%v; want the in-batch overwrite", v, ok, err)
 	}
 
 	// One out-of-range key rejects the whole batch before anything applies.

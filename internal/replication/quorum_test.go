@@ -60,11 +60,7 @@ func (g *gatedApplier) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
 		g.order = append(g.order, string(writes[0].Key))
 	}
 	for i := range writes {
-		if writes[i].Delete {
-			delete(g.inner.data, string(writes[i].Key))
-		} else {
-			g.inner.data[string(writes[i].Key)] = string(writes[i].Value)
-		}
+		g.inner.data[string(writes[i].Key)] = string(writes[i].Value)
 	}
 	return nil
 }

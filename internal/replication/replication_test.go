@@ -25,11 +25,7 @@ func (m *mapApplier) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
 	}
 	m.batchCalls++
 	for i := range writes {
-		if writes[i].Delete {
-			delete(m.data, string(writes[i].Key))
-		} else {
-			m.data[string(writes[i].Key)] = string(writes[i].Value)
-		}
+		m.data[string(writes[i].Key)] = string(writes[i].Value)
 	}
 	return nil
 }
@@ -37,11 +33,6 @@ func (m *mapApplier) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
 // put replicates one write through g as a batch of one.
 func put(g *Group, key, value string) error {
 	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: []byte(key), Value: []byte(value)}})
-}
-
-// del replicates one tombstone through g as a batch of one.
-func del(g *Group, key string) error {
-	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: []byte(key), Delete: true}})
 }
 
 func TestPutReachesAllMembers(t *testing.T) {
@@ -67,18 +58,18 @@ func TestPutReachesAllMembers(t *testing.T) {
 	}
 }
 
-func TestDeleteReachesAllMembers(t *testing.T) {
+func TestOverwriteReachesAllMembers(t *testing.T) {
 	p, r1, r2 := newMapApplier(), newMapApplier(), newMapApplier()
 	g := NewGroup(p, r1, r2)
 	defer g.Close()
 	put(g, "k", "v")
-	if err := del(g, "k"); err != nil {
+	if err := put(g, "k", "v2"); err != nil {
 		t.Fatal(err)
 	}
 	g.Quiesce()
 	for i, m := range []*mapApplier{p, r1, r2} {
-		if _, ok := m.data["k"]; ok {
-			t.Fatalf("member %d still holds deleted key", i)
+		if m.data["k"] != "v2" {
+			t.Fatalf("member %d holds %q, want the overwrite", i, m.data["k"])
 		}
 	}
 }
@@ -91,8 +82,8 @@ func TestMemberFailurePropagates(t *testing.T) {
 	if err := put(g, "k", "v"); !errors.Is(err, sentinel) {
 		t.Fatalf("replica failure not surfaced: %v", err)
 	}
-	if err := del(g, "k"); !errors.Is(err, sentinel) {
-		t.Fatalf("replica delete failure not surfaced: %v", err)
+	if err := put(g, "k", "v2"); !errors.Is(err, sentinel) {
+		t.Fatalf("replica failure not surfaced on the next write: %v", err)
 	}
 }
 

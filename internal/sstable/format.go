@@ -15,7 +15,7 @@
 // covers all keys in the table and lets point reads skip the table without
 // touching a data block. Every block is protected by a CRC32C checksum.
 //
-// The column (footer v3) is a second block sequence in the same block
+// The column is a second block sequence in the same block
 // format with an index of its own: one entry per data entry, same key, whose
 // value is WriterOptions.Column's projection of the data value — a few bytes
 // where the value is a kilobyte. Column blocks are emitted between data
@@ -33,40 +33,31 @@ import (
 
 // Sentinel errors.
 var (
-	ErrCorrupt     = errors.New("sstable: corrupt table")
-	ErrClosed      = errors.New("sstable: reader is closed")
-	ErrOutOfOrder  = errors.New("sstable: keys added out of order")
-	ErrEmptyTable  = errors.New("sstable: table has no entries")
-	ErrNotFound    = errors.New("sstable: key not found")
-	errBadMagic    = errors.New("sstable: bad magic")
-	errShortFooter = errors.New("sstable: short footer")
+	ErrCorrupt    = errors.New("sstable: corrupt table")
+	ErrClosed     = errors.New("sstable: reader is closed")
+	ErrOutOfOrder = errors.New("sstable: keys added out of order")
+	ErrEmptyTable = errors.New("sstable: table has no entries")
+	ErrNotFound   = errors.New("sstable: key not found")
+	errBadMagic   = errors.New("sstable: bad magic")
 )
 
 const (
-	// magicV2 marks a v2 footer ("IoTSSTb2"): per-table min/max timestamps
-	// and a compression kind, and every block carries a 5-byte trailer
-	// (compression type + CRC). Still readable, never written.
-	magicV2 uint64 = 0x496f545353546232
-
-	// magicV3 marks a v3 footer ("IoTSSTb3"): a v2 footer plus the column
-	// index handle and the column's total size. Blocks are as in v2.
+	// magicV3 marks the footer ("IoTSSTb3"), the only version read or
+	// written. Versions 1 and 2 ("IoTSSTb1", "IoTSSTb2") are refused.
 	magicV3 uint64 = 0x496f545353546233
 
-	// footerLenV2: index handle (16) + bloom handle (16) + entry count (8) +
+	// footerLen: index handle (16) + bloom handle (16) + entry count (8) +
 	// min timestamp (8) + max timestamp (8) + compression kind (1) + flags
-	// (1) + reserved (6) + magic (8).
-	footerLenV2 = 72
-
-	// footerLenV3 adds the column index handle (16) + column bytes (8) before
-	// the magic. Both are zero for a table without a column.
-	footerLenV3 = footerLenV2 + 24
+	// (1) + reserved (6) + column index handle (16) + column bytes (8) +
+	// magic (8). The column fields are zero for a table without a column.
+	footerLen = 96
 
 	// restartInterval is the number of entries between restart points in a
 	// data block.
 	restartInterval = 16
 
 	// trailerLen: 1-byte compression type + 4-byte CRC32C over the stored
-	// payload plus the type byte, after every block of a v2 or v3 table.
+	// payload plus the type byte, after every block.
 	trailerLen = 5
 )
 
@@ -134,7 +125,7 @@ func decodeHandle(b []byte) handle {
 //
 // column locates the column index block and columnBytes is everything the
 // column added to the file (its blocks, their trailers and its index); both
-// are zero for v2 tables and v3 tables written without a column.
+// are zero for a table written without a column.
 type footer struct {
 	index       handle
 	bloom       handle
@@ -147,9 +138,9 @@ type footer struct {
 	columnBytes uint64
 }
 
-// encode serialises a v3 footer, the only version written.
+// encode serialises the footer.
 func (f footer) encode() []byte {
-	out := make([]byte, footerLenV3)
+	out := make([]byte, footerLen)
 	f.index.encode(out[0:16])
 	f.bloom.encode(out[16:32])
 	binary.LittleEndian.PutUint64(out[32:40], f.entries)
@@ -165,27 +156,13 @@ func (f footer) encode() []byte {
 	return out
 }
 
-// decodeFooter parses the tail bytes of a file: b must be the last
-// footerLenV3 bytes, or the whole file when it is shorter than that (it can
-// then only hold the shorter v2 footer). The magic in the final 8 bytes
-// selects the version; any other magic, v1's included, is errBadMagic.
+// decodeFooter parses the last footerLen bytes of a file. Any magic but
+// magicV3, v1's and v2's included, is errBadMagic.
 func decodeFooter(b []byte) (footer, error) {
-	if len(b) < footerLenV2 {
-		return footer{}, errShortFooter
-	}
-	n := footerLenV2
-	switch binary.LittleEndian.Uint64(b[len(b)-8:]) {
-	case magicV2:
-	case magicV3:
-		n = footerLenV3
-	default:
+	if binary.LittleEndian.Uint64(b[88:96]) != magicV3 {
 		return footer{}, errBadMagic
 	}
-	if len(b) < n {
-		return footer{}, errShortFooter
-	}
-	b = b[len(b)-n:]
-	ft := footer{
+	return footer{
 		index:       decodeHandle(b[0:16]),
 		bloom:       decodeHandle(b[16:32]),
 		entries:     binary.LittleEndian.Uint64(b[32:40]),
@@ -193,12 +170,9 @@ func decodeFooter(b []byte) (footer, error) {
 		maxTS:       int64(binary.LittleEndian.Uint64(b[48:56])),
 		compression: Compression(b[56]),
 		hasTS:       b[57]&flagHasTimeBounds != 0,
-	}
-	if n == footerLenV3 {
-		ft.column = decodeHandle(b[64:80])
-		ft.columnBytes = binary.LittleEndian.Uint64(b[80:88])
-	}
-	return ft, nil
+		column:      decodeHandle(b[64:80]),
+		columnBytes: binary.LittleEndian.Uint64(b[80:88]),
+	}, nil
 }
 
 func checksum(block []byte) uint32 {

@@ -26,12 +26,12 @@ func openImage(img []byte) (*Reader, error) {
 	return openFile(memFile{bytes.NewReader(img)}, int64(len(img)), NewBlockCache(1<<20))
 }
 
-// legacyTable lays a table out the way footer version 2 did — 5-byte trailers
-// and a 72-byte footer — which the writer no longer emits, so the reader's v2
-// path keeps its tests and seeds. No time bounds, no compression. (The image
-// was compared, once, byte for byte with what the last v2-writing commit's
-// Writer produced from the same entries.)
-func legacyTable(kvs map[string]string) []byte {
+// v2Table lays a table out the way the retired footer version 2 did —
+// 5-byte trailers and a 72-byte footer ending in the magic "IoTSSTb2", no
+// time bounds, no compression — a well-formed table of a format the reader
+// no longer accepts. (The image was compared, once, byte for byte with what
+// the last v2-writing commit's Writer produced from the same entries.)
+func v2Table(kvs map[string]string) []byte {
 	var img []byte
 	writeBlock := func(raw []byte) handle {
 		h := handle{offset: uint64(len(img)), length: uint64(len(raw))}
@@ -63,11 +63,11 @@ func legacyTable(kvs map[string]string) []byte {
 	}
 	bh := writeBlock(bloom.New(keys, 0))
 	ih := writeBlock(index.finish())
-	var ft [footerLenV2]byte
+	var ft [72]byte
 	ih.encode(ft[0:16])
 	bh.encode(ft[16:32])
 	binary.LittleEndian.PutUint64(ft[32:40], uint64(len(keys)))
-	binary.LittleEndian.PutUint64(ft[64:72], magicV2)
+	binary.LittleEndian.PutUint64(ft[64:72], 0x496f545353546232)
 	return append(img, ft[:]...)
 }
 
@@ -100,9 +100,9 @@ func v1Table(kvs map[string]string) []byte {
 	return append(img, ft[:]...)
 }
 
-// seedImages are the committed corpus: one well-formed table per readable
-// footer version, a table with the retired v1 magic, and the damaged v3
-// tables a reader is most likely to trip on. wantOpen says whether Open must
+// seedImages are the committed corpus: a well-formed table, tables of the
+// retired footer versions 1 and 2, and the damaged tables a reader is most
+// likely to trip on. wantOpen says whether Open must
 // accept the image — a refused one fails with ErrCorrupt; damage past the
 // footer and indexes surfaces later, from an iterator.
 type seedImage struct {
@@ -118,7 +118,7 @@ func seedImages(t testing.TB) map[string]seedImage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	footerAt := len(v3) - footerLenV3
+	footerAt := len(v3) - footerLen
 	edit := func(f func(img []byte)) []byte {
 		img := append([]byte(nil), v3...)
 		f(img)
@@ -127,9 +127,9 @@ func seedImages(t testing.TB) map[string]seedImage {
 	colIndex := decodeHandle(v3[footerAt+64:])
 	return map[string]seedImage{
 		"v1":               {v1Table(kvs), false},
-		"v2":               {legacyTable(kvs), true},
+		"v2":               {v2Table(kvs), false},
 		"v3":               {v3, true},
-		"truncated-footer": {v3[:len(v3)-footerLenV3/2], false},
+		"truncated-footer": {v3[:len(v3)-footerLen/2], false},
 		"column-index-past-eof": {edit(func(img []byte) {
 			handle{offset: uint64(len(img)), length: colIndex.length}.encode(img[footerAt+64:])
 		}), false},

@@ -88,14 +88,11 @@ func openFile(f file, size int64, cache *BlockCache) (*Reader, error) {
 }
 
 func (r *Reader) loadFooter() error {
-	if r.size < footerLenV2 {
+	if r.size < footerLen {
 		return corruptf("file of %d bytes has no footer", r.size)
 	}
-	// Read the largest possible footer (the whole file when it is shorter);
-	// decodeFooter finds the version from the magic in the final 8 bytes.
-	n := min(r.size, footerLenV3)
-	buf := make([]byte, n)
-	if _, err := r.f.ReadAt(buf, r.size-n); err != nil {
+	buf := make([]byte, footerLen)
+	if _, err := r.f.ReadAt(buf, r.size-footerLen); err != nil {
 		return fmt.Errorf("sstable: read footer: %w", err)
 	}
 	ft, err := decodeFooter(buf)
@@ -252,9 +249,8 @@ func (r *Reader) TimeBounds() (min, max int64, ok bool) {
 func (r *Reader) Compression() Compression { return r.compression }
 
 // ColumnBytes is what the table's column adds to the file: its blocks, their
-// trailers and its index. 0 means the table has no column — it predates
-// footer v3, was written without WriterOptions.Column, or held a value the
-// projection rejected.
+// trailers and its index. 0 means the table has no column — it was written
+// without WriterOptions.Column, or held a value the projection rejected.
 func (r *Reader) ColumnBytes() int64 { return r.colBytes }
 
 // MayContain consults the Bloom filter. True is probabilistic; false is

@@ -162,7 +162,7 @@ func (w *Writer) flushColumnBlock() error {
 	return err
 }
 
-// writeBlock emits a block plus its v2 trailer (compression type + CRC over
+// writeBlock emits a block plus its trailer (compression type + CRC over
 // payload and type) and returns its handle. Only data blocks are
 // compressible; a block that does not shrink stays raw.
 func (w *Writer) writeBlock(raw []byte, compressible bool) (handle, error) {
