@@ -31,7 +31,6 @@ import (
 	"tpcxiot/internal/hbase"
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/replication"
-	"tpcxiot/internal/sstable"
 	"tpcxiot/internal/telemetry"
 	"tpcxiot/internal/wal"
 )
@@ -67,8 +66,6 @@ func run() int {
 		dataDir     = flag.String("datadir", "", "data directory (default: temporary)")
 		seed        = flag.Uint64("seed", 1, "workload generation seed")
 		durable     = flag.Bool("durable", false, "fsync the WAL on every append (slow, crash-safe)")
-		compactWin  = flag.Duration("compact-window", 5*time.Minute, "time-window width for tiered compaction; only the window holding the newest data is rewritten repeatedly (default ~300 readings/sensor at the 1 Hz benchmark cadence)")
-		compression = flag.String("compression", "none", "SSTable data-block compression: none or flate")
 		useTCP      = flag.Bool("tcp", false, "drive the cluster over its loopback TCP wire protocol")
 		analytics   = flag.Bool("analytics", false, "add downsampling and group-by-window analytic query templates to the query rotation (reported separately from the dashboard validity statistics)")
 		status      = flag.Duration("status", 0, "log a status line for driver 0 on this interval (e.g. 2s)")
@@ -157,10 +154,6 @@ func run() int {
 	if *durable {
 		walSync = wal.SyncOnAppend
 	}
-	compr, err := sstable.ParseCompression(*compression)
-	if err != nil {
-		return fail(err)
-	}
 	quorumAcks := *quorum
 	if quorumAcks < 0 {
 		quorumAcks = replication.DefaultFactor // full fan-out: quorum = factor
@@ -171,14 +164,10 @@ func run() int {
 		QuorumAcks:    quorumAcks,
 		ShedWatermark: *shedWater,
 		DataDir:       dir,
-		Store: lsm.Options{
-			WALSync:        walSync,
-			WindowDuration: *compactWin,
-			Compression:    compr,
-		},
-		Registry: reg,
-		Tracer:   tracer,
-		Logger:   elog,
+		Store:         lsm.Options{WALSync: walSync},
+		Registry:      reg,
+		Tracer:        tracer,
+		Logger:        elog,
 	})
 	if err != nil {
 		return fail(err)

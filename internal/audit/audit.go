@@ -41,6 +41,12 @@ const (
 	// RequiredReplication is the storage replication factor the
 	// prerequisite check demands.
 	RequiredReplication = 3
+	// RepeatabilityTolerance is the allowed relative difference between the
+	// two iterations' throughputs.
+	RepeatabilityTolerance = 0.10
+	// ShedBudget is the allowed share of operations deferred by load
+	// shedding; the budget boundary itself passes.
+	ShedBudget = 0.05
 )
 
 // Rule names. Every RuleResult carries one, so consumers (the report, the

@@ -34,9 +34,6 @@ type Config struct {
 	// does. 0 requires only that a warmup ran, for a harness whose warmup
 	// is a fixed volume rather than a duration.
 	MinWarmupSeconds float64
-	// ShedBudget is the allowed shed-operation fraction. Defaults to 0.05;
-	// the budget boundary itself passes.
-	ShedBudget float64
 }
 
 func (c Config) withDefaults() Config {
@@ -45,9 +42,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinSeconds == 0 {
 		c.MinSeconds = MinWorkloadSeconds
-	}
-	if c.ShedBudget == 0 {
-		c.ShedBudget = 0.05
 	}
 	return c
 }
@@ -114,11 +108,11 @@ func (a *Auditor) Evaluate(run RunInfo) Verdict {
 		exact(RuleDataCheck, run.KVPs, run.ExpectedKVPs, "ingested %d of %d kvps"),
 		RuleResult{
 			Rule:     RuleShedBudget,
-			Passed:   shedFrac <= a.cfg.ShedBudget,
+			Passed:   shedFrac <= ShedBudget,
 			Observed: shedFrac,
-			Bound:    a.cfg.ShedBudget,
+			Bound:    ShedBudget,
 			Detail: fmt.Sprintf("%.2f%% of ops deferred by shedding (budget %.0f%%)",
-				shedFrac*100, a.cfg.ShedBudget*100),
+				shedFrac*100, ShedBudget*100),
 		},
 	)
 	if run.Substations > 0 {

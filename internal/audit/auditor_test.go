@@ -172,7 +172,7 @@ func TestViolationSignalAttribution(t *testing.T) {
 }
 
 func TestRunLevelRuleBoundaries(t *testing.T) {
-	a := NewAuditor(Config{MinSeconds: 10, ShedBudget: 0.05})
+	a := NewAuditor(Config{MinSeconds: 10})
 
 	t.Run("duration exactly on floor passes", func(t *testing.T) {
 		run := healthyRun(nil)

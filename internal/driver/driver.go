@@ -84,9 +84,6 @@ type Config struct {
 	// scaled-down (non-publishable) runs. Defaults to the specification
 	// value. Scaled runs are marked non-compliant in the result.
 	MinWorkloadSeconds float64
-	// RepeatabilityTolerance is the allowed relative difference between
-	// iteration throughputs. Defaults to 0.10.
-	RepeatabilityTolerance float64
 	// Now supplies the clock for timestamps; defaults to time.Now.
 	Now func() time.Time
 	// Logf, when set, receives progress lines.
@@ -143,9 +140,6 @@ type Config struct {
 	// fraction of the measured run's mean interval rate. 0 selects the
 	// auditor default (0.20).
 	AuditTolerance float64
-	// AuditShedBudget is the auditor's allowed shed-operation fraction.
-	// 0 selects the auditor default (0.05).
-	AuditShedBudget float64
 	// OnVerdict, when set, receives each verdict right after evaluation:
 	// the prerequisites first, then each iteration's — the hook the CLI
 	// uses to serve /audit and to flush the audit artefact of an
@@ -180,9 +174,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MinWorkloadSeconds == 0 {
 		c.MinWorkloadSeconds = audit.MinWorkloadSeconds
-	}
-	if c.RepeatabilityTolerance == 0 {
-		c.RepeatabilityTolerance = 0.10
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -386,7 +377,6 @@ func Run(cfg Config) (*Result, error) {
 		Tolerance:        c.AuditTolerance,
 		MinSeconds:       c.MinWorkloadSeconds,
 		MinWarmupSeconds: c.MinWorkloadSeconds,
-		ShedBudget:       c.AuditShedBudget,
 	})
 
 	// Runtime health sampling for the whole run; every execution's interval
@@ -449,7 +439,7 @@ func Run(cfg Config) (*Result, error) {
 			res.Iterations[it].Verdict.Add(audit.Repeatability(
 				res.Iterations[0].Measured.IoTps(),
 				res.Iterations[1].Measured.IoTps(),
-				c.RepeatabilityTolerance))
+				audit.RepeatabilityTolerance))
 		}
 		c.OnVerdict(res.Iterations[it].Verdict)
 

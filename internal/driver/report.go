@@ -350,11 +350,6 @@ func writeStorage(b *strings.Builder, t *telemetry.Summary) {
 			windows, gaugeValue(t, "lsm.hot_window_tables"),
 			gaugeValue(t, "lsm.read_depth"), gaugeValue(t, "lsm.tables"))
 	}
-	if raw := counterValue(t, "lsm.compress_raw_bytes"); raw > 0 {
-		stored := counterValue(t, "lsm.compress_stored_bytes")
-		fmt.Fprintf(b, "  block compression:       %s raw -> %s stored (%.1f%%)\n",
-			mib(raw), mib(stored), 100*float64(stored)/float64(raw))
-	}
 
 	if logicalRead := counterValue(t, "lsm.logical_read_bytes"); logicalRead > 0 {
 		fmt.Fprintf(b, "  logical bytes read:      %s  (%s from disk, read amp %.3fx)\n",

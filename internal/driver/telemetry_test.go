@@ -161,8 +161,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"lsm.bloom_hits":            tot.BloomHits,
 		"lsm.bloom_skips":           tot.BloomSkips,
 		"lsm.bloom_false_positives": tot.BloomFalsePositives,
-		"lsm.compress_raw_bytes":    tot.CompressRawBytes,
-		"lsm.compress_stored_bytes": tot.CompressStoredBytes,
 		"lsm.prune_key_skips":       tot.PruneKeySkips,
 		"lsm.prune_time_skips":      tot.PruneTimeSkips,
 	} {

@@ -52,7 +52,7 @@ func SimulatedResult(nodes, substations int, totalKVPs int64, seed uint64, start
 	}
 	res.Iterations[1].Verdict.Add(audit.Repeatability(
 		res.Iterations[0].Measured.IoTps(),
-		res.Iterations[1].Measured.IoTps(), 0.10))
+		res.Iterations[1].Measured.IoTps(), audit.RepeatabilityTolerance))
 	return res, nil
 }
 

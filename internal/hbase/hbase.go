@@ -249,7 +249,9 @@ func (cl *Cluster) Servers() []*RegionServer {
 
 // CreateTable creates a table pre-split at the given keys. With k split
 // keys the table has k+1 regions; nil splits yield a single region. Regions
-// are assigned round-robin with chained replica placement.
+// are assigned round-robin with chained replica placement. It returns
+// ErrTableExists when the cluster has the table, or when the data dir holds
+// one of its region directories from an earlier cluster.
 func (cl *Cluster) CreateTable(name string, splits [][]byte) (*Table, error) {
 	for i := 1; i < len(splits); i++ {
 		if bytes.Compare(splits[i-1], splits[i]) >= 0 {
@@ -264,18 +266,27 @@ func (cl *Cluster) CreateTable(name string, splits [][]byte) (*Table, error) {
 	if _, ok := cl.tables[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, name)
 	}
+	// The catalogue lives in memory only: a region directory an earlier
+	// cluster left in the data dir holds that table's rows, which opening the
+	// region would bring back. Checked before any region opens, so the
+	// refusal removes nothing.
+	nRegions := len(splits) + 1
+	for i := 0; i < nRegions; i++ {
+		for _, srv := range cl.servers {
+			dir := filepath.Join(srv.dir, regionName(name, i))
+			if _, err := os.Stat(dir); err == nil {
+				return nil, fmt.Errorf("%w: %s (%s is on disk)", ErrTableExists, name, dir)
+			}
+		}
+	}
 
 	t := &Table{name: name}
 	for _, s := range splits {
 		t.splits = append(t.splits, append([]byte(nil), s...))
 	}
 
-	nRegions := len(splits) + 1
 	for i := 0; i < nRegions; i++ {
-		info := region.Info{
-			Table: name,
-			Name:  fmt.Sprintf("%s,%05d", name, i),
-		}
+		info := region.Info{Table: name, Name: regionName(name, i)}
 		if i > 0 {
 			info.StartKey = t.splits[i-1]
 		}
@@ -308,6 +319,9 @@ func (cl *Cluster) CreateTable(name string, splits [][]byte) (*Table, error) {
 	cl.tables[name] = t
 	return t, nil
 }
+
+// regionName names region i of a table, and its directory on each server.
+func regionName(table string, i int) string { return fmt.Sprintf("%s,%05d", table, i) }
 
 // newGroup builds one region's replication pipeline from the cluster
 // config: quorum and queue bound from Config, the fault-injection wrapper

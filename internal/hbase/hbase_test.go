@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -305,6 +307,80 @@ func TestDropTablePurgesData(t *testing.T) {
 	if _, ok, _ := getKey(c2, []byte("k")); ok {
 		t.Fatal("data survived drop + recreate")
 	}
+}
+
+// TestCreateTableRefusesRegionsOnDisk: a new cluster over the data dir of a
+// closed one knows no tables, but CreateTable of a table whose regions are
+// still on disk is refused — the earlier rows would come back with them —
+// and the refusal leaves every file as it was.
+func TestCreateTableRefusesRegionsOnDisk(t *testing.T) {
+	cfg := testConfig(t, 3)
+	splits := [][]byte{[]byte("m")}
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.CreateTable("iot", splits); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cl.NewClient("iot", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "z"} {
+		if err := c.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, cfg.DataDir)
+
+	cl, err = NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.CreateTable("iot", splits); !errors.Is(err, ErrTableExists) {
+		t.Fatalf("CreateTable over a previous run's regions: %v, want ErrTableExists", err)
+	}
+	after := dirContents(t, cfg.DataDir)
+	if len(after) != len(before) {
+		t.Fatalf("%d files after the refusal, %d before", len(after), len(before))
+	}
+	for path, b := range before {
+		if !bytes.Equal(after[path], b) {
+			t.Fatalf("%s changed or vanished on a refused CreateTable", path)
+		}
+	}
+	// The earlier rows are still there, in a store of their own.
+	s, err := lsm.Open(lsm.Options{Dir: filepath.Join(cfg.DataDir, "node-01", "iot,00001"), WALSync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if v, ok, err := s.Get([]byte("z")); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("previous run's row: %q ok=%v err=%v", v, ok, err)
+	}
+}
+
+// dirContents maps every regular file under root to its bytes.
+func dirContents(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 func TestCreateTableValidation(t *testing.T) {

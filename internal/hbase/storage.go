@@ -81,8 +81,6 @@ func addStats(a *lsm.Stats, b lsm.Stats) {
 	a.CacheMisses += b.CacheMisses
 	a.CacheEvictions += b.CacheEvictions
 	a.CacheUsedBytes += b.CacheUsedBytes
-	a.CompressRawBytes += b.CompressRawBytes
-	a.CompressStoredBytes += b.CompressStoredBytes
 	a.PruneKeySkips += b.PruneKeySkips
 	a.PruneTimeSkips += b.PruneTimeSkips
 	a.Tables += b.Tables

@@ -72,10 +72,6 @@ type Options struct {
 	// tables of the hot window are rewritten, and cold windows are merged
 	// once and never again. Defaults to 5 minutes.
 	WindowDuration time.Duration
-	// Compression selects the SSTable data-block encoding for tables written
-	// by flushes and compactions (existing tables are readable either way).
-	// Defaults to no compression.
-	Compression sstable.Compression
 	// BlockSize is the SSTable data-block size. Defaults to 4 KiB.
 	BlockSize int
 	// BloomBitsPerKey sizes table Bloom filters. 0 selects the default.
@@ -160,7 +156,6 @@ func (s *Store) newTableWriter(path string) (*sstable.Writer, error) {
 	return sstable.NewWriter(path, sstable.WriterOptions{
 		BlockSize:       s.opts.BlockSize,
 		BloomBitsPerKey: s.opts.BloomBitsPerKey,
-		Compression:     s.opts.Compression,
 		TimestampOf:     kvp.TimestampOf,
 		Column:          s.readingColumn,
 	})
@@ -229,11 +224,6 @@ type Store struct {
 	// where it was not.
 	bloomHits, bloomSkips, bloomFP telemetry.Counter
 
-	// Block-compression ledger: raw data-block bytes offered to the
-	// compressor versus bytes actually stored, summed over every table
-	// written. Zero when Options.Compression is off.
-	compressRaw, compressStored telemetry.Counter
-
 	// File-pruning ledger: table files skipped without any I/O because the
 	// requested key range (pruneKey) or time range (pruneTime) cannot
 	// intersect the table's footer bounds.
@@ -269,8 +259,6 @@ func (s *Store) counterTable() []telemetry.Named {
 		{Name: "lsm.bloom_hits", C: &s.bloomHits},
 		{Name: "lsm.bloom_skips", C: &s.bloomSkips},
 		{Name: "lsm.bloom_false_positives", C: &s.bloomFP},
-		{Name: "lsm.compress_raw_bytes", C: &s.compressRaw},
-		{Name: "lsm.compress_stored_bytes", C: &s.compressStored},
 		{Name: "lsm.prune_key_skips", C: &s.pruneKey},
 		{Name: "lsm.prune_time_skips", C: &s.pruneTime},
 		{Name: "lsm.agg_rows_column", C: &s.aggRowsColumn},
@@ -372,12 +360,6 @@ type Stats struct {
 	BloomSkips          int64 `json:"bloom_skips"`
 	BloomFalsePositives int64 `json:"bloom_false_positives"`
 
-	// Block-compression ledger: raw data-block bytes offered to the
-	// compressor versus bytes actually stored. Zero with compression off;
-	// their ratio is the achieved compression ratio.
-	CompressRawBytes    int64 `json:"compress_raw_bytes"`
-	CompressStoredBytes int64 `json:"compress_stored_bytes"`
-
 	// File-pruning effectiveness: table files skipped with zero I/O because
 	// the lookup's key (PruneKeySkips) or a time-range scan's bounds
 	// (PruneTimeSkips) cannot intersect the table's footer bounds.
@@ -399,15 +381,6 @@ type Stats struct {
 	TableBytes          int64 `json:"table_bytes"`
 	MemtableBytes       int64 `json:"memtable_bytes"`
 	CompactionDebtBytes int64 `json:"compaction_debt_bytes"`
-}
-
-// CompressionRatio is stored over raw data-block bytes (e.g. 0.4 means
-// blocks shrank to 40%); 0 before any compressed write.
-func (st Stats) CompressionRatio() float64 {
-	if st.CompressRawBytes == 0 {
-		return 0
-	}
-	return float64(st.CompressStoredBytes) / float64(st.CompressRawBytes)
 }
 
 // WriteAmplification is physical write bytes (WAL + flush + compaction
@@ -888,7 +861,6 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 		return err
 	}
 	h := newTableHandle(id, path, r)
-	s.accountCompression(w)
 
 	// The manifest commit is the transition: if it fails (or we crash before
 	// it) the renamed file is an unreferenced orphan, the WAL still holds the
@@ -945,17 +917,6 @@ func (s *Store) commitAndInstall(edit manifestEdit, install func()) error {
 	install()
 	s.mu.Unlock()
 	return nil
-}
-
-// accountCompression folds one finished writer's compression ledger into
-// the store's counters.
-func (s *Store) accountCompression(w *sstable.Writer) {
-	raw, stored := w.CompressionStats()
-	if raw == 0 && stored == 0 {
-		return
-	}
-	s.compressRaw.Add(raw)
-	s.compressStored.Add(stored)
 }
 
 // truncateWALIfQuiescent drops all but the active WAL segment when there is
@@ -1063,7 +1024,6 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		return err
 	}
 	out := newTableHandle(id, path, r)
-	s.accountCompression(w)
 	// The merge read every input in full.
 	edit := manifestEdit{Added: []tableMeta{out.meta()}, Deleted: make([]uint64, 0, len(old))}
 	for _, t := range old {
@@ -1250,10 +1210,8 @@ func (s *Store) Stats() Stats {
 		BloomSkips:          s.bloomSkips.Load(),
 		BloomFalsePositives: s.bloomFP.Load(),
 
-		CompressRawBytes:    s.compressRaw.Load(),
-		CompressStoredBytes: s.compressStored.Load(),
-		PruneKeySkips:       s.pruneKey.Load(),
-		PruneTimeSkips:      s.pruneTime.Load(),
+		PruneKeySkips:  s.pruneKey.Load(),
+		PruneTimeSkips: s.pruneTime.Load(),
 	}
 	cs := s.cache.Stats()
 	st.DiskReadBytes = cs.DiskReadBytes
@@ -1293,11 +1251,10 @@ type TableStat struct {
 	// Time-window placement: the key timestamp bounds from the footer (unix
 	// ms; meaningless when HasTimeBounds is false) and the compaction window
 	// the table falls in.
-	MinTS         int64  `json:"min_ts"`
-	MaxTS         int64  `json:"max_ts"`
-	HasTimeBounds bool   `json:"has_time_bounds"`
-	Window        int64  `json:"window"`
-	Compression   string `json:"compression"`
+	MinTS         int64 `json:"min_ts"`
+	MaxTS         int64 `json:"max_ts"`
+	HasTimeBounds bool  `json:"has_time_bounds"`
+	Window        int64 `json:"window"`
 }
 
 // TableStats reports every live table, newest first. The table set holds a
@@ -1324,7 +1281,6 @@ func (s *Store) TableStats() []TableStat {
 			MaxTS:         t.maxTS,
 			HasTimeBounds: t.hasTS,
 			Window:        t.window(windowMS),
-			Compression:   t.reader.Compression().String(),
 		})
 	}
 	return out

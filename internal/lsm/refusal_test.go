@@ -6,15 +6,17 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tpcxiot/internal/kvp"
 	"tpcxiot/internal/wal"
 )
 
-// The store is insert-only and writes one table format. Data it no longer
-// writes — a delete in the WAL or in a table, a footer-v2 table — is refused
-// at Open with ErrCorrupt, and a stored value that is not a tagged row is
+// The store is insert-only and writes one table format with one block
+// encoding. Data it no longer writes — a delete in the WAL or in a table, a
+// footer-v2 table, a flate-compressed table — is refused at Open with
+// ErrCorrupt, and a stored value that is not a tagged row is
 // ErrCorrupt wherever a read meets it.
 
 // openRefused opens dir and requires ErrCorrupt.
@@ -113,6 +115,47 @@ func TestStoreWrittenBeforeInsertOnlyRefused(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d files after a refused open, %d before", len(got), len(want))
+	}
+}
+
+// TestFlateTableInStoreRefused: a closed store one of whose tables has
+// footer byte 56 — the block encoding a flate-compressing writer set to 1 —
+// set fails Open with ErrCorrupt, and the error names that table.
+func TestFlateTableInStoreRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b"} {
+		if err := s.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tables, err := filepath.Glob(filepath.Join(dir, "*.sst"))
+	if err != nil || len(tables) != 2 {
+		t.Fatalf("store holds tables %v (%v), want two", tables, err)
+	}
+	img, err := os.ReadFile(tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)-96+56] = 1
+	if err := os.WriteFile(tables[0], img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(Options{Dir: dir, WALSync: wal.SyncNever})
+	if err == nil {
+		s.Close()
+	}
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(tables[0])) {
+		t.Fatalf("Open of a store holding a flate table = %v, want ErrCorrupt naming %s", err, filepath.Base(tables[0]))
 	}
 }
 

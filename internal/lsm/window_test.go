@@ -3,12 +3,10 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"tpcxiot/internal/kvp"
-	"tpcxiot/internal/sstable"
 	"tpcxiot/internal/wal"
 )
 
@@ -308,58 +306,5 @@ func TestTimeRangePruningSurvivesCrash(t *testing.T) {
 	}
 	if skips := re.Stats().PruneTimeSkips; skips == 0 {
 		t.Fatal("recovered table bounds did not prune the disjoint file")
-	}
-}
-
-// TestStoreCompressionLedger: with flate enabled the flush path compresses
-// data blocks, the raw/stored ledger fills in, and the data reads back — also
-// through a reopen with compression off (per-table self-description).
-func TestStoreCompressionLedger(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Options{
-		Dir:              dir,
-		WALSync:          wal.SyncNever,
-		DisableAutoFlush: true,
-		Compression:      sstable.FlateCompression,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pad := strings.Repeat("23.5C ", 50)
-	for i := 0; i < 200; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(pad)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.CompressRawBytes == 0 || st.CompressStoredBytes == 0 {
-		t.Fatalf("empty compression ledger: %+v", st)
-	}
-	if st.CompressStoredBytes >= st.CompressRawBytes {
-		t.Fatalf("compressible flush did not shrink: raw=%d stored=%d", st.CompressRawBytes, st.CompressStoredBytes)
-	}
-	if r := st.CompressionRatio(); r <= 0 || r >= 1 {
-		t.Fatalf("CompressionRatio = %v, want in (0,1)", r)
-	}
-	if got := s.TableStats()[0].Compression; got != "flate" {
-		t.Fatalf("table compression = %q, want flate", got)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(Options{Dir: dir, WALSync: wal.SyncNever}) // compression off
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	for i := 0; i < 200; i++ {
-		v, ok, err := re.Get([]byte(fmt.Sprintf("k%04d", i)))
-		if err != nil || !ok || string(v) != pad {
-			t.Fatalf("Get(k%04d) after reopen: ok=%v err=%v", i, ok, err)
-		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -15,7 +14,7 @@ import (
 )
 
 // columnKVs returns n entries of valueLen-byte values: repetitive filler
-// (so flate shrinks them) ending in six digits that differ per entry.
+// ending in six digits that differ per entry.
 func columnKVs(n, valueLen int) map[string]string {
 	kvs := make(map[string]string, n)
 	pad := strings.Repeat("temperature=23.5C humidity=40% ", valueLen/31+1)[:valueLen-6]
@@ -144,52 +143,6 @@ func TestColumnIsAllOrNothing(t *testing.T) {
 		if got, err := r.Get([]byte(k)); err != nil || string(got) != v {
 			t.Fatalf("Get(%q) = %d bytes, %v", k, len(got), err)
 		}
-	}
-}
-
-// TestColumnStoredRawUnderFlate: with flate on, data blocks compress and the
-// column round-trips from blocks whose trailers all say "raw"; the
-// compression ledger counts data blocks only.
-func TestColumnStoredRawUnderFlate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.sst")
-	kvs := columnKVs(3000, 500)
-	w, err := NewWriter(path, WriterOptions{Column: tailColumn, Compression: FlateCompression})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dataBytes int64
-	for _, k := range sortedKeys(kvs) {
-		if err := w.Add([]byte(k), []byte(kvs[k])); err != nil {
-			t.Fatal(err)
-		}
-		dataBytes += int64(len(k) + len(kvs[k]))
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if rawIn, stored := w.CompressionStats(); stored >= rawIn/2 || rawIn < dataBytes*9/10 || rawIn > dataBytes*11/10 {
-		t.Fatalf("ledger: %d raw -> %d stored for %d data bytes; the column must not be in it", rawIn, stored, dataBytes)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	checkColumn(t, r, kvs)
-
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := 0
-	for it := r.colIndex.iter(); it.next(); blocks++ {
-		h := decodeHandle(it.value)
-		if ctype := Compression(img[h.offset+h.length]); ctype != NoCompression {
-			t.Fatalf("column block at %d stored as %v", h.offset, ctype)
-		}
-	}
-	if blocks < 2 {
-		t.Fatalf("column has %d blocks; the test wants several", blocks)
 	}
 }
 

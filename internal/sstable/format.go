@@ -47,54 +47,20 @@ const (
 	magicV3 uint64 = 0x496f545353546233
 
 	// footerLen: index handle (16) + bloom handle (16) + entry count (8) +
-	// min timestamp (8) + max timestamp (8) + compression kind (1) + flags
-	// (1) + reserved (6) + column index handle (16) + column bytes (8) +
-	// magic (8). The column fields are zero for a table without a column.
+	// min timestamp (8) + max timestamp (8) + reserved zero byte (1) +
+	// flags (1) + reserved (6) + column index handle (16) + column bytes
+	// (8) + magic (8). The column fields are zero for a table without a
+	// column.
 	footerLen = 96
 
 	// restartInterval is the number of entries between restart points in a
 	// data block.
 	restartInterval = 16
 
-	// trailerLen: 1-byte compression type + 4-byte CRC32C over the stored
+	// trailerLen: 1-byte type, always 0 (raw), + 4-byte CRC32C over the
 	// payload plus the type byte, after every block.
 	trailerLen = 5
 )
-
-// Compression selects the per-block encoding of data blocks. Index, filter,
-// column and footer blocks are always stored raw so table opens stay cheap
-// and a column block costs no inflate to fold.
-type Compression uint8
-
-const (
-	// NoCompression stores blocks raw.
-	NoCompression Compression = 0
-	// FlateCompression DEFLATE-compresses data blocks (stdlib compress/flate
-	// at BestSpeed), keeping a block raw when compression does not shrink it.
-	FlateCompression Compression = 1
-)
-
-// String renders the compression kind for flags and reports.
-func (c Compression) String() string {
-	switch c {
-	case NoCompression:
-		return "none"
-	case FlateCompression:
-		return "flate"
-	}
-	return fmt.Sprintf("compression(%d)", uint8(c))
-}
-
-// ParseCompression maps a flag value to a Compression kind.
-func ParseCompression(s string) (Compression, error) {
-	switch s {
-	case "", "none":
-		return NoCompression, nil
-	case "flate":
-		return FlateCompression, nil
-	}
-	return NoCompression, fmt.Errorf("sstable: unknown compression %q (want none or flate)", s)
-}
 
 // footer flag bits.
 const flagHasTimeBounds = 1 << 0
@@ -133,7 +99,6 @@ type footer struct {
 	minTS       int64
 	maxTS       int64
 	hasTS       bool
-	compression Compression
 	column      handle
 	columnBytes uint64
 }
@@ -146,7 +111,6 @@ func (f footer) encode() []byte {
 	binary.LittleEndian.PutUint64(out[32:40], f.entries)
 	binary.LittleEndian.PutUint64(out[40:48], uint64(f.minTS))
 	binary.LittleEndian.PutUint64(out[48:56], uint64(f.maxTS))
-	out[56] = byte(f.compression)
 	if f.hasTS {
 		out[57] |= flagHasTimeBounds
 	}
@@ -157,10 +121,14 @@ func (f footer) encode() []byte {
 }
 
 // decodeFooter parses the last footerLen bytes of a file. Any magic but
-// magicV3, v1's and v2's included, is errBadMagic.
+// magicV3, v1's and v2's included, is errBadMagic; a nonzero byte 56 (a
+// flate-compressed table's) is refused too.
 func decodeFooter(b []byte) (footer, error) {
 	if binary.LittleEndian.Uint64(b[88:96]) != magicV3 {
 		return footer{}, errBadMagic
+	}
+	if b[56] != 0 {
+		return footer{}, fmt.Errorf("block encoding %d", b[56])
 	}
 	return footer{
 		index:       decodeHandle(b[0:16]),
@@ -168,7 +136,6 @@ func decodeFooter(b []byte) (footer, error) {
 		entries:     binary.LittleEndian.Uint64(b[32:40]),
 		minTS:       int64(binary.LittleEndian.Uint64(b[40:48])),
 		maxTS:       int64(binary.LittleEndian.Uint64(b[48:56])),
-		compression: Compression(b[56]),
 		hasTS:       b[57]&flagHasTimeBounds != 0,
 		column:      decodeHandle(b[64:80]),
 		columnBytes: binary.LittleEndian.Uint64(b[80:88]),

@@ -36,8 +36,8 @@ func v2Table(kvs map[string]string) []byte {
 	writeBlock := func(raw []byte) handle {
 		h := handle{offset: uint64(len(img)), length: uint64(len(raw))}
 		img = append(img, raw...)
-		img = append(img, byte(NoCompression))
-		crc := crc32.Update(checksum(raw), crcTable, []byte{byte(NoCompression)})
+		img = append(img, 0)
+		crc := crc32.Update(checksum(raw), crcTable, []byte{0})
 		img = binary.LittleEndian.AppendUint32(img, crc)
 		return h
 	}
@@ -101,8 +101,8 @@ func v1Table(kvs map[string]string) []byte {
 }
 
 // seedImages are the committed corpus: a well-formed table, tables of the
-// retired footer versions 1 and 2, and the damaged tables a reader is most
-// likely to trip on. wantOpen says whether Open must
+// retired footer versions 1 and 2, a flate-compressed table (flateFixture),
+// and the damaged tables a reader is most likely to trip on. wantOpen says whether Open must
 // accept the image — a refused one fails with ErrCorrupt; damage past the
 // footer and indexes surfaces later, from an iterator.
 type seedImage struct {
@@ -114,10 +114,7 @@ func seedImages(t testing.TB) map[string]seedImage {
 	kvs := columnKVs(200, 60)
 	path := filepath.Join(t.TempDir(), "v3.sst")
 	buildTable(t, path, WriterOptions{Column: tailColumn, BlockSize: 512}, kvs)
-	v3, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v3 := readFile(t, path)
 	footerAt := len(v3) - footerLen
 	edit := func(f func(img []byte)) []byte {
 		img := append([]byte(nil), v3...)
@@ -128,6 +125,7 @@ func seedImages(t testing.TB) map[string]seedImage {
 	return map[string]seedImage{
 		"v1":               {v1Table(kvs), false},
 		"v2":               {v2Table(kvs), false},
+		"flate":            {readFile(t, flateFixture), false},
 		"v3":               {v3, true},
 		"truncated-footer": {v3[:len(v3)-footerLen/2], false},
 		"column-index-past-eof": {edit(func(img []byte) {

@@ -2,7 +2,6 @@ package sstable
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -29,9 +28,8 @@ type Reader struct {
 	first    []byte // smallest key
 	last     []byte // largest key
 
-	compression  Compression // data-block encoding declared by the footer
-	minTS, maxTS int64       // time bounds from the footer
-	hasTS        bool        // false when no key carried a timestamp
+	minTS, maxTS int64 // time bounds from the footer
+	hasTS        bool  // false when no key carried a timestamp
 
 	// cache holds parsed data and column blocks, bounded LRU-style. Private
 	// per reader unless a shared cache is supplied at open.
@@ -100,7 +98,6 @@ func (r *Reader) loadFooter() error {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	r.entries = ft.entries
-	r.compression = ft.compression
 	r.minTS, r.maxTS, r.hasTS = ft.minTS, ft.maxTS, ft.hasTS
 
 	rawIndex, err := r.readBlockRaw(ft.index)
@@ -162,9 +159,8 @@ func (r *Reader) storedLen(h handle) (uint64, error) {
 	return h.length + trailerLen, nil
 }
 
-// readBlockRaw reads, checksum-verifies and decompresses a block. The
-// handle's length is the stored (possibly compressed) payload size;
-// disk-read accounting records the stored bytes actually fetched.
+// readBlockRaw reads and checksum-verifies a block; disk-read accounting
+// records the bytes actually fetched, trailer included.
 func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
 	n, err := r.storedLen(h)
 	if err != nil {
@@ -179,30 +175,20 @@ func (r *Reader) readBlockRaw(h handle) ([]byte, error) {
 }
 
 // decodeBlock checksum-verifies the stored bytes of the block behind h —
-// payload then trailer, exactly storedLen long — and returns its raw
-// payload: a sub-slice of buf unless the block was compressed.
+// payload then trailer, exactly storedLen long — and returns its payload, a
+// sub-slice of buf. A nonzero type byte (a flate-compressed block's) is
+// refused.
 func (r *Reader) decodeBlock(buf []byte, h handle) ([]byte, error) {
 	// Trailer: [type][crc32(payload+type)].
-	body, ctype := buf[:h.length], Compression(buf[h.length])
+	body := buf[:h.length]
 	want := binary.LittleEndian.Uint32(buf[h.length+1:])
 	if crc32.Update(checksum(body), crcTable, buf[h.length:h.length+1]) != want {
 		return nil, corruptf("checksum mismatch for block at %d", h.offset)
 	}
-	switch ctype {
-	case NoCompression:
-		return body, nil
-	case FlateCompression:
-		fr := flate.NewReader(bytes.NewReader(body))
-		raw, err := io.ReadAll(fr)
-		if err != nil {
-			return nil, corruptf("decompress block at %d: %v", h.offset, err)
-		}
-		if err := fr.Close(); err != nil {
-			return nil, corruptf("decompress block at %d: %v", h.offset, err)
-		}
-		return raw, nil
+	if t := buf[h.length]; t != 0 {
+		return nil, corruptf("block encoding %d at %d", t, h.offset)
 	}
-	return nil, corruptf("unknown block compression %d at %d", ctype, h.offset)
+	return body, nil
 }
 
 // dataBlock returns the parsed data or column block for a handle, consulting
@@ -244,9 +230,6 @@ func (r *Reader) Bounds() (first, last []byte) { return r.first, r.last }
 func (r *Reader) TimeBounds() (min, max int64, ok bool) {
 	return r.minTS, r.maxTS, r.hasTS
 }
-
-// Compression reports the data-block encoding declared by the footer.
-func (r *Reader) Compression() Compression { return r.compression }
 
 // ColumnBytes is what the table's column adds to the file: its blocks, their
 // trailers and its index. 0 means the table has no column — it was written

@@ -53,9 +53,6 @@ func runTables() []runTable {
 		// A block larger than a run is read on its own; the walk picks the
 		// runs up again behind it.
 		{name: "block-larger-than-run", kvs: bigKVs(200, 1000, runSize+4096), minRuns: 3, maxRuns: 6},
-		// Compressed blocks are inflated out of the run into memory of their
-		// own; more of them fit a run, so fewer runs.
-		{name: "flate", kvs: columnKVs(600, 1000), opts: WriterOptions{Compression: FlateCompression}, minRuns: 1, maxRuns: 4},
 		{name: "small-blocks", kvs: columnKVs(2000, 60), opts: WriterOptions{BlockSize: 512, Column: tailColumn}, minRuns: 2, maxRuns: 4, column: true},
 		// The column hook rejects a value halfway: the table has no column,
 		// and the column blocks written before then are unreferenced bytes
@@ -100,7 +97,7 @@ func walk(t *testing.T, it *Iterator, keys []string, kvs map[string]string, colu
 }
 
 // TestRunWalk: a sequential walk yields every table's entries whatever its
-// shape or footer version, and reads the file in runs where there is more
+// shape, and reads the file in runs where there is more
 // than one block to read.
 func TestRunWalk(t *testing.T) {
 	for _, rt := range runTables() {

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"tpcxiot/internal/kvp"
 )
 
 func buildTable(t testing.TB, path string, opts WriterOptions, kvs map[string]string) {
@@ -451,5 +453,64 @@ func BenchmarkReaderGet(b *testing.B) {
 		if _, err := r.Get([]byte(fmt.Sprintf("key-%012d", i%n))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestTimeBoundsRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.sst")
+	w, err := NewWriter(path, WriterOptions{TimestampOf: kvp.TimestampOf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lo, hi = 10_000, 19_000
+	for ts := int64(lo); ts <= hi; ts += 1000 {
+		k := kvp.Key{Substation: "sub", Sensor: "s1", Timestamp: ts}.Encode()
+		if err := w.Add(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if minTS, maxTS, ok := w.TimeBounds(); !ok || minTS != lo || maxTS != hi {
+		t.Fatalf("writer TimeBounds = (%d,%d,%v), want (%d,%d,true)", minTS, maxTS, ok, lo, hi)
+	}
+
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if minTS, maxTS, ok := r.TimeBounds(); !ok || minTS != lo || maxTS != hi {
+		t.Fatalf("reader TimeBounds = (%d,%d,%v), want (%d,%d,true)", minTS, maxTS, ok, lo, hi)
+	}
+}
+
+// TestTimeBoundsAbsentWithoutTimestamps: keys the extractor rejects leave the
+// table unwindowed — ok must be false on both writer and reader.
+func TestTimeBoundsAbsentWithoutTimestamps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.sst")
+	w, err := NewWriter(path, WriterOptions{TimestampOf: kvp.TimestampOf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := w.Add([]byte(fmt.Sprintf("plain-%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := w.TimeBounds(); ok {
+		t.Fatal("writer reports time bounds for timestamp-free keys")
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, _, ok := r.TimeBounds(); ok {
+		t.Fatal("reader reports time bounds for timestamp-free keys")
 	}
 }

@@ -3,7 +3,6 @@ package sstable
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -13,16 +12,12 @@ import (
 
 // WriterOptions configures table construction.
 type WriterOptions struct {
-	// BlockSize is the uncompressed data-block target in bytes.
+	// BlockSize is the data-block target in bytes.
 	// Defaults to 4 KiB.
 	BlockSize int
 	// BloomBitsPerKey sizes the table's Bloom filter; 0 selects the
 	// package default, negative disables the filter.
 	BloomBitsPerKey int
-	// Compression selects the data-block encoding. Index and filter blocks
-	// stay raw regardless, and a data block that does not shrink is stored
-	// raw with its type byte saying so.
-	Compression Compression
 	// TimestampOf, when non-nil, extracts a timestamp from each added key;
 	// the table's min/max time bounds are recorded in the footer and let
 	// time-range reads prune the whole file. Keys for which it returns
@@ -70,13 +65,6 @@ type Writer struct {
 	colVal   []byte
 	colBytes uint64
 	hasCol   bool
-
-	// Compression ledger over data blocks: raw bytes in, stored bytes out.
-	// Both stay zero when compression is off.
-	rawIn     int64
-	storedOut int64
-	flate     *flate.Writer
-	cbuf      bytes.Buffer
 }
 
 // NewWriter creates the table file at path (truncating any existing file).
@@ -128,7 +116,7 @@ func (w *Writer) Add(key, value []byte) error {
 	}
 	w.entries++
 	if w.data.estimatedSize() >= w.opts.BlockSize {
-		if err := w.flushBlock(&w.data, &w.index, true); err != nil {
+		if err := w.flushBlock(&w.data, &w.index); err != nil {
 			return err
 		}
 	}
@@ -140,11 +128,11 @@ func (w *Writer) Add(key, value []byte) error {
 
 // flushBlock writes the pending block of one sequence and records it in
 // that sequence's index under the last key added.
-func (w *Writer) flushBlock(b, index *blockBuilder, compressible bool) error {
+func (w *Writer) flushBlock(b, index *blockBuilder) error {
 	if b.empty() {
 		return nil
 	}
-	h, err := w.writeBlock(b.finish(), compressible)
+	h, err := w.writeBlock(b.finish())
 	if err != nil {
 		return err
 	}
@@ -157,61 +145,25 @@ func (w *Writer) flushBlock(b, index *blockBuilder, compressible bool) error {
 
 func (w *Writer) flushColumnBlock() error {
 	start := w.offset
-	err := w.flushBlock(&w.col, &w.colIndex, false)
+	err := w.flushBlock(&w.col, &w.colIndex)
 	w.colBytes += w.offset - start
 	return err
 }
 
-// writeBlock emits a block plus its trailer (compression type + CRC over
-// payload and type) and returns its handle. Only data blocks are
-// compressible; a block that does not shrink stays raw.
-func (w *Writer) writeBlock(raw []byte, compressible bool) (handle, error) {
-	stored := raw
-	ctype := NoCompression
-	if compressible && w.opts.Compression == FlateCompression {
-		w.rawIn += int64(len(raw))
-		if cb, ok := w.compress(raw); ok {
-			stored, ctype = cb, FlateCompression
-		}
-		w.storedOut += int64(len(stored))
-	}
-	h := handle{offset: w.offset, length: uint64(len(stored))}
-	if _, err := w.w.Write(stored); err != nil {
+// writeBlock emits a block plus its trailer (type 0 + CRC over payload and
+// type) and returns its handle.
+func (w *Writer) writeBlock(raw []byte) (handle, error) {
+	h := handle{offset: w.offset, length: uint64(len(raw))}
+	if _, err := w.w.Write(raw); err != nil {
 		return handle{}, fmt.Errorf("sstable: write block: %w", err)
 	}
 	var tr [trailerLen]byte
-	tr[0] = byte(ctype)
-	putU32(tr[1:], crc32.Update(checksum(stored), crcTable, tr[:1]))
+	putU32(tr[1:], crc32.Update(checksum(raw), crcTable, tr[:1]))
 	if _, err := w.w.Write(tr[:]); err != nil {
 		return handle{}, fmt.Errorf("sstable: write trailer: %w", err)
 	}
-	w.offset += uint64(len(stored)) + trailerLen
+	w.offset += uint64(len(raw)) + trailerLen
 	return h, nil
-}
-
-// compress DEFLATE-encodes raw into the reusable buffer, reporting false
-// when the result would not be smaller (the block is then stored raw).
-func (w *Writer) compress(raw []byte) ([]byte, bool) {
-	w.cbuf.Reset()
-	if w.flate == nil {
-		fw, err := flate.NewWriter(&w.cbuf, flate.BestSpeed)
-		if err != nil {
-			return nil, false
-		}
-		w.flate = fw
-	} else {
-		w.flate.Reset(&w.cbuf)
-	}
-	if _, err := w.flate.Write(raw); err != nil {
-		return nil, false
-	}
-	if err := w.flate.Close(); err != nil {
-		return nil, false
-	}
-	if w.cbuf.Len() >= len(raw) {
-		return nil, false
-	}
-	return w.cbuf.Bytes(), true
 }
 
 func putU32(dst []byte, v uint32) {
@@ -233,7 +185,7 @@ func (w *Writer) Finish() error {
 		os.Remove(w.file.Name())
 		return ErrEmptyTable
 	}
-	if err := w.flushBlock(&w.data, &w.index, true); err != nil {
+	if err := w.flushBlock(&w.data, &w.index); err != nil {
 		w.file.Close()
 		return err
 	}
@@ -244,17 +196,11 @@ func (w *Writer) Finish() error {
 		}
 	}
 
-	ft := footer{
-		entries:     w.entries,
-		minTS:       w.minTS,
-		maxTS:       w.maxTS,
-		hasTS:       w.hasTS,
-		compression: w.opts.Compression,
-	}
+	ft := footer{entries: w.entries, minTS: w.minTS, maxTS: w.maxTS, hasTS: w.hasTS}
 
 	if w.opts.BloomBitsPerKey >= 0 {
 		filter := bloom.NewFromHashes(w.hashes, w.opts.BloomBitsPerKey)
-		h, err := w.writeBlock(filter, false)
+		h, err := w.writeBlock(filter)
 		if err != nil {
 			w.file.Close()
 			return err
@@ -263,7 +209,7 @@ func (w *Writer) Finish() error {
 	}
 
 	if w.hasCol {
-		h, err := w.writeBlock(w.colIndex.finish(), false)
+		h, err := w.writeBlock(w.colIndex.finish())
 		if err != nil {
 			w.file.Close()
 			return err
@@ -272,7 +218,7 @@ func (w *Writer) Finish() error {
 		ft.columnBytes = w.colBytes + h.length + trailerLen
 	}
 
-	ih, err := w.writeBlock(w.index.finish(), false)
+	ih, err := w.writeBlock(w.index.finish())
 	if err != nil {
 		w.file.Close()
 		return err
@@ -311,11 +257,4 @@ func (w *Writer) EntryCount() uint64 { return w.entries }
 // far; ok is false when no key carried one.
 func (w *Writer) TimeBounds() (min, max int64, ok bool) {
 	return w.minTS, w.maxTS, w.hasTS
-}
-
-// CompressionStats reports the data-block compression ledger: raw bytes
-// offered to the compressor and bytes actually stored. Both are zero when
-// compression is off.
-func (w *Writer) CompressionStats() (rawIn, storedOut int64) {
-	return w.rawIn, w.storedOut
 }

@@ -83,8 +83,6 @@ type TracerOptions struct {
 	Logger *Logger
 	// BufferSize caps the completed-trace ring buffer. Defaults to 256.
 	BufferSize int
-	// Service names the component starting traces. Defaults to "client".
-	Service string
 }
 
 // Tracer makes sampling decisions and retains completed traces. Safe for
@@ -94,7 +92,6 @@ type Tracer struct {
 	slowNs      int64
 	slowOn      bool
 	logger      *Logger
-	service     string
 
 	seq atomic.Int64 // operation counter driving the 1-in-N decision
 
@@ -115,15 +112,11 @@ func NewTracer(o TracerOptions) *Tracer {
 	if o.BufferSize <= 0 {
 		o.BufferSize = 256
 	}
-	if o.Service == "" {
-		o.Service = "client"
-	}
 	t := &Tracer{
 		sampleEvery: int64(o.SampleEvery),
 		slowNs:      o.SlowOpThreshold.Nanoseconds(),
 		slowOn:      !o.SlowOpDisabled && o.SlowOpThreshold >= 0,
 		logger:      o.Logger,
-		service:     o.Service,
 		ringCap:     o.BufferSize,
 	}
 	if o.SlowOpThreshold < 0 {
@@ -152,8 +145,9 @@ func newID() uint64 {
 }
 
 // StartTrace makes the sampling decision for one operation. When sampled it
-// returns the operation's collector and its open root span; otherwise both
-// returns are inert (nil OpTrace, zero TSpan) and no clock is read.
+// returns the operation's collector and its open root span, in service
+// "client"; otherwise both returns are inert (nil OpTrace, zero TSpan) and no
+// clock is read.
 func (t *Tracer) StartTrace(name string) (*OpTrace, TSpan) {
 	if t == nil || t.sampleEvery <= 0 {
 		return nil, TSpan{}
@@ -162,7 +156,7 @@ func (t *Tracer) StartTrace(name string) (*OpTrace, TSpan) {
 		return nil, TSpan{}
 	}
 	op := &OpTrace{tracer: t, traceID: newID()}
-	root := op.StartSpan(t.service, name, TraceContext{TraceID: op.traceID, Sampled: true})
+	root := op.StartSpan("client", name, TraceContext{TraceID: op.traceID, Sampled: true})
 	op.rootID = root.id
 	return op, root
 }
