@@ -198,7 +198,7 @@ func TestAggregateFlushesOnlyOverlappingRegions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := c.BufferedBytes()
+	before := c.buffered
 	if before == 0 {
 		t.Fatal("writes were not buffered")
 	}
@@ -214,7 +214,7 @@ func TestAggregateFlushesOnlyOverlappingRegions(t *testing.T) {
 	}
 	// The non-overlapping region's batch must still be buffered, untouched.
 	tbl, _ := cl.Table("iot")
-	highRegion := tbl.RegionFor([]byte("z000"))
+	highRegion := tbl.locate([]byte("z000")).info.Name
 	var highBuffered int
 	for tr, batch := range c.buffers {
 		if tr.info.Name == highRegion {
@@ -224,8 +224,8 @@ func TestAggregateFlushesOnlyOverlappingRegions(t *testing.T) {
 	if highBuffered != 4 {
 		t.Fatalf("non-overlapping region has %d buffered mutations, want 4 intact", highBuffered)
 	}
-	if got := c.BufferedBytes(); got == 0 || got >= before {
-		t.Fatalf("BufferedBytes = %d (before %d): only the overlapping region may flush", got, before)
+	if got := c.buffered; got == 0 || got >= before {
+		t.Fatalf("buffered = %d (before %d): only the overlapping region may flush", got, before)
 	}
 	// And its rows are not stored yet.
 	if _, found, err := getKey(c, []byte("z000")); err != nil {

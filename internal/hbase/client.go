@@ -250,7 +250,7 @@ func (c *Client) settle() error {
 // FlushCommits ships all buffered mutations, one batched RPC per region,
 // once the sender is idle. On a mid-flush failure the already-shipped
 // regions stay flushed and the failed region's batch stays buffered, with
-// BufferedBytes reflecting exactly what remains — a later FlushCommits
+// c.buffered reflecting exactly what remains — a later FlushCommits
 // retries just the remainder.
 func (c *Client) FlushCommits() error {
 	if c.closed {
@@ -360,10 +360,6 @@ func mutationBytes(batch []Mutation) int64 {
 	}
 	return n
 }
-
-// BufferedBytes reports the current client-side buffer occupancy: what is
-// buffered and not sealed, plus what a failed flush put back.
-func (c *Client) BufferedBytes() int64 { return c.buffered }
 
 // rangesOverlap reports whether scan range [lo,hi) intersects region range
 // [start,end), treating nil as unbounded.

@@ -32,7 +32,7 @@ func (f *failingTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetr
 }
 
 // TestFlushCommitsPartialFailureAccounting: a mid-flush RPC failure must
-// leave BufferedBytes equal to exactly the bytes still buffered — regions
+// leave c.buffered equal to exactly the bytes still buffered — regions
 // flushed before the failure no longer count — so the autoflush threshold
 // and a later retry behave correctly.
 func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
@@ -43,7 +43,7 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 	}
 	tbl, _ := cl.Table("iot")
 	sentinel := errors.New("region server unreachable")
-	failing := &failingTransport{failRegion: tbl.RegionFor([]byte("a")), err: sentinel}
+	failing := &failingTransport{failRegion: tbl.locate([]byte("a")).info.Name, err: sentinel}
 	c.rpc = failing
 
 	// Buffer writes to both regions.
@@ -55,7 +55,7 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := c.BufferedBytes()
+	before := c.buffered
 	if before == 0 {
 		t.Fatal("writes were not buffered")
 	}
@@ -69,8 +69,8 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 	for _, batch := range c.buffers {
 		remaining += mutationBytes(batch)
 	}
-	if got := c.BufferedBytes(); got != remaining {
-		t.Fatalf("BufferedBytes = %d, buffers hold %d", got, remaining)
+	if got := c.buffered; got != remaining {
+		t.Fatalf("buffered = %d, buffers hold %d", got, remaining)
 	}
 	if remaining == 0 || remaining > before {
 		t.Fatalf("remaining = %d of %d: failed region's batch must stay buffered", remaining, before)
@@ -82,8 +82,8 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 	if err := c.FlushCommits(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.BufferedBytes(); got != 0 {
-		t.Fatalf("BufferedBytes = %d after successful retry, want 0", got)
+	if got := c.buffered; got != 0 {
+		t.Fatalf("buffered = %d after successful retry, want 0", got)
 	}
 	for i := 0; i < 8; i++ {
 		for _, k := range []string{fmt.Sprintf("a%03d", i), fmt.Sprintf("z%03d", i)} {
@@ -119,15 +119,15 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 	for _, batch := range auto.buffers {
 		remaining += mutationBytes(batch)
 	}
-	if got := auto.BufferedBytes(); got != remaining || remaining == 0 {
-		t.Fatalf("BufferedBytes = %d, buffers hold %d after a sender failure", got, remaining)
+	if got := auto.buffered; got != remaining || remaining == 0 {
+		t.Fatalf("buffered = %d, buffers hold %d after a sender failure", got, remaining)
 	}
 	auto.rpc = inprocTransport{}
 	if err := auto.FlushCommits(); err != nil {
 		t.Fatal(err)
 	}
-	if got := auto.BufferedBytes(); got != 0 {
-		t.Fatalf("BufferedBytes = %d after the healed flush, want 0", got)
+	if got := auto.buffered; got != 0 {
+		t.Fatalf("buffered = %d after the healed flush, want 0", got)
 	}
 	for _, k := range keys {
 		if _, ok, err := getKey(auto, []byte(k)); err != nil || !ok {
@@ -172,7 +172,7 @@ func (s *shedTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.T
 // fillToSeal puts filler rows through c until a Put seals the buffer.
 func fillToSeal(t *testing.T, c *Client, prefix string) {
 	t.Helper()
-	for i := 0; c.BufferedBytes() > 0; i++ {
+	for i := 0; c.buffered > 0; i++ {
 		if err := c.Put([]byte(fmt.Sprintf("%s%04d", prefix, i)), bytes.Repeat([]byte("f"), 100)); err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +442,7 @@ func TestPutSealsBehindScannerPrefetch(t *testing.T) {
 	c.rpc = st
 	// The late write lands outside the scanned range: an open scan may see
 	// a write into a memtable it pinned.
-	sc, err := c.NewScannerChunk(nil, []byte("l"), 0, 8)
+	sc, err := c.newScannerChunk(nil, []byte("l"), 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestCloseDrainsSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failing.rpc = &failingTransport{failRegion: tbl.RegionFor([]byte("x")), err: sentinel}
+	failing.rpc = &failingTransport{failRegion: tbl.locate([]byte("x")).info.Name, err: sentinel}
 	if err := failing.Put([]byte("x"), []byte("v")); err != nil {
 		t.Fatalf("the sealing Put returned %v before its buffer shipped", err)
 	}
@@ -618,8 +618,8 @@ func TestReadFlushIsNotABufferFlush(t *testing.T) {
 	if _, ok, err := getKey(c, []byte("k1")); err != nil || !ok {
 		t.Fatalf("read k1: ok=%v err=%v", ok, err)
 	}
-	if n, timed := flushes(); n != 0 || timed != 0 || c.BufferedBytes() != 0 {
-		t.Fatalf("after a read flush: %d buffer flushes, %d timed, %d bytes buffered", n, timed, c.BufferedBytes())
+	if n, timed := flushes(); n != 0 || timed != 0 || c.buffered != 0 {
+		t.Fatalf("after a read flush: %d buffer flushes, %d timed, %d bytes buffered", n, timed, c.buffered)
 	}
 	if err := c.Put([]byte("k2"), []byte("v")); err != nil {
 		t.Fatal(err)

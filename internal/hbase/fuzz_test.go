@@ -276,9 +276,9 @@ func TestDispatchSeeds(t *testing.T) {
 		if err := cl.Quiesce(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		for i := 0; i < tr.group.Factor(); i++ {
-			if err := tr.group.MemberErr(i); err != nil {
-				t.Fatalf("%s: member %d stopped: %v", name, i, err)
+		for i, stopped := range tr.group.Stats().Stopped {
+			if stopped {
+				t.Fatalf("%s: member %d stopped", name, i)
 			}
 		}
 	}

@@ -214,7 +214,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.Registry.Gauge("replication.catchup_depth", func() int64 {
 			var max int64
 			for _, g := range cl.groups() {
-				if d := int64(g.MaxQueueDepth()); d > max {
+				if d := int64(g.Stats().MaxQueue()); d > max {
 					max = d
 				}
 			}
@@ -223,7 +223,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.Registry.Gauge("replication.quorum_lag", func() int64 {
 			var max int64
 			for _, g := range cl.groups() {
-				if l := int64(g.QuorumLag()); l > max {
+				if l := int64(g.Stats().MaxLag()); l > max {
 					max = l
 				}
 			}
@@ -334,7 +334,7 @@ func (cl *Cluster) newGroup(regionName string, appliers []replication.Applier) *
 		}
 		appliers = wrapped
 	}
-	g := replication.NewGroupOptions(replication.Options{
+	g := replication.NewGroup(replication.Options{
 		Quorum:   cl.cfg.QuorumAcks,
 		MaxQueue: cl.cfg.CatchUpQueue,
 	}, appliers[0], appliers[1:]...)
@@ -448,9 +448,6 @@ func (cl *Cluster) Close() error {
 	return firstErr
 }
 
-// RegionCount returns the number of regions in the table.
-func (t *Table) RegionCount() int { return len(t.regions) }
-
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
@@ -462,6 +459,3 @@ func (t *Table) locate(key []byte) *tableRegion {
 	})
 	return t.regions[idx]
 }
-
-// RegionFor reports the region name covering key, for observability.
-func (t *Table) RegionFor(key []byte) string { return t.locate(key).info.Name }

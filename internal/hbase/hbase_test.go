@@ -102,19 +102,19 @@ func TestRoutingAcrossRegions(t *testing.T) {
 	splits := [][]byte{[]byte("g"), []byte("p")}
 	cl, c := newTestCluster(t, 4, splits)
 	tbl, _ := cl.Table("iot")
-	if tbl.RegionCount() != 3 {
-		t.Fatalf("RegionCount = %d, want 3", tbl.RegionCount())
+	if len(tbl.regions) != 3 {
+		t.Fatalf("regions = %d, want 3", len(tbl.regions))
 	}
 	// Keys in each range route to distinct regions.
 	names := map[string]bool{}
 	for _, k := range []string{"apple", "grape", "zebra"} {
-		names[tbl.RegionFor([]byte(k))] = true
+		names[tbl.locate([]byte(k)).info.Name] = true
 	}
 	if len(names) != 3 {
 		t.Fatalf("3 keys in 3 ranges hit %d regions", len(names))
 	}
 	// Boundary key belongs to the upper region (start inclusive).
-	if tbl.RegionFor([]byte("g")) != tbl.RegionFor([]byte("h")) {
+	if tbl.locate([]byte("g")).info.Name != tbl.locate([]byte("h")).info.Name {
 		t.Fatal("split key must route to the region it starts")
 	}
 	for _, k := range []string{"apple", "grape", "zebra", "g", "p"} {
@@ -143,15 +143,15 @@ func TestWriteBufferBatching(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.BufferedBytes() == 0 {
+	if c.buffered == 0 {
 		t.Fatal("writes were not buffered")
 	}
 	// Crossing the threshold must autoflush.
 	for i := 5; i < 15; i++ {
 		c.Put([]byte(fmt.Sprintf("k%d", i)), val)
 	}
-	if c.BufferedBytes() >= 10*1024 {
-		t.Fatalf("buffer never autoflushed: %d bytes", c.BufferedBytes())
+	if c.buffered >= 10*1024 {
+		t.Fatalf("buffer never autoflushed: %d bytes", c.buffered)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestReplicationFactorOnAllReplicas(t *testing.T) {
 
 	tbl, _ := cl.Table("iot")
 	for _, tr := range tbl.regions {
-		if got := tr.group.Factor(); got != 3 {
+		if got := len(tr.group.Stats().Applied); got != 3 {
 			t.Fatalf("region %s factor = %d", tr.info.Name, got)
 		}
 		if len(tr.replicas) != 3 {
@@ -282,8 +282,8 @@ func TestReplicaPlacementDistinctServers(t *testing.T) {
 			t.Fatalf("server %d hosts %d region replicas, want 6", srv.ID(), got)
 		}
 	}
-	if tbl.RegionCount() != 16 {
-		t.Fatalf("RegionCount = %d", tbl.RegionCount())
+	if len(tbl.regions) != 16 {
+		t.Fatalf("regions = %d", len(tbl.regions))
 	}
 }
 
@@ -331,6 +331,11 @@ func TestCreateTableRefusesRegionsOnDisk(t *testing.T) {
 		if err := c.Put([]byte(k), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The rows must be acked before the cluster closes, or the client's
+	// sender races the close and the row check below is flaky.
+	if err := c.FlushCommits(); err != nil {
+		t.Fatal(err)
 	}
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
@@ -427,7 +432,7 @@ func TestClosedClientRejectsOps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sc, err := c.NewScannerChunk(nil, nil, 0, 4)
+	sc, err := c.newScannerChunk(nil, nil, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

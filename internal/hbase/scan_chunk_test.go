@@ -151,7 +151,7 @@ func TestScannerParity(t *testing.T) {
 				want = want[:limit]
 			}
 			for name, c := range map[string]*Client{"in-process": f.inproc, "tcp": f.tcp} {
-				sc, err := c.NewScannerChunk(lo, hi, limit, chunk)
+				sc, err := c.newScannerChunk(lo, hi, limit, chunk)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -237,7 +237,7 @@ func TestScanChunkByteBudget(t *testing.T) {
 	f := newScanFixture(t, 600, rowBytes) // ~4.7 MiB
 	want := f.storeRows(t, nil, nil)
 	for name, c := range map[string]*Client{"in-process": f.inproc, "tcp": f.tcp} {
-		sc, err := c.NewScannerChunk(nil, nil, 0, 1<<62)
+		sc, err := c.newScannerChunk(nil, nil, 0, 1<<62)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,11 +63,11 @@ type chunkResult struct {
 // overlapping regions only, so the scan reads its own writes without
 // forcing unrelated regions' batches out early.
 func (c *Client) NewScanner(lo, hi []byte, limit int) (*Scanner, error) {
-	return c.NewScannerChunk(lo, hi, limit, DefaultScanChunk)
+	return c.newScannerChunk(lo, hi, limit, DefaultScanChunk)
 }
 
-// NewScannerChunk is NewScanner with an explicit rows-per-chunk size.
-func (c *Client) NewScannerChunk(lo, hi []byte, limit, chunk int) (*Scanner, error) {
+// newScannerChunk is NewScanner with an explicit rows-per-chunk size.
+func (c *Client) newScannerChunk(lo, hi []byte, limit, chunk int) (*Scanner, error) {
 	if c.closed {
 		return nil, ErrClientClosed
 	}

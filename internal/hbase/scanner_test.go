@@ -65,7 +65,7 @@ func TestScannerCrossRegionMidLimit(t *testing.T) {
 	cl, c := newTestCluster(t, 3, splits)
 	seedRows(t, c, 90)
 
-	sc, err := c.NewScannerChunk(nil, nil, 45, 7)
+	sc, err := c.newScannerChunk(nil, nil, 45, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestScannerCrossRegionMidLimit(t *testing.T) {
 	}
 
 	// A bounded, unlimited scan that starts and ends mid-region.
-	sc, err = c.NewScannerChunk(seedKey(10), seedKey(70), 0, 7)
+	sc, err = c.newScannerChunk(seedKey(10), seedKey(70), 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestScannerCrossRegionMidLimitTCP(t *testing.T) {
 	cl, c := newTCPCluster(t, 3, splits)
 	seedRows(t, c, 90)
 
-	sc, err := c.NewScannerChunk(nil, nil, 45, 5)
+	sc, err := c.newScannerChunk(nil, nil, 45, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestScannerCrossRegionMidLimitTCP(t *testing.T) {
 	if v, ok, err := getKey(c, seedKey(77)); err != nil || !ok || !bytes.Equal(v, seedVal(77)) {
 		t.Fatalf("read after scan = %q,%v,%v", v, ok, err)
 	}
-	sc, err = c.NewScannerChunk(seedKey(55), seedKey(65), 0, 3)
+	sc, err = c.newScannerChunk(seedKey(55), seedKey(65), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestScannerEarlyCloseReleasesSession(t *testing.T) {
 	cl, c := newTestCluster(t, 3, nil)
 	seedRows(t, c, 100)
 
-	sc, err := c.NewScannerChunk(nil, nil, 0, 8)
+	sc, err := c.newScannerChunk(nil, nil, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestScannerSnapshotUnderFlushCompact(t *testing.T) {
 	cl, c := newTestCluster(t, 3, nil)
 	seedRows(t, c, n)
 
-	sc, err := c.NewScannerChunk(nil, nil, 0, 8)
+	sc, err := c.newScannerChunk(nil, nil, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestScannerConcurrentIngestRace(t *testing.T) {
 	}()
 
 	for round := 0; round < 10; round++ {
-		sc, err := c.NewScannerChunk([]byte("s"), []byte("t"), 0, 16)
+		sc, err := c.newScannerChunk([]byte("s"), []byte("t"), 0, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

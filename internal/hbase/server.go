@@ -255,7 +255,7 @@ func (s *RegionServer) mutate(tr *tableRegion, batch []Mutation, parent telemetr
 		// A full catch-up queue is the replication layer's overload signal:
 		// surface it as the same retryable shed the handler queue produces.
 		if errors.Is(err, replication.ErrCatchUpFull) {
-			return s.shed(int64(tr.group.MaxQueueDepth()))
+			return s.shed(int64(tr.group.Stats().MaxQueue()))
 		}
 		return err
 	}

@@ -215,10 +215,8 @@ func (cl *Cluster) Health() HealthReport {
 		if lag := st.MaxLag(); lag > rep.QuorumLag {
 			rep.QuorumLag = lag
 		}
-		for _, q := range st.Queue {
-			if q > rep.CatchUpDepth {
-				rep.CatchUpDepth = q
-			}
+		if q := st.MaxQueue(); q > rep.CatchUpDepth {
+			rep.CatchUpDepth = q
 		}
 		for _, stopped := range st.Stopped {
 			if stopped {

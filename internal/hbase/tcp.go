@@ -54,17 +54,6 @@ func (st *tcpState) stop() {
 	}
 }
 
-// ServerAddrs returns the TCP address of each region server, index-aligned
-// with Servers(). Empty until ServeTCP.
-func (cl *Cluster) ServerAddrs() []string {
-	cl.mu.RLock()
-	defer cl.mu.RUnlock()
-	if cl.tcp == nil {
-		return nil
-	}
-	return append([]string(nil), cl.tcp.addrs...)
-}
-
 func (cl *Cluster) acceptLoop(st *tcpState, ln net.Listener, srv *RegionServer) {
 	defer st.wg.Done()
 	for {

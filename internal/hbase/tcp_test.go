@@ -53,8 +53,8 @@ func TestTCPRequiresServing(t *testing.T) {
 	if err := cl.ServeTCP(); err != nil {
 		t.Fatalf("idempotent ServeTCP: %v", err)
 	}
-	if addrs := cl.ServerAddrs(); len(addrs) != 3 {
-		t.Fatalf("ServerAddrs = %v", addrs)
+	if addrs := cl.tcp.addrs; len(addrs) != 3 {
+		t.Fatalf("server addresses = %v", addrs)
 	}
 }
 
@@ -386,9 +386,9 @@ func TestMutateRefusesBadKeysBeforeFanOut(t *testing.T) {
 	if err := cl.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < low.group.Factor(); i++ {
-		if err := low.group.MemberErr(i); err != nil {
-			t.Fatalf("member %d stopped: %v", i, err)
+	for i, stopped := range low.group.Stats().Stopped {
+		if stopped {
+			t.Fatalf("member %d stopped", i)
 		}
 		rep := low.replicas[i].Store()
 		if _, ok, _ := rep.Get([]byte("a")); ok {
@@ -402,7 +402,7 @@ func TestMutateRefusesBadKeysBeforeFanOut(t *testing.T) {
 	if err := c.Put(nil, v); !errors.Is(err, lsm.ErrBadKey) {
 		t.Fatalf("Put of an empty key = %v, want lsm.ErrBadKey", err)
 	}
-	if n := c.BufferedBytes(); n != 0 {
+	if n := c.buffered; n != 0 {
 		t.Fatalf("refused puts buffered %d bytes", n)
 	}
 	if err := low.info.CheckKeys([]Mutation{{Key: []byte("z")}}); !errors.Is(err, region.ErrOutOfRange) {

@@ -10,7 +10,6 @@ package histogram
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"sync"
@@ -335,11 +334,4 @@ func (s Snapshot) String() string {
 	return fmt.Sprintf("count=%d min=%d mean=%.1f p50=%d p95=%d p99=%d max=%d",
 		s.Count(), s.Min(), s.Mean(),
 		s.Percentile(50), s.Percentile(95), s.Percentile(99), s.Max())
-}
-
-// WriteTo writes the String rendering to w, implementing io.WriterTo so
-// report builders can stream snapshot lines without intermediate buffers.
-func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
-	n, err := io.WriteString(w, s.String())
-	return int64(n), err
 }

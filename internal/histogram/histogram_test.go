@@ -3,7 +3,6 @@ package histogram
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -199,7 +198,7 @@ func TestStringDoesNotPanic(t *testing.T) {
 	}
 }
 
-func TestStringAndWriteToRenderer(t *testing.T) {
+func TestStringRenderer(t *testing.T) {
 	h := New()
 	for i := int64(1); i <= 100; i++ {
 		h.Record(i)
@@ -210,14 +209,6 @@ func TestStringAndWriteToRenderer(t *testing.T) {
 		s.Percentile(50), s.Percentile(95), s.Percentile(99))
 	if line != want {
 		t.Fatalf("String() = %q, want %q", line, want)
-	}
-	var b strings.Builder
-	n, err := s.WriteTo(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != line || n != int64(len(line)) {
-		t.Fatalf("WriteTo wrote %q (%d bytes), want %q", b.String(), n, line)
 	}
 }
 

@@ -452,7 +452,7 @@ func Open(opts Options) (*Store, error) {
 	}
 
 	// Recover unflushed writes from the log, then open it for appending.
-	if err := wal.ReplayLog(filepath.Join(o.Dir, "wal"), s.elog, func(rec []byte) error {
+	if err := wal.Replay(filepath.Join(o.Dir, "wal"), s.elog, func(rec []byte) error {
 		return s.applyRecord(rec)
 	}); err != nil {
 		return nil, fmt.Errorf("lsm: wal recovery: %w", err)
@@ -495,7 +495,7 @@ func (s *Store) instrument(reg *telemetry.Registry, tags []telemetry.Tag) {
 	reg.Gauge("lsm.disk_read_bytes", func() int64 { return s.cache.Stats().DiskReadBytes }, tags...)
 	reg.Gauge("lsm.run_reads", func() int64 { return s.cache.Stats().RunReads }, tags...)
 	reg.Gauge("lsm.run_bytes", func() int64 { return s.cache.Stats().RunBytes }, tags...)
-	RegisterDerivedGauges(reg)
+	registerDerivedGauges(reg)
 }
 
 // tablePath names table id's file within the store directory.
@@ -825,42 +825,12 @@ func (s *Store) flushMemtable(imm *memtable.Memtable) error {
 }
 
 func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
-	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
-	s.mu.Unlock()
-
-	path := s.tablePath(id)
-	w, err := s.newTableWriter(path + tmpSuffix)
-	if err != nil {
-		return err
-	}
 	it := imm.NewIterator()
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		if err := w.Add(it.Key(), it.Value()); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	if err := w.Finish(); err != nil {
-		if errors.Is(err, sstable.ErrEmptyTable) {
-			// Nothing to persist; just clear the immutable slot.
-			s.mu.Lock()
-			s.imm = nil
-			s.flushCond.Broadcast()
-			s.mu.Unlock()
-			return nil
-		}
-		return err
-	}
-	if err := s.installTable(path); err != nil {
-		return err
-	}
-	r, err := sstable.OpenWithCache(path, s.cache)
+	it.SeekToFirst()
+	h, err := s.buildTable(it)
 	if err != nil {
 		return err
 	}
-	h := newTableHandle(id, path, r)
 
 	// The manifest commit is the transition: if it fails (or we crash before
 	// it) the renamed file is an unreferenced orphan, the WAL still holds the
@@ -886,14 +856,55 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 	return nil
 }
 
+// buildTable writes the rows src yields, in key order, to a new table file
+// under a fresh id, installs the file and opens it. Flush passes a
+// memtable iterator and compaction the merge of its inputs. The table is in
+// no manifest yet: until the caller's commit names it, it is an orphan.
+func (s *Store) buildTable(src iterator) (*tableHandle, error) {
+	s.mu.Lock()
+	id := s.nextID
+	s.nextID++
+	s.mu.Unlock()
+
+	path := s.tablePath(id)
+	w, err := s.newTableWriter(path + tmpSuffix)
+	if err != nil {
+		return nil, err
+	}
+	for ; src.Valid(); src.Next() {
+		if err := w.Add(src.Key(), src.Value()); err != nil {
+			w.Abort()
+			return nil, err
+		}
+	}
+	if e, ok := src.(errIterator); ok && e.Error() != nil {
+		w.Abort()
+		return nil, e.Error()
+	}
+	if err := w.Finish(); err != nil {
+		return nil, err
+	}
+	if err := s.installTable(path); err != nil {
+		return nil, err
+	}
+	r, err := sstable.OpenWithCache(path, s.cache)
+	if err != nil {
+		return nil, err
+	}
+	return newTableHandle(id, path, r), nil
+}
+
 // installTable renames a finished table into place and syncs the store
 // directory, so that the entry is durable before a manifest commit names
-// the table and the WAL that holds its rows is truncated.
+// the table and the WAL that holds its rows is truncated. A failed sync
+// fails the flush or compaction before that commit.
 func (s *Store) installTable(path string) error {
 	if err := os.Rename(path+tmpSuffix, path); err != nil {
 		return fmt.Errorf("lsm: install table: %w", err)
 	}
-	syncDir(s.opts.Dir)
+	if err := syncDir(s.opts.Dir); err != nil {
+		return fmt.Errorf("lsm: sync dir after table install: %w", err)
+	}
 	return nil
 }
 
@@ -984,15 +995,7 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	id := s.nextID
-	s.nextID++
 	s.mu.Unlock()
-
-	path := s.tablePath(id)
-	w, err := s.newTableWriter(path + tmpSuffix)
-	if err != nil {
-		return err
-	}
 
 	// Inputs are a contiguous span of the newest-first table list, in order,
 	// so the merge's "earlier source wins" rule preserves shadowing.
@@ -1002,28 +1005,10 @@ func (s *Store) compactPick(pick *compactionPick) error {
 		it.SeekToFirst()
 		iters[i] = it
 	}
-	merged := newMergeIterator(iters)
-	for ; merged.Valid(); merged.Next() {
-		if err := w.Add(merged.Key(), merged.Value()); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	if err := merged.Error(); err != nil {
-		w.Abort()
-		return err
-	}
-	if err := w.Finish(); err != nil {
-		return err
-	}
-	if err := s.installTable(path); err != nil {
-		return err
-	}
-	r, err := sstable.OpenWithCache(path, s.cache)
+	out, err := s.buildTable(newMergeIterator(iters))
 	if err != nil {
 		return err
 	}
-	out := newTableHandle(id, path, r)
 	// The merge read every input in full.
 	edit := manifestEdit{Added: []tableMeta{out.meta()}, Deleted: make([]uint64, 0, len(old))}
 	for _, t := range old {
@@ -1369,7 +1354,7 @@ func (s *Store) hotWindowTablesGauge() int64 {
 	return n
 }
 
-// RegisterDerivedGauges registers the cluster-level amplification ratios on
+// registerDerivedGauges registers the cluster-level amplification ratios on
 // reg as milli-unit gauges (a value of 3200 means 3.2×), read from the
 // registry's roll-ups: "lsm.write_amp_milli" is (wal.bytes + lsm.flush_bytes
 // + lsm.compact_write_bytes) over lsm.logical_bytes, and "lsm.read_amp_milli"
@@ -1377,7 +1362,7 @@ func (s *Store) hotWindowTablesGauge() int64 {
 // once-only (Registry.GaugeOnce): ratios must not be registered per store,
 // or a registry shared by N stores would report N× the true value. Open
 // calls this. Nil-safe.
-func RegisterDerivedGauges(reg *telemetry.Registry) {
+func registerDerivedGauges(reg *telemetry.Registry) {
 	reg.GaugeOnce("lsm.write_amp_milli", func() int64 {
 		l := reg.CounterValue("lsm.logical_bytes")
 		if l == 0 {

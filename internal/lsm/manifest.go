@@ -249,13 +249,21 @@ func (m *manifest) writeSnapshot(seq uint64, tables []tableMeta) error {
 		f.Close()
 		return fmt.Errorf("lsm: install CURRENT: %w", err)
 	}
-	syncDir(m.dir)
-
+	// CURRENT names the new file from here on, so the next edit must land
+	// in it even when the directory sync fails. The old file is removed only
+	// once the rename is durable: until then a power loss can bring back a
+	// CURRENT that names it.
+	serr := syncDir(m.dir)
 	if m.f != nil {
 		m.f.Close()
-		os.Remove(filepath.Join(m.dir, manifestName(m.seq)))
+		if serr == nil {
+			os.Remove(filepath.Join(m.dir, manifestName(m.seq)))
+		}
 	}
 	m.f, m.seq, m.records = f, seq, 1
+	if serr != nil {
+		return fmt.Errorf("lsm: sync dir after CURRENT: %w", serr)
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -299,11 +300,10 @@ func TestTableRenameSyncedBeforeManifestCommit(t *testing.T) {
 	// the store directory first found the file renamed into place.
 	var mu sync.Mutex
 	syncedAt := map[string]int64{}
-	defer func(orig func(string)) { syncDir = orig }(syncDir)
-	syncDir = func(d string) {
-		wal.SyncDir(d)
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	syncDir = func(d string) error {
 		if d != dir {
-			return
+			return wal.SyncDir(d)
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -313,11 +313,12 @@ func TestTableRenameSyncedBeforeManifestCommit(t *testing.T) {
 				fi, err := os.Stat(manifest)
 				if err != nil {
 					t.Error(err)
-					return
+					break
 				}
 				syncedAt[name] = fi.Size()
 			}
 		}
+		return wal.SyncDir(d)
 	}
 
 	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
@@ -362,4 +363,48 @@ func TestTableRenameSyncedBeforeManifestCommit(t *testing.T) {
 	if committed != 3 {
 		t.Fatalf("manifest names %d tables, want 2 flushes and 1 compaction output", committed)
 	}
+}
+
+// TestFailedDirSyncFailsFlush: when the store directory's sync after a
+// table's rename fails, the flush fails before its manifest commit, and
+// every acknowledged row still comes back after Close and reopen.
+func TestFailedDirSyncFailsFlush(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, WALSync: wal.SyncOnAppend, DisableAutoFlush: true}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putKeys(t, s, 0, 10)
+
+	sentinel := errors.New("directory sync failed")
+	orig := syncDir
+	defer func() { syncDir = orig }()
+	syncDir = func(d string) error {
+		if d == dir {
+			return sentinel
+		}
+		return orig(d)
+	}
+	if err := s.Flush(); !errors.Is(err, sentinel) {
+		t.Fatalf("Flush with a failing directory sync = %v, want %v", err, sentinel)
+	}
+	live, _, err := replayManifest(filepath.Join(dir, manifestName(1)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live) != 0 {
+		t.Fatalf("manifest names %d tables after the failed flush, want 0", len(live))
+	}
+
+	syncDir = orig
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	checkKeys(t, again, 10)
 }

@@ -80,7 +80,7 @@ func TestQuorumAckDoesNotWaitForStraggler(t *testing.T) {
 	p, r1 := newMapApplier(), newMapApplier()
 	straggler := newGatedApplier()
 	straggler.Block()
-	g := NewGroup(p, r1, straggler)
+	g := NewGroup(Options{}, p, r1, straggler)
 	defer g.Close()
 
 	done := make(chan error, 1)
@@ -95,17 +95,18 @@ func TestQuorumAckDoesNotWaitForStraggler(t *testing.T) {
 	}
 
 	// The ack happened while the straggler is still behind.
-	if g.CommitSeq() != 1 {
-		t.Fatalf("commit = %d, want 1", g.CommitSeq())
+	st := g.Stats()
+	if st.Commit != 1 {
+		t.Fatalf("commit = %d, want 1", st.Commit)
 	}
-	if g.MemberApplied(2) != 0 {
+	if st.Applied[2] != 0 {
 		t.Fatal("straggler advanced while blocked")
 	}
-	if g.QuorumLag() == 0 {
+	if st.MaxLag() == 0 {
 		t.Fatal("quorum lag not visible while the straggler is behind")
 	}
-	if d := g.QueueDepth(2); d != 1 {
-		t.Fatalf("straggler queue depth = %d, want 1", d)
+	if st.Queue[2] != 1 || st.MaxQueue() != 1 {
+		t.Fatalf("straggler queue depth = %d (max %d), want 1", st.Queue[2], st.MaxQueue())
 	}
 
 	straggler.Unblock()
@@ -115,8 +116,8 @@ func TestQuorumAckDoesNotWaitForStraggler(t *testing.T) {
 	if _, _, data := straggler.snapshot(); data["k"] != "v" {
 		t.Fatal("straggler never converged")
 	}
-	if g.QuorumLag() != 0 {
-		t.Fatalf("quorum lag %d after convergence", g.QuorumLag())
+	if lag := g.Stats().MaxLag(); lag != 0 {
+		t.Fatalf("quorum lag %d after convergence", lag)
 	}
 }
 
@@ -127,7 +128,7 @@ func TestCatchUpDrainsInWALOrder(t *testing.T) {
 	p, r1 := newMapApplier(), newMapApplier()
 	straggler := newGatedApplier()
 	straggler.Block()
-	g := NewGroupOptions(Options{MaxQueue: batches + 1}, p, r1, straggler)
+	g := NewGroup(Options{MaxQueue: batches + 1}, p, r1, straggler)
 	defer g.Close()
 
 	for i := 0; i < batches; i++ {
@@ -139,7 +140,7 @@ func TestCatchUpDrainsInWALOrder(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	if d := g.QueueDepth(2); d != batches {
+	if d := g.Stats().Queue[2]; d != batches {
 		t.Fatalf("straggler retained %d batches, want %d", d, batches)
 	}
 
@@ -160,7 +161,7 @@ func TestCatchUpDrainsInWALOrder(t *testing.T) {
 	if len(data) != 2*batches {
 		t.Fatalf("straggler holds %d keys, want %d", len(data), 2*batches)
 	}
-	if got, want := g.MemberApplied(2), uint64(batches); got != want {
+	if got, want := g.Stats().Applied[2], uint64(batches); got != want {
 		t.Fatalf("straggler watermark %d, want %d", got, want)
 	}
 }
@@ -218,7 +219,7 @@ func TestStragglerCrashRestartReplaysToWatermark(t *testing.T) {
 		err:    errors.New("injected crash"),
 	}
 
-	g := NewGroup(storeMember{p}, storeMember{r1}, flaky)
+	g := NewGroup(Options{}, storeMember{p}, storeMember{r1}, flaky)
 	for i := 0; i < total; i++ {
 		if err := put(g, fmt.Sprintf("k%03d", i), fmt.Sprintf("v%03d", i)); err != nil {
 			t.Fatalf("put %d failed despite a healthy quorum: %v", i, err)
@@ -227,18 +228,19 @@ func TestStragglerCrashRestartReplaysToWatermark(t *testing.T) {
 
 	// Let the straggler hit its crash point, then observe the stop.
 	deadline := time.Now().Add(5 * time.Second)
-	for g.MemberErr(2) == nil {
+	for !g.Stats().Stopped[2] {
 		if time.Now().After(deadline) {
 			t.Fatal("straggler never crashed")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if g.MemberApplied(2) != crashAfter {
-		t.Fatalf("crashed at watermark %d, want %d", g.MemberApplied(2), crashAfter)
+	st := g.Stats()
+	if st.Applied[2] != crashAfter {
+		t.Fatalf("crashed at watermark %d, want %d", st.Applied[2], crashAfter)
 	}
 	// The retained queue resumes exactly at the watermark: every batch the
 	// member never durably applied is still queued.
-	if d := g.QueueDepth(2); d != total-crashAfter {
+	if d := st.Queue[2]; d != total-crashAfter {
 		t.Fatalf("retained queue %d batches, want %d", d, total-crashAfter)
 	}
 
@@ -254,7 +256,7 @@ func TestStragglerCrashRestartReplaysToWatermark(t *testing.T) {
 	if err := g.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := g.MemberApplied(2), uint64(total); got != want {
+	if got, want := g.Stats().Applied[2], uint64(total); got != want {
 		t.Fatalf("replayed to %d, want %d", got, want)
 	}
 
@@ -281,51 +283,6 @@ func TestStragglerCrashRestartReplaysToWatermark(t *testing.T) {
 	}
 }
 
-// (d) Reads routed to a lagging member must wait for its applied watermark
-// to reach the commit watermark — or time out with ErrLagging so the caller
-// redirects to the primary.
-func TestLaggingMemberReadGate(t *testing.T) {
-	p, r1 := newMapApplier(), newMapApplier()
-	straggler := newGatedApplier()
-	straggler.Block()
-	g := NewGroup(p, r1, straggler)
-	defer g.Close()
-
-	if err := put(g, "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if g.CaughtUp(2) {
-		t.Fatal("blocked member reports caught up")
-	}
-	// The primary is always read-safe: quorum includes it by construction.
-	if !g.CaughtUp(0) {
-		t.Fatal("primary behind its own quorum ack")
-	}
-	if err := g.WaitCaughtUp(2, 20*time.Millisecond); !errors.Is(err, ErrLagging) {
-		t.Fatalf("lagging read gate returned %v, want ErrLagging", err)
-	}
-
-	// Release the straggler while a reader is parked on the gate.
-	done := make(chan error, 1)
-	go func() { done <- g.WaitCaughtUp(2, -1) }()
-	time.Sleep(5 * time.Millisecond)
-	straggler.Unblock()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("gate did not open on catch-up: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("read gate never opened")
-	}
-	if !g.CaughtUp(2) {
-		t.Fatal("member still lagging after the gate opened")
-	}
-	if _, _, data := straggler.snapshot(); data["k"] != "v" {
-		t.Fatal("gated read would miss the acknowledged write")
-	}
-}
-
 // A stalled straggler fills its bounded catch-up queue; the group then
 // refuses new writes with ErrCatchUpFull instead of queueing unboundedly.
 func TestFullCatchUpQueueRefusesWrites(t *testing.T) {
@@ -333,7 +290,7 @@ func TestFullCatchUpQueueRefusesWrites(t *testing.T) {
 	p, r1 := newMapApplier(), newMapApplier()
 	straggler := newGatedApplier()
 	straggler.Block()
-	g := NewGroupOptions(Options{MaxQueue: maxQueue}, p, r1, straggler)
+	g := NewGroup(Options{MaxQueue: maxQueue}, p, r1, straggler)
 	defer g.Close()
 
 	// The straggler's worker may pull the head batch out of the queue and
@@ -382,14 +339,14 @@ func TestRestartReplayDoesNotDoubleAck(t *testing.T) {
 	}
 	flaky.store, flaky.tripAt, flaky.err = s, 0, errors.New("down from the start")
 
-	g := NewGroup(p, r1, flaky)
+	g := NewGroup(Options{}, p, r1, flaky)
 	for i := 0; i < 10; i++ {
 		if err := put(g, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for g.MemberErr(2) == nil {
+	for !g.Stats().Stopped[2] {
 		if time.Now().After(deadline) {
 			t.Fatal("member never stopped")
 		}
@@ -405,11 +362,8 @@ func TestRestartReplayDoesNotDoubleAck(t *testing.T) {
 	if err := g.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.MemberApplied(2); got != 10 {
-		t.Fatalf("replayed to %d, want 10", got)
-	}
-	if g.CommitSeq() != 10 {
-		t.Fatalf("commit = %d, want 10", g.CommitSeq())
+	if st := g.Stats(); st.Applied[2] != 10 || st.Commit != 10 {
+		t.Fatalf("replayed to %d, commit %d: want 10 and 10", st.Applied[2], st.Commit)
 	}
 	if err := g.Close(); err != nil {
 		t.Fatal(err)

@@ -17,18 +17,17 @@
 // stragglers) catch up asynchronously from their queues, off the caller's
 // critical path.
 //
-// Watermarks make the divergence observable and safe:
+// Watermarks make the divergence observable; Stats snapshots them as
+// GroupStats:
 //
-//   - the group keeps each member's applied high-water mark (the last
-//     sequence it durably applied; MemberApplied, Stats);
-//   - it carries a commit watermark (the highest sequence
-//     acknowledged at quorum).
+//   - each member's applied high-water mark (the last sequence it durably
+//     applied; GroupStats.Applied);
+//   - the commit watermark (the highest sequence acknowledged at quorum;
+//     GroupStats.Commit).
 //
 // Because the primary is required for quorum, primary.applied >= commit
-// always holds — reads served by the primary see every acknowledged write.
-// A replica may lag: CaughtUp/WaitCaughtUp gate reads-from-replica behind
-// the applied-watermark check (wait until the member reaches the commit
-// watermark, or redirect to the primary).
+// always holds. Every read is served by the primary, so reads see every
+// acknowledged write; replicas exist for durability only.
 //
 // The catch-up queue is bounded. When any member's queue is full the group
 // refuses new batches with ErrCatchUpFull — a retryable overload signal the
@@ -45,7 +44,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/telemetry"
@@ -60,7 +58,6 @@ const DefaultMaxQueue = 256
 
 // Sentinel errors.
 var (
-	ErrFactorTooLow  = errors.New("replication: factor below requirement")
 	ErrShortPipeline = errors.New("replication: fewer appliers than the factor requires")
 	// ErrCatchUpFull is returned when a member's bounded catch-up queue is
 	// full: the group refuses the batch rather than queueing unboundedly.
@@ -68,9 +65,6 @@ var (
 	ErrCatchUpFull = errors.New("replication: catch-up queue full")
 	// ErrClosed is returned by writes against a closed group.
 	ErrClosed = errors.New("replication: group closed")
-	// ErrLagging is returned by WaitCaughtUp when the member does not reach
-	// the commit watermark within the timeout.
-	ErrLagging = errors.New("replication: member lagging behind commit watermark")
 	// ErrMemberRunning is returned by RestartMember for a member whose
 	// worker is still draining.
 	ErrMemberRunning = errors.New("replication: member worker still running")
@@ -145,7 +139,7 @@ type member struct {
 	applied atomic.Uint64 // high-water mark: last sequence durably applied
 }
 
-// bumpLocked wakes watermark watchers. Caller holds m.mu.
+// bumpLocked wakes Quiesce waiters. Caller holds m.mu.
 func (m *member) bumpLocked() {
 	close(m.advance)
 	m.advance = make(chan struct{})
@@ -250,16 +244,11 @@ func (st *ackState) resolveLocked() {
 	close(st.done)
 }
 
-// NewGroup builds a pipeline with default options (majority quorum,
-// DefaultMaxQueue). The first member is the primary; the number of members
-// is the replication factor. Member workers start immediately — Close the
+// NewGroup builds a pipeline. The first member is the primary; the number
+// of members is the replication factor. The zero Options select a majority
+// quorum and DefaultMaxQueue. Member workers start immediately — Close the
 // group to stop them and drain the catch-up queues.
-func NewGroup(primary Applier, replicas ...Applier) *Group {
-	return NewGroupOptions(Options{}, primary, replicas...)
-}
-
-// NewGroupOptions is NewGroup with explicit quorum and queue-bound options.
-func NewGroupOptions(o Options, primary Applier, replicas ...Applier) *Group {
+func NewGroup(o Options, primary Applier, replicas ...Applier) *Group {
 	n := 1 + len(replicas)
 	if o.Quorum <= 0 {
 		o.Quorum = MajorityQuorum(n)
@@ -340,12 +329,6 @@ func (g *Group) runMember(m *member) {
 		}
 	}
 }
-
-// Factor returns the group's replication factor (pipeline length).
-func (g *Group) Factor() int { return len(g.members) }
-
-// Quorum returns how many members must apply before a write acks.
-func (g *Group) Quorum() int { return g.quorum }
 
 // Instrument resolves the group's counters and stage timers from the
 // registry: replication.acks / quorum_acks / catchup_batches / catchup_full
@@ -449,99 +432,6 @@ func (g *Group) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 		}
 	}
 	return nil
-}
-
-// CommitSeq returns the commit watermark: the highest sequence acknowledged
-// at quorum.
-func (g *Group) CommitSeq() uint64 { return g.commit.Load() }
-
-// MemberApplied returns member i's applied high-water mark.
-func (g *Group) MemberApplied(i int) uint64 { return g.members[i].applied.Load() }
-
-// MemberErr returns the error that stopped member i's worker, if any.
-func (g *Group) MemberErr(i int) error {
-	m := g.members[i]
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
-}
-
-// QueueDepth returns member i's catch-up queue depth in batches.
-func (g *Group) QueueDepth(i int) int {
-	m := g.members[i]
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue)
-}
-
-// MaxQueueDepth returns the deepest member catch-up queue — the group's
-// straggler depth.
-func (g *Group) MaxQueueDepth() int {
-	max := 0
-	for i := range g.members {
-		if d := g.QueueDepth(i); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// QuorumLag returns how far the slowest member trails the commit watermark,
-// in batches (sequence numbers).
-func (g *Group) QuorumLag() uint64 {
-	commit := g.commit.Load()
-	var lag uint64
-	for _, m := range g.members {
-		if a := m.applied.Load(); a < commit && commit-a > lag {
-			lag = commit - a
-		}
-	}
-	return lag
-}
-
-// CaughtUp reports whether member i's applied watermark has reached the
-// commit watermark — the gate for serving reads from that member. The
-// primary is always caught up (it is required for quorum).
-func (g *Group) CaughtUp(i int) bool {
-	return g.members[i].applied.Load() >= g.commit.Load()
-}
-
-// WaitCaughtUp blocks until member i reaches the commit watermark observed
-// at call time, the read-your-writes gate for reads-from-replica. A
-// negative timeout waits indefinitely; on expiry it returns ErrLagging
-// (wrapped), telling the caller to redirect to the primary. A stopped
-// member returns its apply error immediately.
-func (g *Group) WaitCaughtUp(i int, timeout time.Duration) error {
-	m := g.members[i]
-	target := g.commit.Load()
-	var timeC <-chan time.Time
-	if timeout >= 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timeC = timer.C
-	}
-	for {
-		if m.applied.Load() >= target {
-			return nil
-		}
-		m.mu.Lock()
-		if m.applied.Load() >= target {
-			m.mu.Unlock()
-			return nil
-		}
-		if m.err != nil {
-			err := m.err
-			m.mu.Unlock()
-			return fmt.Errorf("replication: member %d: %w", i, err)
-		}
-		ch := m.advance
-		m.mu.Unlock()
-		select {
-		case <-ch:
-		case <-timeC:
-			return fmt.Errorf("replication: member %d: %w", i, ErrLagging)
-		}
-	}
 }
 
 // Quiesce blocks until every member drained its catch-up queue (all
@@ -652,6 +542,18 @@ func (s GroupStats) MaxLag() uint64 {
 	return lag
 }
 
+// MaxQueue returns the snapshot's deepest member catch-up queue, in
+// batches: the group's straggler depth.
+func (s GroupStats) MaxQueue() int {
+	max := 0
+	for _, q := range s.Queue {
+		if q > max {
+			max = q
+		}
+	}
+	return max
+}
+
 // Stats snapshots the group.
 func (g *Group) Stats() GroupStats {
 	g.mu.Lock()
@@ -670,35 +572,6 @@ func (g *Group) Stats() GroupStats {
 		m.mu.Unlock()
 	}
 	return st
-}
-
-// Primary returns the first pipeline member's applier.
-func (g *Group) Primary() Applier {
-	m := g.members[0]
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.app
-}
-
-// Replicas returns the non-primary members' appliers.
-func (g *Group) Replicas() []Applier {
-	out := make([]Applier, 0, len(g.members)-1)
-	for _, m := range g.members[1:] {
-		m.mu.Lock()
-		out = append(out, m.app)
-		m.mu.Unlock()
-	}
-	return out
-}
-
-// CheckFactor returns nil when the group meets the required factor. This is
-// the check the benchmark driver runs before the warmup (Figure 6's "data
-// replication check").
-func (g *Group) CheckFactor(required int) error {
-	if g.Factor() < required {
-		return fmt.Errorf("%w: have %d, require %d", ErrFactorTooLow, g.Factor(), required)
-	}
-	return nil
 }
 
 // Placement computes replica placement for region r of table with n nodes:

@@ -37,13 +37,10 @@ func put(g *Group, key, value string) error {
 
 func TestPutReachesAllMembers(t *testing.T) {
 	p, r1, r2 := newMapApplier(), newMapApplier(), newMapApplier()
-	g := NewGroup(p, r1, r2)
+	g := NewGroup(Options{}, p, r1, r2)
 	defer g.Close()
-	if g.Factor() != 3 {
-		t.Fatalf("Factor = %d, want 3", g.Factor())
-	}
-	if g.Quorum() != 2 {
-		t.Fatalf("Quorum = %d, want 2", g.Quorum())
+	if st := g.Stats(); len(st.Applied) != 3 || st.Quorum != 2 {
+		t.Fatalf("factor %d quorum %d, want 3 and 2", len(st.Applied), st.Quorum)
 	}
 	if err := put(g, "k", "v"); err != nil {
 		t.Fatal(err)
@@ -60,7 +57,7 @@ func TestPutReachesAllMembers(t *testing.T) {
 
 func TestOverwriteReachesAllMembers(t *testing.T) {
 	p, r1, r2 := newMapApplier(), newMapApplier(), newMapApplier()
-	g := NewGroup(p, r1, r2)
+	g := NewGroup(Options{}, p, r1, r2)
 	defer g.Close()
 	put(g, "k", "v")
 	if err := put(g, "k", "v2"); err != nil {
@@ -78,34 +75,12 @@ func TestMemberFailurePropagates(t *testing.T) {
 	p, r1 := newMapApplier(), newMapApplier()
 	sentinel := errors.New("disk gone")
 	r1.fail = sentinel
-	g := NewGroup(p, r1)
+	g := NewGroup(Options{}, p, r1)
 	if err := put(g, "k", "v"); !errors.Is(err, sentinel) {
 		t.Fatalf("replica failure not surfaced: %v", err)
 	}
 	if err := put(g, "k", "v2"); !errors.Is(err, sentinel) {
 		t.Fatalf("replica failure not surfaced on the next write: %v", err)
-	}
-}
-
-func TestCheckFactor(t *testing.T) {
-	g := NewGroup(newMapApplier(), newMapApplier(), newMapApplier())
-	if err := g.CheckFactor(DefaultFactor); err != nil {
-		t.Fatalf("3-way group failed the factor check: %v", err)
-	}
-	small := NewGroup(newMapApplier())
-	if err := small.CheckFactor(DefaultFactor); !errors.Is(err, ErrFactorTooLow) {
-		t.Fatalf("1-way group passed the factor check: %v", err)
-	}
-}
-
-func TestPrimaryAndReplicas(t *testing.T) {
-	p, r1, r2 := newMapApplier(), newMapApplier(), newMapApplier()
-	g := NewGroup(p, r1, r2)
-	if g.Primary() != Applier(p) {
-		t.Fatal("Primary is not the first member")
-	}
-	if len(g.Replicas()) != 2 {
-		t.Fatalf("Replicas = %d members", len(g.Replicas()))
 	}
 }
 
@@ -166,17 +141,16 @@ func TestPipelineOrdering(t *testing.T) {
 	p, r1 := newMapApplier(), newMapApplier()
 	sentinel := errors.New("primary down")
 	p.fail = sentinel
-	g := NewGroup(p, r1)
+	g := NewGroup(Options{}, p, r1)
 	defer g.Close()
 	if err := put(g, "k", "v"); !errors.Is(err, sentinel) {
 		t.Fatal("primary failure not surfaced")
 	}
-	g.Quiesce()
-	if err := g.MemberErr(0); !errors.Is(err, sentinel) {
+	if err := g.Quiesce(); !errors.Is(err, sentinel) {
 		t.Fatalf("primary standing error = %v, want %v", err, sentinel)
 	}
-	if got := g.CommitSeq(); got != 0 {
-		t.Fatalf("commit watermark advanced to %d past a failed primary", got)
+	if st := g.Stats(); !st.Stopped[0] || st.Commit != 0 {
+		t.Fatalf("primary stopped %v, commit %d: want stopped and no commit past a failed primary", st.Stopped[0], st.Commit)
 	}
 }
 
@@ -188,13 +162,10 @@ func TestGroupWithManyMembers(t *testing.T) {
 		members[i] = newMapApplier()
 		appliers[i-1] = members[i]
 	}
-	g := NewGroup(members[0], appliers...)
+	g := NewGroup(Options{}, members[0], appliers...)
 	defer g.Close()
-	if g.Factor() != 5 {
-		t.Fatalf("Factor = %d", g.Factor())
-	}
-	if g.Quorum() != 3 {
-		t.Fatalf("Quorum = %d, want 3", g.Quorum())
+	if st := g.Stats(); len(st.Applied) != 5 || st.Quorum != 3 {
+		t.Fatalf("factor %d quorum %d, want 5 and 3", len(st.Applied), st.Quorum)
 	}
 	for i := 0; i < 100; i++ {
 		if err := put(g, fmt.Sprintf("k%d", i), "v"); err != nil {
@@ -202,7 +173,7 @@ func TestGroupWithManyMembers(t *testing.T) {
 		}
 	}
 	g.Quiesce()
-	if lag := g.QuorumLag(); lag != 0 {
+	if lag := g.Stats().MaxLag(); lag != 0 {
 		t.Fatalf("quorum lag %d after quiesce", lag)
 	}
 	for i, m := range members {
@@ -222,7 +193,7 @@ func testBatch(n int) []lsm.Write {
 
 func TestApplyBatchReachesAllMembersInOneRound(t *testing.T) {
 	members := []*mapApplier{newMapApplier(), newMapApplier(), newMapApplier()}
-	g := NewGroup(members[0], members[1], members[2])
+	g := NewGroup(Options{}, members[0], members[1], members[2])
 	defer g.Close()
 	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(50)); err != nil {
 		t.Fatal(err)
@@ -239,7 +210,7 @@ func TestApplyBatchReachesAllMembersInOneRound(t *testing.T) {
 }
 
 func TestApplyBatchEmptyIsNoOp(t *testing.T) {
-	g := NewGroup(newMapApplier(), newMapApplier())
+	g := NewGroup(Options{}, newMapApplier(), newMapApplier())
 	if err := g.ApplyBatch(telemetry.TSpan{}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +222,7 @@ func TestApplyBatchMemberFailureWins(t *testing.T) {
 	p, r1, r2 := newMapApplier(), newMapApplier(), newMapApplier()
 	sentinel := errors.New("replica disk gone")
 	r1.fail = sentinel
-	g := NewGroupOptions(Options{Quorum: 3}, p, r1, r2)
+	g := NewGroup(Options{Quorum: 3}, p, r1, r2)
 	defer g.Close()
 	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(5)); !errors.Is(err, sentinel) {
 		t.Fatalf("member failure not surfaced: %v", err)
@@ -269,26 +240,25 @@ func TestApplyBatchQuorumToleratesReplicaFailure(t *testing.T) {
 	p, r1, r2 := newMapApplier(), newMapApplier(), newMapApplier()
 	sentinel := errors.New("replica disk gone")
 	r1.fail = sentinel
-	g := NewGroup(p, r1, r2)
+	g := NewGroup(Options{}, p, r1, r2)
 	defer g.Close()
 	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(5)); err != nil {
 		t.Fatalf("quorum write failed despite a healthy majority: %v", err)
 	}
-	g.Quiesce()
+	if err := g.Quiesce(); !errors.Is(err, sentinel) {
+		t.Fatalf("failed member's standing error = %v, want %v", err, sentinel)
+	}
 	if len(p.data) != 5 || len(r2.data) != 5 {
 		t.Fatalf("healthy members hold %d/%d keys, want 5/5", len(p.data), len(r2.data))
 	}
-	if err := g.MemberErr(1); !errors.Is(err, sentinel) {
-		t.Fatalf("failed member's standing error = %v, want %v", err, sentinel)
-	}
-	if g.CommitSeq() != 1 {
-		t.Fatalf("commit = %d, want 1", g.CommitSeq())
+	if st := g.Stats(); !st.Stopped[1] || st.Commit != 1 {
+		t.Fatalf("member 1 stopped %v, commit %d: want stopped and commit 1", st.Stopped[1], st.Commit)
 	}
 }
 
 func TestApplyBatchSingleMember(t *testing.T) {
 	p := newMapApplier()
-	g := NewGroup(p)
+	g := NewGroup(Options{}, p)
 	if err := g.ApplyBatch(telemetry.TSpan{}, testBatch(7)); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,6 @@ type HealthSampler struct {
 	goroutines   atomic.Int64
 	gcCount      atomic.Int64 // cumulative GC cycles
 	gcPauseTotal atomic.Int64 // cumulative stop-the-world ns
-	samples      atomic.Int64
 
 	pauseHist *histogram.Histogram // gc.pause distribution, ns
 
@@ -139,15 +138,6 @@ func (h *HealthSampler) record(ms *runtime.MemStats) {
 		h.pauseHist.Record(int64(ms.PauseNs[i%uint32(len(ms.PauseNs))]))
 	}
 	h.lastNumGC = ms.NumGC
-	h.samples.Add(1)
-}
-
-// Samples reports how many readings have been taken; 0 on nil.
-func (h *HealthSampler) Samples() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.samples.Load()
 }
 
 // Stop halts the sampling goroutine and waits for it to exit. Idempotent

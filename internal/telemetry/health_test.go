@@ -22,9 +22,6 @@ func TestHealthSamplerGauges(t *testing.T) {
 	h := StartHealthSampler(reg, time.Hour)
 	defer h.Stop()
 
-	if h.Samples() < 1 {
-		t.Fatal("no initial sample taken at start")
-	}
 	for _, name := range []string{
 		"runtime.heap_alloc_bytes",
 		"runtime.heap_sys_bytes",
@@ -37,6 +34,8 @@ func TestHealthSamplerGauges(t *testing.T) {
 			t.Errorf("gauge %s not registered", name)
 		}
 	}
+	// Gauges serve the cached readings, so nonzero values show that the
+	// sampler took its first reading at start.
 	if v, _ := gaugeByName(reg, "runtime.heap_alloc_bytes"); v <= 0 {
 		t.Errorf("heap_alloc_bytes = %d, want > 0", v)
 	}
@@ -46,12 +45,6 @@ func TestHealthSamplerGauges(t *testing.T) {
 	// statm is always present on Linux, where CI runs.
 	if v, _ := gaugeByName(reg, "runtime.rss_bytes"); v <= 0 {
 		t.Errorf("rss_bytes = %d, want > 0 on linux", v)
-	}
-
-	before := h.Samples()
-	h.Sample()
-	if got := h.Samples(); got != before+1 {
-		t.Errorf("samples = %d after explicit Sample, want %d", got, before+1)
 	}
 }
 
@@ -92,9 +85,6 @@ func TestHealthSamplerNil(t *testing.T) {
 	// telemetry is off.
 	h.Sample()
 	h.Stop()
-	if h.Samples() != 0 {
-		t.Error("nil sampler reported samples")
-	}
 }
 
 func TestHealthSamplerStopIdempotent(t *testing.T) {

@@ -131,22 +131,6 @@ func MountHealth(mux *http.ServeMux, pattern string, check func() (doc any, ok b
 	})
 }
 
-// Serve starts the observability HTTP server on addr (e.g. ":9090" or
-// "127.0.0.1:0") in a background goroutine and returns the server and the
-// bound address. The caller owns shutdown via srv.Close.
-func Serve(addr string, r *Registry) (*http.Server, net.Addr, error) {
-	return ServeTraced(addr, r, nil)
-}
-
-// ServeTraced is Serve with the /trace endpoint mounted too: the tracer's
-// completed-trace buffer as Chrome trace-event JSON. A nil tracer serves an
-// empty document.
-func ServeTraced(addr string, r *Registry, t *Tracer) (*http.Server, net.Addr, error) {
-	mux := NewServeMux(r)
-	MountTrace(mux, t)
-	return ServeMux(addr, mux)
-}
-
 // ServeMux starts the observability HTTP server on addr with a caller-built
 // mux — NewServeMux plus whatever MountTrace/MountJSON/MountHealth endpoints
 // the caller added — in a background goroutine, returning the server and the

@@ -12,7 +12,7 @@ func TestLoggerJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelInfo)
 
-	l.Debug("below the floor") // filtered
+	l.emit(LevelDebug, "below the floor", nil) // filtered
 	l.Info("segment opened", F("segment", "wal-000001.log"))
 	l.Warn("torn tail", F("records_replayed", 42), F("err", errors.New("checksum mismatch")))
 

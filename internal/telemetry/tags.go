@@ -88,14 +88,3 @@ func SplitTagged(full string) (base string, tags []Tag) {
 	}
 	return base, tags
 }
-
-// TagValue returns the value of key in full's tag set, or "" when absent.
-func TagValue(full, key string) string {
-	_, tags := SplitTagged(full)
-	for _, t := range tags {
-		if t.Key == key {
-			return t.Value
-		}
-	}
-	return ""
-}

@@ -37,12 +37,6 @@ func TestSplitTaggedRoundTrip(t *testing.T) {
 	if len(got) != 2 || got[0] != tags[0] || got[1] != tags[1] {
 		t.Fatalf("tags = %v, want %v", got, tags)
 	}
-	if v := TagValue(full, "region"); v != "iot,00001" {
-		t.Fatalf("TagValue(region) = %q", v)
-	}
-	if v := TagValue(full, "missing"); v != "" {
-		t.Fatalf("TagValue(missing) = %q", v)
-	}
 
 	// Untagged names pass through.
 	base, got = SplitTagged("wal.appends")

@@ -100,7 +100,6 @@ type Tracer struct {
 	ringCap int
 	next    int
 	slow    []*Trace // most recent slow traces, bounded by slowCap
-	total   int64    // completed traces ever recorded
 }
 
 // slowCap bounds the retained slow-trace list.
@@ -267,7 +266,6 @@ func (o *OpTrace) finishRoot(root SpanRecord) {
 		}
 		t.slow = append(t.slow, tr)
 	}
-	t.total++
 	t.mu.Unlock()
 
 	if slow {
@@ -302,16 +300,6 @@ func (t *Tracer) SlowTraces() []*Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]*Trace(nil), t.slow...)
-}
-
-// CompletedCount reports how many traces have finished since start.
-func (t *Tracer) CompletedCount() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // SlowOpThreshold reports the active slow-op threshold and whether the slow

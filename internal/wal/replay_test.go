@@ -152,7 +152,7 @@ func TestTornTailLastVersusEarlierSegment(t *testing.T) {
 			if err := os.WriteFile(seg, s.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := Replay(dir, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+			if err := Replay(dir, nil, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("earlier segment: %v, want ErrCorrupt", err)
 			}
 		})

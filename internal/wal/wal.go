@@ -21,6 +21,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"tpcxiot/internal/telemetry"
 )
@@ -193,7 +194,10 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 		return fmt.Errorf("wal: open segment: %w", err)
 	}
 	if l.opts.Sync != SyncNever {
-		SyncDir(l.opts.Dir)
+		if err := SyncDir(l.opts.Dir); err != nil {
+			f.Close()
+			return fmt.Errorf("wal: sync dir after segment create: %w", err)
+		}
 	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 256<<10)
@@ -317,12 +321,6 @@ func (l *Log) groupSync(myOffset int64, trace telemetry.TSpan) error {
 	return nil
 }
 
-// GroupCommitStats reports fsyncs performed by group-commit leaders and
-// appends whose durability was covered by another writer's fsync.
-func (l *Log) GroupCommitStats() (syncs, shared int64) {
-	return l.groupSyncs.Load(), l.groupShared.Load()
-}
-
 // Bytes is the log volume appended: every record plus its framing header.
 func (l *Log) Bytes() int64 { return l.bytes.Load() }
 
@@ -390,13 +388,6 @@ func (l *Log) ActiveSegment() uint64 {
 	return l.seq
 }
 
-// SegmentCount returns the number of live segment files.
-func (l *Log) SegmentCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segments)
-}
-
 // Truncate removes all segments with sequence numbers strictly below upTo.
 // The engine calls it after flushing memstore contents covered by those
 // segments. The active segment is never removed. The directory is synced
@@ -418,10 +409,13 @@ func (l *Log) Truncate(upTo uint64) error {
 			return fmt.Errorf("wal: remove segment %d: %w", seq, err)
 		}
 	}
-	if len(keep) < len(l.segments) {
-		SyncDir(l.opts.Dir)
-	}
+	removed := len(keep) < len(l.segments)
 	l.segments = keep
+	if removed {
+		if err := SyncDir(l.opts.Dir); err != nil {
+			return fmt.Errorf("wal: sync dir after truncate: %w", err)
+		}
+	}
 	// Retired handles belong to rotated-out segments; with the tail
 	// truncated they can be closed (removing an open file is fine on
 	// POSIX, and any in-flight group-commit fsync has completed by the
@@ -453,15 +447,22 @@ func (l *Log) Close() error {
 }
 
 // SyncDir fsyncs a directory so that the entries created, renamed or
-// removed in it survive a power loss. It is best effort: some filesystems
-// refuse a directory sync, and those errors are ignored.
-func SyncDir(dir string) {
+// removed in it survive a power loss. A filesystem that cannot sync a
+// directory at all answers EINVAL; that counts as success, since there is
+// no stronger guarantee there to wait for.
+func SyncDir(dir string) error {
 	f, err := os.Open(dir)
 	if err != nil {
-		return
+		return err
 	}
-	f.Sync()
-	f.Close()
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if errors.Is(err, syscall.EINVAL) {
+		return nil
+	}
+	return err
 }
 
 // Replay invokes fn for every intact record across all segments in append
@@ -472,15 +473,10 @@ func SyncDir(dir string) {
 // half-written record, or the zeros of a file extended but never written —
 // so damage anywhere in the last segment drops the records behind it, and
 // the segment is truncated to the records before it. In any earlier segment
-// the same damage is ErrCorrupt.
-func Replay(dir string, fn func(record []byte) error) error {
-	return ReplayLog(dir, nil, fn)
-}
-
-// ReplayLog is Replay with a structured logger: tolerated torn-tail records
-// — silently dropped by Replay — are reported as warn events so operators
-// can tell a clean recovery from one that discarded an unacknowledged tail.
-func ReplayLog(dir string, logger *telemetry.Logger, fn func(record []byte) error) error {
+// the same damage is ErrCorrupt. A tolerated torn tail is reported to
+// logger (nil drops it) as a warn event, so operators can tell a clean
+// recovery from one that discarded an unacknowledged tail.
+func Replay(dir string, logger *telemetry.Logger, fn func(record []byte) error) error {
 	segs, err := listSegments(dir)
 	if err != nil {
 		if os.IsNotExist(err) || errors.Is(err, os.ErrNotExist) {

@@ -28,7 +28,7 @@ func openTest(t *testing.T, opts Options) *Log {
 func replayAll(t *testing.T, dir string) [][]byte {
 	t.Helper()
 	var recs [][]byte
-	if err := Replay(dir, func(rec []byte) error {
+	if err := Replay(dir, nil, func(rec []byte) error {
 		recs = append(recs, append([]byte(nil), rec...))
 		return nil
 	}); err != nil {
@@ -95,8 +95,8 @@ func TestRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.SegmentCount() < 2 {
-		t.Fatalf("expected rotation, have %d segments", l.SegmentCount())
+	if len(l.segments) < 2 {
+		t.Fatalf("expected rotation, have %d segments", len(l.segments))
 	}
 	l.Close()
 	if got := replayAll(t, dir); len(got) != 10 {
@@ -113,17 +113,17 @@ func TestTruncateRemovesFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := l.SegmentCount()
+	before := len(l.segments)
 	active := l.ActiveSegment()
 	if err := l.Truncate(active); err != nil {
 		t.Fatal(err)
 	}
-	if l.SegmentCount() >= before {
-		t.Fatalf("truncate kept %d of %d segments", l.SegmentCount(), before)
+	if len(l.segments) >= before {
+		t.Fatalf("truncate kept %d of %d segments", len(l.segments), before)
 	}
 	// Replay must still work over the surviving tail.
 	l.Close()
-	if err := Replay(dir, func([]byte) error { return nil }); err != nil {
+	if err := Replay(dir, nil, func([]byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -187,7 +187,7 @@ func TestMidSegmentCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = Replay(dir, func([]byte) error { return nil })
+	err = Replay(dir, nil, func([]byte) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay error = %v, want ErrCorrupt", err)
 	}
@@ -220,13 +220,13 @@ func TestReplayCallbackError(t *testing.T) {
 	l.Append([]byte("x"))
 	l.Close()
 	sentinel := errors.New("stop")
-	if err := Replay(dir, func([]byte) error { return sentinel }); !errors.Is(err, sentinel) {
+	if err := Replay(dir, nil, func([]byte) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("callback error not propagated: %v", err)
 	}
 }
 
 func TestReplayMissingDir(t *testing.T) {
-	if err := Replay(filepath.Join(t.TempDir(), "absent"), func([]byte) error { return nil }); err != nil {
+	if err := Replay(filepath.Join(t.TempDir(), "absent"), nil, func([]byte) error { return nil }); err != nil {
 		t.Fatalf("replay of missing dir: %v", err)
 	}
 }
@@ -371,19 +371,29 @@ func TestGroupCommitSharesSyncs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, shared := l.GroupCommitStats()
+	shared := counter(l, "wal.group_commit_shared")
 	if shared != followers {
 		t.Fatalf("shared = %d, want %d (all followers covered by the leader)", shared, followers)
 	}
 	// Durability: everything replays.
 	l.Close()
 	count := 0
-	if err := Replay(dir, func([]byte) error { count++; return nil }); err != nil {
+	if err := Replay(dir, nil, func([]byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != followers {
 		t.Fatalf("replayed %d of %d records", count, followers)
 	}
+}
+
+// counter reads the log's counter reported under name.
+func counter(l *Log, name string) int64 {
+	for _, n := range l.Counters() {
+		if n.Name == name {
+			return n.C.Load()
+		}
+	}
+	return -1
 }
 
 func TestGroupCommitSingleWriterSyncsEachAppend(t *testing.T) {
@@ -397,7 +407,7 @@ func TestGroupCommitSingleWriterSyncsEachAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	syncs, shared := l.GroupCommitStats()
+	syncs, shared := counter(l, "wal.group_commit_syncs"), counter(l, "wal.group_commit_shared")
 	if shared != 0 {
 		t.Fatalf("solo writer shared %d syncs", shared)
 	}
@@ -427,12 +437,12 @@ func TestGroupCommitAcrossRotation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.SegmentCount() < 2 {
+	if len(l.segments) < 2 {
 		t.Fatal("no rotation occurred")
 	}
 	l.Close()
 	count := 0
-	if err := Replay(dir, func([]byte) error { count++; return nil }); err != nil {
+	if err := Replay(dir, nil, func([]byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 120 {
@@ -463,5 +473,14 @@ func BenchmarkGroupCommit(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+func TestSyncDirMissingDirectory(t *testing.T) {
+	if err := SyncDir(filepath.Join(t.TempDir(), "absent")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("SyncDir of a missing directory = %v, want ErrNotExist", err)
+	}
+	if err := SyncDir(t.TempDir()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -198,15 +198,6 @@ func (r *Report) TotalOps() int64 {
 	return n
 }
 
-// Throughput returns completed operations per second over the run.
-func (r *Report) Throughput() float64 {
-	el := r.Elapsed().Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(r.TotalOps()) / el
-}
-
 // Run drives the workload with cfg.Threads workers and collects measurement.
 // Each worker gets its own DB from the binding and its own ThreadWorkload.
 // Run returns when every thread's workload reports done or any thread fails.

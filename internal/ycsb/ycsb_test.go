@@ -61,8 +61,8 @@ func TestRunCompletesAllThreads(t *testing.T) {
 	if rep.TotalOps() != 400 {
 		t.Fatalf("TotalOps = %d", rep.TotalOps())
 	}
-	if rep.Throughput() <= 0 {
-		t.Fatal("zero throughput")
+	if rep.Elapsed() <= 0 {
+		t.Fatal("zero elapsed time")
 	}
 	if rep.Latencies[OpInsert].Count() != 400 {
 		t.Fatal("latency histogram missing observations")
