@@ -143,7 +143,7 @@ func (c *Client) Put(key, value []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("hbase: %w", lsm.ErrBadKey)
 	}
-	m := Mutation{Key: append([]byte(nil), key...), Value: append([]byte(nil), value...)}
+	m := copyMutation(key, value)
 	tr := c.table.locate(m.Key)
 	c.buffers[tr] = append(c.buffers[tr], m)
 	c.buffered += int64(len(m.Key) + len(m.Value))

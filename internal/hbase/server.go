@@ -227,6 +227,15 @@ func (s *RegionServer) Regions() []*region.Region {
 // stores without per-layer conversion or copying.
 type Mutation = lsm.Write
 
+// copyMutation copies key and value into one allocation. Each part is
+// capacity-capped, so an append to the key cannot write into the value.
+func copyMutation(key, value []byte) Mutation {
+	kv := make([]byte, len(key)+len(value))
+	k := copy(kv, key)
+	copy(kv[k:], value)
+	return Mutation{Key: kv[:k:k], Value: kv[k:]}
+}
+
 // mutate is the server-side write RPC: the whole batch executes under one
 // handler slot and ships through the region's replication group as a single
 // batched round — one WAL group append and one memtable critical section

@@ -286,16 +286,15 @@ func (f *frameWriter) mutations(batch []Mutation) {
 }
 
 // mutations copies keys and values out of the frame, which the connection
-// reuses for its next request.
+// reuses for its next request: one allocation per mutation.
 func (f *frameReader) mutations() []Mutation {
 	batch := make([]Mutation, f.count(3)) // a flag and two lengths at least
 	for i := range batch {
-		m := &batch[i]
 		if f.uvarint() != 0 {
 			f.malformed("mutation %d sets the retired delete flag", i)
 		}
-		m.Key = append([]byte(nil), f.bytes()...)
-		m.Value = append([]byte(nil), f.bytes()...)
+		key := f.bytes()
+		batch[i] = copyMutation(key, f.bytes())
 	}
 	return batch
 }

@@ -452,8 +452,9 @@ func Open(opts Options) (*Store, error) {
 	}
 
 	// Recover unflushed writes from the log, then open it for appending.
+	var val []byte
 	if err := wal.Replay(filepath.Join(o.Dir, "wal"), s.elog, func(rec []byte) error {
-		return s.applyRecord(rec)
+		return s.applyRecord(rec, &val)
 	}); err != nil {
 		return nil, fmt.Errorf("lsm: wal recovery: %w", err)
 	}
@@ -630,7 +631,10 @@ func (b *encodeBuf) encode(writes []Write) [][]byte {
 	return b.recs
 }
 
-func (s *Store) applyRecord(rec []byte) error {
+// applyRecord inserts one replayed WAL record into the active memtable,
+// building the tagged value in *val, scratch reused from record to record
+// (the memtable copies it).
+func (s *Store) applyRecord(rec []byte, val *[]byte) error {
 	if len(rec) < 2 {
 		return fmt.Errorf("%w: wal record of %d bytes", ErrCorrupt, len(rec))
 	}
@@ -643,7 +647,8 @@ func (s *Store) applyRecord(rec []byte) error {
 	}
 	key := rec[1+n : 1+n+int(klen)]
 	value := rec[1+n+int(klen):]
-	s.active.Put(key, append([]byte{tagValue}, value...))
+	*val = append(append((*val)[:0], tagValue), value...)
+	s.active.Put(key, *val)
 	return nil
 }
 

@@ -7,6 +7,18 @@
 // scans — traverse the list without taking any lock. Nodes are never
 // unlinked: a later Put of a key replaces its value, and the whole table is
 // discarded after a flush.
+//
+// The table is an arena. Nodes are carved from slabs of slabNodes, and each
+// entry's key and value bytes are copied together into chunks of chunkBytes
+// (an entry larger than a quarter chunk gets an allocation of its own). A
+// first insert stores its value in the node itself, so a new key costs no
+// allocation of its own; only an overwrite allocates, for the new value's
+// holder. Nothing is reused or freed: a key or value slice returned by an
+// iterator stays valid and unchanged for as long as the caller holds it,
+// later Puts and overwrites of the same key included, and the memory goes
+// when the table and every slice into it are unreachable. Returned slices
+// are capacity-capped, so a caller's append copies instead of writing into
+// the neighbouring entry.
 package memtable
 
 import (
@@ -17,7 +29,11 @@ import (
 	"tpcxiot/internal/gen"
 )
 
-const maxHeight = 18 // supports hundreds of millions of entries at p=1/4
+const (
+	maxHeight  = 18       // supports hundreds of millions of entries at p=1/4
+	slabNodes  = 256      // nodes allocated at a time
+	chunkBytes = 64 << 10 // key and value bytes allocated at a time
+)
 
 // Memtable is a sorted in-memory key-value buffer. The zero value is not
 // usable; call New.
@@ -26,6 +42,8 @@ type Memtable struct {
 
 	mu     sync.Mutex // serialises writers
 	rng    *gen.RNG   // guarded by mu; tower height source
+	nodes  []node     // guarded by mu; the unused rest of the current slab
+	chunk  []byte     // guarded by mu; the unused rest of the current chunk
 	height atomic.Int32
 
 	size    atomic.Int64 // approximate bytes of keys+values
@@ -34,7 +52,8 @@ type Memtable struct {
 
 type node struct {
 	key   []byte
-	value atomic.Pointer[[]byte]
+	value atomic.Pointer[[]byte] // &first until the key is overwritten
+	first []byte                 // the value of the key's first insert
 	tower [maxHeight]atomic.Pointer[node]
 }
 
@@ -57,7 +76,8 @@ func (m *Memtable) Put(key, value []byte) {
 	n := m.findGE(key, &prev)
 	if n != nil && bytes.Equal(n.key, key) {
 		old := n.value.Load()
-		v := append([]byte(nil), value...)
+		v := m.alloc(len(value))
+		copy(v, value)
 		n.value.Store(&v)
 		m.size.Add(int64(len(value) - len(*old)))
 		return
@@ -71,9 +91,12 @@ func (m *Memtable) Put(key, value []byte) {
 		m.height.Store(int32(h))
 	}
 
-	nn := &node{key: append([]byte(nil), key...)}
-	v := append([]byte(nil), value...)
-	nn.value.Store(&v)
+	nn := m.newNode()
+	kv := m.alloc(len(key) + len(value))
+	k := copy(kv, key)
+	copy(kv[k:], value)
+	nn.key, nn.first = kv[:k:k], kv[k:]
+	nn.value.Store(&nn.first)
 	for i := 0; i < h; i++ {
 		nn.tower[i].Store(prev[i].tower[i].Load())
 		// Publish bottom-up so a reader that sees the node at level i can
@@ -82,6 +105,31 @@ func (m *Memtable) Put(key, value []byte) {
 	}
 	m.size.Add(int64(len(key) + len(value)))
 	m.entries.Add(1)
+}
+
+// newNode takes a zero node from the current slab. Called with mu held.
+func (m *Memtable) newNode() *node {
+	if len(m.nodes) == 0 {
+		m.nodes = make([]node, slabNodes)
+	}
+	n := &m.nodes[0]
+	m.nodes = m.nodes[1:]
+	return n
+}
+
+// alloc takes n bytes from the current chunk, capacity-capped. Called with mu
+// held. A request over a quarter chunk is allocated on its own, so no chunk
+// leaves more than a quarter of itself unused.
+func (m *Memtable) alloc(n int) []byte {
+	if n > chunkBytes/4 {
+		return make([]byte, n)
+	}
+	if len(m.chunk) < n {
+		m.chunk = make([]byte, chunkBytes)
+	}
+	b := m.chunk[:n:n]
+	m.chunk = m.chunk[n:]
+	return b
 }
 
 // Get returns a copy of the value stored for key, or ok=false if absent.
@@ -163,8 +211,11 @@ func (it *Iterator) Next() {
 // Valid reports whether the iterator is positioned at an entry.
 func (it *Iterator) Valid() bool { return it.n != nil }
 
-// Key returns the current key. The slice must not be modified.
+// Key returns the current key. The slice must not be modified; it stays
+// valid after the iterator moves.
 func (it *Iterator) Key() []byte { return it.n.key }
 
-// Value returns the current value. The slice must not be modified.
+// Value returns the current value. The slice must not be modified; it stays
+// valid, and keeps these bytes, after the iterator moves or the key is
+// overwritten.
 func (it *Iterator) Value() []byte { return *it.n.value.Load() }

@@ -264,3 +264,201 @@ func BenchmarkGet(b *testing.B) {
 		m.Get([]byte(fmt.Sprintf("key-%08d", i%n)))
 	}
 }
+
+// TestPutAllocsAmortised pins the arena: a new key costs a share of one
+// node slab and one byte chunk, not allocations of its own.
+func TestPutAllocsAmortised(t *testing.T) {
+	const rows, runs = 4000, 4
+	keys := make([][]byte, rows*(runs+1))
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("sub-%04d/sensor/%012d", i%97, i))
+	}
+	val := bytes.Repeat([]byte("v"), 1024)
+	m := New(13)
+	next := 0
+	perRow := testing.AllocsPerRun(runs, func() {
+		for _, k := range keys[next : next+rows] {
+			m.Put(k, val)
+		}
+		next += rows
+	}) / rows
+	t.Logf("%.4f allocations per row", perRow)
+	if perRow >= 0.05 {
+		t.Fatalf("Put allocates %.3f times per new 1 KiB row, want < 0.05", perRow)
+	}
+}
+
+// memtableFuzzSeeds are op streams for FuzzMemtable (see memtableOps).
+var memtableFuzzSeeds = [][]byte{
+	{},
+	{0, 1, 'a', 10, 0, 1, 'b', 0, 3, 0, 3, 1, 'a', 4},
+	{0, 2, 'k', 'k', 201, 1, 0, 202, 3, 1, 'k', 5, 0, 6, 0, 1, 'z', 203},
+	{0, 1, 'm', 50, 0, 1, 'a', 199, 3, 0, 5, 1, 1, 0, 200, 2, 0, 1, 'm', 3, 0, 6, 0},
+	{0, 3, 'a', 'b', 'c', 204, 0, 3, 'a', 'b', 'd', 204, 0, 0, 1, 1, 1, 205, 3, 0, 5, 0, 4},
+}
+
+// memtableValue is a value of n bytes whose content depends on tag, so
+// values written by different ops differ.
+func memtableValue(n int, tag byte) []byte {
+	v := make([]byte, n)
+	for i := range v {
+		v[i] = tag + byte(i*7)
+	}
+	return v
+}
+
+// memtableValueLen maps a selector byte to a value length: small lengths
+// in steps of 8 bytes, and from 200 on lengths around the quarter-chunk
+// bound where alloc stops sharing chunks and lengths beyond a whole chunk.
+func memtableValueLen(sel byte) int {
+	big := []int{0, 1, chunkBytes/4 - 3, chunkBytes / 4, chunkBytes/4 + 1, chunkBytes - 1, chunkBytes + 1}
+	if sel >= 200 {
+		return big[int(sel-200)%len(big)]
+	}
+	return int(sel) * 8
+}
+
+// held is a slice the table returned, with the bytes it had then.
+type held struct {
+	got, want []byte
+}
+
+// FuzzMemtable runs an op stream against the table and a sorted-map model:
+// new and overwriting Puts (values from empty to over a byte chunk), Get,
+// SeekToFirst/Seek/Next walks, Len and Size. Every key and value slice a
+// walk returned must keep its bytes through later Puts, and an append to
+// one must change no entry.
+func FuzzMemtable(f *testing.F) {
+	for _, s := range memtableFuzzSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		memtableOps(t, ops)
+	})
+}
+
+func TestMemtableFuzzSeeds(t *testing.T) {
+	for _, s := range memtableFuzzSeeds {
+		memtableOps(t, s)
+	}
+}
+
+func memtableOps(t *testing.T, ops []byte) {
+	m := New(14)
+	model := map[string][]byte{}
+	var size int64
+	var kept []held
+	pos := 0
+	next := func() byte {
+		if pos >= len(ops) {
+			return 0
+		}
+		pos++
+		return ops[pos-1]
+	}
+	key := func() []byte { // up to 3 bytes from a 4-letter alphabet
+		k := make([]byte, int(next())%4)
+		for i := range k {
+			k[i] = 'a' + next()%4
+		}
+		return k
+	}
+	sortedKeys := func() []string {
+		ks := make([]string, 0, len(model))
+		for k := range model {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	keep := func(b []byte) {
+		if len(kept) < 256 {
+			kept = append(kept, held{b, append([]byte(nil), b...)})
+		}
+	}
+	for step := 0; pos < len(ops); step++ {
+		switch op := next() % 7; op {
+		case 0, 1: // Put: a new key, or an overwrite of a model key
+			k := key()
+			if op == 1 && len(model) > 0 {
+				ks := sortedKeys()
+				k = []byte(ks[int(next())%len(ks)])
+			}
+			v := memtableValue(memtableValueLen(next()), byte(step))
+			if old, ok := model[string(k)]; ok {
+				size -= int64(len(k) + len(old))
+			}
+			model[string(k)] = append([]byte(nil), v...)
+			size += int64(len(k) + len(v))
+			m.Put(k, v)
+			for i := range k { // the table must have copied k and v
+				k[i] = 0xdd
+			}
+			for i := range v {
+				v[i] = 0xdd
+			}
+		case 2: // Get
+			k := key()
+			got, ok := m.Get(k)
+			want, wok := model[string(k)]
+			if ok != wok || !bytes.Equal(got, want) {
+				t.Fatalf("step %d: Get(%q) = %d bytes,%v; want %d bytes,%v", step, k, len(got), ok, len(want), wok)
+			}
+		case 3: // a walk from SeekToFirst or Seek
+			it := m.NewIterator()
+			ks := sortedKeys()
+			i := 0
+			if from := next(); from%2 == 0 {
+				it.SeekToFirst()
+			} else {
+				target := key()
+				it.Seek(target)
+				i = sort.SearchStrings(ks, string(target))
+			}
+			for n := int(next()) % 8; n >= 0; n-- {
+				if it.Valid() != (i < len(ks)) {
+					t.Fatalf("step %d: iterator valid=%v at model index %d of %d", step, it.Valid(), i, len(ks))
+				}
+				if !it.Valid() {
+					break
+				}
+				if string(it.Key()) != ks[i] || !bytes.Equal(it.Value(), model[ks[i]]) {
+					t.Fatalf("step %d: iterator at %q, want %q", step, it.Key(), ks[i])
+				}
+				keep(it.Key())
+				keep(it.Value())
+				it.Next()
+				i++
+			}
+		case 4: // Len and Size
+			if m.Len() != int64(len(model)) || m.Size() != size {
+				t.Fatalf("step %d: Len %d Size %d, want %d %d", step, m.Len(), m.Size(), len(model), size)
+			}
+		case 5: // append to a returned slice
+			if len(kept) > 0 {
+				h := kept[int(next())%len(kept)]
+				_ = append(h.got, bytes.Repeat([]byte{0xee}, int(next())+1)...)
+			}
+		case 6: // every entry, through a fresh walk
+			it := m.NewIterator()
+			it.SeekToFirst()
+			for _, k := range sortedKeys() {
+				if !it.Valid() || string(it.Key()) != k || !bytes.Equal(it.Value(), model[k]) {
+					t.Fatalf("step %d: full walk diverged at %q", step, k)
+				}
+				it.Next()
+			}
+			if it.Valid() {
+				t.Fatalf("step %d: walk past the model's last key: %q", step, it.Key())
+			}
+		}
+		for i, h := range kept {
+			if !bytes.Equal(h.got, h.want) {
+				t.Fatalf("step %d: returned slice %d changed: %d bytes now differ", step, i, len(h.got))
+			}
+		}
+	}
+	if m.Len() != int64(len(model)) || m.Size() != size {
+		t.Fatalf("end: Len %d Size %d, want %d %d", m.Len(), m.Size(), len(model), size)
+	}
+}
