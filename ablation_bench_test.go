@@ -45,6 +45,9 @@ func liveIngest(b *testing.B, store lsm.Options, writeBuffer int64, preSplit boo
 	if _, err := cluster.CreateTable("iot", splits); err != nil {
 		b.Fatal(err)
 	}
+	if err := cluster.ServeTCP(); err != nil {
+		b.Fatal(err)
+	}
 	b.StartTimer()
 
 	cfg := driver.Config{

@@ -1,7 +1,7 @@
-// Command tpcxiot runs the TPCx-IoT benchmark against the live in-process
-// mini-HBase cluster, mirroring the kit's command line: the number of
-// driver instances (simulated power substations) and the total number of
-// kvps to ingest.
+// Command tpcxiot runs the TPCx-IoT benchmark against the live mini-HBase
+// cluster, over its loopback TCP wire protocol, mirroring the kit's command
+// line: the number of driver instances (simulated power substations) and
+// the total number of kvps to ingest.
 //
 // Usage:
 //
@@ -66,7 +66,6 @@ func run() int {
 		dataDir     = flag.String("datadir", "", "data directory (default: temporary)")
 		seed        = flag.Uint64("seed", 1, "workload generation seed")
 		durable     = flag.Bool("durable", false, "fsync the WAL on every append (slow, crash-safe)")
-		useTCP      = flag.Bool("tcp", false, "drive the cluster over its loopback TCP wire protocol")
 		analytics   = flag.Bool("analytics", false, "add downsampling and group-by-window analytic query templates to the query rotation (reported separately from the dashboard validity statistics)")
 		status      = flag.Duration("status", 0, "log a status line for driver 0 on this interval (e.g. 2s)")
 		targetRate  = flag.Float64("target-rate", 0, "pace the run at this system-wide intended rate in ops/s (split across drivers and threads into a fixed intended-start schedule); paced runs additionally record coordinated-omission-corrected intended latency (0 = open loop)")
@@ -233,11 +232,6 @@ func run() int {
 	sut, err := driver.NewClusterSUT(cluster, *drivers, *writeBuffer)
 	if err != nil {
 		return fail(err)
-	}
-	if *useTCP {
-		if err := sut.UseTCP(); err != nil {
-			return fail(err)
-		}
 	}
 
 	// On SIGINT/SIGTERM, flush what telemetry exists — the in-flight

@@ -41,6 +41,10 @@ func main() {
 	if _, err := cluster.CreateTable("iot", nil); err != nil {
 		log.Fatal(err)
 	}
+	// Every client reaches the region servers over loopback TCP.
+	if err := cluster.ServeTCP(); err != nil {
+		log.Fatal(err)
+	}
 
 	// Background ingest: one driver instance streaming the substation's
 	// 200 sensors into the gateway.

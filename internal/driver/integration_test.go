@@ -87,7 +87,7 @@ func TestLiveBenchmarkEndToEnd(t *testing.T) {
 	// The data of the second iteration must actually be in the store. Per
 	// Figure 6 the cleanup runs only BETWEEN iterations, so after the run
 	// the store holds iteration two's warmup AND measured data.
-	client, err := cluster.NewClient("iot", 0)
+	client, err := cluster.NewTCPClient("iot", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestLiveCleanupBetweenIterations(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	client, _ := cluster.NewClient("iot", 0)
+	client, _ := cluster.NewTCPClient("iot", 0)
 	rows := scanAll(t, client)
 	if len(rows) != 500 {
 		t.Fatalf("pre-cleanup rows = %d", len(rows))
@@ -148,7 +148,7 @@ func TestLiveCleanupBetweenIterations(t *testing.T) {
 	if err := sut.Cleanup(); err != nil {
 		t.Fatal(err)
 	}
-	client2, _ := cluster.NewClient("iot", 0)
+	client2, _ := cluster.NewTCPClient("iot", 0)
 	rows = scanAll(t, client2)
 	if len(rows) != 0 {
 		t.Fatalf("cleanup left %d rows behind", len(rows))
@@ -181,63 +181,56 @@ func TestLiveQueriesSeeIngestedData(t *testing.T) {
 	}
 }
 
-// TestCountRowsMatchesRowsWritten: over a three-region table, driven
-// in-process and over TCP, CountRows equals the readings ingested — while
-// they sit in memtables, and again after every replica has flushed and
-// compacted (a small memtable makes each region hold several tables first).
+// TestCountRowsMatchesRowsWritten: over a three-region table, CountRows
+// equals the readings ingested — while they sit in memtables, and again
+// after every replica has flushed and compacted (a small memtable makes each
+// region hold several tables first).
 func TestCountRowsMatchesRowsWritten(t *testing.T) {
-	for _, tcp := range []bool{false, true} {
-		cluster, err := hbase.NewCluster(hbase.Config{
-			Nodes:   3,
-			DataDir: t.TempDir(),
-			Store:   lsm.Options{WALSync: wal.SyncNever, MemtableSize: 256 << 10},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cluster.Close()
-		sut, err := NewClusterSUT(cluster, 3, 32<<10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tcp {
-			if err := sut.UseTCP(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		const kvps = 3_000
-		if _, err := ExecuteWorkload(Config{
-			Drivers: 3, TotalKVPs: kvps, ThreadsPerDriver: 2,
-			SUT: sut, MinWorkloadSeconds: 0.001, Seed: 9,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		check := func(when string) {
-			t.Helper()
-			n, err := sut.CountRows()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != kvps {
-				t.Fatalf("tcp=%v %s: CountRows = %d, want %d", tcp, when, n, kvps)
-			}
-		}
-		check("after ingest")
-		if err := sut.Quiesce(); err != nil {
-			t.Fatal(err)
-		}
-		for _, srv := range cluster.Servers() {
-			for _, r := range srv.Regions() {
-				if err := r.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Store().Compact(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		check("after flush + compaction")
+	cluster, err := hbase.NewCluster(hbase.Config{
+		Nodes:   3,
+		DataDir: t.TempDir(),
+		Store:   lsm.Options{WALSync: wal.SyncNever, MemtableSize: 256 << 10},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer cluster.Close()
+	sut, err := NewClusterSUT(cluster, 3, 32<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kvps = 3_000
+	if _, err := ExecuteWorkload(Config{
+		Drivers: 3, TotalKVPs: kvps, ThreadsPerDriver: 2,
+		SUT: sut, MinWorkloadSeconds: 0.001, Seed: 9,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		n, err := sut.CountRows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != kvps {
+			t.Fatalf("%s: CountRows = %d, want %d", when, n, kvps)
+		}
+	}
+	check("after ingest")
+	if err := sut.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range cluster.Servers() {
+		for _, r := range srv.Regions() {
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Store().Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("after flush + compaction")
 }
 
 // TestClusterSUTDescribe covers the descriptive plumbing.
@@ -261,7 +254,7 @@ func TestClusterSUTDescribe(t *testing.T) {
 
 // TestLiveBenchmarkOverTCP runs the benchmark through the cluster's TCP
 // wire protocol: real sockets between every worker thread and the region
-// servers.
+// servers. UseTCP after NewClusterSUT, as bench/kit.go calls it, is a no-op.
 func TestLiveBenchmarkOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP run")

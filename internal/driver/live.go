@@ -10,24 +10,27 @@ import (
 	"tpcxiot/internal/ycsb"
 )
 
-// ClusterSUT drives the live in-process mini-HBase cluster as the System
-// Under Test. The benchmark table is pre-split so every simulated substation
-// owns its own region — the standard deployment practice for TPCx-IoT runs
-// against HBase.
+// ClusterSUT drives the live mini-HBase cluster as the System Under Test,
+// over its loopback TCP wire protocol: every client reaches the region
+// servers through the full client-to-region-server network path. The
+// benchmark table is pre-split so every simulated substation owns its own
+// region — the standard deployment practice for TPCx-IoT runs against HBase.
 type ClusterSUT struct {
 	cluster     *hbase.Cluster
 	table       string
 	splits      [][]byte
 	writeBuffer int64
-	useTCP      bool
 }
 
-// NewClusterSUT creates the benchmark table for `drivers` substations and
-// returns the SUT. writeBufferBytes configures each client's write buffer
-// (hbase.client.write.buffer).
+// NewClusterSUT starts the cluster's TCP listeners, creates the benchmark
+// table for `drivers` substations and returns the SUT. writeBufferBytes
+// configures each client's write buffer (hbase.client.write.buffer).
 func NewClusterSUT(cl *hbase.Cluster, drivers int, writeBufferBytes int64) (*ClusterSUT, error) {
 	if drivers <= 0 {
 		return nil, fmt.Errorf("driver: non-positive driver count %d", drivers)
+	}
+	if err := cl.ServeTCP(); err != nil {
+		return nil, err
 	}
 	s := &ClusterSUT{
 		cluster:     cl,
@@ -41,22 +44,12 @@ func NewClusterSUT(cl *hbase.Cluster, drivers int, writeBufferBytes int64) (*Clu
 	return s, nil
 }
 
-// UseTCP switches the SUT's clients to the cluster's loopback TCP wire
-// protocol, starting the listeners if needed: the benchmark then exercises
-// the full client-to-region-server network path.
-func (s *ClusterSUT) UseTCP() error {
-	if err := s.cluster.ServeTCP(); err != nil {
-		return err
-	}
-	s.useTCP = true
-	return nil
-}
+// UseTCP is an idempotent ServeTCP: NewClusterSUT already started the
+// listeners. It stays because bench/kit.go calls it (DESIGN §6).
+func (s *ClusterSUT) UseTCP() error { return s.cluster.ServeTCP() }
 
-// Binding implements SUT: one buffered client per worker thread.
+// Binding implements SUT: one buffered TCP client per worker thread.
 func (s *ClusterSUT) Binding(d int) ycsb.Binding {
-	if s.useTCP {
-		return workload.ClusterBindingTCP(s.cluster, s.table, s.writeBuffer)
-	}
 	return workload.ClusterBinding(s.cluster, s.table, s.writeBuffer)
 }
 
@@ -83,7 +76,7 @@ func (s *ClusterSUT) Cleanup() error {
 // memory however large the table is. RowsFolded is the number of rows the
 // regions counted.
 func (s *ClusterSUT) CountRows() (int64, error) {
-	client, err := s.cluster.NewClient(s.table, 0)
+	client, err := s.cluster.NewTCPClient(s.table, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -97,10 +90,6 @@ func (s *ClusterSUT) CountRows() (int64, error) {
 
 // Describe implements SUT.
 func (s *ClusterSUT) Describe() string {
-	transport := "in-process"
-	if s.useTCP {
-		transport = "loopback TCP"
-	}
-	return fmt.Sprintf("mini-HBase cluster (%s): %d region servers, %d-way replication, table %q with %d regions",
-		transport, s.cluster.NodeCount(), s.cluster.ReplicationFactor(), s.table, len(s.splits)+1)
+	return fmt.Sprintf("mini-HBase cluster (loopback TCP): %d region servers, %d-way replication, table %q with %d regions",
+		s.cluster.NodeCount(), s.cluster.ReplicationFactor(), s.table, len(s.splits)+1)
 }

@@ -37,7 +37,7 @@ func (c *Client) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs ls
 
 	var out lsm.AggResult
 	for _, tr := range c.table.regions {
-		if !rangesOverlap(lo, hi, tr.info.StartKey, tr.info.EndKey) {
+		if !rangesOverlap(lo, hi, tr.start, tr.end) {
 			continue
 		}
 		if err := c.flushRegion(tr, sp); err != nil {
@@ -47,7 +47,7 @@ func (c *Client) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs ls
 		res, err := c.rpc.aggregate(tr, lo, hi, minTS, maxTS, windowMS, funcs, asp)
 		asp.End()
 		if err != nil {
-			return lsm.AggResult{}, fmt.Errorf("hbase: aggregate %s: %w", tr.info.Name, err)
+			return lsm.AggResult{}, fmt.Errorf("hbase: aggregate %s: %w", tr.name, err)
 		}
 		out.RowsFolded += res.RowsFolded
 		for _, w := range res.Windows {

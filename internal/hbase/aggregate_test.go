@@ -214,10 +214,10 @@ func TestAggregateFlushesOnlyOverlappingRegions(t *testing.T) {
 	}
 	// The non-overlapping region's batch must still be buffered, untouched.
 	tbl, _ := cl.Table("iot")
-	highRegion := tbl.locate([]byte("z000")).info.Name
+	highRegion := tbl.locate([]byte("z000")).name
 	var highBuffered int
 	for tr, batch := range c.buffers {
-		if tr.info.Name == highRegion {
+		if tr.name == highRegion {
 			highBuffered = len(batch)
 		}
 	}
@@ -553,6 +553,46 @@ func TestAggregateServedFromReadingColumns(t *testing.T) {
 	for name, c := range map[string]*Client{"in-process": inproc, "tcp": tcp} {
 		if column, decoded := check(name+" after the memtable flush", c); decoded != 0 || column == 0 {
 			t.Fatalf("%s after the memtable flush: %d rows from columns, %d decoded", name, column, decoded)
+		}
+	}
+}
+
+// TestRegionReadsReturnOnlyItsRows: a region's copies hold only its own
+// keys, so an unbounded scan or aggregate sent to one region returns exactly
+// that region's rows over either transport, with no clipping to its range.
+func TestRegionReadsReturnOnlyItsRows(t *testing.T) {
+	cl, c := newTCPCluster(t, 3, [][]byte{[]byte("PS-B"), []byte("PS-C")})
+	for i, sub := range []string{"PS-A", "PS-B", "PS-C"} {
+		for ts := int64(0); ts < int64(10*(i+1)); ts++ {
+			if err := c.Put(aggKVP(t, sub, "s0", ts, float64(ts))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := cl.Table("iot")
+	for name, rpc := range bothTransports(t, cl) {
+		for i, tr := range tbl.regions {
+			want := 10 * (i + 1)
+			id, err := rpc.openScanner(tr, nil, nil, 0, telemetry.TSpan{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, more, err := rpc.scanNext(tr, id, 1000, telemetry.TSpan{})
+			if err != nil || more || len(rows) != want {
+				t.Fatalf("%s: scan of %s = %d rows, more=%v, err=%v; want %d", name, tr.name, len(rows), more, err, want)
+			}
+			for _, r := range rows {
+				if !tr.contains(r.Key) {
+					t.Fatalf("%s: scan of %s returned %q", name, tr.name, r.Key)
+				}
+			}
+			res, err := rpc.aggregate(tr, nil, nil, 0, math.MaxInt64, 0, lsm.AggCount, telemetry.TSpan{})
+			if err != nil || res.RowsFolded != int64(want) {
+				t.Fatalf("%s: aggregate of %s folded %d rows, err=%v; want %d", name, tr.name, res.RowsFolded, err, want)
+			}
 		}
 	}
 }

@@ -318,7 +318,7 @@ func (c *Client) mutate(b regionBatch, sp telemetry.TSpan) error {
 				c.shedFails.Add(1)
 				c.shedFailsC.Inc()
 			}
-			return fmt.Errorf("hbase: flush to %s: %w", b.tr.info.Name, err)
+			return fmt.Errorf("hbase: flush to %s: %w", b.tr.name, err)
 		}
 		c.retries.Add(1)
 		c.retriesC.Inc()

@@ -25,7 +25,7 @@ type failingTransport struct {
 }
 
 func (f *failingTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
-	if tr.info.Name == f.failRegion {
+	if tr.name == f.failRegion {
 		return f.err
 	}
 	return f.inprocTransport.mutate(tr, batch, sp)
@@ -43,7 +43,7 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 	}
 	tbl, _ := cl.Table("iot")
 	sentinel := errors.New("region server unreachable")
-	failing := &failingTransport{failRegion: tbl.locate([]byte("a")).info.Name, err: sentinel}
+	failing := &failingTransport{failRegion: tbl.locate([]byte("a")).name, err: sentinel}
 	c.rpc = failing
 
 	// Buffer writes to both regions.
@@ -504,7 +504,7 @@ func TestCloseDrainsSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failing.rpc = &failingTransport{failRegion: tbl.locate([]byte("x")).info.Name, err: sentinel}
+	failing.rpc = &failingTransport{failRegion: tbl.locate([]byte("x")).name, err: sentinel}
 	if err := failing.Put([]byte("x"), []byte("v")); err != nil {
 		t.Fatalf("the sealing Put returned %v before its buffer shipped", err)
 	}
@@ -540,7 +540,7 @@ func TestMutateBatchSingleEngineRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := cl.Table("iot")
-	for i, rep := range tbl.regions[0].replicas {
+	for i, rep := range copies(cl, tbl.regions[0]) {
 		st := rep.Store().Stats()
 		if st.BatchApplies != 1 {
 			t.Fatalf("replica %d applied %d rounds for one flush, want 1", i, st.BatchApplies)

@@ -176,14 +176,14 @@ func FuzzDispatch(f *testing.F) {
 	}
 	tbl, _ := cl.Table("iot")
 	tr := tbl.regions[0]
-	if err := tr.replicas[0].Flush(); err != nil {
+	if err := copies(cl, tr)[0].Flush(); err != nil {
 		f.Fatal(err)
 	}
-	scanner, err := tr.primary.openScanner(tr.replicas[0], nil, nil, 0, telemetry.TSpan{})
+	scanner, err := tr.primary.openScanner(tr, nil, nil, 0, telemetry.TSpan{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range fuzzRequests(tr.info.Name, scanner) {
+	for _, seed := range fuzzRequests(tr.name, scanner) {
 		f.Add(seed.payload)
 	}
 
@@ -230,14 +230,15 @@ func TestDispatchSeeds(t *testing.T) {
 	}
 	tbl, _ := cl.Table("iot")
 	tr := tbl.regions[0]
-	scanner, err := tr.primary.openScanner(tr.replicas[0], nil, nil, 0, telemetry.TSpan{})
+	scanner, err := tr.primary.openScanner(tr, nil, nil, 0, telemetry.TSpan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// rows is every member's store, key=value in key order.
 	rows := func() [][]string {
-		out := make([][]string, len(tr.replicas))
-		for i, rep := range tr.replicas {
+		reps := copies(cl, tr)
+		out := make([][]string, len(reps))
+		for i, rep := range reps {
 			it, err := rep.Store().NewIterator(nil, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -251,7 +252,7 @@ func TestDispatchSeeds(t *testing.T) {
 		}
 		return out
 	}
-	for _, seed := range fuzzRequests(tr.info.Name, scanner) {
+	for _, seed := range fuzzRequests(tr.name, scanner) {
 		name, payload := seed.name, seed.payload
 		before := rows()
 		req := frameReader{op: payload[0], flags: payload[1], buf: payload, off: 2}

@@ -10,7 +10,8 @@
 // them as batched RPCs; every server bounds concurrent request processing
 // with a handler pool (hbase.regionserver.handler.count).
 //
-// The cluster runs in-process: an RPC is a handler-gated method call. The
+// The cluster runs inside the process that starts it; an RPC reaches a
+// handler-gated server method over loopback TCP or as a direct call. The
 // companion testbed package models the paper's physical clusters instead;
 // this package is the real, durable engine used by the CLI, the examples,
 // and laptop-scale shape checks.
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"tpcxiot/internal/lsm"
-	"tpcxiot/internal/region"
 	"tpcxiot/internal/replication"
 	"tpcxiot/internal/telemetry"
 )
@@ -39,6 +39,7 @@ var (
 	ErrNoSuchTable   = errors.New("hbase: no such table")
 	ErrClusterClosed = errors.New("hbase: cluster is closed")
 	ErrBadSplits     = errors.New("hbase: split keys not strictly ascending")
+	ErrOutOfRange    = errors.New("hbase: key outside region bounds")
 )
 
 // Config describes a cluster.
@@ -184,13 +185,35 @@ type Table struct {
 	regions []*tableRegion // ordered by key range
 }
 
-// tableRegion binds a key range to its primary server and replication group.
+// tableRegion is one key range of a table, fixed at CreateTable, bound to
+// its primary server and its replication group, whose members are the
+// Regions its servers host.
 type tableRegion struct {
-	info    region.Info
-	primary *RegionServer
-	group   *replication.Group
-	// replicas holds every hosted copy (primary first) for teardown.
-	replicas []*region.Region
+	name       string // e.g. "iot,00003", also each copy's directory name
+	start, end []byte // [start, end); nil is unbounded
+	primary    *RegionServer
+	group      *replication.Group
+}
+
+// contains reports whether key falls inside the region's range.
+func (tr *tableRegion) contains(key []byte) bool {
+	return (tr.start == nil || bytes.Compare(key, tr.start) >= 0) &&
+		(tr.end == nil || bytes.Compare(key, tr.end) < 0)
+}
+
+// checkKeys refuses a batch holding an empty key or a key outside the
+// region's range: the whole batch, before any of it is applied.
+func (tr *tableRegion) checkKeys(batch []Mutation) error {
+	for i := range batch {
+		key := batch[i].Key
+		if len(key) == 0 {
+			return fmt.Errorf("region %s: %w", tr.name, lsm.ErrBadKey)
+		}
+		if !tr.contains(key) {
+			return fmt.Errorf("%w: %q not in %s[%q,%q)", ErrOutOfRange, key, tr.name, tr.start, tr.end)
+		}
+	}
+	return nil
 }
 
 // NewCluster starts an in-process cluster.
@@ -286,35 +309,31 @@ func (cl *Cluster) CreateTable(name string, splits [][]byte) (*Table, error) {
 	}
 
 	for i := 0; i < nRegions; i++ {
-		info := region.Info{Table: name, Name: regionName(name, i)}
+		tr := &tableRegion{name: regionName(name, i)}
 		if i > 0 {
-			info.StartKey = t.splits[i-1]
+			tr.start = t.splits[i-1]
 		}
 		if i < len(t.splits) {
-			info.EndKey = t.splits[i]
+			tr.end = t.splits[i]
 		}
 		placement, err := replication.Placement(i, cl.cfg.Nodes, cl.cfg.ReplicationFactor)
 		if err != nil {
 			cl.destroyTableLocked(t)
 			return nil, err
 		}
-		tr := &tableRegion{info: info, primary: cl.servers[placement[0]]}
+		// Listed before its copies open, so a failure destroys those too.
+		tr.primary = cl.servers[placement[0]]
+		t.regions = append(t.regions, tr)
 		var appliers []replication.Applier
 		for _, nodeIdx := range placement {
-			srv := cl.servers[nodeIdx]
-			r, err := srv.openRegion(info, cl.cfg.Store)
+			r, err := cl.servers[nodeIdx].openRegion(tr.name, cl.cfg.Store)
 			if err != nil {
 				cl.destroyTableLocked(t)
 				return nil, err
 			}
-			tr.replicas = append(tr.replicas, r)
-			// The region (not its bare store) is the pipeline member, so
-			// every replica bounds-checks what it applies, one pass per
-			// batch.
 			appliers = append(appliers, r)
 		}
-		tr.group = cl.newGroup(info.Name, appliers)
-		t.regions = append(t.regions, tr)
+		tr.group = cl.newGroup(tr.name, appliers)
 	}
 	cl.tables[name] = t
 	return t, nil
@@ -349,7 +368,7 @@ func (cl *Cluster) groups() map[string]*replication.Group {
 	out := make(map[string]*replication.Group)
 	for _, t := range cl.tables {
 		for _, tr := range t.regions {
-			out[tr.info.Name] = tr.group
+			out[tr.name] = tr.group
 		}
 	}
 	return out
@@ -406,13 +425,10 @@ func (cl *Cluster) destroyTableLocked(t *Table) error {
 		if tr.group != nil {
 			tr.group.Close()
 		}
-		for _, r := range tr.replicas {
-			if err := r.Destroy(); err != nil && firstErr == nil {
+		for _, srv := range cl.servers {
+			if err := srv.dropRegion(tr.name); err != nil && firstErr == nil {
 				firstErr = err
 			}
-		}
-		for _, srv := range cl.servers {
-			srv.forgetRegion(tr.info.Name)
 		}
 	}
 	return firstErr
@@ -428,20 +444,20 @@ func (cl *Cluster) Close() error {
 	cl.closed = true
 	cl.stopTCPLocked()
 	var firstErr error
+	// Drain every pipeline before closing the stores: quorum-acked batches
+	// still in a straggler's catch-up queue reach disk, so a clean shutdown
+	// leaves every replica converged.
 	for _, t := range cl.tables {
 		for _, tr := range t.regions {
-			// Drain each pipeline before closing its stores: quorum-acked
-			// batches still in a straggler's catch-up queue reach disk, so a
-			// clean shutdown leaves every replica converged.
-			if tr.group != nil {
-				if err := tr.group.Close(); err != nil && firstErr == nil {
-					firstErr = err
-				}
+			if err := tr.group.Close(); err != nil && firstErr == nil {
+				firstErr = err
 			}
-			for _, r := range tr.replicas {
-				if err := r.Close(); err != nil && firstErr == nil {
-					firstErr = err
-				}
+		}
+	}
+	for _, srv := range cl.servers {
+		for _, r := range srv.Regions() {
+			if err := r.store.Close(); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 	}

@@ -39,6 +39,18 @@ func newTestCluster(t testing.TB, nodes int, splits [][]byte) (*Cluster, *Client
 	return cl, c
 }
 
+// copies returns tr's hosted copies in placement order, primary first.
+func copies(cl *Cluster, tr *tableRegion) []*Region {
+	var out []*Region
+	n := len(cl.servers)
+	for i := 0; i < n; i++ {
+		if r, err := cl.servers[(tr.primary.id+i)%n].hosted(tr.name); err == nil {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // scanAll reads the rows of [lo, hi) through a Scanner, at most limit of
 // them (<= 0 is unlimited).
 func scanAll(c *Client, lo, hi []byte, limit int) ([]Row, error) {
@@ -108,13 +120,13 @@ func TestRoutingAcrossRegions(t *testing.T) {
 	// Keys in each range route to distinct regions.
 	names := map[string]bool{}
 	for _, k := range []string{"apple", "grape", "zebra"} {
-		names[tbl.locate([]byte(k)).info.Name] = true
+		names[tbl.locate([]byte(k)).name] = true
 	}
 	if len(names) != 3 {
 		t.Fatalf("3 keys in 3 ranges hit %d regions", len(names))
 	}
 	// Boundary key belongs to the upper region (start inclusive).
-	if tbl.locate([]byte("g")).info.Name != tbl.locate([]byte("h")).info.Name {
+	if tbl.locate([]byte("g")).name != tbl.locate([]byte("h")).name {
 		t.Fatal("split key must route to the region it starts")
 	}
 	for _, k := range []string{"apple", "grape", "zebra", "g", "p"} {
@@ -239,20 +251,20 @@ func TestReplicationFactorOnAllReplicas(t *testing.T) {
 	tbl, _ := cl.Table("iot")
 	for _, tr := range tbl.regions {
 		if got := len(tr.group.Stats().Applied); got != 3 {
-			t.Fatalf("region %s factor = %d", tr.info.Name, got)
+			t.Fatalf("region %s factor = %d", tr.name, got)
 		}
-		if len(tr.replicas) != 3 {
-			t.Fatalf("region %s has %d replicas", tr.info.Name, len(tr.replicas))
+		if len(copies(cl, tr)) != 3 {
+			t.Fatalf("region %s has %d replicas", tr.name, len(copies(cl, tr)))
 		}
 		// Every replica store holds the same data as the primary.
 		for _, key := range []string{"alpha", "zulu"} {
-			if !tr.info.Contains([]byte(key)) {
+			if !tr.contains([]byte(key)) {
 				continue
 			}
-			for ri, rep := range tr.replicas {
+			for ri, rep := range copies(cl, tr) {
 				v, ok, err := rep.Store().Get([]byte(key))
 				if err != nil || !ok {
-					t.Fatalf("replica %d of %s missing %q: %v", ri, tr.info.Name, key, err)
+					t.Fatalf("replica %d of %s missing %q: %v", ri, tr.name, key, err)
 				}
 				if want := map[string]string{"alpha": "1", "zulu": "2"}[key]; string(v) != want {
 					t.Fatalf("replica %d diverged on %q: %q", ri, key, v)
@@ -306,6 +318,46 @@ func TestDropTablePurgesData(t *testing.T) {
 	c2, _ := cl.NewClient("iot", 0)
 	if _, ok, _ := getKey(c2, []byte("k")); ok {
 		t.Fatal("data survived drop + recreate")
+	}
+}
+
+// TestDropTableDestroysEveryCopy: DropTable destroys each server's copy of
+// each region — the server stops hosting it and its directory is gone — and
+// a recreated table's copies start empty on every server.
+func TestDropTableDestroysEveryCopy(t *testing.T) {
+	cl, c := newTestCluster(t, 3, [][]byte{[]byte("m")})
+	for _, k := range []string{"k", "z"} {
+		c.Put([]byte(k), []byte("v"))
+	}
+	if err := c.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := cl.Table("iot")
+	if err := cl.DropTable("iot"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range tbl.regions {
+		for _, srv := range cl.servers {
+			if _, err := srv.hosted(tr.name); err == nil {
+				t.Fatalf("server %d still hosts dropped region %s", srv.id, tr.name)
+			}
+			if _, err := os.Stat(filepath.Join(srv.dir, tr.name)); !os.IsNotExist(err) {
+				t.Fatalf("server %d kept the directory of %s: %v", srv.id, tr.name, err)
+			}
+		}
+	}
+	tbl, err := cl.CreateTable("iot", [][]byte{[]byte("m")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range tbl.regions {
+		for i, rep := range copies(cl, tr) {
+			for _, k := range []string{"k", "z"} {
+				if _, ok, _ := rep.Store().Get([]byte(k)); ok {
+					t.Fatalf("copy %d of recreated %s holds %q", i, tr.name, k)
+				}
+			}
+		}
 	}
 }
 

@@ -314,7 +314,7 @@ func TestClientBackoffRetriesThroughOverload(t *testing.T) {
 	// Every put landed exactly once on every member.
 	tbl, _ := cl.Table("iot")
 	for _, tr := range tbl.regions {
-		for ri, rep := range tr.replicas {
+		for ri, rep := range copies(cl, tr) {
 			for i := 0; i < 64; i++ {
 				key := []byte(fmt.Sprintf("rk%04d", i))
 				if _, ok, err := rep.Store().Get(key); err != nil || !ok {
@@ -350,5 +350,64 @@ func TestBackoffDelayShape(t *testing.T) {
 	// The server hint floors the delay.
 	if d := c.backoffDelay(0, 500*time.Millisecond); d < 500*time.Millisecond {
 		t.Fatalf("delay %s below the 500ms server hint", d)
+	}
+}
+
+// failingMember fails every apply: a replica whose disk is gone.
+type failingMember struct{ err error }
+
+func (f failingMember) ApplyBatch(telemetry.TSpan, []lsm.Write) error { return f.err }
+
+// A replica that stopped does not stop its region: past CatchUpQueue
+// batches, writes keep acking at quorum, and /healthz and /storage report
+// the copy as stopped and needing a rebuild.
+func TestStoppedMemberKeepsRegionWritable(t *testing.T) {
+	cfg := testConfig(t, 3)
+	cfg.CatchUpQueue = 4
+	cfg.RetryMax = -1
+	gone := errors.New("disk gone")
+	cfg.MemberWrapper = func(_ string, idx int, app replication.Applier) replication.Applier {
+		if idx == 2 {
+			return failingMember{gone}
+		}
+		return app
+	}
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	if _, err := cl.CreateTable("iot", nil); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cl.NewClient("iot", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let the replica stop on the first write: until its worker has failed
+	// that batch it is a running member, and its undrained queue may
+	// rightly shed the writes behind it.
+	if err := c.Put([]byte("k0000"), []byte("v")); err != nil {
+		t.Fatalf("first put: %v", err)
+	}
+	if err := c.FlushCommits(); err != nil {
+		t.Fatalf("first flush: %v", err)
+	}
+	if err := cl.Quiesce(); !errors.Is(err, gone) {
+		t.Fatalf("quiesce after the first write = %v, want the stopped replica's error", err)
+	}
+	for i := 1; i < 4*cfg.CatchUpQueue; i++ {
+		if err := c.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+			t.Fatalf("put %d with one replica stopped: %v", i, err)
+		}
+	}
+	if err := c.FlushCommits(); err != nil {
+		t.Fatalf("flush with one replica stopped: %v", err)
+	}
+	if h := cl.Health(); h.OK || h.StoppedCopies != 1 || h.RebuildCopies != 1 || h.Sheds != 0 {
+		t.Fatalf("health ok=%v stopped=%d rebuild=%d sheds=%d, want false, 1, 1, 0", h.OK, h.StoppedCopies, h.RebuildCopies, h.Sheds)
+	}
+	if g := cl.Storage().Replication[0].Group; !g.Rebuild[2] || g.Commit != uint64(4*cfg.CatchUpQueue) {
+		t.Fatalf("replication %+v: want member 2 marked for rebuild and every write committed", g)
 	}
 }

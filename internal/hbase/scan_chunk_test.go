@@ -75,7 +75,7 @@ func (f *scanFixture) storeRows(t *testing.T, lo, hi []byte) []Row {
 	}
 	var rows []Row
 	for _, tr := range tbl.regions {
-		it, err := tr.replicas[0].Store().NewIterator(lo, hi)
+		it, err := copies(f.cl, tr)[0].Store().NewIterator(lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestScanSnapshotPinnedAtOpen(t *testing.T) {
 		if err != nil || !more || len(first) != 4 {
 			t.Fatalf("%s: first chunk = %d rows, more=%v, err=%v", name, len(first), more, err)
 		}
-		for _, rep := range tr.replicas {
+		for _, rep := range copies(f.cl, tr) {
 			if err := rep.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +212,7 @@ func TestScanSnapshotPinnedAtOpen(t *testing.T) {
 			t.Fatalf("%s: next = more=%v, err=%v", name, more, err)
 		}
 		var want []Row // the region as it is now, less the late row
-		for _, r := range f.storeRows(t, nil, tr.info.EndKey) {
+		for _, r := range f.storeRows(t, nil, tr.end) {
 			if !bytes.Equal(r.Key, late) {
 				want = append(want, r)
 			}
@@ -317,7 +317,7 @@ func TestScanNextServerAllocations(t *testing.T) {
 	if err := cl.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range tr.replicas {
+	for _, rep := range copies(cl, tr) {
 		if err := rep.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -330,14 +330,14 @@ func TestScanNextServerAllocations(t *testing.T) {
 	var req frameReader
 	var resp frameWriter
 	measure := func(chunk int) (objects float64, bytesPerChunk uint64) {
-		id, err := tr.primary.openScanner(tr.replicas[0], nil, nil, 0, telemetry.TSpan{})
+		id, err := tr.primary.openScanner(tr, nil, nil, 0, telemetry.TSpan{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer tr.primary.closeScanner(id)
 		var w frameWriter
 		w.reset(opScanNext)
-		w.str(tr.info.Name)
+		w.str(tr.name)
 		w.uvarint(id)
 		w.uvarint(uint64(chunk))
 		var wire bytes.Buffer

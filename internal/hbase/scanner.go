@@ -88,7 +88,7 @@ func (c *Client) newScannerChunk(lo, hi []byte, limit, chunk int) (*Scanner, err
 	_, sp := c.tracer.StartTrace("client.scan_setup")
 	defer sp.End()
 	for _, tr := range c.table.regions {
-		if !rangesOverlap(lo, hi, tr.info.StartKey, tr.info.EndKey) {
+		if !rangesOverlap(lo, hi, tr.start, tr.end) {
 			continue
 		}
 		if err := c.flushRegion(tr, sp); err != nil {
@@ -137,7 +137,7 @@ func (s *Scanner) fill() {
 			s.fetched = chunkResult{}
 			if res.err != nil {
 				s.open = false
-				s.err = fmt.Errorf("hbase: scan %s: %w", s.regions[s.ri].info.Name, res.err)
+				s.err = fmt.Errorf("hbase: scan %s: %w", s.regions[s.ri].name, res.err)
 				return
 			}
 			if res.more {
@@ -170,7 +170,7 @@ func (s *Scanner) fill() {
 		osp.End()
 		sp.End()
 		if err != nil {
-			s.err = fmt.Errorf("hbase: scan %s: %w", tr.info.Name, err)
+			s.err = fmt.Errorf("hbase: scan %s: %w", tr.name, err)
 			return
 		}
 		s.id = id

@@ -206,7 +206,7 @@ func TestScannerSnapshotUnderFlushCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range tbl.regions[0].replicas {
+	for _, rep := range copies(cl, tbl.regions[0]) {
 		if err := rep.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestScannerSnapshotUnderFlushCompact(t *testing.T) {
 
 	// Compact the primary the scanner is reading from: the tables its
 	// snapshot pinned are retired from the table set.
-	if err := tbl.regions[0].replicas[0].Store().Compact(); err != nil {
+	if err := copies(cl, tbl.regions[0])[0].Store().Compact(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -361,10 +361,10 @@ func TestScannerLeaseExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, reg0 := tbl.regions[0].primary, tbl.regions[0].replicas[0]
+	srv, tr := tbl.regions[0].primary, tbl.regions[0]
 
 	// Open and pull one chunk, then abandon the session without closing.
-	stale, err := srv.openScanner(reg0, nil, nil, 0, telemetry.TSpan{})
+	stale, err := srv.openScanner(tr, nil, nil, 0, telemetry.TSpan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestScannerLeaseExpiry(t *testing.T) {
 	time.Sleep(120 * time.Millisecond) // let the lease lapse
 
 	// Any scanner operation sweeps expired sessions.
-	fresh, err := srv.openScanner(reg0, nil, nil, 0, telemetry.TSpan{})
+	fresh, err := srv.openScanner(tr, nil, nil, 0, telemetry.TSpan{})
 	if err != nil {
 		t.Fatal(err)
 	}

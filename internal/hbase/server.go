@@ -3,6 +3,7 @@ package hbase
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"tpcxiot/internal/lsm"
-	"tpcxiot/internal/region"
 	"tpcxiot/internal/replication"
 	"tpcxiot/internal/telemetry"
 )
@@ -56,7 +56,7 @@ type RegionServer struct {
 	shedStreak    atomic.Int64 // consecutive sheds since the last admit
 
 	mu      sync.RWMutex
-	regions map[string]*region.Region // every replica hosted here
+	regions map[string]*Region // every copy hosted here, by region name
 
 	// Scanner sessions: long-lived server-side scanners (HBase's
 	// RegionScanner), each pinning an LSM snapshot. Sessions are leased;
@@ -132,7 +132,7 @@ func newRegionServer(id int, dir string, handlerCount, shedWatermark int, leaseD
 		service:       "server-" + strconv.Itoa(id),
 		handlers:      make(chan struct{}, handlerCount),
 		shedWatermark: shedWatermark,
-		regions:       make(map[string]*region.Region),
+		regions:       make(map[string]*Region),
 		scanners:      make(map[uint64]*scannerSession),
 		leaseDur:      leaseDur,
 		nextSpan:      reg.Timer("scan.next"),
@@ -184,41 +184,84 @@ func (s *RegionServer) shed(depth int64) error {
 	return &OverloadedError{RetryAfter: hint}
 }
 
-// openRegion creates or reopens a region replica on this server. The
-// replica's store attaches its instruments under {region=..., server=...}
-// tags; the registry rolls them up cluster-wide.
-func (s *RegionServer) openRegion(info region.Info, storeOpts lsm.Options) (*region.Region, error) {
+// Region is one copy of a table region, hosted by a region server: the LSM
+// store holding the copy's rows, and a replication member.
+type Region struct {
+	name    string
+	store   *lsm.Store
+	service string // trace-span service label, e.g. "node-02/iot,00001"
+}
+
+// ApplyBatch makes the copy a replication.Applier: one engine round for a
+// batch whose keys RegionServer.mutate already checked. It appears as a
+// "region.apply" span in the copy's own service, with the engine's
+// WAL/memtable spans beneath it; the zero TSpan is inert.
+func (r *Region) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
+	sp := parent.ChildIn(r.service, "region.apply")
+	err := r.store.ApplyBatchTraced(sp, writes)
+	sp.End()
+	return err
+}
+
+// Store exposes the copy's engine, for stats, settling and tests.
+func (r *Region) Store() *lsm.Store { return r.store }
+
+// Flush persists the copy's buffered writes to table files.
+func (r *Region) Flush() error { return r.store.Flush() }
+
+// openRegion creates or reopens this server's copy of a region. Its store
+// attaches its instruments under {region=..., server=...} tags; the
+// registry rolls them up cluster-wide.
+func (s *RegionServer) openRegion(name string, storeOpts lsm.Options) (*Region, error) {
+	storeOpts.Dir = filepath.Join(s.dir, name)
 	storeOpts.Tags = []telemetry.Tag{
-		{Key: "region", Value: info.Name},
+		{Key: "region", Value: name},
 		{Key: "server", Value: strconv.Itoa(s.id)},
 	}
-	r, err := region.Open(info, s.dir, storeOpts)
+	st, err := lsm.Open(storeOpts)
 	if err != nil {
-		return nil, fmt.Errorf("hbase: server %d: %w", s.id, err)
+		return nil, fmt.Errorf("hbase: server %d: region %s: %w", s.id, name, err)
 	}
+	r := &Region{name: name, store: st, service: filepath.Base(s.dir) + "/" + name}
 	s.mu.Lock()
-	s.regions[info.Name] = r
+	s.regions[name] = r
 	s.mu.Unlock()
 	return r, nil
 }
 
-// forgetRegion drops the routing entry for a destroyed region.
-func (s *RegionServer) forgetRegion(name string) {
-	s.mu.Lock()
-	delete(s.regions, name)
-	s.mu.Unlock()
+// hosted returns this server's copy of the named region.
+func (s *RegionServer) hosted(name string) (*Region, error) {
+	s.mu.RLock()
+	r := s.regions[name]
+	s.mu.RUnlock()
+	if r == nil {
+		return nil, fmt.Errorf("hbase: server %d does not host region %s", s.id, name)
+	}
+	return r, nil
 }
 
-// Regions returns the replicas hosted on this server, sorted by region
-// name, for introspection (the cluster's /storage and /healthz documents).
-func (s *RegionServer) Regions() []*region.Region {
+// dropRegion destroys this server's copy of the named region, if any.
+func (s *RegionServer) dropRegion(name string) error {
+	s.mu.Lock()
+	r := s.regions[name]
+	delete(s.regions, name)
+	s.mu.Unlock()
+	if r == nil {
+		return nil
+	}
+	return r.store.Destroy()
+}
+
+// Regions returns the copies hosted on this server, sorted by region name,
+// for introspection (the cluster's /storage and /healthz documents).
+func (s *RegionServer) Regions() []*Region {
 	s.mu.RLock()
-	out := make([]*region.Region, 0, len(s.regions))
+	out := make([]*Region, 0, len(s.regions))
 	for _, r := range s.regions {
 		out = append(out, r)
 	}
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Info().Name < out[j].Info().Name })
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
@@ -239,10 +282,11 @@ func copyMutation(key, value []byte) Mutation {
 // mutate is the server-side write RPC: the whole batch executes under one
 // handler slot and ships through the region's replication group as a single
 // batched round — one WAL group append and one memtable critical section
-// per replica, with the replica fan-out running in parallel. A batch holding
-// an empty key or a key outside the region is refused whole before the
-// fan-out, with no sequence assigned: a member that failed to apply it
-// would stop, and the region would take no more writes. Under a sampled
+// per replica, with the replica fan-out running in parallel. This is where
+// client and wire input enters, and the only place a batch's keys are
+// checked: a batch holding an empty key or a key outside the region is
+// refused whole before the fan-out, with no sequence assigned, so no copy
+// holds any of it and no member stops on it. Under a sampled
 // parent (the zero TSpan is inert) the RPC appears as a "server.mutate" span
 // in this server's service, with a "server.handler_wait" child covering time
 // queued for a handler slot and the replication/engine spans beneath.
@@ -257,7 +301,7 @@ func (s *RegionServer) mutate(tr *tableRegion, batch []Mutation, parent telemetr
 	waitSp.End()
 	defer s.release()
 	s.requests.Inc()
-	if err := tr.info.CheckKeys(batch); err != nil {
+	if err := tr.checkKeys(batch); err != nil {
 		return fmt.Errorf("hbase: mutate: %w", err)
 	}
 	if err := tr.group.ApplyBatch(sp, batch); err != nil {
@@ -295,10 +339,11 @@ type rowSink func(key, value []byte)
 const scanChunkBytes = 1 << 20
 
 // openScanner is the scanner-session open RPC: it pins an LSM snapshot over
-// [lo, hi) on the region and registers a leased session. limit <= 0 means
-// unlimited. The scanner id is only meaningful on this server. Span:
-// "server.scan_open".
-func (s *RegionServer) openScanner(r *region.Region, lo, hi []byte, limit int, parent telemetry.TSpan) (uint64, error) {
+// [lo, hi) on the region's primary copy and registers a leased session. The
+// copy holds only the region's keys, so the range needs no clipping.
+// limit <= 0 means unlimited. The scanner id is only meaningful on this
+// server. Span: "server.scan_open".
+func (s *RegionServer) openScanner(tr *tableRegion, lo, hi []byte, limit int, parent telemetry.TSpan) (uint64, error) {
 	sp := parent.ChildIn(s.service, "server.scan_open")
 	defer sp.End()
 	waitSp := sp.Child("server.handler_wait")
@@ -306,7 +351,11 @@ func (s *RegionServer) openScanner(r *region.Region, lo, hi []byte, limit int, p
 	waitSp.End()
 	defer s.release()
 	s.requests.Inc()
-	it, err := r.NewIterator(lo, hi)
+	r, err := tr.primary.hosted(tr.name)
+	if err != nil {
+		return 0, err
+	}
+	it, err := r.store.NewIterator(lo, hi)
 	if err != nil {
 		return 0, err
 	}
@@ -375,13 +424,14 @@ func (s *RegionServer) next(id uint64, chunk int, sink rowSink, parent telemetry
 }
 
 // aggregate is the server-side aggregation RPC: one handler slot covers the
-// whole fold, which runs inside the region against a snapshot-pinned
-// iterator with file-level key/time/Bloom pruning, and only the per-window
+// whole fold, which runs inside the region's primary copy against a
+// snapshot-pinned iterator with file-level key/time/Bloom pruning (see
+// lsm.AggregateTime for windowing semantics), and only the per-window
 // partials come back — the rows are reduced where they live. Reads take
 // acquire (never shed), consistent with the scanner RPCs. The RPC
 // appears as "server.aggregate" in this server's service with the handler
 // wait and the fold ("agg.fold") as children.
-func (s *RegionServer) aggregate(r *region.Region, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs, parent telemetry.TSpan) (lsm.AggResult, error) {
+func (s *RegionServer) aggregate(tr *tableRegion, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs, parent telemetry.TSpan) (lsm.AggResult, error) {
 	tsp := parent.ChildIn(s.service, "server.aggregate")
 	defer tsp.End()
 	waitSp := tsp.Child("server.handler_wait")
@@ -389,10 +439,14 @@ func (s *RegionServer) aggregate(r *region.Region, lo, hi []byte, minTS, maxTS, 
 	waitSp.End()
 	defer s.release()
 	s.requests.Inc()
+	r, err := tr.primary.hosted(tr.name)
+	if err != nil {
+		return lsm.AggResult{}, err
+	}
 
 	foldSp := tsp.Child("agg.fold")
 	sp := s.aggSpan.Start()
-	res, err := r.AggregateTime(lo, hi, minTS, maxTS, windowMS, funcs)
+	res, err := r.store.AggregateTime(lo, hi, minTS, maxTS, windowMS, funcs)
 	sp.End()
 	foldSp.End()
 	if err != nil {

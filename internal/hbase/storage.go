@@ -98,11 +98,11 @@ func (cl *Cluster) Storage() StorageReport {
 		rep.Servers++
 		for _, r := range srv.Regions() {
 			rep.Regions = append(rep.Regions, RegionStorage{
-				Region: r.Info().Name,
+				Region: r.name,
 				Server: srv.ID(),
-				Stats:  r.Stats(),
-				Tables: r.TableStats(),
-				Tiers:  r.TierStats(),
+				Stats:  r.store.Stats(),
+				Tables: r.store.TableStats(),
+				Tiers:  r.store.TierStats(),
 			})
 		}
 	}
@@ -166,6 +166,7 @@ type HealthReport struct {
 	CatchUpDepth  int    `json:"catchup_depth"`  // deepest member catch-up queue, in batches
 	QuorumLag     uint64 `json:"quorum_lag"`     // worst member lag behind a commit watermark
 	StoppedCopies int    `json:"stopped_copies"` // members whose apply worker died
+	RebuildCopies int    `json:"rebuild_copies"` // stopped members past their catch-up bound
 
 	Unhealthy []RegionHealth `json:"unhealthy,omitempty"`
 }
@@ -188,7 +189,7 @@ func (cl *Cluster) Health() HealthReport {
 			rep.OK = false
 		}
 		for _, r := range srv.Regions() {
-			h := r.Health()
+			h := r.store.Health()
 			rep.Regions++
 			if h.Stalled {
 				rep.Stalled++
@@ -203,7 +204,7 @@ func (cl *Cluster) Health() HealthReport {
 			if !h.OK() {
 				rep.OK = false
 				rep.Unhealthy = append(rep.Unhealthy, RegionHealth{
-					Region: r.Info().Name,
+					Region: r.name,
 					Server: srv.ID(),
 					Health: h,
 				})
@@ -218,10 +219,13 @@ func (cl *Cluster) Health() HealthReport {
 		if q := st.MaxQueue(); q > rep.CatchUpDepth {
 			rep.CatchUpDepth = q
 		}
-		for _, stopped := range st.Stopped {
+		for i, stopped := range st.Stopped {
 			if stopped {
 				rep.StoppedCopies++
 				rep.OK = false
+			}
+			if st.Rebuild[i] {
+				rep.RebuildCopies++
 			}
 		}
 	}

@@ -119,7 +119,7 @@ func (cl *Cluster) serve(req *frameReader, resp *frameWriter, srv *RegionServer,
 		if req.err != nil {
 			return req.err
 		}
-		id, err := srv.openScanner(tr.replicas[0], lo, hi, limit, parent)
+		id, err := srv.openScanner(tr, lo, hi, limit, parent)
 		resp.uvarint(id)
 		return err
 	case opScanNext:
@@ -142,7 +142,7 @@ func (cl *Cluster) serve(req *frameReader, resp *frameWriter, srv *RegionServer,
 		if req.err != nil {
 			return req.err
 		}
-		res, err := srv.aggregate(tr.replicas[0], lo, hi, minTS, maxTS, windowMS, funcs, parent)
+		res, err := srv.aggregate(tr, lo, hi, minTS, maxTS, windowMS, funcs, parent)
 		resp.aggResult(res)
 		return err
 	}
@@ -155,7 +155,7 @@ func (cl *Cluster) findRegion(name string) *tableRegion {
 	defer cl.mu.RUnlock()
 	for _, t := range cl.tables {
 		for _, tr := range t.regions {
-			if tr.info.Name == name {
+			if tr.name == name {
 				return tr
 			}
 		}

@@ -8,11 +8,11 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"tpcxiot/internal/lsm"
-	"tpcxiot/internal/region"
 	"tpcxiot/internal/telemetry"
 )
 
@@ -360,42 +360,80 @@ func TestWireFormatRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestMutateRefusesBadKeysBeforeFanOut: a mutate frame holding an empty key,
-// or a key of another region, is refused whole by the region server before
-// the replication fan-out. No member stops on it, so the region keeps
-// taking writes; and a client refuses an empty key before buffering it.
-func TestMutateRefusesBadKeysBeforeFanOut(t *testing.T) {
-	cl, c := newTCPCluster(t, 3, [][]byte{[]byte("m")})
-	rpc, err := newTCPTransport(cl)
+// TestRegionContains: a region owns [start, end), a nil bound unbounded.
+func TestRegionContains(t *testing.T) {
+	cases := []struct {
+		start, end string
+		key        string
+		want       bool
+	}{
+		{"", "", "anything", true}, // unbounded
+		{"b", "", "a", false},      // below start
+		{"b", "", "b", true},       // at start (inclusive)
+		{"", "m", "m", false},      // at end (exclusive)
+		{"", "m", "lzz", true},     // just below end
+		{"b", "m", "f", true},      // inside
+		{"b", "m", "z", false},     // above end
+	}
+	for _, tc := range cases {
+		tr := &tableRegion{name: "iot,00000"}
+		if tc.start != "" {
+			tr.start = []byte(tc.start)
+		}
+		if tc.end != "" {
+			tr.end = []byte(tc.end)
+		}
+		if got := tr.contains([]byte(tc.key)); got != tc.want {
+			t.Errorf("contains(%q) in [%q,%q) = %v, want %v", tc.key, tc.start, tc.end, got, tc.want)
+		}
+	}
+}
+
+// bothTransports returns the in-process and the TCP transport of a serving
+// cluster, by name.
+func bothTransports(t *testing.T, cl *Cluster) map[string]transport {
+	t.Helper()
+	tcp, err := newTCPTransport(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rpc.close()
+	t.Cleanup(func() { tcp.close() })
+	return map[string]transport{"in-process": inprocTransport{}, "tcp": tcp}
+}
+
+// TestMutateRefusesBadKeysBeforeFanOut: over either transport, a mutate
+// holding an empty key, or a key of another region, is refused whole by the
+// region server before the replication fan-out. No member stops on it, so
+// the region keeps taking writes; and a client refuses an empty key before
+// buffering it.
+func TestMutateRefusesBadKeysBeforeFanOut(t *testing.T) {
+	cl, c := newTCPCluster(t, 3, [][]byte{[]byte("m")})
 	tbl, _ := cl.Table("iot")
 	low := tbl.regions[0] // [nil, "m")
 	v := []byte("v")
-	for name, key := range map[string][]byte{"empty key": nil, "key of another region": []byte("z")} {
-		err := rpc.mutate(low, []Mutation{{Key: []byte("a"), Value: v}, {Key: key, Value: v}}, telemetry.TSpan{})
-		if err == nil {
-			t.Fatalf("%s: mutate accepted", name)
+	for name, rpc := range bothTransports(t, cl) {
+		refused, good := []byte("a-"+name), []byte("b-"+name)
+		for what, key := range map[string][]byte{"empty key": nil, "key of another region": []byte("z")} {
+			if err := rpc.mutate(low, []Mutation{{Key: refused, Value: v}, {Key: key, Value: v}}, telemetry.TSpan{}); err == nil {
+				t.Fatalf("%s, %s: mutate accepted", name, what)
+			}
 		}
-	}
-	if err := rpc.mutate(low, []Mutation{{Key: []byte("b"), Value: v}}, telemetry.TSpan{}); err != nil {
-		t.Fatalf("a good mutate after the refused ones: %v", err)
-	}
-	if err := cl.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	for i, stopped := range low.group.Stats().Stopped {
-		if stopped {
-			t.Fatalf("member %d stopped", i)
+		if err := rpc.mutate(low, []Mutation{{Key: good, Value: v}}, telemetry.TSpan{}); err != nil {
+			t.Fatalf("%s: a good mutate after the refused ones: %v", name, err)
 		}
-		rep := low.replicas[i].Store()
-		if _, ok, _ := rep.Get([]byte("a")); ok {
-			t.Fatalf("member %d applied part of a refused batch", i)
+		if err := cl.Quiesce(); err != nil {
+			t.Fatal(err)
 		}
-		if _, ok, err := rep.Get([]byte("b")); err != nil || !ok {
-			t.Fatalf("member %d lacks the good write: ok=%v err=%v", i, ok, err)
+		for i, rep := range copies(cl, low) {
+			if low.group.Stats().Stopped[i] {
+				t.Fatalf("%s: member %d stopped", name, i)
+			}
+			if _, ok, _ := rep.Store().Get(refused); ok {
+				t.Fatalf("%s: member %d applied part of a refused batch", name, i)
+			}
+			if _, ok, err := rep.Store().Get(good); err != nil || !ok {
+				t.Fatalf("%s: member %d lacks the good write: ok=%v err=%v", name, i, ok, err)
+			}
 		}
 	}
 
@@ -405,8 +443,71 @@ func TestMutateRefusesBadKeysBeforeFanOut(t *testing.T) {
 	if n := c.buffered; n != 0 {
 		t.Fatalf("refused puts buffered %d bytes", n)
 	}
-	if err := low.info.CheckKeys([]Mutation{{Key: []byte("z")}}); !errors.Is(err, region.ErrOutOfRange) {
-		t.Fatalf("CheckKeys of a key above the region = %v", err)
+}
+
+// TestRegionBoundsEnforced: over either transport, a write below or above
+// a region is refused with ErrOutOfRange at the region server, and a write
+// inside it lands on every member.
+func TestRegionBoundsEnforced(t *testing.T) {
+	cl, _ := newTCPCluster(t, 3, [][]byte{[]byte("b"), []byte("m")})
+	tbl, _ := cl.Table("iot")
+	mid := tbl.regions[1] // ["b", "m")
+	v := []byte("v")
+	for name, rpc := range bothTransports(t, cl) {
+		for what, key := range map[string][]byte{"below": []byte("a"), "above": []byte("z")} {
+			err := rpc.mutate(mid, []Mutation{{Key: key, Value: v}}, telemetry.TSpan{})
+			// The wire carries the error's text, not its chain.
+			if err == nil || !strings.Contains(err.Error(), ErrOutOfRange.Error()) {
+				t.Fatalf("%s: put %s the region = %v, want %v", name, what, err, ErrOutOfRange)
+			}
+		}
+		inside := []byte("f-" + name)
+		if err := rpc.mutate(mid, []Mutation{{Key: inside, Value: v}}, telemetry.TSpan{}); err != nil {
+			t.Fatalf("%s: put inside the region: %v", name, err)
+		}
+		if err := cl.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		for i, rep := range copies(cl, mid) {
+			if got, ok, err := rep.Store().Get(inside); err != nil || !ok || string(got) != "v" {
+				t.Fatalf("%s: member %d read inside the region = %q,%v,%v", name, i, got, ok, err)
+			}
+		}
+	}
+}
+
+// TestMutateChecksWholeBatchBeforeApply: over either transport, a good batch
+// applies whole on every member, its in-batch overwrite last; one
+// out-of-range key refuses the whole batch before any member applies a row
+// of it.
+func TestMutateChecksWholeBatchBeforeApply(t *testing.T) {
+	cl, _ := newTCPCluster(t, 3, [][]byte{[]byte("b"), []byte("m")})
+	tbl, _ := cl.Table("iot")
+	mid := tbl.regions[1] // ["b", "m")
+	for name, rpc := range bothTransports(t, cl) {
+		banana, grape := []byte("banana-"+name), []byte("grape-"+name)
+		good := []Mutation{{Key: banana, Value: []byte("1")}, {Key: grape, Value: []byte("2")}, {Key: banana, Value: []byte("3")}}
+		if err := rpc.mutate(mid, good, telemetry.TSpan{}); err != nil {
+			t.Fatalf("%s: good batch: %v", name, err)
+		}
+		cherry := []byte("cherry-" + name)
+		bad := []Mutation{{Key: cherry, Value: []byte("in")}, {Key: []byte("zebra"), Value: []byte("out")}}
+		if err := rpc.mutate(mid, bad, telemetry.TSpan{}); err == nil || !strings.Contains(err.Error(), ErrOutOfRange.Error()) {
+			t.Fatalf("%s: out-of-range batch = %v, want %v", name, err, ErrOutOfRange)
+		}
+		if err := cl.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		for i, rep := range copies(cl, mid) {
+			for key, want := range map[string]string{string(banana): "3", string(grape): "2"} {
+				if got, ok, err := rep.Store().Get([]byte(key)); err != nil || !ok || string(got) != want {
+					t.Fatalf("%s: member %d %s = %q ok=%v err=%v, want %q", name, i, key, got, ok, err, want)
+				}
+			}
+			if _, ok, _ := rep.Store().Get(cherry); ok {
+				t.Fatalf("%s: member %d applied part of a refused batch", name, i)
+			}
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func (inprocTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TS
 }
 
 func (inprocTransport) openScanner(tr *tableRegion, lo, hi []byte, limit int, sp telemetry.TSpan) (uint64, error) {
-	return tr.primary.openScanner(tr.replicas[0], lo, hi, limit, sp)
+	return tr.primary.openScanner(tr, lo, hi, limit, sp)
 }
 
 // scanNext is the in-process rowSink: it copies the chunk's rows into one
@@ -68,7 +68,7 @@ func (inprocTransport) closeScanner(tr *tableRegion, id uint64, sp telemetry.TSp
 }
 
 func (inprocTransport) aggregate(tr *tableRegion, lo, hi []byte, minTS, maxTS, windowMS int64, funcs lsm.AggFuncs, sp telemetry.TSpan) (lsm.AggResult, error) {
-	return tr.primary.aggregate(tr.replicas[0], lo, hi, minTS, maxTS, windowMS, funcs, sp)
+	return tr.primary.aggregate(tr, lo, hi, minTS, maxTS, windowMS, funcs, sp)
 }
 
 func (inprocTransport) close() error { return nil }
@@ -140,7 +140,7 @@ func (t *tcpTransport) conn(srv *RegionServer) (*tcpConn, error) {
 func (t *tcpTransport) call(tr *tableRegion, op byte, sp telemetry.TSpan, encode func(req *frameWriter)) (resp frameReader) {
 	c, err := t.conn(tr.primary)
 	if err == nil {
-		c.req.request(op, sp, tr.info.Name)
+		c.req.request(op, sp, tr.name)
 		encode(&c.req)
 		err = c.req.flush(c.c)
 	}

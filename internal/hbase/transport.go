@@ -13,9 +13,10 @@ import (
 )
 
 // The cluster's clients can reach region servers two ways: direct
-// in-process calls (the default) or a loopback TCP wire protocol that
-// models the benchmark's client-to-region-server network path. Both routes
-// execute the same handler-gated server methods.
+// in-process calls (NewClient) or a loopback TCP wire protocol (NewTCPClient,
+// what the benchmark kit drives) that models the benchmark's
+// client-to-region-server network path. Both routes execute the same
+// handler-gated server methods.
 //
 // Wire format: every message is a frame
 //

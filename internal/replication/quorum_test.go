@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,5 +371,117 @@ func TestRestartReplayDoesNotDoubleAck(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A stopped member must not stop its region: with one member failing every
+// apply, the 2-of-3 quorum keeps acknowledging past MaxQueue batches. The
+// member fails each batch it misses, retains at most MaxQueue of them, is
+// then marked as needing a rebuild, and a restart is refused.
+func TestStoppedMemberDoesNotStopRegion(t *testing.T) {
+	const maxQueue = 8
+	p, r1, dead := newMapApplier(), newMapApplier(), newMapApplier()
+	dead.fail = errors.New("disk gone")
+	g := NewGroup(Options{MaxQueue: maxQueue}, p, r1, dead)
+	defer g.Close()
+
+	const writes = 3 * maxQueue
+	for i := 0; i < writes; i++ {
+		if err := put(g, fmt.Sprintf("k%03d", i), "v"); err != nil {
+			st := g.Stats()
+			t.Fatalf("write %d refused with one member stopped: %v (Applied %v Queue %v)", i+1, err, st.Applied, st.Queue)
+		}
+	}
+	st := g.Stats()
+	if st.Commit != writes || st.Applied[0] != writes || st.Applied[1] != writes {
+		t.Fatalf("commit %d, applied %v: want %d on the two live members", st.Commit, st.Applied, writes)
+	}
+	if !st.Stopped[2] || st.Applied[2] != 0 {
+		t.Fatalf("member 2 stopped %v at %d, want stopped at 0", st.Stopped[2], st.Applied[2])
+	}
+	if want := []bool{false, false, true}; fmt.Sprint(st.Rebuild) != fmt.Sprint(want) {
+		t.Fatalf("rebuild = %v, want %v", st.Rebuild, want)
+	}
+	if st.Queue[2] != 0 {
+		t.Fatalf("a member that needs a rebuild retains %d batches", st.Queue[2])
+	}
+	if len(p.data) != writes || len(r1.data) != writes {
+		t.Fatalf("live members hold %d/%d keys, want %d", len(p.data), len(r1.data), writes)
+	}
+	if err := g.RestartMember(2, newMapApplier()); !errors.Is(err, ErrNeedsRebuild) {
+		t.Fatalf("restart past the bound = %v, want ErrNeedsRebuild", err)
+	}
+}
+
+// A stopped member retains up to MaxQueue batches and a restart within that
+// bound replays them; the next batch past it marks the member for rebuild.
+func TestStoppedMemberRetainsUpToMaxQueue(t *testing.T) {
+	const maxQueue = 8
+	p, r1 := newMapApplier(), newMapApplier()
+	flaky := newGatedApplier()
+	g := NewGroup(Options{MaxQueue: maxQueue}, p, r1, &failOnce{gatedApplier: flaky})
+	defer g.Close()
+
+	for i := 0; i < maxQueue; i++ {
+		if err := put(g, fmt.Sprintf("k%03d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitStopped(t, g, 2)
+	if st := g.Stats(); st.Queue[2] != maxQueue || st.Rebuild[2] {
+		t.Fatalf("stopped member queue %d, rebuild %v: want %d retained and no rebuild", st.Queue[2], st.Rebuild[2], maxQueue)
+	}
+	if err := g.RestartMember(2, flaky); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, data := flaky.snapshot(); len(data) != maxQueue {
+		t.Fatalf("restarted member holds %d keys, want %d", len(data), maxQueue)
+	}
+}
+
+// failOnce fails its first apply and then delegates: a member that stops
+// once and recovers.
+type failOnce struct {
+	*gatedApplier
+	failed bool
+}
+
+func (f *failOnce) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
+	if !f.failed {
+		f.failed = true
+		return errors.New("transient fault")
+	}
+	return f.gatedApplier.ApplyBatch(parent, writes)
+}
+
+func waitStopped(t *testing.T, g *Group, idx int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !g.Stats().Stopped[idx] {
+		if time.Now().After(deadline) {
+			t.Fatalf("member %d never stopped", idx)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// With two of three members stopped a write fails, past MaxQueue as before
+// it: with the stopped member's error, naming it, not with ErrCatchUpFull.
+func TestTwoStoppedMembersFailWrites(t *testing.T) {
+	const maxQueue = 8
+	p, d1, d2 := newMapApplier(), newMapApplier(), newMapApplier()
+	sentinel := errors.New("disk gone")
+	d1.fail, d2.fail = sentinel, sentinel
+	g := NewGroup(Options{MaxQueue: maxQueue}, p, d1, d2)
+	defer g.Close()
+
+	for i := 0; i < 3*maxQueue; i++ {
+		err := put(g, fmt.Sprintf("k%03d", i), "v")
+		if errors.Is(err, ErrCatchUpFull) || !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "member 1") {
+			t.Fatalf("write %d with two members stopped = %v, want member 1's %v", i+1, err, sentinel)
+		}
 	}
 }

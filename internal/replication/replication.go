@@ -29,13 +29,17 @@
 // always holds. Every read is served by the primary, so reads see every
 // acknowledged write; replicas exist for durability only.
 //
-// The catch-up queue is bounded. When any member's queue is full the group
-// refuses new batches with ErrCatchUpFull — a retryable overload signal the
-// server layer converts into a load-shed response — so a stalled straggler
-// costs bounded memory and visible backpressure instead of unbounded queue
-// growth. A member whose apply fails stops draining (its queue and
-// watermark freeze, preserving its WAL order); RestartMember re-attaches a
-// recovered applier and replays the retained queue from the watermark.
+// The catch-up queue is bounded. When a running member's queue is full the
+// group refuses new batches with ErrCatchUpFull — a retryable overload
+// signal the server layer converts into a load-shed response — so a stalled
+// straggler costs bounded memory and visible backpressure instead of
+// unbounded queue growth. A member whose apply fails stops draining (its
+// queue and watermark freeze, preserving its WAL order) and fails every
+// later batch, which the rest of the quorum keeps acknowledging;
+// RestartMember re-attaches a recovered applier and replays the retained
+// queue from the watermark. A stopped member retains at most MaxQueue
+// batches: the next one drops its queue and marks it as needing a rebuild
+// (GroupStats.Rebuild), which RestartMember refuses with ErrNeedsRebuild.
 package replication
 
 import (
@@ -68,12 +72,15 @@ var (
 	// ErrMemberRunning is returned by RestartMember for a member whose
 	// worker is still draining.
 	ErrMemberRunning = errors.New("replication: member worker still running")
+	// ErrNeedsRebuild is returned by RestartMember for a stopped member
+	// that missed more batches than its queue retains.
+	ErrNeedsRebuild = errors.New("replication: member missed batches past its catch-up bound and needs a rebuild")
 )
 
 // Applier is one pipeline member: it durably applies a whole batch in one
 // engine round (one WAL group append, one memtable critical section) under
 // the operation's trace span, so each member's engine work shows up in the
-// span tree. region.Region is the production member. The zero TSpan is
+// span tree. hbase.Region is the production member. The zero TSpan is
 // inert, so untraced batches take the same call. A wrapper around a member
 // must forward parent, or the spans beneath it vanish.
 type Applier interface {
@@ -86,9 +93,9 @@ type Options struct {
 	// durably apply a batch before it is acknowledged. 0 selects the
 	// majority, ⌈(n+1)/2⌉. Clamped to [1, members].
 	Quorum int
-	// MaxQueue bounds each member's catch-up queue in batches; a full
-	// queue makes the group refuse writes with ErrCatchUpFull. <= 0
-	// selects DefaultMaxQueue.
+	// MaxQueue bounds each member's catch-up queue in batches; a running
+	// member's full queue makes the group refuse writes with
+	// ErrCatchUpFull. <= 0 selects DefaultMaxQueue.
 	MaxQueue int
 }
 
@@ -134,6 +141,7 @@ type member struct {
 	running bool            // worker goroutine alive
 	closing bool
 	err     error         // first apply error; non-nil ⇒ worker stopped
+	rebuild bool          // stopped and missed a batch past maxQueue
 	advance chan struct{} // closed+replaced on watermark advance or stop
 
 	applied atomic.Uint64 // high-water mark: last sequence durably applied
@@ -350,8 +358,10 @@ func (g *Group) Instrument(reg *telemetry.Registry) {
 // it; stragglers finish in the background. The batch fails if the primary
 // fails or quorum becomes unreachable (lowest-indexed member error wins);
 // members that already applied keep the writes, the same partial state a
-// crashed fan-out leaves. The group retains the batch until the slowest
-// member applied it, so callers must not reuse the key/value arrays.
+// crashed fan-out leaves; a batch that already stopped members make fail is
+// refused before any member applies it. The group retains the batch until
+// the slowest member applied it, so callers must not reuse the key/value
+// arrays.
 //
 // When parent is live the pipeline appears as a "replication.fanout" span
 // with a "replication.quorum_wait" child covering the blocking portion and
@@ -377,18 +387,32 @@ func (g *Group) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 		g.mu.Unlock()
 		return ErrClosed
 	}
-	// Admission: a full catch-up queue on any member refuses the batch
-	// before a sequence is assigned, keeping memory bounded and the
-	// overload visible.
+	// Admission, before a sequence is assigned: stopped members that leave
+	// no quorum (or include the primary) refuse the batch with the
+	// lowest-indexed one's error; a full catch-up queue on a running member
+	// refuses it as overload. A stopped member's queue does not count, or
+	// it would refuse every write while a quorum still holds.
+	stopped, firstStopped, full := 0, -1, -1
+	var stopErr error
 	for _, m := range g.members {
 		m.mu.Lock()
-		full := len(m.queue) >= g.maxQueue
-		m.mu.Unlock()
-		if full {
-			g.mu.Unlock()
-			g.met.queueFull.Inc()
-			return fmt.Errorf("replication: member %d: %w", m.idx, ErrCatchUpFull)
+		if m.err != nil {
+			if stopped++; firstStopped < 0 {
+				firstStopped, stopErr = m.idx, m.err
+			}
+		} else if full < 0 && len(m.queue) >= g.maxQueue {
+			full = m.idx
 		}
+		m.mu.Unlock()
+	}
+	switch {
+	case firstStopped == 0 || stopped > len(g.members)-g.quorum:
+		g.mu.Unlock()
+		return fmt.Errorf("replication: member %d stopped: %w", firstStopped, stopErr)
+	case full >= 0:
+		g.mu.Unlock()
+		g.met.queueFull.Inc()
+		return fmt.Errorf("replication: member %d: %w", full, ErrCatchUpFull)
 	}
 	g.nextSeq++
 	pb.seq = g.nextSeq
@@ -396,15 +420,20 @@ func (g *Group) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 	st.fullSpan = g.met.fullT.Start()
 	// Enqueue to every member inside the same critical section that
 	// assigned the sequence, so every member's queue holds the same batches
-	// in the same (WAL) order.
+	// in the same (WAL) order. A stopped member fails the batch at once and
+	// retains it for a restart's replay while its queue has room.
 	for _, m := range g.members {
 		m.mu.Lock()
-		m.queue = append(m.queue, pb)
-		var standing error
-		if !m.running && !m.closing {
-			standing = m.err
+		standing := m.err
+		switch {
+		case standing == nil:
+			m.queue = append(m.queue, pb)
+			m.cond.Signal()
+		case !m.rebuild && len(m.queue) < g.maxQueue:
+			m.queue = append(m.queue, pb)
+		default:
+			m.rebuild, m.queue = true, nil
 		}
-		m.cond.Signal()
 		m.mu.Unlock()
 		if standing != nil {
 			st.reportFailure(m.idx, standing)
@@ -466,7 +495,8 @@ func (g *Group) Quiesce() error {
 // — typically a store reopened after a crash — and a new worker resumes
 // draining the retained queue from the watermark, in the original WAL
 // order. Batches the recovered store had already applied before the crash
-// are re-applied idempotently (last-writer-wins on identical writes).
+// are re-applied idempotently (last-writer-wins on identical writes). A
+// member marked as needing a rebuild is refused with ErrNeedsRebuild.
 func (g *Group) RestartMember(i int, app Applier) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -475,9 +505,13 @@ func (g *Group) RestartMember(i int, app Applier) error {
 	}
 	m := g.members[i]
 	m.mu.Lock()
-	if m.running {
+	if m.running || m.rebuild {
+		err := ErrMemberRunning
+		if m.rebuild {
+			err = ErrNeedsRebuild
+		}
 		m.mu.Unlock()
-		return fmt.Errorf("replication: member %d: %w", i, ErrMemberRunning)
+		return fmt.Errorf("replication: member %d: %w", i, err)
 	}
 	if app != nil {
 		m.app = app
@@ -528,6 +562,7 @@ type GroupStats struct {
 	Applied  []uint64 `json:"applied"`  // per-member applied watermark
 	Queue    []int    `json:"queue"`    // per-member catch-up depth
 	Stopped  []bool   `json:"stopped"`  // per-member worker-dead flag
+	Rebuild  []bool   `json:"rebuild"`  // per-member needs-rebuild flag
 }
 
 // MaxLag returns the snapshot's worst member lag behind the commit
@@ -569,6 +604,7 @@ func (g *Group) Stats() GroupStats {
 		st.Applied = append(st.Applied, m.applied.Load())
 		st.Queue = append(st.Queue, len(m.queue))
 		st.Stopped = append(st.Stopped, m.err != nil)
+		st.Rebuild = append(st.Rebuild, m.rebuild)
 		m.mu.Unlock()
 	}
 	return st

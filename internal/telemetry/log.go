@@ -95,9 +95,6 @@ func (l *Logger) With(fields ...Field) *Logger {
 	return &Logger{min: l.min, base: base, sink: l.sink}
 }
 
-// Info emits an info event. No-op on a nil logger.
-func (l *Logger) Info(msg string, fields ...Field) { l.emit(LevelInfo, msg, fields) }
-
 // Warn emits a warning event. No-op on a nil logger.
 func (l *Logger) Warn(msg string, fields ...Field) { l.emit(LevelWarn, msg, fields) }
 

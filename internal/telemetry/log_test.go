@@ -13,7 +13,7 @@ func TestLoggerJSONL(t *testing.T) {
 	l := NewLogger(&buf, LevelInfo)
 
 	l.emit(LevelDebug, "below the floor", nil) // filtered
-	l.Info("segment opened", F("segment", "wal-000001.log"))
+	l.emit(LevelInfo, "segment opened", []Field{F("segment", "wal-000001.log")})
 	l.Warn("torn tail", F("records_replayed", 42), F("err", errors.New("checksum mismatch")))
 
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
@@ -70,7 +70,7 @@ func TestLoggerWithAndInstrument(t *testing.T) {
 
 func TestNilLoggerIsNoop(t *testing.T) {
 	var l *Logger
-	l.Info("into the void", F("k", "v"))
+	l.Warn("into the void", F("k", "v"))
 	l.With(F("k", "v")).Error("still nothing")
 	// No panic is the assertion.
 }

@@ -49,24 +49,13 @@ func (d clientDB) Aggregate(lo, hi []byte, minTS, maxTS, windowMS int64, funcs l
 func (d clientDB) Close() error { return d.c.Close() }
 
 // ClusterBinding returns a ycsb.Binding that opens one buffered client per
-// worker thread against the given cluster table. writeBufferBytes is the
+// worker thread against the given cluster table, over the cluster's
+// loopback TCP wire protocol: each thread gets its own connections to the
+// region servers, exercising the client-to-server network path of the SUT.
+// The cluster must already be serving TCP. writeBufferBytes is the
 // client-side buffer threshold (hbase.client.write.buffer); 0 disables
 // buffering.
 func ClusterBinding(cl *hbase.Cluster, table string, writeBufferBytes int64) ycsb.Binding {
-	return func(thread int) (ycsb.DB, error) {
-		c, err := cl.NewClient(table, writeBufferBytes)
-		if err != nil {
-			return nil, err
-		}
-		return clientDB{c: c}, nil
-	}
-}
-
-// ClusterBindingTCP is ClusterBinding over the cluster's loopback TCP wire
-// protocol: each worker thread gets its own connections to the region
-// servers, exercising the client-to-server network path of the SUT. The
-// cluster must already be serving TCP.
-func ClusterBindingTCP(cl *hbase.Cluster, table string, writeBufferBytes int64) ycsb.Binding {
 	return func(thread int) (ycsb.DB, error) {
 		c, err := cl.NewTCPClient(table, writeBufferBytes)
 		if err != nil {

@@ -10,7 +10,7 @@ import (
 	"tpcxiot/internal/ycsb"
 )
 
-// newCluster starts an in-process three-node cluster holding the table
+// newCluster starts a three-node cluster serving TCP, holding the table
 // "iot" in one region, its stores opened with opts and WAL syncs off.
 func newCluster(t *testing.T, opts lsm.Options) *hbase.Cluster {
 	t.Helper()
@@ -21,6 +21,9 @@ func newCluster(t *testing.T, opts lsm.Options) *hbase.Cluster {
 	}
 	t.Cleanup(func() { cl.Close() })
 	if _, err := cl.CreateTable("iot", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.ServeTCP(); err != nil {
 		t.Fatal(err)
 	}
 	return cl

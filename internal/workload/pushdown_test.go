@@ -131,7 +131,7 @@ func TestAggregatorMatchesStreamWindows(t *testing.T) {
 }
 
 // TestAggregatorParityUnderChurn is the same property on the cluster
-// bindings, in-process and over TCP, while writers ingest into the same
+// binding (TCP) and an in-process client, while writers ingest into the same
 // table — a 64 KiB memtable forces flushes and compactions beneath the
 // queries, and the table is split inside one series so the client merges
 // boundary partials. Writers only append above the queried range, so the
@@ -156,12 +156,13 @@ func TestAggregatorParityUnderChurn(t *testing.T) {
 	if err := cl.ServeTCP(); err != nil {
 		t.Fatal(err)
 	}
-	inproc, err := ClusterBinding(cl, "iot", 0)(0)
+	c, err := cl.NewClient("iot", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inproc := clientDB{c: c}
 	defer inproc.Close()
-	tcp, err := ClusterBindingTCP(cl, "iot", 0)(0)
+	tcp, err := ClusterBinding(cl, "iot", 0)(0)
 	if err != nil {
 		t.Fatal(err)
 	}
