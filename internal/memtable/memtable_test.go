@@ -3,10 +3,14 @@ package memtable
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"tpcxiot/internal/kvp"
 )
 
 func TestPutGet(t *testing.T) {
@@ -200,6 +204,111 @@ func TestConcurrentWritersReaders(t *testing.T) {
 	}
 }
 
+// TestConcurrentSeriesAppendsAndScans runs writers that append to series
+// of their own and to series they share (where their timestamps interleave,
+// so some arrive late and go to the fallback) while readers walk the table
+// from SeekToFirst and from Seek. Every walk must be strictly increasing
+// and must hold every key whose Put returned before its iterator was made.
+func TestConcurrentSeriesAppendsAndScans(t *testing.T) {
+	m := New(16)
+	const writers, perWriter = 3, 1500
+	seriesKey := func(w, i int) []byte {
+		k := kvp.Key{Substation: "sub", Sensor: fmt.Sprintf("own-%d-%02d", w, i%7), Timestamp: int64(i)}
+		if i%3 == 0 { // a shared series, new ones appearing as i grows
+			k.Sensor = fmt.Sprintf("shared-%02d", i/100)
+			k.Timestamp = int64(i*writers + w)
+		}
+		return k.Encode()
+	}
+	var done [writers]atomic.Int64 // Puts returned, per writer
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				k := seriesKey(w, i)
+				m.Put(k, k)
+				done[w].Store(int64(i + 1))
+				if i%64 == 0 {
+					runtime.Gosched() // let the readers in on two cores
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for walk := 0; ; walk++ {
+				select {
+				case <-stop:
+					if walk >= 10 {
+						errs <- nil
+						return
+					}
+				default:
+				}
+				var upTo [writers]int
+				for w := range upTo {
+					upTo[w] = int(done[w].Load())
+				}
+				it := m.NewIterator()
+				var from []byte
+				if walk%2 == 1 && upTo[r] > 0 {
+					from = seriesKey(r, walk%upTo[r])
+					it.Seek(from)
+				} else {
+					it.SeekToFirst()
+				}
+				seen := map[string]bool{}
+				var prev []byte
+				for ; it.Valid(); it.Next() {
+					if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
+						errs <- fmt.Errorf("walk not increasing: %q then %q", prev, it.Key())
+						return
+					}
+					if !bytes.Equal(it.Key(), it.Value()) {
+						errs <- fmt.Errorf("key %q holds value %q", it.Key(), it.Value())
+						return
+					}
+					prev = it.Key()
+					seen[string(prev)] = true
+				}
+				for w := range upTo {
+					for i := 0; i < upTo[w]; i++ {
+						if k := seriesKey(w, i); bytes.Compare(k, from) >= 0 && !seen[string(k)] {
+							errs <- fmt.Errorf("walk from %q missed %q, written before the walk", from, k)
+							return
+						}
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	for r := 0; r < 2; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Len() != writers*perWriter {
+		t.Fatalf("Len = %d, want %d", m.Len(), writers*perWriter)
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			if _, ok := m.Get(seriesKey(w, i)); !ok {
+				t.Fatalf("lost key %q", seriesKey(w, i))
+			}
+		}
+	}
+}
+
 func TestPropertyMatchesSortedMap(t *testing.T) {
 	f := func(ops [][2][]byte) bool {
 		m := New(10)
@@ -295,6 +404,29 @@ var memtableFuzzSeeds = [][]byte{
 	{0, 2, 'k', 'k', 201, 1, 0, 202, 3, 1, 'k', 5, 0, 6, 0, 1, 'z', 203},
 	{0, 1, 'm', 50, 0, 1, 'a', 199, 3, 0, 5, 1, 1, 0, 200, 2, 0, 1, 'm', 3, 0, 6, 0},
 	{0, 3, 'a', 'b', 'c', 204, 0, 3, 'a', 'b', 'd', 204, 0, 0, 1, 1, 1, 205, 3, 0, 5, 0, 4},
+	// Series a|x: appends @1 @3 @6, @6 again and @1 again (overwrites in
+	// the run), @4 late (fallback); short keys around the run, a cut c|x
+	// key, a new series b|x; walks and seeks across the run/fallback
+	// boundary.
+	{
+		0, 129, 0, 1, 0, 129, 1, 2, 0, 129, 2, 3, 0, 129, 160, 9, 0, 129, 162, 4, 0, 129, 241, 5,
+		0, 1, 'a', 5, 0, 2, 'a', 'a', 6, 0, 248, 0, 7, 0, 130, 0, 8, 6,
+		3, 1, 129, 162, 7, 1, 3, 9, 3, 1, 244, 0, 7, 4, 2, 129, 241, 2, 129, 162, 4,
+	},
+	// One series' run outgrows its first array while walks hold its slices.
+	{
+		0, 129, 0, 0, 0, 129, 0, 0, 0, 129, 0, 0, 0, 129, 0, 0, 0, 129, 0, 0,
+		0, 129, 0, 0, 0, 129, 0, 0, 0, 129, 0, 0, 0, 129, 0, 0, 0, 129, 0, 0,
+		3, 0, 7, 5, 0, 3, 3, 1, 129, 170, 7,
+		0, 129, 0, 0, 0, 129, 0, 0, 0, 129, 0, 0, 0, 129, 0, 0, 0, 129, 0, 0,
+		0, 129, 0, 0, 0, 129, 0, 0, 0, 129, 0, 0, 1, 5, 3, 6, 3, 1, 129, 170, 7, 4,
+	},
+	// A negative timestamp, and a jump ahead that sends the series' next
+	// drawn timestamps to the fallback.
+	{
+		0, 129, 0, 1, 0, 129, 0, 1, 0, 129, 0, 1, 0, 129, 0, 1, 0, 129, 0, 1,
+		0, 129, 230, 2, 0, 129, 250, 3, 0, 129, 0, 4, 6, 3, 1, 0, 7, 2, 129, 230, 4,
+	},
 }
 
 // memtableValue is a value of n bytes whose content depends on tag, so
@@ -325,7 +457,10 @@ type held struct {
 
 // FuzzMemtable runs an op stream against the table and a sorted-map model:
 // new and overwriting Puts (values from empty to over a byte chunk), Get,
-// SeekToFirst/Seek/Next walks, Len and Size. Every key and value slice a
+// SeekToFirst/Seek/Next walks, Len and Size. Keys are short strings, which
+// only the fallback skiplist holds, or kvp keys of three series that land in
+// a series' run when they arrive in timestamp order and in the fallback when
+// they arrive late, mixed with kvp keys cut short. Every key and value slice a
 // walk returned must keep its bytes through later Puts, and an append to
 // one must change no entry.
 func FuzzMemtable(f *testing.F) {
@@ -356,10 +491,35 @@ func memtableOps(t *testing.T, ops []byte) {
 		pos++
 		return ops[pos-1]
 	}
-	key := func() []byte { // up to 3 bytes from a 4-letter alphabet
-		k := make([]byte, int(next())%4)
-		for i := range k {
-			k[i] = 'a' + next()%4
+	var tails [3]int64 // the newest timestamp drawn per series
+	key := func() []byte {
+		sel := next()
+		if sel < 128 { // up to 3 bytes from a 4-letter alphabet
+			k := make([]byte, int(sel)%4)
+			for i := range k {
+				k[i] = 'a' + next()%4
+			}
+			return k
+		}
+		// A kvp key of series a|x, b|x or c|x, which sort among the short
+		// keys: mostly the series' next timestamp, else its newest or an
+		// older one. From 240 on, the key is cut short by 1 to 12 bytes:
+		// not kvp-shaped, and sorting before the series' run (at 8, the
+		// bare series prefix).
+		s, d := int(sel)%3, next()
+		var ts int64
+		switch {
+		case d < 160:
+			tails[s] += 1 + int64(d%3)
+			ts = tails[s]
+		case d < 224:
+			ts = tails[s] - int64(d%8)
+		default:
+			ts = int64(d) - 240
+		}
+		k := kvp.Key{Substation: string(rune('a' + s)), Sensor: "x", Timestamp: ts}.Encode()
+		if sel >= 240 {
+			k = k[:len(k)-1-int(sel-240)%12]
 		}
 		return k
 	}
@@ -460,5 +620,30 @@ func memtableOps(t *testing.T, ops []byte) {
 	}
 	if m.Len() != int64(len(model)) || m.Size() != size {
 		t.Fatalf("end: Len %d Size %d, want %d %d", m.Len(), m.Size(), len(model), size)
+	}
+}
+
+// BenchmarkPutSeries inserts kit-shaped rows: 1 KiB kvp pairs from 200
+// sensors of two substations, each sensor's timestamps increasing, into a
+// fresh table every ~4 MiB (the store's default flush point).
+func BenchmarkPutSeries(b *testing.B) {
+	const series, perTable = 200, 4 << 20 / kvp.PairSize
+	keys := make([][]byte, perTable)
+	for i := range keys {
+		k := kvp.Key{
+			Substation: fmt.Sprintf("substation-%05d", i%series%2),
+			Sensor:     fmt.Sprintf("sensor-%03d", i%series),
+			Timestamp:  1_500_000_000_000 + int64(i/series),
+		}
+		keys[i] = k.Encode()
+	}
+	val := bytes.Repeat([]byte("v"), kvp.PairSize-len(keys[0]))
+	b.SetBytes(int64(len(keys[0]) + len(val)))
+	var m *Memtable
+	for i := 0; i < b.N; i++ {
+		if i%perTable == 0 {
+			m = New(15)
+		}
+		m.Put(keys[i%perTable], val)
 	}
 }

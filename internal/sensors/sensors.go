@@ -11,6 +11,7 @@ package sensors
 
 import (
 	"fmt"
+	"strconv"
 
 	"tpcxiot/internal/gen"
 )
@@ -193,5 +194,5 @@ func (r *Reader) NextString() string {
 // decimal with two fractional digits, guaranteed 1-20 characters for any
 // value the catalogue's families can produce.
 func FormatReading(v float64) string {
-	return fmt.Sprintf("%.2f", v)
+	return strconv.FormatFloat(v, 'f', 2, 64)
 }

@@ -1,6 +1,9 @@
 package sensors
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -126,5 +129,59 @@ func TestReadingStringsFitPair(t *testing.T) {
 				t.Fatalf("sensor %s reading %q does not fit a pair: %v", s.Key, reading, err)
 			}
 		}
+	}
+}
+
+// formatReadingGolden is formatReadingDigest as computed with
+// fmt.Sprintf("%.2f", v). Every kvp's sensor-value field, and so every
+// benchmark input digest, depends on these bytes.
+const formatReadingGolden = "d3e439a10981db866a700efcb009ddc57178edf45d7e934da15295e344b2ea10"
+
+// formatReadingDigest hashes FormatReading over every family's seeded
+// stream and over edge values: zeros of both signs, family bounds,
+// negatives, halves that round either way at the third decimal, and values
+// far out of any family's range.
+func formatReadingDigest() string {
+	h := sha256.New()
+	put := func(v float64) {
+		s := FormatReading(v)
+		h.Write([]byte{byte(len(s))})
+		h.Write([]byte(s))
+	}
+	edges := []float64{0, math.Copysign(0, -1), -0.001, -0.004, -0.005, -0.006, 0.005, 0.015, 0.025,
+		0.125, 1.005, 2.675, 59.995, 60.005, -179.995, 1e-9, -1e-9, 123456.789, -0.5, 0.994999, 0.995,
+		math.MaxInt32, math.Nextafter(0.005, 1), math.Nextafter(0.005, 0)}
+	for _, f := range Families {
+		edges = append(edges, f.Min, f.Max, math.Nextafter(f.Min, math.Inf(-1)), math.Nextafter(f.Max, math.Inf(1)))
+	}
+	for _, v := range edges {
+		put(v)
+	}
+	for i, s := range Catalogue() {
+		r := NewReader(s, uint64(i)*7919+3)
+		for j := 0; j < 500; j++ {
+			put(r.Next())
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestFormatReadingGolden(t *testing.T) {
+	if got := formatReadingDigest(); got != formatReadingGolden {
+		t.Fatalf("FormatReading output changed: digest %s, want %s", got, formatReadingGolden)
+	}
+}
+
+var formatSink string
+
+func BenchmarkFormatReading(b *testing.B) {
+	r := NewReader(Catalogue()[0], 1)
+	vs := make([]float64, 1024)
+	for i := range vs {
+		vs[i] = r.Next()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		formatSink = FormatReading(vs[i%len(vs)])
 	}
 }
