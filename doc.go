@@ -13,8 +13,8 @@
 //     data model and deterministic generators;
 //   - internal/bloom, internal/memtable, internal/wal, internal/sstable,
 //     internal/lsm — the storage engine;
-//   - internal/region, internal/replication, internal/hbase — the
-//     distributed gateway store (the live System Under Test);
+//   - internal/replication, internal/hbase — the distributed gateway
+//     store (the live System Under Test);
 //   - internal/ycsb, internal/workload — the YCSB-style framework and the
 //     TPCx-IoT workload (ingest plus the four dashboard query templates);
 //   - internal/driver, internal/metrics, internal/audit, internal/pricing,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"tpcxiot/internal/telemetry"
 )
 
 // TestAmplificationInvariants checks the byte ledger's structural
@@ -197,5 +199,50 @@ func TestHealthDocument(t *testing.T) {
 	}
 	if h := s.Health(); h.OK() || !h.Closed {
 		t.Errorf("closed store reported healthy: %+v", h)
+	}
+}
+
+// TestManifestCommitsLeaveWALMetrics: the manifest is a wal.Log too, but
+// its appends and syncs are not the data WAL's. A Flush and a Compact each
+// commit a manifest edit and must move none of wal.appends, wal.bytes,
+// wal.syncs, the put.wal_append histogram or Stats().WALBytes — the bench
+// derives wal.fsyncs_per_batch, wal.bytes_per_user_byte and write_amp
+// from them.
+func TestManifestCommitsLeaveWALMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := openTest(t, Options{DisableAutoFlush: true, Registry: reg})
+	read := func() [5]int64 {
+		return [5]int64{
+			reg.CounterValue("wal.appends"),
+			reg.CounterValue("wal.bytes"),
+			reg.CounterValue("wal.syncs"),
+			reg.Histogram("put.wal_append").Snapshot().Count(),
+			s.Stats().WALBytes,
+		}
+	}
+	for round := 0; round < 2; round++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%d", round)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		before := read()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if after := read(); after != before {
+			t.Fatalf("Flush moved the data WAL's metrics [appends bytes syncs put.wal_append WALBytes]: %v -> %v", before, after)
+		}
+	}
+	if before := read(); before[0] != 2 {
+		t.Fatalf("wal.appends = %d after two puts, want 2", before[0])
+	}
+	before := read()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Compactions; got != 1 {
+		t.Fatalf("%d compactions, want 1", got)
+	}
+	if after := read(); after != before {
+		t.Fatalf("Compact moved the data WAL's metrics [appends bytes syncs put.wal_append WALBytes]: %v -> %v", before, after)
 	}
 }

@@ -188,7 +188,7 @@ type Store struct {
 
 	// manifest is the versioned table-set log; manMu serialises manifest
 	// commits with the in-memory installs they authorise, so a rotation
-	// snapshot can never miss a committed-but-uninstalled table. Lock order:
+	// base can never miss a committed-but-uninstalled table. Lock order:
 	// manMu before mu.
 	manifest *manifest
 	manMu    sync.Mutex
@@ -505,11 +505,11 @@ func (s *Store) tablePath(id uint64) string {
 }
 
 // recoverTables rebuilds the table set at open. The manifest is
-// authoritative: exactly the tables it lists are opened and every other .sst
-// (plus .tmp residue and superseded MANIFEST files) is an orphan from an
-// interrupted transition, removed. A directory without a manifest gets an
-// empty one — unless it holds tables, which no manifest accounts for: that
-// is ErrCorrupt, and the directory is left as it was.
+// authoritative: exactly the tables it lists are opened, the manifest is
+// rotated to a base of them, and every other .sst (plus .tmp residue) is an
+// orphan from an interrupted transition, removed. A directory without a
+// manifest gets an empty one — unless it holds tables, which no manifest
+// accounts for: that is ErrCorrupt, and the directory is left as it was.
 func (s *Store) recoverTables() error {
 	man, live, err := openManifest(s.opts.Dir, s.elog)
 	if err != nil {
@@ -525,9 +525,6 @@ func (s *Store) recoverTables() error {
 		if len(tables) > 0 {
 			return fmt.Errorf("%w: tables without a manifest in %s: %s",
 				ErrCorrupt, s.opts.Dir, strings.Join(tables, ", "))
-		}
-		if err := man.bootstrap(); err != nil {
-			return err
 		}
 	}
 	metas := make([]tableMeta, 0, len(live))
@@ -553,15 +550,18 @@ func (s *Store) recoverTables() error {
 		}
 	}
 	s.setTablesLocked(s.tables) // nothing else can see the store yet
+	if err := man.rotate(metas); err != nil {
+		return err
+	}
 	return s.removeOrphans()
 }
 
 // removeOrphans sweeps the directory after recovery: .tmp files from
-// interrupted writes, superseded MANIFEST files, and .sst files the manifest
-// does not reference (committed-but-unlinked compaction inputs, or a flush
-// that renamed its table but crashed before the manifest commit; the WAL
-// still holds the latter's contents). Any orphan id seen advances nextID so a
-// new table can never reuse a name that just held different bytes.
+// interrupted writes, and .sst files the manifest does not reference
+// (committed-but-unlinked compaction inputs, or a flush that renamed its
+// table but crashed before the manifest commit; the WAL still holds the
+// latter's contents). Any orphan id seen advances nextID so a new table can
+// never reuse a name that just held different bytes.
 func (s *Store) removeOrphans() error {
 	entries, err := os.ReadDir(s.opts.Dir)
 	if err != nil {
@@ -571,15 +571,11 @@ func (s *Store) removeOrphans() error {
 	for _, t := range s.tables {
 		liveTables[filepath.Base(t.path)] = true
 	}
-	curManifest := manifestName(s.manifest.seq)
 	for _, e := range entries {
 		name := e.Name()
 		switch {
 		case strings.HasSuffix(name, tmpSuffix):
 			s.elog.Warn("removing orphaned temp file from interrupted write",
-				telemetry.F("file", name))
-		case strings.HasPrefix(name, manifestPrefix) && name != curManifest:
-			s.elog.Warn("removing superseded manifest",
 				telemetry.F("file", name))
 		case strings.HasSuffix(name, ".sst") && !liveTables[name]:
 			s.elog.Warn("removing orphaned table not referenced by manifest",
@@ -916,7 +912,7 @@ func (s *Store) installTable(path string) error {
 // commitAndInstall logs one manifest edit and, only if the commit succeeds,
 // runs install (which must take s.mu itself and update s.tables to match the
 // edit). Holding manMu across both means a concurrent edit's rotation
-// snapshot always reflects every previously committed transition.
+// base always reflects every previously committed transition.
 func (s *Store) commitAndInstall(edit manifestEdit, install func()) error {
 	s.manMu.Lock()
 	defer s.manMu.Unlock()

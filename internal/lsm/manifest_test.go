@@ -2,26 +2,101 @@ package lsm
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"tpcxiot/internal/wal"
 )
 
-// currentManifestPath resolves the live manifest file via CURRENT.
-func currentManifestPath(t *testing.T, dir string) string {
+// manifestSegments lists the manifest segment files of the store in dir,
+// oldest first.
+func manifestSegments(t testing.TB, dir string) []string {
 	t.Helper()
-	cur, err := os.ReadFile(filepath.Join(dir, currentName))
+	segs, err := filepath.Glob(filepath.Join(dir, manifestDir, "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return filepath.Join(dir, strings.TrimSpace(string(cur)))
+	sort.Strings(segs)
+	return segs
+}
+
+// lastManifestSegment is the segment the store in dir appends edits to.
+func lastManifestSegment(t testing.TB, dir string) string {
+	t.Helper()
+	segs := manifestSegments(t, dir)
+	if len(segs) == 0 {
+		t.Fatalf("no manifest segment in %s", dir)
+	}
+	return segs[len(segs)-1]
+}
+
+// walHeaderLen is the framing wal puts before each record: its length and
+// its CRC32C, four bytes each.
+const walHeaderLen = 8
+
+// manifestEdits replays the manifest of the store in dir and returns each
+// edit with the offset of its record, counting the segments' bytes end to
+// end.
+func manifestEdits(t testing.TB, dir string) ([]manifestEdit, []int64) {
+	t.Helper()
+	var edits []manifestEdit
+	var offs []int64
+	var off int64
+	err := wal.Replay(filepath.Join(dir, manifestDir), nil, func(rec []byte) error {
+		var edit manifestEdit
+		if err := json.Unmarshal(rec, &edit); err != nil {
+			return err
+		}
+		edits, offs = append(edits, edit), append(offs, off)
+		off += walHeaderLen + int64(len(rec))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return edits, offs
+}
+
+// manifestLive is the table set the manifest of the store in dir replays to.
+func manifestLive(t *testing.T, dir string) map[uint64]tableMeta {
+	t.Helper()
+	_, live, err := openManifest(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return live
+}
+
+// walFrame returns recs as wal frames them in a segment.
+func walFrame(t testing.TB, recs ...[]byte) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	log, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "wal-00000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestManifestAuthoritativeAfterCompactionCrash simulates a crash between the
@@ -100,9 +175,10 @@ func TestManifestAuthoritativeAfterCompactionCrash(t *testing.T) {
 	}
 }
 
-// TestRecoveryCleansTempAndSupersededFiles: .tmp residue and manifests CURRENT
-// no longer points at are swept at open, and an orphan .sst id advances the id
-// allocator so a new table never reuses a name that held different bytes.
+// TestRecoveryCleansTempAndSupersededFiles: .tmp residue and manifest
+// segments a base has superseded are swept at open, and an orphan .sst id
+// advances the id allocator so a new table never reuses a name that held
+// different bytes.
 func TestRecoveryCleansTempAndSupersededFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
@@ -119,14 +195,19 @@ func TestRecoveryCleansTempAndSupersededFiles(t *testing.T) {
 	crashStore(t, s)
 
 	// Fabricate interrupted-transition residue: a partial table write, a
-	// stale manifest, and a flushed-but-never-committed table (copy of the
-	// live one under a higher id).
+	// superseded manifest segment (an older copy of the live one), and a
+	// flushed-but-never-committed table (copy of the live one under a
+	// higher id).
 	tmp := filepath.Join(dir, "000000000099.sst"+tmpSuffix)
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(dir, manifestName(0))
-	if err := os.WriteFile(stale, []byte("old"), 0o644); err != nil {
+	seg, err := os.ReadFile(lastManifestSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, manifestDir, "wal-00000000.log")
+	if err := os.WriteFile(stale, seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(live)
@@ -166,11 +247,12 @@ func TestRecoveryCleansTempAndSupersededFiles(t *testing.T) {
 
 // TestManifestTornTailTruncated: a crash mid-append leaves a partial record at
 // the manifest tail; recovery truncates it and the store keeps working. A
-// length prefix so large that adding the CRC's four bytes wraps is torn too.
+// length field so large that adding the header's eight bytes wraps a uint32
+// is torn too.
 func TestManifestTornTailTruncated(t *testing.T) {
 	for _, seed := range manifestSeeds(t) {
 		if seed.name == "torn-tail" || seed.name == "wrapping-length" {
-			t.Run(seed.name, func(t *testing.T) { tornTailRecovers(t, seed.rec) })
+			t.Run(seed.name, func(t *testing.T) { tornTailRecovers(t, seed.tail) })
 		}
 	}
 }
@@ -191,8 +273,7 @@ func tornTailRecovers(t *testing.T, tail []byte) {
 	}
 	crashStore(t, s)
 
-	man := currentManifestPath(t, dir)
-	f, err := os.OpenFile(man, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(lastManifestSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +321,8 @@ func dirImage(t *testing.T, dir string) map[string]string {
 }
 
 // TestOpenRefusesTablesWithoutManifest: tables in a directory without a
-// CURRENT belong to no manifest. Open refuses them with ErrCorrupt, names
-// them, and leaves every file as it was — it neither bootstraps a manifest
+// manifest belong to no manifest. Open refuses them with ErrCorrupt, names
+// them, and leaves every file as it was — it neither writes a manifest
 // over them nor removes them as orphans.
 func TestOpenRefusesTablesWithoutManifest(t *testing.T) {
 	dir := t.TempDir()
@@ -260,17 +341,8 @@ func TestOpenRefusesTablesWithoutManifest(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, currentName)); err != nil {
+	if err := os.RemoveAll(filepath.Join(dir, manifestDir)); err != nil {
 		t.Fatal(err)
-	}
-	manifests, err := filepath.Glob(filepath.Join(dir, manifestPrefix+"*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range manifests {
-		if err := os.Remove(m); err != nil {
-			t.Fatal(err)
-		}
 	}
 	tables, err := filepath.Glob(filepath.Join(dir, "*.sst"))
 	if err != nil || len(tables) != 3 {
@@ -297,13 +369,16 @@ func TestOpenRefusesTablesWithoutManifest(t *testing.T) {
 }
 
 // TestManifestRotationBoundsRecoveryCost: after far more edits than the
-// rotation threshold, the directory holds exactly one manifest file whose
-// replay yields the live table set — recovery cost tracks live tables, not
-// store history.
+// rotation threshold, the manifest holds exactly one segment whose replay
+// yields the live table set — recovery cost tracks live tables, not store
+// history.
 func TestManifestRotationBoundsRecoveryCost(t *testing.T) {
 	dir := t.TempDir()
-	m := &manifest{dir: dir}
-	if err := m.bootstrap(); err != nil {
+	m, _, err := openManifest(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.rotate(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Churn: add table i, delete table i-1. Live set at any point is one id.
@@ -322,18 +397,10 @@ func TestManifestRotationBoundsRecoveryCost(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	matches, err := filepath.Glob(filepath.Join(dir, manifestPrefix+"*"))
-	if err != nil {
-		t.Fatal(err)
+	if segs := manifestSegments(t, dir); len(segs) != 1 {
+		t.Fatalf("%d manifest segments after churn, want 1 (rotation broken)", len(segs))
 	}
-	if len(matches) != 1 {
-		t.Fatalf("%d manifest files after churn, want 1 (rotation broken)", len(matches))
-	}
-	re, liveSet, err := openManifest(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.close()
+	liveSet := manifestLive(t, dir)
 	if len(liveSet) != 1 {
 		t.Fatalf("replayed live set has %d tables, want 1", len(liveSet))
 	}
@@ -343,72 +410,347 @@ func TestManifestRotationBoundsRecoveryCost(t *testing.T) {
 	}
 }
 
-// manifestSeed is one FuzzManifestRecord seed: the bytes at the head of a
-// manifest tail and what decodeManifestRecord must return for them (nil: the
-// whole input is one record).
-type manifestSeed struct {
-	name    string
-	rec     []byte
-	wantErr error
+// tableIDs lists the ids of s's live tables, ascending.
+func tableIDs(s *Store) []uint64 {
+	var ids []uint64
+	for _, ts := range s.TableStats() {
+		ids = append(ids, ts.ID)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
-// manifestSeeds are FuzzManifestRecord's seeds, replayed by
-// TestManifestRecordSeeds: a valid edit and the damage replay must survive.
-func manifestSeeds(t testing.TB) []manifestSeed {
-	valid, err := encodeManifestRecord(manifestEdit{
-		Added: []tableMeta{{ID: 7, Size: 4096, FirstKey: []byte("k0"), LastKey: []byte("k9"),
-			MinTS: 1000, MaxTS: 2000, HasTS: true, Tombstones: 2, CreatedMS: 1}},
-		Deleted: []uint64{3, 5},
-	})
+// sstIDs lists the ids of the table files in dir, ascending.
+func sstIDs(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.sst"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ids []uint64
+	for _, p := range paths {
+		id, err := strconv.ParseUint(strings.TrimSuffix(filepath.Base(p), ".sst"), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// copyFile copies src to dst, whose directory exists.
+func copyFile(t *testing.T, src, dst string) {
+	t.Helper()
+	b, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyAbsent copies into dst every file that matches pattern in src and is
+// not in skip.
+func copyAbsent(t *testing.T, src, skip, dst, pattern string) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(src, pattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		rel, _ := filepath.Rel(src, p)
+		if _, err := os.Stat(filepath.Join(skip, rel)); err == nil {
+			continue
+		}
+		copyFile(t, p, filepath.Join(dst, rel))
+	}
+}
+
+// segmentBeforeBase fills crashed with the crash a rotation meets after
+// creating its segment and before writing the base into it: before's files,
+// the crashing flush's table renamed into place, and the new segment empty.
+func segmentBeforeBase(t *testing.T, before, after, crashed string) {
+	t.Helper()
+	copyDir(t, before, crashed)
+	copyAbsent(t, after, before, crashed, "*.sst")
+	seg := filepath.Base(lastManifestSegment(t, after))
+	if err := os.WriteFile(filepath.Join(crashed, manifestDir, seg), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// crashPointOpts opens every store of TestManifestCrashPoints: the WAL is
+// synced on every append, so a copy of a live directory holds every
+// acknowledged row.
+func crashPointOpts(dir string) Options {
+	return Options{Dir: dir, WALSync: wal.SyncOnAppend, DisableAutoFlush: true}
+}
+
+// TestManifestCrashPoints reopens a store from each crash point of a
+// manifest commit and of the rotation on the manifestRotateEvery-th edit (a
+// fresh segment, a base of the live set, then the older segments
+// truncated). Each case builds the crashed directory from two copies of one
+// store: before, just ahead of the flush whose commit crashes, and after,
+// once that flush returned. The reopened store must name the tables of the
+// last whole commit, keep each of them on disk and no other table, hold
+// every acknowledged row and accept a new flush. Seeds pick the table
+// count, the rows per flush and where a torn append stops; a failure prints
+// the seed that reproduces it.
+func TestManifestCrashPoints(t *testing.T) {
+	cases := []struct {
+		name   string
+		rotate bool // the crashing flush commits the manifestRotateEvery-th edit
+		// crash fills crashed and reports whether the flush's edit is
+		// committed there.
+		crash func(t *testing.T, rng *rand.Rand, before, after, crashed string) bool
+	}{
+		{"torn-edit-append", false, func(t *testing.T, rng *rand.Rand, before, after, crashed string) bool {
+			copyDir(t, before, crashed)
+			copyAbsent(t, after, before, crashed, "*.sst")
+			seg := lastManifestSegment(t, after)
+			full, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			had, err := os.ReadFile(filepath.Join(before, manifestDir, filepath.Base(seg)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := len(had) + 1 + rng.Intn(len(full)-len(had)-1)
+			if err := os.WriteFile(filepath.Join(crashed, manifestDir, filepath.Base(seg)), full[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return false
+		}},
+		{"segment-before-base", true, func(t *testing.T, _ *rand.Rand, before, after, crashed string) bool {
+			segmentBeforeBase(t, before, after, crashed)
+			return false
+		}},
+		{"base-before-truncate", true, func(t *testing.T, _ *rand.Rand, before, after, crashed string) bool {
+			copyDir(t, after, crashed)
+			copyAbsent(t, before, after, crashed, filepath.Join(manifestDir, "wal-*.log"))
+			return true
+		}},
+		{"truncate-half-done", true, func(t *testing.T, _ *rand.Rand, before, after, crashed string) bool {
+			// A crash before the base leaves two older segments for the
+			// next open's rotation: the last whole one and the empty one.
+			// That rotation crashes with only the oldest removed, before
+			// the orphaned table is swept.
+			first := crashed + "-first"
+			segmentBeforeBase(t, before, after, first)
+			copyDir(t, first, crashed)
+			s, err := Open(crashPointOpts(crashed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashStore(t, s)
+			older := manifestSegments(t, first)
+			for _, seg := range older[1:] {
+				copyFile(t, seg, filepath.Join(crashed, manifestDir, filepath.Base(seg)))
+			}
+			copyAbsent(t, first, crashed, crashed, "*.sst")
+			return false
+		}},
+	}
+	for _, c := range cases {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
+				t.Cleanup(func() {
+					if t.Failed() {
+						t.Logf("seed %d reproduces this: go test -run 'TestManifestCrashPoints/%s/seed=%d$' ./internal/lsm", seed, c.name, seed)
+					}
+				})
+				rng := rand.New(rand.NewSource(seed))
+				root := t.TempDir()
+				live, before, crashed := filepath.Join(root, "live"), filepath.Join(root, "before"), filepath.Join(root, "crashed")
+				s, err := Open(crashPointOpts(live))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := 0
+				putMore := func() {
+					next := rows + 1 + rng.Intn(20)
+					putKeys(t, s, rows, next)
+					rows = next
+				}
+				for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+					putMore()
+					if err := s.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := tableIDs(s)
+				putMore()
+				if c.rotate {
+					s.manifest.records = manifestRotateEvery
+				}
+				copyDir(t, live, before)
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				flushed := tableIDs(s)
+				crashStore(t, s)
+				rotated := filepath.Base(lastManifestSegment(t, before)) != filepath.Base(lastManifestSegment(t, live))
+				if rotated != c.rotate {
+					t.Fatalf("manifest segments %v before the flush, %v after: rotated %v, want %v",
+						manifestSegments(t, before), manifestSegments(t, live), rotated, c.rotate)
+				}
+				if c.crash(t, rng, before, live, crashed) {
+					want = flushed
+				}
+
+				re, err := Open(crashPointOpts(crashed))
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				if got := tableIDs(re); !reflect.DeepEqual(got, want) {
+					t.Fatalf("reopened store names tables %v, want %v", got, want)
+				}
+				if got := sstIDs(t, crashed); !reflect.DeepEqual(got, want) {
+					t.Fatalf("table files %v on disk, want the live set %v", got, want)
+				}
+				checkKeys(t, re, rows)
+				putKeys(t, re, rows, rows+5)
+				if err := re.Flush(); err != nil {
+					t.Fatalf("flush after reopen: %v", err)
+				}
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+				again, err := Open(crashPointOpts(crashed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer again.Close()
+				checkKeys(t, again, rows+5)
+				if got := len(tableIDs(again)); got != len(want)+1 {
+					t.Fatalf("%d tables after a flush on the reopened store, want %d", got, len(want)+1)
+				}
+			})
+		}
+	}
+}
+
+// manifestSeed is one FuzzManifestReplay seed: bytes that make the
+// manifest's last segment, after one whose only record is a base, and the
+// error Open must return for them (nil: a store).
+type manifestSeed struct {
+	name    string
+	tail    []byte
+	wantErr error
+}
+
+// manifestSeeds are FuzzManifestReplay's seeds, replayed by
+// TestManifestRecordSeeds: a valid edit, the damage a crash leaves, which
+// replay drops, and whole records Open must refuse.
+func manifestSeeds(t testing.TB) []manifestSeed {
+	record := func(edit manifestEdit) []byte {
+		b, err := json.Marshal(edit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	valid := walFrame(t, record(manifestEdit{Deleted: []uint64{3, 5}}))
 	badCRC := append([]byte(nil), valid...)
 	badCRC[len(badCRC)-1] ^= 0xff
 	return []manifestSeed{
 		{"valid-edit", valid, nil},
 		// An append cut short: the length promises more than follows.
-		{"torn-tail", valid[:len(valid)-3], errManifestTorn},
-		{"crc-mismatch", badCRC, errManifestTorn},
-		// A length of 2^64-3 and six bytes: length+4 wraps around to 1.
-		{"wrapping-length", append(binary.AppendUvarint(nil, ^uint64(0)-2), make([]byte, 6)...), errManifestTorn},
+		{"torn-tail", valid[:len(valid)-3], nil},
+		{"crc-mismatch", badCRC, nil},
+		// A length field of 2^32-1 and ten bytes: length+8 wraps a uint32.
+		{"wrapping-length", append(binary.LittleEndian.AppendUint32(nil, math.MaxUint32), make([]byte, 10)...), nil},
+		{"empty-base", walFrame(t, record(manifestEdit{Base: true})), nil},
+		{"edit-then-garbage", append(valid, 0xde, 0xad, 0xbe, 0xef), nil},
+		{"bad-json", walFrame(t, []byte(`{"added":`)), ErrCorrupt},
+		{"missing-table", walFrame(t, record(manifestEdit{Added: []tableMeta{{ID: 99, Size: 4096}}})), ErrCorrupt},
+		{"table-with-deletes", walFrame(t, record(manifestEdit{Base: true, Added: []tableMeta{{ID: 0, Tombstones: 2}}})), ErrCorrupt},
 	}
 }
 
-// TestManifestRecordSeeds runs every FuzzManifestRecord seed through the
-// decoder in tier-1.
+// manifestTemplate builds a store of one table whose manifest is a single
+// segment holding a single base, and returns its directory and the name of
+// the segment after that one. The second open writes that base; the store
+// then crashes, so no close flushes a table after it.
+func manifestTemplate(t testing.TB) (dir, next string) {
+	dir = t.TempDir()
+	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(Options{Dir: dir, WALSync: wal.SyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	crashStore(t, s)
+	segs := manifestSegments(t, dir)
+	var seq uint64
+	if len(segs) != 1 {
+		t.Fatalf("template manifest has segments %v, want one", segs)
+	}
+	if _, err := fmt.Sscanf(filepath.Base(segs[0]), "wal-%d.log", &seq); err != nil {
+		t.Fatal(err)
+	}
+	if edits, _ := manifestEdits(t, dir); len(edits) != 1 || !edits[0].Base || len(edits[0].Added) != 1 || edits[0].Added[0].ID != 0 {
+		t.Fatalf("template manifest holds %+v, want one base naming table 0", edits)
+	}
+	return dir, fmt.Sprintf("wal-%08d.log", seq+1)
+}
+
+// openWithManifestTail opens a copy of the template store with tail as the
+// manifest's last segment. A store that opens must close and open again.
+func openWithManifestTail(t *testing.T, template, next string, tail []byte) error {
+	dir := t.TempDir()
+	copyDir(t, template, dir)
+	if err := os.WriteFile(filepath.Join(dir, manifestDir, next), tail, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever})
+		if err != nil {
+			if i > 0 {
+				t.Fatalf("reopen of a store that opened: %v", err)
+			}
+			return err
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nil
+}
+
+// TestManifestRecordSeeds opens the template store behind every
+// FuzzManifestReplay seed in tier-1.
 func TestManifestRecordSeeds(t *testing.T) {
+	template, next := manifestTemplate(t)
 	for _, seed := range manifestSeeds(t) {
-		edit, n, err := decodeManifestRecord(seed.rec)
+		err := openWithManifestTail(t, template, next, seed.tail)
 		if !errors.Is(err, seed.wantErr) {
-			t.Errorf("%s: error %v, want %v", seed.name, err, seed.wantErr)
-		}
-		if err == nil && (n != len(seed.rec) || len(edit.Added) != 1 || len(edit.Deleted) != 2) {
-			t.Errorf("%s: %d of %d bytes decoded to %+v", seed.name, n, len(seed.rec), edit)
+			t.Errorf("%s: Open = %v, want %v", seed.name, err, seed.wantErr)
 		}
 	}
 }
 
-// FuzzManifestRecord decodes arbitrary bytes as a manifest tail, record after
-// record the way replay does: each step yields a record inside the bytes left
-// or a torn/corrupt error that stops the replay — never a panic.
-func FuzzManifestRecord(f *testing.F) {
+// FuzzManifestReplay opens a store whose manifest's last segment is
+// arbitrary bytes, after a segment holding one valid base: Open returns a
+// store or ErrCorrupt, never panics, and a store that opened opens again.
+func FuzzManifestReplay(f *testing.F) {
 	for _, seed := range manifestSeeds(f) {
-		f.Add(seed.rec)
+		f.Add(seed.tail)
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		for off := 0; off < len(b); {
-			_, n, err := decodeManifestRecord(b[off:])
-			if err != nil {
-				if !errors.Is(err, errManifestTorn) && !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("offset %d: untyped error %v", off, err)
-				}
-				return
-			}
-			if n <= 0 || n > len(b)-off {
-				t.Fatalf("offset %d: record of %d bytes with %d left", off, n, len(b)-off)
-			}
-			off += n
+	template, next := manifestTemplate(f)
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		if err := openWithManifestTail(t, template, next, tail); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open = %v, want a store or ErrCorrupt", err)
 		}
 	})
 }

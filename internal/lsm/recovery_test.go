@@ -21,7 +21,7 @@ import (
 // also kills background flush/compaction goroutines; in-process they would
 // keep mutating the directory under the reopened store, so quiesce them
 // first — any maintenance pass is then a completed (valid) crash point.
-func crashStore(t *testing.T, s *Store) {
+func crashStore(t testing.TB, s *Store) {
 	t.Helper()
 	s.stopOnce.Do(func() { close(s.quit) }) // stop the background compactor
 	s.bg.Wait()
@@ -295,7 +295,12 @@ func TestTornWALTailSurvivesSecondCrash(t *testing.T) {
 // entry, after the WAL that held the table's rows was truncated.
 func TestTableRenameSyncedBeforeManifestCommit(t *testing.T) {
 	dir := t.TempDir()
-	manifest := filepath.Join(dir, manifestName(1))
+	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	manifest := lastManifestSegment(t, dir)
 	// syncedAt maps each table file to the manifest's size when a sync of
 	// the store directory first found the file renamed into place.
 	var mu sync.Mutex
@@ -321,11 +326,6 @@ func TestTableRenameSyncedBeforeManifestCommit(t *testing.T) {
 		return wal.SyncDir(d)
 	}
 
-	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	for round := 0; round < 2; round++ {
 		putKeys(t, s, round*10, round*10+10)
 		if err := s.Flush(); err != nil {
@@ -336,29 +336,24 @@ func TestTableRenameSyncedBeforeManifestCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
+	if segs := manifestSegments(t, dir); len(segs) != 1 || segs[0] != manifest {
+		t.Fatalf("manifest segments %v, want %s alone", segs, manifest)
 	}
+	edits, offs := manifestEdits(t, dir)
 	mu.Lock()
 	defer mu.Unlock()
 	committed := 0
-	for off := 0; off < len(data); {
-		edit, n, err := decodeManifestRecord(data[off:])
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, edit := range edits {
 		for _, m := range edit.Added {
 			committed++
 			at, ok := syncedAt[s.tablePath(m.ID)]
 			switch {
 			case !ok:
 				t.Errorf("table %d: committed with no directory sync after its rename", m.ID)
-			case at > int64(off):
-				t.Errorf("table %d: directory first synced with %d manifest bytes, after the commit at %d", m.ID, at, off)
+			case at > offs[i]:
+				t.Errorf("table %d: directory first synced with %d manifest bytes, after the commit at %d", m.ID, at, offs[i])
 			}
 		}
-		off += n
 	}
 	if committed != 3 {
 		t.Fatalf("manifest names %d tables, want 2 flushes and 1 compaction output", committed)
@@ -389,11 +384,7 @@ func TestFailedDirSyncFailsFlush(t *testing.T) {
 	if err := s.Flush(); !errors.Is(err, sentinel) {
 		t.Fatalf("Flush with a failing directory sync = %v, want %v", err, sentinel)
 	}
-	live, _, err := replayManifest(filepath.Join(dir, manifestName(1)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(live) != 0 {
+	if live := manifestLive(t, dir); len(live) != 0 {
 		t.Fatalf("manifest names %d tables after the failed flush, want 0", len(live))
 	}
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,10 +68,14 @@ func TestManifestTableWithDeletesRefused(t *testing.T) {
 	if err != nil || len(live) != 1 {
 		t.Fatalf("manifest of %d tables: %v", len(live), err)
 	}
-	var metas []tableMeta
+	var sound, metas []tableMeta
 	for _, m := range live {
+		sound = append(sound, m)
 		m.Tombstones = 1
 		metas = append(metas, m)
+	}
+	if err := man.rotate(sound); err != nil {
+		t.Fatal(err)
 	}
 	if err := man.logEdit(manifestEdit{Added: metas}, metas); err != nil {
 		t.Fatal(err)
@@ -115,6 +120,28 @@ func TestStoreWrittenBeforeInsertOnlyRefused(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d files after a refused open, %d before", len(got), len(want))
+	}
+}
+
+// TestLegacyManifestLayoutRefused: a directory holding CURRENT and
+// MANIFEST-000001 — the manifest layout before the manifest became a
+// wal.Log, here taken from testdata/v2store without its tables — fails Open
+// with ErrCorrupt, and Open leaves every file as it was.
+func TestLegacyManifestLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"CURRENT", "MANIFEST-000001"} {
+		b, err := os.ReadFile(filepath.Join("testdata/v2store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirImage(t, dir)
+	openRefused(t, dir, "a store of the CURRENT + MANIFEST layout")
+	if after := dirImage(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused open changed the directory: %d paths before, %d after", len(before), len(after))
 	}
 }
 

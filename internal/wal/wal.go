@@ -478,14 +478,10 @@ func SyncDir(dir string) error {
 // recovery from one that discarded an unacknowledged tail.
 func Replay(dir string, logger *telemetry.Logger, fn func(record []byte) error) error {
 	segs, err := listSegments(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil // no directory yet: an empty log
+	}
 	if err != nil {
-		if os.IsNotExist(err) || errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		// Directory may simply not exist yet: treat as empty log.
-		if _, statErr := os.Stat(dir); os.IsNotExist(statErr) {
-			return nil
-		}
 		return err
 	}
 	for i, seq := range segs {
