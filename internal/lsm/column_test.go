@@ -82,16 +82,19 @@ func TestColumnFoldFollowsRowsThroughTheStore(t *testing.T) {
 	put(0, 1000)
 	fold("active memtable", 200, 0)
 
-	// Rotate by hand with the flush worker locked out: the rows sit in the
-	// immutable memtable, new ones arrive in the active one.
+	// Swap by hand with the flush worker locked out: the rows sit in the
+	// immutable memtable, new ones arrive in the active one. Then flush the
+	// immutable memtable alone.
 	s.maintMu.Lock()
-	s.mu.Lock()
-	s.rotateMemtableLocked()
-	s.mu.Unlock()
+	imm, _, err := s.swapMemtable(true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	put(1000, 1500)
 	fold("immutable memtable mid-flush", 300, 0)
+	err = s.flushMemtable(imm)
 	s.maintMu.Unlock()
-	if err := s.Flush(); err != nil { // flushes the immutable memtable
+	if err != nil {
 		t.Fatal(err)
 	}
 	fold("one table, one memtable", 300, 200)

@@ -155,9 +155,6 @@ func TestMemtableGoldenBytesAfterReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyGolden(t, s)
-	if err := s.log.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	s.log.Close()
 
 	s2 := openTest(t, Options{Dir: dir, DisableAutoFlush: true})

@@ -186,6 +186,14 @@ type Store struct {
 	compactMu sync.Mutex // serialises compactions, independently of flushes
 	seedCount uint64
 
+	// A writer holds logMu shared from its WAL append through its memtable
+	// insert, a swap exclusively: every record of the active memtable lies in
+	// WAL segment activeFrom (the last roll's, under logMu and mu) or later.
+	// rolledAt is log.Bytes() at that roll. Lock order: maintMu, logMu, mu.
+	logMu      sync.RWMutex
+	activeFrom uint64
+	rolledAt   int64
+
 	// manifest is the versioned table-set log; manMu serialises manifest
 	// commits with the in-memory installs they authorise, so a rotation
 	// base can never miss a committed-but-uninstalled table. Lock order:
@@ -707,7 +715,7 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 			telemetry.F("read_depth", s.depth), telemetry.F("tables", len(s.tables)),
 			telemetry.F("max_store_files", s.opts.MaxStoreFiles))
 		for s.depth >= s.opts.MaxStoreFiles && !s.closed {
-			s.startMaintenanceLocked()
+			go s.maintain()
 			// With stallWaiters nonzero the picker always finds work, so a
 			// kick is guaranteed to lower depth.
 			s.kickCompactor()
@@ -720,17 +728,18 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	log := s.log
 	s.mu.Unlock()
 
 	// WAL first. Records are encoded once into pooled scratch space and the
 	// whole batch goes down in one group append.
 	eb := s.encPool.Get().(*encodeBuf)
 	defer s.encPool.Put(eb)
+	s.logMu.RLock()
 	walSp := batchSp.Child("wal.append")
-	err := log.AppendTraced(walSp, eb.encode(writes)...)
+	err := s.log.AppendTraced(walSp, eb.encode(writes)...)
 	walSp.End()
 	if err != nil {
+		s.logMu.RUnlock()
 		return fmt.Errorf("lsm: wal append: %w", err)
 	}
 
@@ -739,6 +748,7 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		s.logMu.RUnlock()
 		return ErrClosed
 	}
 	for i := range writes {
@@ -754,30 +764,64 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 	s.logicalBytes.Add(logical)
 	shouldFlush := !s.opts.DisableAutoFlush &&
 		s.active.Size() >= s.opts.MemtableSize && s.imm == nil
-	if shouldFlush {
-		s.rotateMemtableLocked()
-		s.startMaintenanceLocked()
-	}
 	s.mu.Unlock()
+	s.logMu.RUnlock()
+	if !shouldFlush {
+		return nil
+	}
+	// The batch is acked either way; a failed roll leaves the swap to the
+	// next writer.
+	if _, swapped, err := s.swapMemtable(false); swapped {
+		go s.maintain()
+	} else if err != nil && !errors.Is(err, ErrClosed) {
+		s.elog.Error("memtable swap failed; will retry", telemetry.F("error", err))
+	}
 	return nil
 }
 
-// rotateMemtableLocked moves the active memtable to the immutable slot.
-// Caller holds mu and has checked imm == nil.
-func (s *Store) rotateMemtableLocked() {
+// walRollEvery is how many memtables' worth of bytes a WAL segment takes
+// before a swap rolls the log: 64 MiB at the 4 MiB default. Rolling at every
+// swap would cost each memtable a segment fsync and two directory syncs.
+const walRollEvery = 16
+
+// swapMemtable moves the active memtable, once full, to the immutable slot,
+// and rolls the log if the current segment holds walRollEvery memtables.
+// Flush sets final: any active memtable moves, an empty one included, and
+// the log always rolls. It returns the memtable moved; while the slot is
+// taken it moves nothing and returns the pending one, swapped false.
+func (s *Store) swapMemtable(final bool) (imm *memtable.Memtable, swapped bool, err error) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.mu.RLock()
+	closed, imm, size := s.closed, s.imm, s.active.Size()
+	s.mu.RUnlock()
+	switch {
+	case closed:
+		return nil, false, ErrClosed
+	case imm != nil:
+		return imm, false, nil
+	case !final && size < s.opts.MemtableSize:
+		return nil, false, nil
+	}
+	from := s.activeFrom
+	if final || s.log.Bytes()-s.rolledAt >= walRollEvery*s.opts.MemtableSize {
+		if from, err = s.log.Rotate(); err != nil {
+			return nil, false, fmt.Errorf("lsm: wal roll: %w", err)
+		}
+		s.rolledAt = s.log.Bytes()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.activeFrom = from
 	s.imm = s.active
 	s.seedCount++
 	s.active = memtable.New(s.seedCount)
+	return s.imm, true, nil
 }
 
-// startMaintenanceLocked launches the background flush worker if there is
-// work. Caller holds mu. Compaction is not maintenance any more — it runs on
-// its own goroutine (compactLoop), kicked by each flush install.
-func (s *Store) startMaintenanceLocked() {
-	go s.maintain()
-}
-
-// maintain performs at most one flush pass.
+// maintain performs at most one flush pass: the background flush worker.
+// Compaction runs on its own goroutine (compactLoop), kicked by each flush
+// install.
 func (s *Store) maintain() {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
@@ -794,31 +838,34 @@ func (s *Store) maintain() {
 	}
 }
 
-// Flush synchronously persists all memtable contents to table files.
+// Flush synchronously persists every memtable to table files. It rolls
+// the WAL and truncates every segment below the roll, even with nothing to
+// flush: once it returns, the log holds only writes that raced it.
 func (s *Store) Flush() error {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.imm == nil {
-		if s.active.Len() == 0 {
-			s.mu.Unlock()
-			return nil
+	for {
+		imm, swapped, err := s.swapMemtable(true)
+		if err == nil {
+			err = s.flushMemtable(imm)
 		}
-		s.rotateMemtableLocked()
+		if err != nil || swapped {
+			return err
+		}
+		// That was a pending flush; now swap the active memtable.
 	}
-	imm := s.imm
-	s.mu.Unlock()
-
-	return s.flushMemtable(imm)
 }
 
-// flushMemtable writes imm to a new table file and installs it.
+// flushMemtable writes imm to a new table file, installs it and truncates
+// the WAL behind it. An empty imm, from Flush's final swap, gets no table.
 func (s *Store) flushMemtable(imm *memtable.Memtable) error {
+	if imm.Len() == 0 {
+		s.mu.Lock()
+		s.imm = nil
+		upTo := s.activeFrom
+		s.mu.Unlock()
+		return s.truncateWAL(upTo)
+	}
 	sp := s.flushSpan.Start()
 	err := s.doFlushMemtable(imm)
 	sp.End()
@@ -835,10 +882,14 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 
 	// The manifest commit is the transition: if it fails (or we crash before
 	// it) the renamed file is an unreferenced orphan, the WAL still holds the
-	// data, and a retry flushes under a fresh id.
+	// data, and a retry flushes under a fresh id. The install captures
+	// activeFrom: with imm in a table, no segment below it holds an
+	// unflushed row.
+	var upTo uint64
 	err = s.commitAndInstall(manifestEdit{Added: []tableMeta{h.meta()}}, func() {
 		s.setTablesLocked(append([]*tableHandle{h}, s.tables...))
 		s.imm = nil
+		upTo = s.activeFrom
 		s.flushes.Inc()
 		s.flushBytes.Add(h.size)
 		s.flushCond.Broadcast()
@@ -848,13 +899,7 @@ func (s *Store) doFlushMemtable(imm *memtable.Memtable) error {
 		return fmt.Errorf("lsm: manifest commit after flush: %w", err)
 	}
 	s.kickCompactor()
-
-	if err := s.truncateWALIfQuiescent(); err != nil {
-		// The flush itself succeeded — the table is installed — but leaked
-		// WAL segments consume disk and replay time, so the caller must know.
-		return fmt.Errorf("lsm: wal truncate after flush: %w", err)
-	}
-	return nil
+	return s.truncateWAL(upTo)
 }
 
 // buildTable writes the rows src yields, in key order, to a new table file
@@ -931,26 +976,14 @@ func (s *Store) commitAndInstall(edit manifestEdit, install func()) error {
 	return nil
 }
 
-// truncateWALIfQuiescent drops all but the active WAL segment when there is
-// no unflushed data at all (active memtable empty and no immutable table).
-// This conservative rule is always safe: if any unflushed record existed it
-// would be lost by truncation, so we only truncate when none exists.
-func (s *Store) truncateWALIfQuiescent() error {
-	s.mu.Lock()
-	quiescent := s.imm == nil && s.active.Len() == 0 && !s.closed
-	var log *wal.Log
-	var upTo uint64
-	if quiescent {
-		log = s.log
-		upTo = s.log.ActiveSegment()
-	}
-	s.mu.Unlock()
-	if log == nil {
-		return nil
-	}
-	if err := log.Truncate(upTo); err != nil {
+// truncateWAL removes the WAL segments below upTo, whose rows tables now
+// hold. A failure leaves them for the next flush to remove; the flush
+// itself succeeded, but leaked segments cost disk and replay time, so the
+// caller hears of it.
+func (s *Store) truncateWAL(upTo uint64) error {
+	if err := s.log.Truncate(upTo); err != nil {
 		s.truncErrs.Inc()
-		return err
+		return fmt.Errorf("lsm: wal truncate after flush: %w", err)
 	}
 	return nil
 }
@@ -1381,17 +1414,14 @@ func registerDerivedGauges(reg *telemetry.Registry) {
 	})
 }
 
-// Close flushes and shuts the store down.
+// Close flushes and shuts the store down. The final Flush rolls and
+// truncates the WAL, so a clean Close leaves no record for the next Open to
+// replay.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	// The final flush, while still open; a closed store has nothing to do.
+	if err := s.Flush(); errors.Is(err, ErrClosed) {
 		return nil
-	}
-	s.mu.Unlock()
-
-	// Final flush while still open.
-	if err := s.Flush(); err != nil && !errors.Is(err, ErrClosed) {
+	} else if err != nil {
 		return err
 	}
 
@@ -1405,10 +1435,9 @@ func (s *Store) Close() error {
 	s.flushCond.Broadcast()
 	tables := s.tables
 	s.setTablesLocked(nil)
-	log := s.log
 	s.mu.Unlock()
 
-	err := log.Close()
+	err := s.log.Close()
 	if merr := s.manifest.close(); err == nil {
 		err = merr
 	}

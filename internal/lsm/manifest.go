@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,8 +29,9 @@ import (
 // The manifest shares the WAL's framing, torn-tail rule and fuzzing. A base
 // edit holds the whole live set: replay resets the table set at a base
 // before adding its tables. Opening the store and every
-// manifestRotateEvery-th edit rotate the log the same way: a fresh segment,
-// a base of the live set, then every older segment truncated. Until the base
+// manifestRotateEvery-th edit rotate the log the same way: a fresh segment
+// (wal.Open's at open, Rotate's after), a base of the live set, then every
+// older segment truncated. Until the base
 // is whole the older segments replay to the live set; from then on the base
 // resets whatever older segments a crash leaves. Recovery cost tracks the
 // live table count, not store history.
@@ -135,23 +137,26 @@ func (m *manifest) logEdit(edit manifestEdit, live []tableMeta) error {
 }
 
 // rotate starts a fresh segment, appends live to it as a base and truncates
-// every older segment.
+// every older segment. At open the fresh segment is the one wal.Open starts,
+// the only one Truncate keeps whatever the bound.
 func (m *manifest) rotate(live []tableMeta) error {
-	next, err := wal.Open(wal.Options{Dir: m.dir, Sync: wal.SyncOnAppend, Logger: m.elog})
+	upTo := uint64(math.MaxUint64)
+	var err error
+	if m.log == nil {
+		m.log, err = wal.Open(wal.Options{Dir: m.dir, Sync: wal.SyncOnAppend, Logger: m.elog})
+	} else {
+		upTo, err = m.log.Rotate()
+	}
 	if err != nil {
 		return m.fail(err)
 	}
 	base := manifestEdit{Base: true, Added: append([]tableMeta(nil), live...)}
 	sort.Slice(base.Added, func(i, j int) bool { return base.Added[i].ID < base.Added[j].ID })
-	if err := appendEdit(next, base); err != nil {
-		next.Close()
+	if err := appendEdit(m.log, base); err != nil {
 		return m.fail(err)
 	}
-	if m.log != nil {
-		m.log.Close() // every edit in it is synced already
-	}
-	m.log, m.records = next, 1
-	if err := next.Truncate(next.ActiveSegment()); err != nil {
+	m.records = 1
+	if err := m.log.Truncate(upTo); err != nil {
 		return fmt.Errorf("lsm: manifest truncate: %w", err)
 	}
 	return nil

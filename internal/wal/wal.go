@@ -2,9 +2,10 @@
 //
 // Every mutation of a region is appended to the log before it is applied to
 // the memstore, so a crash between acknowledgement and flush loses nothing.
-// The log is a sequence of fixed-capacity segment files; once the memstore
-// contents covered by a segment have been flushed into SSTables the segment
-// can be truncated away.
+// The log is a sequence of segment files. Its owner decides when a segment
+// ends (Rotate) and which segments go (Truncate): the store rolls the log at
+// a memstore swap and, once the memstores the older segments cover are
+// flushed into SSTables, truncates those segments away.
 package wal
 
 import (
@@ -45,8 +46,8 @@ const (
 	// SyncOnAppend fsyncs after every Append call (group committing all
 	// records in the call). Durable and slow; the default.
 	SyncOnAppend SyncPolicy = iota
-	// SyncOnRotate fsyncs only when a segment fills or the log closes.
-	// Models running the storage layer with deferred log sync.
+	// SyncOnRotate fsyncs only when the owner rolls the log (Rotate) or
+	// closes it. Models running the storage layer with deferred log sync.
 	SyncOnRotate
 	// SyncNever never fsyncs; for tests and benchmarks that measure the
 	// engine above the disk.
@@ -57,8 +58,6 @@ const (
 type Options struct {
 	// Dir is the directory holding segment files. Created if absent.
 	Dir string
-	// SegmentSize is the rotation threshold in bytes. Defaults to 64 MiB.
-	SegmentSize int64
 	// Sync selects the durability policy.
 	Sync SyncPolicy
 	// Registry, when non-nil, receives the "put.wal_append" stage
@@ -68,20 +67,6 @@ type Options struct {
 	// Logger, when non-nil, receives structured events from rare paths
 	// (recovery warnings). The hot append path never logs.
 	Logger *telemetry.Logger
-}
-
-func (o *Options) withDefaults() (Options, error) {
-	out := *o
-	if out.Dir == "" {
-		return out, fmt.Errorf("%w: Dir is required", ErrBadOption)
-	}
-	if out.SegmentSize == 0 {
-		out.SegmentSize = 64 << 20
-	}
-	if out.SegmentSize < 1024 {
-		return out, fmt.Errorf("%w: SegmentSize %d too small", ErrBadOption, out.SegmentSize)
-	}
-	return out, nil
 }
 
 // Log is a segmented write-ahead log. Safe for concurrent use.
@@ -95,23 +80,23 @@ type Log struct {
 
 	mu       sync.Mutex
 	f        *os.File
-	w        *bufio.Writer
-	written  int64 // bytes in the active segment
+	frames   []byte // one group's frames, for a single write; as long as the largest group
 	seq      uint64
-	segments []uint64   // live segment sequence numbers, ascending; includes active
-	retired  []*os.File // rotated-out segment files kept open until Close/Truncate
+	segments []uint64 // live segment sequence numbers, ascending; includes active
 	closed   bool
+	err      error // a failed write: the segment's tail is unknown, so no append may follow it
 
 	// Group-commit state: monotone byte counters across all segments.
 	// appended is advanced under mu; synced is atomic (written by sync
-	// leaders under syncMu and by rotation under mu). A writer whose
-	// records are at offset <= synced is durable without syncing itself.
+	// leaders and by Rotate, both under syncMu). A writer whose records
+	// are at offset <= synced is durable without syncing itself.
 	appended int64
 	synced   atomic.Int64
-	syncMu   sync.Mutex // serialises sync leaders
+	syncMu   sync.Mutex // serialises sync leaders, Rotate and Close; taken before mu
+	truncMu  sync.Mutex // serialises Truncate, which removes files outside mu
 
 	// Event counters, named by Counters. Every fsync is a groupSyncs (a
-	// group-commit leader's) or a flushSyncs (rotation, Sync, Close) one.
+	// group-commit leader's) or a flushSyncs (Rotate, Close) one.
 	appends, bytes         telemetry.Counter
 	groupSyncs, flushSyncs telemetry.Counter
 	groupShared            telemetry.Counter // appends whose sync another writer's fsync covered
@@ -141,23 +126,23 @@ func parseSegmentName(name string) (uint64, bool) {
 
 // Open opens (creating if necessary) the log in opts.Dir. Existing segments
 // are retained; new appends go to a fresh segment after the highest existing
-// sequence number.
+// sequence number. Until the owner rolls the log, that segment is the one
+// Truncate never removes.
 func Open(opts Options) (*Log, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
+	if opts.Dir == "" {
+		return nil, fmt.Errorf("%w: Dir is required", ErrBadOption)
 	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
 	}
-	segs, err := listSegments(o.Dir)
+	segs, err := listSegments(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	l := &Log{
-		opts:       o,
+		opts:       opts,
 		segments:   segs,
-		appendSpan: o.Registry.Timer("put.wal_append"),
+		appendSpan: opts.Registry.Timer("put.wal_append"),
 	}
 	next := uint64(1)
 	if n := len(segs); n > 0 {
@@ -200,8 +185,6 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 		}
 	}
 	l.f = f
-	l.w = bufio.NewWriterSize(f, 256<<10)
-	l.written = 0
 	l.seq = seq
 	l.segments = append(l.segments, seq)
 	return nil
@@ -240,39 +223,39 @@ func (l *Log) append(records [][]byte, trace telemetry.TSpan) error {
 			return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(rec))
 		}
 	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	start := l.appended
+	need := 0
 	for _, rec := range records {
-		var hdr [headerLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(rec, crcTable))
-		if _, err := l.w.Write(hdr[:]); err != nil {
-			l.mu.Unlock()
-			return fmt.Errorf("wal: write header: %w", err)
-		}
-		if _, err := l.w.Write(rec); err != nil {
-			l.mu.Unlock()
-			return fmt.Errorf("wal: write record: %w", err)
-		}
-		l.written += int64(headerLen + len(rec))
-		l.appended += int64(headerLen + len(rec))
+		need += headerLen + len(rec)
 	}
+	l.mu.Lock()
+	err := l.err
+	if l.closed {
+		err = ErrClosed
+	}
+	if err != nil {
+		l.mu.Unlock()
+		return err
+	}
+	// The group's frames go down in one write from a slice the log keeps,
+	// sized to the largest group so far.
+	if cap(l.frames) < need {
+		l.frames = make([]byte, 0, need)
+	}
+	frames := l.frames[:0]
+	for _, rec := range records {
+		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(rec)))
+		frames = binary.LittleEndian.AppendUint32(frames, crc32.Checksum(rec, crcTable))
+		frames = append(frames, rec...)
+	}
+	if _, err := l.f.Write(frames); err != nil {
+		l.err = fmt.Errorf("wal: write: %w", err)
+		l.mu.Unlock()
+		return l.err
+	}
+	l.appended += int64(need)
 	myOffset := l.appended
 	l.appends.Add(int64(len(records)))
-	l.bytes.Add(myOffset - start)
-	if l.written >= l.opts.SegmentSize {
-		if err := l.rotateLocked(); err != nil {
-			l.mu.Unlock()
-			return err
-		}
-		// Rotation flushed and (policy permitting) synced everything.
-		l.mu.Unlock()
-		return nil
-	}
+	l.bytes.Add(int64(need))
 	l.mu.Unlock()
 
 	if l.opts.Sync == SyncOnAppend {
@@ -297,17 +280,13 @@ func (l *Log) groupSync(myOffset int64, trace telemetry.TSpan) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	if err := l.w.Flush(); err != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: flush: %w", err)
-	}
 	target := l.appended
 	f := l.f
 	l.mu.Unlock()
 
 	// fsync without holding mu, so new appends accumulate into the next
 	// cohort while the disk works. The file handle cannot be closed
-	// concurrently: rotation retires handles without closing them.
+	// concurrently: Rotate and Close wait for syncMu.
 	fsyncSpan := trace.Child("wal.fsync")
 	err := f.Sync()
 	fsyncSpan.End()
@@ -338,111 +317,97 @@ func (l *Log) Counters() []telemetry.Named {
 	}
 }
 
-func (l *Log) flushLocked(sync bool) error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+func (l *Log) syncLocked() error {
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: sync: %w", err)
 	}
-	if sync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-		l.flushSyncs.Inc()
-	}
+	l.flushSyncs.Inc()
 	return nil
 }
 
-func (l *Log) rotateLocked() error {
-	if err := l.flushLocked(l.opts.Sync != SyncNever); err != nil {
-		return err
-	}
-	if l.opts.Sync == SyncOnAppend {
-		// Everything appended so far is on disk; record it so waiting
-		// group-commit followers return immediately. synced only grows, and
-		// a concurrently stored smaller leader value merely causes one
-		// redundant fsync later.
-		if l.appended > l.synced.Load() {
-			l.synced.Store(l.appended)
-		}
-	}
-	// Retire rather than close: a group-commit leader may be fsyncing this
-	// handle right now. Retired handles are closed on Truncate and Close.
-	l.retired = append(l.retired, l.f)
-	return l.openSegmentLocked(l.seq + 1)
-}
-
-// Sync forces buffered records to stable storage regardless of policy.
-func (l *Log) Sync() error {
+// Rotate ends the active segment and starts the next, returning the new
+// segment's sequence number: every record appended before Rotate lies in a
+// lower segment, every later one in this segment or after. It is the only
+// way a segment ends. Unless the policy is SyncNever the ended segment is
+// synced before the next takes a record, since replay refuses a damaged
+// segment that is not the last.
+func (l *Log) Rotate() (uint64, error) {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	return l.flushLocked(true)
+	if l.opts.Sync != SyncNever {
+		if err := l.syncLocked(); err != nil {
+			return 0, err
+		}
+		// Waiting group-commit followers find their records covered.
+		l.synced.Store(l.appended)
+	}
+	ended := l.f
+	if err := l.openSegmentLocked(l.seq + 1); err != nil {
+		return 0, err
+	}
+	ended.Close()
+	return l.seq, nil
 }
 
-// ActiveSegment returns the sequence number of the segment receiving
-// appends. Records appended so far are covered by segments <= this value.
-func (l *Log) ActiveSegment() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// Truncate removes all segments with sequence numbers strictly below upTo.
-// The engine calls it after flushing memstore contents covered by those
-// segments. The active segment is never removed. The directory is synced
-// after the removals: a segment that came back after a power loss would
-// replay its older values over the tables that replaced them.
+// Truncate removes every segment below upTo but the active one, oldest
+// first, once the memstores they cover are flushed, then syncs the
+// directory: a segment back after a power loss would replay older values
+// over the tables that replaced them. Appends go on meanwhile. A segment
+// that fails to go stays listed with every later one, for the next call.
 func (l *Log) Truncate(upTo uint64) error {
+	l.truncMu.Lock()
+	defer l.truncMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return ErrClosed
 	}
-	keep := l.segments[:0]
-	for _, seq := range l.segments {
-		if seq >= upTo || seq == l.seq {
-			keep = append(keep, seq)
-			continue
-		}
+	n := 0
+	for n < len(l.segments) && l.segments[n] < upTo && l.segments[n] != l.seq {
+		n++
+	}
+	doomed := l.segments[:n:n]
+	l.segments = l.segments[n:]
+	l.mu.Unlock()
+	if n == 0 {
+		return nil
+	}
+	for i, seq := range doomed {
 		if err := os.Remove(filepath.Join(l.opts.Dir, segmentName(seq))); err != nil {
+			l.mu.Lock()
+			l.segments = append(doomed[i:], l.segments...)
+			l.mu.Unlock()
 			return fmt.Errorf("wal: remove segment %d: %w", seq, err)
 		}
 	}
-	removed := len(keep) < len(l.segments)
-	l.segments = keep
-	if removed {
-		if err := SyncDir(l.opts.Dir); err != nil {
-			return fmt.Errorf("wal: sync dir after truncate: %w", err)
-		}
+	if err := SyncDir(l.opts.Dir); err != nil {
+		return fmt.Errorf("wal: sync dir after truncate: %w", err)
 	}
-	// Retired handles belong to rotated-out segments; with the tail
-	// truncated they can be closed (removing an open file is fine on
-	// POSIX, and any in-flight group-commit fsync has completed by the
-	// time the flush that preceded this call returned).
-	for _, f := range l.retired {
-		f.Close()
-	}
-	l.retired = nil
 	return nil
 }
 
-// Close flushes, syncs and closes the active segment.
+// Close syncs the active segment, unless the policy is SyncNever, and
+// closes it.
 func (l *Log) Close() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
 	l.closed = true
-	if err := l.flushLocked(l.opts.Sync != SyncNever); err != nil {
-		l.f.Close()
-		return err
+	if l.opts.Sync != SyncNever {
+		if err := l.syncLocked(); err != nil {
+			l.f.Close()
+			return err
+		}
 	}
-	for _, f := range l.retired {
-		f.Close()
-	}
-	l.retired = nil
 	return l.f.Close()
 }
 

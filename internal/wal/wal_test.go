@@ -3,8 +3,10 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -86,17 +88,29 @@ func TestEmptyRecordRefused(t *testing.T) {
 	}
 }
 
-func TestRotation(t *testing.T) {
-	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, SegmentSize: 1024})
-	rec := make([]byte, 300)
-	for i := 0; i < 10; i++ {
+// rotateEvery appends n records of size bytes, rotating after every third.
+func rotateEvery(t *testing.T, l *Log, n, size int) {
+	t.Helper()
+	rec := make([]byte, size)
+	for i := 0; i < n; i++ {
 		if err := l.Append(rec); err != nil {
 			t.Fatal(err)
 		}
+		if i%3 == 2 {
+			if _, err := l.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if len(l.segments) < 2 {
-		t.Fatalf("expected rotation, have %d segments", len(l.segments))
+}
+
+func TestRotation(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, Options{Dir: dir})
+	first := l.seq
+	rotateEvery(t, l, 10, 300)
+	if len(l.segments) != 4 || l.seq != first+3 {
+		t.Fatalf("three rotations left segments %v, active %d", l.segments, l.seq)
 	}
 	l.Close()
 	if got := replayAll(t, dir); len(got) != 10 {
@@ -106,25 +120,50 @@ func TestRotation(t *testing.T) {
 
 func TestTruncateRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, SegmentSize: 1024})
-	rec := make([]byte, 500)
-	for i := 0; i < 8; i++ {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+	l := openTest(t, Options{Dir: dir})
+	rotateEvery(t, l, 8, 500)
+	if err := l.Append([]byte("kept")); err != nil {
+		t.Fatal(err)
 	}
-	before := len(l.segments)
-	active := l.ActiveSegment()
+	before := append([]uint64(nil), l.segments...)
+	if err := l.Truncate(before[1]); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(l.segments, before[1:]) {
+		t.Fatalf("truncate below %d left %v of %v", before[1], l.segments, before)
+	}
+	active, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Truncate(active); err != nil {
 		t.Fatal(err)
 	}
-	if len(l.segments) >= before {
-		t.Fatalf("truncate kept %d of %d segments", len(l.segments), before)
-	}
-	// Replay must still work over the surviving tail.
+	// Only the segment Rotate started is left: the log holds no record.
 	l.Close()
-	if err := Replay(dir, nil, func([]byte) error { return nil }); err != nil {
+	if files, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(files) != 1 {
+		t.Fatalf("segment files after truncating below the active one: %v", files)
+	}
+	if got := replayAll(t, dir); len(got) != 0 {
+		t.Fatalf("replayed %d records after truncating every full segment", len(got))
+	}
+}
+
+// TestTruncateKeepsActiveSegment: the segment taking appends is never
+// removed, whatever the bound.
+func TestTruncateKeepsActiveSegment(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, Options{Dir: dir})
+	rotateEvery(t, l, 3, 10)
+	if err := l.Append([]byte("active")); err != nil {
 		t.Fatal(err)
+	}
+	if err := l.Truncate(math.MaxUint64); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if got := replayAll(t, dir); len(got) != 1 || string(got[0]) != "active" {
+		t.Fatalf("replay after truncating past the active segment = %q", got)
 	}
 }
 
@@ -169,11 +208,8 @@ func TestTornTailTolerated(t *testing.T) {
 
 func TestMidSegmentCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, SegmentSize: 1024})
-	rec := make([]byte, 400)
-	for i := 0; i < 6; i++ { // spans multiple segments
-		l.Append(rec)
-	}
+	l := openTest(t, Options{Dir: dir})
+	rotateEvery(t, l, 6, 400) // spans multiple segments
 	l.Close()
 
 	// Flip a byte in the body of the first record of the FIRST segment
@@ -237,8 +273,8 @@ func TestClosedLogRejectsOps(t *testing.T) {
 	if err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after close: %v", err)
 	}
-	if err := l.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Sync after close: %v", err)
+	if _, err := l.Rotate(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Rotate after close: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
@@ -257,14 +293,11 @@ func TestBadOptions(t *testing.T) {
 	if _, err := Open(Options{}); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("missing dir: %v", err)
 	}
-	if _, err := Open(Options{Dir: t.TempDir(), SegmentSize: 10}); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("tiny segment: %v", err)
-	}
 }
 
 func TestConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, SegmentSize: 64 << 10})
+	l := openTest(t, Options{Dir: dir})
 	const workers = 8
 	const per = 500
 	var wg sync.WaitGroup
@@ -296,8 +329,7 @@ func TestSyncOnAppendDurable(t *testing.T) {
 	if err := l.Append([]byte("durable")); err != nil {
 		t.Fatal(err)
 	}
-	// Without closing, the record must already be on disk (flushed through
-	// the bufio layer at minimum).
+	// Without closing, the record must already be on disk.
 	got := replayAll(t, dir)
 	if len(got) != 1 || string(got[0]) != "durable" {
 		t.Fatalf("record not durable before close: %q", got)
@@ -356,9 +388,6 @@ func TestGroupCommitSharesSyncs(t *testing.T) {
 	}
 	// The "leader" makes everything durable and publishes the offset.
 	l.mu.Lock()
-	if err := l.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.f.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -416,9 +445,12 @@ func TestGroupCommitSingleWriterSyncsEachAppend(t *testing.T) {
 	}
 }
 
+// TestGroupCommitAcrossRotation: a goroutine of its own rotates while
+// appenders run, so group-commit leaders and followers meet Rotate at every
+// point of their sync.
 func TestGroupCommitAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Sync: SyncOnAppend, SegmentSize: 2048})
+	l, err := Open(Options{Dir: dir, Sync: SyncOnAppend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,9 +468,24 @@ func TestGroupCommitAcrossRotation(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
-	if len(l.segments) < 2 {
-		t.Fatal("no rotation occurred")
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	rotations := 0
+	for running := true; running; rotations++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if _, err := l.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(l.segments) != rotations+1 {
+		t.Fatalf("%d rotations left %d segments", rotations, len(l.segments))
 	}
 	l.Close()
 	count := 0
@@ -482,5 +529,28 @@ func TestSyncDirMissingDirectory(t *testing.T) {
 	}
 	if err := SyncDir(t.TempDir()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFramesBufferFitsLargestGroup: appends lay a group out in a slice the
+// log keeps, as long as the largest group and no longer. A log of
+// manifest-sized records holds a few KiB, not a write buffer sized for the
+// data log, and a rotation allocates none.
+func TestFramesBufferFitsLargestGroup(t *testing.T) {
+	l := openTest(t, Options{})
+	defer l.Close()
+	for _, n := range []int{300, 1200, 700} {
+		if err := l.Append(make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := cap(l.frames), headerLen+1200; got != want {
+		t.Fatalf("frames buffer holds %d bytes, want %d (the largest group)", got, want)
+	}
+	if cap(l.frames) >= 4<<10 {
+		t.Fatalf("frames buffer of a manifest-sized log is %d bytes", cap(l.frames))
 	}
 }
