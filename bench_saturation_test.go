@@ -36,9 +36,9 @@ type slowApplier struct {
 
 // ApplyBatch forwards the trace span with the batch: a wrapper that dropped
 // it would erase every engine span under this member.
-func (s *slowApplier) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
+func (s *slowApplier) ApplyBatch(parent telemetry.TSpan, b *lsm.Batch) error {
 	time.Sleep(s.delay)
-	return s.inner.ApplyBatch(parent, writes)
+	return s.inner.ApplyBatch(parent, b)
 }
 
 // BenchmarkClusterSaturation drives putsPerWorker unbuffered puts from

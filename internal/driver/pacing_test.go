@@ -30,9 +30,9 @@ func (g *gatedStallApplier) waitGate() {
 
 // ApplyBatch forwards the trace span with the batch: a wrapper that dropped
 // it would erase every engine span under this member.
-func (g *gatedStallApplier) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
+func (g *gatedStallApplier) ApplyBatch(parent telemetry.TSpan, b *lsm.Batch) error {
 	g.waitGate()
-	return g.inner.ApplyBatch(parent, writes)
+	return g.inner.ApplyBatch(parent, b)
 }
 
 // pacedRunConfig builds the shared driver config for the paced audit tests:

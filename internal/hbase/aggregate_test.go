@@ -218,7 +218,7 @@ func TestAggregateFlushesOnlyOverlappingRegions(t *testing.T) {
 	var highBuffered int
 	for tr, batch := range c.buffers {
 		if tr.name == highRegion {
-			highBuffered = len(batch)
+			highBuffered = batch.Len()
 		}
 	}
 	if highBuffered != 4 {

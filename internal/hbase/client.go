@@ -44,7 +44,7 @@ type Client struct {
 	// Put on its own.
 	writeBufferBytes int64
 
-	buffers  map[*tableRegion][]Mutation
+	buffers  map[*tableRegion]*lsm.Batch
 	buffered int64
 	closed   bool
 
@@ -81,10 +81,12 @@ type Client struct {
 	flushLag   *telemetry.Timer   // hbase.flush_lag: seal to ack
 }
 
-// regionBatch is one region's share of a sealed buffer.
+// regionBatch is one region's share of a sealed buffer. A batch handed to
+// the transport is never added to again: after a failed mutate a stopped
+// member's queue may still hold it, so rebuffer copies its rows.
 type regionBatch struct {
 	tr    *tableRegion
-	batch []Mutation
+	batch *lsm.Batch
 }
 
 // NewClient returns an in-process client for the table with the given
@@ -114,7 +116,7 @@ func (cl *Cluster) newClient(tableName string, writeBufferBytes int64, rpc trans
 		rpc:              rpc,
 		tracer:           cl.cfg.Tracer,
 		writeBufferBytes: writeBufferBytes,
-		buffers:          make(map[*tableRegion][]Mutation),
+		buffers:          make(map[*tableRegion]*lsm.Batch),
 		retryMax:         cl.cfg.RetryMax,
 		retryBase:        cl.cfg.RetryBaseDelay,
 		retryCap:         cl.cfg.RetryMaxDelay,
@@ -128,12 +130,12 @@ func (cl *Cluster) newClient(tableName string, writeBufferBytes int64, rpc trans
 	}, nil
 }
 
-// Put buffers a write in its region's batch. The key and value are copied;
-// an empty key is refused here, before it could reach a region. The write is
-// buffered even when the call returns the sender's failure, so it ships with
-// a later flush. When the put is the sampled one, its span tree covers
-// buffering and any wait at the in-flight bound; the flush it seals is a
-// trace of its own.
+// Put copies a write into its region's batch, as the WAL record the
+// region's stores will log; an empty key is refused here, before it could
+// reach a region. The write is buffered even when the call returns the
+// sender's failure, so it ships with a later flush. When the put is the
+// sampled one, its span tree covers buffering and any wait at the in-flight
+// bound; the flush it seals is a trace of its own.
 func (c *Client) Put(key, value []byte) error {
 	_, sp := c.tracer.StartTrace("client.put")
 	defer sp.End()
@@ -143,10 +145,14 @@ func (c *Client) Put(key, value []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("hbase: %w", lsm.ErrBadKey)
 	}
-	m := copyMutation(key, value)
-	tr := c.table.locate(m.Key)
-	c.buffers[tr] = append(c.buffers[tr], m)
-	c.buffered += int64(len(m.Key) + len(m.Value))
+	tr := c.table.locate(key)
+	b := c.buffers[tr]
+	if b == nil {
+		b = new(lsm.Batch)
+		c.buffers[tr] = b
+	}
+	b.Add(key, value)
+	c.buffered += int64(len(key) + len(value))
 	if c.failed.Load() {
 		return c.settle()
 	}
@@ -170,12 +176,17 @@ func (c *Client) seal() []regionBatch {
 
 // rebuffer puts batches that were not shipped back into the buffer, in
 // order and ahead of anything buffered for their region since they were
-// sealed.
+// sealed. Each region gets a new batch, so no sealed one is added to.
 func (c *Client) rebuffer(batches []regionBatch) {
 	for i := len(batches) - 1; i >= 0; i-- {
 		b := batches[i]
-		c.buffers[b.tr] = append(b.batch, c.buffers[b.tr]...)
-		c.buffered += mutationBytes(b.batch)
+		merged := new(lsm.Batch)
+		b.batch.Each(merged.Add)
+		if since := c.buffers[b.tr]; since != nil {
+			since.Each(merged.Add)
+		}
+		c.buffers[b.tr] = merged
+		c.buffered += b.batch.Size()
 	}
 }
 
@@ -275,17 +286,18 @@ func (c *Client) FlushCommits() error {
 // over one key range does not force every region's batch out early. The
 // sender must be idle. A read's flush is not a buffer flush: it is neither
 // counted in hbase.buffer_flushes nor timed in put.client_flush. On a
-// failure the batch stays buffered.
+// failure its rows stay buffered, in a new batch.
 func (c *Client) flushRegion(tr *tableRegion, sp telemetry.TSpan) error {
 	batch := c.buffers[tr]
-	if len(batch) == 0 {
+	if batch == nil {
 		return nil
 	}
+	delete(c.buffers, tr)
+	c.buffered -= batch.Size()
 	if err := c.mutate(regionBatch{tr, batch}, sp); err != nil {
+		c.rebuffer([]regionBatch{{tr, batch}})
 		return err
 	}
-	delete(c.buffers, tr)
-	c.buffered -= mutationBytes(batch)
 	return nil
 }
 
@@ -349,16 +361,6 @@ func (c *Client) backoffDelay(attempt int, hint time.Duration) time.Duration {
 // call while the sender is shipping.
 func (c *Client) RetryStats() (retries, exhausted int64) {
 	return c.retries.Load(), c.shedFails.Load()
-}
-
-// mutationBytes is the buffer accounting for a batch: the same per-mutation
-// size buffer() adds.
-func mutationBytes(batch []Mutation) int64 {
-	var n int64
-	for i := range batch {
-		n += int64(len(batch[i].Key) + len(batch[i].Value))
-	}
-	return n
 }
 
 // rangesOverlap reports whether scan range [lo,hi) intersects region range

@@ -24,7 +24,7 @@ type failingTransport struct {
 	err        error
 }
 
-func (f *failingTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
+func (f *failingTransport) mutate(tr *tableRegion, batch *lsm.Batch, sp telemetry.TSpan) error {
 	if tr.name == f.failRegion {
 		return f.err
 	}
@@ -67,7 +67,7 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 	// whether or not the healthy region flushed before the failure hit.
 	var remaining int64
 	for _, batch := range c.buffers {
-		remaining += mutationBytes(batch)
+		remaining += batch.Size()
 	}
 	if got := c.buffered; got != remaining {
 		t.Fatalf("buffered = %d, buffers hold %d", got, remaining)
@@ -117,7 +117,7 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 	}
 	remaining = 0
 	for _, batch := range auto.buffers {
-		remaining += mutationBytes(batch)
+		remaining += batch.Size()
 	}
 	if got := auto.buffered; got != remaining || remaining == 0 {
 		t.Fatalf("buffered = %d, buffers hold %d after a sender failure", got, remaining)
@@ -137,8 +137,8 @@ func TestFlushCommitsPartialFailureAccounting(t *testing.T) {
 }
 
 // valueOf is the value batch carries for key, or "" when it holds none.
-func valueOf(batch []Mutation, key []byte) string {
-	for _, m := range batch {
+func valueOf(batch *lsm.Batch, key []byte) string {
+	for _, m := range rowsOf(batch) {
 		if bytes.Equal(m.Key, key) {
 			return string(m.Value)
 		}
@@ -155,7 +155,7 @@ type shedTransport struct {
 	log  []string
 }
 
-func (s *shedTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
+func (s *shedTransport) mutate(tr *tableRegion, batch *lsm.Batch, sp telemetry.TSpan) error {
 	v := valueOf(batch, s.key)
 	if s.shed > 0 {
 		s.shed--
@@ -232,7 +232,7 @@ type gateTransport struct {
 	release chan struct{}
 }
 
-func (g *gateTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
+func (g *gateTransport) mutate(tr *tableRegion, batch *lsm.Batch, sp telemetry.TSpan) error {
 	g.entered <- struct{}{}
 	<-g.release
 	return g.transport.mutate(tr, batch, sp)
@@ -317,7 +317,7 @@ type slowTransport struct {
 	delay time.Duration
 }
 
-func (s slowTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
+func (s slowTransport) mutate(tr *tableRegion, batch *lsm.Batch, sp telemetry.TSpan) error {
 	time.Sleep(s.delay)
 	return s.transport.mutate(tr, batch, sp)
 }
@@ -407,7 +407,7 @@ func (s *serialTransport) enter() func() {
 	return func() { s.active.Add(-1) }
 }
 
-func (s *serialTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
+func (s *serialTransport) mutate(tr *tableRegion, batch *lsm.Batch, sp telemetry.TSpan) error {
 	defer s.enter()()
 	return s.transport.mutate(tr, batch, sp)
 }
@@ -629,5 +629,62 @@ func TestReadFlushIsNotABufferFlush(t *testing.T) {
 	}
 	if n, timed := flushes(); n != 1 || timed != 1 {
 		t.Fatalf("after FlushCommits: %d buffer flushes, %d timed, want 1", n, timed)
+	}
+}
+
+// keepingTransport fails every mutate and keeps each batch it was handed,
+// with its row count then, as a stopped member's catch-up queue does.
+type keepingTransport struct {
+	inprocTransport
+	kept []*lsm.Batch
+	rows []int
+}
+
+func (k *keepingTransport) mutate(_ *tableRegion, batch *lsm.Batch, _ telemetry.TSpan) error {
+	k.kept, k.rows = append(k.kept, batch), append(k.rows, batch.Len())
+	return errors.New("member stopped")
+}
+
+// TestFailedBatchIsNotAddedTo: a batch whose mutate failed may still be held
+// by the server, so puts after a failed FlushCommits or a failed read flush
+// go into a new batch, and the rows come back in order when the flush is
+// retried.
+func TestFailedBatchIsNotAddedTo(t *testing.T) {
+	cl, _ := newTestCluster(t, 3, nil)
+	c, err := cl.NewClient("iot", 1<<30) // no autoflush
+	if err != nil {
+		t.Fatal(err)
+	}
+	keeping := &keepingTransport{}
+	c.rpc = keeping
+	put := func(k string) {
+		if err := c.Put([]byte(k), []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("a")
+	put("b")
+	if err := c.FlushCommits(); err == nil {
+		t.Fatal("FlushCommits through a failing transport succeeded")
+	}
+	put("c")
+	if _, err := scanAll(c, nil, nil, 0); err == nil {
+		t.Fatal("a read whose flush failed succeeded")
+	}
+	put("d")
+	for i, b := range keeping.kept {
+		if b.Len() != keeping.rows[i] {
+			t.Fatalf("batch %d held %d rows when it failed and %d now", i, keeping.rows[i], b.Len())
+		}
+	}
+	c.rpc = inprocTransport{}
+	rows, err := scanAll(c, nil, nil, 0)
+	if err != nil || len(rows) != 4 {
+		t.Fatalf("scan after the retry: %d rows, %v", len(rows), err)
+	}
+	for i, k := range []string{"a", "b", "c", "d"} {
+		if string(rows[i].Key) != k || string(rows[i].Value) != "v-"+k {
+			t.Fatalf("row %d: %q=%q, want %q", i, rows[i].Key, rows[i].Value, k)
+		}
 	}
 }

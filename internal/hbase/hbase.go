@@ -203,17 +203,17 @@ func (tr *tableRegion) contains(key []byte) bool {
 
 // checkKeys refuses a batch holding an empty key or a key outside the
 // region's range: the whole batch, before any of it is applied.
-func (tr *tableRegion) checkKeys(batch []Mutation) error {
-	for i := range batch {
-		key := batch[i].Key
-		if len(key) == 0 {
-			return fmt.Errorf("region %s: %w", tr.name, lsm.ErrBadKey)
+func (tr *tableRegion) checkKeys(batch *lsm.Batch) (err error) {
+	batch.Each(func(key, _ []byte) {
+		switch {
+		case err != nil:
+		case len(key) == 0:
+			err = fmt.Errorf("region %s: %w", tr.name, lsm.ErrBadKey)
+		case !tr.contains(key):
+			err = fmt.Errorf("%w: %q not in %s[%q,%q)", ErrOutOfRange, key, tr.name, tr.start, tr.end)
 		}
-		if !tr.contains(key) {
-			return fmt.Errorf("%w: %q not in %s[%q,%q)", ErrOutOfRange, key, tr.name, tr.start, tr.end)
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // NewCluster starts an in-process cluster.

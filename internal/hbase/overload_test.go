@@ -46,9 +46,9 @@ func (g *gatedMember) wait() {
 
 // ApplyBatch forwards the trace span with the batch: a wrapper that dropped
 // it would erase every engine span under this member.
-func (g *gatedMember) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
+func (g *gatedMember) ApplyBatch(parent telemetry.TSpan, b *lsm.Batch) error {
 	g.wait()
-	return g.inner.ApplyBatch(parent, writes)
+	return g.inner.ApplyBatch(parent, b)
 }
 
 // stragglerCluster builds a 3-node cluster whose member 2 (the second
@@ -356,7 +356,7 @@ func TestBackoffDelayShape(t *testing.T) {
 // failingMember fails every apply: a replica whose disk is gone.
 type failingMember struct{ err error }
 
-func (f failingMember) ApplyBatch(telemetry.TSpan, []lsm.Write) error { return f.err }
+func (f failingMember) ApplyBatch(telemetry.TSpan, *lsm.Batch) error { return f.err }
 
 // A replica that stopped does not stop its region: past CatchUpQueue
 // batches, writes keep acking at quorum, and /healthz and /storage report

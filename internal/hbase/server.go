@@ -196,9 +196,9 @@ type Region struct {
 // batch whose keys RegionServer.mutate already checked. It appears as a
 // "region.apply" span in the copy's own service, with the engine's
 // WAL/memtable spans beneath it; the zero TSpan is inert.
-func (r *Region) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
+func (r *Region) ApplyBatch(parent telemetry.TSpan, b *lsm.Batch) error {
 	sp := parent.ChildIn(r.service, "region.apply")
-	err := r.store.ApplyBatchTraced(sp, writes)
+	err := r.store.Apply(sp, b)
 	sp.End()
 	return err
 }
@@ -265,20 +265,6 @@ func (s *RegionServer) Regions() []*Region {
 	return out
 }
 
-// Mutation is one write in a batched RPC. It is an alias for the engine's
-// batch element, so a client batch flows through replication into the LSM
-// stores without per-layer conversion or copying.
-type Mutation = lsm.Write
-
-// copyMutation copies key and value into one allocation. Each part is
-// capacity-capped, so an append to the key cannot write into the value.
-func copyMutation(key, value []byte) Mutation {
-	kv := make([]byte, len(key)+len(value))
-	k := copy(kv, key)
-	copy(kv[k:], value)
-	return Mutation{Key: kv[:k:k], Value: kv[k:]}
-}
-
 // mutate is the server-side write RPC: the whole batch executes under one
 // handler slot and ships through the region's replication group as a single
 // batched round — one WAL group append and one memtable critical section
@@ -290,7 +276,7 @@ func copyMutation(key, value []byte) Mutation {
 // parent (the zero TSpan is inert) the RPC appears as a "server.mutate" span
 // in this server's service, with a "server.handler_wait" child covering time
 // queued for a handler slot and the replication/engine spans beneath.
-func (s *RegionServer) mutate(tr *tableRegion, batch []Mutation, parent telemetry.TSpan) error {
+func (s *RegionServer) mutate(tr *tableRegion, batch *lsm.Batch, parent telemetry.TSpan) error {
 	sp := parent.ChildIn(s.service, "server.mutate")
 	defer sp.End()
 	waitSp := sp.Child("server.handler_wait")
@@ -312,7 +298,7 @@ func (s *RegionServer) mutate(tr *tableRegion, batch []Mutation, parent telemetr
 		}
 		return err
 	}
-	s.mutations.Add(int64(len(batch)))
+	s.mutations.Add(int64(batch.Len()))
 	// A mutate that was admitted AND applied ends any shed streak — the
 	// streak measures sheds with no successful write in between, whichever
 	// layer (handler queue or catch-up queue) produced them.

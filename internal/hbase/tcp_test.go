@@ -414,11 +414,11 @@ func TestMutateRefusesBadKeysBeforeFanOut(t *testing.T) {
 	for name, rpc := range bothTransports(t, cl) {
 		refused, good := []byte("a-"+name), []byte("b-"+name)
 		for what, key := range map[string][]byte{"empty key": nil, "key of another region": []byte("z")} {
-			if err := rpc.mutate(low, []Mutation{{Key: refused, Value: v}, {Key: key, Value: v}}, telemetry.TSpan{}); err == nil {
+			if err := rpc.mutate(low, batchOf(lsm.Write{Key: refused, Value: v}, lsm.Write{Key: key, Value: v}), telemetry.TSpan{}); err == nil {
 				t.Fatalf("%s, %s: mutate accepted", name, what)
 			}
 		}
-		if err := rpc.mutate(low, []Mutation{{Key: good, Value: v}}, telemetry.TSpan{}); err != nil {
+		if err := rpc.mutate(low, batchOf(lsm.Write{Key: good, Value: v}), telemetry.TSpan{}); err != nil {
 			t.Fatalf("%s: a good mutate after the refused ones: %v", name, err)
 		}
 		if err := cl.Quiesce(); err != nil {
@@ -455,14 +455,14 @@ func TestRegionBoundsEnforced(t *testing.T) {
 	v := []byte("v")
 	for name, rpc := range bothTransports(t, cl) {
 		for what, key := range map[string][]byte{"below": []byte("a"), "above": []byte("z")} {
-			err := rpc.mutate(mid, []Mutation{{Key: key, Value: v}}, telemetry.TSpan{})
+			err := rpc.mutate(mid, batchOf(lsm.Write{Key: key, Value: v}), telemetry.TSpan{})
 			// The wire carries the error's text, not its chain.
 			if err == nil || !strings.Contains(err.Error(), ErrOutOfRange.Error()) {
 				t.Fatalf("%s: put %s the region = %v, want %v", name, what, err, ErrOutOfRange)
 			}
 		}
 		inside := []byte("f-" + name)
-		if err := rpc.mutate(mid, []Mutation{{Key: inside, Value: v}}, telemetry.TSpan{}); err != nil {
+		if err := rpc.mutate(mid, batchOf(lsm.Write{Key: inside, Value: v}), telemetry.TSpan{}); err != nil {
 			t.Fatalf("%s: put inside the region: %v", name, err)
 		}
 		if err := cl.Quiesce(); err != nil {
@@ -486,12 +486,12 @@ func TestMutateChecksWholeBatchBeforeApply(t *testing.T) {
 	mid := tbl.regions[1] // ["b", "m")
 	for name, rpc := range bothTransports(t, cl) {
 		banana, grape := []byte("banana-"+name), []byte("grape-"+name)
-		good := []Mutation{{Key: banana, Value: []byte("1")}, {Key: grape, Value: []byte("2")}, {Key: banana, Value: []byte("3")}}
+		good := batchOf(lsm.Write{Key: banana, Value: []byte("1")}, lsm.Write{Key: grape, Value: []byte("2")}, lsm.Write{Key: banana, Value: []byte("3")})
 		if err := rpc.mutate(mid, good, telemetry.TSpan{}); err != nil {
 			t.Fatalf("%s: good batch: %v", name, err)
 		}
 		cherry := []byte("cherry-" + name)
-		bad := []Mutation{{Key: cherry, Value: []byte("in")}, {Key: []byte("zebra"), Value: []byte("out")}}
+		bad := batchOf(lsm.Write{Key: cherry, Value: []byte("in")}, lsm.Write{Key: []byte("zebra"), Value: []byte("out")})
 		if err := rpc.mutate(mid, bad, telemetry.TSpan{}); err == nil || !strings.Contains(err.Error(), ErrOutOfRange.Error()) {
 			t.Fatalf("%s: out-of-range batch = %v, want %v", name, err, ErrOutOfRange)
 		}
@@ -556,9 +556,9 @@ func TestTCPMutateReusesRequestFrame(t *testing.T) {
 	}
 	t.Cleanup(func() { rpc.close() })
 
-	batch := make([]Mutation, 256)
-	for i := range batch {
-		batch[i] = Mutation{Key: []byte(fmt.Sprintf("k%06d", i)), Value: bytes.Repeat([]byte("v"), 1000)}
+	batch := new(lsm.Batch)
+	for i := 0; i < 256; i++ {
+		batch.Add([]byte(fmt.Sprintf("k%06d", i)), bytes.Repeat([]byte("v"), 1000))
 	}
 	mutate := func() {
 		if err := rpc.mutate(tr, batch, telemetry.TSpan{}); err != nil {

@@ -17,7 +17,7 @@ import (
 // under — inert for unsampled operations; the TCP transport propagates it
 // as the frame trace header and stitches the returned server spans back in.
 type transport interface {
-	mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error
+	mutate(tr *tableRegion, batch *lsm.Batch, sp telemetry.TSpan) error
 	openScanner(tr *tableRegion, lo, hi []byte, limit int, sp telemetry.TSpan) (uint64, error)
 	scanNext(tr *tableRegion, id uint64, chunk int, sp telemetry.TSpan) ([]Row, bool, error)
 	closeScanner(tr *tableRegion, id uint64, sp telemetry.TSpan) error
@@ -30,7 +30,7 @@ type transport interface {
 // with no wire crossing.
 type inprocTransport struct{}
 
-func (inprocTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
+func (inprocTransport) mutate(tr *tableRegion, batch *lsm.Batch, sp telemetry.TSpan) error {
 	return tr.primary.mutate(tr, batch, sp)
 }
 
@@ -157,7 +157,7 @@ func (t *tcpTransport) call(tr *tableRegion, op byte, sp telemetry.TSpan, encode
 	return resp
 }
 
-func (t *tcpTransport) mutate(tr *tableRegion, batch []Mutation, sp telemetry.TSpan) error {
+func (t *tcpTransport) mutate(tr *tableRegion, batch *lsm.Batch, sp telemetry.TSpan) error {
 	return t.call(tr, opMutate, sp, func(req *frameWriter) { req.mutations(batch) }).err
 }
 

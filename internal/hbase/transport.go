@@ -40,9 +40,11 @@ import (
 //	opAggregate  lo?, hi?, minTS, maxTS,          rows folded, count, {series,
 //	             windowMS, funcs                  start, count, min, max, sum}
 //
-// where lo? and hi? are byte strings behind a nil/present marker byte. The
-// protocol is deliberately minimal: one outstanding request per connection,
-// matching the one-client-per-worker-thread model.
+// where lo? and hi? are byte strings behind a nil/present marker byte. An
+// opMutate's rows are one lsm.Batch at both ends: the server decodes them
+// straight into the WAL records its stores log. The protocol is deliberately
+// minimal: one outstanding request per connection, matching the
+// one-client-per-worker-thread model.
 
 // opcodes. Scans are a session of three ops (open, a next per chunk,
 // close), the wire form of the server's scanner sessions; opAggregate is
@@ -277,25 +279,27 @@ func (f *frameReader) request() (ctx telemetry.TraceContext, region string) {
 // mutations is an opMutate request's batch. Each mutation leads with a flag
 // byte that once marked a delete; it is always 0, and a frame that sets it
 // is malformed.
-func (f *frameWriter) mutations(batch []Mutation) {
-	f.uvarint(uint64(len(batch)))
-	for _, m := range batch {
+func (f *frameWriter) mutations(batch *lsm.Batch) {
+	f.uvarint(uint64(batch.Len()))
+	batch.Each(func(key, value []byte) {
 		f.buf = append(f.buf, 0)
-		f.bytes(m.Key)
-		f.bytes(m.Value)
-	}
+		f.bytes(key)
+		f.bytes(value)
+	})
 }
 
-// mutations copies keys and values out of the frame, which the connection
-// reuses for its next request: one allocation per mutation.
-func (f *frameReader) mutations() []Mutation {
-	batch := make([]Mutation, f.count(3)) // a flag and two lengths at least
-	for i := range batch {
+// mutations copies the rows out of the frame, which the connection reuses
+// for its next request, into a batch sized from the frame: one allocation
+// for the rows' bytes, laid out as the WAL records the stores will log.
+func (f *frameReader) mutations() *lsm.Batch {
+	n := f.count(3) // a flag and two lengths at least
+	batch := lsm.NewBatch(n, len(f.buf)-f.off-3*n)
+	for i := 0; i < n; i++ {
 		if f.uvarint() != 0 {
 			f.malformed("mutation %d sets the retired delete flag", i)
 		}
 		key := f.bytes()
-		batch[i] = copyMutation(key, f.bytes())
+		batch.Add(key, f.bytes())
 	}
 	return batch
 }

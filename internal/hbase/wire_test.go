@@ -56,10 +56,10 @@ func wireCases() []wireCase {
 		{
 			name: "mutate",
 			call: func(rpc *tcpTransport, tr *tableRegion, sp telemetry.TSpan) (any, error) {
-				return nil, rpc.mutate(tr, []Mutation{
-					{Key: wireKey(0), Value: wireReading("1.5")},
-					{Key: wireKey(250), Value: wireReading("2.5")},
-				}, sp)
+				return nil, rpc.mutate(tr, batchOf(
+					lsm.Write{Key: wireKey(0), Value: wireReading("1.5")},
+					lsm.Write{Key: wireKey(250), Value: wireReading("2.5")},
+				), sp)
 			},
 			req:       "010009696f742c303030303002000c730061008000000000000000060301312e3543000c7300610080000000000000fa060301322e3543",
 			reqTraced: "01014d0509696f742c303030303002000c730061008000000000000000060301312e3543000c7300610080000000000000fa060301322e3543",

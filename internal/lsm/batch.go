@@ -1,0 +1,135 @@
+package lsm
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sync"
+
+	"tpcxiot/internal/telemetry"
+)
+
+// Batch is rows laid out, in one buffer, as the WAL records that log them:
+// Add copies a row in once, and Store.Apply appends the records to the WAL as
+// they are and inserts each through applyRecord, the decoder replay runs.
+// Apply only reads a batch, so one batch may go to several stores at once; a
+// batch handed on must not be added to again. The zero Batch is empty.
+//
+// A record is opPut, the key's and the value's lengths as uvarints, the key,
+// tagValue and the value: the row the memtable stores is the record's tail,
+// and a batch's records delimit themselves.
+type Batch struct {
+	buf  []byte
+	rows int
+	size int64 // key and value bytes
+}
+
+// opPut is a record's first byte. Earlier layouts wrote 0 (a delete) and 1
+// (a put without the value length); replay refuses both as ErrCorrupt.
+const opPut = 2
+
+// recordOverhead bounds a record's bytes beyond its key and value.
+const recordOverhead = 2 + 2*binary.MaxVarintLen32
+
+// NewBatch returns an empty batch with room for rows rows whose keys and
+// values come to bytes in all.
+func NewBatch(rows, bytes int) *Batch {
+	return &Batch{buf: make([]byte, 0, rows*recordOverhead+bytes)}
+}
+
+// Add appends a row, copying key and value; the buffer grows by doubling. An
+// empty key is taken here and refused, with the whole batch, by Apply.
+func (b *Batch) Add(key, value []byte) {
+	if need := recordOverhead + len(key) + len(value); cap(b.buf)-len(b.buf) < need {
+		b.buf = append(make([]byte, 0, max(2*cap(b.buf), len(b.buf)+need)), b.buf...)
+	}
+	b.buf = append(b.buf, opPut)
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(key)))
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(value)))
+	b.buf = append(append(append(b.buf, key...), tagValue), value...)
+	b.rows++
+	b.size += int64(len(key) + len(value))
+}
+
+// Len is the number of rows in the batch.
+func (b *Batch) Len() int { return b.rows }
+
+// Size is the batch's key and value bytes: its payload before any framing.
+func (b *Batch) Size() int64 { return b.size }
+
+// Each calls fn with every row's key and value in the order added. Both
+// alias the batch, capacity-capped so that an append cannot write into it.
+func (b *Batch) Each(fn func(key, value []byte)) {
+	for buf := b.buf; len(buf) > 0; {
+		key, stored, n, _ := splitRecord(buf) // Add wrote each record whole
+		fn(key[:len(key):len(key)], stored[1:len(stored):len(stored)])
+		buf = buf[n:]
+	}
+}
+
+// splitRecord decodes the record at the head of buf: its key, the stored row
+// (tagValue and the value) and its length n. ok is false unless buf starts
+// with a whole record of this layout.
+func splitRecord(buf []byte) (key, stored []byte, n int, ok bool) {
+	if len(buf) == 0 || buf[0] != opPut {
+		return nil, nil, 0, false
+	}
+	klen, kn := binary.Uvarint(buf[1:])
+	if kn <= 0 {
+		return nil, nil, 0, false
+	}
+	vlen, vn := binary.Uvarint(buf[1+kn:])
+	head := 1 + kn + vn
+	// The key, the tag and the value must fit in what follows the head.
+	if rest := uint64(len(buf) - head); vn <= 0 || klen >= rest || vlen >= rest-klen {
+		return nil, nil, 0, false
+	}
+	n = head + int(klen) + 1 + int(vlen)
+	key, stored = buf[head:head+int(klen)], buf[head+int(klen):n]
+	return key, stored, n, stored[0] == tagValue
+}
+
+// applyRecord inserts one record into the active memtable, which copies the
+// key and the stored row, the record's tail. Open's replay calls it for every
+// record in the WAL and Apply for every record of a batch it logged, so live
+// writes run the decoder recovery depends on. A record that is not exactly
+// one put of a non-empty key is ErrCorrupt.
+func (s *Store) applyRecord(rec []byte) error {
+	key, stored, n, ok := splitRecord(rec)
+	if !ok || n != len(rec) || len(key) == 0 {
+		return fmt.Errorf("%w: wal record of %d bytes, op %d", ErrCorrupt, len(rec), rec[0])
+	}
+	s.active.Put(key, stored)
+	return nil
+}
+
+// Write is one row of a batch given as a slice: a put of Value under Key.
+type Write struct {
+	Key   []byte
+	Value []byte
+}
+
+// Put stores value under key, durably per the WAL policy.
+func (s *Store) Put(key, value []byte) error {
+	return s.ApplyBatch([]Write{{Key: key, Value: value}})
+}
+
+// ApplyBatch is ApplyBatchTraced without a trace.
+func (s *Store) ApplyBatch(writes []Write) error {
+	return s.ApplyBatchTraced(telemetry.TSpan{}, writes)
+}
+
+// encodePool recycles the batches ApplyBatchTraced copies writes into. Apply
+// keeps no reference to a batch, so a caller handing the store slices of
+// writes, as engine.durable does every batch, allocates no buffer per call.
+var encodePool = sync.Pool{New: func() any { return new(Batch) }}
+
+// ApplyBatchTraced copies the writes into a Batch and applies it.
+func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
+	b := encodePool.Get().(*Batch)
+	defer encodePool.Put(b)
+	b.buf, b.rows, b.size = b.buf[:0], 0, 0
+	for i := range writes {
+		b.Add(writes[i].Key, writes[i].Value)
+	}
+	return s.Apply(parent, b)
+}

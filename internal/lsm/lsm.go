@@ -188,11 +188,15 @@ type Store struct {
 
 	// A writer holds logMu shared from its WAL append through its memtable
 	// insert, a swap exclusively: every record of the active memtable lies in
-	// WAL segment activeFrom (the last roll's, under logMu and mu) or later.
-	// rolledAt is log.Bytes() at that roll. Lock order: maintMu, logMu, mu.
+	// WAL segment activeFrom (rolled as of the swap, set under logMu and mu)
+	// or later. rollMu serialises rolls; rolled is the segment the last roll
+	// began and rolledAt log.Bytes() then. Lock order: maintMu, logMu,
+	// rollMu, mu.
 	logMu      sync.RWMutex
 	activeFrom uint64
-	rolledAt   int64
+	rollMu     sync.Mutex
+	rolled     atomic.Uint64
+	rolledAt   atomic.Int64
 
 	// manifest is the versioned table-set log; manMu serialises manifest
 	// commits with the in-memory installs they authorise, so a rotation
@@ -207,8 +211,6 @@ type Store struct {
 	quit        chan struct{}
 	bg          sync.WaitGroup
 	stopOnce    sync.Once
-
-	encPool sync.Pool // *encodeBuf; scratch space for batch record encoding
 
 	// Event counters: each counted once, where the event happens. Stats
 	// reads them; counterTable names those the registry reports.
@@ -443,7 +445,6 @@ func Open(opts Options) (*Store, error) {
 	s.cache = sstable.NewBlockCache(o.BlockCacheBytes)
 	s.flushCond = sync.NewCond(&s.mu)
 	s.seedCount = 1
-	s.encPool.New = func() any { return new(encodeBuf) }
 	s.memSpan = o.Registry.Timer("put.memstore")
 	s.flushSpan = o.Registry.Timer("put.region_flush")
 	s.elog = o.Logger
@@ -455,16 +456,13 @@ func Open(opts Options) (*Store, error) {
 		s.elog = s.elog.With(fields...)
 	}
 
+	// Recover unflushed writes from the log before the table set: a log this
+	// store cannot read is refused before recovery writes anything.
+	if err := wal.Replay(filepath.Join(o.Dir, "wal"), s.elog, s.applyRecord); err != nil {
+		return nil, fmt.Errorf("lsm: wal recovery: %w", err)
+	}
 	if err := s.recoverTables(); err != nil {
 		return nil, err
-	}
-
-	// Recover unflushed writes from the log, then open it for appending.
-	var val []byte
-	if err := wal.Replay(filepath.Join(o.Dir, "wal"), s.elog, func(rec []byte) error {
-		return s.applyRecord(rec, &val)
-	}); err != nil {
-		return nil, fmt.Errorf("lsm: wal recovery: %w", err)
 	}
 	s.log, err = wal.Open(wal.Options{
 		Dir:      filepath.Join(o.Dir, "wal"),
@@ -599,112 +597,37 @@ func (s *Store) removeOrphans() error {
 	return nil
 }
 
-// Record encoding: op byte, uvarint key length, key, value. Encoding lives
-// in encodeBuf.encode; applyRecord below is the decoder used by replay.
+// Apply logs the batch and makes it visible as one engine round: a single
+// WAL group append of its records (one fsync group under SyncOnAppend), then
+// a single memtable critical section inserting each record through
+// applyRecord, with one flush/backpressure check for the whole batch. Crash
+// recovery replays the batch record by record through the same decoder, so a
+// batch is equivalent to — just much cheaper than — the same rows applied one
+// at a time. A batch holding an empty key is refused whole with ErrBadKey,
+// before anything is logged; an empty batch is a no-op.
 //
-// encodeBuf is per-batch scratch space, pooled on the store so steady-state
-// ingest encodes WAL records and memtable values without fresh allocations.
-type encodeBuf struct {
-	arena []byte   // backing storage for every record in the batch
-	recs  [][]byte // slices into arena, one per write
-	val   []byte   // tagged-value scratch for memtable inserts
-}
-
-// encode lays the batch's WAL records out in the arena and returns one slice
-// per record. The arena is sized up front so it never reallocates mid-batch
-// (which would invalidate earlier record slices).
-func (b *encodeBuf) encode(writes []Write) [][]byte {
-	need := 0
-	for i := range writes {
-		need += 1 + binary.MaxVarintLen32 + len(writes[i].Key) + len(writes[i].Value)
-	}
-	if cap(b.arena) < need {
-		b.arena = make([]byte, 0, need)
-	}
-	b.arena = b.arena[:0]
-	b.recs = b.recs[:0]
-	for i := range writes {
-		w := &writes[i]
-		start := len(b.arena)
-		b.arena = append(b.arena, tagValue)
-		b.arena = binary.AppendUvarint(b.arena, uint64(len(w.Key)))
-		b.arena = append(b.arena, w.Key...)
-		b.arena = append(b.arena, w.Value...)
-		b.recs = append(b.recs, b.arena[start:len(b.arena)])
-	}
-	return b.recs
-}
-
-// applyRecord inserts one replayed WAL record into the active memtable,
-// building the tagged value in *val, scratch reused from record to record
-// (the memtable copies it).
-func (s *Store) applyRecord(rec []byte, val *[]byte) error {
-	if len(rec) < 2 {
-		return fmt.Errorf("%w: wal record of %d bytes", ErrCorrupt, len(rec))
-	}
-	if op := rec[0]; op != tagValue {
-		return fmt.Errorf("%w: wal op %d", ErrCorrupt, op)
-	}
-	klen, n := binary.Uvarint(rec[1:])
-	if n <= 0 || uint64(len(rec)-1-n) < klen {
-		return fmt.Errorf("%w: wal record key length", ErrCorrupt)
-	}
-	key := rec[1+n : 1+n+int(klen)]
-	value := rec[1+n+int(klen):]
-	*val = append(append((*val)[:0], tagValue), value...)
-	s.active.Put(key, *val)
-	return nil
-}
-
-// Write is one mutation in a batch: a put of Value under Key.
-type Write struct {
-	Key   []byte
-	Value []byte
-}
-
-// Put stores value under key, durably per the WAL policy.
-func (s *Store) Put(key, value []byte) error {
-	return s.ApplyBatch([]Write{{Key: key, Value: value}})
-}
-
-// ApplyBatch applies the writes as one engine round: a single WAL append
-// covering every record (one fsync group under SyncOnAppend), then a single
-// memtable critical section with one flush/backpressure check for the whole
-// batch. Crash recovery replays the batch record-by-record, so a batch is
-// equivalent to — just much cheaper than — the same writes applied one at a
-// time. An empty batch is a no-op.
-func (s *Store) ApplyBatch(writes []Write) error {
-	return s.ApplyBatchTraced(telemetry.TSpan{}, writes)
-}
-
-// ApplyBatchTraced is ApplyBatch under a trace span. When parent is live the
-// engine round appears as an "lsm.apply_batch" span with children for each
-// stage that actually ran: "lsm.stall_wait" (backpressure blocking, only when
-// the store stalled), "wal.append" (with the group-commit "wal.fsync"
-// beneath it, recorded by the WAL), and "lsm.memtable_insert". With an inert
-// parent this is exactly ApplyBatch — no clock reads, no allocations.
-func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
-	if len(writes) == 0 {
+// When parent is live the engine round appears as an "lsm.apply_batch" span
+// with children for each stage that actually ran: "lsm.stall_wait"
+// (backpressure blocking, only when the store stalled), "wal.append" (with
+// the group-commit "wal.fsync" beneath it, recorded by the WAL), and
+// "lsm.memtable_insert". An inert parent costs no clock reads.
+func (s *Store) Apply(parent telemetry.TSpan, b *Batch) error {
+	if b.rows == 0 {
 		return nil
 	}
-	// Validation doubles as the logical-byte count: the user payload this
-	// batch asks the store to persist, before any log framing or table
-	// encoding.
-	var logical int64
-	for i := range writes {
-		if len(writes[i].Key) == 0 {
+	recs := make([][]byte, 0, b.rows)
+	for buf := b.buf; len(buf) > 0; {
+		key, _, n, _ := splitRecord(buf) // Add wrote each record whole
+		if len(key) == 0 {
 			return ErrBadKey
 		}
-		logical += int64(len(writes[i].Key) + len(writes[i].Value))
+		recs = append(recs, buf[:n])
+		buf = buf[n:]
 	}
 	batchSp := parent.Child("lsm.apply_batch")
 	defer batchSp.End()
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
 	// Backpressure: block while the overlapping store files are at the cap,
 	// like hbase.hstore.blockingStoreFiles. Checked once per batch.
 	if s.depth >= s.opts.MaxStoreFiles && !s.closed {
@@ -730,13 +653,11 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 	}
 	s.mu.Unlock()
 
-	// WAL first. Records are encoded once into pooled scratch space and the
-	// whole batch goes down in one group append.
-	eb := s.encPool.Get().(*encodeBuf)
-	defer s.encPool.Put(eb)
+	// WAL first: the batch's records go down as they are, in one group
+	// append.
 	s.logMu.RLock()
 	walSp := batchSp.Child("wal.append")
-	err := s.log.AppendTraced(walSp, eb.encode(writes)...)
+	err := s.log.AppendTraced(walSp, recs...)
 	walSp.End()
 	if err != nil {
 		s.logMu.RUnlock()
@@ -751,26 +672,26 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 		s.logMu.RUnlock()
 		return ErrClosed
 	}
-	for i := range writes {
-		// Build the tagged value in scratch; the memtable copies it.
-		eb.val = append(eb.val[:0], tagValue)
-		eb.val = append(eb.val, writes[i].Value...)
-		s.active.Put(writes[i].Key, eb.val)
+	for _, rec := range recs {
+		if err = s.applyRecord(rec); err != nil {
+			break
+		}
 	}
-	s.puts.Add(int64(len(writes)))
+	s.puts.Add(int64(b.rows))
 	insertSp.End()
 	memSp.End()
 	s.batchApplies.Inc()
-	s.logicalBytes.Add(logical)
+	s.logicalBytes.Add(b.size)
 	shouldFlush := !s.opts.DisableAutoFlush &&
 		s.active.Size() >= s.opts.MemtableSize && s.imm == nil
 	s.mu.Unlock()
 	s.logMu.RUnlock()
-	if !shouldFlush {
-		return nil
+	s.maybeRoll()
+	if err != nil || !shouldFlush {
+		return err
 	}
-	// The batch is acked either way; a failed roll leaves the swap to the
-	// next writer.
+	// The batch is acked either way; a failed swap is left to the next
+	// writer.
 	if _, swapped, err := s.swapMemtable(false); swapped {
 		go s.maintain()
 	} else if err != nil && !errors.Is(err, ErrClosed) {
@@ -779,16 +700,49 @@ func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
 	return nil
 }
 
-// walRollEvery is how many memtables' worth of bytes a WAL segment takes
-// before a swap rolls the log: 64 MiB at the 4 MiB default. Rolling at every
-// swap would cost each memtable a segment fsync and two directory syncs.
+// walRollEvery is how many memtables' worth of bytes the WAL takes past its
+// last roll before the append that crosses the mark rolls it: 64 MiB at the
+// 4 MiB default. Rolling at every swap would cost each memtable a segment
+// fsync and two directory syncs.
 const walRollEvery = 16
 
-// swapMemtable moves the active memtable, once full, to the immutable slot,
-// and rolls the log if the current segment holds walRollEvery memtables.
-// Flush sets final: any active memtable moves, an empty one included, and
-// the log always rolls. It returns the memtable moved; while the slot is
-// taken it moves nothing and returns the pending one, swapped false.
+// maybeRoll rolls the WAL once it holds walRollEvery memtables' worth of
+// bytes past the last roll. The writer that finds the mark crossed rolls,
+// without logMu; one that finds a roll under way leaves it to that one. A
+// failed roll is left to the next append.
+func (s *Store) maybeRoll() {
+	at := s.rolledAt.Load()
+	if s.log.Bytes()-at < walRollEvery*s.opts.MemtableSize || !s.rollMu.TryLock() {
+		return
+	}
+	defer s.rollMu.Unlock()
+	if s.rolledAt.Load() != at {
+		return // another writer rolled meanwhile
+	}
+	if _, err := s.rollLocked(); err != nil && !errors.Is(err, wal.ErrClosed) {
+		s.elog.Error("wal roll failed; will retry", telemetry.F("error", err))
+	}
+}
+
+// rollLocked ends the WAL segment and publishes the one Rotate began as
+// rolled. Caller holds rollMu, so rolls run one at a time and rolled only
+// grows.
+func (s *Store) rollLocked() (uint64, error) {
+	seq, err := s.log.Rotate()
+	if err != nil {
+		return 0, fmt.Errorf("lsm: wal roll: %w", err)
+	}
+	s.rolledAt.Store(s.log.Bytes())
+	s.rolled.Store(seq)
+	return seq, nil
+}
+
+// swapMemtable moves the active memtable, once full, to the immutable slot.
+// The new active memtable starts at the last segment a roll published: every
+// record appended after that roll lies in it or later. Flush sets final: any
+// active memtable moves, an empty one included, and the log rolls first. It
+// returns the memtable moved; while the slot is taken it moves nothing and
+// returns the pending one, swapped false.
 func (s *Store) swapMemtable(final bool) (imm *memtable.Memtable, swapped bool, err error) {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
@@ -803,12 +757,14 @@ func (s *Store) swapMemtable(final bool) (imm *memtable.Memtable, swapped bool, 
 	case !final && size < s.opts.MemtableSize:
 		return nil, false, nil
 	}
-	from := s.activeFrom
-	if final || s.log.Bytes()-s.rolledAt >= walRollEvery*s.opts.MemtableSize {
-		if from, err = s.log.Rotate(); err != nil {
-			return nil, false, fmt.Errorf("lsm: wal roll: %w", err)
+	from := s.rolled.Load()
+	if final {
+		s.rollMu.Lock()
+		from, err = s.rollLocked()
+		s.rollMu.Unlock()
+		if err != nil {
+			return nil, false, err
 		}
-		s.rolledAt = s.log.Bytes()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -32,22 +33,36 @@ func openRefused(t *testing.T, dir, what string) {
 	}
 }
 
-// TestWALDeleteRecordRefused: a WAL record with op byte 0, a delete of key
-// "k", fails recovery.
+// TestWALDeleteRecordRefused: a WAL record of an earlier layout — a put
+// with op byte 1, or a delete with op byte 0 — behind a record of today's
+// layout fails recovery with ErrCorrupt, and Open leaves the directory as it
+// was, byte for byte.
 func TestWALDeleteRecordRefused(t *testing.T) {
-	dir := t.TempDir()
-	log, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Sync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
+	for name, old := range map[string][]byte{
+		"op-1-put":    {1, 1, 'j', 'v'},
+		"op-0-delete": {0, 1, 'k'},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Sync: wal.SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var put Batch
+			put.Add([]byte("i"), []byte("v"))
+			if err := log.Append(put.buf, old); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirImage(t, dir)
+			openRefused(t, dir, "a WAL holding a record of an earlier layout")
+			if after := dirImage(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refused open changed the directory: %d paths before, %d after", len(before), len(after))
+			}
+		})
 	}
-	put := []byte{tagValue, 1, 'j', 'v'}
-	if err := log.Append(put, []byte{0, 1, 'k'}); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	openRefused(t, dir, "a WAL holding a delete")
 }
 
 // TestManifestTableWithDeletesRefused: a v3 table whose manifest record
@@ -224,4 +239,133 @@ func TestUntaggedValueIsCorrupt(t *testing.T) {
 			}
 		})
 	}
+}
+
+// replayRecords splits a FuzzStoreReplay input into WAL records: each is a
+// uvarint length and that many bytes, and a length past the end takes the
+// rest. Empty records, which the WAL refuses, are left out.
+func replayRecords(in []byte) [][]byte {
+	var recs [][]byte
+	for len(in) > 0 {
+		n, k := binary.Uvarint(in)
+		if k <= 0 {
+			return recs
+		}
+		in = in[k:]
+		n = min(n, uint64(len(in)))
+		if n > 0 {
+			recs = append(recs, in[:n])
+		}
+		in = in[n:]
+	}
+	return recs
+}
+
+// replayInput is replayRecords' inverse.
+func replayInput(recs ...[]byte) []byte {
+	var in []byte
+	for _, r := range recs {
+		in = binary.AppendUvarint(in, uint64(len(r)))
+		in = append(in, r...)
+	}
+	return in
+}
+
+// modelRecord decodes a WAL record by the layout Batch documents, apart
+// from the store's decoder: op byte 2, key and value lengths, the key, tag 1
+// and the value, nothing after it, and a non-empty key.
+func modelRecord(rec []byte) (key, value []byte, ok bool) {
+	if len(rec) == 0 || rec[0] != 2 {
+		return nil, nil, false
+	}
+	klen, k := binary.Uvarint(rec[1:])
+	if k <= 0 {
+		return nil, nil, false
+	}
+	vlen, v := binary.Uvarint(rec[1+k:])
+	if v <= 0 {
+		return nil, nil, false
+	}
+	body := rec[1+k+v:]
+	if klen == 0 || klen >= uint64(len(body)) || vlen != uint64(len(body))-klen-1 || body[klen] != 1 {
+		return nil, nil, false
+	}
+	return body[:klen], body[klen+1:], true
+}
+
+// storeReplaySeeds are FuzzStoreReplay's seeds, each a sequence of records
+// as replayRecords splits them.
+func storeReplaySeeds() [][]byte {
+	var a, b Batch
+	a.Add([]byte("k"), []byte("v1"))
+	b.Add([]byte("k"), []byte("v2"))
+	b.Add(kvp.Key{Substation: "sub0", Sensor: "s", Timestamp: 7}.Encode(), []byte("1.5"))
+	reading := append([]byte{2, 1, 8, 'r', tagReading}, make([]byte, 8)...)
+	return [][]byte{
+		replayInput(a.buf),
+		replayInput(a.buf, b.buf[:len(a.buf)], b.buf[len(a.buf):]), // an overwrite, then a kvp key
+		replayInput(a.buf, []byte{1, 1, 'j', 'v'}),                 // the put of the layout before
+		replayInput(a.buf, []byte{0, 1, 'k'}),                      // a delete
+		replayInput([]byte{2, 0x80}),                               // a key length cut short
+		replayInput([]byte{2, 10, 1, 'k', 1, 'v'}),                 // a key length past the end
+		replayInput(reading),                                       // a reading column's tag
+		replayInput([]byte{2, 0, 1, 1, 'v'}),                       // an empty key
+	}
+}
+
+// FuzzStoreReplay writes the fuzzed records through wal.Log into an empty
+// store directory and opens it. Open either refuses the log with ErrCorrupt
+// — exactly when some record does not decode by modelRecord — or opens and
+// serves through Get the last value the model decodes for every key. It
+// never panics. Tier-1 replays the seeds.
+func FuzzStoreReplay(f *testing.F) {
+	for _, seed := range storeReplaySeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		recs := replayRecords(in)
+		if len(recs) == 0 {
+			return
+		}
+		dir := t.TempDir()
+		log, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Sync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Append(recs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want, valid := map[string]string{}, true
+		for _, rec := range recs {
+			key, value, ok := modelRecord(rec)
+			if !ok {
+				valid = false
+				break
+			}
+			want[string(key)] = string(value)
+		}
+		s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
+		if !valid {
+			if err == nil {
+				s.Close()
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open of a log the model refuses = %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Open of a log the model decodes: %v", err)
+		}
+		defer s.Close()
+		for k, v := range want {
+			got, ok, err := s.Get([]byte(k))
+			if err != nil || !ok || string(got) != v {
+				t.Fatalf("Get(%q) = %q, %v, %v; want %q", k, got, ok, err, v)
+			}
+		}
+	})
 }

@@ -405,3 +405,51 @@ func crashMidTruncate(t *testing.T, live, before, crashed string, truncated []st
 		copyFile(t, filepath.Join(before, "wal", seg), filepath.Join(crashed, "wal", seg))
 	}
 }
+
+// TestAppendRollKeepsActiveRows: an append rolls the WAL between a memtable
+// swap and the flush of the memtable swapped out. The swap started the
+// active memtable at the segment the last roll published, so the flush's
+// truncation keeps the segment holding the active memtable's first rows,
+// and a crash after it reopens with every row.
+func TestAppendRollKeepsActiveRows(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, MemtableSize: 1 << 10, WALSync: wal.SyncNever, DisableAutoFlush: true}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := bytes.Repeat([]byte{'v'}, 200)
+	rows := 0
+	// putUntilRoll writes rows until an append rolls the log.
+	putUntilRoll := func() {
+		t.Helper()
+		for segs := len(walSegments(t, dir)); len(walSegments(t, dir)) == segs; rows++ {
+			if rows > 1000 {
+				t.Fatal("no append rolled the WAL")
+			}
+			if err := s.Put([]byte(fmt.Sprintf("row-%04d", rows)), value); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	putUntilRoll()
+	imm, swapped, err := s.swapMemtable(false)
+	if err != nil || !swapped {
+		t.Fatalf("swap: %v, swapped %v", err, swapped)
+	}
+	putUntilRoll() // the active memtable's rows span the roll
+	if err := s.flushMemtable(imm); err != nil {
+		t.Fatal(err)
+	}
+	crashStore(t, s)
+	re, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for i := 0; i < rows; i++ {
+		if _, ok, err := re.Get([]byte(fmt.Sprintf("row-%04d", i))); err != nil || !ok {
+			t.Fatalf("row %d of %d after the crash: ok %v, %v", i, rows, ok, err)
+		}
+	}
+}

@@ -52,17 +52,18 @@ func (g *gatedApplier) wait() {
 	}
 }
 
-func (g *gatedApplier) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
+func (g *gatedApplier) ApplyBatch(_ telemetry.TSpan, b *lsm.Batch) error {
 	g.wait()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.applies++
-	if len(writes) > 0 {
-		g.order = append(g.order, string(writes[0].Key))
-	}
-	for i := range writes {
-		g.inner.data[string(writes[i].Key)] = string(writes[i].Value)
-	}
+	first := true
+	b.Each(func(key, value []byte) {
+		if first {
+			g.order, first = append(g.order, string(key)), false
+		}
+		g.inner.data[string(key)] = string(value)
+	})
 	return nil
 }
 
@@ -133,10 +134,10 @@ func TestCatchUpDrainsInWALOrder(t *testing.T) {
 	defer g.Close()
 
 	for i := 0; i < batches; i++ {
-		batch := []lsm.Write{
-			{Key: []byte(fmt.Sprintf("k%03d", i)), Value: []byte("v")},
-			{Key: []byte(fmt.Sprintf("x%03d", i)), Value: []byte("v")},
-		}
+		batch := batchOf(
+			lsm.Write{Key: []byte(fmt.Sprintf("k%03d", i)), Value: []byte("v")},
+			lsm.Write{Key: []byte(fmt.Sprintf("x%03d", i)), Value: []byte("v")},
+		)
 		if err := g.ApplyBatch(telemetry.TSpan{}, batch); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -177,7 +178,7 @@ type crashingStore struct {
 	err     error
 }
 
-func (c *crashingStore) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
+func (c *crashingStore) ApplyBatch(parent telemetry.TSpan, b *lsm.Batch) error {
 	c.mu.Lock()
 	if c.tripAt >= 0 && c.applies >= c.tripAt {
 		err := c.err
@@ -187,14 +188,14 @@ func (c *crashingStore) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) e
 	c.applies++
 	st := c.store
 	c.mu.Unlock()
-	return st.ApplyBatchTraced(parent, writes)
+	return st.Apply(parent, b)
 }
 
 // storeMember makes a bare lsm.Store a pipeline member.
 type storeMember struct{ *lsm.Store }
 
-func (s storeMember) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
-	return s.ApplyBatchTraced(parent, writes)
+func (s storeMember) ApplyBatch(parent telemetry.TSpan, b *lsm.Batch) error {
+	return s.Apply(parent, b)
 }
 
 // (c) A straggler that crashes keeps its retained queue; after the store is
@@ -449,12 +450,12 @@ type failOnce struct {
 	failed bool
 }
 
-func (f *failOnce) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
+func (f *failOnce) ApplyBatch(parent telemetry.TSpan, b *lsm.Batch) error {
 	if !f.failed {
 		f.failed = true
 		return errors.New("transient fault")
 	}
-	return f.gatedApplier.ApplyBatch(parent, writes)
+	return f.gatedApplier.ApplyBatch(parent, b)
 }
 
 func waitStopped(t *testing.T, g *Group, idx int) {

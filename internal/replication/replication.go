@@ -11,7 +11,9 @@
 // assigned a sequence number and enqueued — atomically, in one critical
 // section — onto a bounded per-member catch-up queue. One long-lived worker
 // per member drains its queue strictly in sequence order (the member's WAL
-// order), so every member applies the same batches in the same order.
+// order), so every member applies the same batches in the same order. The
+// queues share each lsm.Batch, its rows already laid out as WAL records, so
+// every copy logs the same bytes.
 // ApplyBatch returns once quorum members — always including the
 // primary — have durably applied the batch; members still behind (the
 // stragglers) catch up asynchronously from their queues, off the caller's
@@ -78,13 +80,15 @@ var (
 )
 
 // Applier is one pipeline member: it durably applies a whole batch in one
-// engine round (one WAL group append, one memtable critical section) under
-// the operation's trace span, so each member's engine work shows up in the
-// span tree. hbase.Region is the production member. The zero TSpan is
-// inert, so untraced batches take the same call. A wrapper around a member
-// must forward parent, or the spans beneath it vanish.
+// engine round (one WAL group append of the batch's records, one memtable
+// critical section) under the operation's trace span, so each member's
+// engine work shows up in the span tree. Every member is handed the same
+// *lsm.Batch, so every copy logs the same record bytes; an applier only
+// reads it. hbase.Region is the production member. The zero TSpan is inert,
+// so untraced batches take the same call. A wrapper around a member must
+// forward parent, or the spans beneath it vanish.
 type Applier interface {
-	ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error
+	ApplyBatch(parent telemetry.TSpan, b *lsm.Batch) error
 }
 
 // Options configures a pipeline.
@@ -153,13 +157,13 @@ func (m *member) bumpLocked() {
 	m.advance = make(chan struct{})
 }
 
-// pendingBatch is one replicated batch in flight: the writes, the trace
-// parent, and the shared acknowledgement state. The group retains the
-// writes until the slowest member applied them — callers must not reuse
-// the backing arrays after submitting a batch.
+// pendingBatch is one replicated batch in flight: the batch every member's
+// queue points at, the trace parent, and the shared acknowledgement state.
+// The group retains the batch until the slowest member applied it — callers
+// must not add to it after submitting it.
 type pendingBatch struct {
 	seq    uint64
-	writes []lsm.Write
+	batch  *lsm.Batch
 	parent telemetry.TSpan
 	st     *ackState
 }
@@ -305,7 +309,7 @@ func (g *Group) runMember(m *member) {
 		if pb.parent.Traced() {
 			sp = pb.parent.Child("replicate." + strconv.Itoa(m.idx))
 		}
-		err := app.ApplyBatch(sp, pb.writes)
+		err := app.ApplyBatch(sp, pb.batch)
 		sp.End()
 
 		if err != nil {
@@ -324,10 +328,8 @@ func (g *Group) runMember(m *member) {
 		}
 
 		m.applied.Store(pb.seq)
-		// Satellite fix: acks counts actual per-member acknowledgements at
-		// the point the member durably applies — one per write per member —
-		// instead of being bumped wholesale before/after the fan-out.
-		g.met.acks.Add(int64(len(pb.writes)))
+		// acks counts each member's durable apply of each row.
+		g.met.acks.Add(int64(pb.batch.Len()))
 		m.mu.Lock()
 		m.queue = m.queue[1:]
 		m.bumpLocked()
@@ -360,15 +362,14 @@ func (g *Group) Instrument(reg *telemetry.Registry) {
 // members that already applied keep the writes, the same partial state a
 // crashed fan-out leaves; a batch that already stopped members make fail is
 // refused before any member applies it. The group retains the batch until
-// the slowest member applied it, so callers must not reuse the key/value
-// arrays.
+// the slowest member applied it, so callers must not add to it.
 //
 // When parent is live the pipeline appears as a "replication.fanout" span
 // with a "replication.quorum_wait" child covering the blocking portion and
 // one "replicate.N" child per member — a straggler's span completes after
 // the fan-out span, which is exactly the point. The zero TSpan is inert.
-func (g *Group) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
-	if len(writes) == 0 {
+func (g *Group) ApplyBatch(parent telemetry.TSpan, b *lsm.Batch) error {
+	if b.Len() == 0 {
 		return nil
 	}
 	fanSp := parent.Child("replication.fanout")
@@ -380,7 +381,7 @@ func (g *Group) ApplyBatch(parent telemetry.TSpan, writes []lsm.Write) error {
 		reported: make([]bool, len(g.members)),
 		done:     make(chan struct{}),
 	}
-	pb := &pendingBatch{writes: writes, parent: fanSp, st: st}
+	pb := &pendingBatch{batch: b, parent: fanSp, st: st}
 
 	g.mu.Lock()
 	if g.closed {

@@ -19,20 +19,29 @@ type mapApplier struct {
 
 func newMapApplier() *mapApplier { return &mapApplier{data: map[string]string{}} }
 
-func (m *mapApplier) ApplyBatch(_ telemetry.TSpan, writes []lsm.Write) error {
+func (m *mapApplier) ApplyBatch(_ telemetry.TSpan, b *lsm.Batch) error {
 	if m.fail != nil {
 		return m.fail
 	}
 	m.batchCalls++
-	for i := range writes {
-		m.data[string(writes[i].Key)] = string(writes[i].Value)
-	}
+	b.Each(func(key, value []byte) {
+		m.data[string(key)] = string(value)
+	})
 	return nil
+}
+
+// batchOf lays rows out as one batch, in order.
+func batchOf(rows ...lsm.Write) *lsm.Batch {
+	b := new(lsm.Batch)
+	for _, r := range rows {
+		b.Add(r.Key, r.Value)
+	}
+	return b
 }
 
 // put replicates one write through g as a batch of one.
 func put(g *Group, key, value string) error {
-	return g.ApplyBatch(telemetry.TSpan{}, []lsm.Write{{Key: []byte(key), Value: []byte(value)}})
+	return g.ApplyBatch(telemetry.TSpan{}, batchOf(lsm.Write{Key: []byte(key), Value: []byte(value)}))
 }
 
 func TestPutReachesAllMembers(t *testing.T) {
@@ -183,12 +192,12 @@ func TestGroupWithManyMembers(t *testing.T) {
 	}
 }
 
-func testBatch(n int) []lsm.Write {
-	out := make([]lsm.Write, n)
-	for i := range out {
-		out[i] = lsm.Write{Key: []byte(fmt.Sprintf("k%03d", i)), Value: []byte("v")}
+func testBatch(n int) *lsm.Batch {
+	b := new(lsm.Batch)
+	for i := 0; i < n; i++ {
+		b.Add([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
-	return out
+	return b
 }
 
 func TestApplyBatchReachesAllMembersInOneRound(t *testing.T) {
@@ -211,7 +220,7 @@ func TestApplyBatchReachesAllMembersInOneRound(t *testing.T) {
 
 func TestApplyBatchEmptyIsNoOp(t *testing.T) {
 	g := NewGroup(Options{}, newMapApplier(), newMapApplier())
-	if err := g.ApplyBatch(telemetry.TSpan{}, nil); err != nil {
+	if err := g.ApplyBatch(telemetry.TSpan{}, new(lsm.Batch)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,9 +3,9 @@
 // Every mutation of a region is appended to the log before it is applied to
 // the memstore, so a crash between acknowledgement and flush loses nothing.
 // The log is a sequence of segment files. Its owner decides when a segment
-// ends (Rotate) and which segments go (Truncate): the store rolls the log at
-// a memstore swap and, once the memstores the older segments cover are
-// flushed into SSTables, truncates those segments away.
+// ends (Rotate) and which segments go (Truncate): the store rolls the log
+// once it has grown by a set number of bytes and, once the memstores the
+// older segments cover are flushed into SSTables, truncates those away.
 package wal
 
 import (
