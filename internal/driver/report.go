@@ -207,8 +207,7 @@ func writeTelemetry(b *strings.Builder, t *telemetry.Summary) {
 		}
 	}
 	if batches := counterValue(t, "lsm.batch_applies"); batches > 0 {
-		fmt.Fprintf(b, "  write batching: %.1f writes/batch, %.2f fsyncs/batch\n",
-			float64(counterValue(t, "wal.appends"))/float64(batches),
+		fmt.Fprintf(b, "  write batching: %.2f fsyncs/batch\n",
 			float64(counterValue(t, "wal.syncs"))/float64(batches))
 	}
 	// Quorum pipeline: the ack latency the caller saw (quorum) against what

@@ -42,7 +42,7 @@ import (
 //
 // where lo? and hi? are byte strings behind a nil/present marker byte. An
 // opMutate's rows are one lsm.Batch at both ends: the server decodes them
-// straight into the WAL records its stores log. The protocol is deliberately
+// straight into the WAL record its stores log. The protocol is deliberately
 // minimal: one outstanding request per connection, matching the
 // one-client-per-worker-thread model.
 
@@ -290,7 +290,7 @@ func (f *frameWriter) mutations(batch *lsm.Batch) {
 
 // mutations copies the rows out of the frame, which the connection reuses
 // for its next request, into a batch sized from the frame: one allocation
-// for the rows' bytes, laid out as the WAL records the stores will log.
+// for the rows' bytes, laid out as the WAL record the stores will log.
 func (f *frameReader) mutations() *lsm.Batch {
 	n := f.count(3) // a flag and two lengths at least
 	batch := lsm.NewBatch(n, len(f.buf)-f.off-3*n)

@@ -8,26 +8,27 @@ import (
 	"tpcxiot/internal/telemetry"
 )
 
-// Batch is rows laid out, in one buffer, as the WAL records that log them:
-// Add copies a row in once, and Store.Apply appends the records to the WAL as
-// they are and inserts each through applyRecord, the decoder replay runs.
-// Apply only reads a batch, so one batch may go to several stores at once; a
-// batch handed on must not be added to again. The zero Batch is empty.
+// Batch is rows laid out, in one buffer, as the WAL record that logs them:
+// Add copies a row in once, and Store.Apply appends the buffer to the WAL as
+// one record and inserts its rows through applyRecord, the decoder replay
+// runs. Apply only reads a batch, so one batch may go to several stores at
+// once; a batch handed on must not be added to again. The zero Batch is
+// empty.
 //
-// A record is opPut, the key's and the value's lengths as uvarints, the key,
-// tagValue and the value: the row the memtable stores is the record's tail,
-// and a batch's records delimit themselves.
+// The buffer is a run of puts. A put is opPut, the key's and the value's
+// lengths as uvarints, the key, tagValue and the value: the row the memtable
+// stores is the put's tail, and puts delimit themselves.
 type Batch struct {
 	buf  []byte
 	rows int
 	size int64 // key and value bytes
 }
 
-// opPut is a record's first byte. Earlier layouts wrote 0 (a delete) and 1
+// opPut is a put's first byte. Earlier layouts wrote 0 (a delete) and 1
 // (a put without the value length); replay refuses both as ErrCorrupt.
 const opPut = 2
 
-// recordOverhead bounds a record's bytes beyond its key and value.
+// recordOverhead bounds a put's bytes beyond its key and value.
 const recordOverhead = 2 + 2*binary.MaxVarintLen32
 
 // NewBatch returns an empty batch with room for rows rows whose keys and
@@ -60,15 +61,15 @@ func (b *Batch) Size() int64 { return b.size }
 // alias the batch, capacity-capped so that an append cannot write into it.
 func (b *Batch) Each(fn func(key, value []byte)) {
 	for buf := b.buf; len(buf) > 0; {
-		key, stored, n, _ := splitRecord(buf) // Add wrote each record whole
+		key, stored, n, _ := splitRecord(buf) // Add wrote each put whole
 		fn(key[:len(key):len(key)], stored[1:len(stored):len(stored)])
 		buf = buf[n:]
 	}
 }
 
-// splitRecord decodes the record at the head of buf: its key, the stored row
+// splitRecord decodes the put at the head of buf: its key, the stored row
 // (tagValue and the value) and its length n. ok is false unless buf starts
-// with a whole record of this layout.
+// with a whole put of this layout.
 func splitRecord(buf []byte) (key, stored []byte, n int, ok bool) {
 	if len(buf) == 0 || buf[0] != opPut {
 		return nil, nil, 0, false
@@ -88,17 +89,21 @@ func splitRecord(buf []byte) (key, stored []byte, n int, ok bool) {
 	return key, stored, n, stored[0] == tagValue
 }
 
-// applyRecord inserts one record into the active memtable, which copies the
-// key and the stored row, the record's tail. Open's replay calls it for every
-// record in the WAL and Apply for every record of a batch it logged, so live
-// writes run the decoder recovery depends on. A record that is not exactly
-// one put of a non-empty key is ErrCorrupt.
+// applyRecord inserts the puts of one WAL record, a batch, into the active
+// memtable, which copies each key and stored row, the put's tail. Open's
+// replay calls it for every record and Apply for the batch it logged, so
+// live writes run the decoder recovery depends on; a WAL of one put per
+// record replays as batches of one row. A record that is not a run of whole
+// puts of non-empty keys is ErrCorrupt.
 func (s *Store) applyRecord(rec []byte) error {
-	key, stored, n, ok := splitRecord(rec)
-	if !ok || n != len(rec) || len(key) == 0 {
-		return fmt.Errorf("%w: wal record of %d bytes, op %d", ErrCorrupt, len(rec), rec[0])
+	for buf := rec; len(buf) > 0; {
+		key, stored, n, ok := splitRecord(buf)
+		if !ok || len(key) == 0 {
+			return fmt.Errorf("%w: wal record of %d bytes, op %d at byte %d", ErrCorrupt, len(rec), buf[0], len(rec)-len(buf))
+		}
+		s.active.Put(key, stored)
+		buf = buf[n:]
 	}
-	s.active.Put(key, stored)
 	return nil
 }
 

@@ -78,11 +78,14 @@ func TestApplyBatchTelemetryAndWALGrouping(t *testing.T) {
 	if got := reg.CounterValue("lsm.batch_applies"); got != batches {
 		t.Fatalf("lsm.batch_applies = %d, want %d", got, batches)
 	}
-	if got := reg.CounterValue("wal.appends"); got != batches*perBatch {
-		t.Fatalf("wal.appends = %d, want %d records", got, batches*perBatch)
+	if got := reg.CounterValue("wal.appends"); got != batches {
+		t.Fatalf("wal.appends = %d, want %d records, one per batch", got, batches)
 	}
-	// One group append per batch means ~one fsync per batch, never one per
-	// record (a lone writer gets exactly one per batch).
+	if got := walRecords(t, dir); got != batches {
+		t.Fatalf("the WAL replays %d records, want %d, one per batch", got, batches)
+	}
+	// One append per batch means ~one fsync per batch, never one per row (a
+	// lone writer gets exactly one per batch).
 	if syncs := reg.CounterValue("wal.syncs"); syncs > batches {
 		t.Fatalf("wal.syncs = %d for %d batches; batch appends are not group-committed", syncs, batches)
 	}
@@ -113,8 +116,8 @@ func TestApplyBatchAutoFlush(t *testing.T) {
 
 // TestBatchCrashRecoveryParity writes the same mutation sequence through
 // ApplyBatch and through per-key Put, crashes both stores before any
-// flush, and asserts WAL replay recovers identical contents: a batch is one
-// group append on the wire but record-per-mutation for recovery.
+// flush, and asserts WAL replay recovers identical contents: a batch of
+// rows replays as those rows put one at a time.
 func TestBatchCrashRecoveryParity(t *testing.T) {
 	var ops []Write
 	for i := 0; i < 200; i++ {

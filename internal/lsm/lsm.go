@@ -188,15 +188,12 @@ type Store struct {
 
 	// A writer holds logMu shared from its WAL append through its memtable
 	// insert, a swap exclusively: every record of the active memtable lies in
-	// WAL segment activeFrom (rolled as of the swap, set under logMu and mu)
-	// or later. rollMu serialises rolls; rolled is the segment the last roll
-	// began and rolledAt log.Bytes() then. Lock order: maintMu, logMu,
-	// rollMu, mu.
+	// WAL segment activeFrom (the log's active segment as of the swap, set
+	// under logMu and mu) or later. rollMu serialises rolls. Lock order:
+	// maintMu, logMu, rollMu, mu.
 	logMu      sync.RWMutex
 	activeFrom uint64
 	rollMu     sync.Mutex
-	rolled     atomic.Uint64
-	rolledAt   atomic.Int64
 
 	// manifest is the versioned table-set log; manMu serialises manifest
 	// commits with the in-memory installs they authorise, so a rotation
@@ -597,14 +594,14 @@ func (s *Store) removeOrphans() error {
 	return nil
 }
 
-// Apply logs the batch and makes it visible as one engine round: a single
-// WAL group append of its records (one fsync group under SyncOnAppend), then
-// a single memtable critical section inserting each record through
-// applyRecord, with one flush/backpressure check for the whole batch. Crash
-// recovery replays the batch record by record through the same decoder, so a
-// batch is equivalent to — just much cheaper than — the same rows applied one
-// at a time. A batch holding an empty key is refused whole with ErrBadKey,
-// before anything is logged; an empty batch is a no-op.
+// Apply logs the batch and makes it visible as one engine round: its buffer
+// appended as one WAL record (one fsync group under SyncOnAppend), then a
+// single memtable critical section inserting its rows through applyRecord,
+// with one flush/backpressure check for the whole batch. Crash recovery
+// replays the record through the same decoder, so a batch comes back whole
+// or not at all, and it is equivalent to — just much cheaper than — the same
+// rows applied one at a time. A batch holding an empty key is refused whole
+// with ErrBadKey, before anything is logged; an empty batch is a no-op.
 //
 // When parent is live the engine round appears as an "lsm.apply_batch" span
 // with children for each stage that actually ran: "lsm.stall_wait"
@@ -615,13 +612,11 @@ func (s *Store) Apply(parent telemetry.TSpan, b *Batch) error {
 	if b.rows == 0 {
 		return nil
 	}
-	recs := make([][]byte, 0, b.rows)
 	for buf := b.buf; len(buf) > 0; {
-		key, _, n, _ := splitRecord(buf) // Add wrote each record whole
+		key, _, n, _ := splitRecord(buf) // Add wrote each put whole
 		if len(key) == 0 {
 			return ErrBadKey
 		}
-		recs = append(recs, buf[:n])
 		buf = buf[n:]
 	}
 	batchSp := parent.Child("lsm.apply_batch")
@@ -653,11 +648,10 @@ func (s *Store) Apply(parent telemetry.TSpan, b *Batch) error {
 	}
 	s.mu.Unlock()
 
-	// WAL first: the batch's records go down as they are, in one group
-	// append.
+	// WAL first: the batch's buffer goes down as it is, one record.
 	s.logMu.RLock()
 	walSp := batchSp.Child("wal.append")
-	err := s.log.AppendTraced(walSp, recs...)
+	err := s.log.AppendTraced(walSp, b.buf)
 	walSp.End()
 	if err != nil {
 		s.logMu.RUnlock()
@@ -672,11 +666,7 @@ func (s *Store) Apply(parent telemetry.TSpan, b *Batch) error {
 		s.logMu.RUnlock()
 		return ErrClosed
 	}
-	for _, rec := range recs {
-		if err = s.applyRecord(rec); err != nil {
-			break
-		}
-	}
+	err = s.applyRecord(b.buf)
 	s.puts.Add(int64(b.rows))
 	insertSp.End()
 	memSp.End()
@@ -700,49 +690,37 @@ func (s *Store) Apply(parent telemetry.TSpan, b *Batch) error {
 	return nil
 }
 
-// walRollEvery is how many memtables' worth of bytes the WAL takes past its
-// last roll before the append that crosses the mark rolls it: 64 MiB at the
-// 4 MiB default. Rolling at every swap would cost each memtable a segment
-// fsync and two directory syncs.
+// walRollEvery is how many memtables' worth of bytes the WAL's active
+// segment takes before the append that crosses the mark rolls it: 64 MiB at
+// the 4 MiB default. Rolling at every swap would cost each memtable a
+// segment fsync and two directory syncs.
 const walRollEvery = 16
 
-// maybeRoll rolls the WAL once it holds walRollEvery memtables' worth of
-// bytes past the last roll. The writer that finds the mark crossed rolls,
+// maybeRoll rolls the WAL once its active segment holds walRollEvery
+// memtables' worth of bytes. The writer that finds the mark crossed rolls,
 // without logMu; one that finds a roll under way leaves it to that one. A
 // failed roll is left to the next append.
 func (s *Store) maybeRoll() {
-	at := s.rolledAt.Load()
-	if s.log.Bytes()-at < walRollEvery*s.opts.MemtableSize || !s.rollMu.TryLock() {
+	mark := walRollEvery * s.opts.MemtableSize
+	if _, n := s.log.Active(); n < mark || !s.rollMu.TryLock() {
 		return
 	}
 	defer s.rollMu.Unlock()
-	if s.rolledAt.Load() != at {
+	if _, n := s.log.Active(); n < mark {
 		return // another writer rolled meanwhile
 	}
-	if _, err := s.rollLocked(); err != nil && !errors.Is(err, wal.ErrClosed) {
+	if _, err := s.log.Rotate(); err != nil && !errors.Is(err, wal.ErrClosed) {
 		s.elog.Error("wal roll failed; will retry", telemetry.F("error", err))
 	}
 }
 
-// rollLocked ends the WAL segment and publishes the one Rotate began as
-// rolled. Caller holds rollMu, so rolls run one at a time and rolled only
-// grows.
-func (s *Store) rollLocked() (uint64, error) {
-	seq, err := s.log.Rotate()
-	if err != nil {
-		return 0, fmt.Errorf("lsm: wal roll: %w", err)
-	}
-	s.rolledAt.Store(s.log.Bytes())
-	s.rolled.Store(seq)
-	return seq, nil
-}
-
 // swapMemtable moves the active memtable, once full, to the immutable slot.
-// The new active memtable starts at the last segment a roll published: every
-// record appended after that roll lies in it or later. Flush sets final: any
-// active memtable moves, an empty one included, and the log rolls first. It
-// returns the memtable moved; while the slot is taken it moves nothing and
-// returns the pending one, swapped false.
+// The new active memtable starts at the log's active segment: every record
+// appended after the swap lies in it or later. Flush sets final: any active
+// memtable moves, an empty one included, and the log rolls first, so the
+// new memtable starts at the segment the roll began. It returns the
+// memtable moved; while the slot is taken it moves nothing and returns the
+// pending one, swapped false.
 func (s *Store) swapMemtable(final bool) (imm *memtable.Memtable, swapped bool, err error) {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
@@ -757,13 +735,13 @@ func (s *Store) swapMemtable(final bool) (imm *memtable.Memtable, swapped bool, 
 	case !final && size < s.opts.MemtableSize:
 		return nil, false, nil
 	}
-	from := s.rolled.Load()
+	from, _ := s.log.Active()
 	if final {
 		s.rollMu.Lock()
-		from, err = s.rollLocked()
+		from, err = s.log.Rotate()
 		s.rollMu.Unlock()
 		if err != nil {
-			return nil, false, err
+			return nil, false, fmt.Errorf("lsm: wal roll: %w", err)
 		}
 	}
 	s.mu.Lock()

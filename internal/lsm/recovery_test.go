@@ -286,6 +286,116 @@ func TestTornWALTailSurvivesSecondCrash(t *testing.T) {
 	}
 }
 
+// TestTornBatchReplaysWholeOrNone cuts the WAL at every byte of its last
+// record, a batch of six rows, and in a second copy flips that byte, then
+// reopens: the store holds every row of the batches before it, and all of
+// the torn batch's rows or none of them.
+func TestTornBatchReplaysWholeOrNone(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	putBatch := func(from, to int) {
+		t.Helper()
+		var ws []Write
+		for i := from; i < to; i++ {
+			ws = append(ws, Write{Key: []byte(fmt.Sprintf("key-%02d", i)), Value: []byte(fmt.Sprintf("val-%02d", i))})
+		}
+		if err := s.ApplyBatch(ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segSize := func(dir string) (string, int64) {
+		t.Helper()
+		segs := walSegments(t, dir)
+		if len(segs) != 1 {
+			t.Fatalf("WAL segments %v, want one", segs)
+		}
+		info, err := os.Stat(filepath.Join(dir, "wal", segs[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Name(), info.Size()
+	}
+	const before, rows = 8, 6
+	putBatch(0, 4)
+	putBatch(4, before)
+	_, start := segSize(dir)
+	putBatch(before, before+rows)
+	seg, end := segSize(dir)
+	crashStore(t, s)
+
+	tears := map[string]func(path string, at int64) error{
+		"cut": os.Truncate,
+		"flip": func(path string, at int64) error {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			b[at] ^= 0x40
+			return os.WriteFile(path, b, 0o644)
+		},
+	}
+	for name, tear := range tears {
+		for at := start; at < end; at++ {
+			crashed := filepath.Join(t.TempDir(), "store")
+			copyDir(t, dir, crashed)
+			if err := tear(filepath.Join(crashed, "wal", seg), at); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(Options{Dir: crashed, WALSync: wal.SyncNever})
+			if err != nil {
+				t.Fatalf("%s at byte %d of [%d, %d): %v", name, at, start, end, err)
+			}
+			checkKeys(t, re, before)
+			n := 0
+			for i := before; i < before+rows; i++ {
+				if _, ok, err := re.Get([]byte(fmt.Sprintf("key-%02d", i))); err != nil {
+					t.Fatal(err)
+				} else if ok {
+					n++
+				}
+			}
+			if n != 0 && n != rows {
+				t.Fatalf("%s at byte %d of [%d, %d): %d of the torn batch's %d rows came back", name, at, start, end, n, rows)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestWALOfRowRecordsReplays: testdata/rowwal holds the WAL a crash left
+// when every record held one put: three batches of four rows, row-00 to
+// row-11, then a lone put of "again" over row-03, 13 records in all. It
+// opens and replays as 13 batches of one row.
+func TestWALOfRowRecordsReplays(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "rowwal"), dir)
+	if n := walRecords(t, dir); n != 13 {
+		t.Fatalf("testdata/rowwal replays %d records, want 13", n)
+	}
+	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 12; i++ {
+		k, want := fmt.Sprintf("row-%02d", i), fmt.Sprintf("val-%02d", i)
+		if i == 3 {
+			want = "again"
+		}
+		if got, ok, err := s.Get([]byte(k)); err != nil || !ok || string(got) != want {
+			t.Fatalf("%s = %q, %v, %v; want %q", k, got, ok, err, want)
+		}
+	}
+	if st := s.Stats(); st.MemtableBytes == 0 || st.Tables != 0 {
+		t.Fatalf("reopened store holds %d memtable bytes and %d tables, want the rows in the memtable", st.MemtableBytes, st.Tables)
+	}
+}
+
 // TestTableRenameSyncedBeforeManifestCommit: a flushed or compacted table's
 // directory entry is synced after its rename and before the manifest commit
 // that names it. Otherwise a power loss could keep the commit and lose the

@@ -271,26 +271,31 @@ func replayInput(recs ...[]byte) []byte {
 	return in
 }
 
-// modelRecord decodes a WAL record by the layout Batch documents, apart
-// from the store's decoder: op byte 2, key and value lengths, the key, tag 1
-// and the value, nothing after it, and a non-empty key.
-func modelRecord(rec []byte) (key, value []byte, ok bool) {
-	if len(rec) == 0 || rec[0] != 2 {
-		return nil, nil, false
+// modelRecord decodes a WAL record, a batch, by the layout Batch documents,
+// apart from the store's decoder: one or more puts, each op byte 2, key and
+// value lengths, the key, tag 1 and the value, with a non-empty key, and
+// nothing after the last. It returns the rows in order.
+func modelRecord(rec []byte) (rows [][2][]byte, ok bool) {
+	for len(rec) > 0 {
+		if rec[0] != 2 {
+			return nil, false
+		}
+		klen, k := binary.Uvarint(rec[1:])
+		if k <= 0 {
+			return nil, false
+		}
+		vlen, v := binary.Uvarint(rec[1+k:])
+		if v <= 0 {
+			return nil, false
+		}
+		body := rec[1+k+v:]
+		if klen == 0 || klen >= uint64(len(body)) || vlen > uint64(len(body))-klen-1 || body[klen] != 1 {
+			return nil, false
+		}
+		rows = append(rows, [2][]byte{body[:klen], body[klen+1 : klen+1+vlen]})
+		rec = body[klen+1+vlen:]
 	}
-	klen, k := binary.Uvarint(rec[1:])
-	if k <= 0 {
-		return nil, nil, false
-	}
-	vlen, v := binary.Uvarint(rec[1+k:])
-	if v <= 0 {
-		return nil, nil, false
-	}
-	body := rec[1+k+v:]
-	if klen == 0 || klen >= uint64(len(body)) || vlen != uint64(len(body))-klen-1 || body[klen] != 1 {
-		return nil, nil, false
-	}
-	return body[:klen], body[klen+1:], true
+	return rows, true
 }
 
 // storeReplaySeeds are FuzzStoreReplay's seeds, each a sequence of records
@@ -301,6 +306,7 @@ func storeReplaySeeds() [][]byte {
 	b.Add([]byte("k"), []byte("v2"))
 	b.Add(kvp.Key{Substation: "sub0", Sensor: "s", Timestamp: 7}.Encode(), []byte("1.5"))
 	reading := append([]byte{2, 1, 8, 'r', tagReading}, make([]byte, 8)...)
+	short := append(bytes.Clone(a.buf), 2, 1, 9, 'k', 1, 'v')
 	return [][]byte{
 		replayInput(a.buf),
 		replayInput(a.buf, b.buf[:len(a.buf)], b.buf[len(a.buf):]), // an overwrite, then a kvp key
@@ -310,14 +316,17 @@ func storeReplaySeeds() [][]byte {
 		replayInput([]byte{2, 10, 1, 'k', 1, 'v'}),                 // a key length past the end
 		replayInput(reading),                                       // a reading column's tag
 		replayInput([]byte{2, 0, 1, 1, 'v'}),                       // an empty key
+		replayInput(a.buf, b.buf),                                  // a batch of two rows
+		replayInput(short),                                         // a batch whose second put runs short
 	}
 }
 
 // FuzzStoreReplay writes the fuzzed records through wal.Log into an empty
 // store directory and opens it. Open either refuses the log with ErrCorrupt
-// — exactly when some record does not decode by modelRecord — or opens and
-// serves through Get the last value the model decodes for every key. It
-// never panics. Tier-1 replays the seeds.
+// — exactly when some record does not decode by modelRecord — and leaves
+// the directory as it was, or opens and serves through Get the last value
+// the model decodes for every key. It never panics. Tier-1 replays the
+// seeds.
 func FuzzStoreReplay(f *testing.F) {
 	for _, seed := range storeReplaySeeds() {
 		f.Add(seed)
@@ -340,13 +349,16 @@ func FuzzStoreReplay(f *testing.F) {
 		}
 		want, valid := map[string]string{}, true
 		for _, rec := range recs {
-			key, value, ok := modelRecord(rec)
+			rows, ok := modelRecord(rec)
 			if !ok {
 				valid = false
 				break
 			}
-			want[string(key)] = string(value)
+			for _, row := range rows {
+				want[string(row[0])] = string(row[1])
+			}
 		}
+		before := dirImage(t, dir)
 		s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever, DisableAutoFlush: true})
 		if !valid {
 			if err == nil {
@@ -354,6 +366,9 @@ func FuzzStoreReplay(f *testing.F) {
 			}
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open of a log the model refuses = %v, want ErrCorrupt", err)
+			}
+			if after := dirImage(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refused open changed the directory: %d paths before, %d after", len(before), len(after))
 			}
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,7 +173,8 @@ func TestWALBoundedUnderIngest(t *testing.T) {
 			unflushed, entries = unflushed+s.imm.Size(), entries+s.imm.Len()
 		}
 		s.mu.RUnlock()
-		// A record frames a memtable entry with a header and a key length.
+		// A row costs its op byte and two lengths beyond the memtable entry,
+		// and a batch one record header.
 		bound := walRollEvery*memtableSize + unflushed + entries*(8+binary.MaxVarintLen32)
 		if walBytes > bound {
 			t.Errorf("check %d: WAL holds %d bytes, bound %d (%d unflushed in %d entries)",
@@ -452,4 +454,54 @@ func TestAppendRollKeepsActiveRows(t *testing.T) {
 			t.Fatalf("row %d of %d after the crash: ok %v, %v", i, rows, ok, err)
 		}
 	}
+}
+
+// TestFirstFlushAfterReopenTruncatesReplayedSegments: a reopened store
+// replays its WAL into the active memtable and appends to a new segment.
+// The first size-triggered flush puts the replayed rows in a table, so it
+// truncates the replayed segment too, long before the append that would
+// next roll the log.
+func TestFirstFlushAfterReopenTruncatesReplayedSegments(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, MemtableSize: 4 << 10, WALSync: wal.SyncNever}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putKeys(t, s, 0, 10)
+	crashStore(t, s)
+	replayed := walSegments(t, dir)
+	if s, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	value := bytes.Repeat([]byte{'v'}, 200)
+	swapped := func() bool {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.imm != nil || s.flushes.Load() > 0
+	}
+	// Rows up to the first swap: a few KiB, far from the roll mark.
+	for i := 0; !swapped(); i++ {
+		if i > 1000 {
+			t.Fatal("no size-triggered swap")
+		}
+		if err := s.Put([]byte(fmt.Sprintf("row-%04d", i)), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.Stats().Flushes == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the swapped memtable was not flushed")
+		}
+	}
+	s.maintMu.Lock() // the flush has truncated once maintain lets go
+	segs := walSegments(t, dir)
+	s.maintMu.Unlock()
+	for _, seg := range replayed {
+		if slices.Contains(segs, seg) {
+			t.Fatalf("WAL segments %v after the first flush; replayed segment %s is still there", segs, seg)
+		}
+	}
+	checkKeys(t, s, 10)
 }

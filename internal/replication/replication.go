@@ -12,8 +12,8 @@
 // section — onto a bounded per-member catch-up queue. One long-lived worker
 // per member drains its queue strictly in sequence order (the member's WAL
 // order), so every member applies the same batches in the same order. The
-// queues share each lsm.Batch, its rows already laid out as WAL records, so
-// every copy logs the same bytes.
+// queues share each lsm.Batch, already laid out as the WAL record that logs
+// it, so every copy logs the same bytes.
 // ApplyBatch returns once quorum members — always including the
 // primary — have durably applied the batch; members still behind (the
 // stragglers) catch up asynchronously from their queues, off the caller's
@@ -80,7 +80,7 @@ var (
 )
 
 // Applier is one pipeline member: it durably applies a whole batch in one
-// engine round (one WAL group append of the batch's records, one memtable
+// engine round (the batch appended as one WAL record, one memtable
 // critical section) under the operation's trace span, so each member's
 // engine work shows up in the span tree. Every member is handed the same
 // *lsm.Batch, so every copy logs the same record bytes; an applier only

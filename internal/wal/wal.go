@@ -35,9 +35,10 @@ var (
 	ErrBadOption = errors.New("wal: invalid option")
 )
 
-// MaxRecordSize bounds a single record. TPCx-IoT pairs are 1 KiB; batched
-// appends of a full client write buffer stay well under this.
-const MaxRecordSize = 64 << 20
+// MaxRecordSize bounds a single record. The store logs a region's batch as
+// one record, so the bound sits above the largest batch a mutate frame can
+// carry: a 256 MiB frame, plus the tag byte a record adds to every row.
+const MaxRecordSize = 512 << 20
 
 // SyncPolicy controls when appended records are forced to stable storage.
 type SyncPolicy int
@@ -82,6 +83,7 @@ type Log struct {
 	f        *os.File
 	frames   []byte // one group's frames, for a single write; as long as the largest group
 	seq      uint64
+	segBytes int64    // bytes appended to segment seq, framing included
 	segments []uint64 // live segment sequence numbers, ascending; includes active
 	closed   bool
 	err      error // a failed write: the segment's tail is unknown, so no append may follow it
@@ -186,6 +188,7 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 	}
 	l.f = f
 	l.seq = seq
+	l.segBytes = 0
 	l.segments = append(l.segments, seq)
 	return nil
 }
@@ -253,6 +256,7 @@ func (l *Log) append(records [][]byte, trace telemetry.TSpan) error {
 		return l.err
 	}
 	l.appended += int64(need)
+	l.segBytes += int64(need)
 	myOffset := l.appended
 	l.appends.Add(int64(len(records)))
 	l.bytes.Add(int64(need))
@@ -298,6 +302,15 @@ func (l *Log) groupSync(myOffset int64, trace telemetry.TSpan) error {
 		l.synced.Store(target)
 	}
 	return nil
+}
+
+// Active returns the active segment's sequence number and the bytes appended
+// to it, framing included: every record appended from now on lies in that
+// segment or a later one.
+func (l *Log) Active() (seq uint64, bytes int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.seq, l.segBytes
 }
 
 // Bytes is the log volume appended: every record plus its framing header.
