@@ -6,7 +6,9 @@
 // benchmarks:
 //
 //   - the memtable is the memstore; MemtableSize plays the role of the
-//     flush threshold,
+//     flush threshold, and memstoreBlockMultiplier that of
+//     hbase.hregion.memstore.block.multiplier: writes block while the
+//     active memtable holds twice MemtableSize and a flush is in flight,
 //   - MaxStoreFiles models hbase.hstore.blockingStoreFiles: when that many
 //     store files overlap on the time axis (every file, when keys carry no
 //     timestamps), writes block until compaction catches up.
@@ -336,7 +338,7 @@ type Stats struct {
 	Scans        int64 `json:"scans"`
 	Flushes      int64 `json:"flushes"`
 	Compactions  int64 `json:"compactions"`
-	StallEvents  int64 `json:"stall_events"`  // writes that blocked on MaxStoreFiles overlapping tables
+	StallEvents  int64 `json:"stall_events"`  // writes that blocked on MaxStoreFiles overlapping tables or a full memstore
 	BatchApplies int64 `json:"batch_applies"` // apply rounds; Puts/BatchApplies = mean batch size
 
 	// Write-side amplification ledger. LogicalBytes is the user payload
@@ -642,6 +644,28 @@ func (s *Store) Apply(parent telemetry.TSpan, b *Batch) error {
 		s.stallWaiters.Add(-1)
 		stallSp.End()
 	}
+	// And while the active memtable holds memstoreBlockMultiplier times
+	// MemtableSize, like hbase.hregion.memstore.block.multiplier: the writer
+	// waits for the flush in flight, which frees the slot the next swap
+	// needs, or with none in flight makes the swap that is due itself. So
+	// each writer adds at most one batch past the mark.
+	if s.memstoreFullLocked() {
+		stallSp := batchSp.Child("lsm.stall_wait")
+		s.stalls.Inc()
+		for s.memstoreFullLocked() {
+			if s.imm != nil {
+				go s.maintain() // retries a flush that failed
+				s.flushCond.Wait()
+				continue
+			}
+			s.mu.Unlock()
+			if _, swapped, _ := s.swapMemtable(false); swapped {
+				go s.maintain()
+			} // else closed, which the loop sees
+			s.mu.Lock()
+		}
+		stallSp.End()
+	}
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
@@ -688,6 +712,18 @@ func (s *Store) Apply(parent telemetry.TSpan, b *Batch) error {
 		s.elog.Error("memtable swap failed; will retry", telemetry.F("error", err))
 	}
 	return nil
+}
+
+// memstoreBlockMultiplier is how many times MemtableSize the active memtable
+// may hold before writers wait for it to be swapped out.
+const memstoreBlockMultiplier = 2
+
+// memstoreFullLocked reports whether a writer must see the active memtable
+// swapped out before it adds to it. A store that leaves flushes to its
+// owner (DisableAutoFlush) never blocks.
+func (s *Store) memstoreFullLocked() bool {
+	return !s.closed && !s.opts.DisableAutoFlush &&
+		s.active.Size() >= memstoreBlockMultiplier*s.opts.MemtableSize
 }
 
 // walRollEvery is how many memtables' worth of bytes the WAL's active
@@ -797,6 +833,7 @@ func (s *Store) flushMemtable(imm *memtable.Memtable) error {
 		s.mu.Lock()
 		s.imm = nil
 		upTo := s.activeFrom
+		s.flushCond.Broadcast()
 		s.mu.Unlock()
 		return s.truncateWAL(upTo)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"math"
 	"math/rand"
@@ -78,25 +79,29 @@ func manifestLive(t *testing.T, dir string) map[uint64]tableMeta {
 	return live
 }
 
-// walFrame returns recs as wal frames them in a segment.
-func walFrame(t testing.TB, recs ...[]byte) []byte {
-	t.Helper()
-	dir := t.TempDir()
-	log, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Append(recs...); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(dir, "wal-00000001.log"))
-	if err != nil {
-		t.Fatal(err)
+// walFrame returns recs as wal frames them in segment seq: each record's
+// length with the top bit set, which binds it to its segment, then a CRC32C
+// over seq's 8 little-endian bytes and the record, then the record. A frame
+// replays only in the segment it names.
+func walFrame(seq uint64, recs ...[]byte) []byte {
+	var b []byte
+	for _, rec := range recs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(rec))|1<<31)
+		sum := append(binary.LittleEndian.AppendUint64(nil, seq), rec...)
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(sum, crc32.MakeTable(crc32.Castagnoli)))
+		b = append(b, rec...)
 	}
 	return b
+}
+
+// walSegmentSeq is the sequence number in a wal segment file's name.
+func walSegmentSeq(t testing.TB, path string) uint64 {
+	t.Helper()
+	var seq uint64
+	if _, err := fmt.Sscanf(filepath.Base(path), "wal-%d.log", &seq); err != nil {
+		t.Fatal(err)
+	}
+	return seq
 }
 
 // TestManifestAuthoritativeAfterCompactionCrash simulates a crash between the
@@ -202,12 +207,15 @@ func TestRecoveryCleansTempAndSupersededFiles(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := os.ReadFile(lastManifestSegment(t, dir))
-	if err != nil {
+	var recs [][]byte
+	if err := wal.Replay(filepath.Join(dir, manifestDir), nil, func(rec []byte) error {
+		recs = append(recs, append([]byte(nil), rec...))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	stale := filepath.Join(dir, manifestDir, "wal-00000000.log")
-	if err := os.WriteFile(stale, seg, 0o644); err != nil {
+	if err := os.WriteFile(stale, walFrame(0, recs...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(live)
@@ -250,7 +258,7 @@ func TestRecoveryCleansTempAndSupersededFiles(t *testing.T) {
 // length field so large that adding the header's eight bytes wraps a uint32
 // is torn too.
 func TestManifestTornTailTruncated(t *testing.T) {
-	for _, seed := range manifestSeeds(t) {
+	for _, seed := range manifestSeeds(t, 1) {
 		if seed.name == "torn-tail" || seed.name == "wrapping-length" {
 			t.Run(seed.name, func(t *testing.T) { tornTailRecovers(t, seed.tail) })
 		}
@@ -642,10 +650,10 @@ type manifestSeed struct {
 	wantErr error
 }
 
-// manifestSeeds are FuzzManifestReplay's seeds, replayed by
-// TestManifestRecordSeeds: a valid edit, the damage a crash leaves, which
-// replay drops, and whole records Open must refuse.
-func manifestSeeds(t testing.TB) []manifestSeed {
+// manifestSeeds are FuzzManifestReplay's seeds, framed for manifest segment
+// seq and replayed by TestManifestRecordSeeds: a valid edit, the damage a
+// crash leaves, which replay drops, and whole records Open must refuse.
+func manifestSeeds(t testing.TB, seq uint64) []manifestSeed {
 	record := func(edit manifestEdit) []byte {
 		b, err := json.Marshal(edit)
 		if err != nil {
@@ -653,7 +661,7 @@ func manifestSeeds(t testing.TB) []manifestSeed {
 		}
 		return b
 	}
-	valid := walFrame(t, record(manifestEdit{Deleted: []uint64{3, 5}}))
+	valid := walFrame(seq, record(manifestEdit{Deleted: []uint64{3, 5}}))
 	badCRC := append([]byte(nil), valid...)
 	badCRC[len(badCRC)-1] ^= 0xff
 	return []manifestSeed{
@@ -663,19 +671,19 @@ func manifestSeeds(t testing.TB) []manifestSeed {
 		{"crc-mismatch", badCRC, nil},
 		// A length field of 2^32-1 and ten bytes: length+8 wraps a uint32.
 		{"wrapping-length", append(binary.LittleEndian.AppendUint32(nil, math.MaxUint32), make([]byte, 10)...), nil},
-		{"empty-base", walFrame(t, record(manifestEdit{Base: true})), nil},
+		{"empty-base", walFrame(seq, record(manifestEdit{Base: true})), nil},
 		{"edit-then-garbage", append(valid, 0xde, 0xad, 0xbe, 0xef), nil},
-		{"bad-json", walFrame(t, []byte(`{"added":`)), ErrCorrupt},
-		{"missing-table", walFrame(t, record(manifestEdit{Added: []tableMeta{{ID: 99, Size: 4096}}})), ErrCorrupt},
-		{"table-with-deletes", walFrame(t, record(manifestEdit{Base: true, Added: []tableMeta{{ID: 0, Tombstones: 2}}})), ErrCorrupt},
+		{"bad-json", walFrame(seq, []byte(`{"added":`)), ErrCorrupt},
+		{"missing-table", walFrame(seq, record(manifestEdit{Added: []tableMeta{{ID: 99, Size: 4096}}})), ErrCorrupt},
+		{"table-with-deletes", walFrame(seq, record(manifestEdit{Base: true, Added: []tableMeta{{ID: 0, Tombstones: 2}}})), ErrCorrupt},
 	}
 }
 
 // manifestTemplate builds a store of one table whose manifest is a single
-// segment holding a single base, and returns its directory and the name of
-// the segment after that one. The second open writes that base; the store
-// then crashes, so no close flushes a table after it.
-func manifestTemplate(t testing.TB) (dir, next string) {
+// segment holding a single base, and returns its directory and the sequence
+// number of the segment after that one. The second open writes that base;
+// the store then crashes, so no close flushes a table after it.
+func manifestTemplate(t testing.TB) (dir string, next uint64) {
 	dir = t.TempDir()
 	s, err := Open(Options{Dir: dir, WALSync: wal.SyncNever})
 	if err != nil {
@@ -692,25 +700,21 @@ func manifestTemplate(t testing.TB) (dir, next string) {
 	}
 	crashStore(t, s)
 	segs := manifestSegments(t, dir)
-	var seq uint64
 	if len(segs) != 1 {
 		t.Fatalf("template manifest has segments %v, want one", segs)
-	}
-	if _, err := fmt.Sscanf(filepath.Base(segs[0]), "wal-%d.log", &seq); err != nil {
-		t.Fatal(err)
 	}
 	if edits, _ := manifestEdits(t, dir); len(edits) != 1 || !edits[0].Base || len(edits[0].Added) != 1 || edits[0].Added[0].ID != 0 {
 		t.Fatalf("template manifest holds %+v, want one base naming table 0", edits)
 	}
-	return dir, fmt.Sprintf("wal-%08d.log", seq+1)
+	return dir, walSegmentSeq(t, segs[0]) + 1
 }
 
 // openWithManifestTail opens a copy of the template store with tail as the
 // manifest's last segment. A store that opens must close and open again.
-func openWithManifestTail(t *testing.T, template, next string, tail []byte) error {
+func openWithManifestTail(t *testing.T, template string, next uint64, tail []byte) error {
 	dir := t.TempDir()
 	copyDir(t, template, dir)
-	if err := os.WriteFile(filepath.Join(dir, manifestDir, next), tail, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestDir, fmt.Sprintf("wal-%08d.log", next)), tail, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -732,7 +736,7 @@ func openWithManifestTail(t *testing.T, template, next string, tail []byte) erro
 // FuzzManifestReplay seed in tier-1.
 func TestManifestRecordSeeds(t *testing.T) {
 	template, next := manifestTemplate(t)
-	for _, seed := range manifestSeeds(t) {
+	for _, seed := range manifestSeeds(t, next) {
 		err := openWithManifestTail(t, template, next, seed.tail)
 		if !errors.Is(err, seed.wantErr) {
 			t.Errorf("%s: Open = %v, want %v", seed.name, err, seed.wantErr)
@@ -744,10 +748,10 @@ func TestManifestRecordSeeds(t *testing.T) {
 // arbitrary bytes, after a segment holding one valid base: Open returns a
 // store or ErrCorrupt, never panics, and a store that opened opens again.
 func FuzzManifestReplay(f *testing.F) {
-	for _, seed := range manifestSeeds(f) {
+	template, next := manifestTemplate(f)
+	for _, seed := range manifestSeeds(f, next) {
 		f.Add(seed.tail)
 	}
-	template, next := manifestTemplate(f)
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		if err := openWithManifestTail(t, template, next, tail); err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("Open = %v, want a store or ErrCorrupt", err)

@@ -396,6 +396,50 @@ func TestWALOfRowRecordsReplays(t *testing.T) {
 	}
 }
 
+// TestWALOfUnboundBatchRecordsReplays: testdata/batchwal holds the WAL a
+// crash left when records were bound to no segment: three batches of four
+// rows, row-00 to row-11, then a batch of "again" over row-03 and row-12, 4
+// records in all. It opens and replays every row. The segment was found at
+// Open, so the flush that retires it removes it rather than keep it as the
+// spare: only segments of records bound to their segment are reused.
+func TestWALOfUnboundBatchRecordsReplays(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "batchwal"), dir)
+	if n := walRecords(t, dir); n != 4 {
+		t.Fatalf("testdata/batchwal replays %d records, want 4", n)
+	}
+	opts := Options{Dir: dir, WALSync: wal.SyncNever}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store) {
+		t.Helper()
+		for i := 0; i <= 12; i++ {
+			k, want := fmt.Sprintf("row-%02d", i), fmt.Sprintf("val-%02d", i)
+			if i == 3 {
+				want = "again"
+			}
+			if got, ok, err := s.Get([]byte(k)); err != nil || !ok || string(got) != want {
+				t.Fatalf("%s = %q, %v, %v; want %q", k, got, ok, err, want)
+			}
+		}
+	}
+	check(s)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal", "wal-00000001.spare")); !os.IsNotExist(err) {
+		t.Fatalf("the flush kept segment 1, found at Open, as a spare (%v)", err)
+	}
+	crashStore(t, s)
+	if s, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s)
+}
+
 // TestTableRenameSyncedBeforeManifestCommit: a flushed or compacted table's
 // directory entry is synced after its rename and before the manifest commit
 // that names it. Otherwise a power loss could keep the commit and lose the

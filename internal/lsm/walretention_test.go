@@ -46,6 +46,7 @@ func walRecords(t testing.TB, dir string) int {
 // TestCleanCloseLeavesNoWALRecord: the final Flush of a clean Close rolls
 // the WAL and truncates the segments behind the roll, so the next Open
 // replays nothing and a second Close writes no second table of the row.
+// Close removes the spare a truncated segment became.
 func TestCleanCloseLeavesNoWALRecord(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, WALSync: wal.SyncOnAppend}
@@ -58,6 +59,9 @@ func TestCleanCloseLeavesNoWALRecord(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if spares, _ := filepath.Glob(filepath.Join(dir, "wal", "*.spare")); len(spares) != 0 {
+		t.Fatalf("WAL spares %v after a clean Close", spares)
 	}
 	re, err := Open(opts)
 	if err != nil {
@@ -85,30 +89,34 @@ func TestCleanCloseLeavesNoWALRecord(t *testing.T) {
 	}
 }
 
-// dirBytes sums the sizes of the files in dir.
-func dirBytes(t testing.TB, dir string) int64 {
+// fileSizes maps the base name of each file matching pattern to its size.
+func fileSizes(t testing.TB, pattern string) map[string]int64 {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	paths, err := filepath.Glob(pattern)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n int64
-	for _, e := range entries {
-		info, err := e.Info()
+	sizes := make(map[string]int64, len(paths))
+	for _, p := range paths {
+		info, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n += info.Size()
+		sizes[filepath.Base(p)] = info.Size()
 	}
-	return n
+	return sizes
 }
 
 // TestWALBoundedUnderIngest runs four writers into 1 MiB memtables, 40 MiB
 // in all, beside a goroutine that checks the WAL between flushes and calls
-// Flush now and then. With no flush in flight, the WAL holds no more than
-// walRollEvery memtables' worth of bytes plus the records of the memtables
-// not yet flushed. Copies of the directory taken between flushes reopen
-// with every row acked before the copy began.
+// Flush now and then. With no flush in flight, the WAL's segments hold no
+// more than walRollEvery memtables' worth of bytes plus the records of the
+// memtables not yet flushed; the active segment counts its records, not the
+// bytes its file may still hold from an earlier life as a spare. Beside them
+// lies at most one spare, no larger than a segment. The active memtable
+// never holds more than memstoreBlockMultiplier times MemtableSize plus the
+// batch each writer may add after its check. Copies of the directory taken
+// between flushes reopen with every row acked before the copy began.
 func TestWALBoundedUnderIngest(t *testing.T) {
 	const (
 		memtableSize = 1 << 20
@@ -163,22 +171,45 @@ func TestWALBoundedUnderIngest(t *testing.T) {
 	// check measures the WAL with flushes held off, so no truncation is
 	// half done, and memtables read after the WAL hold at least its
 	// unflushed records.
+	// A row costs its op byte and two lengths beyond the memtable entry, and
+	// a batch one record header.
+	batchBytes := int64(batchRows*(len(key(0, 0))+valueLen+1+2*binary.MaxVarintLen32) + 8)
 	check := func() {
 		s.maintMu.Lock()
 		defer s.maintMu.Unlock()
-		walBytes := dirBytes(t, filepath.Join(dir, "wal"))
+		s.rollMu.Lock() // no roll moves the spare into place meanwhile
+		defer s.rollMu.Unlock()
+		active, activeBytes := s.log.Active()
+		var walBytes int64
+		for name, size := range fileSizes(t, filepath.Join(dir, "wal", "wal-*.log")) {
+			if name == fmt.Sprintf("wal-%08d.log", active) {
+				size = activeBytes
+			}
+			walBytes += size
+		}
+		spares := fileSizes(t, filepath.Join(dir, "wal", "wal-*.spare"))
 		s.mu.RLock()
-		unflushed, entries := s.active.Size(), s.active.Len()
+		activeMem := s.active.Size()
+		unflushed, entries := activeMem, s.active.Len()
 		if s.imm != nil {
 			unflushed, entries = unflushed+s.imm.Size(), entries+s.imm.Len()
 		}
 		s.mu.RUnlock()
-		// A row costs its op byte and two lengths beyond the memtable entry,
-		// and a batch one record header.
 		bound := walRollEvery*memtableSize + unflushed + entries*(8+binary.MaxVarintLen32)
 		if walBytes > bound {
 			t.Errorf("check %d: WAL holds %d bytes, bound %d (%d unflushed in %d entries)",
 				checks, walBytes, bound, unflushed, entries)
+		}
+		if len(spares) > 1 {
+			t.Errorf("check %d: WAL spares %v, want at most one", checks, spares)
+		}
+		for name, size := range spares {
+			if size > walRollEvery*memtableSize+batchBytes {
+				t.Errorf("check %d: spare %s holds %d bytes, more than a segment", checks, name, size)
+			}
+		}
+		if limit := memstoreBlockMultiplier*memtableSize + writers*batchBytes; activeMem > limit {
+			t.Errorf("check %d: active memtable holds %d bytes, limit %d", checks, activeMem, limit)
 		}
 		checks++
 	}

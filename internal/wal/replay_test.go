@@ -11,27 +11,51 @@ import (
 	"testing"
 )
 
-// frameRecord frames rec the way Append writes it.
+// frameRecord frames rec as a record bound to no segment, the only kind
+// logs written before segment reuse hold.
 func frameRecord(rec string) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, uint32(len(rec)))
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum([]byte(rec), crcTable))
 	return append(b, rec...)
 }
 
-// leadingRecords models replay: the records of data in order up to the
-// first that is not intact, and whether every byte of data was an intact
-// record.
-func leadingRecords(data []byte) (recs [][]byte, whole bool) {
+// frameBound frames rec the way Append writes it into segment seq: the
+// length word's top bit set, the CRC over seq's 8 little-endian bytes and
+// then the record.
+func frameBound(rec string, seq uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(rec))|1<<31)
+	sum := append(binary.LittleEndian.AppendUint64(nil, seq), rec...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(sum, crcTable))
+	return append(b, rec...)
+}
+
+// replaySeq is the sequence number the fuzz target replays its bytes as.
+const replaySeq = 1
+
+// leadingRecords models replay of data as segment seq: the records of data
+// in order up to the first that is not intact, and whether every byte of
+// data was an intact record. The first record's kind, bound or not, is the
+// segment's.
+func leadingRecords(data []byte, seq uint64) (recs [][]byte, whole bool) {
+	kind := uint32(0)
 	for len(data) > 0 {
 		if len(data) < headerLen {
 			return recs, false
 		}
-		n := uint64(binary.LittleEndian.Uint32(data))
-		if n == 0 || n > MaxRecordSize || n > uint64(len(data)-headerLen) {
+		word := binary.LittleEndian.Uint32(data)
+		if len(recs) == 0 {
+			kind = word >> 31
+		}
+		n := uint64(word & (1<<31 - 1))
+		if n == 0 || n > MaxRecordSize || n > uint64(len(data)-headerLen) || word>>31 != kind {
 			return recs, false
 		}
 		rec := data[headerLen : headerLen+n]
-		if crc32.Checksum(rec, crcTable) != binary.LittleEndian.Uint32(data[4:]) {
+		sum := rec
+		if kind == 1 {
+			sum = append(binary.LittleEndian.AppendUint64(nil, seq), rec...)
+		}
+		if crc32.Checksum(sum, crcTable) != binary.LittleEndian.Uint32(data[4:]) {
 			return recs, false
 		}
 		recs = append(recs, rec)
@@ -48,11 +72,11 @@ func leadingRecords(data []byte) (recs [][]byte, whole bool) {
 func replayBytes(t *testing.T, data []byte, last bool) [][]byte {
 	t.Helper()
 	var got [][]byte
-	err := replaySegment(bytes.NewReader(data), int64(len(data)), "wal-00000001.log", last, nil, func(rec []byte) error {
+	err := replaySegment(bytes.NewReader(data), int64(len(data)), replaySeq, last, nil, func(rec []byte) error {
 		got = append(got, rec)
 		return nil
 	})
-	want, whole := leadingRecords(data)
+	want, whole := leadingRecords(data, replaySeq)
 	if last || whole {
 		if err != nil {
 			t.Fatalf("replay (last %v) of %d bytes: %v", last, len(data), err)
@@ -79,6 +103,8 @@ func replaySeeds() []replaySeed {
 	tail := func(b []byte) []byte { return append(append([]byte(nil), valid...), b...) }
 	crc := tail(nil)
 	crc[len(crc)-1] ^= 0xff
+	bound := append(frameBound("one", replaySeq), frameBound("two", replaySeq)...)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	return []replaySeed{
 		{"valid", valid, 2},
 		{"zero-tail", tail(make([]byte, 4096)), 2},
@@ -86,6 +112,12 @@ func replaySeeds() []replaySeed {
 		{"torn-header", tail([]byte{3, 0, 0}), 2},
 		{"torn-body", tail(frameRecord("three")[:headerLen+2]), 2},
 		{"crc-mismatch", crc, 1},
+		{"bound", bound, 2},
+		// A reused file: its own record, then its earlier life's.
+		{"bound-other-seq", cat(frameBound("new", replaySeq), frameBound("stale", replaySeq+6)), 1},
+		{"bound-other-seq-first", frameBound("stale", replaySeq+6), 0},
+		{"kind-switch-to-bound", cat(frameRecord("one"), frameBound("two", replaySeq)), 1},
+		{"kind-switch-to-plain", cat(frameBound("one", replaySeq), frameRecord("two")), 1},
 	}
 }
 
@@ -121,7 +153,7 @@ func TestWALReplaySeeds(t *testing.T) {
 // ErrCorrupt.
 func TestTornTailLastVersusEarlierSegment(t *testing.T) {
 	for _, s := range replaySeeds() {
-		recs, whole := leadingRecords(s.data)
+		recs, whole := leadingRecords(s.data, replaySeq)
 		if whole {
 			continue
 		}

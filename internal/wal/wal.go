@@ -6,6 +6,12 @@
 // ends (Rotate) and which segments go (Truncate): the store rolls the log
 // once it has grown by a set number of bytes and, once the memstores the
 // older segments cover are flushed into SSTables, truncates those away.
+//
+// A retired segment's file is kept as a spare and reused for a later
+// segment, so a durable append overwrites blocks the file already holds and
+// its fsync commits no allocation or size change. Every record is bound to
+// its segment: its checksum covers the segment's sequence number, so the
+// records a reused file still holds from its earlier life never replay.
 package wal
 
 import (
@@ -84,7 +90,10 @@ type Log struct {
 	frames   []byte // one group's frames, for a single write; as long as the largest group
 	seq      uint64
 	segBytes int64    // bytes appended to segment seq, framing included
+	seqCRC   uint32   // CRC32C of seq's 8 bytes: the start of every bound record's checksum
 	segments []uint64 // live segment sequence numbers, ascending; includes active
+	firstOwn uint64   // the first segment this Log opened; lower ones were found at Open
+	spare    uint64   // the retired segment whose file waits under spareName; 0 when none
 	closed   bool
 	err      error // a failed write: the segment's tail is unknown, so no append may follow it
 
@@ -102,19 +111,39 @@ type Log struct {
 	appends, bytes         telemetry.Counter
 	groupSyncs, flushSyncs telemetry.Counter
 	groupShared            telemetry.Counter // appends whose sync another writer's fsync covered
+	recycled               telemetry.Counter // segments opened on a spare's file
 	appendSpan             *telemetry.Timer
 }
 
 const (
-	headerLen  = 8 // 4-byte length + 4-byte CRC32C
-	filePrefix = "wal-"
-	fileSuffix = ".log"
+	headerLen   = 8 // 4-byte length + 4-byte CRC32C
+	filePrefix  = "wal-"
+	fileSuffix  = ".log"
+	spareSuffix = ".spare"
+	// boundBit set in a record's length word marks a bound record: its
+	// CRC32C covers the segment's sequence number (8 bytes, little-endian)
+	// and then the record. A record with the bit clear, as logs written
+	// before segment reuse hold, has a CRC of the record alone. Every record
+	// of one segment is of one kind. MaxRecordSize leaves the bit free.
+	boundBit = 1 << 31
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func segmentName(seq uint64) string {
 	return fmt.Sprintf("%s%08d%s", filePrefix, seq, fileSuffix)
+}
+
+// spareName is where Truncate keeps retired segment seq's file for reuse.
+// listSegments does not see it.
+func spareName(seq uint64) string {
+	return fmt.Sprintf("%s%08d%s", filePrefix, seq, spareSuffix)
+}
+
+// seqCRC is the CRC32C of seq's 8 little-endian bytes, which every bound
+// record's checksum in segment seq starts from.
+func seqCRC(seq uint64) uint32 {
+	return crc32.Checksum(binary.LittleEndian.AppendUint64(nil, seq), crcTable)
 }
 
 func parseSegmentName(name string) (uint64, bool) {
@@ -129,13 +158,16 @@ func parseSegmentName(name string) (uint64, bool) {
 // Open opens (creating if necessary) the log in opts.Dir. Existing segments
 // are retained; new appends go to a fresh segment after the highest existing
 // sequence number. Until the owner rolls the log, that segment is the one
-// Truncate never removes.
+// Truncate never removes. A spare left by an earlier Log is removed.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("%w: Dir is required", ErrBadOption)
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
+	}
+	if err := removeSpares(opts.Dir); err != nil {
+		return nil, err
 	}
 	segs, err := listSegments(opts.Dir)
 	if err != nil {
@@ -146,11 +178,11 @@ func Open(opts Options) (*Log, error) {
 		segments:   segs,
 		appendSpan: opts.Registry.Timer("put.wal_append"),
 	}
-	next := uint64(1)
+	l.firstOwn = 1
 	if n := len(segs); n > 0 {
-		next = segs[n-1] + 1
+		l.firstOwn = segs[n-1] + 1
 	}
-	if err := l.openSegmentLocked(next); err != nil {
+	if err := l.openSegmentLocked(l.firstOwn); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -171,12 +203,37 @@ func listSegments(dir string) ([]uint64, error) {
 	return segs, nil
 }
 
-// openSegmentLocked creates segment seq and makes it the active one. Unless
-// the policy is SyncNever the directory is synced too, so the new entry
-// survives a power loss along with the records synced into it.
+// removeSpares removes every spare file in dir. A spare is never replayed,
+// so one that a power loss brings back costs nothing but the next removal.
+func removeSpares(dir string) error {
+	spares, err := filepath.Glob(filepath.Join(dir, filePrefix+"*"+spareSuffix))
+	if err != nil {
+		return fmt.Errorf("wal: list spares: %w", err)
+	}
+	for _, p := range spares {
+		if err := os.Remove(p); err != nil {
+			return fmt.Errorf("wal: remove spare: %w", err)
+		}
+	}
+	return nil
+}
+
+// openSegmentLocked makes segment seq the active one, on the spare's file
+// when there is one, else on a new file. Either way it writes from offset 0:
+// appends to a reused file overwrite the records of its earlier life, which
+// replay tells apart by their sequence number. Unless the policy is
+// SyncNever the directory is synced too, so the new entry survives a power
+// loss along with the records synced into it.
 func (l *Log) openSegmentLocked(seq uint64) error {
-	f, err := os.OpenFile(filepath.Join(l.opts.Dir, segmentName(seq)),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := filepath.Join(l.opts.Dir, segmentName(seq))
+	if spare := l.spare; spare != 0 {
+		l.spare = 0
+		if err := os.Rename(filepath.Join(l.opts.Dir, spareName(spare)), path); err != nil {
+			return fmt.Errorf("wal: reuse segment %d: %w", spare, err)
+		}
+		l.recycled.Inc()
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: open segment: %w", err)
 	}
@@ -189,6 +246,7 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 	l.f = f
 	l.seq = seq
 	l.segBytes = 0
+	l.seqCRC = seqCRC(seq)
 	l.segments = append(l.segments, seq)
 	return nil
 }
@@ -246,8 +304,8 @@ func (l *Log) append(records [][]byte, trace telemetry.TSpan) error {
 	}
 	frames := l.frames[:0]
 	for _, rec := range records {
-		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(rec)))
-		frames = binary.LittleEndian.AppendUint32(frames, crc32.Checksum(rec, crcTable))
+		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(rec))|boundBit)
+		frames = binary.LittleEndian.AppendUint32(frames, crc32.Update(l.seqCRC, crcTable, rec))
 		frames = append(frames, rec...)
 	}
 	if _, err := l.f.Write(frames); err != nil {
@@ -318,7 +376,8 @@ func (l *Log) Bytes() int64 { return l.bytes.Load() }
 
 // Counters is the log's metric table: each counter it owns and the name it
 // reports under, for the owner to attach to a registry. A leader's fsync
-// counts toward both "wal.group_commit_syncs" and "wal.syncs".
+// counts toward both "wal.group_commit_syncs" and "wal.syncs";
+// "wal.segments_recycled" counts the segments opened on a spare's file.
 func (l *Log) Counters() []telemetry.Named {
 	return []telemetry.Named{
 		{Name: "wal.appends", C: &l.appends},
@@ -327,10 +386,20 @@ func (l *Log) Counters() []telemetry.Named {
 		{Name: "wal.syncs", C: &l.flushSyncs},
 		{Name: "wal.group_commit_syncs", C: &l.groupSyncs},
 		{Name: "wal.group_commit_shared", C: &l.groupShared},
+		{Name: "wal.segments_recycled", C: &l.recycled},
 	}
 }
 
-func (l *Log) syncLocked() error {
+// endLocked cuts the active segment's file to the bytes appended to it, so
+// no record of a reused file's earlier life outlasts the segment's end, and
+// syncs it unless the policy is SyncNever.
+func (l *Log) endLocked() error {
+	if err := l.f.Truncate(l.segBytes); err != nil {
+		return fmt.Errorf("wal: cut segment %d: %w", l.seq, err)
+	}
+	if l.opts.Sync == SyncNever {
+		return nil
+	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
@@ -341,9 +410,9 @@ func (l *Log) syncLocked() error {
 // Rotate ends the active segment and starts the next, returning the new
 // segment's sequence number: every record appended before Rotate lies in a
 // lower segment, every later one in this segment or after. It is the only
-// way a segment ends. Unless the policy is SyncNever the ended segment is
-// synced before the next takes a record, since replay refuses a damaged
-// segment that is not the last.
+// way a segment ends: its file is cut to its last record and, unless the
+// policy is SyncNever, synced before the next takes a record, since replay
+// refuses a damaged segment that is not the last.
 func (l *Log) Rotate() (uint64, error) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -352,10 +421,10 @@ func (l *Log) Rotate() (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
+	if err := l.endLocked(); err != nil {
+		return 0, err
+	}
 	if l.opts.Sync != SyncNever {
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
 		// Waiting group-commit followers find their records covered.
 		l.synced.Store(l.appended)
 	}
@@ -367,11 +436,14 @@ func (l *Log) Rotate() (uint64, error) {
 	return l.seq, nil
 }
 
-// Truncate removes every segment below upTo but the active one, oldest
+// Truncate retires every segment below upTo but the active one, oldest
 // first, once the memstores they cover are flushed, then syncs the
 // directory: a segment back after a power loss would replay older values
-// over the tables that replaced them. Appends go on meanwhile. A segment
-// that fails to go stays listed with every later one, for the next call.
+// over the tables that replaced them. While the log has no spare, the first
+// retired segment that this Log opened is renamed to its spare name for a
+// later segment to reuse; the others are removed. Appends go on meanwhile.
+// A segment that fails to go stays listed with every later one, for the
+// next call.
 func (l *Log) Truncate(upTo uint64) error {
 	l.truncMu.Lock()
 	defer l.truncMu.Unlock()
@@ -386,16 +458,38 @@ func (l *Log) Truncate(upTo uint64) error {
 	}
 	doomed := l.segments[:n:n]
 	l.segments = l.segments[n:]
+	// Only Truncate makes a spare, under truncMu, so none appears meanwhile.
+	// Segments found at Open may hold records bound to no segment, which a
+	// reuse would leave replayable; they are removed.
+	var spare uint64
+	for _, seq := range doomed {
+		if l.spare == 0 && seq >= l.firstOwn {
+			spare = seq
+			break
+		}
+	}
 	l.mu.Unlock()
 	if n == 0 {
 		return nil
 	}
 	for i, seq := range doomed {
-		if err := os.Remove(filepath.Join(l.opts.Dir, segmentName(seq))); err != nil {
+		path := filepath.Join(l.opts.Dir, segmentName(seq))
+		var err error
+		if seq == spare {
+			err = os.Rename(path, filepath.Join(l.opts.Dir, spareName(seq)))
+		} else {
+			err = os.Remove(path)
+		}
+		if err != nil {
 			l.mu.Lock()
 			l.segments = append(doomed[i:], l.segments...)
 			l.mu.Unlock()
-			return fmt.Errorf("wal: remove segment %d: %w", seq, err)
+			return fmt.Errorf("wal: retire segment %d: %w", seq, err)
+		}
+		if seq == spare {
+			l.mu.Lock()
+			l.spare = seq // one a racing Close leaves, the next Open removes
+			l.mu.Unlock()
 		}
 	}
 	if err := SyncDir(l.opts.Dir); err != nil {
@@ -404,8 +498,8 @@ func (l *Log) Truncate(upTo uint64) error {
 	return nil
 }
 
-// Close syncs the active segment, unless the policy is SyncNever, and
-// closes it.
+// Close ends the active segment as Rotate does, cut to its last record and
+// synced unless the policy is SyncNever, closes it and removes the spare.
 func (l *Log) Close() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -415,13 +509,20 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if l.opts.Sync != SyncNever {
-		if err := l.syncLocked(); err != nil {
-			l.f.Close()
-			return err
-		}
+	if err := l.endLocked(); err != nil {
+		l.f.Close()
+		return err
 	}
-	return l.f.Close()
+	if err := l.f.Close(); err != nil {
+		return err
+	}
+	if l.spare != 0 {
+		if err := os.Remove(filepath.Join(l.opts.Dir, spareName(l.spare))); err != nil {
+			return fmt.Errorf("wal: remove spare: %w", err)
+		}
+		l.spare = 0
+	}
+	return nil
 }
 
 // SyncDir fsyncs a directory so that the entries created, renamed or
@@ -445,15 +546,18 @@ func SyncDir(dir string) error {
 
 // Replay invokes fn for every intact record across all segments in append
 // order. A record is intact when its header is whole, its length is neither
-// 0 nor over MaxRecordSize, its body lies inside the file and its CRC
-// matches. In the last segment the first record that is not intact ends
-// replay without error — it is what a crash leaves at the tail: a
-// half-written record, or the zeros of a file extended but never written —
-// so damage anywhere in the last segment drops the records behind it, and
-// the segment is truncated to the records before it. In any earlier segment
-// the same damage is ErrCorrupt. A tolerated torn tail is reported to
-// logger (nil drops it) as a warn event, so operators can tell a clean
-// recovery from one that discarded an unacknowledged tail.
+// 0 nor over MaxRecordSize, its body lies inside the file, it is of the
+// segment's kind (that of the segment's first record) and its CRC matches:
+// a bound record's over its segment's sequence number and the record, so a
+// record of a reused file's earlier life never is. In the last segment the
+// first record that is not intact ends replay without error — it is what a
+// crash leaves at the tail: a half-written record, the zeros of a file
+// extended but never written, or the stale records of a reused file — so
+// damage anywhere in the last segment drops the records behind it, and the
+// segment is truncated to the records before it. In any earlier segment the
+// same damage is ErrCorrupt. A tolerated torn tail is reported to logger
+// (nil drops it) as a warn event, so operators can tell a clean recovery
+// from one that discarded an unacknowledged tail.
 func Replay(dir string, logger *telemetry.Logger, fn func(record []byte) error) error {
 	segs, err := listSegments(dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -463,23 +567,23 @@ func Replay(dir string, logger *telemetry.Logger, fn func(record []byte) error) 
 		return err
 	}
 	for i, seq := range segs {
-		if err := replayFile(filepath.Join(dir, segmentName(seq)), i == len(segs)-1, logger, fn); err != nil {
+		if err := replayFile(dir, seq, i == len(segs)-1, logger, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// replayFile replays one segment file. The last segment is cut back to its
-// intact records, and the cut synced, before the log opens a segment after
-// it: left in place, a torn tail would sit in a segment that is no longer
-// the last, where the next replay refuses it as ErrCorrupt.
-func replayFile(path string, last bool, logger *telemetry.Logger, fn func([]byte) error) error {
+// replayFile replays segment seq of dir. The last segment is cut back to
+// its intact records, and the cut synced, before the log opens a segment
+// after it: left in place, a torn tail would sit in a segment that is no
+// longer the last, where the next replay refuses it as ErrCorrupt.
+func replayFile(dir string, seq uint64, last bool, logger *telemetry.Logger, fn func([]byte) error) error {
 	flag := os.O_RDONLY
 	if last {
 		flag = os.O_RDWR
 	}
-	f, err := os.OpenFile(path, flag, 0)
+	f, err := os.OpenFile(filepath.Join(dir, segmentName(seq)), flag, 0)
 	if err != nil {
 		return fmt.Errorf("wal: open for replay: %w", err)
 	}
@@ -489,7 +593,7 @@ func replayFile(path string, last bool, logger *telemetry.Logger, fn func([]byte
 		return fmt.Errorf("wal: stat for replay: %w", err)
 	}
 	var intact int64
-	err = replaySegment(bufio.NewReaderSize(f, 256<<10), info.Size(), filepath.Base(path), last, logger, func(rec []byte) error {
+	err = replaySegment(bufio.NewReaderSize(f, 256<<10), info.Size(), seq, last, logger, func(rec []byte) error {
 		intact += headerLen + int64(len(rec))
 		return fn(rec)
 	})
@@ -504,11 +608,12 @@ func replayFile(path string, last bool, logger *telemetry.Logger, fn func([]byte
 	return err
 }
 
-// replaySegment replays the size bytes of segment name that r yields, by
+// replaySegment replays the size bytes of segment seq that r yields, by
 // Replay's rules; last says whether it is the log's last segment. No header
 // sizes an allocation: a record's buffer is made once its length has passed
 // the checks, so it fits in the bytes left.
-func replaySegment(r io.Reader, size int64, name string, last bool, logger *telemetry.Logger, fn func([]byte) error) error {
+func replaySegment(r io.Reader, size int64, seq uint64, last bool, logger *telemetry.Logger, fn func([]byte) error) error {
+	name := segmentName(seq)
 	var replayed int64
 	torn := func(reason string) error {
 		if !last {
@@ -520,6 +625,7 @@ func replaySegment(r io.Reader, size int64, name string, last bool, logger *tele
 			telemetry.F("records_replayed", replayed))
 		return nil
 	}
+	bound, crcSeed := false, seqCRC(seq)
 	for left := size; left > 0; replayed++ {
 		if left < headerLen {
 			return torn("truncated header")
@@ -529,7 +635,11 @@ func replaySegment(r io.Reader, size int64, name string, last bool, logger *tele
 			return fmt.Errorf("wal: replay %s: %w", name, err)
 		}
 		left -= headerLen
-		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+		word := binary.LittleEndian.Uint32(hdr[0:4])
+		n := int64(word &^ boundBit)
+		if replayed == 0 {
+			bound = word&boundBit != 0
+		}
 		switch {
 		case n == 0:
 			return torn("empty record")
@@ -537,13 +647,19 @@ func replaySegment(r io.Reader, size int64, name string, last bool, logger *tele
 			return torn(fmt.Sprintf("record length %d", n))
 		case n > left:
 			return torn("truncated record body")
+		case (word&boundBit != 0) != bound:
+			return torn("record kind changed")
 		}
 		rec := make([]byte, n)
 		if _, err := io.ReadFull(r, rec); err != nil {
 			return fmt.Errorf("wal: replay %s: %w", name, err)
 		}
 		left -= n
-		if crc32.Checksum(rec, crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		crc := crc32.Checksum(rec, crcTable)
+		if bound {
+			crc = crc32.Update(crcSeed, crcTable, rec)
+		}
+		if crc != binary.LittleEndian.Uint32(hdr[4:8]) {
 			return torn("checksum mismatch")
 		}
 		if err := fn(rec); err != nil {

@@ -139,6 +139,15 @@ func TestTruncateRemovesFiles(t *testing.T) {
 	if err := l.Truncate(active); err != nil {
 		t.Fatal(err)
 	}
+	// The retired segments' names are gone, and at most one spare is left.
+	for _, seq := range before[:len(before)-1] {
+		if _, err := os.Stat(filepath.Join(dir, segmentName(seq))); !os.IsNotExist(err) {
+			t.Fatalf("retired segment %d is still there (%v)", seq, err)
+		}
+	}
+	if spares, _ := filepath.Glob(filepath.Join(dir, "wal-*.spare")); len(spares) > 1 {
+		t.Fatalf("spares after truncating: %v, want at most one", spares)
+	}
 	// Only the segment Rotate started is left: the log holds no record.
 	l.Close()
 	if files, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(files) != 1 {
