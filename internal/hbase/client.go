@@ -47,6 +47,11 @@ type Client struct {
 	buffers  map[*tableRegion]*lsm.Batch
 	buffered int64
 	closed   bool
+	// sealed is the length of the last batch sealed for each region: a
+	// region's new batch starts with that much room, so that Add does not
+	// grow it. A sealed batch's buffer is never reused: the memtables of
+	// the region's copies keep its bytes.
+	sealed map[*tableRegion]int
 
 	// The sender: one goroutine, started by the first job and stopped by
 	// Close, runs the jobs in submission order — sealed buffers and scanner
@@ -117,6 +122,7 @@ func (cl *Cluster) newClient(tableName string, writeBufferBytes int64, rpc trans
 		tracer:           cl.cfg.Tracer,
 		writeBufferBytes: writeBufferBytes,
 		buffers:          make(map[*tableRegion]*lsm.Batch),
+		sealed:           make(map[*tableRegion]int),
 		retryMax:         cl.cfg.RetryMax,
 		retryBase:        cl.cfg.RetryBaseDelay,
 		retryCap:         cl.cfg.RetryMaxDelay,
@@ -148,7 +154,7 @@ func (c *Client) Put(key, value []byte) error {
 	tr := c.table.locate(key)
 	b := c.buffers[tr]
 	if b == nil {
-		b = new(lsm.Batch)
+		b = lsm.NewBatch(c.sealed[tr])
 		c.buffers[tr] = b
 	}
 	b.Add(key, value)
@@ -163,11 +169,12 @@ func (c *Client) Put(key, value []byte) error {
 	return nil
 }
 
-// seal takes every region's batch out of the buffer.
+// seal takes every region's batch out of the buffer, noting its length.
 func (c *Client) seal() []regionBatch {
 	batches := make([]regionBatch, 0, len(c.buffers))
 	for tr, batch := range c.buffers {
 		batches = append(batches, regionBatch{tr, batch})
+		c.sealed[tr] = len(batch.Bytes())
 	}
 	clear(c.buffers)
 	c.buffered = 0
@@ -180,11 +187,13 @@ func (c *Client) seal() []regionBatch {
 func (c *Client) rebuffer(batches []regionBatch) {
 	for i := len(batches) - 1; i >= 0; i-- {
 		b := batches[i]
-		merged := new(lsm.Batch)
-		b.batch.Each(merged.Add)
-		if since := c.buffers[b.tr]; since != nil {
-			since.Each(merged.Add)
+		since := c.buffers[b.tr]
+		if since == nil {
+			since = new(lsm.Batch)
 		}
+		merged := lsm.NewBatch(len(b.batch.Bytes()) + len(since.Bytes()))
+		b.batch.Each(merged.Add)
+		since.Each(merged.Add)
 		c.buffers[b.tr] = merged
 		c.buffered += b.batch.Size()
 	}

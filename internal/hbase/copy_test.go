@@ -49,18 +49,42 @@ func copyRows(n int) []lsm.Write {
 func mutateFrame(rows []lsm.Write) (*frameReader, []byte) {
 	var w frameWriter
 	w.request(opMutate, telemetry.TSpan{}, "iot,00000")
-	w.mutations(batchOf(rows...))
+	w.batch(batchOf(rows...))
 	buf := w.buf[4:]
 	return &frameReader{op: buf[0], flags: buf[1], buf: buf, off: 2}, buf
 }
 
+// memberRows is every copy's store of tr, key=value in key order, primary
+// first.
+func memberRows(t *testing.T, cl *Cluster, tr *tableRegion) [][]string {
+	t.Helper()
+	reps := copies(cl, tr)
+	out := make([][]string, len(reps))
+	for i, rep := range reps {
+		it, err := rep.Store().NewIterator(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ; it.Valid(); it.Next() {
+			out[i] = append(out[i], string(it.Key())+"="+string(it.Value()))
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // TestMutationsSurviveFrameReuse: the server reads the next request into the
-// same frame buffer, so a decoded batch must own its bytes.
+// same frame buffer, while every copy's memtable keeps the bytes of the
+// batch it applied, so a decoded batch must own its bytes. First the
+// decoder alone, then the connection's loop: a mutate read, dispatched and
+// applied, then the next frame read into the same buffer.
 func TestMutationsSurviveFrameReuse(t *testing.T) {
 	want := copyRows(16)
 	f, buf := mutateFrame(want)
 	f.request()
-	got := rowsOf(f.mutations())
+	got := rowsOf(f.batch())
 	if f.err != nil {
 		t.Fatal(f.err)
 	}
@@ -80,6 +104,48 @@ func TestMutationsSurviveFrameReuse(t *testing.T) {
 	_ = append(got[0].Key, bytes.Repeat([]byte{'X'}, 64)...)
 	if !bytes.Equal(got[0].Value, want[0].Value) {
 		t.Fatal("append to a decoded key overwrote its value")
+	}
+
+	cl, _ := newTestCluster(t, 3, nil)
+	tbl, _ := cl.Table("iot")
+	tr := tbl.regions[0]
+	// Two frames of the same length: the second lands on the first's bytes.
+	var wire bytes.Buffer
+	for _, prefix := range []string{"a", "b"} {
+		rows := copyRows(16)
+		for i := range rows {
+			rows[i].Key = append([]byte(prefix), rows[i].Key...)
+		}
+		var w frameWriter
+		w.request(opMutate, telemetry.TSpan{}, tr.name)
+		w.batch(batchOf(rows...))
+		if err := w.flush(&wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var req frameReader
+	var resp frameWriter
+	if req.readFrame(&wire); req.err != nil {
+		t.Fatal(req.err)
+	}
+	frame := &req.buf[0]
+	if cl.dispatch(&req, &resp, tr.primary); resp.buf[4] != statusOK {
+		t.Fatalf("mutate: status %d (%q)", resp.buf[4], resp.buf[headerLen:])
+	}
+	if err := cl.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	before := memberRows(t, cl, tr)
+	if req.readFrame(&wire); req.err != nil || &req.buf[0] != frame {
+		t.Fatalf("the next frame did not reuse the buffer (err %v)", req.err)
+	}
+	if after := memberRows(t, cl, tr); !reflect.DeepEqual(after, before) {
+		t.Fatal("the next frame read into the buffer changed the stored rows")
+	}
+	for i, rows := range before {
+		if len(rows) != 16 {
+			t.Fatalf("copy %d holds %d rows, want 16", i, len(rows))
+		}
 	}
 }
 
@@ -131,8 +197,10 @@ func TestClientPutCopiesRows(t *testing.T) {
 
 // TestMutationCopyAllocs pins the ingest path's allocations per batch, not
 // per row: the server decodes a mutate frame of any size into one batch (its
-// struct and its buffer), and Client.Put copies rows into its region's batch,
-// which grows by doubling from empty.
+// struct and its buffer), and Client.Put copies rows into its region's
+// batch, which starts with the room the region's last sealed batch took, so
+// it never grows: a batch of the same rows costs its struct and its buffer,
+// and sealing it the list of sealed batches.
 func TestMutationCopyAllocs(t *testing.T) {
 	for _, n := range []int{1, 64, 512} {
 		f, _ := mutateFrame(copyRows(n))
@@ -140,30 +208,39 @@ func TestMutationCopyAllocs(t *testing.T) {
 		start := f.off
 		got := testing.AllocsPerRun(20, func() {
 			f.off = start
-			f.mutations()
+			f.batch()
 		})
-		t.Logf("mutations: %v allocations for %d rows", got, n)
+		t.Logf("batch: %v allocations for %d rows", got, n)
 		if got > 2 {
-			t.Errorf("mutations: %v allocations for %d rows, want at most 2", got, n)
+			t.Errorf("batch: %v allocations for %d rows, want at most 2", got, n)
 		}
 	}
 
 	rows := copyRows(64)
 	_, c := newTestCluster(t, 3, nil)
-	c.writeBufferBytes = 1 << 40 // never seal
+	c.writeBufferBytes = 1 << 40 // never seal on a Put
 	const n = 1000
-	perRow := testing.AllocsPerRun(1, func() {
-		clear(c.buffers) // each run fills a new batch from empty
+	fill := func() {
 		for i := 0; i < n; i++ {
 			r := &rows[i%len(rows)]
 			if err := c.Put(r.Key, r.Value); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}) / n
-	t.Logf("Client.Put: %.3f allocations per row", perRow)
-	if perRow > 0.05 {
-		t.Errorf("Client.Put: %.3f allocations per row, want at most 0.05", perRow)
+	}
+	fill()
+	c.seal() // the region's first batch grew from empty; later ones need not
+	var sealed []regionBatch
+	perBatch := testing.AllocsPerRun(1, func() {
+		fill()
+		sealed = c.seal()
+	})
+	t.Logf("Client.Put: %v allocations for a batch of %d rows", perBatch, n)
+	if perBatch > 3 {
+		t.Errorf("Client.Put: %v allocations for a batch of %d rows, want at most 3", perBatch, n)
+	}
+	if b := sealed[0].batch.Bytes(); cap(b) != len(b) {
+		t.Errorf("a batch of the last one's rows has %d bytes of room for %d", cap(b), len(b))
 	}
 }
 

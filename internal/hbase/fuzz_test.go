@@ -25,10 +25,14 @@ type fuzzSeed struct {
 	wantErr bool
 }
 
-// opRetired is the opcode of the retired point read. Frames carrying it are
-// kept as seeds: a server refuses them as an unknown opcode, before any
-// handler runs.
-const opRetired byte = 2
+// opRetired is the opcode of the retired point read, and opRetiredMutate
+// that of the mutate whose body carried its rows one by one. Frames
+// carrying them are kept as seeds: a server refuses them as an unknown
+// opcode, before any handler runs.
+const (
+	opRetiredMutate byte = 1
+	opRetired       byte = 2
+)
 
 // fuzzRequests are FuzzDispatch's seeds, in an order a plain test can replay
 // (the scanner is closed after its next): a well-formed request of every op,
@@ -45,26 +49,37 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 	}
 	key := kvp.Key{Substation: "sub0", Sensor: "sa", Timestamp: 1000}.Encode()
 	get := frame(opRetired, func(w *frameWriter) { w.bytes(key) })
+	mutateOf := func(count uint64, body []byte) []byte {
+		return frame(opMutate, func(w *frameWriter) { w.uvarint(count); w.bytes(body) })
+	}
 	// A put and its overwrite.
-	mutate := frame(opMutate, func(w *frameWriter) {
+	mutate := mutateOf(2, batchOf(
+		lsm.Write{Key: key, Value: kvp.Value{Reading: "21.25", Unit: "C", Padding: make([]byte, 64)}.Encode()},
+		lsm.Write{Key: key, Value: kvp.Value{Reading: "21.5", Unit: "C"}.Encode()},
+	).Bytes())
+	// Two puts of keys the region does not hold yet: a refused mutate
+	// applies neither.
+	var fresh []byte
+	for ts := int64(0); ts < 2; ts++ {
+		fresh = append(fresh, batchOf(lsm.Write{
+			Key:   kvp.Key{Substation: "sub0", Sensor: "sb", Timestamp: ts}.Encode(),
+			Value: kvp.Value{Reading: "1.5", Unit: "C"}.Encode(),
+		}).Bytes()...)
+	}
+	// The second put cut inside its value, the byte string still whole: the
+	// put in front of the cut decodes.
+	torn := mutateOf(2, fresh[:len(fresh)-1])
+	// The first put's op byte that of the layout before the value length.
+	oldLayout := mutateOf(2, append([]byte{1}, fresh[1:]...))
+	// The fresh puts as the retired opcode 1 carried them: a flag byte, the
+	// key and the value, each row on its own.
+	retiredMutate := frame(opRetiredMutate, func(w *frameWriter) {
 		w.uvarint(2)
-		w.uvarint(0)
-		w.bytes(key)
-		w.bytes(kvp.Value{Reading: "21.25", Unit: "C", Padding: make([]byte, 64)}.Encode())
-		w.uvarint(0)
-		w.bytes(key)
-		w.bytes(kvp.Value{Reading: "21.5", Unit: "C"}.Encode())
-	})
-	// A put of a key the region does not hold, then a mutation that sets the
-	// retired delete flag on a key it does.
-	deleteFlag := frame(opMutate, func(w *frameWriter) {
-		w.uvarint(2)
-		w.uvarint(0)
-		w.bytes(kvp.Key{Substation: "sub0", Sensor: "sc", Timestamp: 0}.Encode())
-		w.bytes(kvp.Value{Reading: "1.5", Unit: "C"}.Encode())
-		w.uvarint(1)
-		w.bytes(key)
-		w.bytes(nil)
+		for ts := int64(0); ts < 2; ts++ {
+			w.uvarint(0)
+			w.bytes(kvp.Key{Substation: "sub0", Sensor: "sb", Timestamp: ts}.Encode())
+			w.bytes(kvp.Value{Reading: "1.5", Unit: "C"}.Encode())
+		}
 	})
 	scanOpen := func(limit uint64) []byte {
 		return frame(opScanOpen, func(w *frameWriter) {
@@ -76,16 +91,6 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 	scanNext := func(id, chunk uint64) []byte {
 		return frame(opScanNext, func(w *frameWriter) { w.uvarint(id); w.uvarint(chunk) })
 	}
-	// Two puts of keys the region does not hold, cut inside the second
-	// value: every key in front of the cut decodes whole.
-	fresh := frame(opMutate, func(w *frameWriter) {
-		w.uvarint(2)
-		for ts := int64(0); ts < 2; ts++ {
-			w.uvarint(0)
-			w.bytes(kvp.Key{Substation: "sub0", Sensor: "sb", Timestamp: ts}.Encode())
-			w.bytes(kvp.Value{Reading: "1.5", Unit: "C"}.Encode())
-		}
-	})
 	// The get again, sampled: trace id 77, parent span 5 behind the flags.
 	traced := append([]byte{opRetired, flagTrace, 77, 5}, get[2:]...)
 	return []fuzzSeed{
@@ -114,19 +119,17 @@ func fuzzRequests(region string, scanner uint64) []fuzzSeed {
 			w.uvarint(0)
 			w.uvarint(math.MaxUint64)
 		}), false},
-		{"mutate-empty-key", frame(opMutate, func(w *frameWriter) {
-			w.uvarint(2)
-			w.uvarint(0)
-			w.bytes(key)
-			w.bytes([]byte("v"))
-			w.uvarint(0)
-			w.bytes(nil)
-			w.bytes([]byte("v"))
-		}), true},
-		{"mutate-count-lies", frame(opMutate, func(w *frameWriter) { w.uvarint(1 << 62) }), true},
-		{"mutate-delete-flag", deleteFlag, true},
+		{"mutate-empty-key", mutateOf(2, batchOf(
+			lsm.Write{Key: key, Value: []byte("v")},
+			lsm.Write{Key: nil, Value: []byte("v")},
+		).Bytes()), true},
+		{"mutate-count-lies", mutateOf(3, fresh), true},
+		{"mutate-count-short", mutateOf(1, fresh), true},
+		{"mutate-count-huge", frame(opMutate, func(w *frameWriter) { w.uvarint(1 << 62) }), true},
+		{"mutate-torn-put", torn, true},
+		{"mutate-old-layout", oldLayout, true},
+		{"retired-mutate", retiredMutate, true},
 		{"truncated-varint", append(frame(opScanNext, nil), 0x80, 0x80), true},
-		{"truncated-mutate-tail", fresh[:len(fresh)-1], true},
 		{"truncated-mutate", mutate[:len(mutate)-10], true},
 		{"unknown-region", append([]byte{opRetired, 0, 4}, "nope"...), true},
 		{"unknown-op", frame(99, nil), true},
@@ -234,27 +237,9 @@ func TestDispatchSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// rows is every member's store, key=value in key order.
-	rows := func() [][]string {
-		reps := copies(cl, tr)
-		out := make([][]string, len(reps))
-		for i, rep := range reps {
-			it, err := rep.Store().NewIterator(nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ; it.Valid(); it.Next() {
-				out[i] = append(out[i], string(it.Key())+"="+string(it.Value()))
-			}
-			if err := it.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out
-	}
 	for _, seed := range fuzzRequests(tr.name, scanner) {
 		name, payload := seed.name, seed.payload
-		before := rows()
+		before := memberRows(t, cl, tr)
 		req := frameReader{op: payload[0], flags: payload[1], buf: payload, off: 2}
 		var resp frameWriter
 		handled := tr.primary.requests.Load()
@@ -262,16 +247,18 @@ func TestDispatchSeeds(t *testing.T) {
 		if got := resp.buf[4] != statusOK; got != seed.wantErr {
 			t.Errorf("%s: status %d (%q), want error=%v", name, resp.buf[4], resp.buf[headerLen:min(len(resp.buf), 80)], seed.wantErr)
 		}
-		// Every handler counts a request; the retired opcode reaches none,
-		// and neither does a mutation that sets the retired delete flag.
-		if (payload[0] == opRetired || name == "mutate-delete-flag") && tr.primary.requests.Load() != handled {
+		// Every handler counts a request; a retired opcode reaches none, and
+		// neither does a mutate whose batch does not decode or holds other
+		// than its count of rows.
+		undecoded := seed.wantErr && payload[0] == opMutate && name != "mutate-empty-key"
+		if (payload[0] == opRetired || payload[0] == opRetiredMutate || undecoded) && tr.primary.requests.Load() != handled {
 			t.Errorf("%s: the request reached a handler", name)
 		}
 		// A refused request changes no member's rows: a mutate that does not
-		// decode (truncated-mutate, truncated-mutate-tail, mutate-delete-flag)
-		// applies none of its batch, not even the mutations in front of the
-		// fault.
-		if after := rows(); seed.wantErr && !reflect.DeepEqual(after, before) {
+		// decode (mutate-torn-put, mutate-old-layout, truncated-mutate) or
+		// whose count lies applies none of its batch, not even the puts in
+		// front of the fault, and neither does the retired mutate.
+		if after := memberRows(t, cl, tr); seed.wantErr && !reflect.DeepEqual(after, before) {
 			t.Errorf("%s: changed the region's rows (%d before, %d after on the primary)", name, len(before[0]), len(after[0]))
 		}
 		if err := cl.Quiesce(); err != nil {

@@ -404,3 +404,29 @@ func TestScannerLeaseExpiry(t *testing.T) {
 		t.Fatalf("OpenScannerCount after close = %d, want 0", n)
 	}
 }
+
+// TestScanBoundOutlivesRequestFrame: a scanner session keeps its upper bound
+// for its whole life, while the server reads every request on the
+// connection into one frame buffer. A write sent between two chunks of a
+// scan over the same connection must not move the bound.
+func TestScanBoundOutlivesRequestFrame(t *testing.T) {
+	_, c := newTCPCluster(t, 3, nil)
+	seedRows(t, c, 40)
+	sc, err := c.newScannerChunk(nil, []byte("l"), 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := sc.Next(); err != nil || !ok {
+		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	}
+	// Sorts before every row left, so the scan does not return it.
+	if err := c.Put([]byte("a"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if rows := drainScanner(t, sc); len(rows) != 39 {
+		t.Fatalf("scan returned %d more rows, want 39", len(rows))
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -109,7 +109,7 @@ func (cl *Cluster) serve(req *frameReader, resp *frameWriter, srv *RegionServer,
 	}
 	switch req.op {
 	case opMutate:
-		batch := req.mutations()
+		batch := req.batch()
 		if req.err != nil {
 			return req.err
 		}

@@ -158,7 +158,7 @@ func (t *tcpTransport) call(tr *tableRegion, op byte, sp telemetry.TSpan, encode
 }
 
 func (t *tcpTransport) mutate(tr *tableRegion, batch *lsm.Batch, sp telemetry.TSpan) error {
-	return t.call(tr, opMutate, sp, func(req *frameWriter) { req.mutations(batch) }).err
+	return t.call(tr, opMutate, sp, func(req *frameWriter) { req.batch(batch) }).err
 }
 
 func (t *tcpTransport) openScanner(tr *tableRegion, lo, hi []byte, limit int, sp telemetry.TSpan) (uint64, error) {

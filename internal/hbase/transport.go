@@ -33,7 +33,7 @@ import (
 // (the frameReader method of the same name) sit side by side below:
 //
 //	op           request fields                   response fields
-//	opMutate     count, {0, key, value}           -
+//	opMutate     count, batch                     -
 //	opScanOpen   lo?, hi?, limit                  scanner id
 //	opScanNext   scanner id, chunk                more, count, {key, value}
 //	opScanClose  scanner id                       -
@@ -41,22 +41,23 @@ import (
 //	             windowMS, funcs                  start, count, min, max, sum}
 //
 // where lo? and hi? are byte strings behind a nil/present marker byte. An
-// opMutate's rows are one lsm.Batch at both ends: the server decodes them
-// straight into the WAL record its stores log. The protocol is deliberately
-// minimal: one outstanding request per connection, matching the
-// one-client-per-worker-thread model.
+// opMutate's batch is the byte string of an lsm.Batch's buffer, the WAL
+// record every copy of the region logs, behind its row count: the server
+// copies it out of the frame once, and the copies' memtables keep that
+// buffer's bytes. The protocol is deliberately minimal: one outstanding
+// request per connection, matching the one-client-per-worker-thread model.
 
 // opcodes. Scans are a session of three ops (open, a next per chunk,
 // close), the wire form of the server's scanner sessions; opAggregate is
 // the aggregation pushdown, answered with per-(series, window) partials.
-// Opcode 2, once a point read, is retired and not reused: a frame carrying
-// it is refused as an unknown opcode.
+// Opcodes 1 (a mutate encoded row by row) and 2 (a point read) are retired
+// and not reused: a frame carrying either is refused as an unknown opcode.
 const (
-	opMutate    byte = 1
 	opScanOpen  byte = 3
 	opScanNext  byte = 4
 	opScanClose byte = 5
 	opAggregate byte = 6
+	opMutate    byte = 7
 )
 
 // response statuses. statusOverloaded is a load-shed: the typed retryable
@@ -276,32 +277,32 @@ func (f *frameReader) request() (ctx telemetry.TraceContext, region string) {
 	return ctx, f.str()
 }
 
-// mutations is an opMutate request's batch. Each mutation leads with a flag
-// byte that once marked a delete; it is always 0, and a frame that sets it
-// is malformed.
-func (f *frameWriter) mutations(batch *lsm.Batch) {
-	f.uvarint(uint64(batch.Len()))
-	batch.Each(func(key, value []byte) {
-		f.buf = append(f.buf, 0)
-		f.bytes(key)
-		f.bytes(value)
-	})
+// batch is an opMutate request: the batch's row count and its buffer.
+func (f *frameWriter) batch(b *lsm.Batch) {
+	f.uvarint(uint64(b.Len()))
+	f.bytes(b.Bytes())
 }
 
-// mutations copies the rows out of the frame, which the connection reuses
-// for its next request, into a batch sized from the frame: one allocation
-// for the rows' bytes, laid out as the WAL record the stores will log.
-func (f *frameReader) mutations() *lsm.Batch {
-	n := f.count(3) // a flag and two lengths at least
-	batch := lsm.NewBatch(n, len(f.buf)-f.off-3*n)
-	for i := 0; i < n; i++ {
-		if f.uvarint() != 0 {
-			f.malformed("mutation %d sets the retired delete flag", i)
-		}
-		key := f.bytes()
-		batch.Add(key, f.bytes())
+// batch copies the buffer out of the frame, which the connection reuses for
+// its next request, and takes the copy as the batch: one allocation for the
+// rows' bytes. A buffer that does not walk as a run of whole puts, or holds
+// other than count rows, is malformed.
+func (f *frameReader) batch() *lsm.Batch {
+	count := f.count(4) // an op byte, two lengths and a tag at least
+	buf := f.bytes()
+	if f.err != nil {
+		return nil
 	}
-	return batch
+	b, err := lsm.BatchOf(append([]byte(nil), buf...))
+	switch {
+	case err != nil:
+		f.malformed("mutate: %v", err)
+		return nil
+	case b.Len() != count:
+		f.malformed("mutate: %d rows, count says %d", b.Len(), count)
+		return nil
+	}
+	return b
 }
 
 // scanOpen is an opScanOpen request: the bounds and the row limit (0 for

@@ -61,8 +61,8 @@ func wireCases() []wireCase {
 					lsm.Write{Key: wireKey(250), Value: wireReading("2.5")},
 				), sp)
 			},
-			req:       "010009696f742c303030303002000c730061008000000000000000060301312e3543000c7300610080000000000000fa060301322e3543",
-			reqTraced: "01014d0509696f742c303030303002000c730061008000000000000000060301312e3543000c7300610080000000000000fa060301322e3543",
+			req:       "070009696f742c3030303030022c020c06730061008000000000000000010301312e3543020c067300610080000000000000fa010301322e3543",
+			reqTraced: "07014d0509696f742c3030303030022c020c06730061008000000000000000010301312e3543020c067300610080000000000000fa010301322e3543",
 			resp:      "0000",
 			respSpans: "00020109056414097365727665722e6f7003727330",
 		},

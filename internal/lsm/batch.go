@@ -3,7 +3,6 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"tpcxiot/internal/telemetry"
 )
@@ -11,9 +10,10 @@ import (
 // Batch is rows laid out, in one buffer, as the WAL record that logs them:
 // Add copies a row in once, and Store.Apply appends the buffer to the WAL as
 // one record and inserts its rows through applyRecord, the decoder replay
-// runs. Apply only reads a batch, so one batch may go to several stores at
-// once; a batch handed on must not be added to again. The zero Batch is
-// empty.
+// runs. The buffer is append-only and never reused: every store a batch is
+// applied to keeps slices of it in its memtable, so one batch may go to
+// several stores at once, and a batch handed on must not be added to again.
+// The zero Batch is empty.
 //
 // The buffer is a run of puts. A put is opPut, the key's and the value's
 // lengths as uvarints, the key, tagValue and the value: the row the memtable
@@ -28,19 +28,48 @@ type Batch struct {
 // (a put without the value length); replay refuses both as ErrCorrupt.
 const opPut = 2
 
-// recordOverhead bounds a put's bytes beyond its key and value.
-const recordOverhead = 2 + 2*binary.MaxVarintLen32
-
-// NewBatch returns an empty batch with room for rows rows whose keys and
-// values come to bytes in all.
-func NewBatch(rows, bytes int) *Batch {
-	return &Batch{buf: make([]byte, 0, rows*recordOverhead+bytes)}
+// NewBatch returns an empty batch whose buffer holds capacity bytes of puts
+// before Add has to grow it.
+func NewBatch(capacity int) *Batch {
+	return &Batch{buf: make([]byte, 0, capacity)}
 }
 
-// Add appends a row, copying key and value; the buffer grows by doubling. An
-// empty key is taken here and refused, with the whole batch, by Apply.
+// BatchOf takes buf, a run of puts as Bytes returns them, as a batch. The
+// batch keeps buf, which the caller must not write again. A buffer that is
+// not a run of whole puts is ErrCorrupt; an empty key is taken here and
+// refused, with the whole batch, by Apply.
+func BatchOf(buf []byte) (*Batch, error) {
+	b := &Batch{buf: buf[:len(buf):len(buf)]}
+	for rest := buf; len(rest) > 0; {
+		key, stored, n, ok := splitRecord(rest)
+		if !ok {
+			return nil, fmt.Errorf("%w: batch of %d bytes, op %d at byte %d", ErrCorrupt, len(buf), rest[0], len(buf)-len(rest))
+		}
+		b.rows++
+		b.size += int64(len(key) + len(stored) - 1)
+		rest = rest[n:]
+	}
+	return b, nil
+}
+
+// putLen is the length of a put of a key and a value of these lengths.
+func putLen(key, value int) int {
+	return 2 + uvarintLen(uint64(key)) + uvarintLen(uint64(value)) + key + value
+}
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// Add appends a row, copying key and value; a full buffer is replaced by one
+// of twice the size, and the old one is left as it is. An empty key is taken
+// here and refused, with the whole batch, by Apply.
 func (b *Batch) Add(key, value []byte) {
-	if need := recordOverhead + len(key) + len(value); cap(b.buf)-len(b.buf) < need {
+	if need := putLen(len(key), len(value)); cap(b.buf)-len(b.buf) < need {
 		b.buf = append(make([]byte, 0, max(2*cap(b.buf), len(b.buf)+need)), b.buf...)
 	}
 	b.buf = append(b.buf, opPut)
@@ -56,6 +85,10 @@ func (b *Batch) Len() int { return b.rows }
 
 // Size is the batch's key and value bytes: its payload before any framing.
 func (b *Batch) Size() int64 { return b.size }
+
+// Bytes is the batch's buffer, the WAL record that logs it, which BatchOf
+// takes back as the same batch. The caller must not write it.
+func (b *Batch) Bytes() []byte { return b.buf }
 
 // Each calls fn with every row's key and value in the order added. Both
 // alias the batch, capacity-capped so that an append cannot write into it.
@@ -90,11 +123,12 @@ func splitRecord(buf []byte) (key, stored []byte, n int, ok bool) {
 }
 
 // applyRecord inserts the puts of one WAL record, a batch, into the active
-// memtable, which copies each key and stored row, the put's tail. Open's
-// replay calls it for every record and Apply for the batch it logged, so
-// live writes run the decoder recovery depends on; a WAL of one put per
-// record replays as batches of one row. A record that is not a run of whole
-// puts of non-empty keys is ErrCorrupt.
+// memtable, which keeps slices of rec, each key and stored row (the put's
+// tail), so rec must never be written again. Open's replay calls it for
+// every record and Apply for the batch it logged, so live writes run the
+// decoder recovery depends on; a WAL of one put per record replays as
+// batches of one row. A record that is not a run of whole puts of non-empty
+// keys is ErrCorrupt.
 func (s *Store) applyRecord(rec []byte) error {
 	for buf := rec; len(buf) > 0; {
 		key, stored, n, ok := splitRecord(buf)
@@ -123,16 +157,15 @@ func (s *Store) ApplyBatch(writes []Write) error {
 	return s.ApplyBatchTraced(telemetry.TSpan{}, writes)
 }
 
-// encodePool recycles the batches ApplyBatchTraced copies writes into. Apply
-// keeps no reference to a batch, so a caller handing the store slices of
-// writes, as engine.durable does every batch, allocates no buffer per call.
-var encodePool = sync.Pool{New: func() any { return new(Batch) }}
-
-// ApplyBatchTraced copies the writes into a Batch and applies it.
+// ApplyBatchTraced copies the writes into a batch of exactly their size and
+// applies it: the store's memtable keeps that batch's bytes, so the caller
+// may reuse the writes' slices once it returns.
 func (s *Store) ApplyBatchTraced(parent telemetry.TSpan, writes []Write) error {
-	b := encodePool.Get().(*Batch)
-	defer encodePool.Put(b)
-	b.buf, b.rows, b.size = b.buf[:0], 0, 0
+	n := 0
+	for i := range writes {
+		n += putLen(len(writes[i].Key), len(writes[i].Value))
+	}
+	b := NewBatch(n)
 	for i := range writes {
 		b.Add(writes[i].Key, writes[i].Value)
 	}

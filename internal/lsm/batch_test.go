@@ -256,3 +256,79 @@ func TestConcurrentApplyBatchScanCompact(t *testing.T) {
 		t.Fatalf("scan found %d keys, want %d", n, totalWrites)
 	}
 }
+
+// TestApplyBatchOwnsItsRows: the memtable keeps the bytes of the batch
+// ApplyBatch copies the writes into, so that batch must be one no later
+// call writes. A caller that reuses its key and value buffers for its next
+// batch, as the benchmark's durable writers do, must not change the rows
+// it applied before.
+func TestApplyBatchOwnsItsRows(t *testing.T) {
+	s := openTest(t, Options{DisableAutoFlush: true})
+	const rows, keyLen, valLen = 16, 8, 100
+	buf := make([]byte, rows*(keyLen+valLen))
+	batch := func(tag byte) []Write {
+		writes := make([]Write, rows)
+		for i := range writes {
+			row := buf[i*(keyLen+valLen) : (i+1)*(keyLen+valLen)]
+			copy(row, fmt.Sprintf("%c-key-%02d", tag, i))
+			for j := keyLen; j < len(row); j++ {
+				row[j] = tag + byte(i*j)
+			}
+			writes[i] = Write{Key: row[:keyLen], Value: row[keyLen:]}
+		}
+		return writes
+	}
+	var want []Write
+	for _, tag := range []byte{'a', 'b'} {
+		writes := batch(tag)
+		for _, w := range writes {
+			want = append(want, Write{Key: bytes.Clone(w.Key), Value: bytes.Clone(w.Value)})
+		}
+		if err := s.ApplyBatch(writes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	if err := scan(s, nil, nil, func(k, v []byte) error {
+		if i >= len(want) || !bytes.Equal(k, want[i].Key) || !bytes.Equal(v, want[i].Value) {
+			return fmt.Errorf("row %d: key %q, %d value bytes; not the row applied", i, k, len(v))
+		}
+		i++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(want) {
+		t.Fatalf("walk returned %d rows, want %d", i, len(want))
+	}
+}
+
+// TestBatchOf: a batch's bytes taken back are the same batch, and a buffer
+// that is not a run of whole puts is refused with ErrCorrupt.
+func TestBatchOf(t *testing.T) {
+	b := NewBatch(0)
+	b.Add([]byte("k1"), []byte("v1"))
+	b.Add([]byte("k2"), nil)
+	b.Add(nil, []byte("v3")) // taken; Apply refuses it
+	got, err := BatchOf(bytes.Clone(b.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != b.Len() || got.Size() != b.Size() || !bytes.Equal(got.Bytes(), b.Bytes()) {
+		t.Fatalf("BatchOf: %d rows, %d bytes; want %d, %d", got.Len(), got.Size(), b.Len(), b.Size())
+	}
+	if empty, err := BatchOf(nil); err != nil || empty.Len() != 0 {
+		t.Fatalf("BatchOf(nil) = %d rows, %v", empty.Len(), err)
+	}
+	whole := b.Bytes()
+	for _, bad := range [][]byte{
+		whole[:len(whole)-1],                       // the last put torn
+		append([]byte{1}, whole[1:]...),            // a put of an older layout
+		append(bytes.Clone(whole), opPut),          // a put cut after its op byte
+		append(bytes.Clone(whole), opPut, 0, 0, 0), // a stored row without its tag
+	} {
+		if _, err := BatchOf(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("BatchOf(%x) = %v, want ErrCorrupt", bad, err)
+		}
+	}
+}

@@ -118,8 +118,10 @@ func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) 
 		s.pruneTime.Add(timePruned)
 	}
 
+	// The bound is kept past this call, so it is copied: a caller's slice
+	// (a server's request frame) may be reused for the next request.
 	it := &Iter{
-		store: s, held: held, merged: newMergeIterator(sources), hi: hi,
+		store: s, held: held, merged: newMergeIterator(sources), hi: bytes.Clone(hi),
 		tsLo: tsLo, tsHi: tsHi, tsFilter: tsFilter,
 	}
 	it.skip()

@@ -456,7 +456,8 @@ func Open(opts Options) (*Store, error) {
 	}
 
 	// Recover unflushed writes from the log before the table set: a log this
-	// store cannot read is refused before recovery writes anything.
+	// store cannot read is refused before recovery writes anything. Every
+	// record is a buffer of its own, which the memtable keeps.
 	if err := wal.Replay(filepath.Join(o.Dir, "wal"), s.elog, s.applyRecord); err != nil {
 		return nil, fmt.Errorf("lsm: wal recovery: %w", err)
 	}

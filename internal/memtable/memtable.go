@@ -34,17 +34,20 @@
 //     disjoint, so a scan is a two-way merge without shadowing, and with an
 //     empty fallback it compares no keys at all.
 //
-// The table is an arena. Entries and skiplist nodes are carved from slabs,
-// and each entry's key and value bytes are copied together into chunks of
-// chunkBytes (an entry larger than a quarter chunk gets an allocation of its
-// own). A first insert stores its value in the entry itself, so a new key
-// costs no allocation of its own; only an overwrite allocates, for the new
-// value's holder. Nothing is reused or freed: a key or value slice returned
-// by an iterator stays valid and unchanged for as long as the caller holds
-// it, later Puts and overwrites of the same key included, and the memory
-// goes when the table and every slice into it are unreachable. Returned
-// slices are capacity-capped, so a caller's append copies instead of
-// writing into the neighbouring entry.
+// Put keeps the key and value it is given: an entry's key and value are
+// capacity-capped slices of Put's arguments, and the caller never writes
+// those bytes again. The store hands Put slices of a batch's buffer, the
+// WAL record it logged, so a row is not copied between the batch and the
+// table, and replicas that apply one batch share its bytes. Entries and
+// skiplist nodes are carved from slabs, and a first insert stores its
+// value in the entry itself, so a new key costs no allocation of its own;
+// only an overwrite allocates, for the new value's holder. Nothing is
+// reused or freed: a key or value slice returned by an iterator stays
+// valid and unchanged for as long as the caller holds it, later Puts and
+// overwrites of the same key included, and the memory goes when the table,
+// every slice into it and every batch it keeps bytes of are unreachable.
+// Returned slices are capacity-capped, so a caller's append copies instead
+// of writing into the neighbouring entry.
 package memtable
 
 import (
@@ -60,11 +63,10 @@ import (
 )
 
 const (
-	maxHeight  = 18       // supports hundreds of millions of entries at p=1/4
-	slabNodes  = 256      // fallback nodes allocated at a time
-	slabRuns   = 256      // run entries allocated at a time
-	minGrow    = 16       // first capacity of an appendOnly
-	chunkBytes = 64 << 10 // key and value bytes allocated at a time
+	maxHeight = 18  // supports hundreds of millions of entries at p=1/4
+	slabNodes = 256 // fallback nodes allocated at a time
+	slabRuns  = 256 // run entries allocated at a time
+	minGrow   = 16  // first capacity of an appendOnly
 )
 
 // Memtable is a sorted in-memory key-value buffer. The zero value is not
@@ -76,7 +78,6 @@ type Memtable struct {
 	mu      sync.Mutex         // serialises writers
 	index   map[string]*series // guarded by mu; series by prefix
 	entries []entry            // guarded by mu; the unused rest of the current entry slab
-	chunk   []byte             // guarded by mu; the unused rest of the current chunk
 
 	// The fallback skiplist.
 	head   *node
@@ -182,8 +183,8 @@ func New(seed uint64) *Memtable {
 	return m
 }
 
-// Put inserts or overwrites key with value. The key and value slices are
-// copied on first insert; overwrites copy only the value. Safe for
+// Put inserts or overwrites key with value. The table keeps both slices, not
+// copies: the caller must never write their bytes again. Safe for
 // concurrent use with readers and other writers.
 func (m *Memtable) Put(key, value []byte) {
 	m.mu.Lock()
@@ -213,14 +214,13 @@ func (m *Memtable) Put(key, value []byte) {
 
 // newSeries indexes and publishes a series. Called with mu held.
 func (m *Memtable) newSeries(prefix []byte) *series {
-	s := &series{prefix: m.alloc(len(prefix))}
-	copy(s.prefix, prefix)
+	s := &series{prefix: prefix[:len(prefix):len(prefix)]}
 	m.index[string(prefix)] = s
 	m.series.append(s)
 	return s
 }
 
-// newEntry copies key and value into a fresh entry and counts it. Called
+// newEntry stores key and value in a fresh entry and counts it. Called
 // with mu held.
 func (m *Memtable) newEntry(key, value []byte) *entry {
 	if len(m.entries) == 0 {
@@ -232,13 +232,10 @@ func (m *Memtable) newEntry(key, value []byte) *entry {
 	return e
 }
 
-// fill copies key and value into e, a zero entry, and counts it. Called
-// with mu held.
+// fill stores key and value, capacity-capped, in e, a zero entry, and counts
+// it. Called with mu held.
 func (m *Memtable) fill(e *entry, key, value []byte) {
-	kv := m.alloc(len(key) + len(value))
-	k := copy(kv, key)
-	copy(kv[k:], value)
-	e.key, e.first = kv[:k:k], kv[k:]
+	e.key, e.first = key[:len(key):len(key)], value[:len(value):len(value)]
 	e.value.Store(&e.first)
 	m.size.Add(int64(len(key) + len(value)))
 	m.count.Add(1)
@@ -247,8 +244,7 @@ func (m *Memtable) fill(e *entry, key, value []byte) {
 // overwrite replaces e's value. Called with mu held.
 func (m *Memtable) overwrite(e *entry, value []byte) {
 	old := e.value.Load()
-	v := m.alloc(len(value))
-	copy(v, value)
+	v := value[:len(value):len(value)]
 	e.value.Store(&v)
 	m.size.Add(int64(len(value) - len(*old)))
 }
@@ -289,21 +285,6 @@ func (m *Memtable) newNode() *node {
 	n := &m.nodes[0]
 	m.nodes = m.nodes[1:]
 	return n
-}
-
-// alloc takes n bytes from the current chunk, capacity-capped. Called with mu
-// held. A request over a quarter chunk is allocated on its own, so no chunk
-// leaves more than a quarter of itself unused.
-func (m *Memtable) alloc(n int) []byte {
-	if n > chunkBytes/4 {
-		return make([]byte, n)
-	}
-	if len(m.chunk) < n {
-		m.chunk = make([]byte, chunkBytes)
-	}
-	b := m.chunk[:n:n]
-	m.chunk = m.chunk[n:]
-	return b
 }
 
 // Get returns a copy of the value stored for key, or ok=false if absent.

@@ -46,15 +46,22 @@ func TestOverwrite(t *testing.T) {
 	}
 }
 
-func TestPutCopiesInputs(t *testing.T) {
+// TestPutKeepsInputs: Put keeps the slices it is given, capacity-capped, so
+// an append to a stored key or value copies instead of writing into the
+// caller's buffer past them.
+func TestPutKeepsInputs(t *testing.T) {
 	m := New(3)
-	k := []byte("key")
-	v := []byte("val")
-	m.Put(k, v)
-	k[0], v[0] = 'X', 'X'
-	got, ok := m.Get([]byte("key"))
-	if !ok || string(got) != "val" {
-		t.Fatalf("stored data aliased caller's slices: %q,%v", got, ok)
+	buf := []byte("keyvalXX")
+	m.Put(buf[:3], buf[3:6])
+	it := m.NewIterator()
+	it.SeekToFirst()
+	if !it.Valid() || &it.Key()[0] != &buf[0] || &it.Value()[0] != &buf[3] {
+		t.Fatal("Put copied its inputs")
+	}
+	_ = append(it.Key(), 'Y')
+	_ = append(it.Value(), 'Z')
+	if string(buf) != "keyvalXX" {
+		t.Fatalf("an append to a stored slice wrote into the caller's buffer: %q", buf)
 	}
 }
 
@@ -350,13 +357,17 @@ func TestPropertyMatchesSortedMap(t *testing.T) {
 	}
 }
 
+// BenchmarkPut inserts keys the fallback holds. Put keeps its key, so each
+// gets a slice of its own.
 func BenchmarkPut(b *testing.B) {
 	m := New(11)
-	key := make([]byte, 32)
+	const keyLen = 32
+	keys := make([]byte, b.N*keyLen)
 	val := make([]byte, 1024)
-	b.SetBytes(int64(len(key) + len(val)))
+	b.SetBytes(int64(keyLen + len(val)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		key := keys[i*keyLen : (i+1)*keyLen]
 		copy(key, fmt.Sprintf("key-%020d", i))
 		m.Put(key, val)
 	}
@@ -374,8 +385,8 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-// TestPutAllocsAmortised pins the arena: a new key costs a share of one
-// node slab and one byte chunk, not allocations of its own.
+// TestPutAllocsAmortised pins the slabs: a new key costs a share of one
+// entry slab and of its run's array, not allocations of its own.
 func TestPutAllocsAmortised(t *testing.T) {
 	const rows, runs = 4000, 4
 	keys := make([][]byte, rows*(runs+1))
@@ -440,10 +451,10 @@ func memtableValue(n int, tag byte) []byte {
 }
 
 // memtableValueLen maps a selector byte to a value length: small lengths
-// in steps of 8 bytes, and from 200 on lengths around the quarter-chunk
-// bound where alloc stops sharing chunks and lengths beyond a whole chunk.
+// in steps of 8 bytes, and from 200 on lengths of 16 and 64 KiB and around
+// them.
 func memtableValueLen(sel byte) int {
-	big := []int{0, 1, chunkBytes/4 - 3, chunkBytes / 4, chunkBytes/4 + 1, chunkBytes - 1, chunkBytes + 1}
+	big := []int{0, 1, 16<<10 - 3, 16 << 10, 16<<10 + 1, 64<<10 - 1, 64<<10 + 1}
 	if sel >= 200 {
 		return big[int(sel-200)%len(big)]
 	}
@@ -456,7 +467,8 @@ type held struct {
 }
 
 // FuzzMemtable runs an op stream against the table and a sorted-map model:
-// new and overwriting Puts (values from empty to over a byte chunk), Get,
+// new and overwriting Puts (values from empty to over 64 KiB, each Put's key
+// and value in fresh slices, which the table keeps), Get,
 // SeekToFirst/Seek/Next walks, Len and Size. Keys are short strings, which
 // only the fallback skiplist holds, or kvp keys of three series that land in
 // a series' run when they arrive in timestamp order and in the fallback when
@@ -551,12 +563,6 @@ func memtableOps(t *testing.T, ops []byte) {
 			model[string(k)] = append([]byte(nil), v...)
 			size += int64(len(k) + len(v))
 			m.Put(k, v)
-			for i := range k { // the table must have copied k and v
-				k[i] = 0xdd
-			}
-			for i := range v {
-				v[i] = 0xdd
-			}
 		case 2: // Get
 			k := key()
 			got, ok := m.Get(k)

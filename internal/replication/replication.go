@@ -331,6 +331,10 @@ func (g *Group) runMember(m *member) {
 		// acks counts each member's durable apply of each row.
 		g.met.acks.Add(int64(pb.batch.Len()))
 		m.mu.Lock()
+		// The array outlives the slice: clear the slot, or it keeps the
+		// batch, and the memtable bytes it holds, until the array is
+		// replaced.
+		m.queue[0] = nil
 		m.queue = m.queue[1:]
 		m.bumpLocked()
 		m.mu.Unlock()

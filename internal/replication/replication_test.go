@@ -3,7 +3,10 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tpcxiot/internal/lsm"
 	"tpcxiot/internal/telemetry"
@@ -273,5 +276,33 @@ func TestApplyBatchSingleMember(t *testing.T) {
 	}
 	if len(p.data) != 7 {
 		t.Fatalf("single member holds %d keys, want 7", len(p.data))
+	}
+}
+
+// TestAppliedBatchesAreReleased: once every member applied a batch, the
+// group holds no reference to it. A store's memtable keeps the bytes of the
+// batches it applied, so a batch the group kept would keep them after the
+// flush that drops the memtable.
+func TestAppliedBatchesAreReleased(t *testing.T) {
+	g := NewGroup(Options{}, newMapApplier(), newMapApplier(), newMapApplier())
+	defer g.Close()
+	const n = 8
+	var released atomic.Int64
+	for i := 0; i < n; i++ {
+		b := batchOf(lsm.Write{Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte("v")})
+		runtime.SetFinalizer(b, func(*lsm.Batch) { released.Add(1) })
+		if err := g.ApplyBatch(telemetry.TSpan{}, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); released.Load() < n && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := released.Load(); got != n {
+		t.Fatalf("%d of %d applied batches still reachable", n-got, n)
 	}
 }

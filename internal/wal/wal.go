@@ -545,17 +545,18 @@ func SyncDir(dir string) error {
 }
 
 // Replay invokes fn for every intact record across all segments in append
-// order. A record is intact when its header is whole, its length is neither
-// 0 nor over MaxRecordSize, its body lies inside the file, it is of the
-// segment's kind (that of the segment's first record) and its CRC matches:
-// a bound record's over its segment's sequence number and the record, so a
-// record of a reused file's earlier life never is. In the last segment the
-// first record that is not intact ends replay without error — it is what a
-// crash leaves at the tail: a half-written record, the zeros of a file
-// extended but never written, or the stale records of a reused file — so
-// damage anywhere in the last segment drops the records behind it, and the
-// segment is truncated to the records before it. In any earlier segment the
-// same damage is ErrCorrupt. A tolerated torn tail is reported to logger
+// order. Each record is a buffer of its own, which fn may keep: no later
+// read writes it. A record is intact when its header is whole, its length is
+// neither 0 nor over MaxRecordSize, its body lies inside the file, it is of
+// the segment's kind (that of the segment's first record) and its CRC
+// matches: a bound record's over its segment's sequence number and the
+// record, so a record of a reused file's earlier life never is. In the last
+// segment the first record that is not intact ends replay without error — it
+// is what a crash leaves at the tail: a half-written record, the zeros of a
+// file extended but never written, or the stale records of a reused file —
+// so damage anywhere in the last segment drops the records behind it, and
+// the segment is truncated to the records before it. In any earlier segment
+// the same damage is ErrCorrupt. A tolerated torn tail is reported to logger
 // (nil drops it) as a warn event, so operators can tell a clean recovery
 // from one that discarded an unacknowledged tail.
 func Replay(dir string, logger *telemetry.Logger, fn func(record []byte) error) error {
