@@ -255,6 +255,11 @@ func writeTelemetry(b *strings.Builder, t *telemetry.Summary) {
 			fmt.Fprintf(b, "    reading column served %.1f%% of folded rows (%d from columns, %d decoded from full rows)\n",
 				100*float64(col)/float64(col+dec), col, dec)
 		}
+		// A one-series fold over time-disjoint tables walks them in time
+		// order; every other fold runs the merge (lsm.AggregateTime).
+		if direct := counterValue(t, "lsm.agg_folds_direct"); direct > 0 {
+			fmt.Fprintf(b, "    %d store folds walked time-disjoint tables without the merge\n", direct)
+		}
 		// Every folded row would have crossed the client boundary as a full
 		// kvp on the streamed path; a window partial is a few dozen bytes.
 		saved := folded*kvp.PairSize - windows*aggWindowWireBytes

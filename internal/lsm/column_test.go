@@ -23,7 +23,7 @@ func foldBothWays(t testing.TB, s *Store, lo, hi []byte, minTS, maxTS, windowMS 
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := s.aggregate(lo, hi, minTS, maxTS, windowMS, funcs, false)
+	dec, err := s.aggregate(lo, hi, minTS, maxTS, windowMS, funcs, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestUndecodableValueFallsBackToDataBlocks(t *testing.T) {
 
 	lo, hi := aggRange("sub0", 0, 0)
 	_, err := s.AggregateTime(lo, hi, 0, math.MaxInt64, 0, allAggFuncs)
-	_, wantErr := s.aggregate(lo, hi, 0, math.MaxInt64, 0, allAggFuncs, false)
+	_, wantErr := s.aggregate(lo, hi, 0, math.MaxInt64, 0, allAggFuncs, false, false)
 	if err == nil || !errors.Is(err, kvp.ErrBadValue) || err.Error() != wantErr.Error() {
 		t.Fatalf("aggregate over the bad value: %v; the value-decode fold says %v", err, wantErr)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"tpcxiot/internal/kvp"
+	"tpcxiot/internal/memtable"
 	"tpcxiot/internal/sstable"
 )
 
@@ -56,31 +57,42 @@ func (s *Store) NewIterator(lo, hi []byte) (*Iter, error) {
 	return s.newIter(lo, hi, 0, 0, false, false)
 }
 
-// newIter opens the snapshot. With column set, every table that has a
-// reading column contributes its column iterator in place of its data-block
-// iterator: the same keys in the same order, so shadowing merges exactly
-// as before, but an entry's stored value is then
-// [tagReading][float64 bits] and Value is not the row. Only the aggregate
-// fold, which reads the stored form, sets it.
-func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) (*Iter, error) {
+// pinned is one read's snapshot of the store: the memtables, each iterator
+// positioned at the first key >= the read's lower bound, and the tables that
+// key and time pruning kept, newest first, each acquired until release.
+type pinned struct {
+	mems   []*memtable.Iterator // the active memtable's, then the immutable one's
+	tables []*tableHandle
+}
+
+// release drops the snapshot's references to its tables.
+func (p pinned) release() {
+	for _, t := range p.tables {
+		t.release()
+	}
+}
+
+// pin captures the snapshot of a read of [lo, hi) under one s.mu read lock,
+// charging the read to the scans counter and the pruned tables to the
+// pruning ledger. With tsFilter set, tables whose time bounds miss
+// [tsLo, tsHi) are pruned too.
+func (s *Store) pin(lo, hi []byte, tsLo, tsHi int64, tsFilter bool) (pinned, error) {
 	if hi != nil && bytes.Compare(lo, hi) > 0 {
-		return nil, ErrBadRange
+		return pinned{}, ErrBadRange
 	}
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return nil, ErrClosed
+		return pinned{}, ErrClosed
 	}
-	sources := make([]iterator, 0, 2+len(s.tables))
-	ait := s.active.NewIterator()
-	ait.Seek(lo)
-	sources = append(sources, memIter{ait})
+	p := pinned{mems: make([]*memtable.Iterator, 0, 2), tables: make([]*tableHandle, 0, len(s.tables))}
+	p.mems = append(p.mems, s.active.NewIterator())
 	if s.imm != nil {
-		iit := s.imm.NewIterator()
-		iit.Seek(lo)
-		sources = append(sources, memIter{iit})
+		p.mems = append(p.mems, s.imm.NewIterator())
 	}
-	held := make([]*tableHandle, 0, len(s.tables))
+	for _, m := range p.mems {
+		m.Seek(lo)
+	}
 	var keyPruned, timePruned int64
 	for _, t := range s.tables {
 		// Key-range pruning against the footer bounds. lo > last rules the
@@ -98,16 +110,7 @@ func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) 
 			continue
 		}
 		t.acquire()
-		held = append(held, t)
-		var it *sstable.Iterator
-		if column {
-			it = t.reader.NewColumnIterator()
-		}
-		if it == nil {
-			it = t.reader.NewIterator()
-		}
-		it.Seek(lo)
-		sources = append(sources, it)
+		p.tables = append(p.tables, t)
 	}
 	s.mu.RUnlock()
 	s.scans.Inc()
@@ -117,16 +120,43 @@ func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) 
 	if timePruned > 0 {
 		s.pruneTime.Add(timePruned)
 	}
+	return p, nil
+}
 
+// newIter opens the snapshot and merges it.
+func (s *Store) newIter(lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) (*Iter, error) {
+	p, err := s.pin(lo, hi, tsLo, tsHi, tsFilter)
+	if err != nil {
+		return nil, err
+	}
+	return s.mergePinned(p, lo, hi, tsLo, tsHi, tsFilter, column), nil
+}
+
+// mergePinned opens the merge over a snapshot, which the iterator then owns.
+// With column set, every table that has a reading column contributes its
+// column iterator in place of its data-block iterator: the same keys in the
+// same order, so shadowing merges exactly as before, but an entry's stored
+// value is then [tagReading][float64 bits] and Value is not the row. Only
+// the aggregate fold, which reads the stored form, sets it.
+func (s *Store) mergePinned(p pinned, lo, hi []byte, tsLo, tsHi int64, tsFilter, column bool) *Iter {
+	sources := make([]iterator, 0, len(p.mems)+len(p.tables))
+	for _, m := range p.mems {
+		sources = append(sources, memIter{m})
+	}
+	for _, t := range p.tables {
+		it := t.iterator(column)
+		it.Seek(lo)
+		sources = append(sources, it)
+	}
 	// The bound is kept past this call, so it is copied: a caller's slice
 	// (a server's request frame) may be reused for the next request.
 	it := &Iter{
-		store: s, held: held, merged: newMergeIterator(sources), hi: bytes.Clone(hi),
+		store: s, held: p.tables, merged: newMergeIterator(sources), hi: bytes.Clone(hi),
 		tsLo: tsLo, tsHi: tsHi, tsFilter: tsFilter,
 	}
 	it.skip()
 	it.account()
-	return it, nil
+	return it
 }
 
 // account charges the entry the iterator currently rests on to the local
@@ -195,6 +225,11 @@ func (it *Iter) Close() error {
 	if it.bytesRead > 0 {
 		it.store.logicalReadBytes.Add(it.bytesRead)
 		it.bytesRead = 0
+	}
+	for _, src := range it.merged.sources {
+		if t, ok := src.(*sstable.Iterator); ok {
+			t.Close()
+		}
 	}
 	for _, t := range it.held {
 		t.release()

@@ -242,6 +242,10 @@ type Store struct {
 	// column, or decoded full rows.
 	aggRowsColumn, aggRowsDecoded telemetry.Counter
 
+	// Aggregates folded table by table in time order, without the merge
+	// (AggregateTime's direct path).
+	aggFoldsDirect telemetry.Counter
+
 	// stallWaiters counts writers currently blocked on MaxStoreFiles
 	// backpressure; nonzero means the store is stalled right now.
 	stallWaiters atomic.Int64
@@ -272,6 +276,7 @@ func (s *Store) counterTable() []telemetry.Named {
 		{Name: "lsm.prune_time_skips", C: &s.pruneTime},
 		{Name: "lsm.agg_rows_column", C: &s.aggRowsColumn},
 		{Name: "lsm.agg_rows_decoded", C: &s.aggRowsDecoded},
+		{Name: "lsm.agg_folds_direct", C: &s.aggFoldsDirect},
 	}, s.log.Counters()...)
 }
 
@@ -315,6 +320,17 @@ func newTableHandle(id uint64, path string, reader *sstable.Reader) *tableHandle
 }
 
 func (t *tableHandle) acquire() { t.refs.Add(1) }
+
+// iterator returns an unpositioned iterator over the table's reading column
+// when column is set and the table has one, else over its data blocks.
+func (t *tableHandle) iterator(column bool) *sstable.Iterator {
+	if column {
+		if it := t.reader.NewColumnIterator(); it != nil {
+			return it
+		}
+	}
+	return t.reader.NewIterator()
+}
 
 // release drops one reference, closing the reader (and removing a doomed
 // file) when the last one goes.
@@ -1008,6 +1024,7 @@ func (s *Store) compactPick(pick *compactionPick) error {
 	iters := make([]iterator, len(old))
 	for i, t := range old {
 		it := t.reader.NewIterator()
+		defer it.Close()
 		it.SeekToFirst()
 		iters[i] = it
 	}

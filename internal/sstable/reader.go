@@ -289,24 +289,31 @@ const runSize = 64 << 10
 // block by block through the cache.
 const runGap = runSize / 8
 
+// runPool holds run buffers of runSize bytes between iterators: a query
+// opens an iterator per table it reads, and each would otherwise allocate
+// (and zero) a buffer of its own for its first run.
+var runPool = sync.Pool{New: func() any { return new([runSize]byte) }}
+
 // Iterator walks one of a table's block sequences — the data blocks or the
 // column — in ascending key order.
 //
 // Seek and SeekToFirst load their block through the cache. A walk that then
 // steps onto an adjacent block the cache does not hold reads a run: runSize
 // bytes from that block's offset, in one ReadAt, into a buffer the iterator
-// owns and reuses. The blocks lying whole inside it are verified and parsed
-// in place and never enter the cache, so a long scan or a compaction input
-// evicts nothing.
+// takes from a pool at its first run and keeps until Close. The blocks lying
+// whole inside it are verified and parsed in place and never enter the
+// cache, so a long scan or a compaction input evicts nothing. Values parsed
+// in place alias the buffer: a caller keeps no value past Close.
 type Iterator struct {
 	r       *Reader
 	indexIt *blockIter
 	dataIt  *blockIter // &cur while positioned inside a block
 	err     error
 
-	cur    blockIter // over the current block; its key buffer is reused
-	end    uint64    // file offset just past the current block
-	run    []byte    // file bytes [runOff, runOff+len(run))
+	cur    blockIter      // over the current block; its key buffer is reused
+	end    uint64         // file offset just past the current block
+	run    []byte         // file bytes [runOff, runOff+len(run))
+	runBuf *[runSize]byte // run's backing array, from runPool; nil before the first run
 	runOff uint64
 	inRun  block // the current block, when parsed out of run
 }
@@ -428,10 +435,10 @@ func (it *Iterator) block(h handle, stored uint64, sequential bool) (*block, err
 		if b, ok := r.cache.get(r, h.offset); ok {
 			return b, nil
 		}
-		if it.run == nil {
-			it.run = make([]byte, runSize)
+		if it.runBuf == nil {
+			it.runBuf = runPool.Get().(*[runSize]byte)
 		}
-		it.run = it.run[:min(runSize, uint64(r.size)-h.offset)]
+		it.run = it.runBuf[:min(runSize, uint64(r.size)-h.offset)]
 		if _, err := r.f.ReadAt(it.run, int64(h.offset)); err != nil {
 			it.run = it.run[:0]
 			return nil, fmt.Errorf("sstable: read run: %w", err)
@@ -459,3 +466,15 @@ func (it *Iterator) Value() []byte { return it.dataIt.value }
 
 // Error returns the first corruption or I/O error encountered.
 func (it *Iterator) Error() error { return it.err }
+
+// Close ends the walk and hands the run buffer back to the pool; the
+// iterator is then exhausted, and no value it returned may be read. Safe to
+// call more than once, and on an iterator that never read a run.
+func (it *Iterator) Close() {
+	it.dataIt = nil
+	it.run, it.inRun = nil, block{}
+	if it.runBuf != nil {
+		runPool.Put(it.runBuf)
+		it.runBuf = nil
+	}
+}

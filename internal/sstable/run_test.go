@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -161,6 +162,102 @@ func TestRunBuffersAreNotShared(t *testing.T) {
 		t.Fatalf("entry under a changed while b walked: %q", key)
 	}
 	walk(t, a, keys[10:], rt.kvs, false)
+}
+
+// TestClosedIteratorReadsAfresh: an iterator walked again after Close reads
+// its blocks anew, not out of the run it held before, whose buffer the pool
+// may since have handed to another iterator.
+func TestClosedIteratorReadsAfresh(t *testing.T) {
+	rt := runTable{kvs: columnKVs(300, 1000)}
+	r := rt.open(t)
+	defer r.Close()
+	keys := sortedKeys(rt.kvs)
+
+	a := r.NewIterator()
+	a.SeekToFirst()
+	walk(t, a, keys, rt.kvs, false) // a's last run holds the table's tail
+	a.Close()
+	b := r.NewIterator()
+	b.SeekToFirst()
+	for i := 0; i < 30; i++ { // into b's first run, likely in a's old buffer
+		b.Next()
+	}
+	defer b.Close()
+	a.Seek([]byte(keys[len(keys)-20]))
+	walk(t, a, keys[len(keys)-20:], rt.kvs, false)
+}
+
+// TestPooledRunBuffersNotShared: iterators that close and reopen
+// concurrently never hold one run buffer at once. Each claims its buffer
+// from its first run until Close, checks every entry it walks against the
+// table, closes twice (a second Close must not pool the buffer again), and
+// walks again on the same iterator: from the first key, and from a key of
+// the last run it read before Close, which it must read afresh. Under
+// -race, two walks reading into one buffer also show as a data race.
+func TestPooledRunBuffersNotShared(t *testing.T) {
+	rt := runTable{kvs: columnKVs(300, 1000)} // ~75 blocks, five runs
+	r := rt.open(t)
+	defer r.Close()
+	keys := sortedKeys(rt.kvs)
+
+	var mu sync.Mutex
+	held := map[*[runSize]byte]bool{}
+	claim := func(buf *[runSize]byte, take bool) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if take && held[buf] {
+			return false
+		}
+		held[buf] = take
+		return true
+	}
+	// walk walks it from keys[start] to the end and closes it.
+	walk := func(it *Iterator, start int) error {
+		var buf *[runSize]byte
+		i := start
+		for it.Seek([]byte(keys[start])); it.Valid(); it.Next() {
+			if buf == nil && it.runBuf != nil {
+				if buf = it.runBuf; !claim(buf, true) {
+					return fmt.Errorf("from entry %d: a run buffer another live iterator holds", start)
+				}
+			}
+			if i >= len(keys) || string(it.Key()) != keys[i] || string(it.Value()) != rt.kvs[keys[i]] {
+				return fmt.Errorf("from entry %d: entry %d is %q", start, i, it.Key())
+			}
+			i++
+		}
+		if i != len(keys) || it.Error() != nil {
+			return fmt.Errorf("from entry %d: %d of %d entries, err %v", start, i, len(keys), it.Error())
+		}
+		if buf != nil {
+			claim(buf, false)
+		}
+		it.Close()
+		it.Close()
+		if it.Valid() {
+			return fmt.Errorf("from entry %d: a closed iterator still rests on an entry", start)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			it := r.NewIterator()
+			for round := 0; round < 20; round++ {
+				if err := walk(it, 0); err != nil {
+					t.Errorf("round %d: %v", round, err)
+					return
+				}
+				if err := walk(it, len(keys)-20); err != nil {
+					t.Errorf("round %d: %v", round, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // corruptDataBlock flips a byte in the middle of the n-th data block of a
